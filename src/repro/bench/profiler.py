@@ -43,6 +43,9 @@ SUBSYSTEM_OF: Dict[str, str] = {
     "machine": "core",
     "workloads": "workloads",
     "evaluation": "evaluation",
+    "batchsim": "batchsim",
+    "explore": "explore",
+    "tools": "tools",
 }
 
 

@@ -12,24 +12,16 @@ Usage::
     repro-eval all --bench bench.json        # repro.bench timing artifact
     repro-eval all --no-cache                # bypass the on-disk result cache
     repro-eval all --cache-dir /tmp/repro    # relocate it
-    repro-eval all --cache-backend sqlite:/tmp/cache.db   # shared backend
-    repro-eval all --service http://broker:8731           # remote sweep service
     repro-eval cache stats                   # inspect it
-    repro-eval cache stats --backend sqlite:/tmp/cache.db # ...another backend
-    repro-eval cache clear                   # empty it (--force for shared ones)
+    repro-eval cache clear                   # empty it
     repro-eval --list-passes                 # resolved compiler pipeline
 
 Pipeline execution (profile -> compile -> simulate per benchmark and
 machine) is delegated to :mod:`repro.runner`: ``--jobs N`` runs the job
 graph on ``N`` worker processes (``0`` = one per CPU), and results are
-cached keyed by a content hash of every relevant knob, so a rerun with
-identical settings executes zero pipeline jobs.  ``--cache-backend``
-(or ``$REPRO_CACHE_URL``) swaps the local directory store for a shared
-SQLite file or a broker's HTTP object store, and ``--service URL``
-ships the whole job graph to a ``repro-serve`` broker executed by
-``repro-worker`` processes (:mod:`repro.service`).  Output is
-byte-identical regardless of ``--jobs``, cache temperature, backend,
-and local-vs-service execution.
+cached on disk keyed by a content hash of every relevant knob, so a
+rerun with identical settings executes zero pipeline jobs.  Output is
+byte-identical regardless of ``--jobs`` and cache temperature.
 """
 
 from __future__ import annotations
@@ -45,7 +37,7 @@ from typing import List, Optional
 from repro.evaluation import baseline_cmp, figure8, regions_exp, table2, table3, table4
 from repro.evaluation.experiment import Evaluation, EvaluationSettings
 from repro.evaluation.report import EXPERIMENTS, full_report, run_experiment
-from repro.runner import EventLog, ProgressRenderer, Runner
+from repro.runner import DiskCache, EventLog, ProgressRenderer, Runner
 
 #: Experiments with structured row output available as JSON.
 _COMPUTE = {
@@ -110,31 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache",
         action="store_true",
         help="neither read nor write the result cache",
-    )
-    parser.add_argument(
-        "--cache-backend",
-        "--backend",
-        dest="cache_backend",
-        metavar="SPEC",
-        default=None,
-        help=(
-            "result cache backend: disk[:/path], sqlite[:/path.db], or an "
-            "http(s) URL (default: $REPRO_CACHE_URL, else the disk cache)"
-        ),
-    )
-    parser.add_argument(
-        "--service",
-        metavar="URL",
-        default=None,
-        help=(
-            "execute the pipeline on a remote repro-serve broker instead of "
-            "locally; --jobs/--cache-* then apply on the workers, not here"
-        ),
-    )
-    parser.add_argument(
-        "--force",
-        action="store_true",
-        help="allow 'cache clear' to wipe a shared (sqlite/http) backend",
     )
     parser.add_argument(
         "--events",
@@ -203,14 +170,11 @@ def _parse_benchmarks(values: Optional[List[str]]) -> Optional[List[str]]:
     return names
 
 
-def _make_cache(args: argparse.Namespace):
-    """The result-cache backend this invocation should use."""
-    from repro.service.backends import make_cache
-
-    return make_cache(
-        args.cache_backend,
+def _make_cache(args: argparse.Namespace) -> DiskCache:
+    """The result cache this invocation should use."""
+    return DiskCache(
+        root=Path(args.cache_dir) if args.cache_dir else None,
         enabled=not args.no_cache,
-        default_root=Path(args.cache_dir) if args.cache_dir else None,
     )
 
 
@@ -222,16 +186,8 @@ def _cache_command(args: argparse.Namespace) -> int:
         print(json.dumps(stats.as_dict(), indent=2) if args.json else stats.render())
         return 0
     if subcommand == "clear":
-        if cache.shared and not args.force:
-            print(
-                f"cache clear: {cache.describe()} is a *shared* backend — "
-                "other workers and users may be relying on it; pass --force "
-                "to wipe it anyway",
-                file=sys.stderr,
-            )
-            return 2
         removed = cache.clear()
-        print(f"removed {removed} cached result(s) from {cache.describe()}")
+        print(f"removed {removed} cached result(s) from {cache.root}")
         return 0
     print(
         f"unknown cache command {subcommand!r}; available: stats, clear",
@@ -359,12 +315,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         path=args.events,
         renderer=ProgressRenderer() if args.progress else None,
     )
-    if args.service:
-        from repro.service.client import ServiceRunner
-
-        runner = ServiceRunner(args.service, events=events)
-    else:
-        runner = Runner(jobs=args.jobs, cache=_make_cache(args), events=events)
+    runner = Runner(jobs=args.jobs, cache=_make_cache(args), events=events)
     evaluation = Evaluation(
         settings,
         runner=runner,

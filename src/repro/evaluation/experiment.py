@@ -11,13 +11,6 @@ threshold/scale sweeps) and :meth:`Evaluation.warm` can execute the
 whole job graph for a set of experiments in parallel before the
 experiments read it back.  Without a runner the behaviour is the
 original in-process one — no disk I/O, no worker processes.
-
-The ``runner`` argument is duck-typed on ``run``/``run_job``:
-:class:`repro.service.client.ServiceRunner` slots in the same way
-(``repro-eval --service URL``) and ships the identical job graph to a
-remote broker executed by ``repro-worker`` processes — outputs are
-byte-identical to local execution because both paths materialise the
-same content-hash-keyed jobs.
 """
 
 from __future__ import annotations

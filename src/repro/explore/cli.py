@@ -7,15 +7,13 @@ Usage::
     repro-explore --base machines/custom.toml --axis fu_scale=1,2
     repro-explore --axis issue_width=2,4 --random 4 --seed 7
     repro-explore ... --jobs 4                 # parallel local runner
-    repro-explore ... --service http://broker:8731   # remote fleet
     repro-explore ... --out sweep.json --plot sweep.png
 
 Every point runs the paper's dynamic simulation per benchmark through
 the shared content-hash-keyed runner, so points dedupe their common
 stages (one build/trace/profile per benchmark for the whole sweep) and
 reruns are pure cache reads.  The JSON artifact is deterministic —
-identical across ``--jobs`` settings, cache temperature and
-local-vs-``--service`` execution.
+identical across ``--jobs`` settings and cache temperature.
 """
 
 from __future__ import annotations
@@ -105,14 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="neither read nor write the result cache",
     )
     parser.add_argument(
-        "--cache-backend", metavar="SPEC", default=None,
-        help="result cache backend: disk[:/path], sqlite[:/path.db], http(s) URL",
-    )
-    parser.add_argument(
-        "--service", metavar="URL", default=None,
-        help="execute the job graph on a remote repro-serve broker",
-    )
-    parser.add_argument(
         "--events", metavar="PATH", default=None,
         help="write JSONL runner progress events to PATH",
     )
@@ -195,28 +185,20 @@ def main(argv: Optional[List[str]] = None) -> int:
         file=sys.stderr,
     )
 
-    from repro.runner import EventLog, ProgressRenderer, Runner
+    from repro.runner import DiskCache, EventLog, ProgressRenderer, Runner
 
     events = EventLog(
         path=args.events,
         renderer=ProgressRenderer() if args.progress else None,
     )
-    if args.service:
-        from repro.service.client import ServiceRunner
-
-        runner = ServiceRunner(args.service, events=events)
-    else:
-        from repro.service.backends import make_cache
-
-        runner = Runner(
-            jobs=args.jobs,
-            cache=make_cache(
-                args.cache_backend,
-                enabled=not args.no_cache,
-                default_root=Path(args.cache_dir) if args.cache_dir else None,
-            ),
-            events=events,
-        )
+    runner = Runner(
+        jobs=args.jobs,
+        cache=DiskCache(
+            root=Path(args.cache_dir) if args.cache_dir else None,
+            enabled=not args.no_cache,
+        ),
+        events=events,
+    )
 
     benchmarks = _parse_benchmarks(args.benchmarks)
     try:

@@ -2,7 +2,7 @@
 
 Each :class:`~repro.explore.space.DesignPoint` runs the paper's dynamic
 simulation (the table 2/4 machinery) per benchmark through one shared
-:class:`~repro.runner.Runner` — local pool or ``--service`` broker — so
+:class:`~repro.runner.Runner` — serial or process pool — so
 points that share stages dedupe on content-hash job keys exactly like
 any other sweep: one build/trace/profile per benchmark for the *whole*
 sweep, one compile/simulate per distinct (machine fingerprint,
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.evaluation.experiment import (
     Evaluation,
@@ -189,20 +189,14 @@ def explore_points(
     """Evaluate every design point; returns results in point order.
 
     With a runner, the union of all points' job graphs is warmed first
-    (one parallel/remote execution with cross-point dedup), then each
+    (one execution with cross-point dedup), then each
     point reads its simulations back from cache.
     """
     evaluations = [
         _evaluation_for(point, scale, benchmarks, runner) for point in points
     ]
     if runner is not None:
-        jobs = []
-        seen = set()
-        for evaluation in evaluations:
-            for job in evaluation.required_jobs(["table2"]):
-                if job.key() not in seen:
-                    seen.add(job.key())
-                    jobs.append(job)
+        jobs = _union(e.required_jobs(["table2"]) for e in evaluations)
         if jobs:
             runner.run(jobs)
 
@@ -265,6 +259,51 @@ def _estimated_frontier(
     return frontier
 
 
+def _error_detail(exc: BaseException) -> str:
+    """``Type: message`` of the error a point's evaluation raised.
+
+    A failed runner job reports its stage's own exception, so the detail
+    is the same whether the point ran through the runner or in-process.
+    """
+    from repro.runner import JobError
+
+    if isinstance(exc, JobError):
+        exc = exc.cause
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _union(job_lists: Iterable[Sequence[Any]]) -> List[Any]:
+    """Every job of ``job_lists`` once, in first-seen order."""
+    jobs, seen = [], set()
+    for job_list in job_lists:
+        for job in job_list:
+            if job.key() not in seen:
+                seen.add(job.key())
+                jobs.append(job)
+    return jobs
+
+
+def _prefetch(runner, job_lists: Iterable[Sequence[Any]]) -> None:
+    """Run the union of every point's jobs in one batch.
+
+    Shared stages dedupe and a pooled runner sees the whole sweep at
+    once.  A failing job does not abort the sweep: the per-point loop
+    reads each point's results back through the runner, which re-raises
+    the recorded failure for exactly the points that need that job (and
+    lazily runs any job the batch did not reach), so the error is
+    attributed there.
+    """
+    from repro.runner import JobError
+
+    jobs = _union(job_lists)
+    if not jobs:
+        return
+    try:
+        runner.run(jobs)
+    except JobError:
+        pass
+
+
 def explore(
     points: Sequence[DesignPoint],
     scale: float = 1.0,
@@ -295,6 +334,17 @@ def explore(
     their reason — nothing is silently dropped.
     """
     pruned: List[PrunedPoint] = []
+    estimates: Dict[str, float] = {}
+
+    def prune_error(point: DesignPoint, detail: str) -> None:
+        pruned.append(
+            PrunedPoint(
+                label=point.label,
+                reason="error",
+                detail=detail,
+                estimated_speedup=estimates.get(point.label),
+            )
+        )
 
     # -- dedup ----------------------------------------------------------
     unique: List[DesignPoint] = []
@@ -322,7 +372,6 @@ def explore(
     }
 
     # -- surrogate ranking ---------------------------------------------
-    estimates: Dict[str, float] = {}
     estimate_details: Dict[str, Dict[str, Any]] = {}
     candidates = list(unique)
     if surrogate and unique:
@@ -331,21 +380,19 @@ def explore(
         if runner is not None:
             from repro.runner import compile_job
 
-            jobs, seen = [], set()
-            for point in unique:
+            def compile_jobs(point: DesignPoint) -> List[Any]:
                 evaluation = evaluations[point.label]
-                for name in evaluation.benchmarks:
-                    job = compile_job(
+                return [
+                    compile_job(
                         name,
                         evaluation.machine_for("base"),
                         scale=evaluation.settings.scale,
                         spec_config=evaluation.settings.spec_config,
                     )
-                    if job.key() not in seen:
-                        seen.add(job.key())
-                        jobs.append(job)
-            if jobs:
-                runner.run(jobs)
+                    for name in evaluation.benchmarks
+                ]
+
+            _prefetch(runner, (compile_jobs(point) for point in unique))
 
         candidates = []
         for point in unique:
@@ -359,13 +406,7 @@ def explore(
                         )
                     )
             except Exception as exc:
-                pruned.append(
-                    PrunedPoint(
-                        label=point.label,
-                        reason="error",
-                        detail=f"{type(exc).__name__}: {exc}",
-                    )
-                )
+                prune_error(point, _error_detail(exc))
                 continue
             estimates[point.label] = geometric_mean(
                 [e.speedup for e in per_bench.values()]
@@ -404,15 +445,14 @@ def explore(
         candidates = kept
 
     # -- exact simulation ----------------------------------------------
-    if runner is not None and candidates:
-        jobs, seen = [], set()
-        for point in candidates:
-            for job in evaluations[point.label].required_jobs(["table2"]):
-                if job.key() not in seen:
-                    seen.add(job.key())
-                    jobs.append(job)
-        if jobs:
-            runner.run(jobs)
+    if runner is not None:
+        _prefetch(
+            runner,
+            (
+                evaluations[point.label].required_jobs(["table2"])
+                for point in candidates
+            ),
+        )
 
     results: List[PointResult] = []
     validation_entries: List[Tuple[str, str, float, int, float]] = []
@@ -423,14 +463,7 @@ def explore(
         try:
             result = _point_result(point, evaluation)
         except Exception as exc:
-            pruned.append(
-                PrunedPoint(
-                    label=point.label,
-                    reason="error",
-                    detail=f"{type(exc).__name__}: {exc}",
-                    estimated_speedup=estimates.get(point.label),
-                )
-            )
+            prune_error(point, _error_detail(exc))
             continue
         results.append(result)
         for bench in result.benchmarks:

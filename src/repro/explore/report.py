@@ -1,7 +1,7 @@
 """Deterministic design-space reports: JSON artifact, text table, plot.
 
 The JSON artifact is schema-versioned and carries *no* timestamps or
-host details, so two runs of the same sweep — local or ``--service`` —
+host details, so two runs of the same sweep — at any ``--jobs`` —
 produce byte-identical files (the CI ``explore-smoke`` job diffs them).
 """
 

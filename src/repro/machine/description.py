@@ -128,7 +128,7 @@ class MachineDescription:
 
     def fingerprint(self) -> str:
         """Stable content hash of the canonical spec form.  Runner job
-        keys and the service wire format address machines by this."""
+        keys address machines by this."""
         return self.spec().fingerprint()
 
     # -- derivation ----------------------------------------------------------

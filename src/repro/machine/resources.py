@@ -20,8 +20,8 @@ class FUPool:
 
     The mapping is normalised to a canonical (class-value-sorted) order
     at construction, so two pools with the same counts are identical
-    objects down to their serialised bytes — the service wire format
-    relies on rebuilt machines being indistinguishable from originals.
+    objects down to their serialised bytes — rebuilt machines are
+    indistinguishable from originals.
     """
 
     counts: Mapping[FUClass, int]

@@ -8,7 +8,7 @@ plus table geometry, and (optionally) non-default speculation-pass
 defaults.  It mirrors :class:`repro.compiler.PipelineConfig`: specs are
 frozen dataclasses with a canonical JSON-primitive form
 (:meth:`canonical`) and a stable content hash (:meth:`fingerprint`) that
-addresses runner cache entries and service wire payloads.
+addresses runner cache entries.
 
 The runtime object the schedulers and engines consume remains
 :class:`repro.machine.description.MachineDescription`; :meth:`build`
@@ -392,8 +392,7 @@ def load_spec(path: Union[str, Path]) -> MachineSpec:
 def machine_fingerprint(machine: Union[MachineSpec, MachineDescription]) -> str:
     """The content-hash fingerprint of a spec *or* a runtime description.
 
-    This is what runner job keys and the service wire format address
-    machines by.
+    This is what runner job keys address machines by.
     """
     if isinstance(machine, MachineSpec):
         return machine.fingerprint()

@@ -1,6 +1,6 @@
 """repro.obs — unified observability for the simulator and the runner.
 
-Three layers, each usable alone:
+Four layers, each usable alone:
 
 * :mod:`repro.obs.metrics` — a lightweight counter/gauge/histogram
   registry with near-zero disabled overhead and a snapshot/merge API,
@@ -12,28 +12,16 @@ Three layers, each usable alone:
   Compensation Code Engine, the OVB and the Synchronization register.
 * :mod:`repro.obs.perfetto` — a Chrome trace-event / Perfetto JSON
   exporter rendering the two engines as parallel tracks, plus
-  runner-stage timing spans and the sweep service's distributed
-  timeline (one track per worker).
-* :mod:`repro.obs.prometheus` — deterministic Prometheus text
-  exposition for metrics snapshots, served at ``GET /metrics`` by the
-  sweep broker (plus the minimal parser ``repro-top`` uses).
-* :mod:`repro.obs.logging` — structured one-line-JSON logging with
-  contextvars-propagated correlation IDs (``sweep_id`` / ``job_key`` /
-  ``worker_id``) shared by broker, workers, and clients.
+  runner-stage timing spans.
+* :mod:`repro.obs.cycles` — exact cycle accounting: every simulated
+  cycle attributed to one cause, with ``sum == total`` asserted.
 
 The ``repro-trace`` CLI (:mod:`repro.obs.cli`) ties them together: run a
 benchmark or the paper's worked example and emit a metrics snapshot and
 a ``.trace.json`` that https://ui.perfetto.dev opens directly.  See
-``docs/OBSERVABILITY.md`` for the service-telemetry catalog.
+``docs/OBSERVABILITY.md``.
 """
 
-from repro.obs.logging import (
-    JsonLogger,
-    bind_context,
-    context_fields,
-    get_logger,
-    log_context,
-)
 from repro.obs.metrics import (
     HistogramSummary,
     MetricsRegistry,
@@ -43,18 +31,11 @@ from repro.obs.metrics import (
 )
 from repro.obs.perfetto import (
     RUNNER_PID,
-    WORKERS_PID,
     block_run_events,
     chrome_trace,
     runner_span_events,
-    sweep_span_events,
     validate_chrome_trace,
     write_trace,
-)
-from repro.obs.prometheus import (
-    CONTENT_TYPE,
-    encode_exposition,
-    parse_exposition,
 )
 from repro.obs.trace import (
     BitClearEvent,
@@ -73,12 +54,10 @@ from repro.obs.trace import (
 
 __all__ = [
     "BitClearEvent",
-    "CONTENT_TYPE",
     "CheckEvent",
     "ExecuteEvent",
     "FlushEvent",
     "HistogramSummary",
-    "JsonLogger",
     "LdPredEvent",
     "MetricsRegistry",
     "MetricsSnapshot",
@@ -91,18 +70,10 @@ __all__ = [
     "SyncSetEvent",
     "TraceEvent",
     "TraceSink",
-    "WORKERS_PID",
-    "bind_context",
     "block_run_events",
     "chrome_trace",
-    "context_fields",
-    "encode_exposition",
-    "get_logger",
-    "log_context",
     "metric_key",
-    "parse_exposition",
     "runner_span_events",
-    "sweep_span_events",
     "validate_chrome_trace",
     "write_trace",
 ]

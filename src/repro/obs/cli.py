@@ -8,7 +8,6 @@ Usage::
     repro-trace li --pattern best --max-blocks 2
     repro-trace --metrics metrics.json        # also dump the metrics snapshot
     repro-trace --runner-events run.jsonl     # add runner pipeline-stage spans
-    repro-trace --sweep-events sweep.jsonl    # add a sweep's distributed timeline
 
 The default target is the paper's worked example: the chosen scenario is
 re-simulated with tracing and metrics enabled, exported as Chrome
@@ -36,7 +35,6 @@ from repro.obs.perfetto import (
     block_run_events,
     chrome_trace,
     runner_span_events,
-    sweep_span_events,
     write_trace,
 )
 
@@ -118,16 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "runner --events JSONL file; its job spans are added to the "
             "trace on a separate runner process track"
-        ),
-    )
-    parser.add_argument(
-        "--sweep-events",
-        metavar="PATH",
-        default=None,
-        help=(
-            "sweep service event JSONL (raw broker records, e.g. from "
-            "repro-top --events-out); rendered as a distributed timeline "
-            "with one track per worker plus queue-wait spans"
         ),
     )
     return parser
@@ -289,16 +277,11 @@ def _trace_benchmark(args: argparse.Namespace) -> int:
 
 
 def _runner_events(args: argparse.Namespace) -> List[Dict[str, Any]]:
-    out: List[Dict[str, Any]] = []
-    if args.runner_events is not None:
-        from repro.runner.events import read_events
+    if args.runner_events is None:
+        return []
+    from repro.runner.events import read_events
 
-        out.extend(runner_span_events(read_events(args.runner_events)))
-    if args.sweep_events is not None:
-        from repro.runner.events import read_events
-
-        out.extend(sweep_span_events(read_events(args.sweep_events)))
-    return out
+    return runner_span_events(read_events(args.runner_events))
 
 
 def main(argv: Optional[List[str]] = None) -> int:

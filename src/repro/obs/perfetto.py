@@ -22,13 +22,6 @@ zoom and duration readouts show cycle counts directly.
 (the ``--events`` JSONL) into per-stage spans: each ``job_start`` /
 ``job_finish`` pair becomes a span on its stage's thread, cache hits
 become instants, and the whole run is one enclosing span.
-
-:func:`sweep_span_events` renders a *sweep service* event log (the raw
-broker records from ``GET /sweeps/<id>/events``, which carry wall-clock
-timestamps and worker identities) as a distributed timeline: one thread
-per worker carrying execution spans, plus a *queue* thread whose spans
-show how long each job sat pending before a worker picked it up —
-queue-wait made visible is the whole point.
 """
 
 from __future__ import annotations
@@ -50,9 +43,6 @@ from repro.obs.trace import (
 
 #: pid reserved for the runner's pipeline-stage tracks.
 RUNNER_PID = 1000
-
-#: pid reserved for the sweep service's distributed-timeline tracks.
-WORKERS_PID = 2000
 
 
 def _meta(name: str, pid: int, tid: Optional[int] = None, label: str = "") -> Dict[str, Any]:
@@ -353,158 +343,6 @@ def runner_span_events(events: Iterable[Mapping[str, Any]]) -> List[Dict[str, An
     for stage, tid in stage_tids.items():
         out.append(_meta("thread_name", RUNNER_PID, tid, stage))
     out.append(_meta("thread_name", RUNNER_PID, 0, "run"))
-    return out
-
-
-def sweep_span_events(
-    records: Iterable[Mapping[str, Any]],
-    base_pid: int = WORKERS_PID,
-    title: str = "sweep service",
-) -> List[Dict[str, Any]]:
-    """A sweep's broker event log as a distributed timeline.
-
-    ``records`` are the raw broker records from
-    ``GET /sweeps/<id>/events`` (``ServiceClient.events`` or a JSONL
-    dump of them; ``repro-top --events-out`` writes one) — *not* the
-    client's mirrored local log, whose timestamps are re-stamped with
-    the client clock.  Broker records carry one coherent wall clock, so
-    cross-worker ordering is meaningful.
-
-    Track layout: one process, a *queue* thread (tid 0) whose spans are
-    each job's pending time (``sweep_submitted``/``job_retry``/
-    ``job_requeued`` → ``job_start``) and whose instants are jobs
-    settled straight from the result cache, plus one thread per worker
-    carrying execution spans (``job_start`` → ``job_finish`` /
-    ``job_failed``).  Timestamps are normalised to the earliest record
-    and exported as wall-clock microseconds.
-    """
-    records = [dict(r) for r in records]
-    if not records:
-        return []
-    t0 = min(float(r.get("ts", 0.0)) for r in records)
-
-    def us(ts: Any) -> float:
-        return max(0.0, (float(ts) - t0) * 1e6)
-
-    tid_queue = 0
-    worker_tids: Dict[str, int] = {}
-
-    def tid_for(worker: str) -> int:
-        if worker not in worker_tids:
-            worker_tids[worker] = len(worker_tids) + 1
-        return worker_tids[worker]
-
-    out: List[Dict[str, Any]] = [
-        _meta("process_name", base_pid, label=title),
-        _meta("thread_name", base_pid, tid_queue, "queue"),
-    ]
-    #: When each key last became pending (sweep submit, retry, requeue).
-    pending_since: Dict[str, float] = {}
-    #: Open leases: key -> (start ts, worker, attempt).
-    open_leases: Dict[str, Any] = {}
-    sweep_ts: Optional[float] = None
-
-    for record in records:
-        kind = record.get("event")
-        ts = float(record.get("ts", t0))
-        key = str(record.get("key", ""))
-        job = str(record.get("job", key[:12]))
-        stage = record.get("stage", "")
-        worker = str(record.get("worker", "") or "")
-        if kind == "sweep_submitted":
-            sweep_ts = ts
-        elif kind == "job_start":
-            since = pending_since.pop(key, sweep_ts)
-            if since is not None:
-                out.append(
-                    _span(
-                        f"{job} queued",
-                        ts=us(since),
-                        dur=max(us(ts) - us(since), 1.0),
-                        pid=base_pid,
-                        tid=tid_queue,
-                        cat="queue_wait",
-                        args={"stage": stage, "key": key},
-                    )
-                )
-            open_leases[key] = (ts, worker, record.get("attempt"))
-        elif kind in ("job_finish", "job_failed"):
-            lease = open_leases.pop(key, None)
-            if lease is None:
-                # Settled without a lease in this log: a submit-time
-                # cache hit (or a dep-failure cascade) — an instant on
-                # the queue track.
-                label = (
-                    f"{job} (cached)"
-                    if kind == "job_finish"
-                    else f"FAILED {job}: {record.get('error')}"
-                )
-                out.append(
-                    _instant(
-                        label,
-                        us(ts),
-                        base_pid,
-                        tid_queue,
-                        cat="cache" if kind == "job_finish" else "failure",
-                        args={"stage": stage, "key": key},
-                    )
-                )
-                continue
-            start_ts, lease_worker, attempt = lease
-            span_worker = worker or lease_worker or "?"
-            name = job if kind == "job_finish" else f"FAILED {job}"
-            args = {
-                "stage": stage,
-                "key": key,
-                "attempt": attempt,
-                "worker": span_worker,
-            }
-            if kind == "job_finish":
-                args["cached"] = record.get("cached")
-                args["wall_time"] = record.get("wall_time")
-            else:
-                args["error"] = record.get("error")
-            out.append(
-                _span(
-                    name,
-                    ts=us(start_ts),
-                    dur=max(us(ts) - us(start_ts), 1.0),
-                    pid=base_pid,
-                    tid=tid_for(span_worker),
-                    cat="job" if kind == "job_finish" else "failure",
-                    args=args,
-                )
-            )
-        elif kind in ("job_retry", "job_requeued"):
-            lease = open_leases.pop(key, None)
-            if lease is not None and kind == "job_requeued":
-                # Lease expired mid-flight: close the span at the
-                # requeue so the dead worker's track shows the loss.
-                start_ts, lease_worker, attempt = lease
-                out.append(
-                    _span(
-                        f"{job} (lease expired)",
-                        ts=us(start_ts),
-                        dur=max(us(ts) - us(start_ts), 1.0),
-                        pid=base_pid,
-                        tid=tid_for(worker or lease_worker or "?"),
-                        cat="expired",
-                        args={"stage": stage, "key": key},
-                    )
-                )
-            pending_since[key] = ts
-            out.append(
-                _instant(
-                    f"{job} {kind.replace('job_', '')}",
-                    us(ts),
-                    base_pid,
-                    tid_queue,
-                    cat="requeue",
-                    args={"reason": record.get("reason") or record.get("error")},
-                )
-            )
-    for worker, tid in worker_tids.items():
-        out.append(_meta("thread_name", base_pid, tid, f"worker {worker}"))
     return out
 
 

@@ -19,7 +19,6 @@ Typical use::
 """
 
 from repro.runner.cache import (
-    CacheBackend,
     CacheStats,
     DiskCache,
     default_cache_dir,
@@ -27,7 +26,7 @@ from repro.runner.cache import (
 from repro.runner.events import EventLog, ProgressRenderer, executed_jobs, read_events
 from repro.runner.executor import JobError, Runner, resolve_workers
 from repro.runner.graph import CycleError, JobGraph
-from repro.runner.retry import RECONNECT_POLICY, RetryPolicy
+from repro.runner.retry import RetryPolicy
 from repro.runner.jobs import (
     CODE_VERSION,
     Job,
@@ -55,7 +54,6 @@ from repro.runner.jobs import (
 
 __all__ = [
     "CODE_VERSION",
-    "CacheBackend",
     "CacheStats",
     "CycleError",
     "DiskCache",
@@ -65,7 +63,6 @@ __all__ = [
     "JobGraph",
     "JobSpec",
     "ProgressRenderer",
-    "RECONNECT_POLICY",
     "RetryPolicy",
     "Runner",
     "adopt_program",

@@ -1,30 +1,22 @@
-"""Content-addressed result stores for pipeline jobs.
+"""Content-addressed on-disk result store for pipeline jobs.
 
-:class:`CacheBackend` is the abstraction every store implements: pickled
-values addressed by a job's content hash
-(:meth:`repro.runner.jobs.JobSpec.key`), which already folds in
+:class:`DiskCache` holds pickled values addressed by a job's content
+hash (:meth:`repro.runner.jobs.JobSpec.key`), which already folds in
 :data:`repro.runner.jobs.CODE_VERSION` — so code changes miss naturally.
 :data:`FORMAT_VERSION` versions the *store layout* instead: a layout
 change moves to a new namespace and strands (rather than misreads) old
 entries.
 
-:class:`DiskCache` is the local-directory implementation
-(``~/.cache/repro`` by default, overridable with ``--cache-dir`` or
-``$REPRO_CACHE_DIR``)::
+The store lives in ``~/.cache/repro`` by default, overridable with
+``--cache-dir`` or ``$REPRO_CACHE_DIR``::
 
     <root>/v1/<key[:2]>/<key>.pkl     pickled stage result
     <root>/v1/<key[:2]>/<key>.json    sidecar manifest (human-inspectable)
 
-The shared backends — :class:`repro.service.backends.SQLiteCache` (one
-WAL-mode file, safe for concurrent workers) and
-:class:`repro.service.backends.HTTPCache` (thin client for a broker's
-object-store endpoints) — subclass :class:`CacheBackend` from the
-service package; the executor only ever sees the interface.
-
-Every backend is fault-tolerant by construction: disk writes go through
-a temporary file and an atomic ``os.replace`` (a concurrent writer
-racing on the same key wins-or-noops, never corrupts), and any
-unreadable or truncated entry is treated as a miss and evicted.
+The store is fault-tolerant by construction: writes go through a
+temporary file and an atomic ``os.replace`` (a concurrent writer racing
+on the same key wins-or-noops, never corrupts), and any unreadable or
+truncated entry is treated as a miss and evicted.
 """
 
 from __future__ import annotations
@@ -77,12 +69,9 @@ class CacheStats:
     bytes_by_stage: Dict[str, int] = field(default_factory=dict)
     hits: int = 0
     misses: int = 0
-    #: Which backend produced these numbers (``disk``/``sqlite``/``http``).
-    backend: str = ""
 
     def as_dict(self) -> Dict[str, Any]:
         return {
-            "backend": self.backend,
             "root": self.root,
             "entries": self.entries,
             "total_bytes": self.total_bytes,
@@ -93,10 +82,7 @@ class CacheStats:
         }
 
     def render(self) -> str:
-        lines = []
-        if self.backend:
-            lines.append(f"backend:    {self.backend}")
-        lines += [
+        lines = [
             f"cache root: {self.root}",
             f"entries:    {self.entries} ({self.total_bytes / 1024:.1f} KiB)",
         ]
@@ -107,32 +93,29 @@ class CacheStats:
         return "\n".join(lines)
 
 
-class CacheBackend:
-    """Interface + shared encode/decode logic for result stores.
+class DiskCache:
+    """Durable local pickle store addressed by job content hash.
 
-    Implementations provide the byte-level primitives
-    (:meth:`load_bytes` / :meth:`store_bytes` / :meth:`evict` /
-    :meth:`stats` / :meth:`clear`); the base class owns value
-    (de)serialisation, hit/miss accounting, and the ``enabled=False``
-    no-op mode that backs ``--no-cache``.
-
-    ``shared=True`` marks backends that serve several processes or hosts
-    at once — CLI maintenance (``repro-eval cache clear``) refuses to
-    wipe those without ``--force``.
+    ``enabled=False`` turns every lookup into a miss and every store into
+    a no-op, which lets callers thread one object through unconditionally
+    (the ``--no-cache`` path).
     """
 
-    name = "backend"
-    shared = False
-
-    def __init__(self, enabled: bool = True):
+    def __init__(self, root: Optional[Path] = None, enabled: bool = True):
+        self.root = Path(root) if root is not None else default_cache_dir()
         self.enabled = enabled
         self.hits = 0
         self.misses = 0
-        # Session byte throughput, feeding the service telemetry layer
-        # (``docs/OBSERVABILITY.md``): payload bytes decoded from and
-        # encoded into this backend by this process.
-        self.bytes_read = 0
-        self.bytes_written = 0
+
+    # -- paths --------------------------------------------------------------
+
+    @property
+    def store(self) -> Path:
+        return self.root / f"v{FORMAT_VERSION}"
+
+    def _paths(self, key: str) -> Tuple[Path, Path]:
+        shard = self.store / key[:2]
+        return shard / f"{key}.pkl", shard / f"{key}.json"
 
     # -- value codec ---------------------------------------------------------
 
@@ -151,11 +134,11 @@ class CacheBackend:
         if not self.enabled:
             self.misses += 1
             return False, None
-        payload = self.load_bytes(key)
-        if payload is None:
+        try:
+            payload = self._paths(key)[0].read_bytes()
+        except OSError:
             self.misses += 1
             return False, None
-        self.bytes_read += len(payload)
         try:
             value = self.decode(payload)
         except DECODE_ERRORS:
@@ -174,14 +157,13 @@ class CacheBackend:
         Returning the payload lets the executor memoize the *decoded
         round trip* of a fresh result, so downstream stages consume
         exactly what a cache hit would hand them — which is what makes
-        artifact bytes identical across serial, pooled, and remote
+        artifact bytes identical across serial, pooled and warm-cache
         execution (a stage fed live objects pickles with different
         internal sharing than one fed separately-unpickled inputs).
         """
         if not self.enabled:
             return None
         payload = self.encode(value)
-        self.bytes_written += len(payload)
         meta = {
             "key": key,
             "format_version": FORMAT_VERSION,
@@ -189,93 +171,15 @@ class CacheBackend:
             "size_bytes": len(payload),
             **(manifest or {}),
         }
-        self.store_bytes(key, payload, meta)
-        return payload
-
-    def has(self, key: str) -> bool:
-        """Whether an entry exists, without decoding it."""
-        return self.load_bytes(key) is not None
-
-    def telemetry(self) -> Dict[str, int]:
-        """This process's session counters, keyed for the metrics layer."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "read_bytes": self.bytes_read,
-            "written_bytes": self.bytes_written,
-        }
-
-    def describe(self) -> str:
-        """One-line human identification (backend + location)."""
-        return self.name
-
-    # -- byte-level primitives (implementations) -----------------------------
-
-    def load_bytes(self, key: str) -> Optional[bytes]:
-        """The stored payload for ``key``, or ``None``.  Never raises."""
-        raise NotImplementedError
-
-    def store_bytes(self, key: str, payload: bytes, manifest: Dict[str, Any]) -> None:
-        raise NotImplementedError
-
-    def evict(self, key: str) -> None:
-        """Best-effort removal of one entry."""
-
-    def stats(self) -> CacheStats:
-        raise NotImplementedError
-
-    def clear(self) -> int:
-        """Delete every entry; return the count removed."""
-        raise NotImplementedError
-
-
-class DiskCache(CacheBackend):
-    """Durable local pickle store addressed by job content hash.
-
-    ``enabled=False`` turns every lookup into a miss and every store into
-    a no-op, which lets callers thread one object through unconditionally
-    (the ``--no-cache`` path).
-    """
-
-    name = "disk"
-
-    def __init__(self, root: Optional[Path] = None, enabled: bool = True):
-        super().__init__(enabled=enabled)
-        self.root = Path(root) if root is not None else default_cache_dir()
-
-    # -- paths --------------------------------------------------------------
-
-    @property
-    def store(self) -> Path:
-        return self.root / f"v{FORMAT_VERSION}"
-
-    def _paths(self, key: str) -> Tuple[Path, Path]:
-        shard = self.store / key[:2]
-        return shard / f"{key}.pkl", shard / f"{key}.json"
-
-    def describe(self) -> str:
-        return f"disk ({self.root})"
-
-    # -- byte-level primitives ----------------------------------------------
-
-    def load_bytes(self, key: str) -> Optional[bytes]:
-        pkl, _ = self._paths(key)
-        try:
-            return pkl.read_bytes()
-        except OSError:
-            return None
-
-    def has(self, key: str) -> bool:
-        return self._paths(key)[0].exists()
-
-    def store_bytes(self, key: str, payload: bytes, manifest: Dict[str, Any]) -> None:
         pkl, manifest_path = self._paths(key)
         self._atomic_write(pkl, payload)
         self._atomic_write(
-            manifest_path, (json.dumps(manifest, indent=2) + "\n").encode("utf-8")
+            manifest_path, (json.dumps(meta, indent=2) + "\n").encode("utf-8")
         )
+        return payload
 
     def evict(self, key: str) -> None:
+        """Best-effort removal of one entry."""
         for path in self._paths(key):
             try:
                 path.unlink()
@@ -301,8 +205,11 @@ class DiskCache(CacheBackend):
                 fd, tmp = tempfile.mkstemp(
                     dir=path.parent, prefix=path.name, suffix=".tmp"
                 )
-            except FileNotFoundError:
-                continue  # shard removed between mkdir and mkstemp
+            except (FileNotFoundError, FileExistsError):
+                # The shard was removed between mkdir and mkstemp, or
+                # inside mkdir itself: pathlib reports a directory that
+                # appeared and vanished again as FileExistsError.
+                continue
             try:
                 with os.fdopen(fd, "wb") as fh:
                     fh.write(data)
@@ -321,12 +228,7 @@ class DiskCache(CacheBackend):
                 raise
 
     def stats(self) -> CacheStats:
-        stats = CacheStats(
-            root=str(self.root),
-            hits=self.hits,
-            misses=self.misses,
-            backend=self.name,
-        )
+        stats = CacheStats(root=str(self.root), hits=self.hits, misses=self.misses)
         if not self.store.is_dir():
             return stats
         for manifest_path in self.store.glob("*/*.json"):

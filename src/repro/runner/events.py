@@ -148,22 +148,6 @@ class EventLog:
             self.renderer.handle(record)
         return record
 
-    def replay(self, record: Dict[str, Any]) -> Dict[str, Any]:
-        """Re-emit an externally-produced record into this log.
-
-        Used by the service client to mirror a broker's per-sweep event
-        stream into the local log: the record keeps its payload fields
-        but is re-stamped with *this* log's ``run_id`` and clock, and it
-        updates the same session counters a locally-emitted event would
-        (``cache_hit``/``job_finish``/...), so ``summary()`` and the
-        JSONL file describe the remote run as if it were local.
-        """
-        kind = str(record.get("event", "unknown"))
-        fields = {
-            k: v for k, v in record.items() if k not in ("ts", "run_id", "event")
-        }
-        return self.emit(kind, **fields)
-
     def of_type(self, event: str) -> List[Dict[str, Any]]:
         return [e for e in self.events if e["event"] == event]
 

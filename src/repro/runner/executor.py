@@ -5,13 +5,14 @@ them over their dependencies (:class:`~repro.runner.graph.JobGraph`),
 and executes wave by wave:
 
 1. every job is first resolved against the in-memory memo and then the
-   result cache (any :class:`~repro.runner.cache.CacheBackend` — the
-   local :class:`~repro.runner.cache.DiskCache` by default, or a shared
-   SQLite/HTTP backend from :mod:`repro.service.backends`) — hits never
-   touch a worker;
+   on-disk result cache (:class:`~repro.runner.cache.DiskCache`) — hits
+   never touch a worker;
 2. misses run on a ``ProcessPoolExecutor`` when ``jobs > 1``, each with
-   a per-job timeout and a bounded, jittered exponential-backoff retry
-   budget (:class:`~repro.runner.retry.RetryPolicy`);
+   a per-job timeout; a timed-out job is retried within a bounded,
+   jittered exponential-backoff budget
+   (:class:`~repro.runner.retry.RetryPolicy`).  An exception raised by
+   a stage body fails its job on the first attempt: stage bodies are
+   pure, so a retry would only raise the same error again;
 3. a worker death (``BrokenProcessPool``), a pool that cannot be created
    (sandboxes, exotic platforms), or repeated timeouts degrade the run
    to in-process serial execution instead of failing it — results are
@@ -31,7 +32,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
-from repro.runner.cache import CacheBackend, DECODE_ERRORS, DiskCache
+from repro.runner.cache import DECODE_ERRORS, DiskCache
 from repro.runner.events import EventLog
 from repro.runner.graph import JobGraph
 from repro.runner.jobs import Job, execute_spec
@@ -39,7 +40,7 @@ from repro.runner.retry import RetryPolicy
 
 
 class JobError(RuntimeError):
-    """A job exhausted its retry budget."""
+    """A job raised, or exhausted its timeout retry budget."""
 
     def __init__(self, job: Job, attempts: int, cause: BaseException):
         super().__init__(
@@ -63,14 +64,13 @@ class Runner:
     Args:
         jobs: worker processes; ``1`` (default) runs in-process with no
             pool, ``0``/``None`` means one per CPU.
-        cache: result cache backend; defaults to an enabled
-            :class:`DiskCache` in the standard location.  Pass
-            ``DiskCache(enabled=False)`` for ``--no-cache``, or a shared
-            backend from :func:`repro.service.backends.make_cache`.
+        cache: result cache; defaults to an enabled :class:`DiskCache`
+            in the standard location.  Pass ``DiskCache(enabled=False)``
+            for ``--no-cache``.
         events: event sink; a silent in-memory log by default.
         timeout: per-job seconds once a worker picks it up (pooled mode
             only — the serial path cannot preempt a running job).
-        retries: additional attempts after the first failure.
+        retries: additional attempts after a timeout.
         backoff: base seconds for exponential backoff between attempts
             (shorthand for ``retry_policy=RetryPolicy(base=backoff)``).
         retry_policy: full control over backoff growth/jitter/ceiling;
@@ -82,7 +82,7 @@ class Runner:
     def __init__(
         self,
         jobs: int = 1,
-        cache: Optional[CacheBackend] = None,
+        cache: Optional[DiskCache] = None,
         events: Optional[EventLog] = None,
         timeout: Optional[float] = None,
         retries: int = 2,
@@ -103,6 +103,9 @@ class Runner:
         self._pool: Optional[Any] = None
         self._serial_fallback = False
         self._results: Dict[str, Any] = {}
+        # A failed job is not run again by this runner: stage bodies are
+        # pure, and a timed-out job has already spent its retry budget.
+        self._failures: Dict[str, JobError] = {}
 
     # -- public API ---------------------------------------------------------
 
@@ -147,6 +150,8 @@ class Runner:
         pending: List[Job] = []
         for job in wave:
             key = job.key()
+            if key in self._failures:
+                raise self._failures[key]
             if key in self._results:
                 self._finish(job, cached=True, wall_time=0.0, attempt=0)
                 continue
@@ -191,7 +196,7 @@ class Runner:
         if payload is not None:
             # Memoize the decoded round trip, not the live object:
             # downstream stages then see the same input a cache hit (or
-            # a pool/service hand-off) would give them, and the bytes
+            # a pool hand-off) would give them, and the bytes
             # they produce stop depending on the execution mode.
             try:
                 value = self.cache.decode(payload)
@@ -213,26 +218,20 @@ class Runner:
 
     # -- serial path --------------------------------------------------------
 
-    def _run_serial(self, job: Job) -> None:
-        attempt = 0
-        while True:
-            attempt += 1
-            self.events.emit(
-                "job_start",
-                job=job.job_id,
-                stage=job.spec.stage,
-                key=job.key(),
-                attempt=attempt,
-            )
-            t0 = time.monotonic()
-            try:
-                value = execute_spec(job.spec, self._dep_results(job))
-            except Exception as exc:
-                if not self._retry_or_fail(job, attempt, exc):
-                    raise JobError(job, attempt, exc) from exc
-                continue
-            self._complete(job, value, time.monotonic() - t0, attempt)
-            return
+    def _run_serial(self, job: Job, attempt: int = 1) -> None:
+        self.events.emit(
+            "job_start",
+            job=job.job_id,
+            stage=job.spec.stage,
+            key=job.key(),
+            attempt=attempt,
+        )
+        t0 = time.monotonic()
+        try:
+            value = execute_spec(job.spec, self._dep_results(job))
+        except Exception as exc:
+            raise self._fail(job, attempt, exc) from exc
+        self._complete(job, value, time.monotonic() - t0, attempt)
 
     # -- pooled path --------------------------------------------------------
 
@@ -283,7 +282,7 @@ class Runner:
                 # finish everything still outstanding in-process.
                 for job in queue:
                     if job.key() not in self._results:
-                        self._run_serial(job)
+                        self._run_serial(job, attempts[job.key()] + 1)
                 return
             submitted: List[tuple] = []
             for job in queue:
@@ -299,6 +298,10 @@ class Runner:
                 submitted.append((job, future, time.monotonic()))
             queue = []
             pool_lost = False
+            # A stage error fails only its own job: the rest of the wave
+            # is still collected (and cached) before the first error is
+            # raised, so nothing is left running unread in the workers.
+            error: Optional[JobError] = None
             for job, future, t0 in submitted:
                 attempt = attempts[job.key()]
                 if pool_lost and not future.done():
@@ -330,31 +333,38 @@ class Runner:
                     timeout_exc = TimeoutError(
                         f"exceeded per-job timeout of {self.timeout}s"
                     )
-                    if not self._retry_or_fail(job, attempt, timeout_exc):
-                        raise JobError(job, attempt, timeout_exc) from exc
+                    if attempt > self.retries:
+                        raise self._fail(job, attempt, timeout_exc) from exc
+                    self._retry(job, attempt, timeout_exc)
                     queue.append(job)
                     continue
                 except Exception as exc:
-                    if not self._retry_or_fail(job, attempt, exc):
-                        raise JobError(job, attempt, exc) from exc
-                    queue.append(job)
+                    failure = self._fail(job, attempt, exc)
+                    failure.__cause__ = exc
+                    error = error or failure
                     continue
                 self._complete(job, value, time.monotonic() - t0, attempt)
+            if error is not None:
+                raise error
 
-    # -- retry policy -------------------------------------------------------
+    # -- failure and retry ---------------------------------------------------
 
-    def _retry_or_fail(self, job: Job, attempt: int, exc: BaseException) -> bool:
-        """Record the failure; return ``True`` if the job should retry."""
-        if attempt > self.retries:
-            self.events.emit(
-                "job_failed",
-                job=job.job_id,
-                stage=job.spec.stage,
-                key=job.key(),
-                attempts=attempt,
-                error=repr(exc),
-            )
-            return False
+    def _fail(self, job: Job, attempt: int, exc: BaseException) -> JobError:
+        """Record a final failure; return the error for the caller to raise."""
+        self.events.emit(
+            "job_failed",
+            job=job.job_id,
+            stage=job.spec.stage,
+            key=job.key(),
+            attempts=attempt,
+            error=repr(exc),
+        )
+        error = JobError(job, attempt, exc)
+        self._failures[job.key()] = error
+        return error
+
+    def _retry(self, job: Job, attempt: int, exc: BaseException) -> None:
+        """Record a timed-out attempt and back off before the next one."""
         delay = self.retry_policy.delay(attempt, token=job.key())
         self.events.emit(
             "job_retry",
@@ -367,4 +377,3 @@ class Runner:
         )
         if delay > 0:
             time.sleep(delay)
-        return True

@@ -1,11 +1,9 @@
-"""Shared retry policy: exponential backoff with deterministic jitter.
+"""Retry policy: exponential backoff with deterministic jitter.
 
-Both the executor's per-job retries (:meth:`repro.runner.executor.Runner`)
-and the service worker's broker-reconnect loop
-(:mod:`repro.service.worker`) need the same shape of policy: delays that
-grow exponentially so a persistent fault backs off fast, plus jitter so
-a fleet of workers hammered by the same fault does not retry in
-lockstep.
+The executor (:class:`repro.runner.executor.Runner`) retries a pooled
+job that exceeded its timeout with delays that grow exponentially, so a
+persistent fault backs off fast, plus jitter, so jobs timed out by the
+same fault do not retry in lockstep.
 
 The jitter is *deterministic*: it is drawn from a PRNG seeded by the
 ``(token, attempt)`` pair, so two processes retrying different jobs
@@ -63,8 +61,3 @@ class RetryPolicy:
         """The delay sequence for ``attempts`` retries (for tests/docs)."""
         for attempt in range(1, attempts + 1):
             yield self.delay(attempt, token)
-
-
-#: Policy for talking to a broker that may be restarting: patient
-#: ceiling, strong jitter so a worker fleet reconnects staggered.
-RECONNECT_POLICY = RetryPolicy(base=0.2, factor=2.0, jitter=1.0, max_delay=10.0)

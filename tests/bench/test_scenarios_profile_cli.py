@@ -6,9 +6,11 @@ pipeline is what makes the counter assertions exact.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.bench.cli import main as bench_main
 from repro.bench.harness import BenchConfig, run_bench
 from repro.bench.profiler import profile_scenario, render_profile, subsystem_of
@@ -94,6 +96,19 @@ class TestProfiler:
         assert subsystem_of("/x/src/repro/opt/passes.py") == "compiler"
         assert subsystem_of("/x/src/repro/runner/jobs.py") == "runner"
         assert subsystem_of("/usr/lib/python3.11/json/decoder.py") == "other"
+
+    def test_every_package_maps_to_a_subsystem(self):
+        # A package missing from SUBSYSTEM_OF silently lands in "other".
+        root = Path(repro.__file__).parent
+        packages = sorted(
+            p.name for p in root.iterdir() if (p / "__init__.py").is_file()
+        )
+        assert packages
+        unmapped = [
+            name for name in packages
+            if subsystem_of(str(root / name / "__init__.py")) == "other"
+        ]
+        assert unmapped == []
 
     def test_profile_names_top10_hot_functions_for_table2(self):
         report = profile_scenario("table2", CTX, top=10)

@@ -186,6 +186,42 @@ class TestCli:
         stdout = capsys.readouterr().out
         assert "Pareto" in stdout
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("surrogate", [False, True])
+    def test_failing_point_is_pruned_not_fatal(
+        self, tmp_path, capsys, jobs, surrogate
+    ):
+        from repro.explore.cli import main
+        from repro.runner import read_events
+
+        out, events = tmp_path / "sweep.json", tmp_path / "events.jsonl"
+        argv = [
+            "--axis", "ccb_capacity=1,64",
+            "--scale", str(SCALE),
+            "--benchmarks", "compress",
+            "--jobs", jobs,
+            "--no-cache",
+            "--events", str(events),
+            "--out", str(out),
+        ]
+        assert main(argv + (["--surrogate"] if surrogate else [])) == 0
+        payload = load_report(out.read_text(encoding="utf-8"))
+        assert [p["label"] for p in payload["points"]] == ["ccb_capacity=64"]
+        (bad,) = payload["pruned"]
+        assert (bad["label"], bad["reason"]) == ("ccb_capacity=1", "error")
+        assert bad["detail"].startswith("CCBFull: ")
+        assert "pruned [error] ccb_capacity=1" in capsys.readouterr().err
+        # The deterministic compile error runs once and is never retried.
+        log = read_events(str(events))
+        assert [e["event"] for e in log].count("job_retry") == 0
+        (failed,) = [e for e in log if e["event"] == "job_failed"]
+        assert failed["attempts"] == 1
+        starts = [
+            e for e in log
+            if e["event"] == "job_start" and e["key"] == failed["key"]
+        ]
+        assert len(starts) == 1
+
     def test_unknown_axis_is_a_clean_error(self, capsys):
         from repro.explore.cli import main
 

@@ -1,4 +1,4 @@
-"""Executor fault tolerance: retries, timeouts, pool loss, serial fallback.
+"""Executor fault tolerance: stage errors, timeouts, pool loss, serial fallback.
 
 Synthetic stages are registered at import time so ``fork``-started
 workers inherit them.  Cross-process state (attempt counts) lives in
@@ -32,11 +32,14 @@ def _bump_counter(path: str) -> int:
         return len(fh.read())
 
 
-def _flaky(spec: JobSpec, deps):
+def _count(spec: JobSpec, deps):
     attempt = _bump_counter(spec.param("counter"))
-    if attempt <= spec.param("fail_times", 0):
-        raise RuntimeError(f"injected failure #{attempt}")
     return {"benchmark": spec.benchmark, "succeeded_on_attempt": attempt}
+
+
+def _raise(spec: JobSpec, deps):
+    _bump_counter(spec.param("counter"))
+    raise RuntimeError("deterministic stage error")
 
 
 def _slow_once(spec: JobSpec, deps):
@@ -52,7 +55,8 @@ def _die_in_worker(spec: JobSpec, deps):
     return "survived-serially"
 
 
-register_stage("flaky", _flaky)
+register_stage("count", _count)
+register_stage("raise", _raise)
 register_stage("slow-once", _slow_once)
 register_stage("die-in-worker", _die_in_worker)
 
@@ -68,66 +72,99 @@ def _runner(tmp_path, **kw) -> Runner:
     return Runner(**kw)
 
 
-class TestRetry:
+class TestStageErrors:
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_retry_then_succeed(self, tmp_path, jobs):
+    def test_stage_error_is_not_retried(self, tmp_path, jobs):
+        # Stage bodies are pure: a retry would raise the same error, so
+        # the job fails on its first and only execution.
         counter = tmp_path / "attempts"
         runner = _runner(tmp_path, jobs=jobs, retries=2)
         with runner:
-            result = runner.run_job(
-                _job("flaky", counter=str(counter), fail_times=2)
-            )
-        assert result["succeeded_on_attempt"] == 3
-        assert len(runner.events.of_type("job_retry")) == 2
-        assert runner.events.failures == 0
+            with pytest.raises(JobError) as excinfo:
+                runner.run_job(_job("raise", counter=str(counter)))
+        assert excinfo.value.attempts == 1
+        assert isinstance(excinfo.value.cause, RuntimeError)
+        assert counter.read_text() == "x"
+        assert len(runner.events.of_type("job_start")) == 1
+        assert len(runner.events.of_type("job_failed")) == 1
+        assert runner.events.of_type("job_retry") == []
+
+    def test_failed_job_is_not_run_again(self, tmp_path):
+        counter = tmp_path / "attempts"
+        job = _job("raise", counter=str(counter))
+        runner = _runner(tmp_path, jobs=1)
+        with runner:
+            for _ in range(2):
+                with pytest.raises(JobError):
+                    runner.run([job])
+        assert counter.read_text() == "x"
+        assert len(runner.events.of_type("job_failed")) == 1
+
+    def test_pooled_error_still_collects_the_rest_of_the_wave(self, tmp_path):
+        bad = _job("raise", counter=str(tmp_path / "bad"))
+        good = _job("count", counter=str(tmp_path / "good"))
+        runner = _runner(tmp_path, jobs=2)
+        with runner:
+            with pytest.raises(JobError):
+                runner.run([bad, good])
+            # The sibling's result was kept, so reading it runs nothing.
+            assert runner.run_job(good)["succeeded_on_attempt"] == 1
+        assert (tmp_path / "good").read_text() == "x"
+        assert len(runner.events.of_type("job_start")) == 2
+
+
+class TestRetry:
+    """Only timeouts spend the retry budget, with jittered backoff."""
 
     def test_retry_budget_exhausted_raises_job_error(self, tmp_path):
         counter = tmp_path / "attempts"
-        runner = _runner(tmp_path, jobs=1, retries=1)
+        runner = _runner(tmp_path, jobs=2, timeout=0.5, retries=1)
         with runner:
             with pytest.raises(JobError) as excinfo:
                 runner.run_job(
-                    _job("flaky", counter=str(counter), fail_times=10)
+                    _job("slow-once", counter=str(counter), slow_times=99)
                 )
         assert excinfo.value.attempts == 2
+        assert len(runner.events.of_type("job_retry")) == 1
         assert len(runner.events.of_type("job_failed")) == 1
 
     def test_backoff_between_attempts(self, tmp_path):
         counter = tmp_path / "attempts"
-        runner = _runner(tmp_path, jobs=1, retries=2, backoff=0.05)
+        timeout = 0.5
+        runner = _runner(
+            tmp_path, jobs=2, timeout=timeout, retries=2, backoff=0.05
+        )
         t0 = time.monotonic()
         with runner:
-            runner.run_job(_job("flaky", counter=str(counter), fail_times=2))
-        # Two retries: 0.05 + 0.10 seconds of backoff at minimum.
-        assert time.monotonic() - t0 >= 0.15
+            runner.run_job(_job("slow-once", counter=str(counter), slow_times=2))
+        elapsed = time.monotonic() - t0
         # Exponential growth with up to +50% deterministic jitter
         # (RetryPolicy default): each delay lands in [base*2^k, 1.5x that].
         delays = [e["backoff"] for e in runner.events.of_type("job_retry")]
         assert len(delays) == 2
         assert 0.05 <= delays[0] <= 0.075
         assert 0.10 <= delays[1] <= 0.15
+        # Two timed-out attempts, then the runner really slept each delay.
+        assert elapsed >= 2 * timeout + sum(delays)
 
     def test_retry_delays_are_deterministic_per_job(self, tmp_path):
-        # Jitter is seeded by (job key, attempt): the same job retried in
-        # two separate runner sessions backs off identically, while two
-        # different jobs decorrelate.
-        first = _runner(tmp_path, jobs=1, retries=2, backoff=0.01)
-        with first:
-            first.run_job(
-                _job("flaky", counter=str(tmp_path / "a"), fail_times=2)
+        # Jitter is seeded by (job key, attempt): two different jobs
+        # decorrelate.  NB: the jobs differ only in their counter param,
+        # so their keys differ and the jitter streams should not coincide.
+        delays = []
+        for name in ("a", "b"):
+            runner = _runner(tmp_path / name, jobs=2, timeout=0.5, retries=2)
+            with runner:
+                with pytest.raises(JobError):
+                    runner.run_job(
+                        _job("slow-once", counter=str(tmp_path / name),
+                             slow_times=99)
+                    )
+            delays.append(
+                [e["backoff"] for e in runner.events.of_type("job_retry")]
             )
-        second = _runner(tmp_path / "2", jobs=1, retries=2, backoff=0.01)
-        with second:
-            second.run_job(
-                _job("flaky", benchmark="x", counter=str(tmp_path / "b"),
-                     fail_times=2)
-            )
-        # NB: the two jobs differ only in their counter param, so their
-        # keys differ and the jitter streams should not coincide.
-        first_delays = [e["backoff"] for e in first.events.of_type("job_retry")]
-        second_delays = [e["backoff"] for e in second.events.of_type("job_retry")]
-        assert len(first_delays) == len(second_delays) == 2
-        assert first_delays != second_delays
+        assert len(delays[0]) == len(delays[1]) == 2
+        assert delays[0] != delays[1]
 
 
 class TestTimeout:
@@ -161,7 +198,7 @@ class TestSerialFallback:
         counter = tmp_path / "attempts"
         runner = _runner(tmp_path, jobs=4, pool_factory=broken_factory)
         with runner:
-            result = runner.run_job(_job("flaky", counter=str(counter)))
+            result = runner.run_job(_job("count", counter=str(counter)))
         assert result["succeeded_on_attempt"] == 1
         fallbacks = runner.events.of_type("fallback")
         assert fallbacks and "pool" in fallbacks[0]["reason"]
@@ -179,7 +216,7 @@ class TestSerialFallback:
 class TestCachingThroughTheExecutor:
     def test_second_run_executes_nothing(self, tmp_path):
         counter = tmp_path / "attempts"
-        job = _job("flaky", counter=str(counter))
+        job = _job("count", counter=str(counter))
         first = _runner(tmp_path, jobs=1)
         with first:
             first.run([job])
@@ -195,7 +232,7 @@ class TestCachingThroughTheExecutor:
 
     def test_no_cache_mode_executes_every_time(self, tmp_path):
         counter = tmp_path / "attempts"
-        job = _job("flaky", counter=str(counter))
+        job = _job("count", counter=str(counter))
         for expected in (1, 2):
             runner = _runner(
                 tmp_path, jobs=1, cache=DiskCache(enabled=False)
@@ -206,7 +243,7 @@ class TestCachingThroughTheExecutor:
 
     def test_in_memory_memo_within_one_runner(self, tmp_path):
         counter = tmp_path / "attempts"
-        job = _job("flaky", counter=str(counter))
+        job = _job("count", counter=str(counter))
         runner = _runner(tmp_path, jobs=1, cache=DiskCache(enabled=False))
         with runner:
             runner.run_job(job)

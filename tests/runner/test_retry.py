@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 
-from repro.runner.retry import RECONNECT_POLICY, RetryPolicy
+from repro.runner.retry import RetryPolicy
 
 
 class TestRetryPolicy:
@@ -41,11 +41,3 @@ class TestRetryPolicy:
         slept = policy.sleep(1, token="s")
         assert slept == 0.01
         assert time.monotonic() - t0 >= 0.01
-
-    def test_reconnect_policy_is_jittered_and_bounded(self):
-        # The worker fleet's shared reconnect policy must stagger
-        # (jitter > 0) and never exceed its ceiling, so a restarted
-        # broker is not stampeded.
-        delays = [RECONNECT_POLICY.delay(a, token=f"w{a}") for a in range(1, 12)]
-        assert all(d <= RECONNECT_POLICY.max_delay for d in delays)
-        assert RECONNECT_POLICY.jitter > 0
