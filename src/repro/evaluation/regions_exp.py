@@ -19,17 +19,23 @@ The result sharpens the paper's expectation into a mechanism:
 Every unrolled variant is validated architecturally (same final
 registers and memory as the original) before being measured; variants
 whose trip counts are not divisible by the factor fail validation and
-are reported as absent.
+are reported as absent.  Validation reads each program's final state
+from its value trace — with a runner, the ``trace`` jobs the original's
+and the variant's profiles already depend on (so a warm rerun reads
+both from the cache); without one, the evaluation's trace store.  Only
+when replay is disabled (``REPRO_NO_TRACE=1``) and there is no runner
+is a program interpreted live for the check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro.compiler import standard_pipeline
+from repro.compiler import PipelineConfig, standard_pipeline
 from repro.ir.printer import format_table
 from repro.profiling.interpreter import run_program
+from repro.profiling.memory import Number
 from repro.regions.unroll import UnrollError, unroll_program_loop
 from repro.evaluation.experiment import Evaluation
 
@@ -39,6 +45,9 @@ FACTORS = (2, 4)
 #: iteration to the next (the unrolled copies chain instead of running
 #: side by side).
 SERIAL_CHAIN_BENCHMARKS = frozenset({"li"})
+
+#: A program's final architectural state: registers and memory snapshot.
+FinalState = Tuple[Dict[str, Number], Dict[int, Number]]
 
 
 @dataclass(frozen=True)
@@ -53,16 +62,37 @@ class RegionRow:
         return self.fractions[1]
 
 
-def _architecturally_equivalent(original, unrolled) -> bool:
-    base = run_program(original)
-    variant = run_program(unrolled)
-    base_regs = {k: v for k, v in base.registers.items() if "__u" not in k}
-    variant_regs = {
-        k: v for k, v in variant.registers.items() if "__u" not in k
-    }
+def _final_state(
+    evaluation: Evaluation, name: str, pipeline: Optional[PipelineConfig] = None
+) -> FinalState:
+    """Final registers and memory snapshot of ``name`` built with
+    ``pipeline`` (``None``: the standard build), read from its trace."""
+    if evaluation.runner is not None:
+        from repro.runner import trace_job
+
+        trace = evaluation.runner.run_job(
+            trace_job(name, scale=evaluation.settings.scale, pipeline=pipeline)
+        )
+    else:
+        program = (
+            evaluation.program(name) if pipeline is None
+            else evaluation.variant_program(name, pipeline)
+        )
+        trace = evaluation._trace_of(program)
+        if trace is None:
+            result = run_program(program)
+            return result.registers, result.memory.snapshot()
+    return trace.final_registers, trace.final_memory
+
+
+def _architecturally_equivalent(base: FinalState, variant: FinalState) -> bool:
+    """Whether two final states agree, ignoring the unroller's renamed
+    (``__u``) registers."""
+    (base_regs, base_memory), (variant_regs, variant_memory) = base, variant
     return (
-        base_regs == variant_regs
-        and base.memory.snapshot() == variant.memory.snapshot()
+        {k: v for k, v in base_regs.items() if "__u" not in k}
+        == {k: v for k, v in variant_regs.items() if "__u" not in k}
+        and base_memory == variant_memory
     )
 
 
@@ -82,23 +112,24 @@ def compute(evaluation: Evaluation) -> List[RegionRow]:
         fractions: Dict[int, Optional[float]] = {
             1: compilation.weighted_length_fraction(best=True)
         }
+        base_state = _final_state(evaluation, name)
         for factor in FACTORS:
             fractions[factor] = None
-            # Validate unrollability and architectural equivalence
-            # inline (cheap, and it needs both program versions) ...
             try:
-                unrolled = unroll_program_loop(program, label, factor)
+                # Cheap and interpreter-free: a loop the unroller
+                # rejects has no variant to build or trace.
+                unroll_program_loop(program, label, factor)
             except UnrollError:
                 continue
-            if not _architecturally_equivalent(program, unrolled):
+            # The variant goes through the shared pipeline: with a
+            # runner its build, trace, profile and compile are durable
+            # cache entries keyed by the pipeline config.
+            pipeline = standard_pipeline(unroll=(label, factor))
+            variant_state = _final_state(evaluation, name, pipeline)
+            if not _architecturally_equivalent(base_state, variant_state):
                 continue  # trip count not divisible by the factor
-            # ... then compile the variant through the shared pipeline:
-            # with a runner, profile+compile are durable cache entries
-            # keyed by the pipeline config (one per unroll factor).
             unrolled_compilation = evaluation.variant_compilation(
-                name,
-                machine,
-                standard_pipeline(unroll=(label, factor)),
+                name, machine, pipeline
             )
             if not unrolled_compilation.speculated_labels:
                 continue

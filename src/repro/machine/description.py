@@ -15,7 +15,7 @@ Those choices are encoded in :meth:`MachineDescription.latency`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional
+from typing import Any, Dict, Mapping, Optional
 
 from repro.ir.opcodes import FUClass, Opcode, fu_class
 from repro.machine.predictor import PredictorSpec
@@ -128,8 +128,21 @@ class MachineDescription:
 
     def fingerprint(self) -> str:
         """Stable content hash of the canonical spec form.  Runner job
-        keys address machines by this."""
-        return self.spec().fingerprint()
+        keys address machines by this.
+
+        Computed once per instance (the description is frozen); the
+        memo never reaches pickled state (see :meth:`__getstate__`).
+        """
+        fingerprint = self.__dict__.get("_fingerprint")
+        if fingerprint is None:
+            fingerprint = self.spec().fingerprint()
+            self.__dict__["_fingerprint"] = fingerprint
+        return fingerprint
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # Pickle the fields only: cached payloads that embed a machine
+        # (compilations) must not depend on whether it was fingerprinted.
+        return {k: v for k, v in self.__dict__.items() if k != "_fingerprint"}
 
     # -- derivation ----------------------------------------------------------
 

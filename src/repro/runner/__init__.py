@@ -29,6 +29,7 @@ from repro.runner.graph import CycleError, JobGraph
 from repro.runner.retry import RetryPolicy
 from repro.runner.jobs import (
     CODE_VERSION,
+    DepResults,
     Job,
     JobSpec,
     adopt_program,
@@ -56,6 +57,7 @@ __all__ = [
     "CODE_VERSION",
     "CacheStats",
     "CycleError",
+    "DepResults",
     "DiskCache",
     "EventLog",
     "Job",

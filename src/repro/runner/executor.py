@@ -35,7 +35,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional
 from repro.runner.cache import DECODE_ERRORS, DiskCache
 from repro.runner.events import EventLog
 from repro.runner.graph import JobGraph
-from repro.runner.jobs import Job, execute_spec
+from repro.runner.jobs import DepResults, Job, execute_spec
 from repro.runner.retry import RetryPolicy
 
 
@@ -96,7 +96,6 @@ class Runner:
         self.timeout = timeout
         self.retries = max(0, retries)
         self.retry_policy = retry_policy or RetryPolicy(base=backoff)
-        self.backoff = self.retry_policy.base
         self._pool_factory = pool_factory or (
             lambda workers: ProcessPoolExecutor(max_workers=workers)
         )
@@ -175,8 +174,8 @@ class Runner:
             for job in pending:
                 self._run_serial(job)
 
-    def _dep_results(self, job: Job) -> Dict[str, Any]:
-        return {dep.key(): self._results[dep.key()] for dep in job.deps}
+    def _dep_results(self, job: Job) -> DepResults:
+        return DepResults((dep, self._results[dep.key()]) for dep in job.deps)
 
     def _complete(self, job: Job, value: Any, wall_time: float, attempt: int) -> None:
         key = job.key()

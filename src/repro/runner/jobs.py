@@ -56,10 +56,11 @@ pipeline normalises to ``None`` so standard jobs key exactly as before.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.compiler.config import PipelineConfig, canonical_value as _canonical
 from repro.core.speculation import SpeculationConfig
@@ -134,7 +135,15 @@ class JobSpec:
         geometry, predictor, ...) keys distinctly, and a machine loaded
         from a spec file keys identically to the equivalent registry
         constant.
+
+        The key is computed once per instance and memoised beside the
+        :data:`CODE_VERSION` it was salted with, so a changed version
+        still re-keys.  The memo never reaches pickled state (see
+        :meth:`__getstate__`).
         """
+        memo = self.__dict__.get("_key")
+        if memo is not None and memo[0] == CODE_VERSION:
+            return memo[1]
         payload = json.dumps(
             {
                 "code_version": CODE_VERSION,
@@ -155,7 +164,14 @@ class JobSpec:
             sort_keys=True,
             separators=(",", ":"),
         )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        key = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        self.__dict__["_key"] = (CODE_VERSION, key)
+        return key
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # Pickle the fields only: a memoised key must not make a spec
+        # that was keyed pickle differently from one that was not.
+        return {k: v for k, v in self.__dict__.items() if k != "_key"}
 
     @property
     def job_id(self) -> str:
@@ -202,8 +218,35 @@ class Job:
 
 # -- stage registry ----------------------------------------------------------
 
-#: stage name -> fn(spec, dep_results: Dict[key, Any]) -> result
-StageFn = Callable[[JobSpec, Dict[str, Any]], Any]
+class DepResults(dict):
+    """One job's dependency results (key -> result), with each key's stage.
+
+    The runner builds it from the job's own dep specs, which it has
+    already keyed, so a stage finds its inputs by stage name
+    (:func:`dep_result`) without re-deriving and re-hashing
+    :func:`default_deps` on every call.  A stage that replays a trace
+    tolerates its absence: with ``REPRO_NO_TRACE=1`` the graph carries
+    no trace jobs, and a missing trace simply means "interpret live".
+    """
+
+    def __init__(self, deps: Iterable[Tuple[JobSpec, Any]]):
+        super().__init__()
+        self.stages: Dict[str, str] = {}
+        for spec, value in deps:
+            key = spec.key()
+            self[key] = value
+            self.stages[key] = spec.stage
+
+    def of_stage(self, stage: str) -> Any:
+        """The result of the first ``stage`` dependency, or ``None``."""
+        for key, dep_stage in self.stages.items():
+            if dep_stage == stage:
+                return self[key]
+        return None
+
+
+#: stage name -> fn(spec, dep_results: DepResults) -> result
+StageFn = Callable[[JobSpec, DepResults], Any]
 
 _STAGES: Dict[str, StageFn] = {}
 
@@ -227,22 +270,17 @@ def stage_function(name: str) -> StageFn:
         ) from None
 
 
-def execute_spec(spec: JobSpec, dep_results: Dict[str, Any]) -> Any:
+def execute_spec(spec: JobSpec, dep_results: DepResults) -> Any:
     """Run one job body.  This is the function worker processes execute."""
     return stage_function(spec.stage)(spec, dep_results)
 
 
-def dep_result(spec: JobSpec, dep_results: Dict[str, Any], stage: str) -> Any:
-    """Fetch the dependency result produced by ``stage`` for ``spec``.
-
-    Dependency results are keyed by content hash; the expected specs are
-    re-derived from :func:`default_deps`, which is the same closure the
-    graph materialises, so lookup is exact.
-    """
-    for dep in default_deps(spec):
-        if dep.stage == stage and dep.key() in dep_results:
-            return dep_results[dep.key()]
-    raise RuntimeError(f"{spec.job_id}: missing {stage} dependency result")
+def dep_result(spec: JobSpec, dep_results: DepResults, stage: str) -> Any:
+    """Fetch the dependency result produced by ``stage`` for ``spec``."""
+    value = dep_results.of_stage(stage)
+    if value is None:
+        raise RuntimeError(f"{spec.job_id}: missing {stage} dependency result")
+    return value
 
 
 def adopt_program(program: Any) -> Any:
@@ -269,7 +307,7 @@ def adopt_program(program: Any) -> Any:
     return program
 
 
-def _run_build(spec: JobSpec, dep_results: Dict[str, Any]) -> Any:
+def _run_build(spec: JobSpec, dep_results: DepResults) -> Any:
     from repro.ir.operation import reset_operation_ids
     from repro.workloads.suite import load_benchmark
 
@@ -284,33 +322,20 @@ def _run_build(spec: JobSpec, dep_results: Dict[str, Any]) -> Any:
     return program
 
 
-def _maybe_trace(spec: JobSpec, dep_results: Dict[str, Any]) -> Any:
-    """The spec's trace dependency result, or ``None``.
-
-    Tolerant of absence: with ``REPRO_NO_TRACE=1`` the graph carries no
-    trace jobs, and a graph built under one setting may execute under
-    another — a missing trace simply means "interpret live".
-    """
-    for dep in default_deps(spec):
-        if dep.stage == "trace" and dep.key() in dep_results:
-            return dep_results[dep.key()]
-    return None
-
-
-def _run_trace(spec: JobSpec, dep_results: Dict[str, Any]) -> Any:
+def _run_trace(spec: JobSpec, dep_results: DepResults) -> Any:
     from repro.trace.capture import capture_trace
 
     program = dep_result(spec, dep_results, "build")
     return capture_trace(program)
 
 
-def _run_profile(spec: JobSpec, dep_results: Dict[str, Any]) -> Any:
+def _run_profile(spec: JobSpec, dep_results: DepResults) -> Any:
     from repro.profiling.profile_run import profile_program
     from repro.trace.format import TraceMismatch
 
     program = dep_result(spec, dep_results, "build")
     profile_alu = bool(spec.param("profile_alu", False))
-    trace = _maybe_trace(spec, dep_results)
+    trace = dep_results.of_stage("trace")
     if trace is not None:
         try:
             # batch=True: column-wise profiling off the shared trace
@@ -323,7 +348,7 @@ def _run_profile(spec: JobSpec, dep_results: Dict[str, Any]) -> Any:
     return profile_program(program, profile_alu=profile_alu)
 
 
-def _run_compile(spec: JobSpec, dep_results: Dict[str, Any]) -> Any:
+def _run_compile(spec: JobSpec, dep_results: DepResults) -> Any:
     from repro.compiler import PassManager
 
     if spec.machine is None:
@@ -337,7 +362,7 @@ def _run_compile(spec: JobSpec, dep_results: Dict[str, Any]) -> Any:
     )
 
 
-def _run_simulate(spec: JobSpec, dep_results: Dict[str, Any]) -> Any:
+def _run_simulate(spec: JobSpec, dep_results: DepResults) -> Any:
     from repro.core.program_sim import simulate_program
     from repro.trace.format import TraceMismatch
 
@@ -345,7 +370,7 @@ def _run_simulate(spec: JobSpec, dep_results: Dict[str, Any]) -> Any:
     model_icache = bool(spec.param("model_icache", False))
     collect_metrics = bool(spec.param("collect_metrics", False))
     collect_cycles = bool(spec.param("collect_cycles", False))
-    trace = _maybe_trace(spec, dep_results)
+    trace = dep_results.of_stage("trace")
     if trace is not None:
         try:
             return simulate_program(
@@ -366,7 +391,7 @@ def _run_simulate(spec: JobSpec, dep_results: Dict[str, Any]) -> Any:
     )
 
 
-def _run_batch_simulate(spec: JobSpec, dep_results: Dict[str, Any]) -> Any:
+def _run_batch_simulate(spec: JobSpec, dep_results: DepResults) -> Any:
     """Simulate one benchmark on B machine points in a single pass.
 
     The job's dependencies are the B compile jobs (plus the shared
@@ -392,7 +417,7 @@ def _run_batch_simulate(spec: JobSpec, dep_results: Dict[str, Any]) -> Any:
         )
     collect_metrics = bool(spec.param("collect_metrics", False))
     collect_cycles = bool(spec.param("collect_cycles", False))
-    trace = _maybe_trace(spec, dep_results)
+    trace = dep_results.of_stage("trace")
     results = {}
     for comp in compilations:
         result = None
@@ -427,6 +452,16 @@ register_stage("batch_simulate", _run_batch_simulate)
 
 # -- spec/job constructors ---------------------------------------------------
 
+# The machine-free upstream specs are shared: every compile, simulate
+# and graph closure of one (benchmark, scale, front end) names the same
+# build/trace/profile instance, so its memoised key is hashed once
+# however many jobs depend on it.  Specs are immutable, so sharing is
+# safe; ``typed`` keeps ``scale=1`` and ``scale=1.0`` (distinct keys)
+# apart.
+_shared_spec = functools.lru_cache(maxsize=1024, typed=True)
+
+
+@_shared_spec
 def build_spec(
     benchmark: str,
     scale: float = 1.0,
@@ -438,6 +473,7 @@ def build_spec(
     )
 
 
+@_shared_spec
 def trace_spec(
     benchmark: str,
     scale: float = 1.0,
@@ -455,6 +491,7 @@ def trace_spec(
     )
 
 
+@_shared_spec
 def profile_spec(
     benchmark: str,
     scale: float = 1.0,
@@ -564,8 +601,6 @@ def batch_simulate_job(
     fingerprint alone cannot rebuild one), so batch jobs must be
     constructed through this helper rather than :func:`job_for`.
     """
-    from repro.trace.store import replay_enabled
-
     spec = batch_simulate_spec(
         benchmark, machines, scale,
         spec_config=spec_config,

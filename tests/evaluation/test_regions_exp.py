@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.evaluation import regions_exp
 from repro.evaluation.experiment import Evaluation, EvaluationSettings
 from repro.evaluation.regions_exp import RegionRow, compute, render
+from repro.runner import DiskCache, Runner
 
 
 @pytest.fixture(scope="module")
@@ -52,3 +54,79 @@ class TestRegionsExperiment:
         )
         text = render([row])
         assert "-" in text
+
+
+class TestRejectedVariants:
+    """At scale 0.25 some trip counts do not divide the unroll factor:
+    those variants end in a different state and must report ``None``."""
+
+    @pytest.fixture(params=["runner", "no-runner"])
+    def checked(self, request, tmp_path, monkeypatch):
+        verdicts = []
+        check = regions_exp._architecturally_equivalent
+
+        def spy(base, variant):
+            verdicts.append(check(base, variant))
+            return verdicts[-1]
+
+        monkeypatch.setattr(regions_exp, "_architecturally_equivalent", spy)
+        settings = EvaluationSettings(scale=0.25, benchmarks=("li", "swim"))
+        runner = None
+        if request.param == "runner":
+            runner = Runner(jobs=1, cache=DiskCache(tmp_path / "cache"))
+        rows = compute(Evaluation(settings, runner=runner))
+        return {r.benchmark: r for r in rows}, verdicts
+
+    def test_li_keeps_2x_and_rejects_4x(self, checked):
+        rows, _ = checked
+        assert rows["li"].fractions[2] is not None
+        assert rows["li"].fractions[4] is None
+
+    def test_swim_rejects_both_factors(self, checked):
+        rows, _ = checked
+        assert rows["swim"].fractions[2] is None
+        assert rows["swim"].fractions[4] is None
+
+    def test_rejections_come_from_the_equivalence_check(self, checked):
+        # li 2x passes; li 4x, swim 2x and swim 4x differ in final state.
+        _, verdicts = checked
+        assert verdicts == [True, False, False, False]
+
+    def test_warm_rerun_reports_the_same_rows(self, tmp_path):
+        settings = EvaluationSettings(scale=0.25, benchmarks=("li", "swim"))
+        cache = tmp_path / "cache"
+        cold_runner = Runner(jobs=1, cache=DiskCache(cache))
+        cold = compute(Evaluation(settings, runner=cold_runner))
+        warm_runner = Runner(jobs=1, cache=DiskCache(cache))
+        warm = compute(Evaluation(settings, runner=warm_runner))
+        assert warm == cold
+        # The warm run reads every trace (and all else) back from disk.
+        assert cold_runner.events.summary()["executed_by_stage"]["trace"] > 0
+        assert warm_runner.events.summary()["executed"] == 0
+
+
+class TestEquivalenceCheck:
+    REGS = {"r1": 3, "r2__u1": 7}
+    MEMORY = {0: 1, 8: 2}
+
+    def test_identical_states_are_equivalent(self):
+        state = (dict(self.REGS), dict(self.MEMORY))
+        assert regions_exp._architecturally_equivalent(state, state)
+
+    def test_renamed_registers_are_ignored(self):
+        variant = ({"r1": 3, "r2__u1": 99, "r3__u2": 5}, dict(self.MEMORY))
+        assert regions_exp._architecturally_equivalent(
+            (dict(self.REGS), dict(self.MEMORY)), variant
+        )
+
+    def test_memory_difference_alone_is_not_equivalent(self):
+        variant = (dict(self.REGS), {0: 1, 8: 3})
+        assert not regions_exp._architecturally_equivalent(
+            (dict(self.REGS), dict(self.MEMORY)), variant
+        )
+
+    def test_register_difference_is_not_equivalent(self):
+        variant = ({"r1": 4, "r2__u1": 7}, dict(self.MEMORY))
+        assert not regions_exp._architecturally_equivalent(
+            (dict(self.REGS), dict(self.MEMORY)), variant
+        )

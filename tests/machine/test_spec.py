@@ -80,6 +80,20 @@ class TestFingerprint:
     def test_description_fingerprint_method(self):
         assert PLAYDOH_4W.fingerprint() == PLAYDOH_4W_SPEC.fingerprint()
 
+    def test_memoised_fingerprint_stays_out_of_the_pickle(self):
+        machine = PLAYDOH_4W_SPEC.override(name="fresh").build()
+        before = pickle.dumps(machine)
+        machine.fingerprint()
+        assert pickle.dumps(machine) == before
+
+    def test_memoised_fingerprint_follows_derivations(self):
+        # dataclasses.replace builds a new instance: no stale memo.
+        machine = PLAYDOH_4W_SPEC.build()
+        machine.fingerprint()
+        widened = machine.widened(2, name="wide")
+        assert widened.fingerprint() == widened.spec().fingerprint()
+        assert widened.fingerprint() != machine.fingerprint()
+
 
 class TestRoundTrips:
     def rich_spec(self) -> MachineSpec:
