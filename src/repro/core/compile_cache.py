@@ -18,6 +18,15 @@ Rules of the game:
 * values may be keyed by ``id(obj)`` of a product **only** when the memo
   value holds a strong reference to ``obj`` (then the id cannot be
   reused while the entry exists);
+* products that read the machine are keyed on its :func:`timing_key`,
+  so they are built once for whichever machine asks first.  Every
+  machine with another fingerprint is handed a shallow copy rebound to
+  itself (``Schedule.machine``, ``SpeculativeSchedule.schedule``,
+  ``BaselineBlock.schedule``), memoised per (shared product,
+  fingerprint): a compilation references only its own machine, so its
+  pickled bytes do not depend on which point compiled first.  Memos of
+  runs *on* a product key on the shared product (:func:`origin`), so
+  rebound copies hit them;
 * everything here is a *pure* memo — results are byte-identical with the
   cache disabled.  ``REPRO_NO_BATCH=1`` turns the sharing off (see
   :func:`repro.batchsim._compat.sharing_enabled`), which the CI parity
@@ -26,6 +35,8 @@ Rules of the game:
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 from collections import Counter
 from typing import Any, Callable, Dict, Hashable, Tuple
 from weakref import WeakKeyDictionary
@@ -38,7 +49,7 @@ __all__ = [
     "latency_fingerprint",
     "machine_fingerprint",
     "original_schedule",
-    "pattern_cycles",
+    "origin",
     "pattern_metrics",
     "pattern_run",
     "reset",
@@ -47,35 +58,56 @@ __all__ = [
     "shared_ddg",
     "speculative_schedule",
     "stats",
+    "timing_key",
 ]
 
 #: block -> {key: product}.  Weak on the block: memos die with the IR.
 _BLOCK_MEMOS: "WeakKeyDictionary[Any, Dict[Hashable, Any]]" = WeakKeyDictionary()
 
-#: id(machine) -> (machine, fingerprint).  Keyed by identity — machine
-#: descriptions hold unhashable mappings, so they cannot key a regular
-#: (or weak-key) dict.  The entry pins the machine, so its id cannot be
-#: reused while the entry lives; machines are tiny and few per process,
-#: and :func:`reset` clears the pin.
-_MACHINE_FPS: Dict[int, Tuple[Any, str]] = {}
+#: id(machine) -> (machine, fingerprint, timing key).  Keyed by identity
+#: — machine descriptions hold unhashable mappings, so they cannot key a
+#: regular (or weak-key) dict.  The entry pins the machine, so its id
+#: cannot be reused while the entry lives; machines are tiny and few per
+#: process, and :func:`reset` clears the pin.
+_MACHINE_KEYS: Dict[int, Tuple[Any, str, str]] = {}
 
 #: id(machine) -> (machine, latency key).  Same pinning discipline as
-#: :data:`_MACHINE_FPS`.
+#: :data:`_MACHINE_KEYS`.
 _LATENCY_FPS: Dict[int, Tuple[Any, Hashable]] = {}
 
 _STATS: Counter = Counter()
 
 
+def _machine_keys(machine) -> Tuple[Any, str, str]:
+    entry = _MACHINE_KEYS.get(id(machine))
+    if entry is None or entry[0] is not machine:
+        entry = (machine, machine.fingerprint(), machine.spec().timing_key())
+        _MACHINE_KEYS[id(machine)] = entry
+    return entry
+
+
 def machine_fingerprint(machine) -> str:
-    """Memoised ``machine.fingerprint()`` (hashes canonical spec JSON;
-    memoised because every cache key embeds it)."""
+    """Memoised ``machine.fingerprint()``: the full spec, name and
+    predictor included.  Here it only decides whether a shared product
+    must be rebound (see module docstring)."""
     if not sharing_enabled():
         return machine.fingerprint()
-    entry = _MACHINE_FPS.get(id(machine))
-    if entry is None or entry[0] is not machine:
-        entry = (machine, machine.fingerprint())
-        _MACHINE_FPS[id(machine)] = entry
-    return entry[1]
+    return _machine_keys(machine)[1]
+
+
+def timing_key(machine) -> str:
+    """Memoised ``machine.spec().timing_key()``: the spec without name
+    and predictor (:meth:`repro.machine.spec.MachineSpec.timing_key`).
+
+    Schedules, speculation selections, baseline compilations and every
+    dual-engine, baseline and squash run depend on the machine only
+    through this key — the predictor is run-time hardware that picks a
+    block instance's correctness pattern, never what a pattern costs —
+    so the explore grid's ``predictor.kind`` points share them all.
+    """
+    if not sharing_enabled():
+        return machine.spec().timing_key()
+    return _machine_keys(machine)[2]
 
 
 def latency_fingerprint(machine) -> Hashable:
@@ -165,11 +197,58 @@ def shared_analysis(block, graph, machine):
     return entry[1]
 
 
+def origin(block, product):
+    """The shared product ``product`` was rebound from, or ``product``
+    itself when it is not a rebound copy."""
+    try:
+        memo = _BLOCK_MEMOS.get(block)
+    except TypeError:  # block not weakref-able (exotic test double)
+        return product
+    entry = memo.get(("origin", id(product))) if memo else None
+    return product if entry is None else entry[1]
+
+
+def _handed_out(block, product, built_for, machine, rebind):
+    """``product`` as handed to ``machine``.
+
+    A product built for a machine with the same fingerprint is returned
+    as is; otherwise ``rebind(product, machine)`` makes a shallow copy
+    pinned to ``machine``, memoised per (product, fingerprint) so every
+    compilation for that fingerprint references the same copy.
+    """
+    fp = machine_fingerprint(machine)
+    if machine_fingerprint(built_for) == fp:
+        return product
+
+    def compute():
+        rebound = rebind(product, machine)
+        _BLOCK_MEMOS[block][("origin", id(rebound))] = (rebound, product)
+        return (product, rebound)
+
+    return cached(block, ("rebind", id(product), fp), compute)[1]
+
+
+def _rebind_schedule(schedule, machine):
+    rebound = copy.copy(schedule)
+    rebound.machine = machine
+    return rebound
+
+
+def _rebind_spec_schedule(spec_schedule, machine):
+    return dataclasses.replace(
+        spec_schedule, schedule=_rebind_schedule(spec_schedule.schedule, machine)
+    )
+
+
+def _rebind_baseline(baseline, machine):
+    return dataclasses.replace(
+        baseline, schedule=_rebind_spec_schedule(baseline.schedule, machine)
+    )
+
+
 def original_schedule(block, machine):
     """The block's original resource-constrained list schedule."""
     from repro.sched.list_scheduler import ListScheduler
-
-    fp = machine_fingerprint(machine)
 
     def compute():
         graph = shared_ddg(block, machine)
@@ -178,18 +257,18 @@ def original_schedule(block, machine):
             block.label, graph, analysis=analysis
         )
 
-    return cached(block, ("osched", fp), compute)
+    schedule = cached(block, ("osched", timing_key(machine)), compute)
+    return _handed_out(block, schedule, schedule.machine, machine, _rebind_schedule)
 
 
 def speculative_schedule(spec, machine, original_length):
-    """List-schedule a transformed block (keyed on the spec identity).
+    """List-schedule a transformed block (keyed on the spec identity),
+    pinned to ``machine``.
 
     The memo value pins ``spec``, so the ``id(spec)`` in the key cannot
     be reused while the entry lives (see module docstring rules).
     """
     from repro.core.specsched import schedule_speculative
-
-    fp = machine_fingerprint(machine)
 
     def compute():
         analysis = shared_analysis(spec.original, spec.graph, machine)
@@ -200,110 +279,113 @@ def speculative_schedule(spec, machine, original_length):
             ),
         )
 
-    entry = cached(spec.original, ("sched", id(spec), fp), compute)
-    return entry[1]
+    key = ("sched", id(spec), timing_key(machine))
+    shared = cached(spec.original, key, compute)[1]
+    return _handed_out(
+        spec.original,
+        shared,
+        shared.schedule.machine,
+        machine,
+        _rebind_spec_schedule,
+    )
 
 
 def baseline_block(spec, machine, original_length):
-    """The statically-recovered baseline compilation of a transform."""
+    """The statically-recovered baseline compilation of a transform,
+    pinned to ``machine``."""
     from repro.core.baseline import build_baseline_block
 
-    fp = machine_fingerprint(machine)
     entry = cached(
         spec.original,
-        ("base", id(spec), fp),
+        ("base", id(spec), timing_key(machine)),
         lambda: (
             spec,
             build_baseline_block(spec, machine, original_length=original_length),
         ),
     )
-    return entry[1]
+    baseline = entry[1]
+    return _handed_out(
+        spec.original,
+        baseline,
+        baseline.schedule.schedule.machine,
+        machine,
+        _rebind_baseline,
+    )
 
 
 def schedule_validated(spec_schedule) -> bool:
     """Exhaustive outcome validation of a speculative schedule.
 
     ``True`` iff every correctness pattern simulates without engine
-    deadlock.  The per-pattern runs produced by the validation sweep are
-    seeded into the :func:`pattern_run` memo, so the dynamic simulation
-    later reads them back instead of re-simulating.
+    deadlock.  The sweep runs each pattern once, with its cycle stack,
+    and seeds the run into the :func:`pattern_run` memo, so the dynamic
+    simulation and its cycle accounting later read it back instead of
+    re-simulating.
     """
     from repro.core.cc_engine import SimulationDeadlock
     from repro.core.machine_sim import simulate_all_outcomes
 
     block = spec_schedule.spec.original
+    shared = origin(block, spec_schedule)
 
     def compute():
         try:
-            runs = simulate_all_outcomes(spec_schedule)
+            runs = simulate_all_outcomes(shared)
         except SimulationDeadlock:
-            return (spec_schedule, False)
+            return (shared, False)
         for pattern, run in runs.items():
             cached(
                 block,
-                ("prun", id(spec_schedule), pattern),
-                lambda run=run: (spec_schedule, run),
+                ("prun", id(shared), pattern),
+                lambda run=run: (shared, run),
             )
-        return (spec_schedule, True)
+        return (shared, True)
 
-    return cached(block, ("valid", id(spec_schedule)), compute)[1]
+    return cached(block, ("valid", id(shared)), compute)[1]
 
 
 def pattern_run(spec_schedule, pattern: Tuple[bool, ...]):
-    """Dual-engine timing of one correctness pattern (shared memo)."""
+    """Dual-engine timing of one correctness pattern, with its cycle
+    stack (shared memo)."""
     from repro.core.machine_sim import simulate_block
 
-    ldpreds = spec_schedule.spec.ldpred_ids
+    block = spec_schedule.spec.original
+    shared = origin(block, spec_schedule)
+    ldpreds = shared.spec.ldpred_ids
     entry = cached(
-        spec_schedule.spec.original,
-        ("prun", id(spec_schedule), pattern),
+        block,
+        ("prun", id(shared), pattern),
         lambda: (
-            spec_schedule,
-            simulate_block(spec_schedule, dict(zip(ldpreds, pattern))),
+            shared,
+            simulate_block(
+                shared, dict(zip(ldpreds, pattern)), collect_cycles=True
+            ),
         ),
     )
     return entry[1]
 
 
 def pattern_metrics(spec_schedule, pattern: Tuple[bool, ...]):
-    """(BlockRun, MetricsSnapshot) of one pattern (shared memo)."""
+    """(BlockRun, MetricsSnapshot) of one pattern (shared memo); the run
+    carries its cycle stack like every :func:`pattern_run` entry."""
     from repro.core.machine_sim import simulate_block
     from repro.obs.metrics import MetricsRegistry
 
-    ldpreds = spec_schedule.spec.ldpred_ids
+    block = spec_schedule.spec.original
+    shared = origin(block, spec_schedule)
+    ldpreds = shared.spec.ldpred_ids
 
     def compute():
         registry = MetricsRegistry()
         run = simulate_block(
-            spec_schedule, dict(zip(ldpreds, pattern)), metrics=registry
+            shared,
+            dict(zip(ldpreds, pattern)),
+            metrics=registry,
+            collect_cycles=True,
         )
-        return (spec_schedule, run, registry.snapshot())
+        return (shared, run, registry.snapshot())
 
-    entry = cached(
-        spec_schedule.spec.original,
-        ("pmet", id(spec_schedule), pattern),
-        compute,
-    )
-    return entry[1], entry[2]
-
-
-def pattern_cycles(spec_schedule, pattern: Tuple[bool, ...]):
-    """(BlockRun, cause->cycles stack) of one pattern (shared memo)."""
-    from repro.core.machine_sim import simulate_block
-
-    ldpreds = spec_schedule.spec.ldpred_ids
-
-    def compute():
-        run = simulate_block(
-            spec_schedule, dict(zip(ldpreds, pattern)), collect_cycles=True
-        )
-        return (spec_schedule, run, dict(run.cycle_stack))
-
-    entry = cached(
-        spec_schedule.spec.original,
-        ("pcyc", id(spec_schedule), pattern),
-        compute,
-    )
+    entry = cached(block, ("pmet", id(shared), pattern), compute)
     return entry[1], entry[2]
 
 
@@ -315,6 +397,6 @@ def stats() -> Dict[str, int]:
 def reset() -> None:
     """Drop every memo (bench iterations and test isolation)."""
     _BLOCK_MEMOS.clear()
-    _MACHINE_FPS.clear()
+    _MACHINE_KEYS.clear()
     _LATENCY_FPS.clear()
     _STATS.clear()

@@ -197,16 +197,19 @@ def simulate_worst_case(spec_schedule: SpeculativeSchedule) -> BlockRun:
 def simulate_all_outcomes(
     spec_schedule: SpeculativeSchedule,
 ) -> Dict[Tuple[bool, ...], BlockRun]:
-    """Simulate every outcome pattern (2^n for n predictions).
+    """Simulate every outcome pattern (2^n for n predictions), each run
+    carrying its cycle stack.
 
-    The dynamic program simulation memoises block timings per pattern
-    through this map; blocks predict at most a handful of loads so the
-    pattern space stays tiny.
+    The dynamic program simulation memoises block timings and cycle
+    stacks per pattern through this map; blocks predict at most a
+    handful of loads so the pattern space stays tiny.
     """
     ldpreds = spec_schedule.spec.ldpred_ids
     results: Dict[Tuple[bool, ...], BlockRun] = {}
     for mask in range(1 << len(ldpreds)):
         pattern = tuple(bool(mask & (1 << i)) for i in range(len(ldpreds)))
         outcomes = dict(zip(ldpreds, pattern))
-        results[pattern] = simulate_block(spec_schedule, outcomes)
+        results[pattern] = simulate_block(
+            spec_schedule, outcomes, collect_cycles=True
+        )
     return results

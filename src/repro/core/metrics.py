@@ -153,27 +153,13 @@ class BlockCompilation:
     def cycles_for(self, pattern: Tuple[bool, ...]) -> Dict[str, int]:
         """Per-cause cycle stack for one correctness pattern (memoised).
 
-        Like :meth:`metrics_for`, attribution is collected lazily per
-        distinct pattern; the stack sums to the pattern's
-        ``effective_length``.
+        Read from the pattern's :meth:`run_for` run, which carries its
+        stack; the stack sums to the pattern's ``effective_length``.
         """
-        if self.spec_schedule is None:
-            raise RuntimeError(f"block {self.label!r} was not speculated")
-        # setdefault keeps compilations unpickled from caches written by
-        # older code (whose __dict__ lacks this memo) working.
-        cache = self.__dict__.setdefault("_cycles_cache", {})
-        cached = cache.get(pattern)
+        cached = self._cycles_cache.get(pattern)
         if cached is None:
-            ldpreds = self.spec_schedule.spec.ldpred_ids
-            if len(pattern) != len(ldpreds):
-                raise ValueError(
-                    f"pattern of length {len(pattern)} for {len(ldpreds)} predictions"
-                )
-            from repro.core import compile_cache
-
-            run, cached = compile_cache.pattern_cycles(self.spec_schedule, pattern)
-            cache[pattern] = cached
-            self._pattern_cache.setdefault(pattern, run)
+            cached = dict(self.run_for(pattern).cycle_stack)
+            self._cycles_cache[pattern] = cached
         return cached
 
 

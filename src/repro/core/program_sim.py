@@ -176,7 +176,6 @@ def _shared_original_attribution(
     """
     block = compilation.program.main.block(comp.label)
     machine = compilation.machine
-    fp = compile_cache.machine_fingerprint(machine)
 
     def compute() -> Dict[str, int]:
         schedule = compile_cache.original_schedule(block, machine)
@@ -186,13 +185,15 @@ def _shared_original_attribution(
         )
         return attribute_schedule(schedule)
 
-    return compile_cache.cached(block, ("oattr", fp), compute)
+    return compile_cache.cached(
+        block, ("oattr", compile_cache.timing_key(machine)), compute
+    )
 
 
 def _shared_baseline_attribution(comp: BlockCompilation) -> Dict[str, int]:
     """Static attribution of the baseline machine's main schedule."""
-    baseline = comp.baseline
-    block = baseline.spec.original
+    block = comp.baseline.spec.original
+    baseline = compile_cache.origin(block, comp.baseline)
 
     def compute():
         counts = attribute_schedule(baseline.schedule.schedule)
@@ -206,12 +207,12 @@ def _shared_baseline_attribution(comp: BlockCompilation) -> Dict[str, int]:
 
 def _shared_baseline_run(comp: BlockCompilation, ldpreds, pattern, machine):
     """Baseline recovery timing for one pattern (pure — no icache)."""
-    baseline = comp.baseline
-    block = baseline.spec.original
-    fp = compile_cache.machine_fingerprint(machine)
+    block = comp.baseline.spec.original
+    baseline = compile_cache.origin(block, comp.baseline)
+    tkey = compile_cache.timing_key(machine)
     entry = compile_cache.cached(
         block,
-        ("brun", id(baseline), fp, pattern),
+        ("brun", id(baseline), tkey, pattern),
         lambda: (
             baseline,
             simulate_baseline_block(
@@ -224,12 +225,12 @@ def _shared_baseline_run(comp: BlockCompilation, ldpreds, pattern, machine):
 
 def _shared_squash_run(comp: BlockCompilation, ldpreds, pattern, machine):
     """Squash recovery timing for one pattern (memoised)."""
-    schedule = comp.spec_schedule
-    block = schedule.spec.original
-    fp = compile_cache.machine_fingerprint(machine)
+    block = comp.spec_schedule.spec.original
+    schedule = compile_cache.origin(block, comp.spec_schedule)
+    tkey = compile_cache.timing_key(machine)
     entry = compile_cache.cached(
         block,
-        ("srun", id(schedule), fp, pattern),
+        ("srun", id(schedule), tkey, pattern),
         lambda: (
             schedule,
             simulate_squash_block(

@@ -77,8 +77,8 @@ def _shared_transform(
     over them share every trial transform.  Of the machine it reads only
     the latency table (LdPred/check latencies enter the rewired edge
     weights) and ``sync_width``, so resource variants share transforms
-    too; the resource-dependent *schedules* of a shared transform stay
-    keyed on the full machine fingerprint.
+    too; the resource-dependent *schedules* of a shared transform are
+    keyed on the machine's timing key.
     """
     key = (
         "xform",
@@ -165,6 +165,7 @@ def transform_block(
             )
 
     predicted_ids = {op.op_id for op in predicted_loads}
+    op_by_id = {op.op_id: op for op in block.operations}
 
     # -- create LdPred and check ops -------------------------------------
     # The check form re-executes the predicted operation and compares:
@@ -191,6 +192,9 @@ def transform_block(
             )
     predicted_by_check = {
         check_for[l.op_id].op_id: l.op_id for l in predicted_loads
+    }
+    load_of_ldpred = {
+        ldpred.op_id: load_id for load_id, ldpred in ldpred_for.items()
     }
 
     # -- classify every original operation --------------------------------
@@ -304,7 +308,7 @@ def transform_block(
 
     def node(op_id: int) -> Operation:
         """Transformed node standing for original op ``op_id``."""
-        return check_for[op_id] if op_id in predicted_ids else _op_by_id(block, op_id)
+        return check_for[op_id] if op_id in predicted_ids else op_by_id[op_id]
 
     for load in predicted_loads:
         ldpred = ldpred_for[load.op_id]
@@ -329,7 +333,7 @@ def transform_block(
         # verification of every origin prediction (best-case timing: the
         # origin checks' completions).
         for origin in info[check.op_id].origins:
-            origin_check = check_for[_load_of_ldpred(ldpred_for, origin)]
+            origin_check = check_for[load_of_ldpred[origin]]
             if origin_check.op_id != check.op_id:
                 graph.add_edge(
                     origin_check, check, DepKind.SYNC, check_latency(origin_check)
@@ -361,7 +365,7 @@ def transform_block(
         # case their wait bits clear when the relevant checks complete.
         if op_info.form is OpForm.NONSPEC:
             for origin in op_info.origins:
-                check = check_for[_load_of_ldpred(ldpred_for, origin)]
+                check = check_for[load_of_ldpred[origin]]
                 graph.add_edge(check, dst, DepKind.SYNC, check_latency(check))
 
     # Deadlock avoidance (see module docstring): every check issues
@@ -419,20 +423,6 @@ def transform_block(
             ldpred_for[l.op_id].op_id: l.op_id for l in predicted_loads
         },
     )
-
-
-def _op_by_id(block: BasicBlock, op_id: int) -> Operation:
-    for op in block.operations:
-        if op.op_id == op_id:
-            return op
-    raise KeyError(op_id)
-
-
-def _load_of_ldpred(ldpred_for: Dict[int, Operation], ldpred_id: int) -> int:
-    for load_id, ldpred in ldpred_for.items():
-        if ldpred.op_id == ldpred_id:
-            return load_id
-    raise KeyError(ldpred_id)
 
 
 def candidate_loads(
@@ -542,13 +532,14 @@ def speculate_block(
     more (they have the slots to absorb the LdPred/check overhead).
 
     Selection is memoised process-wide, keyed on everything it actually
-    depends on: machine fingerprint, the profile-eligible op set (the
-    only way threshold/profile enter), live-out set and the pass config
-    — so threshold sweeps that agree on eligibility share one greedy
-    run, and its trial transforms/schedules, outright.
+    depends on: the machine's timing key (so predictor variants share
+    it), the profile-eligible op set (the only way threshold/profile
+    enter), live-out set and the pass config — so threshold sweeps that
+    agree on eligibility share one greedy run, and its trial
+    transforms/schedules, outright.
     """
     config = config or SpeculationConfig()
-    fp = compile_cache.machine_fingerprint(machine)
+    tkey = compile_cache.timing_key(machine)
     eligible = frozenset(_eligible_ops(block, machine, profile, config))
     rest = (
         live_out,
@@ -557,7 +548,7 @@ def speculate_block(
         config.speculate_liveout,
         config.predict_alu,
     )
-    key = ("spec", fp, tuple(sorted(eligible))) + rest
+    key = ("spec", tkey, tuple(sorted(eligible))) + rest
 
     def compute():
         # Superset reuse: greedy evaluates candidates independently and
@@ -567,7 +558,7 @@ def speculate_block(
         # losers whose absence changes no argmax and no termination
         # test.  Threshold sweeps hit this constantly: a higher
         # threshold shrinks eligibility but usually keeps the selection.
-        index = compile_cache.cached(block, ("specidx", fp) + rest, list)
+        index = compile_cache.cached(block, ("specidx", tkey) + rest, list)
         for known_eligible, selection, result in index:
             if selection <= eligible <= known_eligible:
                 return result

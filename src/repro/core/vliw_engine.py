@@ -29,13 +29,11 @@ from typing import Dict, FrozenSet, List, Mapping, Optional
 
 from repro.machine.description import MachineDescription
 from repro.obs.cycles import (
-    BIND_RANK,
     SYNC_CLEAR_CAUSES,
     SYNC_SOURCE_RANK,
     CycleLedger,
     NULL_CYCLES,
-    instruction_cause,
-    operation_wait_cause,
+    instruction_binding,
 )
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS
 from repro.obs.trace import (
@@ -155,6 +153,7 @@ class VLIWEngineSim:
             self._metrics.inc("vliw.instructions")
 
             if ledger.enabled:
+                issue_cause, latency, rank, cause = instruction_binding(instr)
                 static_gap = instr.cycle - prev_static - 1
                 if static_gap > 0:
                     in_flight = static_best[0] > prev_static + 1
@@ -169,21 +168,18 @@ class VLIWEngineSim:
                     )
                 if ccb_stall:
                     ledger.charge("ccb_pressure", ccb_stall, at=issue)
-                ledger.charge(instruction_cause(instr), 1, at=issue)
+                ledger.charge(issue_cause, 1, at=issue)
                 prev_static = instr.cycle
                 last_issue = issue
+                # Every slot of an instruction is shifted alike, so its
+                # binding op is the same statically and dynamically.
+                static_best = max(static_best, (instr.cycle + latency, rank, cause))
+                tail_best = max(tail_best, (issue + latency, rank, cause))
 
             for slot in instr.slots:
                 self._issue_op(slot.operation, issue, slot.latency, stats)
                 stats.completion = max(stats.completion, issue + slot.latency)
                 stats.issue_times[slot.operation.op_id] = issue
-                if ledger.enabled:
-                    cause = operation_wait_cause(slot.operation.opcode)
-                    rank = BIND_RANK.get(cause, 0)
-                    static_best = max(
-                        static_best, (instr.cycle + slot.latency, rank, cause)
-                    )
-                    tail_best = max(tail_best, (issue + slot.latency, rank, cause))
 
         if ledger.enabled and stats.instructions_issued:
             # Completion tail: cycles after the last issue while the

@@ -20,6 +20,8 @@ as reviewable data and be swept by :mod:`repro.explore`.
 The spec *name* is part of the canonical form: simulation results embed
 the machine name (``ProgramSimResult.machine_name``), so two otherwise
 identical machines with different names must not share cache entries.
+In-process compile products are keyed on :meth:`MachineSpec.timing_key`
+instead, which leaves out the name and the predictor.
 """
 
 from __future__ import annotations
@@ -55,6 +57,12 @@ _FIELDS = (
     "predictor",
     "speculation",
 )
+
+#: Canonical-form fields that compiled code and its dual-engine timing
+#: never read.  The name only labels results, and the value predictor is
+#: run-time hardware: it decides which correctness pattern a block
+#: instance takes, not what any pattern costs.
+_UNTIMED_FIELDS = ("name", "predictor")
 
 #: Speculation defaults a spec may carry (mirrors
 #: :class:`repro.core.speculation.SpeculationConfig`).
@@ -188,6 +196,23 @@ class MachineSpec:
     def fingerprint(self) -> str:
         """Stable content hash of the canonical form."""
         text = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    def timing_key(self) -> str:
+        """Content hash of the canonical form without :data:`_UNTIMED_FIELDS`.
+
+        Schedules and per-pattern dual-engine timings depend on the
+        machine only through this key, so machines that differ only in
+        name or predictor share them.  The untimed fields are *dropped*
+        rather than the timed ones listed, so a field added later is
+        part of the key by default.
+        """
+        timed = {
+            key: value
+            for key, value in self.canonical().items()
+            if key not in _UNTIMED_FIELDS
+        }
+        text = json.dumps(timed, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     def to_json(self, indent: Optional[int] = 2) -> str:

@@ -102,7 +102,7 @@ SYNC_SOURCE_RANK = {"execute": 3, "flush": 2, "check": 1, None: 0}
 
 def operation_wait_cause(opcode: Opcode) -> str:
     """The cause charged when this in-flight operation binds a gap/tail."""
-    if opcode in (Opcode.LOAD, Opcode.LDPRED):
+    if opcode is Opcode.LOAD or opcode is Opcode.LDPRED:
         return "load_wait"
     if opcode is Opcode.CHKPRED:
         return "check_compare"
@@ -111,11 +111,28 @@ def operation_wait_cause(opcode: Opcode) -> str:
 
 def instruction_cause(instr: Any) -> str:
     """The cause of an instruction's own issue cycle."""
-    if instr.slots and all(
-        slot.operation.opcode is Opcode.CHKPRED for slot in instr.slots
-    ):
-        return "check_compare"
-    return "issue"
+    return instruction_binding(instr)[0]
+
+
+def instruction_binding(instr: Any) -> Tuple[str, int, int, str]:
+    """One pass over an instruction's slots.
+
+    Returns the cause of the instruction's own issue cycle and the
+    ``(latency, rank, cause)`` of its binding operation: the slot with
+    the longest latency, ties broken by :data:`BIND_RANK`.  The static
+    attribution and the dynamic engine both call this once per
+    instruction.
+    """
+    checks_only = bool(instr.slots)
+    best = (-1, -1, "dep_stall")
+    for slot in instr.slots:
+        cause = operation_wait_cause(slot.operation.opcode)
+        if cause != "check_compare":
+            checks_only = False
+        key = (slot.latency, BIND_RANK[cause], cause)
+        if key > best:
+            best = key
+    return ("check_compare" if checks_only else "issue",) + best
 
 
 class CycleLedger:
@@ -181,17 +198,12 @@ def attribute_schedule(schedule: Any) -> Dict[str, int]:
                 charge(best_cause, gap)
             else:
                 charge("dep_stall", gap)
-        charge(instruction_cause(instr), 1)
-        for slot in instr.slots:
-            completion = instr.cycle + slot.latency
-            cause = operation_wait_cause(slot.operation.opcode)
-            rank = BIND_RANK.get(cause, 0)
-            if completion > best_completion or (
-                completion == best_completion and rank > best_rank
-            ):
-                best_completion = completion
-                best_rank = rank
-                best_cause = cause
+        issue_cause, latency, rank, cause = instruction_binding(instr)
+        charge(issue_cause, 1)
+        if (instr.cycle + latency, rank) > (best_completion, best_rank):
+            best_completion = instr.cycle + latency
+            best_rank = rank
+            best_cause = cause
         prev_cycle = instr.cycle
     charge(best_cause, schedule.length - prev_cycle - 1)
     return counts
