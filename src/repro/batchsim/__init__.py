@@ -13,37 +13,21 @@ engine — both paths share one deterministic accounting fold.
 by ``repro-explore --surrogate`` to rank and prune candidate points
 before exact simulation.
 
-This package imports lazily: ``repro.core`` modules import
-:mod:`repro.batchsim._compat` at startup, so eagerly importing the
-engine here would create a cycle.
+This package imports lazily: the engine modules import NumPy, which
+only a batched run needs.
 """
 
 from __future__ import annotations
 
-from repro.batchsim._compat import (
-    NO_BATCH_ENV,
-    batch_enabled,
-    numpy_error,
-    require_numpy,
-    scalar_forced,
-    sharing_enabled,
-)
-
 __all__ = [
-    "NO_BATCH_ENV",
     "BatchContext",
-    "batch_enabled",
     "default_context",
-    "numpy_error",
-    "require_numpy",
     "reset_shared_state",
-    "scalar_forced",
-    "sharing_enabled",
 ]
 
 
 def __getattr__(name):
-    if name in ("BatchContext", "default_context", "reset_shared_state"):
+    if name in __all__:
         from repro.batchsim import context
 
         return getattr(context, name)

@@ -28,7 +28,8 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from repro.batchsim._compat import require_numpy
+import numpy as np
+
 from repro.ir.program import Program
 from repro.trace.format import TraceMismatch, ValueTrace
 from repro.trace.replay import _replay_plan
@@ -38,7 +39,6 @@ class TraceArrays:
     """One trace decoded to struct-of-arrays form (see module docstring)."""
 
     def __init__(self, trace: ValueTrace, program: Program):
-        np = require_numpy()
         plan = _replay_plan(trace, program)  # validates digest/labels/sigs
         self.trace = trace
         self.program = program

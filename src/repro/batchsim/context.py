@@ -21,7 +21,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
-from repro.batchsim._compat import require_numpy
+import numpy as np
+
 from repro.batchsim.arrays import TraceArrays
 from repro.batchsim.outcomes import (
     OutcomeColumn,
@@ -120,7 +121,6 @@ class BatchContext:
         pattern position *j* is op ``op_ids[j]``, matching the scalar
         observer's ``predicted_load_ids`` convention.
         """
-        np = require_numpy()
         pkey = predictor_key(machine)
         key = (id(arrays), pkey, label, op_ids)
         entry = self._histograms.get(key)
@@ -194,10 +194,8 @@ def reset_shared_state() -> None:
     only); the test suite calls it between tests for isolation.
     """
     reset_default_context()
-    from repro.batchsim import _compat
     from repro.core import compile_cache
 
-    _compat.refresh()
     compile_cache.reset()
     # The evaluation layer's shared build/profile products (imported
     # lazily: evaluation sits above this package in the import graph,

@@ -14,17 +14,15 @@ byte-identical to the scalar engine by construction; the parity suite
 
 Points that leave the common path — explicit predictor override, finite
 value-prediction table, confidence gating, icache modelling (inherently
-sequential cache state), missing trace, NumPy unavailable or
-``REPRO_NO_BATCH=1`` — fall back to the scalar engine inside
-:func:`~repro.core.program_sim.simulate_program`; the decision is
-reported by :func:`unsupported_reason`.
+sequential cache state) or a missing trace — run the scalar engine
+inside :func:`~repro.core.program_sim.simulate_program`; the decision
+is reported by :func:`unsupported_reason`.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.batchsim._compat import batch_enabled, numpy_error
 from repro.batchsim.context import BatchContext
 from repro.profiling.interpreter import ExecutionLimitExceeded
 
@@ -37,8 +35,6 @@ def unsupported_reason(
     trace=None,
 ) -> Optional[str]:
     """Why this simulation cannot run batched (``None`` = it can)."""
-    if not batch_enabled():
-        return numpy_error() or "disabled (REPRO_NO_BATCH=1)"
     if trace is None:
         return "no value trace (live interpretation is sequential)"
     if predictor is not None:

@@ -21,7 +21,8 @@ from __future__ import annotations
 import json
 from typing import Callable
 
-from repro.batchsim._compat import require_numpy
+import numpy as np
+
 from repro.predict.base import ValuePredictor, _values_equal
 
 
@@ -70,7 +71,6 @@ def compute_column(
     shared instance because predictor state is per static op — the
     other ops' training can never touch this op's entries.
     """
-    np = require_numpy()
     predictor = build()
     n = len(values)
     correct = np.zeros(n, dtype=bool)

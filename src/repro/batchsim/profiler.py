@@ -34,6 +34,8 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+import numpy as np
+
 from repro.profiling.block_profile import BlockProfile
 from repro.profiling.interpreter import ExecutionLimitExceeded
 from repro.profiling.value_profile import (
@@ -130,8 +132,6 @@ def batch_profile(
     counters, same dict orders, same limit/mismatch errors — but driven
     column-wise through ``context``'s shared :class:`TraceArrays`.
     """
-    import numpy as np
-
     from repro.profiling.profile_run import ProfileData
 
     if trace.dynamic_operations > max_operations:

@@ -49,7 +49,7 @@ from typing import Tuple
 #: ``cycles_proposed`` estimate vs the cycle-accurate simulator on the
 #: golden suite (all benchmarks x {playdoh-4w, playdoh-8w} x thresholds
 #: {0.5, 0.65, 0.8}).  Asserted by tests/batchsim/test_surrogate.py and
-#: the CI batch-parity job; revisit if the estimate formula changes.
+#: the CI surrogate-smoke job; revisit if the estimate formula changes.
 DOCUMENTED_ERROR_BOUND = 0.05
 
 

@@ -17,14 +17,13 @@ proposed in [4]").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.ddg.graph import DepKind, DependenceGraph
 from repro.ir.operation import Operation
 from repro.machine.description import MachineDescription
 from repro.sched.list_scheduler import ListScheduler
-from repro.core.icache import CodeLayout, ICacheConfig, InstructionCache
 from repro.core.isa_ext import OpForm, SpeculativeBlock
 from repro.core.specsched import SpeculativeSchedule, schedule_speculative
 
@@ -182,7 +181,6 @@ class BaselineRun:
     main_cycles: int
     compensation_cycles: int
     branch_cycles: int
-    icache_cycles: int
     predictions: int
     mispredictions: int
 
@@ -191,15 +189,12 @@ def simulate_baseline_block(
     baseline: BaselineBlock,
     outcomes: Mapping[int, bool],
     machine: MachineDescription,
-    cache: Optional[InstructionCache] = None,
-    layout: Optional[CodeLayout] = None,
 ) -> BaselineRun:
     """One dynamic instance: main schedule + serial recovery excursions.
 
-    With ``cache``/``layout`` provided, the main block and any executed
-    compensation blocks are fetched through the instruction cache and
-    miss penalties are charged (this is how compensation code corrupts
-    the cache).  Without them the comparison is purely compute-time.
+    Purely compute-time: the instruction-cache pollution of the executed
+    compensation blocks depends on the dynamic fetch sequence, so
+    :func:`repro.core.program_sim.simulate_program` charges it per run.
     """
     spec = baseline.spec
     missing = set(spec.ldpred_ids) - set(outcomes)
@@ -209,11 +204,7 @@ def simulate_baseline_block(
     main = baseline.main_length
     comp_cycles = 0
     branch_cycles = 0
-    icache_cycles = 0
     mispredictions = 0
-
-    if cache is not None and layout is not None:
-        icache_cycles += layout.fetch(cache, f"main:{baseline.label}")
 
     for ldpred_id in spec.ldpred_ids:
         if outcomes[ldpred_id]:
@@ -225,17 +216,14 @@ def simulate_baseline_block(
         # verification (paper section 1).
         branch_cycles += 2 * machine.branch_penalty
         comp_cycles += comp.length
-        if cache is not None and layout is not None and comp.op_count:
-            icache_cycles += layout.fetch(cache, comp.code_id)
 
-    total = main + comp_cycles + branch_cycles + icache_cycles
+    total = main + comp_cycles + branch_cycles
     return BaselineRun(
         label=baseline.label,
         effective_length=total,
         main_cycles=main,
         compensation_cycles=comp_cycles,
         branch_cycles=branch_cycles,
-        icache_cycles=icache_cycles,
         predictions=len(spec.ldpred_ids),
         mispredictions=mispredictions,
     )

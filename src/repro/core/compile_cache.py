@@ -27,10 +27,8 @@ Rules of the game:
   pickled bytes do not depend on which point compiled first.  Memos of
   runs *on* a product key on the shared product (:func:`origin`), so
   rebound copies hit them;
-* everything here is a *pure* memo — results are byte-identical with the
-  cache disabled.  ``REPRO_NO_BATCH=1`` turns the sharing off (see
-  :func:`repro.batchsim._compat.sharing_enabled`), which the CI parity
-  job uses to diff shared against fully-scalar artifacts.
+* everything here is a *pure* memo — a product is byte-identical to
+  what computing it afresh would give.
 """
 
 from __future__ import annotations
@@ -40,8 +38,6 @@ import dataclasses
 from collections import Counter
 from typing import Any, Callable, Dict, Hashable, Tuple
 from weakref import WeakKeyDictionary
-
-from repro.batchsim._compat import sharing_enabled
 
 __all__ = [
     "baseline_block",
@@ -90,8 +86,6 @@ def machine_fingerprint(machine) -> str:
     """Memoised ``machine.fingerprint()``: the full spec, name and
     predictor included.  Here it only decides whether a shared product
     must be rebound (see module docstring)."""
-    if not sharing_enabled():
-        return machine.fingerprint()
     return _machine_keys(machine)[1]
 
 
@@ -105,8 +99,6 @@ def timing_key(machine) -> str:
     block instance's correctness pattern, never what a pattern costs —
     so the explore grid's ``predictor.kind`` points share them all.
     """
-    if not sharing_enabled():
-        return machine.spec().timing_key()
     return _machine_keys(machine)[2]
 
 
@@ -122,11 +114,6 @@ def latency_fingerprint(machine) -> Hashable:
     ``issue_width=2,4`` points build each block's DDG once, not once per
     width).
     """
-    if not sharing_enabled():
-        return (
-            tuple(sorted((op.value, lat) for op, lat in machine.latencies.items())),
-            machine.check_compare_cost,
-        )
     entry = _LATENCY_FPS.get(id(machine))
     if entry is None or entry[0] is not machine:
         key = (
@@ -142,11 +129,8 @@ def cached(block, key: Tuple, compute: Callable[[], Any]) -> Any:
     """Return the memoised product for ``(block, key)``.
 
     ``key`` must be a hashable tuple whose first element names the
-    product kind (used for hit/miss stats).  With sharing disabled this
-    is a transparent call-through.
+    product kind (used for hit/miss stats).
     """
-    if not sharing_enabled():
-        return compute()
     try:
         memo = _BLOCK_MEMOS.get(block)
     except TypeError:  # block not weakref-able (exotic test double)

@@ -1,20 +1,24 @@
 """Whole-program dynamic simulation of the proposed architecture.
 
-The program is executed architecturally by the interpreter; a simulation
-observer rides along and, for every dynamic instance of a speculated
-block, queries the live hardware value predictor for each predicted load,
-scores it against the actual loaded value, and charges the instance the
-dual-engine timing for the resulting correctness pattern (timings are
-memoised per pattern — a block with *n* predicted loads has at most
-``2^n`` distinct timings).
+The program is executed architecturally by the interpreter (or replayed
+from its value trace); a simulation observer rides along and, for every
+dynamic instance of a speculated block, queries the live hardware value
+predictor for each predicted load and scores it against the actual
+loaded value.  The run reduces to :class:`SimCounts` — instances per
+block version and per correctness pattern — and one fold charges each
+pattern its dual-engine timing, computed once per (block, pattern): a
+block with *n* predicted loads has at most ``2^n`` distinct timings.
 
-The same pass simultaneously accounts the two comparison machines:
+The same fold accounts the two comparison machines:
 
 * **no prediction** — every block instance costs its original schedule
   length;
 * **baseline recovery** ([4]) — the main speculative schedule plus serial
-  compensation-block excursions, branch redirects and (optionally)
-  instruction-cache pollution.
+  compensation-block excursions and branch redirects.
+
+Instruction-cache pollution, when modelled, is the one order-dependent
+cost: a fetch walk adds each instance's miss penalties on top of the
+fold.
 
 This mirrors the paper's methodology of combining profiled block
 frequencies with per-block schedule lengths, except outcomes come from a
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.ir.block import BasicBlock
 from repro.ir.operation import Operation
@@ -145,11 +149,11 @@ class ProgramSimResult:
 
 @dataclass
 class SimCounts:
-    """Sufficient statistics of one dynamic run (non-icache machines).
+    """Sufficient statistics of one dynamic run.
 
-    Everything :func:`simulate_program` reports is an exact,
-    deterministic function of these counts plus the (memoised) per-block
-    compiler products: per label, how many instances ran non-speculated
+    Everything :func:`simulate_program` reports, icache penalties aside
+    (:class:`_FetchWalk`), is an exact, deterministic function of these
+    counts plus the (memoised) per-block compiler products: per label, how many instances ran non-speculated
     / confidence-gated / under each correctness pattern, plus the raw
     predictor hit counters.  The scalar observer and the batched engine
     (:mod:`repro.batchsim.engine`) both reduce a run to this record and
@@ -346,14 +350,12 @@ def _fold_counts(
             res.cycles_baseline += baseline_run.effective_length * n
             res.baseline_compensation_cycles += baseline_run.compensation_cycles * n
             res.baseline_branch_cycles += baseline_run.branch_cycles * n
-            res.baseline_icache_cycles += baseline_run.icache_cycles * n
             if collect_cycles:
                 stack = cycle_stacks["baseline"]
                 _charge_scaled(stack, _shared_baseline_attribution(comp), n)
                 for cause, cycles in (
                     ("reexec", baseline_run.compensation_cycles),
                     ("branch_penalty", baseline_run.branch_cycles),
-                    ("icache_miss", baseline_run.icache_cycles),
                 ):
                     if cycles:
                         stack[cause] = stack.get(cause, 0) + cycles * n
@@ -363,81 +365,114 @@ def _fold_counts(
                 res.squashed_instances += n
 
 
-class _SimulationObserver:
-    """Interpreter observer driving all three machine accountings."""
+class _FetchWalk:
+    """Instruction-cache fetches of one run, walked in dynamic order.
+
+    Cache state depends on the fetch sequence, so this is the only
+    per-instance work an icache run adds to the counts fold.  Every
+    instance fetches its main block through both caches; a speculated
+    instance on the baseline machine then fetches, in LdPred order, the
+    compensation block of each mispredicted load that has operations.
+    The no-prediction and squash machines fetch the same block stream as
+    the proposed machine, so all three are charged its penalty (the
+    squash machine's refetch on restart is folded into that penalty).
+    """
 
     def __init__(
-        self,
-        compilation: ProgramCompilation,
-        predictor: ValuePredictor,
-        result: ProgramSimResult,
-        model_icache: bool,
-        icache_config: Optional[ICacheConfig],
-        table: Optional[ValuePredictionTable] = None,
-        confidence: Optional[ConfidenceEstimator] = None,
-        metrics: MetricsRegistry = NULL_METRICS,
-        collect_cycles: bool = False,
-        counts: Optional[SimCounts] = None,
+        self, compilation: ProgramCompilation, config: Optional[ICacheConfig]
     ):
-        self.compilation = compilation
-        self.predictor = predictor
-        self.result = result
-        # Counts mode (every non-icache run): the observer only records
-        # sufficient statistics; _fold_counts does all accounting after
-        # the run.  Icache modelling keeps the legacy per-instance path
-        # because cache state depends on the dynamic fetch sequence.
-        self.counts = counts
-        self.machine = compilation.machine
-        self.table = table
-        self.confidence = confidence
-        self.metrics = metrics
-        self.collect_cycles = collect_cycles
-        # Per-machine cause -> cycles accumulators, plus per-label memos
-        # of the static schedule attributions charged once per instance.
-        self.cycle_stacks: Dict[str, Dict[str, int]] = {
-            "nopred": {},
-            "proposed": {},
-            "baseline": {},
-        }
-        self._original_attr: Dict[str, Dict[str, int]] = {}
-        self._baseline_attr: Dict[str, Dict[str, int]] = {}
-        self._predictor_label = (
-            f"table:{predictor.name}" if table is not None else predictor.name
-        )
-
-        self._current: Optional[BlockCompilation] = None
-        self._predicted_ids: frozenset = frozenset()
-        self._outcomes: Dict[int, bool] = {}
-        self._gated = False
-
-        self.model_icache = model_icache
-        if model_icache:
-            config = icache_config or ICacheConfig()
-            self.layout = CodeLayout(config)
-            self.cache_proposed = InstructionCache(config)
-            self.cache_baseline = InstructionCache(config)
-            self._place_code()
-        else:
-            self.layout = None
-            self.cache_proposed = None
-            self.cache_baseline = None
-
-    def _place_code(self) -> None:
-        """Lay out main code, then the baseline's compensation blocks."""
-        for label, comp in self.compilation.blocks.items():
+        config = config or ICacheConfig()
+        self.layout = CodeLayout(config)
+        self.proposed = InstructionCache(config)
+        self.baseline = InstructionCache(config)
+        self.proposed_cycles = 0
+        self.baseline_cycles = 0
+        # Main code first, then the baseline's compensation blocks.
+        for label, comp in compilation.blocks.items():
             if comp.spec_schedule is not None:
                 op_count = len(comp.spec_schedule.spec.operations)
             else:
-                op_count = len(
-                    self.compilation.program.main.block(label).operations
-                )
+                op_count = len(compilation.program.main.block(label).operations)
             self.layout.place(f"main:{label}", op_count)
-        for label, comp in self.compilation.blocks.items():
+        for comp in compilation.blocks.values():
             if comp.baseline is None:
                 continue
             for c in comp.baseline.compensation.values():
                 if c.op_count:
                     self.layout.place(c.code_id, c.op_count)
+
+    def instance(
+        self, comp: BlockCompilation, pattern: Optional[Tuple[bool, ...]]
+    ) -> None:
+        """Fetch one instance; ``pattern`` is ``None`` unless it ran the
+        speculative version."""
+        main = f"main:{comp.label}"
+        fetch = self.layout.fetch
+        self.proposed_cycles += fetch(self.proposed, main)
+        self.baseline_cycles += fetch(self.baseline, main)
+        if pattern is None:
+            return
+        compensation = comp.baseline.compensation
+        for ldpred_id, correct in zip(comp.spec_schedule.spec.ldpred_ids, pattern):
+            block = compensation[ldpred_id]
+            if not correct and block.op_count:
+                self.baseline_cycles += fetch(self.baseline, block.code_id)
+
+    def charge(
+        self,
+        result: ProgramSimResult,
+        cycle_stacks: Optional[Dict[str, Dict[str, int]]],
+    ) -> None:
+        """Add the walked penalties to the folded totals and stacks."""
+        proposed, baseline = self.proposed_cycles, self.baseline_cycles
+        result.proposed_icache_cycles += proposed
+        result.cycles_nopred += proposed
+        result.cycles_proposed += proposed
+        result.cycles_squash += proposed
+        result.baseline_icache_cycles += baseline
+        result.cycles_baseline += baseline
+        if cycle_stacks is None:
+            return
+        for model, cycles in (
+            ("nopred", proposed),
+            ("proposed", proposed),
+            ("baseline", baseline),
+        ):
+            if cycles:
+                stack = cycle_stacks[model]
+                stack["icache_miss"] = stack.get("icache_miss", 0) + cycles
+
+
+class _SimulationObserver:
+    """Interpreter observer reducing a run to its :class:`SimCounts`.
+
+    It drives the live value predictor over the predicted loads and
+    records, per dynamic block instance, which version ran and under
+    which correctness pattern; :func:`_fold_counts` does all cycle
+    accounting after the run.  With icache modelling, each instance is
+    also handed to the run's :class:`_FetchWalk`.
+    """
+
+    def __init__(
+        self,
+        compilation: ProgramCompilation,
+        predictor: ValuePredictor,
+        counts: SimCounts,
+        table: Optional[ValuePredictionTable] = None,
+        confidence: Optional[ConfidenceEstimator] = None,
+        fetch: Optional[_FetchWalk] = None,
+    ):
+        self.compilation = compilation
+        self.predictor = predictor
+        self.counts = counts
+        self.table = table
+        self.confidence = confidence
+        self.fetch = fetch
+
+        self._current: Optional[BlockCompilation] = None
+        self._predicted_ids: frozenset = frozenset()
+        self._outcomes: Dict[int, bool] = {}
+        self._gated = False
 
     # -- observer protocol -------------------------------------------------
 
@@ -470,22 +505,12 @@ class _SimulationObserver:
             prediction = self.predictor.predict(op.op_id)
         correct = prediction is not None and _values_equal(prediction, result)
         self._outcomes[op.op_id] = correct
-        if self.counts is not None:
-            if correct:
-                self.counts.hits += 1
-            else:
-                self.counts.misses += 1
-            if prediction is None:
-                self.counts.no_predictions += 1
-        elif self.metrics.enabled:
-            self.metrics.inc(
-                "predict.hit" if correct else "predict.miss",
-                label=self._predictor_label,
-            )
-            if prediction is None:
-                self.metrics.inc(
-                    "predict.no_prediction", label=self._predictor_label
-                )
+        if correct:
+            self.counts.hits += 1
+        else:
+            self.counts.misses += 1
+        if prediction is None:
+            self.counts.no_predictions += 1
         if self.table is not None:
             self.table.train(op.op_id, result)
         else:
@@ -497,202 +522,26 @@ class _SimulationObserver:
         self._finish_instance()
         self._current = None
 
-    # -- cycle accounting --------------------------------------------------
-
-    def _charge(self, model: str, counts: Mapping[str, int]) -> None:
-        stack = self.cycle_stacks[model]
-        for cause, cycles in counts.items():
-            stack[cause] = stack.get(cause, 0) + cycles
-
-    def _charge_cause(self, model: str, cause: str, cycles: int) -> None:
-        if self.collect_cycles and cycles:
-            stack = self.cycle_stacks[model]
-            stack[cause] = stack.get(cause, 0) + cycles
-
-    def _original_attribution(self, comp: BlockCompilation) -> Dict[str, int]:
-        """Static per-cause attribution of the block's original schedule.
-
-        The compiler records only the original schedule *length*; list
-        scheduling is deterministic, so rebuilding the schedule here
-        reproduces it exactly (asserted against the recorded length).
-        """
-        cached = self._original_attr.get(comp.label)
-        if cached is None:
-            schedule = compile_cache.original_schedule(
-                self.compilation.program.main.block(comp.label), self.machine
-            )
-            assert schedule.length == comp.original_length, (
-                f"block {comp.label!r}: rebuilt original schedule is "
-                f"{schedule.length} cycles, compiler recorded {comp.original_length}"
-            )
-            cached = attribute_schedule(schedule)
-            self._original_attr[comp.label] = cached
-        return cached
-
-    def _baseline_attribution(self, comp: BlockCompilation) -> Dict[str, int]:
-        """Static attribution of the baseline machine's main schedule."""
-        cached = self._baseline_attr.get(comp.label)
-        if cached is None:
-            cached = attribute_schedule(comp.baseline.schedule.schedule)
-            assert sum(cached.values()) == comp.baseline.main_length
-            self._baseline_attr[comp.label] = cached
-        return cached
-
-    # -- accounting -------------------------------------------------------
-
     def _finish_instance(self) -> None:
         comp = self._current
         if comp is None:
             return
-        if self.counts is not None:
-            c = self.counts
-            if not comp.speculated:
-                c.nonspec[comp.label] = c.nonspec.get(comp.label, 0) + 1
-            elif self._gated:
-                c.gated[comp.label] = c.gated.get(comp.label, 0) + 1
-            else:
-                pattern = tuple(
-                    self._outcomes.get(load_id, False)
-                    for load_id in comp.predicted_load_ids
-                )
-                per = c.patterns.setdefault(comp.label, {})
-                per[pattern] = per.get(pattern, 0) + 1
-            return
-        res = self.result
-        res.dynamic_blocks += 1
-        res.cycles_nopred += comp.original_length
-
+        c = self.counts
+        pattern = None
         if not comp.speculated:
-            res.cycles_proposed += comp.original_length
-            res.cycles_baseline += comp.original_length
-            res.cycles_squash += comp.original_length
-            self._account_class(OutcomeClass.NOT_SPECULATED, comp.original_length, comp)
-            if self.collect_cycles:
-                counts = self._original_attribution(comp)
-                self._charge("nopred", counts)
-                self._charge("proposed", counts)
-                self._charge("baseline", counts)
-            if self.model_icache:
-                penalty = self.layout.fetch(self.cache_proposed, f"main:{comp.label}")
-                res.proposed_icache_cycles += penalty
-                res.cycles_proposed += penalty
-                # The no-prediction and squash machines fetch the same
-                # block stream; charging them the proposed machine's
-                # penalty keeps the speedup comparisons apples-to-apples.
-                res.cycles_nopred += penalty
-                res.cycles_squash += penalty
-                self._charge_cause("proposed", "icache_miss", penalty)
-                self._charge_cause("nopred", "icache_miss", penalty)
-                penalty = self.layout.fetch(self.cache_baseline, f"main:{comp.label}")
-                res.baseline_icache_cycles += penalty
-                res.cycles_baseline += penalty
-                self._charge_cause("baseline", "icache_miss", penalty)
-            return
-
-        if self._gated:
-            # Low-confidence instance: the fetch unit selected the plain
-            # (non-speculative) version of the block, so it costs the
-            # original schedule on both speculating machines.
-            res.gated_instances += 1
-            res.cycles_proposed += comp.original_length
-            res.cycles_baseline += comp.original_length
-            res.cycles_squash += comp.original_length
-            self._account_class(
-                OutcomeClass.NOT_SPECULATED, comp.original_length, comp
+            c.nonspec[comp.label] = c.nonspec.get(comp.label, 0) + 1
+        elif self._gated:
+            # Low confidence: the fetch unit selected the plain version.
+            c.gated[comp.label] = c.gated.get(comp.label, 0) + 1
+        else:
+            pattern = tuple(
+                self._outcomes.get(load_id, False)
+                for load_id in comp.predicted_load_ids
             )
-            if self.collect_cycles:
-                counts = self._original_attribution(comp)
-                self._charge("nopred", counts)
-                self._charge("proposed", counts)
-                self._charge("baseline", counts)
-            if self.model_icache:
-                penalty = self.layout.fetch(self.cache_proposed, f"main:{comp.label}")
-                res.proposed_icache_cycles += penalty
-                res.cycles_proposed += penalty
-                res.cycles_nopred += penalty
-                self._charge_cause("proposed", "icache_miss", penalty)
-                self._charge_cause("nopred", "icache_miss", penalty)
-                penalty = self.layout.fetch(self.cache_baseline, f"main:{comp.label}")
-                res.baseline_icache_cycles += penalty
-                res.cycles_baseline += penalty
-                self._charge_cause("baseline", "icache_miss", penalty)
-            return
-
-        pattern = tuple(
-            self._outcomes.get(load_id, False) for load_id in comp.predicted_load_ids
-        )
-        run = comp.run_for(pattern)
-        if self.metrics.enabled:
-            # One merge per dynamic instance: identical instances share
-            # the memoised per-pattern snapshot, so counters sum exactly
-            # as the instance-level stats below do.
-            self.metrics.merge_snapshot(comp.metrics_for(pattern))
-        res.cycles_proposed += run.effective_length
-        res.predictions += run.predictions
-        res.mispredictions += run.mispredictions
-        res.stall_cycles += run.stall_cycles
-        res.cc_executed += run.executed
-        res.cc_flushed += run.flushed
-        if self.collect_cycles:
-            self._charge("nopred", self._original_attribution(comp))
-            self._charge("proposed", comp.cycles_for(pattern))
-        outcome = classify_outcome(run.predictions, run.mispredictions)
-        self._account_class(outcome, run.effective_length, comp)
-        res.length_delta_histogram[comp.original_length - run.effective_length] += 1
-
-        ldpreds = comp.spec_schedule.spec.ldpred_ids
-        baseline_run = simulate_baseline_block(
-            comp.baseline,
-            dict(zip(ldpreds, pattern)),
-            self.machine,
-            cache=self.cache_baseline,
-            layout=self.layout,
-        )
-        res.cycles_baseline += baseline_run.effective_length
-        res.baseline_compensation_cycles += baseline_run.compensation_cycles
-        res.baseline_branch_cycles += baseline_run.branch_cycles
-        res.baseline_icache_cycles += baseline_run.icache_cycles
-        if self.collect_cycles:
-            # Main speculative schedule plus the three serial overheads;
-            # their sum is exactly baseline_run.effective_length.
-            self._charge("baseline", self._baseline_attribution(comp))
-            self._charge_cause(
-                "baseline", "reexec", baseline_run.compensation_cycles
-            )
-            self._charge_cause(
-                "baseline", "branch_penalty", baseline_run.branch_cycles
-            )
-            self._charge_cause(
-                "baseline", "icache_miss", baseline_run.icache_cycles
-            )
-
-        squash_run = simulate_squash_block(
-            comp.spec_schedule, dict(zip(ldpreds, pattern)), self.machine
-        )
-        res.cycles_squash += squash_run.effective_length
-        if squash_run.squashed:
-            res.squashed_instances += 1
-        if self.model_icache:
-            penalty = self.layout.fetch(self.cache_proposed, f"main:{comp.label}")
-            res.proposed_icache_cycles += penalty
-            res.cycles_proposed += penalty
-            res.cycles_nopred += penalty
-            # The squash machine fetches the same block stream (and
-            # refetches on restart, which this approximation folds into
-            # the same penalty).
-            res.cycles_squash += penalty
-            self._charge_cause("proposed", "icache_miss", penalty)
-            self._charge_cause("nopred", "icache_miss", penalty)
-
-    def _account_class(
-        self, outcome: OutcomeClass, cycles: int, comp: BlockCompilation
-    ) -> None:
-        res = self.result
-        res.cycles_by_class[outcome] = res.cycles_by_class.get(outcome, 0) + cycles
-        res.instances_by_class[outcome] = res.instances_by_class.get(outcome, 0) + 1
-        res.original_cycles_by_class[outcome] = (
-            res.original_cycles_by_class.get(outcome, 0) + comp.original_length
-        )
+            per = c.patterns.setdefault(comp.label, {})
+            per[pattern] = per.get(pattern, 0) + 1
+        if self.fetch is not None:
+            self.fetch.instance(comp, pattern)
 
 
 def simulate_program(
@@ -752,11 +601,10 @@ def simulate_program(
             sweep, or ``True`` for the process-wide default context.
             The batched engine runs only when this simulation is on the
             common path (trace-driven, machine-spec predictor, unbounded
-            table, no confidence gating, no icache) *and* NumPy is
-            available with ``REPRO_NO_BATCH`` unset; anything else falls
-            back to the scalar engine.  Results are byte-identical
-            either way — both engines reduce the run to
-            :class:`SimCounts` and share one accounting fold.
+            table, no confidence gating, no icache); anything else runs
+            the scalar engine.  Results are byte-identical either way —
+            both engines reduce the run to :class:`SimCounts` and share
+            one accounting fold.
     """
     result = ProgramSimResult(
         program_name=compilation.program.name,
@@ -806,14 +654,13 @@ def simulate_program(
                     f"predicts untraced operation(s) {sorted(missing)}"
                 )
 
-    counts_mode = not model_icache
     cycle_stacks: Dict[str, Dict[str, int]] = {
         "nopred": {},
         "proposed": {},
         "baseline": {},
     }
-    batched = False
-    if batch is not None and counts_mode:
+    sim_counts: Optional[SimCounts] = None
+    if batch is not None:
         from repro.batchsim.engine import batch_counts, unsupported_reason
 
         if (
@@ -831,31 +678,19 @@ def simulate_program(
             sim_counts = batch_counts(
                 compilation, trace, resolve_context(batch), max_operations
             )
-            _fold_counts(
-                compilation,
-                sim_counts,
-                result,
-                registry,
-                collect_cycles,
-                cycle_stacks,
-                predictor_label,
-            )
-            batched = True
 
-    observer = None
-    if not batched:
-        sim_counts = SimCounts() if counts_mode else None
+    fetch = None
+    if sim_counts is None:
+        sim_counts = SimCounts()
+        if model_icache:
+            fetch = _FetchWalk(compilation, icache_config)
         observer = _SimulationObserver(
             compilation,
             base_predictor,
-            result,
-            model_icache=model_icache,
-            icache_config=icache_config,
+            sim_counts,
             table=table,
             confidence=confidence,
-            metrics=registry,
-            collect_cycles=collect_cycles,
-            counts=sim_counts,
+            fetch=fetch,
         )
         if trace is not None:
             from repro.trace.replay import replay_trace
@@ -873,18 +708,17 @@ def simulate_program(
         observer.finish()
         if table is not None:
             result.table_tag_misses = table.tag_misses
-        if counts_mode:
-            _fold_counts(
-                compilation,
-                sim_counts,
-                result,
-                registry,
-                collect_cycles,
-                cycle_stacks,
-                predictor_label,
-            )
-        else:
-            cycle_stacks = observer.cycle_stacks
+    _fold_counts(
+        compilation,
+        sim_counts,
+        result,
+        registry,
+        collect_cycles,
+        cycle_stacks,
+        predictor_label,
+    )
+    if fetch is not None:
+        fetch.charge(result, cycle_stacks if collect_cycles else None)
     if collect_cycles:
         totals = {
             "nopred": result.cycles_nopred,
@@ -913,18 +747,12 @@ def simulate_program(
                     )
         registry.inc("sim.dynamic_blocks", result.dynamic_blocks)
         registry.inc("sim.gated_instances", result.gated_instances)
-        if model_icache:
-            registry.inc(
-                "icache.access", observer.cache_proposed.accesses, label="proposed"
-            )
-            registry.inc(
-                "icache.miss", observer.cache_proposed.misses, label="proposed"
-            )
-            registry.inc(
-                "icache.access", observer.cache_baseline.accesses, label="baseline"
-            )
-            registry.inc(
-                "icache.miss", observer.cache_baseline.misses, label="baseline"
-            )
+        if fetch is not None:
+            for label, cache in (
+                ("proposed", fetch.proposed),
+                ("baseline", fetch.baseline),
+            ):
+                registry.inc("icache.access", cache.accesses, label=label)
+                registry.inc("icache.miss", cache.misses, label=label)
         result.metrics = registry.snapshot()
     return result

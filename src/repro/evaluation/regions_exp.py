@@ -22,9 +22,7 @@ whose trip counts are not divisible by the factor fail validation and
 are reported as absent.  Validation reads each program's final state
 from its value trace — with a runner, the ``trace`` jobs the original's
 and the variant's profiles already depend on (so a warm rerun reads
-both from the cache); without one, the evaluation's trace store.  Only
-when replay is disabled (``REPRO_NO_TRACE=1``) and there is no runner
-is a program interpreted live for the check.
+both from the cache); without one, the evaluation's trace store.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.compiler import PipelineConfig, standard_pipeline
 from repro.ir.printer import format_table
-from repro.profiling.interpreter import run_program
 from repro.profiling.memory import Number
 from repro.regions.unroll import UnrollError, unroll_program_loop
 from repro.evaluation.experiment import Evaluation
@@ -79,9 +76,6 @@ def _final_state(
             else evaluation.variant_program(name, pipeline)
         )
         trace = evaluation._trace_of(program)
-        if trace is None:
-            result = run_program(program)
-            return result.registers, result.memory.snapshot()
     return trace.final_registers, trace.final_memory
 
 

@@ -7,22 +7,18 @@ how block-frequency profiling, value profiling and the dynamic
 dual-engine simulation all attach to execution without duplicating the
 semantics.
 
-Two execution paths produce byte-identical results:
-
-* The **specialized fast path** (the default) precompiles each basic
-  block, once per static block per run, into a dispatch list of per-op
-  closures: the opcode handler, operand readers and destination slot are
-  resolved at compile time instead of being re-dispatched for every
-  dynamic instance.  Observer-less runs additionally skip building the
-  per-op ``inputs`` tuples entirely.
-* The **legacy loop** — the original per-dynamic-op dispatch — is kept
-  behind ``REPRO_SLOW_INTERP=1`` for differential testing.  It is the
-  executable specification the fast path is checked against.
+Each basic block is precompiled, once per static block per run, into a
+dispatch list of per-op closures: the opcode handler, operand readers
+and destination slot are resolved at compile time instead of being
+re-dispatched for every dynamic instance.  Observer-less runs
+additionally skip building the per-op ``inputs`` tuples entirely.  The
+test suite keeps the original per-op dispatch loop as the executable
+specification this path is checked against
+(``tests/profiling/reference_interpreter.py``).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Protocol, Tuple, Union
 
@@ -31,10 +27,6 @@ from repro.ir.opcodes import Opcode, evaluator, is_alu
 from repro.ir.operation import Imm, Operation, Reg
 from repro.ir.program import Program
 from repro.profiling.memory import Memory, Number
-
-#: Environment variable forcing the legacy per-op dispatch loop.
-SLOW_INTERP_ENV = "REPRO_SLOW_INTERP"
-
 
 class ExecutionObserver(Protocol):
     """Hook interface for profilers and simulators."""
@@ -74,7 +66,7 @@ class ExecutionResult:
 
 def _dispatch_miss_message(opcode: Opcode) -> str:
     """The error for opcodes without an interpretation — one string, so
-    the specialized and legacy paths can never drift apart."""
+    the interpreter and its reference loop can never drift apart."""
     return (
         f"interpreter cannot execute {opcode.value}; the "
         "prediction forms exist only in scheduled code"
@@ -104,7 +96,7 @@ def _compile_body_op(op: Operation, strict: bool):
 
     ``step(regs, mem)`` performs the op's architectural effect with no
     allocation; ``obs_step(regs, mem)`` does the same but also returns
-    ``(inputs, result)`` exactly as the legacy loop computed them, for
+    ``(inputs, result)`` exactly as the reference loop computes them, for
     observer notification.
     """
     opcode = op.opcode
@@ -243,7 +235,7 @@ def _compile_body_op(op: Operation, strict: bool):
         return step, obs_step
 
     # Prediction forms (and any future opcode without an architectural
-    # interpretation): the legacy loop reads the operands, then raises.
+    # interpretation): the reference loop reads the operands, then raises.
     # Compiling a raiser keeps the dispatch miss at the same dynamic
     # point with the same message.
     readers = tuple(_make_reader(s, strict) for s in srcs)
@@ -334,15 +326,6 @@ class Interpreter:
         observers: Optional[List[ExecutionObserver]] = None,
     ) -> ExecutionResult:
         observers = observers or []
-        if os.environ.get(SLOW_INTERP_ENV) == "1":
-            return self._run_legacy(program, observers)
-        return self._run_fast(program, observers)
-
-    # -- specialized fast path ----------------------------------------------
-
-    def _run_fast(
-        self, program: Program, observers: List[ExecutionObserver]
-    ) -> ExecutionResult:
         function = program.main
         memory = Memory(program.initial_memory)
         registers: Dict[str, Number] = dict(program.initial_registers)
@@ -370,9 +353,9 @@ class Interpreter:
             next_label: Optional[str] = None
             if executed + cb.n_ops > max_operations:
                 # The budget may run out inside this block: step op by
-                # op so the limit error raises at exactly the same
-                # operation — after the same observer notifications — as
-                # the legacy loop.
+                # op so the limit error raises at exactly the operation
+                # that exceeds it, after that op's predecessors have
+                # notified the observers.
                 for op, obs_step in cb.obs_steps:
                     executed += 1
                     if executed > max_operations:
@@ -422,94 +405,6 @@ class Interpreter:
             if next_label is None:
                 raise RuntimeError(
                     f"block {label!r} fell through without a branch"
-                )
-            label = next_label
-
-        return ExecutionResult(
-            program_name=program.name,
-            dynamic_operations=executed,
-            dynamic_blocks=blocks,
-            registers=registers,
-            memory=memory,
-            halted=halted,
-        )
-
-    # -- legacy per-op dispatch loop ------------------------------------------
-
-    def _run_legacy(
-        self, program: Program, observers: List[ExecutionObserver]
-    ) -> ExecutionResult:
-        function = program.main
-        memory = Memory(program.initial_memory)
-        registers: Dict[str, Number] = dict(program.initial_registers)
-
-        # Hoisted out of the dynamic loop: one reader closure per run
-        # (binding strictness and the register file once) and one
-        # truthiness check for the observer list instead of a per-op
-        # iteration over an empty tuple.
-        strict = self.strict_registers
-        max_operations = self.max_operations
-        notify = bool(observers)
-
-        def read(operand: Union[Reg, Imm]) -> Number:
-            if isinstance(operand, Imm):
-                return operand.value
-            if strict and operand.name not in registers:
-                raise KeyError(f"read of uninitialised register {operand.name}")
-            return registers.get(operand.name, 0)
-
-        executed = 0
-        blocks = 0
-        label: Optional[str] = function.entry_label
-        halted = False
-
-        while label is not None:
-            block = function.block(label)
-            blocks += 1
-            if notify:
-                for observer in observers:
-                    observer.block_entered(block)
-
-            next_label: Optional[str] = None
-            for op in block.operations:
-                executed += 1
-                if executed > max_operations:
-                    raise ExecutionLimitExceeded(
-                        f"{program.name}: exceeded {max_operations} operations"
-                    )
-                opcode = op.opcode
-                inputs = tuple(read(src) for src in op.srcs)
-                result: Optional[Number] = None
-
-                if is_alu(opcode):
-                    result = evaluator(opcode)(*inputs)
-                    registers[op.dest.name] = result
-                elif opcode is Opcode.LOAD:
-                    result = memory.load(inputs[0] + op.offset)
-                    registers[op.dest.name] = result
-                elif opcode is Opcode.STORE:
-                    memory.store(inputs[1] + op.offset, inputs[0])
-                elif opcode is Opcode.BR:
-                    next_label = op.targets[0]
-                elif opcode is Opcode.BRCOND:
-                    next_label = op.targets[0] if inputs[0] != 0 else op.targets[1]
-                elif opcode is Opcode.HALT:
-                    halted = True
-                else:
-                    raise ValueError(_dispatch_miss_message(opcode))
-
-                if notify:
-                    for observer in observers:
-                        observer.operation_executed(op, inputs, result)
-
-                if halted:
-                    break
-
-            if halted:
-                break
-            if next_label is None:
-                raise RuntimeError(
-                    f"block {block.label!r} fell through without a branch"
                 )
             label = next_label
 

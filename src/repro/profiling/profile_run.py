@@ -48,26 +48,21 @@ def profile_program(
     (:mod:`repro.batchsim.profiler`): pass a
     :class:`~repro.batchsim.context.BatchContext` (or ``True`` for the
     process-wide default) to profile from the shared trace decode.
-    Requires ``trace``; falls back to the replay path when NumPy is
-    unavailable or ``REPRO_NO_BATCH=1`` is set.  The profile is
-    byte-identical either way.
+    Requires ``trace``.  The profile is byte-identical either way.
     """
     from repro.profiling.value_profile import LONG_LATENCY_OPCODES
 
     if batch is not None and trace is not None:
-        from repro.batchsim._compat import batch_enabled
+        from repro.batchsim.context import resolve_context
+        from repro.batchsim.profiler import batch_profile
 
-        if batch_enabled():
-            from repro.batchsim.context import resolve_context
-            from repro.batchsim.profiler import batch_profile
-
-            return batch_profile(
-                program,
-                trace,
-                resolve_context(batch),
-                max_operations=max_operations,
-                profile_alu=profile_alu,
-            )
+        return batch_profile(
+            program,
+            trace,
+            resolve_context(batch),
+            max_operations=max_operations,
+            profile_alu=profile_alu,
+        )
 
     block_profiler = BlockFrequencyProfiler()
     value_profiler = ValueProfiler(

@@ -28,8 +28,6 @@ value stream (:mod:`repro.trace`); ``profile`` and ``simulate`` then
 *replay* it instead of re-interpreting.  Like ``profile``, the trace key
 excludes the machine and speculation config, so every sweep point of a
 threshold/predictor/machine ablation shares one cached interpretation.
-Setting ``REPRO_NO_TRACE=1`` removes the trace stage from the graph and
-every stage interprets live, as before.
 
 ``build`` exists because operation ids are assigned from a process-local
 counter: profiles and compilations reference programs *by op id*, so all
@@ -72,7 +70,10 @@ from repro.machine.description import MachineDescription
 #: struct-of-arrays engine (byte-identical results, but the batch
 #: context changes which memo state a worker accumulates) and the
 #: ``batch_simulate`` stage joined the registry.
-CODE_VERSION = "2026.08.7"
+#: 2026.10.1: icache simulations fold their counts like every other run,
+#: so their metrics histograms pool per-pattern samples frequency-weighted
+#: instead of once per dynamic instance.
+CODE_VERSION = "2026.10.1"
 
 #: The built-in pipeline stages, in dependency order.
 PIPELINE_STAGES = (
@@ -225,8 +226,8 @@ class DepResults(dict):
     already keyed, so a stage finds its inputs by stage name
     (:func:`dep_result`) without re-deriving and re-hashing
     :func:`default_deps` on every call.  A stage that replays a trace
-    tolerates its absence: with ``REPRO_NO_TRACE=1`` the graph carries
-    no trace jobs, and a missing trace simply means "interpret live".
+    tolerates its absence (a graph built from explicit deps may carry
+    none): a missing trace simply means "interpret live".
     """
 
     def __init__(self, deps: Iterable[Tuple[JobSpec, Any]]):
@@ -335,17 +336,17 @@ def _run_profile(spec: JobSpec, dep_results: DepResults) -> Any:
 
     program = dep_result(spec, dep_results, "build")
     profile_alu = bool(spec.param("profile_alu", False))
-    trace = dep_results.of_stage("trace")
-    if trace is not None:
-        try:
-            # batch=True: column-wise profiling off the shared trace
-            # decode (byte-identical; scalar replay off the common path).
-            return profile_program(
-                program, profile_alu=profile_alu, trace=trace, batch=True
-            )
-        except TraceMismatch:
-            pass
-    return profile_program(program, profile_alu=profile_alu)
+    try:
+        # batch=True: column-wise profiling off the shared trace decode
+        # (byte-identical to scalar replay).
+        return profile_program(
+            program,
+            profile_alu=profile_alu,
+            trace=dep_results.of_stage("trace"),
+            batch=True,
+        )
+    except TraceMismatch:
+        return profile_program(program, profile_alu=profile_alu)
 
 
 def _run_compile(spec: JobSpec, dep_results: DepResults) -> Any:
@@ -367,28 +368,20 @@ def _run_simulate(spec: JobSpec, dep_results: DepResults) -> Any:
     from repro.trace.format import TraceMismatch
 
     compilation = dep_result(spec, dep_results, "compile")
-    model_icache = bool(spec.param("model_icache", False))
-    collect_metrics = bool(spec.param("collect_metrics", False))
-    collect_cycles = bool(spec.param("collect_cycles", False))
-    trace = dep_results.of_stage("trace")
-    if trace is not None:
-        try:
-            return simulate_program(
-                compilation,
-                model_icache=model_icache,
-                collect_metrics=collect_metrics,
-                collect_cycles=collect_cycles,
-                trace=trace,
-                batch=True,
-            )
-        except TraceMismatch:
-            pass
-    return simulate_program(
-        compilation,
-        model_icache=model_icache,
-        collect_metrics=collect_metrics,
-        collect_cycles=collect_cycles,
+    options = dict(
+        model_icache=bool(spec.param("model_icache", False)),
+        collect_metrics=bool(spec.param("collect_metrics", False)),
+        collect_cycles=bool(spec.param("collect_cycles", False)),
     )
+    try:
+        return simulate_program(
+            compilation,
+            trace=dep_results.of_stage("trace"),
+            batch=True,
+            **options,
+        )
+    except TraceMismatch:
+        return simulate_program(compilation, **options)
 
 
 def _run_batch_simulate(spec: JobSpec, dep_results: DepResults) -> Any:
@@ -415,29 +408,18 @@ def _run_batch_simulate(spec: JobSpec, dep_results: DepResults) -> Any:
             f"{spec.job_id}: expected {len(wanted)} compile dependency "
             f"results, got {len(compilations)}"
         )
-    collect_metrics = bool(spec.param("collect_metrics", False))
-    collect_cycles = bool(spec.param("collect_cycles", False))
+    options = dict(
+        collect_metrics=bool(spec.param("collect_metrics", False)),
+        collect_cycles=bool(spec.param("collect_cycles", False)),
+    )
     trace = dep_results.of_stage("trace")
     results = {}
     for comp in compilations:
-        result = None
-        if trace is not None:
-            try:
-                result = simulate_program(
-                    comp,
-                    collect_metrics=collect_metrics,
-                    collect_cycles=collect_cycles,
-                    trace=trace,
-                    batch=True,
-                )
-            except TraceMismatch:
-                trace = None
-        if result is None:
-            result = simulate_program(
-                comp,
-                collect_metrics=collect_metrics,
-                collect_cycles=collect_cycles,
-            )
+        try:
+            result = simulate_program(comp, trace=trace, batch=True, **options)
+        except TraceMismatch:
+            trace = None
+            result = simulate_program(comp, **options)
         results[comp.machine.fingerprint()] = result
     return results
 
@@ -626,17 +608,14 @@ def default_deps(spec: JobSpec) -> Tuple[JobSpec, ...]:
     materialise a dependency that was only named, never constructed.
     Injected test stages have no implicit dependencies.
     """
-    from repro.trace.store import replay_enabled
-
     profile_alu = bool(spec.param("profile_alu", False))
-    with_trace = replay_enabled()
     if spec.stage == "trace":
         return (build_spec(spec.benchmark, spec.scale, spec.pipeline),)
     if spec.stage == "profile":
-        deps = (build_spec(spec.benchmark, spec.scale, spec.pipeline),)
-        if with_trace:
-            deps += (trace_spec(spec.benchmark, spec.scale, spec.pipeline),)
-        return deps
+        return (
+            build_spec(spec.benchmark, spec.scale, spec.pipeline),
+            trace_spec(spec.benchmark, spec.scale, spec.pipeline),
+        )
     if spec.stage == "compile":
         return (
             build_spec(spec.benchmark, spec.scale, spec.pipeline),
@@ -647,21 +626,17 @@ def default_deps(spec: JobSpec) -> Tuple[JobSpec, ...]:
     if spec.stage == "simulate":
         if spec.machine is None:
             raise ValueError(f"{spec.job_id}: simulate jobs need a machine")
-        deps = (
+        return (
             compile_spec(
                 spec.benchmark, spec.machine, spec.scale,
                 spec.spec_config, profile_alu, spec.pipeline,
             ),
+            trace_spec(spec.benchmark, spec.scale, spec.pipeline),
         )
-        if with_trace:
-            deps += (trace_spec(spec.benchmark, spec.scale, spec.pipeline),)
-        return deps
     if spec.stage == "batch_simulate":
         # Only the trace dep is derivable from the spec: the compile
         # deps need machine objects, which batch_simulate_job attaches.
-        if with_trace:
-            return (trace_spec(spec.benchmark, spec.scale, spec.pipeline),)
-        return ()
+        return (trace_spec(spec.benchmark, spec.scale, spec.pipeline),)
     return ()
 
 

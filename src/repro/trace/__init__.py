@@ -18,16 +18,9 @@ from repro.trace.format import (
     program_digest,
 )
 from repro.trace.replay import replay_trace
-from repro.trace.store import (
-    NO_TRACE_ENV,
-    TraceStore,
-    default_store,
-    replay_enabled,
-    reset_default_store,
-)
+from repro.trace.store import TraceStore, default_store, reset_default_store
 
 __all__ = [
-    "NO_TRACE_ENV",
     "TRACED_OPCODES",
     "TRACE_SCHEMA_VERSION",
     "TraceCaptureObserver",
@@ -39,7 +32,6 @@ __all__ = [
     "capture_trace",
     "default_store",
     "program_digest",
-    "replay_enabled",
     "replay_trace",
     "reset_default_store",
 ]

@@ -89,12 +89,9 @@ def program_digest(program: Program) -> str:
     ids, so two builds of the same workload (whose ids depend on global
     counter state) share one trace.
     """
-    from repro.batchsim._compat import sharing_enabled
-
-    if sharing_enabled():
-        entry = _DIGESTS.get(id(program))
-        if entry is not None and entry[0] is program:
-            return entry[1]
+    entry = _DIGESTS.get(id(program))
+    if entry is not None and entry[0] is program:
+        return entry[1]
     doc = {
         "name": program.name,
         "main": program.main_name,
@@ -126,8 +123,7 @@ def program_digest(program: Program) -> str:
     }
     payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-    if sharing_enabled():
-        _DIGESTS[id(program)] = (program, digest)
+    _DIGESTS[id(program)] = (program, digest)
     return digest
 
 

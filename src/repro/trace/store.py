@@ -7,15 +7,10 @@ to lean on, so this module provides a small in-process LRU keyed by the
 program's structural digest.  A threshold ablation that profiles and
 simulates the same built program at N sweep points then pays for one
 interpretation and N-1 replays.
-
-``REPRO_NO_TRACE=1`` disables replay everywhere (capture still works if
-called explicitly); use it to fall back to live interpretation when
-diagnosing a suspected trace bug.
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from typing import Optional
 
@@ -23,17 +18,9 @@ from repro.ir.program import Program
 from repro.trace.capture import capture_trace
 from repro.trace.format import ValueTrace, program_digest
 
-#: Environment variable disabling trace replay (forces live interpretation).
-NO_TRACE_ENV = "REPRO_NO_TRACE"
-
 #: Traces whose value stream exceeds this many entries are served but not
 #: retained, bounding the store's memory footprint at full workload scale.
 DEFAULT_MAX_VALUES = 2_000_000
-
-
-def replay_enabled() -> bool:
-    """Whether trace capture/replay is active for implicit fast paths."""
-    return os.environ.get(NO_TRACE_ENV) != "1"
 
 
 class TraceStore:

@@ -2,9 +2,9 @@
 suite, and the exact parts of the estimate are exact.
 
 ``DOCUMENTED_ERROR_BOUND`` is a contract: ``repro-explore --surrogate``
-prunes points on the strength of these estimates, and the CI batch-parity
-job asserts the explore artifact's cross-validation stayed within the
-bound.  This module re-derives the bound from first principles every run:
+prunes points on the strength of these estimates, and the CI
+surrogate-smoke job asserts the explore artifact's cross-validation
+stayed within the bound.  This module re-derives the bound from first principles every run:
 all benchmarks x {playdoh-4w, playdoh-8w} x thresholds {0.5, 0.65, 0.8}.
 """
 

@@ -1,14 +1,23 @@
 """Tests for the statically-recovered baseline ([4]) and the i-cache."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.baseline import build_baseline_block, simulate_baseline_block
 from repro.core.icache import CodeLayout, ICacheConfig, InstructionCache
 from repro.core.machine_sim import simulate_best_case, simulate_worst_case
+from repro.core.metrics import compile_program
+from repro.core.program_sim import simulate_program
 from repro.core.specsched import schedule_speculative
 from repro.core.speculation import transform_block
 from repro.ir.builder import FunctionBuilder
+from repro.machine.configs import PLAYDOH_4W
+from repro.predict.confidence import ConfidenceEstimator
+from repro.profiling.profile_run import profile_program
 from repro.sched.list_scheduler import schedule_block
+from repro.trace import capture_trace
+from repro.workloads.suite import load_suite
 
 
 @pytest.fixture
@@ -182,3 +191,116 @@ class TestCodeLayout:
         layout.fetch(polluted, "main")
         layout.fetch(polluted, "comp")
         assert layout.fetch(polluted, "main") == 2
+
+
+# -- whole-program icache runs -------------------------------------------------
+
+SUITE = load_suite(scale=0.25)
+
+#: Result fields an icache run changes; every other field must match the
+#: same run without the cache model.
+ICACHE_FIELDS = {
+    "cycles_nopred",
+    "cycles_proposed",
+    "cycles_squash",
+    "cycles_baseline",
+    "proposed_icache_cycles",
+    "baseline_icache_cycles",
+    "cycle_stacks",
+    "metrics",
+}
+
+
+@pytest.fixture(scope="module")
+def compiled_suite():
+    """One compilation and one trace per suite benchmark, on PLAYDOH_4W."""
+    out = {}
+    for name, program in SUITE.items():
+        profile = profile_program(program)
+        out[name] = (
+            compile_program(program, PLAYDOH_4W, profile),
+            capture_trace(program),
+        )
+    return out
+
+
+def _pair(compilation, trace, **kw):
+    plain, icache = (
+        simulate_program(
+            compilation,
+            trace=trace,
+            model_icache=model_icache,
+            collect_cycles=True,
+            collect_metrics=True,
+            **kw,
+        )
+        for model_icache in (False, True)
+    )
+    return plain, icache
+
+
+@pytest.mark.parametrize("name", sorted(SUITE))
+def test_icache_adds_only_fetch_penalties(compiled_suite, name):
+    """Modelling the icache adds its miss penalties on top of a run and
+    changes nothing else: no class, histogram, counter or cause moves."""
+    plain, icache = _pair(*compiled_suite[name])
+    proposed = icache.proposed_icache_cycles
+    baseline = icache.baseline_icache_cycles
+    assert proposed > 0 and baseline > 0
+    assert plain.proposed_icache_cycles == plain.baseline_icache_cycles == 0
+    for attr in ("cycles_nopred", "cycles_proposed", "cycles_squash"):
+        assert getattr(icache, attr) - getattr(plain, attr) == proposed
+    assert icache.cycles_baseline - plain.cycles_baseline == baseline
+
+    plain_fields, icache_fields = (
+        {k: v for k, v in dataclasses.asdict(r).items() if k not in ICACHE_FIELDS}
+        for r in (plain, icache)
+    )
+    assert icache_fields == plain_fields
+
+    for model, penalty in (
+        ("nopred", proposed),
+        ("proposed", proposed),
+        ("baseline", baseline),
+    ):
+        stack = dict(icache.cycle_stacks[model])
+        assert stack.pop("icache_miss") == penalty
+        assert stack == plain.cycle_stacks[model]
+
+    assert icache.metrics.gauges == plain.metrics.gauges
+    icache_counters = {
+        k: v
+        for k, v in icache.metrics.counters.items()
+        if not k.startswith("icache.") and "cause=icache_miss" not in k
+    }
+    assert icache_counters == plain.metrics.counters
+
+
+@pytest.mark.parametrize("name", sorted(SUITE))
+def test_icache_runs_fold_dual_engine_histograms_by_frequency(
+    compiled_suite, name
+):
+    """Icache runs fold per-pattern metrics like every other run: each
+    pattern's histogram samples enter once, weighted by its count."""
+    plain, icache = _pair(*compiled_suite[name])
+    assert icache.metrics.histograms == plain.metrics.histograms
+
+
+def test_gated_instances_charge_squash_the_fetch_penalty(compiled_suite):
+    """A low-confidence instance runs the plain block on every machine,
+    so the squash machine fetches it like the proposed machine does."""
+    compilation, trace = compiled_suite["li"]
+    plain, icache = (
+        simulate_program(
+            compilation,
+            trace=trace,
+            model_icache=model_icache,
+            confidence=ConfidenceEstimator(),
+        )
+        for model_icache in (False, True)
+    )
+    assert icache.gated_instances > 0
+    assert (
+        icache.cycles_squash - plain.cycles_squash
+        == icache.proposed_icache_cycles
+    )

@@ -16,9 +16,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
-from repro.batchsim import _compat
 from repro.core import compile_cache, machine_sim
 from repro.ir.opcodes import FUClass, Opcode
 from repro.machine.configs import PLAYDOH_4W_SPEC
@@ -28,16 +25,6 @@ from repro.machine.spec import MachineSpec
 SRC = Path(__file__).resolve().parents[2] / "src"
 SWEEP = ["--scale", "0.25", "--benchmarks", "li,compress"]
 KINDS = "stride,fcm,hybrid,last-value,dfcm"
-
-
-@pytest.fixture(autouse=True)
-def sharing_on(monkeypatch):
-    """Sharing is what these tests check, so neutralise a CI leg's
-    REPRO_NO_BATCH (which turns it off), here and in subprocesses."""
-    monkeypatch.delenv(_compat.NO_BATCH_ENV, raising=False)
-    _compat.refresh()
-    yield
-    _compat.refresh()
 
 
 def _changed(spec: MachineSpec, name: str):

@@ -1,9 +1,8 @@
-"""Differential tests: the specialized interpreter vs the legacy loop.
+"""Differential tests: the specialized interpreter vs the reference loop.
 
 The specialized fast path must be observationally indistinguishable from
-the legacy per-op dispatch loop — same results, same observer event
-streams, same errors at the same dynamic operation.  The legacy loop is
-forced with ``REPRO_SLOW_INTERP=1``.
+the per-op dispatch loop in ``reference_interpreter.py`` — same results,
+same observer event streams, same errors at the same dynamic operation.
 """
 
 import pytest
@@ -11,12 +10,10 @@ import pytest
 from repro.ir.builder import ProgramBuilder
 from repro.ir.opcodes import Opcode
 from repro.ir.operation import Operation, Reg
-from repro.profiling.interpreter import (
-    ExecutionLimitExceeded,
-    Interpreter,
-    SLOW_INTERP_ENV,
-)
+from repro.profiling.interpreter import ExecutionLimitExceeded, Interpreter
 from repro.workloads.suite import load_suite
+
+from tests.profiling.reference_interpreter import run_reference
 
 
 class EventRecorder:
@@ -32,16 +29,11 @@ class EventRecorder:
         self.events.append(("op", op.op_id, inputs, result))
 
 
-def run_legacy(monkeypatch, program, observers=None, **kw):
-    monkeypatch.setenv(SLOW_INTERP_ENV, "1")
-    try:
-        return Interpreter(**kw).run(program, observers=observers)
-    finally:
-        monkeypatch.delenv(SLOW_INTERP_ENV)
+def run_legacy(program, observers=None, **kw):
+    return run_reference(program, observers=observers, **kw)
 
 
-def run_fast(monkeypatch, program, observers=None, **kw):
-    monkeypatch.delenv(SLOW_INTERP_ENV, raising=False)
+def run_fast(program, observers=None, **kw):
     return Interpreter(**kw).run(program, observers=observers)
 
 
@@ -61,18 +53,18 @@ SUITE = load_suite(scale=0.25)
 
 @pytest.mark.parametrize("workload", sorted(SUITE))
 class TestSuiteDifferential:
-    def test_results_and_event_streams_match(self, monkeypatch, workload):
+    def test_results_and_event_streams_match(self, workload):
         program = SUITE[workload]
         legacy_rec, fast_rec = EventRecorder(), EventRecorder()
-        legacy = run_legacy(monkeypatch, program, observers=[legacy_rec])
-        fast = run_fast(monkeypatch, program, observers=[fast_rec])
+        legacy = run_legacy(program, observers=[legacy_rec])
+        fast = run_fast(program, observers=[fast_rec])
         assert_results_identical(legacy, fast)
         assert legacy_rec.events == fast_rec.events
 
-    def test_observerless_run_matches_observed(self, monkeypatch, workload):
+    def test_observerless_run_matches_observed(self, workload):
         program = SUITE[workload]
-        observed = run_fast(monkeypatch, program, observers=[EventRecorder()])
-        bare = run_fast(monkeypatch, program)
+        observed = run_fast(program, observers=[EventRecorder()])
+        bare = run_fast(program)
         assert_results_identical(observed, bare)
 
 
@@ -100,7 +92,7 @@ def _loop_program():
 
 class TestLimitParity:
     @pytest.mark.parametrize("limit", [1, 2, 5, 6, 7, 50, 121, 122])
-    def test_limit_raises_at_the_same_operation(self, monkeypatch, limit):
+    def test_limit_raises_at_the_same_operation(self, limit):
         """The budget error fires after the exact same observer events,
         with the exact same message, on both paths."""
         program = _loop_program()
@@ -108,17 +100,17 @@ class TestLimitParity:
         for runner in (run_legacy, run_fast):
             rec = EventRecorder()
             try:
-                runner(monkeypatch, program, observers=[rec],
+                runner(program, observers=[rec],
                        max_operations=limit)
                 outcomes.append(("completed", rec.events))
             except ExecutionLimitExceeded as exc:
                 outcomes.append((str(exc), rec.events))
         assert outcomes[0] == outcomes[1]
 
-    def test_limit_message_names_program_and_budget(self, monkeypatch):
+    def test_limit_message_names_program_and_budget(self):
         program = _loop_program()
         with pytest.raises(ExecutionLimitExceeded, match="loop: exceeded 3"):
-            run_fast(monkeypatch, program, max_operations=3)
+            run_fast(program, max_operations=3)
 
 
 class TestDispatchMiss:
@@ -149,19 +141,19 @@ class TestDispatchMiss:
         ],
         ids=["ldpred", "chkpred"],
     )
-    def test_same_message_on_both_paths(self, monkeypatch, op):
+    def test_same_message_on_both_paths(self, op):
         program = self._program_with(op)
         messages = []
         for runner in (run_legacy, run_fast):
             with pytest.raises(ValueError) as excinfo:
-                runner(monkeypatch, program)
+                runner(program)
             messages.append(str(excinfo.value))
         assert messages[0] == messages[1]
         assert "prediction forms exist only in scheduled code" in messages[0]
 
 
 class TestStrictRegisters:
-    def test_uninitialised_read_raises_on_both_paths(self, monkeypatch):
+    def test_uninitialised_read_raises_on_both_paths(self):
         pb = ProgramBuilder("strict")
         fb = pb.function()
         fb.block("entry")
@@ -172,22 +164,20 @@ class TestStrictRegisters:
         messages = []
         for runner in (run_legacy, run_fast):
             with pytest.raises(KeyError) as excinfo:
-                runner(monkeypatch, program, strict_registers=True)
+                runner(program, strict_registers=True)
             messages.append(str(excinfo.value))
         assert messages[0] == messages[1]
         assert "never_written" in messages[0]
 
-    def test_strict_results_match_when_all_registers_written(
-        self, monkeypatch
-    ):
+    def test_strict_results_match_when_all_registers_written(self):
         program = _loop_program()
-        legacy = run_legacy(monkeypatch, program, strict_registers=True)
-        fast = run_fast(monkeypatch, program, strict_registers=True)
+        legacy = run_legacy(program, strict_registers=True)
+        fast = run_fast(program, strict_registers=True)
         assert_results_identical(legacy, fast)
 
 
 class TestFallThrough:
-    def test_missing_branch_raises_identically(self, monkeypatch):
+    def test_missing_branch_raises_identically(self):
         pb = ProgramBuilder("fallthrough")
         fb = pb.function()
         fb.block("entry")
@@ -199,7 +189,7 @@ class TestFallThrough:
         messages = []
         for runner in (run_legacy, run_fast):
             with pytest.raises(RuntimeError) as excinfo:
-                runner(monkeypatch, program)
+                runner(program)
             messages.append(str(excinfo.value))
         assert messages[0] == messages[1]
         assert "fell through without a branch" in messages[0]

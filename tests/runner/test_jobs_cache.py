@@ -81,41 +81,26 @@ class TestJobKeys:
 
 class TestJobGraph:
     def test_simulate_job_pulls_its_whole_ancestry(self):
-        from repro.trace import replay_enabled
-
         graph = JobGraph([simulate_job("li", PLAYDOH_4W, scale=0.5)])
         stages = sorted(job.spec.stage for job in graph.jobs)
-        if replay_enabled():
-            expected_stages = [
-                "build", "compile", "profile", "simulate", "trace",
-            ]
-            expected_order = [
-                ["build"], ["trace"], ["profile"], ["compile"], ["simulate"]
-            ]
-        else:
-            expected_stages = ["build", "compile", "profile", "simulate"]
-            expected_order = [
-                ["build"], ["profile"], ["compile"], ["simulate"]
-            ]
-        assert stages == expected_stages
+        assert stages == ["build", "compile", "profile", "simulate", "trace"]
         waves = graph.waves()
         order = [sorted(j.spec.stage for j in wave) for wave in waves]
-        assert order == expected_order
+        assert order == [
+            ["build"], ["trace"], ["profile"], ["compile"], ["simulate"]
+        ]
 
     def test_graph_deduplicates_by_content(self):
-        from repro.trace import replay_enabled
-
         jobs = pipeline_jobs(
             ["li", "swim"], [PLAYDOH_4W, PLAYDOH_8W], scale=0.5
         )
         graph = JobGraph(jobs)
-        # 2 builds + 2 profiles + 4 compiles + 4 simulates, plus (with
-        # replay enabled) 2 traces: the trace job is machine-free, so
-        # both machines (and all four simulates) share one per benchmark.
-        expected = 14 if replay_enabled() else 12
-        assert len(graph) == expected
+        # 2 builds + 2 traces + 2 profiles + 4 compiles + 4 simulates:
+        # the trace job is machine-free, so both machines (and all four
+        # simulates) share one per benchmark.
+        assert len(graph) == 14
         graph.add(simulate_job("li", PLAYDOH_4W, scale=0.5))
-        assert len(graph) == expected
+        assert len(graph) == 14
 
     def test_every_wave_depends_only_on_earlier_waves(self):
         graph = JobGraph(pipeline_jobs(["li"], [PLAYDOH_4W], scale=0.5))

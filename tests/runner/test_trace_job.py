@@ -2,8 +2,6 @@
 
 import dataclasses
 
-import pytest
-
 from repro.core.speculation import SpeculationConfig
 from repro.evaluation.experiment import Evaluation, EvaluationSettings
 from repro.machine.configs import PLAYDOH_4W, PLAYDOH_8W
@@ -17,15 +15,7 @@ from repro.runner import (
     simulate_spec,
     trace_spec,
 )
-from repro.trace import NO_TRACE_ENV, ValueTrace
-
-
-@pytest.fixture(autouse=True)
-def trace_stage_enabled(monkeypatch):
-    # The whole file is about the trace stage; pin the gate open so an
-    # ambient REPRO_NO_TRACE (the no-trace CI leg) can't remove it.
-    # test_no_trace_env_removes_the_stage re-sets it explicitly.
-    monkeypatch.delenv(NO_TRACE_ENV, raising=False)
+from repro.trace import ValueTrace
 
 
 class TestTraceSpec:
@@ -53,23 +43,13 @@ class TestTraceSpec:
         assert trace_spec("li", 0.5).key() != trace_spec("swim", 0.5).key()
         assert trace_spec("li", 0.5).key() != trace_spec("li", 1.0).key()
 
-    def test_profile_and_simulate_depend_on_trace(self, monkeypatch):
-        monkeypatch.delenv(NO_TRACE_ENV, raising=False)
+    def test_profile_and_simulate_depend_on_trace(self):
         for spec in (
             profile_spec("li", 0.5),
             simulate_spec("li", PLAYDOH_4W, scale=0.5),
         ):
             stages = [dep.stage for dep in default_deps(spec)]
             assert "trace" in stages
-
-    def test_no_trace_env_removes_the_stage(self, monkeypatch):
-        monkeypatch.setenv(NO_TRACE_ENV, "1")
-        for spec in (
-            profile_spec("li", 0.5),
-            simulate_spec("li", PLAYDOH_4W, scale=0.5),
-        ):
-            stages = [dep.stage for dep in default_deps(spec)]
-            assert "trace" not in stages
 
 
 class TestTraceExecution:
@@ -107,7 +87,7 @@ class TestTraceExecution:
             via_runner = Evaluation(settings, runner=runner).simulation(
                 "swim", PLAYDOH_4W
             )
-        monkeypatch.setenv(NO_TRACE_ENV, "1")
+        monkeypatch.setattr(Evaluation, "_trace_of", lambda self, p: None)
         direct = Evaluation(settings).simulation("swim", PLAYDOH_4W)
         assert dataclasses.asdict(via_runner) == dataclasses.asdict(direct)
 

@@ -1,27 +1,22 @@
-"""TraceStore caching semantics and the REPRO_NO_TRACE escape hatch."""
+"""TraceStore caching semantics and its use by runner-less evaluations."""
 
 import dataclasses
 
 import pytest
 
+from repro.batchsim import reset_shared_state
 from repro.evaluation.experiment import Evaluation, EvaluationSettings
 from repro.trace import (
-    NO_TRACE_ENV,
     TraceStore,
     capture_trace,
     default_store,
-    replay_enabled,
     reset_default_store,
 )
 from repro.workloads.suite import load_benchmark, load_suite
 
 
 @pytest.fixture(autouse=True)
-def fresh_default_store(monkeypatch):
-    # These tests exercise replay semantics; pin the gate open so an
-    # ambient REPRO_NO_TRACE (e.g. the no-trace CI leg) can't starve
-    # them.  TestEnvGate manages the variable explicitly per test.
-    monkeypatch.delenv(NO_TRACE_ENV, raising=False)
+def fresh_default_store():
     reset_default_store()
     yield
     reset_default_store()
@@ -80,26 +75,6 @@ class TestTraceStore:
         assert len(store) == 0
 
 
-class TestEnvGate:
-    def test_replay_enabled_by_default(self, monkeypatch):
-        monkeypatch.delenv(NO_TRACE_ENV, raising=False)
-        assert replay_enabled()
-
-    def test_no_trace_disables_replay(self, monkeypatch):
-        monkeypatch.setenv(NO_TRACE_ENV, "1")
-        assert not replay_enabled()
-
-    def test_evaluation_skips_store_when_disabled(self, monkeypatch):
-        monkeypatch.setenv(NO_TRACE_ENV, "1")
-        store = TraceStore()
-        settings = EvaluationSettings(scale=0.2).with_benchmarks(["compress"])
-        evaluation = Evaluation(settings, trace_store=store)
-        evaluation.profile("compress")
-        evaluation.simulation("compress", evaluation.machine_4w)
-        assert store.captures == 0
-        assert len(store) == 0
-
-
 class TestEvaluationIntegration:
     def test_sweep_shares_one_interpretation(self):
         """Separate Evaluations at different thresholds against one
@@ -124,10 +99,13 @@ class TestEvaluationIntegration:
     def test_replay_results_equal_no_trace_results(self, monkeypatch):
         settings = EvaluationSettings(scale=0.2).with_benchmarks(["li"])
 
-        monkeypatch.setenv(NO_TRACE_ENV, "1")
-        live = Evaluation(settings).simulation("li", Evaluation().machine_4w)
+        with monkeypatch.context() as live_mode:
+            live_mode.setattr(Evaluation, "_trace_of", lambda self, p: None)
+            live = Evaluation(settings).simulation(
+                "li", Evaluation().machine_4w
+            )
 
-        monkeypatch.delenv(NO_TRACE_ENV)
+        reset_shared_state()
         replayed = Evaluation(settings, trace_store=TraceStore()).simulation(
             "li", Evaluation().machine_4w
         )
