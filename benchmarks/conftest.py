@@ -23,14 +23,14 @@ def fresh_evaluation(scale: float = BENCH_SCALE) -> Evaluation:
     return Evaluation(EvaluationSettings(scale=scale))
 
 
-def runner_evaluation(cache_root, jobs: int = 1, scale: float = BENCH_SCALE):
+def runner_evaluation(cache_root, scale: float = BENCH_SCALE):
     """An evaluation backed by a repro.runner Runner with its own cache.
 
-    Returns ``(evaluation, runner)``; the caller owns ``runner.close()``.
+    Returns ``(evaluation, runner)``.
     """
     from repro.runner import DiskCache, Runner
 
-    runner = Runner(jobs=jobs, cache=DiskCache(root=cache_root))
+    runner = Runner(cache=DiskCache(root=cache_root))
     return Evaluation(EvaluationSettings(scale=scale), runner=runner), runner
 
 

@@ -1,13 +1,9 @@
-"""The runner's two headline wins, measured on the real 8-benchmark suite.
+"""The runner's cache wins, measured on the real 8-benchmark suite.
 
-1. **Parallel cold run** — with ``--jobs 4`` the pipeline job graph
-   (8 benchmarks x build/profile/compile/simulate) finishes faster than
-   strictly serial execution.  This is only asserted on multi-core
-   hosts: on a single CPU, process-pool scheduling is pure overhead and
-   the comparison would measure the machine, not the runner.
-2. **Warm cache** — a fully cached ``all``-experiments run executes
-   *zero* pipeline jobs (every stage served from disk), verified
-   through the events log rather than timing, so it holds on any host.
+A fully cached ``all``-experiments run executes *zero* pipeline jobs
+(every stage served from disk), verified through the events log rather
+than timing, so it holds on any host; and a threshold ablation reuses
+the cached build/profile stages.
 
 Timings route through :func:`repro.bench.harness.measure` (the same
 warmup/repeats/robust-stats primitive ``repro-bench run`` uses), and
@@ -20,8 +16,6 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-
-import pytest
 
 from conftest import BENCH_SCALE, runner_evaluation
 
@@ -47,58 +41,20 @@ def _emit(tmp_path, scenarios) -> Path:
     return path
 
 
-def _cold_warm_run(cache_root, jobs: int, experiments):
-    evaluation, runner = runner_evaluation(cache_root, jobs=jobs)
-    with runner:
-        evaluation.warm(experiments)
-        summary = runner.events.summary()
+def _cold_warm_run(cache_root, experiments):
+    evaluation, runner = runner_evaluation(cache_root)
+    evaluation.warm(experiments)
+    summary = runner.events.summary()
     return ScenarioRun(
         counters={"jobs_executed": float(summary["executed"])},
         extra={"runner": summary},
     )
 
 
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < 2,
-    reason="parallel speedup is only observable with more than one CPU",
-)
-def test_jobs4_cold_run_beats_serial(tmp_path):
-    serial = measure(
-        lambda: _cold_warm_run(
-            tmp_path / "serial", jobs=1, experiments=["table2", "table4"]
-        ),
-        repeats=1,
-        warmup=0,
-    )
-    parallel = measure(
-        lambda: _cold_warm_run(
-            tmp_path / "parallel", jobs=4, experiments=["table2", "table4"]
-        ),
-        repeats=1,
-        warmup=0,
-    )
-    _emit(
-        tmp_path,
-        {
-            "runner_cold_serial": scenario_entry(
-                serial.stats, serial.results, subsystems=("runner",)
-            ),
-            "runner_cold_jobs4": scenario_entry(
-                parallel.stats, parallel.results, subsystems=("runner",)
-            ),
-        },
-    )
-    # Identical job graphs, both cold.
-    serial_summary = serial.results[0].extra["runner"]
-    parallel_summary = parallel.results[0].extra["runner"]
-    assert parallel_summary["executed"] == serial_summary["executed"]
-    assert parallel.stats.median < serial.stats.median
-
-
 def test_warm_all_run_executes_zero_jobs(tmp_path):
     cache = tmp_path / "cache"
     cold = measure(
-        lambda: _cold_warm_run(cache, jobs=1, experiments=None),
+        lambda: _cold_warm_run(cache, experiments=None),
         repeats=1,
         warmup=0,
     )
@@ -106,7 +62,7 @@ def test_warm_all_run_executes_zero_jobs(tmp_path):
     assert cold_summary["executed"] > 0
 
     warm = measure(
-        lambda: _cold_warm_run(cache, jobs=1, experiments=None),
+        lambda: _cold_warm_run(cache, experiments=None),
         repeats=1,
         warmup=0,
     )
@@ -140,12 +96,12 @@ def test_threshold_sweep_shares_profiles(tmp_path):
 
     cache = tmp_path / "cache"
     base = EvaluationSettings(scale=BENCH_SCALE)
-    with Runner(jobs=1, cache=DiskCache(root=cache)) as first:
-        Evaluation(base, runner=first).warm(["table2"])
+    first = Runner(cache=DiskCache(root=cache))
+    Evaluation(base, runner=first).warm(["table2"])
 
-    with Runner(jobs=1, cache=DiskCache(root=cache)) as second:
-        Evaluation(base.with_threshold(0.9), runner=second).warm(["table2"])
-        by_stage = second.events.summary()["executed_by_stage"]
+    second = Runner(cache=DiskCache(root=cache))
+    Evaluation(base.with_threshold(0.9), runner=second).warm(["table2"])
+    by_stage = second.events.summary()["executed_by_stage"]
     assert by_stage.get("build", 0) == 0
     assert by_stage.get("profile", 0) == 0
     assert by_stage.get("compile", 0) > 0

@@ -8,12 +8,11 @@ configuration, reporting per width: predictions selected, the best-case
 schedule-length fraction, and the measured dynamic speedup.
 
 The sweep is expressed as a :func:`repro.runner.pipeline_jobs` graph and
-handed to the runner, so ``--jobs N`` parallelises the 3 machines x 8
-benchmarks cold run and a rerun (say, after adding a width) only
+handed to the runner, so a rerun (say, after adding a width) only
 executes the new machine's compile/simulate jobs — profiles are shared
 across widths by construction.
 
-Run:  python examples/sweep_issue_width.py [scale] [--jobs N]
+Run:  python examples/sweep_issue_width.py [scale] [--cache-dir DIR]
 """
 
 import argparse
@@ -42,8 +41,6 @@ def machines():
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("scale", nargs="?", type=float, default=0.5)
-    parser.add_argument("--jobs", "-j", type=int, default=1,
-                        help="worker processes (0 = one per CPU)")
     parser.add_argument("--cache-dir", default=None)
     args = parser.parse_args()
 
@@ -52,8 +49,7 @@ def main() -> None:
     jobs = pipeline_jobs(
         names, [machine for _, machine in widths], scale=args.scale
     )
-    with Runner(jobs=args.jobs, cache=DiskCache(root=args.cache_dir)) as runner:
-        results = runner.run(jobs)
+    results = Runner(cache=DiskCache(root=args.cache_dir)).run(jobs)
 
     rows = []
     for label, machine in widths:

@@ -32,7 +32,7 @@ scratch in Python:
   :class:`~repro.compiler.PipelineConfig`, and the
   :class:`~repro.compiler.PassManager` that runs it with inter-pass
   IR verification and per-pass metrics.
-* :mod:`repro.runner` — parallel, disk-cached experiment execution;
+* :mod:`repro.runner` — serial, disk-cached experiment execution;
   job cache keys incorporate the pipeline config.
 * :mod:`repro.obs` — metrics, structured tracing, Perfetto export.
 * :mod:`repro.tools` — the ``repro-inspect`` command-line tool.

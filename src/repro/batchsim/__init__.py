@@ -9,10 +9,6 @@ pattern-bitmask histogram folded through the exact per-pattern block
 timings (:mod:`.engine`).  Results are byte-identical to the scalar
 engine — both paths share one deterministic accounting fold.
 
-:mod:`.surrogate` layers a fast analytical cycles estimate on top, used
-by ``repro-explore --surrogate`` to rank and prune candidate points
-before exact simulation.
-
 This package imports lazily: the engine modules import NumPy, which
 only a batched run needs.
 """

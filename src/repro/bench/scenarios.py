@@ -270,9 +270,9 @@ def _run_runner_scaling(ctx: BenchContext, state: Any) -> ScenarioRun:
     cache_hits = 0
     warm_hit_rate = 0.0
     for attempt in ("cold", "warm"):
-        with Runner(jobs=1, cache=DiskCache(root=cache_root)) as runner:
-            Evaluation(ctx.settings(), runner=runner).warm(["table2"])
-            summary = runner.events.summary()
+        runner = Runner(cache=DiskCache(root=cache_root))
+        Evaluation(ctx.settings(), runner=runner).warm(["table2"])
+        summary = runner.events.summary()
         executed += summary["executed"]
         cache_hits += summary["cache_hits"]
         if attempt == "warm":
@@ -365,7 +365,7 @@ def _run_explore_grid(ctx: BenchContext, state: Any) -> ScenarioRun:
         Axis,
         DesignSpace,
         dump_report,
-        explore_points,
+        explore,
         pareto_frontier,
         report_payload,
     )
@@ -376,11 +376,11 @@ def _run_explore_grid(ctx: BenchContext, state: Any) -> ScenarioRun:
         axes=tuple(Axis.parse(a) for a in EXPLORE_GRID_AXES),
     )
     points = space.grid()
-    results = explore_points(
+    results = explore(
         points,
         scale=ctx.workload_scale,
         benchmarks=list(ABLATION_BENCHMARKS),
-    )
+    ).results
     artifact = dump_report(
         report_payload(
             space, results, ctx.workload_scale, list(ABLATION_BENCHMARKS)
@@ -408,9 +408,6 @@ def _run_explore_grid(ctx: BenchContext, state: Any) -> ScenarioRun:
 #: ``batch_simulate`` job.
 BATCHED_SWEEP_MACHINES = ("playdoh-4w", "playdoh-8w", "unlimited")
 
-#: Axes the surrogate-prune scenario sweeps (6 candidate points).
-SURROGATE_PRUNE_AXES = ("issue_width=2,4", "threshold=0.5,0.65,0.8")
-
 
 def _run_batched_sweep(ctx: BenchContext, state: Any) -> ScenarioRun:
     """A machine sweep through the runner's ``batch_simulate`` stage:
@@ -420,60 +417,20 @@ def _run_batched_sweep(ctx: BenchContext, state: Any) -> ScenarioRun:
     from repro.runner import Runner, batch_simulate_job
 
     machines = [by_name(name) for name in BATCHED_SWEEP_MACHINES]
-    runner = Runner(jobs=1, cache=None)
+    runner = Runner(cache=None)
     cycles = 0
     points = 0
-    try:
-        for name in ABLATION_BENCHMARKS:
-            results = runner.run_job(
-                batch_simulate_job(name, machines, scale=ctx.workload_scale)
-            )
-            points += len(results)
-            cycles += sum(r.cycles_proposed for r in results.values())
-    finally:
-        runner.close()
+    for name in ABLATION_BENCHMARKS:
+        results = runner.run_job(
+            batch_simulate_job(name, machines, scale=ctx.workload_scale)
+        )
+        points += len(results)
+        cycles += sum(r.cycles_proposed for r in results.values())
     return ScenarioRun(
         counters={
             "sim_points": float(points),
             "sim_cycles": float(cycles),
         }
-    )
-
-
-def _run_surrogate_prune(ctx: BenchContext, state: Any) -> ScenarioRun:
-    """A surrogate-pruned design-space sweep: every candidate is compiled
-    and analytically estimated, only the keep set (estimated frontier +
-    top quarter) is exactly simulated, and the survivors' estimates are
-    cross-validated against their exact simulations."""
-    from repro.explore import Axis, DesignSpace, explore
-    from repro.machine.configs import PLAYDOH_4W_SPEC
-
-    space = DesignSpace(
-        base=PLAYDOH_4W_SPEC,
-        axes=tuple(Axis.parse(a) for a in SURROGATE_PRUNE_AXES),
-    )
-    points = space.grid()
-    outcome = explore(
-        points,
-        scale=ctx.workload_scale,
-        benchmarks=list(ABLATION_BENCHMARKS),
-        surrogate=True,
-    )
-    cycles = sum(
-        b.cycles_proposed for r in outcome.results for b in r.benchmarks
-    )
-    return ScenarioRun(
-        counters={
-            "candidates": float(len(points)),
-            "simulated": float(len(outcome.results)),
-            "pruned": float(len(outcome.pruned)),
-            "sim_cycles": float(cycles),
-        },
-        extra={
-            "surrogate_max_rel_error": (
-                outcome.surrogate.max_rel_error if outcome.surrogate else None
-            ),
-        },
     )
 
 
@@ -584,17 +541,6 @@ register_scenario(
         run=_run_batched_sweep,
     )
 )
-register_scenario(
-    BenchScenario(
-        name="surrogate_prune",
-        description=f"Surrogate-pruned sweep {SURROGATE_PRUNE_AXES} over "
-        f"{ABLATION_BENCHMARKS}: analytical estimates rank all candidates, "
-        "only the keep set is exactly simulated (with cross-validation)",
-        subsystems=("batchsim", "explore", "core"),
-        run=_run_surrogate_prune,
-    )
-)
-
 # Re-export for harness convenience.
 __all__ = [
     "ABLATION_BENCHMARKS",
@@ -602,7 +548,6 @@ __all__ = [
     "BATCHED_SWEEP_MACHINES",
     "EXPLORE_GRID_AXES",
     "HOTLOOP_BENCHMARKS",
-    "SURROGATE_PRUNE_AXES",
     "SWEEP_REPLAY_THRESHOLDS",
     "BenchContext",
     "BenchScenario",

@@ -12,8 +12,8 @@ Usage::
 ``list`` prints the resolved pipeline — pass order and effective
 per-pass options — for debugging configs; ``digest`` compiles the suite
 through the runner and prints one stable content hash per benchmark,
-which is what the CI determinism job compares across runs and worker
-counts.
+which is what the CI determinism job compares across runs and cache
+temperature.
 """
 
 from __future__ import annotations
@@ -86,7 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     digest.add_argument(
         "--benchmarks", action="append", metavar="NAME[,NAME...]", default=None
     )
-    digest.add_argument("--jobs", "-j", type=int, default=1)
     digest.add_argument("--no-cache", action="store_true")
     digest.add_argument("--cache-dir", metavar="PATH", default=None)
     return parser
@@ -139,20 +138,17 @@ def _run_digest(args: argparse.Namespace) -> int:
         root=Path(args.cache_dir) if args.cache_dir else None,
         enabled=not args.no_cache,
     )
-    runner = Runner(jobs=args.jobs, cache=cache)
-    try:
-        jobs = {
-            name: compile_job(
-                name, PLAYDOH_4W, scale=args.scale, spec_config=spec_config
-            )
-            for name in benchmarks
-        }
-        runner.run(list(jobs.values()))
-        for name, job in jobs.items():
-            compilation = runner.run_job(job)
-            print(f"{name} {compilation_digest(compilation)}")
-    finally:
-        runner.close()
+    runner = Runner(cache=cache)
+    jobs = {
+        name: compile_job(
+            name, PLAYDOH_4W, scale=args.scale, spec_config=spec_config
+        )
+        for name in benchmarks
+    }
+    runner.run(list(jobs.values()))
+    for name, job in jobs.items():
+        compilation = runner.run_job(job)
+        print(f"{name} {compilation_digest(compilation)}")
     return 0
 
 

@@ -230,7 +230,7 @@ def compilation_digest(compilation: "ProgramCompilation") -> str:
     pass-minted operations (LdPred/check forms), whose absolute values
     depend on which process minted them; everything semantically
     meaningful is id-free, so equal compilations digest equally across
-    runs, processes and worker counts.
+    runs, processes and cache temperature.
     """
     from repro.ir.asm import format_operation_asm, format_program_asm
 

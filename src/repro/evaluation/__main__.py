@@ -5,7 +5,6 @@ Usage::
     python -m repro.evaluation all
     python -m repro.evaluation table2 table4 --scale 0.5
     repro-eval figure8 --threshold 0.8
-    repro-eval all --jobs 4                  # parallel pipeline execution
     repro-eval table2 --benchmarks swim,li   # restrict the suite
     repro-eval all --events run.jsonl        # JSONL progress events (one run per file)
     repro-eval all --metrics metrics.json    # merged observability snapshot
@@ -17,11 +16,11 @@ Usage::
     repro-eval --list-passes                 # resolved compiler pipeline
 
 Pipeline execution (profile -> compile -> simulate per benchmark and
-machine) is delegated to :mod:`repro.runner`: ``--jobs N`` runs the job
-graph on ``N`` worker processes (``0`` = one per CPU), and results are
-cached on disk keyed by a content hash of every relevant knob, so a
-rerun with identical settings executes zero pipeline jobs.  Output is
-byte-identical regardless of ``--jobs`` and cache temperature.
+machine) is delegated to :mod:`repro.runner`, which runs the job graph
+serially and caches results on disk keyed by a content hash of every
+relevant knob, so a rerun with identical settings executes zero
+pipeline jobs.  Output is byte-identical regardless of cache
+temperature.
 """
 
 from __future__ import annotations
@@ -89,8 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         "-j",
         type=int,
+        choices=[1],
         default=1,
-        help="pipeline worker processes (1 = serial, 0 = one per CPU)",
+        help="accepted for compatibility; pipelines always run serially",
     )
     parser.add_argument(
         "--cache-dir",
@@ -315,7 +315,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         path=args.events,
         renderer=ProgressRenderer() if args.progress else None,
     )
-    runner = Runner(jobs=args.jobs, cache=_make_cache(args), events=events)
+    runner = Runner(cache=_make_cache(args), events=events)
     evaluation = Evaluation(
         settings,
         runner=runner,
@@ -334,9 +334,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                     file=sys.stderr,
                 )
                 return 2
-        # Execute the whole pipeline job graph up front — in parallel when
-        # --jobs allows — so the experiment generators below only read
-        # warmed caches.
+        # Execute the whole pipeline job graph up front, so the
+        # experiment generators below only read warmed caches.
         bench_start = time.perf_counter()
         evaluation.warm(None if run_all else names)
 
@@ -390,7 +389,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         _write_metrics(args.metrics, evaluation, events)
         return 0
     finally:
-        runner.close()
         events.close()
 
 

@@ -8,9 +8,9 @@ When constructed with a :class:`repro.runner.Runner`, every pipeline
 stage is delegated to the runner as a declarative job: stage results are
 then additionally memoised on disk (surviving across processes and
 threshold/scale sweeps) and :meth:`Evaluation.warm` can execute the
-whole job graph for a set of experiments in parallel before the
+whole job graph for a set of experiments up front before the
 experiments read it back.  Without a runner the behaviour is the
-original in-process one — no disk I/O, no worker processes.
+original in-process one — no disk I/O.
 """
 
 from __future__ import annotations
@@ -466,8 +466,8 @@ class Evaluation:
         return jobs
 
     def warm(self, experiments: Optional[Iterable[str]] = None) -> int:
-        """Execute (in parallel, when the runner allows) every pipeline job
-        the given experiments will need, so subsequent ``compute`` calls
+        """Execute every pipeline job the given experiments will need,
+        in one runner batch, so subsequent ``compute`` calls
         are pure cache reads.  Returns the number of jobs in the graph.
         No-op without a runner."""
         if self.runner is None:

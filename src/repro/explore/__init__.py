@@ -13,9 +13,7 @@ from repro.explore.driver import (
     ExploreOutcome,
     PointResult,
     PrunedPoint,
-    SurrogateValidation,
     explore,
-    explore_points,
     pareto_frontier,
 )
 from repro.explore.report import (
@@ -38,11 +36,9 @@ __all__ = [
     "PointResult",
     "PrunedPoint",
     "REPORT_SCHEMA_VERSION",
-    "SurrogateValidation",
     "cost_breakdown",
     "dump_report",
     "explore",
-    "explore_points",
     "load_report",
     "machine_cost",
     "pareto_frontier",

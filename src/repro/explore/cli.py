@@ -6,14 +6,13 @@ Usage::
     repro-explore --axis predictor.kind=stride,fcm,hybrid --scale 0.25
     repro-explore --base machines/custom.toml --axis fu_scale=1,2
     repro-explore --axis issue_width=2,4 --random 4 --seed 7
-    repro-explore ... --jobs 4                 # parallel local runner
     repro-explore ... --out sweep.json --plot sweep.png
 
 Every point runs the paper's dynamic simulation per benchmark through
 the shared content-hash-keyed runner, so points dedupe their common
 stages (one build/trace/profile per benchmark for the whole sweep) and
 reruns are pure cache reads.  The JSON artifact is deterministic —
-identical across ``--jobs`` settings and cache temperature.
+identical across cache temperature and ``--no-cache``.
 """
 
 from __future__ import annotations
@@ -91,8 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict the suite (repeatable, comma-separable)",
     )
     parser.add_argument(
-        "--jobs", "-j", type=int, default=1,
-        help="pipeline worker processes (1 = serial, 0 = one per CPU)",
+        "--jobs", "-j", type=int, choices=[1], default=1,
+        help="accepted for compatibility; pipelines always run serially",
     )
     parser.add_argument(
         "--cache-dir", metavar="PATH", default=None,
@@ -113,22 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--plot", metavar="PATH", default=None,
         help="write a cost/speedup frontier plot (needs matplotlib)",
-    )
-    parser.add_argument(
-        "--surrogate", action="store_true",
-        help=(
-            "rank points with the analytical cycles surrogate and "
-            "exactly simulate only the estimated Pareto frontier plus "
-            "the top candidates; pruned points are logged in the report"
-        ),
-    )
-    parser.add_argument(
-        "--surrogate-keep", type=int, default=None, metavar="N",
-        help=(
-            "with --surrogate: how many extra top-estimate points to "
-            "simulate beyond the estimated frontier (default: a quarter "
-            "of the candidates)"
-        ),
     )
     parser.add_argument(
         "--progress", action="store_true",
@@ -192,7 +175,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         renderer=ProgressRenderer() if args.progress else None,
     )
     runner = Runner(
-        jobs=args.jobs,
         cache=DiskCache(
             root=Path(args.cache_dir) if args.cache_dir else None,
             enabled=not args.no_cache,
@@ -207,37 +189,16 @@ def main(argv: Optional[List[str]] = None) -> int:
             scale=args.scale,
             benchmarks=benchmarks,
             runner=runner,
-            surrogate=args.surrogate,
-            surrogate_keep=args.surrogate_keep,
         )
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     finally:
-        runner.close()
         events.close()
 
     results = list(outcome.results)
-    if outcome.pruned:
-        for p in outcome.pruned:
-            note = (
-                f" (estimated speedup {p.estimated_speedup:.3f})"
-                if p.estimated_speedup is not None
-                else ""
-            )
-            print(
-                f"pruned [{p.reason}] {p.label}: {p.detail}{note}",
-                file=sys.stderr,
-            )
-    if outcome.surrogate is not None and outcome.surrogate.entries:
-        v = outcome.surrogate
-        status = "within" if v.within_bound else "EXCEEDS"
-        print(
-            f"surrogate cross-validation: max rel error "
-            f"{v.max_rel_error:.4f} (mean {v.mean_rel_error:.4f}) "
-            f"{status} documented bound {v.bound}",
-            file=sys.stderr,
-        )
+    for p in outcome.pruned:
+        print(f"pruned [{p.reason}] {p.label}: {p.detail}", file=sys.stderr)
     resolved_benchmarks = (
         [b.benchmark for b in results[0].benchmarks] if results else []
     )
@@ -247,7 +208,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         scale=args.scale,
         benchmarks=resolved_benchmarks,
         pruned=outcome.pruned,
-        surrogate=outcome.surrogate,
     )
     text = dump_report(payload)
     if args.out:

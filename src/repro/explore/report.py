@@ -1,8 +1,9 @@
 """Deterministic design-space reports: JSON artifact, text table, plot.
 
 The JSON artifact is schema-versioned and carries *no* timestamps or
-host details, so two runs of the same sweep — at any ``--jobs`` —
-produce byte-identical files (the CI ``explore-smoke`` job diffs them).
+host details, so two runs of the same sweep — cold, warm or with
+``--no-cache`` — produce byte-identical files (the CI ``explore-smoke``
+job diffs them).
 """
 
 from __future__ import annotations
@@ -10,20 +11,16 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.explore.driver import (
-    PointResult,
-    PrunedPoint,
-    SurrogateValidation,
-    pareto_frontier,
-)
+from repro.explore.driver import PointResult, PrunedPoint, pareto_frontier
 from repro.explore.space import DesignSpace
 from repro.ir.printer import format_table
 
 #: Bump when the artifact shape changes.  v2 added per-point
 #: ``bottleneck`` labels from the cycle-accounting engine; v3 added the
-#: ``pruned`` section (why each skipped point was skipped:
-#: surrogate-pruned vs duplicate vs error) and the ``surrogate``
-#: cross-validation record of ``--surrogate`` sweeps.
+#: ``pruned`` section (why each skipped point was skipped: duplicate vs
+#: error) and the ``surrogate`` section.  The surrogate pruner is gone;
+#: its key is still written as ``null`` so v3 artifacts stay
+#: byte-identical, and old v3 artifacts that fill it still load.
 REPORT_SCHEMA_VERSION = 3
 
 #: Older schema versions :func:`load_report` still accepts.
@@ -36,7 +33,6 @@ def report_payload(
     scale: float,
     benchmarks: Sequence[str],
     pruned: Sequence[PrunedPoint] = (),
-    surrogate: Optional[SurrogateValidation] = None,
 ) -> Dict[str, Any]:
     """The full sweep artifact as JSON-ready primitives."""
     frontier = pareto_frontier(results)
@@ -56,7 +52,7 @@ def report_payload(
         ],
         "frontier": [r.label for r in frontier],
         "pruned": [p.to_json() for p in pruned],
-        "surrogate": surrogate.to_json() if surrogate is not None else None,
+        "surrogate": None,
     }
 
 
@@ -156,9 +152,11 @@ def plot_frontier(
 def load_report(text: str) -> Dict[str, Any]:
     """Parse + schema-check a report artifact.
 
-    Reads the current schema and (read-only) v2 artifacts from before
-    the ``pruned``/``surrogate`` sections existed; missing sections are
-    filled with their empty values so readers can index unconditionally.
+    Reads the current schema (including artifacts whose ``surrogate``
+    section a since-removed pruner filled) and (read-only) v2 artifacts
+    from before the ``pruned``/``surrogate`` sections existed; missing
+    sections are filled with their empty values so readers can index
+    unconditionally.
     """
     payload = json.loads(text)
     schema = payload.get("schema")

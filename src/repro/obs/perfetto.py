@@ -295,7 +295,7 @@ def runner_span_events(events: Iterable[Mapping[str, Any]]) -> List[Dict[str, An
         stage = event.get("stage", "run")
         job = event.get("job", "")
         if kind == "job_start":
-            open_starts[(job, event.get("attempt"))] = ts
+            open_starts[event.get("key")] = ts
         elif kind == "job_finish":
             if event.get("cached"):
                 out.append(
@@ -304,7 +304,7 @@ def runner_span_events(events: Iterable[Mapping[str, Any]]) -> List[Dict[str, An
                     )
                 )
                 continue
-            start = open_starts.pop((job, event.get("attempt")), None)
+            start = open_starts.pop(event.get("key"), None)
             if start is None:
                 start = ts - float(event.get("wall_time", 0.0)) * 1e6
             out.append(
@@ -315,7 +315,7 @@ def runner_span_events(events: Iterable[Mapping[str, Any]]) -> List[Dict[str, An
                     pid=RUNNER_PID,
                     tid=tid_for(stage),
                     cat="job",
-                    args={"attempt": event.get("attempt"), "key": event.get("key")},
+                    args={"key": event.get("key")},
                 )
             )
         elif kind == "job_failed":

@@ -1,8 +1,8 @@
-"""Parallel, disk-cached, fault-tolerant experiment execution engine.
+"""Serial, disk-cached experiment execution engine.
 
 The runner turns the profile -> compile -> simulate pipeline into an
 explicit job graph (:mod:`repro.runner.jobs`, :mod:`repro.runner.graph`)
-and executes it with worker processes, durable content-addressed caching
+and executes it in process, with durable content-addressed caching
 (:mod:`repro.runner.cache`) and structured progress events
 (:mod:`repro.runner.events`).  See ``docs/RUNNER.md`` for the full
 design.
@@ -12,9 +12,9 @@ Typical use::
     from repro.runner import DiskCache, Runner
     from repro.evaluation.experiment import Evaluation
 
-    runner = Runner(jobs=4, cache=DiskCache())
+    runner = Runner(cache=DiskCache())
     evaluation = Evaluation(runner=runner)
-    evaluation.warm()                      # everything runs in parallel
+    evaluation.warm()                      # run the whole job graph once
     rows = table2.compute(evaluation)      # served from the warmed caches
 """
 
@@ -24,9 +24,8 @@ from repro.runner.cache import (
     default_cache_dir,
 )
 from repro.runner.events import EventLog, ProgressRenderer, executed_jobs, read_events
-from repro.runner.executor import JobError, Runner, resolve_workers
+from repro.runner.executor import JobError, Runner
 from repro.runner.graph import CycleError, JobGraph
-from repro.runner.retry import RetryPolicy
 from repro.runner.jobs import (
     CODE_VERSION,
     DepResults,
@@ -65,7 +64,6 @@ __all__ = [
     "JobGraph",
     "JobSpec",
     "ProgressRenderer",
-    "RetryPolicy",
     "Runner",
     "adopt_program",
     "batch_simulate_job",
@@ -85,7 +83,6 @@ __all__ = [
     "profile_spec",
     "read_events",
     "register_stage",
-    "resolve_workers",
     "simulate_job",
     "simulate_spec",
     "trace_job",

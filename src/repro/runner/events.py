@@ -20,19 +20,18 @@ by external concatenation) by ``run_id``.
 Types and their extra fields:
 
 ===============  ============================================================
-``run_start``    ``total_jobs``, ``jobs`` (worker count)
-``job_start``    ``job``, ``stage``, ``key``, ``attempt``
+``run_start``    ``total_jobs``
+``job_start``    ``job``, ``stage``, ``key``
 ``cache_hit``    ``job``, ``stage``, ``key``
 ``cache_miss``   ``job``, ``stage``, ``key``
-``job_finish``   ``job``, ``stage``, ``key``, ``cached``, ``wall_time``,
-                 ``attempt``
-``job_retry``    ``job``, ``stage``, ``key``, ``attempt``, ``error``,
-                 ``backoff``
-``job_failed``   ``job``, ``stage``, ``key``, ``attempts``, ``error``
-``fallback``     ``reason`` (pool unavailable / worker died)
-``run_finish``   ``executed``, ``cache_hits``, ``retries``, ``failures``,
-                 ``wall_time``, ``executed_by_stage``
+``job_finish``   ``job``, ``stage``, ``key``, ``cached``, ``wall_time``
+``job_failed``   ``job``, ``stage``, ``key``, ``error``
+``run_finish``   ``executed``, ``cache_hits``, ``cache_misses``,
+                 ``failures``, ``wall_time``, ``executed_by_stage``
 ===============  ============================================================
+
+A job runs at most once per runner, so ``key`` pairs each
+``job_start`` with its ``job_finish``.
 """
 
 from __future__ import annotations
@@ -57,10 +56,7 @@ class ProgressRenderer:
         if kind == "run_start":
             self._total = event["total_jobs"]
             self._done = 0
-            print(
-                f"runner: {self._total} jobs on {event['jobs']} worker(s)",
-                file=self.stream,
-            )
+            print(f"runner: {self._total} jobs", file=self.stream)
         elif kind == "job_finish":
             self._done += 1
             how = "cached" if event["cached"] else f"{event['wall_time']:.2f}s"
@@ -69,25 +65,12 @@ class ProgressRenderer:
                 f"{event['job']} ({how})",
                 file=self.stream,
             )
-        elif kind == "job_retry":
-            print(
-                f"retry   {event['job']} (attempt {event['attempt']}): "
-                f"{event['error']}",
-                file=self.stream,
-            )
         elif kind == "job_failed":
-            print(
-                f"FAILED  {event['job']} after {event['attempts']} attempt(s): "
-                f"{event['error']}",
-                file=self.stream,
-            )
-        elif kind == "fallback":
-            print(f"runner: falling back to serial — {event['reason']}", file=self.stream)
+            print(f"FAILED  {event['job']}: {event['error']}", file=self.stream)
         elif kind == "run_finish":
             print(
                 f"runner: {event['executed']} executed, "
-                f"{event['cache_hits']} cached, {event['retries']} retried "
-                f"in {event['wall_time']:.2f}s",
+                f"{event['cache_hits']} cached in {event['wall_time']:.2f}s",
                 file=self.stream,
             )
 
@@ -111,7 +94,6 @@ class EventLog:
         self.executed_by_stage: Dict[str, int] = {}
         self.cache_hits = 0
         self.cache_misses = 0
-        self.retries = 0
         self.failures = 0
         if path:
             # Truncate: one file = one run.  Appending (the historical
@@ -131,8 +113,6 @@ class EventLog:
             self.cache_hits += 1
         elif event == "cache_miss":
             self.cache_misses += 1
-        elif event == "job_retry":
-            self.retries += 1
         elif event == "job_failed":
             self.failures += 1
         elif event == "job_finish" and not fields.get("cached"):
@@ -157,7 +137,6 @@ class EventLog:
             "executed_by_stage": dict(sorted(self.executed_by_stage.items())),
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
-            "retries": self.retries,
             "failures": self.failures,
         }
 

@@ -32,8 +32,8 @@ threshold/predictor/machine ablation shares one cached interpretation.
 ``build`` exists because operation ids are assigned from a process-local
 counter: profiles and compilations reference programs *by op id*, so all
 downstream stages must consume the one program object the build stage
-produced (shipped by pickle) rather than rebuilding it in whatever
-counter state their worker happens to be in.  The build stage resets the
+produced (read back by pickle) rather than rebuilding it in whatever
+counter state the process happens to be in.  The build stage resets the
 counter first, making the shipped program canonical.
 
 ``build`` and ``profile`` deliberately exclude the speculation config
@@ -272,7 +272,7 @@ def stage_function(name: str) -> StageFn:
 
 
 def execute_spec(spec: JobSpec, dep_results: DepResults) -> Any:
-    """Run one job body.  This is the function worker processes execute."""
+    """Run one job body (the runner's only way to execute a job)."""
     return stage_function(spec.stage)(spec, dep_results)
 
 
@@ -287,7 +287,7 @@ def dep_result(spec: JobSpec, dep_results: DepResults, stage: str) -> Any:
 def adopt_program(program: Any) -> Any:
     """Make a program numbered elsewhere safe for op-creating passes here.
 
-    A program that arrived by pickle (cache hit, worker hand-off) carries
+    A program that arrived by pickle (a cache hit) carries
     op ids from a foreign counter state; the local counter may sit *below*
     its maximum — notably after an in-process ``build`` of a smaller
     benchmark reset it.  Bump the counter past the program's ids so the
@@ -388,9 +388,9 @@ def _run_batch_simulate(spec: JobSpec, dep_results: DepResults) -> Any:
     """Simulate one benchmark on B machine points in a single pass.
 
     The job's dependencies are the B compile jobs (plus the shared
-    trace); their results arrive here together, so one worker simulates
+    trace); their results arrive here together, so one job simulates
     all points off one trace decode through the batched engine instead
-    of B workers each decoding it.  Returns ``{machine fingerprint:
+    of B jobs each decoding it.  Returns ``{machine fingerprint:
     ProgramSimResult}`` — each entry byte-identical to the matching
     scalar ``simulate`` job's result.
     """

@@ -63,18 +63,14 @@ class TestBatchSimulateJob:
         from repro.runner import Runner, batch_simulate_job, simulate_job
 
         machines = [PLAYDOH_4W, PLAYDOH_8W]
-        runner = Runner(jobs=1, cache=None)
-        try:
-            batch = batch_simulate_job(
-                "compress", machines, scale=0.25, collect_metrics=True
-            )
-            scalars = [
-                simulate_job("compress", m, scale=0.25, collect_metrics=True)
-                for m in machines
-            ]
-            results = runner.run([batch] + scalars)
-        finally:
-            runner.close()
+        batch = batch_simulate_job(
+            "compress", machines, scale=0.25, collect_metrics=True
+        )
+        scalars = [
+            simulate_job("compress", m, scale=0.25, collect_metrics=True)
+            for m in machines
+        ]
+        results = Runner(cache=None).run([batch] + scalars)
         batched = results[batch.key()]
         assert set(batched) == {m.fingerprint() for m in machines}
         for machine, job in zip(machines, scalars):

@@ -1,6 +1,10 @@
 """Tests for the evaluation CLI's JSON output mode."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -59,7 +63,7 @@ class TestRunnerFlags:
         events = tmp_path / "events.jsonl"
         assert (
             main(
-                ["table3", "--scale", "0.2", "--json", "--jobs", "2",
+                ["table3", "--scale", "0.2", "--json", "--jobs", "1",
                  "--cache-dir", str(tmp_path / "cache"),
                  "--events", str(events), "--benchmarks", "compress"]
             )
@@ -103,6 +107,41 @@ class TestRunnerFlags:
     def test_unknown_cache_command(self, capsys, tmp_path):
         assert main(["cache", "bogus", "--cache-dir", str(tmp_path)]) == 2
         assert "unknown cache command" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags", [["--jobs", "2"], ["-j", "0"], ["--surrogate"]]
+    )
+    def test_removed_flags_are_usage_errors(self, flags, capsys, tmp_path):
+        # ``--jobs 1`` still parses (see test_jobs_and_events_flags);
+        # every other worker count, and the surrogate, are gone.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["table2", "--cache-dir", str(tmp_path)] + flags)
+        assert excinfo.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+
+def test_cli_imports_no_process_pool_machinery():
+    """The serial runner keeps ``multiprocessing`` and
+    ``concurrent.futures`` out of ``repro-eval``'s import graph."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    probe = (
+        "import sys, repro.evaluation.__main__; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
+        "if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestCpiFlag:

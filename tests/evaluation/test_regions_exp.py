@@ -73,7 +73,7 @@ class TestRejectedVariants:
         settings = EvaluationSettings(scale=0.25, benchmarks=("li", "swim"))
         runner = None
         if request.param == "runner":
-            runner = Runner(jobs=1, cache=DiskCache(tmp_path / "cache"))
+            runner = Runner(cache=DiskCache(tmp_path / "cache"))
         rows = compute(Evaluation(settings, runner=runner))
         return {r.benchmark: r for r in rows}, verdicts
 
@@ -95,9 +95,9 @@ class TestRejectedVariants:
     def test_warm_rerun_reports_the_same_rows(self, tmp_path):
         settings = EvaluationSettings(scale=0.25, benchmarks=("li", "swim"))
         cache = tmp_path / "cache"
-        cold_runner = Runner(jobs=1, cache=DiskCache(cache))
+        cold_runner = Runner(cache=DiskCache(cache))
         cold = compute(Evaluation(settings, runner=cold_runner))
-        warm_runner = Runner(jobs=1, cache=DiskCache(cache))
+        warm_runner = Runner(cache=DiskCache(cache))
         warm = compute(Evaluation(settings, runner=warm_runner))
         assert warm == cold
         # The warm run reads every trace (and all else) back from disk.

@@ -7,9 +7,9 @@ import json
 import pytest
 
 from repro.explore.driver import (
-    BenchmarkResult,
     PointResult,
-    explore_points,
+    PrunedPoint,
+    explore,
     pareto_frontier,
 )
 from repro.explore.report import (
@@ -74,10 +74,9 @@ def sweep():
     """A tiny real sweep shared by the driver/report tests."""
     axes = (Axis.parse("issue_width=2,4"), Axis.parse("threshold=0.5,0.8"))
     space = DesignSpace(base=PLAYDOH_4W_SPEC, axes=axes)
-    results = explore_points(
-        space.grid(), scale=SCALE, benchmarks=BENCHMARKS
-    )
-    return space, results
+    outcome = explore(space.grid(), scale=SCALE, benchmarks=BENCHMARKS)
+    assert outcome.pruned == ()
+    return space, list(outcome.results)
 
 
 class TestExplorePoints:
@@ -115,19 +114,66 @@ class TestExplorePoints:
         assert high.accuracy >= low.accuracy
 
     def test_runner_path_matches_runnerless(self, sweep):
-        from repro.runner import Runner
+        from repro.runner import DiskCache, Runner
 
         space, local = sweep
-        runner = Runner(jobs=1, cache=None)
-        try:
-            with_runner = explore_points(
-                space.grid(), scale=SCALE, benchmarks=BENCHMARKS, runner=runner
-            )
-        finally:
-            runner.close()
+        with_runner = explore(
+            space.grid(),
+            scale=SCALE,
+            benchmarks=BENCHMARKS,
+            runner=Runner(cache=DiskCache(enabled=False)),
+        ).results
         payload_a = report_payload(space, local, SCALE, BENCHMARKS)
         payload_b = report_payload(space, with_runner, SCALE, BENCHMARKS)
         assert dump_report(payload_a) == dump_report(payload_b)
+
+
+class TestPruning:
+    """Every input point ends up as a result or a reasoned pruned row."""
+
+    def test_duplicates_prune_with_reason(self, sweep):
+        space, results = sweep
+        points = space.grid()
+        outcome = explore(
+            list(points) + list(points), scale=SCALE, benchmarks=BENCHMARKS
+        )
+        dupes = [p for p in outcome.pruned if p.reason == "duplicate"]
+        assert len(dupes) == len(points)
+        assert len(outcome.results) == len(points)
+        for pruned in dupes:
+            assert "identical machine and speculation config" in pruned.detail
+        # The surviving first copies report exactly what a clean sweep does.
+        assert [r.to_json() for r in outcome.results] == [
+            r.to_json() for r in results
+        ]
+
+    def test_evaluation_errors_prune_not_raise(self, sweep):
+        """A point whose simulation raises (fatally small CCB) becomes a
+        pruned row with the exception, not an aborted sweep."""
+        space, _ = sweep
+        doomed = DesignSpace(
+            base=PLAYDOH_4W_SPEC,
+            axes=(Axis.parse("ccb_capacity=1"), Axis.parse("threshold=0.5")),
+        )
+        points = list(doomed.grid()) + list(space.grid())
+        outcome = explore(points, scale=SCALE, benchmarks=BENCHMARKS)
+        errors = [p for p in outcome.pruned if p.reason == "error"]
+        assert len(errors) == 1
+        assert errors[0].detail.startswith("CCBFull: ")
+        # The healthy points still simulated.
+        assert len(outcome.results) == len(space.grid())
+
+    def test_every_point_is_result_or_pruned(self, sweep):
+        space, _ = sweep
+        doomed = DesignSpace(
+            base=PLAYDOH_4W_SPEC, axes=(Axis.parse("ccb_capacity=1"),)
+        )
+        points = list(doomed.grid()) + list(space.grid()) * 2
+        outcome = explore(points, scale=SCALE, benchmarks=BENCHMARKS)
+        assert len(outcome.results) + len(outcome.pruned) == len(points)
+        assert {r.label for r in outcome.results} | {
+            p.label for p in outcome.pruned
+        } == {p.label for p in points}
 
 
 class TestReport:
@@ -149,6 +195,60 @@ class TestReport:
         b = dump_report(report_payload(space, results, SCALE, BENCHMARKS))
         assert a == b
         json.loads(a)  # valid JSON
+
+    def test_dump_with_pruned_rows_is_deterministic(self, sweep):
+        space, results = sweep
+        pruned = (PrunedPoint("x", "duplicate", "identical to 'y'"),)
+        a = dump_report(
+            report_payload(space, results, SCALE, BENCHMARKS, pruned=pruned)
+        )
+        b = dump_report(
+            report_payload(space, results, SCALE, BENCHMARKS, pruned=pruned)
+        )
+        assert a == b
+        assert json.loads(a)["pruned"] == [
+            {"label": "x", "reason": "duplicate", "detail": "identical to 'y'"}
+        ]
+
+    def test_payload_always_writes_null_surrogate(self, sweep):
+        # Schema 3 keeps its ``surrogate`` key so sweep artifacts stay
+        # byte-identical; nothing fills it any more.
+        space, results = sweep
+        payload = report_payload(space, results, SCALE, BENCHMARKS)
+        assert payload["schema"] == 3
+        assert payload["surrogate"] is None
+
+    def test_v2_artifacts_still_load(self, sweep):
+        space, results = sweep
+        payload = report_payload(space, results, SCALE, BENCHMARKS)
+        payload["schema"] = 2
+        del payload["pruned"]
+        del payload["surrogate"]
+        loaded = load_report(dump_report(payload))
+        assert loaded["pruned"] == []
+        assert loaded["surrogate"] is None
+
+    def test_v3_report_with_surrogate_section_still_loads(self, sweep):
+        space, results = sweep
+        payload = report_payload(space, results, SCALE, BENCHMARKS)
+        payload["pruned"] = [
+            {
+                "label": "issue_width=2/threshold=0.5",
+                "reason": "surrogate",
+                "detail": "estimated speedup ranked below the keep set",
+                "estimated_speedup": 1.01,
+            }
+        ]
+        payload["surrogate"] = {
+            "bound": 0.05,
+            "max_rel_error": 0.01,
+            "mean_rel_error": 0.005,
+            "within_bound": True,
+            "entries": [],
+        }
+        loaded = load_report(dump_report(payload))
+        assert loaded == payload
+        assert loaded["surrogate"]["within_bound"] is True
 
     def test_load_rejects_unknown_schema(self):
         with pytest.raises(ValueError, match="schema"):
@@ -186,11 +286,7 @@ class TestCli:
         stdout = capsys.readouterr().out
         assert "Pareto" in stdout
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    @pytest.mark.parametrize("surrogate", [False, True])
-    def test_failing_point_is_pruned_not_fatal(
-        self, tmp_path, capsys, jobs, surrogate
-    ):
+    def test_failing_point_is_pruned_not_fatal(self, tmp_path, capsys):
         from repro.explore.cli import main
         from repro.runner import read_events
 
@@ -199,28 +295,52 @@ class TestCli:
             "--axis", "ccb_capacity=1,64",
             "--scale", str(SCALE),
             "--benchmarks", "compress",
-            "--jobs", jobs,
             "--no-cache",
             "--events", str(events),
             "--out", str(out),
         ]
-        assert main(argv + (["--surrogate"] if surrogate else [])) == 0
+        assert main(argv) == 0
         payload = load_report(out.read_text(encoding="utf-8"))
         assert [p["label"] for p in payload["points"]] == ["ccb_capacity=64"]
         (bad,) = payload["pruned"]
         assert (bad["label"], bad["reason"]) == ("ccb_capacity=1", "error")
         assert bad["detail"].startswith("CCBFull: ")
         assert "pruned [error] ccb_capacity=1" in capsys.readouterr().err
-        # The deterministic compile error runs once and is never retried.
+        # The deterministic compile error runs once.
         log = read_events(str(events))
-        assert [e["event"] for e in log].count("job_retry") == 0
         (failed,) = [e for e in log if e["event"] == "job_failed"]
-        assert failed["attempts"] == 1
         starts = [
             e for e in log
             if e["event"] == "job_start" and e["key"] == failed["key"]
         ]
         assert len(starts) == 1
+
+    def test_jobs_1_is_accepted_and_changes_nothing(self, tmp_path):
+        from repro.explore.cli import main
+
+        argv = [
+            "--axis", "threshold=0.5,0.8",
+            "--scale", str(SCALE),
+            "--benchmarks", "compress",
+            "--no-cache",
+        ]
+        main(argv + ["--out", str(tmp_path / "a.json")])
+        assert main(argv + ["--jobs", "1", "--out", str(tmp_path / "b.json")]) == 0
+        assert (tmp_path / "a.json").read_bytes() == (
+            tmp_path / "b.json"
+        ).read_bytes()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--jobs", "2"], ["-j", "0"], ["--surrogate"], ["--surrogate-keep", "3"]],
+    )
+    def test_removed_flags_are_usage_errors(self, flags, capsys):
+        from repro.explore.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--axis", "threshold=0.5"] + flags)
+        assert excinfo.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
     def test_unknown_axis_is_a_clean_error(self, capsys):
         from repro.explore.cli import main

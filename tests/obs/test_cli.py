@@ -79,10 +79,9 @@ class TestRunnerEvents:
         events_path = tmp_path / "run.jsonl"
         records = [
             {"ts": 0.0, "run_id": "r1", "event": "job_start", "job": "profile:li",
-             "stage": "profile", "key": "k", "attempt": 1},
+             "stage": "profile", "key": "k"},
             {"ts": 0.5, "run_id": "r1", "event": "job_finish", "job": "profile:li",
-             "stage": "profile", "key": "k", "cached": False, "wall_time": 0.5,
-             "attempt": 1},
+             "stage": "profile", "key": "k", "cached": False, "wall_time": 0.5},
         ]
         events_path.write_text(
             "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8"

@@ -70,19 +70,19 @@ class TestBlockRunEvents:
 class TestRunnerSpanEvents:
     def _stream(self):
         return [
-            {"ts": 0.0, "event": "run_start", "total_jobs": 2, "jobs": 1},
+            {"ts": 0.0, "event": "run_start", "total_jobs": 2},
             {"ts": 0.1, "event": "job_start", "job": "profile:li",
-             "stage": "profile", "key": "k1", "attempt": 1},
+             "stage": "profile", "key": "k1"},
             {"ts": 0.6, "event": "job_finish", "job": "profile:li",
              "stage": "profile", "key": "k1", "cached": False,
-             "wall_time": 0.5, "attempt": 1},
+             "wall_time": 0.5},
             {"ts": 0.7, "event": "job_finish", "job": "simulate:li",
              "stage": "simulate", "key": "k2", "cached": True,
-             "wall_time": 0.0, "attempt": 1},
+             "wall_time": 0.0},
             {"ts": 0.8, "event": "job_failed", "job": "simulate:x",
-             "stage": "simulate", "key": "k3", "attempts": 3, "error": "boom"},
+             "stage": "simulate", "key": "k3", "error": "boom"},
             {"ts": 0.9, "event": "run_finish", "executed": 1, "cache_hits": 1,
-             "retries": 0, "failures": 1, "wall_time": 0.9,
+             "cache_misses": 1, "failures": 1, "wall_time": 0.9,
              "executed_by_stage": {"profile": 1}},
         ]
 

@@ -16,10 +16,10 @@ class TestEventLogFile:
     def test_rerun_truncates_previous_records(self, tmp_path):
         path = str(tmp_path / "events.jsonl")
         with EventLog(path=path) as log:
-            log.emit("run_start", total_jobs=1, jobs=1)
+            log.emit("run_start", total_jobs=1)
             log.emit("run_finish", executed=1)
         with EventLog(path=path) as log:
-            log.emit("run_start", total_jobs=2, jobs=1)
+            log.emit("run_start", total_jobs=2)
         records = read_events(path)
         # Only the second run's single record survives — no interleaving.
         assert len(records) == 1
@@ -28,9 +28,9 @@ class TestEventLogFile:
     def test_every_record_carries_the_run_id(self, tmp_path):
         path = str(tmp_path / "events.jsonl")
         with EventLog(path=path) as log:
-            log.emit("run_start", total_jobs=1, jobs=1)
+            log.emit("run_start", total_jobs=1)
             log.emit("job_finish", job="a", stage="s", key="k", cached=False,
-                     wall_time=0.1, attempt=1)
+                     wall_time=0.1)
             rid = log.run_id
         assert {e["run_id"] for e in read_events(path)} == {rid}
 
@@ -102,25 +102,21 @@ class TestExecutedJobs:
 class TestSummary:
     def test_summary_counts(self):
         log = EventLog()
-        log.emit("run_start", total_jobs=4, jobs=1)
+        log.emit("run_start", total_jobs=4)
         log.emit("cache_hit", job="a", stage="profile", key="k1")
         log.emit("cache_miss", job="b", stage="profile", key="k2")
         log.emit("job_finish", job="a", stage="profile", key="k1", cached=True,
-                 wall_time=0.0, attempt=1)
+                 wall_time=0.0)
         log.emit("job_finish", job="b", stage="profile", key="k2", cached=False,
-                 wall_time=0.2, attempt=1)
+                 wall_time=0.2)
         log.emit("job_finish", job="c", stage="simulate", key="k3", cached=False,
-                 wall_time=0.3, attempt=2)
-        log.emit("job_retry", job="c", stage="simulate", key="k3", attempt=1,
-                 error="x", backoff=0.1)
-        log.emit("job_failed", job="d", stage="simulate", key="k4", attempts=3,
-                 error="y")
+                 wall_time=0.3)
+        log.emit("job_failed", job="d", stage="simulate", key="k4", error="y")
         assert log.summary() == {
             "executed": 2,
             "executed_by_stage": {"profile": 1, "simulate": 1},
             "cache_hits": 1,
             "cache_misses": 1,
-            "retries": 1,
             "failures": 1,
         }
 
@@ -142,21 +138,20 @@ class TestProgressRenderer:
     def test_job_failed_rendered(self):
         text = self._render(
             ("job_failed", dict(job="simulate:li", stage="simulate", key="k",
-                                attempts=3, error="worker died")),
+                                error="ValueError('boom')")),
         )
-        assert "FAILED" in text
-        assert "simulate:li" in text
-        assert "3 attempt(s)" in text
-        assert "worker died" in text
+        assert "FAILED  simulate:li: ValueError('boom')" in text
 
     def test_progress_counts(self):
         text = self._render(
-            ("run_start", dict(total_jobs=2, jobs=1)),
+            ("run_start", dict(total_jobs=2)),
             ("job_finish", dict(job="a", stage="s", key="k", cached=True,
-                                wall_time=0.0, attempt=1)),
+                                wall_time=0.0)),
             ("job_finish", dict(job="b", stage="s", key="k", cached=False,
-                                wall_time=0.25, attempt=1)),
+                                wall_time=0.25)),
         )
+        assert "runner: 2 jobs\n" in text
+        assert "worker" not in text
         assert "[1/2] a (cached)" in text
         assert "[2/2] b (0.25s)" in text
 
@@ -164,10 +159,9 @@ class TestProgressRenderer:
 class TestChromeTrace:
     def test_event_log_exports_spans(self):
         log = EventLog()
-        log.emit("job_start", job="profile:li", stage="profile", key="k",
-                 attempt=1)
+        log.emit("job_start", job="profile:li", stage="profile", key="k")
         log.emit("job_finish", job="profile:li", stage="profile", key="k",
-                 cached=False, wall_time=0.1, attempt=1)
+                 cached=False, wall_time=0.1)
         payload = log.chrome_trace()
         assert any(
             e.get("name") == "profile:li" and e.get("ph") == "X"

@@ -208,18 +208,17 @@ class TestOperationIdAdoption:
         scale = 0.15
         big, small = "li", "hydro2d"  # most / fewest static operations
         cache_root = tmp_path / "cache"
-        with Runner(jobs=1, cache=DiskCache(root=cache_root)) as warmup:
-            warmup.run_job(profile_job(big, scale=scale))
+        Runner(cache=DiskCache(root=cache_root)).run_job(
+            profile_job(big, scale=scale)
+        )
 
-        with Runner(jobs=1, cache=DiskCache(root=cache_root)) as runner:
-            # In-process build of the small benchmark resets the op-id
-            # counter to just past its (few) operations...
-            runner.run_job(build_job(small, scale=scale))
-            # ...and the big benchmark's compile must still be safe even
-            # though its program arrives from the cache with higher ids.
-            compilation = runner.run_job(
-                compile_job(big, PLAYDOH_8W, scale=scale)
-            )
+        runner = Runner(cache=DiskCache(root=cache_root))
+        # In-process build of the small benchmark resets the op-id
+        # counter to just past its (few) operations...
+        runner.run_job(build_job(small, scale=scale))
+        # ...and the big benchmark's compile must still be safe even
+        # though its program arrives from the cache with higher ids.
+        compilation = runner.run_job(compile_job(big, PLAYDOH_8W, scale=scale))
         program_ids = {
             op.op_id
             for function in compilation.program

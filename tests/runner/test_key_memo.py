@@ -68,7 +68,7 @@ class TestKeyMemo:
 
 class TestCachedPayloads:
     def test_compilation_pickles_the_same_with_or_without_a_fingerprint(self):
-        runner = Runner(jobs=1, cache=DiskCache(enabled=False))
+        runner = Runner(cache=DiskCache(enabled=False))
         compilation = runner.run_job(compile_job("li", PLAYDOH_4W, scale=0.1))
         plain = pickle.loads(pickle.dumps(compilation))
         fingerprinted = pickle.loads(pickle.dumps(compilation))
@@ -95,7 +95,7 @@ class TestHashCount:
         jobs = pipeline_jobs(
             ["li", "compress"], [PLAYDOH_4W, PLAYDOH_8W], scale=0.1
         )
-        Runner(jobs=1, cache=DiskCache(enabled=False)).run(jobs)
+        Runner(cache=DiskCache(enabled=False)).run(jobs)
         hashed = len(digests)
         distinct = len(JobGraph(jobs))
         assert distinct == 14

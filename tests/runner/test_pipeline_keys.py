@@ -98,13 +98,10 @@ class TestEndToEnd:
         label = self._loop_label(load_benchmark("li", scale=0.25))
         pipeline = standard_pipeline(unroll=(label, 2))
 
-        runner = Runner(jobs=1, cache=DiskCache(enabled=False))
-        try:
-            via_runner = runner.run_job(
-                compile_job("li", PLAYDOH_4W, scale=0.25, pipeline=pipeline)
-            )
-        finally:
-            runner.close()
+        runner = Runner(cache=DiskCache(enabled=False))
+        via_runner = runner.run_job(
+            compile_job("li", PLAYDOH_4W, scale=0.25, pipeline=pipeline)
+        )
 
         reset_operation_ids()
         manager = PassManager(pipeline)

@@ -71,8 +71,8 @@ class TestTraceExecution:
         assert len(by_stage["trace"]) == 1
         assert len(by_stage["simulate"]) == 4
 
-        with Runner(jobs=1, cache=DiskCache(root=tmp_path / "cache")) as runner:
-            results = runner.run(graph.jobs)
+        runner = Runner(cache=DiskCache(root=tmp_path / "cache"))
+        results = runner.run(graph.jobs)
         trace_job_ = by_stage["trace"][0]
         trace = results[trace_job_.key()]
         assert isinstance(trace, ValueTrace)
@@ -83,10 +83,10 @@ class TestTraceExecution:
         """Simulation through the runner (trace-replayed, disk-cached)
         equals direct live simulation with tracing disabled."""
         settings = EvaluationSettings(scale=0.2).with_benchmarks(["swim"])
-        with Runner(jobs=1, cache=DiskCache(root=tmp_path / "cache")) as runner:
-            via_runner = Evaluation(settings, runner=runner).simulation(
-                "swim", PLAYDOH_4W
-            )
+        runner = Runner(cache=DiskCache(root=tmp_path / "cache"))
+        via_runner = Evaluation(settings, runner=runner).simulation(
+            "swim", PLAYDOH_4W
+        )
         monkeypatch.setattr(Evaluation, "_trace_of", lambda self, p: None)
         direct = Evaluation(settings).simulation("swim", PLAYDOH_4W)
         assert dataclasses.asdict(via_runner) == dataclasses.asdict(direct)
@@ -95,10 +95,8 @@ class TestTraceExecution:
         cache_root = tmp_path / "cache"
         settings = EvaluationSettings(scale=0.2).with_benchmarks(["li"])
         for _ in range(2):
-            with Runner(jobs=1, cache=DiskCache(root=cache_root)) as runner:
-                Evaluation(settings, runner=runner).simulation(
-                    "li", PLAYDOH_4W
-                )
+            runner = Runner(cache=DiskCache(root=cache_root))
+            Evaluation(settings, runner=runner).simulation("li", PLAYDOH_4W)
         stats = DiskCache(root=cache_root).stats()
         assert stats.by_stage.get("trace") == 1
         assert stats.bytes_by_stage.get("trace", 0) > 0

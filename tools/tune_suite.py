@@ -1,10 +1,9 @@
 """Developer harness: per-benchmark metrics at both widths.
 
 Runs through :mod:`repro.runner`, so repeated invocations while tuning a
-single benchmark serve the untouched stages from the disk cache and
-``--jobs N`` spreads cold pipelines over worker processes.
+single benchmark serve the untouched stages from the disk cache.
 
-Run:  python tools/tune_suite.py [bench ...] [--jobs N] [--scale S]
+Run:  python tools/tune_suite.py [bench ...] [--scale S]
                                  [--cache-dir DIR | --no-cache]
 """
 
@@ -30,41 +29,34 @@ TARGETS = {
 
 
 def main(names, scale=1.0, runner=None):
-    owns_runner = runner is None
-    if owns_runner:
-        runner = Runner(jobs=1)
+    if runner is None:
+        runner = Runner()
     t0 = time.time()
     print(f"{'bench':9s} | target tf/len | 4w: tf_ac len_b len_w np | 8w: tf_ac len_b len_w np | acc")
-    try:
-        for name in names:
-            t_tf, t_len = TARGETS[name]
-            row = f"{name:9s} |  {t_tf:.2f} {t_len:.2f}   |"
-            acc = 0.0
-            for m in (PLAYDOH_4W, PLAYDOH_8W):
-                comp = runner.run_job(compile_job(name, m, scale=scale))
-                res = runner.run_job(simulate_job(name, m, scale=scale))
-                npred = sum(
-                    len(comp.block(l).predicted_load_ids)
-                    for l in comp.speculated_labels
-                )
-                row += (
-                    f"  {res.time_fraction(OutcomeClass.ALL_CORRECT):.2f}"
-                    f" {comp.weighted_length_fraction(True):.2f}"
-                    f" {comp.weighted_length_fraction(False):.2f} {npred} |"
-                )
-                acc = res.prediction_accuracy
-            print(row + f" {acc:.2f}")
-    finally:
-        if owns_runner:
-            runner.close()
+    for name in names:
+        t_tf, t_len = TARGETS[name]
+        row = f"{name:9s} |  {t_tf:.2f} {t_len:.2f}   |"
+        acc = 0.0
+        for m in (PLAYDOH_4W, PLAYDOH_8W):
+            comp = runner.run_job(compile_job(name, m, scale=scale))
+            res = runner.run_job(simulate_job(name, m, scale=scale))
+            npred = sum(
+                len(comp.block(l).predicted_load_ids)
+                for l in comp.speculated_labels
+            )
+            row += (
+                f"  {res.time_fraction(OutcomeClass.ALL_CORRECT):.2f}"
+                f" {comp.weighted_length_fraction(True):.2f}"
+                f" {comp.weighted_length_fraction(False):.2f} {npred} |"
+            )
+            acc = res.prediction_accuracy
+        print(row + f" {acc:.2f}")
     print(f"[{time.time()-t0:.1f}s]")
 
 
 def _parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("benchmarks", nargs="*", default=list(BENCHMARKS))
-    parser.add_argument("--jobs", "-j", type=int, default=1,
-                        help="worker processes (0 = one per CPU)")
     parser.add_argument("--scale", type=float, default=1.0)
     parser.add_argument("--cache-dir", default=None)
     parser.add_argument("--no-cache", action="store_true")
@@ -74,5 +66,4 @@ def _parse_args(argv=None):
 if __name__ == "__main__":
     args = _parse_args()
     cache = DiskCache(root=args.cache_dir, enabled=not args.no_cache)
-    with Runner(jobs=args.jobs, cache=cache) as job_runner:
-        main(args.benchmarks, scale=args.scale, runner=job_runner)
+    main(args.benchmarks, scale=args.scale, runner=Runner(cache=cache))
