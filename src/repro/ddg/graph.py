@@ -39,6 +39,11 @@ class DepEdge:
     kind: DepKind
     weight: int
 
+    def __reduce__(self):
+        # Pickle by constructor, not the generated per-object __setstate__
+        # (docs/RUNNER.md, "Payload codec").
+        return (DepEdge, (self.src, self.dst, self.kind, self.weight))
+
     def __str__(self) -> str:
         return f"op{self.src} -[{self.kind.value}/{self.weight}]-> op{self.dst}"
 

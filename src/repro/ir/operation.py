@@ -26,6 +26,11 @@ class Reg:
 
     name: str
 
+    def __reduce__(self):
+        # Pickle by constructor, not the generated per-object __setstate__
+        # (docs/RUNNER.md, "Payload codec").
+        return (Reg, (self.name,))
+
     def __str__(self) -> str:
         return self.name
 
@@ -35,6 +40,9 @@ class Imm:
     """An immediate (literal) operand."""
 
     value: Union[int, float]
+
+    def __reduce__(self):
+        return (Imm, (self.value,))
 
     def __str__(self) -> str:
         return f"#{self.value}"

@@ -250,21 +250,24 @@ class DiskCache:
         return stats
 
     def clear(self) -> int:
-        """Delete every entry of the current format version; return the count."""
+        """Delete every entry of the current format version; return the count.
+
+        Leftovers that are not entries go too, uncounted: a killed
+        writer's ``<key>.pkl….tmp`` and a sidecar whose payload is gone.
+        Either would otherwise keep its shard directory alive.
+        """
         removed = 0
         if not self.store.is_dir():
             return removed
-        for pkl in self.store.glob("*/*.pkl"):
+        for path in self.store.glob("*/*"):
+            if path.suffix not in (".pkl", ".json", ".tmp"):
+                continue
             try:
-                pkl.unlink()
+                path.unlink()
+            except OSError:
+                continue
+            if path.suffix == ".pkl":
                 removed += 1
-            except OSError:
-                pass
-            sidecar = pkl.with_suffix(".json")
-            try:
-                sidecar.unlink()
-            except OSError:
-                pass
         for shard in self.store.glob("*"):
             try:
                 shard.rmdir()

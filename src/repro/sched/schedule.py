@@ -24,6 +24,11 @@ class ScheduledOp:
     cycle: int
     latency: int
 
+    def __reduce__(self):
+        # Pickle by constructor, not the generated per-object __setstate__
+        # (docs/RUNNER.md, "Payload codec").
+        return (ScheduledOp, (self.operation, self.cycle, self.latency))
+
     @property
     def completion(self) -> int:
         """First cycle at which the result is available to consumers."""
@@ -39,6 +44,9 @@ class VLIWInstruction:
 
     cycle: int
     slots: tuple[ScheduledOp, ...]
+
+    def __reduce__(self):
+        return (VLIWInstruction, (self.cycle, self.slots))
 
     def __iter__(self) -> Iterator[ScheduledOp]:
         return iter(self.slots)

@@ -1,0 +1,154 @@
+"""The cache's payload codec and the frozen slotted value classes.
+
+CPython gives a ``@dataclass(frozen=True, slots=True)`` class a
+generated ``__setstate__`` that calls ``dataclasses.fields()`` for every
+object it unpickles.  Each such class in ``repro`` pickles by constructor
+instead (``__reduce__``), which these tests hold for every class found,
+so a new one is covered without being listed here first.  Payloads
+written by the old codec must still decode, and a payload whose
+constructor arguments no longer fit must be a cache miss.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import copy
+import dataclasses
+import importlib
+import inspect
+import io
+import pickle
+import pkgutil
+
+import pytest
+
+import repro
+from repro.ddg.graph import DepEdge, DepKind
+from repro.ir.opcodes import Opcode
+from repro.ir.operation import Imm, Operation, Reg
+from repro.runner import DiskCache
+from repro.sched.schedule import ScheduledOp, VLIWInstruction
+
+
+def _frozen_slotted_classes():
+    found = set()
+    for module_info in pkgutil.walk_packages(repro.__path__, "repro."):
+        module = importlib.import_module(module_info.name)
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if (
+                dataclasses.is_dataclass(cls)
+                and cls.__dataclass_params__.frozen
+                and "__slots__" in cls.__dict__
+            ):
+                found.add(cls)
+    return sorted(found, key=lambda cls: f"{cls.__module__}.{cls.__qualname__}")
+
+
+FROZEN_SLOTTED = _frozen_slotted_classes()
+
+_LOAD = Operation(Opcode.LOAD, dest=Reg("r2"), srcs=(Reg("r1"),), offset=8)
+_ADD = Operation(Opcode.ADD, dest=Reg("r3"), srcs=(Reg("r2"), Imm(-1)))
+_PLACED = ScheduledOp(_LOAD, 3, 2)
+
+#: One instance per class, every field away from any default.
+SAMPLES = {
+    Reg: Reg("f7"),
+    Imm: Imm(2.5),
+    DepEdge: DepEdge(4, 9, DepKind.MEM, 3),
+    ScheduledOp: _PLACED,
+    VLIWInstruction: VLIWInstruction(5, (ScheduledOp(_ADD, 5, 1), _PLACED)),
+}
+
+
+def _assert_same(back, sample) -> None:
+    assert type(back) is type(sample)
+    # Field by field: an Operation compares by identity, so a copy of a
+    # class that holds one is never == the original.
+    assert dataclasses.astuple(back) == dataclasses.astuple(sample)
+    if not isinstance(sample, (ScheduledOp, VLIWInstruction)):
+        assert back == sample
+        assert hash(back) == hash(sample)
+
+
+@pytest.fixture
+def no_setstate(monkeypatch):
+    """Make every generated per-object ``__setstate__`` raise."""
+
+    def refuse(self, state):
+        raise AssertionError(f"{type(self).__name__} decoded through __setstate__")
+
+    for cls in FROZEN_SLOTTED:
+        monkeypatch.setattr(cls, "__setstate__", refuse)
+
+
+@pytest.fixture(scope="module")
+def small_cache(tmp_path_factory):
+    """A cache filled by ``repro-eval all --scale 0.1``."""
+    from repro.evaluation.__main__ import main
+
+    root = tmp_path_factory.mktemp("codec") / "cache"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["all", "--scale", "0.1", "--json", "--cache-dir", str(root)]) == 0
+    cache = DiskCache(root=root)
+    payloads = sorted(cache.store.glob("*/*.pkl"))
+    assert payloads
+    return cache, payloads
+
+
+def test_every_class_has_a_sample():
+    missing = [cls.__qualname__ for cls in FROZEN_SLOTTED if cls not in SAMPLES]
+    assert not missing, f"add a sample of each to SAMPLES: {missing}"
+    assert set(SAMPLES) <= set(FROZEN_SLOTTED)
+
+
+@pytest.mark.parametrize("cls", FROZEN_SLOTTED, ids=lambda cls: cls.__qualname__)
+class TestEveryFrozenSlottedClass:
+    @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickles_by_constructor(self, cls, protocol, no_setstate):
+        sample = SAMPLES[cls]
+        _assert_same(pickle.loads(pickle.dumps(sample, protocol=protocol)), sample)
+
+    def test_deepcopy(self, cls):
+        sample = SAMPLES[cls]
+        _assert_same(copy.deepcopy(sample), sample)
+
+
+def test_cached_payloads_decode_without_setstate(small_cache, no_setstate):
+    cache, payloads = small_cache
+    for path in payloads:
+        cache.decode(path.read_bytes())
+
+
+class TestCompatibility:
+    def test_payloads_of_the_old_codec_decode_to_equal_values(
+        self, small_cache, monkeypatch
+    ):
+        cache, payloads = small_cache
+        current = [path.read_bytes() for path in payloads]
+        values = [cache.decode(payload) for payload in current]
+        with monkeypatch.context() as old_codec:
+            for cls in SAMPLES:
+                old_codec.delattr(cls, "__reduce__")
+            old = [cache.encode(value) for value in values]
+        assert old != current
+        # Values holding Operations only compare by identity, so compare
+        # what the current codec makes of each decoded value instead.
+        for old_payload, payload in zip(old, current):
+            assert cache.encode(cache.decode(old_payload)) == payload
+
+    @pytest.mark.parametrize(
+        "stale",
+        [(Reg, ("r1", "r2")), (DepEdge, (4, 9, DepKind.MEM))],
+        ids=["extra-argument", "missing-argument"],
+    )
+    def test_mismatched_constructor_arguments_are_a_miss(self, tmp_path, stale):
+        class Stale:
+            def __reduce__(self):
+                return stale
+
+        cache = DiskCache(root=tmp_path)
+        key = "ab" * 32
+        cache.put(key, [Stale()])
+        assert cache.get(key) == (False, None)
+        assert cache.misses == 1
+        assert not cache._paths(key)[0].exists()

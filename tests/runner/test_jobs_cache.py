@@ -166,6 +166,20 @@ class TestDiskCache:
         assert cache.clear() == 2
         assert cache.stats().entries == 0
 
+    def test_clear_removes_leftovers_without_counting_them(self, tmp_path):
+        cache = DiskCache(root=tmp_path)
+        cache.put("11" * 32, "a", manifest={"stage": "profile"})
+        # A writer killed between mkstemp and os.replace leaves its
+        # temporary file; an entry whose payload went leaves its sidecar.
+        stray = cache.store / "22" / f"{'22' * 32}.pkl7f3a_x.tmp"
+        stray.parent.mkdir(parents=True)
+        stray.write_bytes(b"partial")
+        orphan = cache._paths("33" * 32)[1]
+        orphan.parent.mkdir(parents=True)
+        orphan.write_text("{}\n")
+        assert cache.clear() == 1
+        assert list(cache.store.iterdir()) == []
+
 
 class TestOperationIdAdoption:
     """A cached program's op ids must survive in-process stage interleaving.
