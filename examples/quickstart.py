@@ -21,6 +21,7 @@ from repro.compiler import compile_program
 from repro.core import OutcomeClass, simulate_program
 from repro.machine import PLAYDOH_4W
 from repro.profiling import profile_program
+from repro.trace import capture_trace
 from repro.workloads import benchmark_names, load_benchmark
 
 
@@ -32,8 +33,9 @@ def main() -> None:
     print(f"=== {name} on {PLAYDOH_4W} ===\n")
 
     program = load_benchmark(name)
-    profile = profile_program(program)
-    print(f"profiled {profile.execution.dynamic_operations} dynamic operations, "
+    trace = capture_trace(program)
+    profile = profile_program(program, trace=trace)
+    print(f"profiled {trace.dynamic_operations} dynamic operations, "
           f"{profile.blocks.total} dynamic blocks")
     for op_id, stats in sorted(profile.values.loads.items()):
         print(f"  load op{op_id}: {stats.executions} executions, "

@@ -166,5 +166,4 @@ def batch_profile(
         program_name=program.name,
         blocks=BlockProfile(block_counts),
         values=ValueProfile(value_stats),
-        execution=trace.to_execution_result(),
     )

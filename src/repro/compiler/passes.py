@@ -236,6 +236,15 @@ def _pass_schedule_speculative(state: CompileState) -> bool:
         compilation.spec_schedule = compile_cache.speculative_schedule(
             spec, state.machine, compilation.original_length
         )
+        # Static lengths for Tables 3/4 and Figure 8.  Outcome
+        # validation seeded both pattern runs, so these are memo reads.
+        n = len(spec.ldpred_ids)
+        compilation.best_length = compile_cache.pattern_run(
+            compilation.spec_schedule, (True,) * n
+        ).effective_length
+        compilation.worst_length = compile_cache.pattern_run(
+            compilation.spec_schedule, (False,) * n
+        ).effective_length
     return bool(state.specs)
 
 

@@ -62,6 +62,10 @@ class BlockCompilation:
     original_length: int
     spec_schedule: Optional[SpeculativeSchedule] = None
     baseline: Optional[BaselineBlock] = None
+    #: Effective length with every prediction correct / incorrect, set
+    #: with ``spec_schedule`` by the ``schedule-speculative`` pass.
+    best_length: Optional[int] = None
+    worst_length: Optional[int] = None
     _pattern_cache: Dict[Tuple[bool, ...], BlockRun] = field(default_factory=dict)
     _metrics_cache: Dict[Tuple[bool, ...], MetricsSnapshot] = field(
         default_factory=dict
@@ -197,8 +201,7 @@ class ProgramCompilation:
             weight = self.profile.blocks.count(label)
             if weight == 0:
                 continue
-            run = comp.best_case() if best else comp.worst_case()
-            num += weight * run.effective_length
+            num += weight * (comp.best_length if best else comp.worst_length)
             den += weight * comp.original_length
         return num / den if den else 1.0
 

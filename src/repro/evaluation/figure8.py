@@ -56,10 +56,7 @@ def compute(evaluation: Evaluation) -> List[Figure8Row]:
             if weight == 0:
                 continue
             if block_comp.speculated:
-                delta = (
-                    block_comp.original_length
-                    - block_comp.best_case().effective_length
-                )
+                delta = block_comp.original_length - block_comp.best_length
             else:
                 delta = 0
             counts[bucket_of(delta)] += weight

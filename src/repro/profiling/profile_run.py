@@ -13,18 +13,21 @@ from dataclasses import dataclass
 
 from repro.ir.program import Program
 from repro.profiling.block_profile import BlockFrequencyProfiler, BlockProfile
-from repro.profiling.interpreter import ExecutionResult, Interpreter
+from repro.profiling.interpreter import Interpreter
 from repro.profiling.value_profile import ValueProfile, ValueProfiler
 
 
 @dataclass(frozen=True)
 class ProfileData:
-    """Everything the compiler learns from a profiling run."""
+    """Everything the compiler learns from a profiling run.
+
+    The run's final registers and memory are not kept here: the
+    :class:`~repro.trace.ValueTrace` of the same run already holds them.
+    """
 
     program_name: str
     blocks: BlockProfile
     values: ValueProfile
-    execution: ExecutionResult
 
 
 def profile_program(
@@ -72,16 +75,15 @@ def profile_program(
     if trace is not None:
         from repro.trace.replay import replay_trace
 
-        result = replay_trace(
+        replay_trace(
             trace, program, observers=observers, max_operations=max_operations
         )
     else:
-        result = Interpreter(max_operations=max_operations).run(
+        Interpreter(max_operations=max_operations).run(
             program, observers=observers
         )
     return ProfileData(
         program_name=program.name,
         blocks=block_profiler.profile(),
         values=value_profiler.profile(),
-        execution=result,
     )

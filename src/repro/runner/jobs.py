@@ -73,7 +73,10 @@ from repro.machine.description import MachineDescription
 #: 2026.10.1: icache simulations fold their counts like every other run,
 #: so their metrics histograms pool per-pattern samples frequency-weighted
 #: instead of once per dynamic instance.
-CODE_VERSION = "2026.10.1"
+#: 2026.10.2: profiles no longer carry the run's final state (the trace
+#: holds it) and block compilations carry their best/worst effective
+#: lengths; an older compile entry would decode without them.
+CODE_VERSION = "2026.10.2"
 
 #: The built-in pipeline stages, in dependency order.
 PIPELINE_STAGES = (

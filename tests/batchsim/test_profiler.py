@@ -84,9 +84,6 @@ def assert_profiles_identical(a, b):
         assert dataclasses.asdict(a.values.loads[op_id]) == dataclasses.asdict(
             b.values.loads[op_id]
         )
-    ea, eb = a.execution, b.execution
-    assert ea.dynamic_operations == eb.dynamic_operations
-    assert ea.dynamic_blocks == eb.dynamic_blocks
 
 
 @pytest.mark.parametrize("workload", sorted(SUITE))

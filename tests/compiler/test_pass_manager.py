@@ -28,6 +28,7 @@ from repro.opt.passes import function_shape
 from repro.profiling.profile_run import profile_program
 from repro.sched.list_scheduler import ListScheduler
 from repro.core.baseline import build_baseline_block
+from repro.core.machine_sim import simulate_best_case, simulate_worst_case
 from repro.core.metrics import BlockCompilation, ProgramCompilation
 from repro.core.specsched import schedule_speculative
 from repro.core.speculation import SpeculationConfig, speculate_block
@@ -71,6 +72,12 @@ def legacy_compile(program, machine, profile, config=None):
             compilation.spec_schedule = schedule_speculative(
                 spec, machine, original_length=original_length
             )
+            compilation.best_length = simulate_best_case(
+                compilation.spec_schedule
+            ).effective_length
+            compilation.worst_length = simulate_worst_case(
+                compilation.spec_schedule
+            ).effective_length
             compilation.baseline = build_baseline_block(
                 spec, machine, original_length=original_length
             )

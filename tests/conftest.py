@@ -8,6 +8,19 @@ from repro.ir.builder import FunctionBuilder, ProgramBuilder
 from repro.machine.configs import PLAYDOH_4W, PLAYDOH_8W, UNLIMITED
 
 
+@pytest.fixture(autouse=True, scope="session")
+def _private_result_cache(tmp_path_factory):
+    """Point the default result cache at a fresh directory.
+
+    CLI tests that call ``main()`` without ``--cache-dir`` would
+    otherwise read and fill the user's cache, so their outcome would
+    depend on what earlier runs left there.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("repro-cache")))
+        yield
+
+
 @pytest.fixture(autouse=True)
 def _reset_shared_state():
     """Isolate tests from the process-wide sweep-sharing caches.

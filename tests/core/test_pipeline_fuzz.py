@@ -11,6 +11,7 @@ from repro.core.metrics import OutcomeClass, compile_program
 from repro.core.program_sim import simulate_program
 from repro.ir.verifier import verify_program
 from repro.machine.configs import PLAYDOH_4W, PLAYDOH_8W
+from repro.profiling.interpreter import Interpreter
 from repro.profiling.profile_run import profile_program
 from repro.workloads.synthetic import random_program
 
@@ -21,8 +22,8 @@ SEEDS = list(range(24))
 def test_pipeline_invariants_on_random_program(seed):
     program = random_program(seed)
     verify_program(program)
+    assert Interpreter().run(program).halted
     profile = profile_program(program)
-    assert profile.execution.halted
 
     for machine in (PLAYDOH_4W, PLAYDOH_8W):
         compilation = compile_program(program, machine, profile)

@@ -115,6 +115,6 @@ class TestValueProfile:
         program, _ = self.build_two_load_program()
         data = profile_program(program)
         assert data.program_name == "p"
-        assert data.execution.halted
+        assert run_program(program).halted
         assert data.blocks.count("loop") == 30
         assert len(data.values) == 2

@@ -17,7 +17,9 @@ import dataclasses
 import importlib
 import inspect
 import io
+import json
 import pickle
+import pickletools
 import pkgutil
 
 import pytest
@@ -111,6 +113,35 @@ class TestEveryFrozenSlottedClass:
     def test_deepcopy(self, cls):
         sample = SAMPLES[cls]
         _assert_same(copy.deepcopy(sample), sample)
+
+
+def _referenced_names(payload: bytes) -> set:
+    """Every string a pickle pushes, plus each ``GLOBAL``'s two halves:
+    a class the payload instantiates is named among them."""
+    names = set()
+    for opcode, arg, _ in pickletools.genops(payload):
+        if isinstance(arg, str):
+            names.add(arg)
+            if opcode.name == "GLOBAL":
+                names.update(arg.split(" "))
+    return names
+
+
+def test_profile_and_compile_payloads_carry_no_final_state(small_cache):
+    """The run's final registers and memory live in the trace payload
+    only; a profile or a compilation (which embeds its profile) must not
+    pickle a second copy."""
+    cache, payloads = small_cache
+    seen = {"profile": 0, "compile": 0}
+    for path in payloads:
+        stage = json.loads(path.with_suffix(".json").read_text())["stage"]
+        if stage not in seen:
+            continue
+        seen[stage] += 1
+        names = _referenced_names(path.read_bytes())
+        assert "ProfileData" in names, path.name
+        assert not names & {"ExecutionResult", "Memory"}, (stage, path.name)
+    assert all(seen.values()), seen
 
 
 def test_cached_payloads_decode_without_setstate(small_cache, no_setstate):

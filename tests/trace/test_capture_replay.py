@@ -19,7 +19,7 @@ from repro.core.metrics import compile_program
 from repro.core.program_sim import simulate_program
 from repro.ir.builder import ProgramBuilder
 from repro.machine import PLAYDOH_4W
-from repro.profiling.interpreter import ExecutionLimitExceeded
+from repro.profiling.interpreter import ExecutionLimitExceeded, Interpreter
 from repro.profiling.profile_run import profile_program
 from repro.trace import (
     TraceError,
@@ -42,14 +42,6 @@ def assert_profiles_identical(a, b):
         assert dataclasses.asdict(a.values.loads[op_id]) == dataclasses.asdict(
             b.values.loads[op_id]
         )
-    ea, eb = a.execution, b.execution
-    assert ea.dynamic_operations == eb.dynamic_operations
-    assert ea.dynamic_blocks == eb.dynamic_blocks
-    assert ea.registers == eb.registers
-    assert ea.memory.snapshot() == eb.memory.snapshot()
-    assert ea.loads_executed == eb.loads_executed
-    assert ea.stores_executed == eb.stores_executed
-    assert ea.halted == eb.halted
 
 
 @pytest.mark.parametrize("workload", sorted(SUITE))
@@ -78,6 +70,20 @@ class TestSuiteReplay:
             compilation, collect_metrics=True, trace=TRACES[workload]
         )
         assert dataclasses.asdict(live) == dataclasses.asdict(replayed)
+
+    def test_replayed_final_state_matches_interpreter(self, workload):
+        """Profiles do not carry the run's final state; the trace does,
+        and replaying it must give the interpreter's exact result."""
+        program = SUITE[workload]
+        live = Interpreter().run(program)
+        replayed = replay_trace(TRACES[workload], program)
+        assert replayed.registers == live.registers
+        assert replayed.memory.snapshot() == live.memory.snapshot()
+        assert replayed.dynamic_operations == live.dynamic_operations
+        assert replayed.dynamic_blocks == live.dynamic_blocks
+        assert replayed.loads_executed == live.loads_executed
+        assert replayed.stores_executed == live.stores_executed
+        assert replayed.halted == live.halted
 
     def test_replayed_memory_counters_match_capture(self, workload):
         """Satellite: a replayed run must report the captured run's
