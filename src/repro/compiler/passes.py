@@ -253,10 +253,15 @@ def _pass_baseline(state: CompileState) -> bool:
 
     if state.specs:
         state.require("blocks", "baseline", "schedule-original")
-    for label, spec in state.specs.items():
+    for label in state.specs:
         compilation = state.blocks[label]
+        if compilation.spec_schedule is None:
+            raise PipelineError(
+                "pass 'baseline' needs each speculated block's schedule; "
+                "run 'schedule-speculative' earlier in the pipeline"
+            )
         compilation.baseline = compile_cache.baseline_block(
-            spec, state.machine, compilation.original_length
+            compilation.spec_schedule, state.machine
         )
     return bool(state.specs)
 

@@ -25,7 +25,7 @@ from repro.ir.operation import Operation
 from repro.machine.description import MachineDescription
 from repro.sched.list_scheduler import ListScheduler
 from repro.core.isa_ext import OpForm, SpeculativeBlock
-from repro.core.specsched import SpeculativeSchedule, schedule_speculative
+from repro.core.specsched import SpeculativeSchedule
 
 
 @dataclass(frozen=True)
@@ -44,11 +44,18 @@ class CompensationBlock:
 
 @dataclass
 class BaselineBlock:
-    """A block compiled for the statically-recovered baseline machine."""
+    """A block compiled for the statically-recovered baseline machine.
 
-    spec: SpeculativeBlock
+    ``schedule`` is the main code: the compilation's own speculative
+    schedule, since the two schemes differ only in recovery.
+    """
+
     schedule: SpeculativeSchedule
     compensation: Dict[int, CompensationBlock]
+
+    @property
+    def spec(self) -> SpeculativeBlock:
+        return self.schedule.spec
 
     @property
     def label(self) -> str:
@@ -94,13 +101,13 @@ def _compensation_graph(
 
 
 def build_baseline_block(
-    spec: SpeculativeBlock,
-    machine: MachineDescription,
-    original_length: Optional[int] = None,
+    spec_schedule: SpeculativeSchedule, machine: MachineDescription
 ) -> BaselineBlock:
-    """Compile a transformed block for the baseline recovery scheme."""
+    """Compile a scheduled transform for the baseline recovery scheme:
+    its main code *is* ``spec_schedule``, so only the compensation
+    blocks are scheduled here."""
+    spec = spec_schedule.spec
     scheduler = ListScheduler(machine)
-    schedule = schedule_speculative(spec, machine, original_length=original_length)
     compensation: Dict[int, CompensationBlock] = {}
     for ldpred_id in spec.ldpred_ids:
         graph = _compensation_graph(spec, ldpred_id, machine)
@@ -114,7 +121,7 @@ def build_baseline_block(
             op_count=len(graph),
             length=comp_schedule.length,
         )
-    return BaselineBlock(spec=spec, schedule=schedule, compensation=compensation)
+    return BaselineBlock(schedule=spec_schedule, compensation=compensation)
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,10 @@ Rules of the game:
   so they are built once for whichever machine asks first.  Every
   machine with another fingerprint is handed a shallow copy rebound to
   itself (``Schedule.machine``, ``SpeculativeSchedule.schedule``,
-  ``BaselineBlock.schedule``), memoised per (shared product,
-  fingerprint): a compilation references only its own machine, so its
-  pickled bytes do not depend on which point compiled first.  Memos of
+  ``BaselineBlock.schedule``, which is the compilation's own
+  speculative schedule), memoised per (shared product, fingerprint):
+  a compilation references only its own machine, so its pickled bytes
+  do not depend on which point compiled first.  Memos of
   runs *on* a product key on the shared product (:func:`origin`), so
   rebound copies hit them;
 * everything here is a *pure* memo — a product is byte-identical to
@@ -224,12 +225,6 @@ def _rebind_spec_schedule(spec_schedule, machine):
     )
 
 
-def _rebind_baseline(baseline, machine):
-    return dataclasses.replace(
-        baseline, schedule=_rebind_spec_schedule(baseline.schedule, machine)
-    )
-
-
 def original_schedule(block, machine):
     """The block's original resource-constrained list schedule."""
     from repro.sched.list_scheduler import ListScheduler
@@ -274,26 +269,30 @@ def speculative_schedule(spec, machine, original_length):
     )
 
 
-def baseline_block(spec, machine, original_length):
-    """The statically-recovered baseline compilation of a transform,
-    pinned to ``machine``."""
+def baseline_block(spec_schedule, machine):
+    """The statically-recovered baseline compilation of a scheduled
+    transform, pinned to ``machine``.
+
+    ``spec_schedule`` is the :func:`speculative_schedule` product handed
+    to ``machine``, and the baseline's main schedule *is* that object for
+    every machine fingerprint, so a compilation pickles it once.  The
+    compensation blocks are built once per shared schedule.
+    """
     from repro.core.baseline import build_baseline_block
 
-    entry = cached(
-        spec.original,
-        ("base", id(spec), timing_key(machine)),
-        lambda: (
-            spec,
-            build_baseline_block(spec, machine, original_length=original_length),
-        ),
-    )
-    baseline = entry[1]
+    block = spec_schedule.spec.original
+    shared = origin(block, spec_schedule)
+    baseline = cached(
+        block,
+        ("base", id(shared)),
+        lambda: (shared, build_baseline_block(shared, machine)),
+    )[1]
     return _handed_out(
-        spec.original,
+        block,
         baseline,
-        baseline.schedule.schedule.machine,
+        shared.schedule.machine,
         machine,
-        _rebind_baseline,
+        lambda product, _: dataclasses.replace(product, schedule=spec_schedule),
     )
 
 

@@ -18,7 +18,8 @@ Plain ops (untouched by prediction) keep the ``PLAIN`` form.
 
 :class:`SpeculativeBlock` is the transformed block: the new operation
 list, the per-operation form/bit annotations, and the rewired dependence
-graph the list scheduler consumes.
+graph the list scheduler consumes (live transforms only; it is not
+pickled).
 """
 
 from __future__ import annotations
@@ -77,7 +78,9 @@ class SpeculativeBlock:
             ops first, then the original body with predicted loads
             replaced by their check forms).
         info: per-``op_id`` static annotations.
-        graph: the rewired dependence graph used for scheduling.
+        graph: the rewired dependence graph used for scheduling.  Only
+            scheduling reads it, so a pickled block stores ``None``: a
+            block decoded from the result cache carries no graph.
         ldpred_ids: ids of the ``LDPRED`` operations, in insertion order.
         check_of: maps a ``LDPRED`` id to its ``CHECK`` op id.
         predicted_load_of: maps a ``LDPRED`` id to the *original* load's
@@ -89,10 +92,17 @@ class SpeculativeBlock:
     original: BasicBlock
     operations: List[Operation]
     info: Dict[int, SpecOpInfo]
-    graph: DependenceGraph
+    graph: Optional[DependenceGraph]
     ldpred_ids: List[int]
     check_of: Dict[int, int]
     predicted_load_of: Dict[int, int]
+
+    def __getstate__(self) -> Dict:
+        # Scheduling has already consumed the graph by the time a block
+        # is pickled (see BlockCompilation.__getstate__ for the precedent).
+        state = self.__dict__.copy()
+        state["graph"] = None
+        return state
 
     @property
     def num_predictions(self) -> int:

@@ -21,6 +21,7 @@ Typical use::
 from repro.runner.cache import (
     CacheStats,
     DiskCache,
+    ProgramRefs,
     default_cache_dir,
 )
 from repro.runner.events import EventLog, ProgressRenderer, executed_jobs, read_events
@@ -63,6 +64,7 @@ __all__ = [
     "JobError",
     "JobGraph",
     "JobSpec",
+    "ProgramRefs",
     "ProgressRenderer",
     "Runner",
     "adopt_program",

@@ -21,6 +21,7 @@ truncated entry is treated as a miss and evicted.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import pickle
@@ -120,17 +121,39 @@ class DiskCache:
     # -- value codec ---------------------------------------------------------
 
     @staticmethod
-    def encode(value: Any) -> bytes:
-        return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+    def encode(value: Any, refs: Optional["ProgramRefs"] = None) -> bytes:
+        """Pickle ``value``; with ``refs``, that program's objects by id."""
+        if refs is None:
+            return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        buffer = io.BytesIO()
+        pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
+        pickler.persistent_id = refs.persistent_id
+        pickler.dump(value)
+        return buffer.getvalue()
 
     @staticmethod
-    def decode(payload: bytes) -> Any:
-        return pickle.loads(payload)
+    def decode(payload: bytes, refs: Optional["ProgramRefs"] = None) -> Any:
+        """Unpickle ``payload``, resolving its program ids against ``refs``.
+
+        A payload with ids decoded without ``refs``, or against a program
+        lacking one of them, raises :class:`pickle.UnpicklingError`.
+        """
+        if refs is None:
+            return pickle.loads(payload)
+        unpickler = pickle.Unpickler(io.BytesIO(payload))
+        unpickler.persistent_load = refs.persistent_load
+        return unpickler.load()
 
     # -- operations ----------------------------------------------------------
 
-    def get(self, key: str) -> Tuple[bool, Any]:
-        """Return ``(hit, value)``; unreadable entries count as misses."""
+    def get(
+        self, key: str, refs: Optional["ProgramRefs"] = None
+    ) -> Tuple[bool, Any]:
+        """Return ``(hit, value)``; unreadable entries count as misses.
+
+        ``refs`` must be what the entry was stored with; an entry whose
+        program ids do not resolve is unreadable.
+        """
         if not self.enabled:
             self.misses += 1
             return False, None
@@ -140,7 +163,7 @@ class DiskCache:
             self.misses += 1
             return False, None
         try:
-            value = self.decode(payload)
+            value = self.decode(payload, refs)
         except DECODE_ERRORS:
             # Corrupt or stale-unreadable entry: evict it.
             self.evict(key)
@@ -150,20 +173,24 @@ class DiskCache:
         return True, value
 
     def put(
-        self, key: str, value: Any, manifest: Optional[Dict[str, Any]] = None
+        self,
+        key: str,
+        value: Any,
+        manifest: Optional[Dict[str, Any]] = None,
+        refs: Optional["ProgramRefs"] = None,
     ) -> Optional[bytes]:
         """Store ``value``; return the encoded payload (``None`` if disabled).
 
         Returning the payload lets the executor memoize the *decoded
         round trip* of a fresh result, so downstream stages consume
-        exactly what a cache hit would hand them — which is what makes
-        artifact bytes identical across serial, pooled and warm-cache
-        execution (a stage fed live objects pickles with different
-        internal sharing than one fed separately-unpickled inputs).
+        exactly what a cache hit would hand them — which is what keeps
+        their payload bytes independent of cache temperature (a stage
+        fed live objects pickles with different internal sharing than
+        one fed separately-unpickled inputs).
         """
         if not self.enabled:
             return None
-        payload = self.encode(value)
+        payload = self.encode(value, refs)
         meta = {
             "key": key,
             "format_version": FORMAT_VERSION,
@@ -274,6 +301,58 @@ class DiskCache:
             except OSError:
                 pass
         return removed
+
+
+class _Resolver(dict):
+    """Persistent id -> object; an unknown id cannot be decoded."""
+
+    def __missing__(self, pid: Any) -> Any:
+        raise pickle.UnpicklingError(f"unresolved program reference {pid!r}")
+
+
+class ProgramRefs:
+    """Persistent ids for the objects of one program.
+
+    A compile payload pickles the program of its job's ``build``
+    dependency, with its functions, blocks and operations, as ids
+    instead of copies, and decoding resolves each id to the very object
+    the build payload decoded to.  Ids are paths: the program is
+    ``"<program>/"``, a function ``"<program>/<function>"``, a block
+    ``"<program>/<function>/<label>"`` and an operation ``(block id,
+    index in the block)``.  A program name in every id makes a payload
+    decoded against another benchmark's program fail at its first id.
+
+    Each id string is built here, so no payload object shares it:
+    pickle's memo then treats a live value and its decoded copy alike,
+    and re-encoding a decoded payload gives back its bytes.  Encoding
+    looks objects up by ``id()``; the table pins every object it names,
+    so no other live object can share one of those ids.
+    """
+
+    __slots__ = ("persistent_id", "persistent_load")
+
+    def __init__(self, program: Any):
+        ids: Dict[int, Any] = {}
+        objects = _Resolver()
+
+        def name(obj: Any, pid: Any) -> None:
+            ids[id(obj)] = pid
+            objects[pid] = obj
+
+        name(program, f"{program.name}/")
+        for function in program:
+            function_id = f"{program.name}/{function.name}"
+            name(function, function_id)
+            for block in function:
+                block_id = f"{function_id}/{block.label}"
+                name(block, block_id)
+                for index, op in enumerate(block.operations):
+                    name(op, (block_id, index))
+        get = ids.get
+        #: ``Pickler.persistent_id``: the id of a program object, else None.
+        self.persistent_id = lambda obj: get(id(obj))
+        #: ``Unpickler.persistent_load``: the object an id names.
+        self.persistent_load = objects.__getitem__
 
 
 def _unlink_quietly(path: str) -> None:

@@ -9,9 +9,15 @@ against the in-memory memo, then the on-disk result cache
 stage body fails its job once: stage bodies are pure, so running it
 again would only raise the same error.
 
+A ``compile`` payload pickles the program of its job's ``build``
+dependency by reference (:class:`~repro.runner.cache.ProgramRefs`):
+the decoded compilation's program, blocks and untouched operations are
+the objects that build's result already holds.
+
 Determinism contract: stage bodies are pure functions of their spec and
-dependency results, so a cold run, a warm-cache rerun and a
-``--no-cache`` run produce byte-identical results.
+dependency results, so a cold run, a warm or partially warm rerun and a
+``--no-cache`` run compute equal results and print byte-identical
+``--json`` output (``docs/RUNNER.md`` says which bytes may differ).
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, Iterable, Optional
 
-from repro.runner.cache import DECODE_ERRORS, DiskCache
+from repro.runner.cache import DECODE_ERRORS, DiskCache, ProgramRefs
 from repro.runner.events import EventLog
 from repro.runner.graph import JobGraph
 from repro.runner.jobs import DepResults, Job, execute_spec
@@ -55,6 +61,8 @@ class Runner:
         # A failed job is not run again by this runner: stage bodies are
         # pure, so it would only fail the same way.
         self._failures: Dict[str, JobError] = {}
+        # build key -> ProgramRefs of that build's (memoised) Program.
+        self._program_refs: Dict[str, ProgramRefs] = {}
 
     def run(self, jobs: Iterable[Job]) -> Dict[str, Any]:
         """Execute ``jobs`` (plus their dependency closure); return key -> result."""
@@ -91,7 +99,7 @@ class Runner:
         if key in self._results:
             self._finish(job, cached=True, wall_time=0.0)
             return
-        hit, value = self.cache.get(key)
+        hit, value = self.cache.get(key, self._refs(self._program_of(job)))
         if hit:
             self._results[key] = value
             self.events.emit(
@@ -119,9 +127,36 @@ class Runner:
             raise self._fail(job, exc) from exc
         self._complete(job, value, time.monotonic() - t0)
 
+    @staticmethod
+    def _program_of(job: Job) -> Optional[str]:
+        """Key of the build whose program ``job``'s payload references.
+
+        Only ``compile`` payloads reference one: a compilation embeds
+        its build's program, while ``persistent_id`` costs a Python call
+        per pickled object, which payloads holding no program objects (a
+        trace's value stream) would pay for nothing.
+        """
+        if job.spec.stage != "compile":
+            return None
+        return next(
+            (dep.key() for dep in job.deps if dep.stage == "build"), None
+        )
+
+    def _refs(self, program_key: Optional[str]) -> Optional[ProgramRefs]:
+        """The references of the build ``program_key``'s memoised result."""
+        if program_key is None:
+            return None
+        refs = self._program_refs.get(program_key)
+        if refs is None:
+            refs = ProgramRefs(self._results[program_key])
+            self._program_refs[program_key] = refs
+        return refs
+
     def _complete(self, job: Job, value: Any, wall_time: float) -> None:
         key = job.key()
         spec = job.spec
+        program = self._program_of(job)
+        refs = self._refs(program)
         payload = self.cache.put(
             key,
             value,
@@ -131,8 +166,10 @@ class Runner:
                 "benchmark": spec.benchmark,
                 "machine": spec.machine.name if spec.machine else None,
                 "scale": spec.scale,
+                "program": program,
                 "wall_time": round(wall_time, 6),
             },
+            refs=refs,
         )
         if payload is not None:
             # Memoize the decoded round trip, not the live object:
@@ -140,7 +177,7 @@ class Runner:
             # would give them, and the bytes they produce stop
             # depending on cache temperature.
             try:
-                value = self.cache.decode(payload)
+                value = self.cache.decode(payload, refs)
             except DECODE_ERRORS:
                 pass  # undecodable edge: keep the live value in memory
         self._results[key] = value

@@ -34,7 +34,10 @@ counter: profiles and compilations reference programs *by op id*, so all
 downstream stages must consume the one program object the build stage
 produced (read back by pickle) rather than rebuilding it in whatever
 counter state the process happens to be in.  The build stage resets the
-counter first, making the shipped program canonical.
+counter first, making the shipped program canonical.  A ``compile``
+payload holds that program by reference, not as a copy, so it decodes
+only against its own build's result
+(:class:`~repro.runner.cache.ProgramRefs`).
 
 ``build`` and ``profile`` deliberately exclude the speculation config
 from their keys: threshold and predictor ablations re-use the same
@@ -76,7 +79,11 @@ from repro.machine.description import MachineDescription
 #: 2026.10.2: profiles no longer carry the run's final state (the trace
 #: holds it) and block compilations carry their best/worst effective
 #: lengths; an older compile entry would decode without them.
-CODE_VERSION = "2026.10.2"
+#: 2026.10.3: compile payloads reference their build's program instead
+#: of embedding a copy, share one main schedule between the speculative
+#: and baseline compilations, and carry no dependence graphs; a new
+#: compile entry needs its build's program to decode.
+CODE_VERSION = "2026.10.3"
 
 #: The built-in pipeline stages, in dependency order.
 PIPELINE_STAGES = (

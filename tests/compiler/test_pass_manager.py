@@ -53,7 +53,8 @@ def sloppy_program():
 
 
 def legacy_compile(program, machine, profile, config=None):
-    """The pre-pass-manager ``compile_program`` body, verbatim."""
+    """The pre-pass-manager ``compile_program`` body, with the baseline
+    built from the block's speculative schedule as the pass does."""
     config = config or SpeculationConfig()
     function = program.main
     liveness = compute_liveness(function)
@@ -79,7 +80,7 @@ def legacy_compile(program, machine, profile, config=None):
                 compilation.spec_schedule
             ).effective_length
             compilation.baseline = build_baseline_block(
-                spec, machine, original_length=original_length
+                compilation.spec_schedule, machine
             )
         blocks[block.label] = compilation
     return ProgramCompilation(
@@ -274,6 +275,20 @@ class TestPipelineErrors:
         program = load_benchmark("swim", scale=0.25)
         profile = profile_program(program)
         with pytest.raises(PipelineError, match="liveness"):
+            PassManager(config).compile(program, PLAYDOH_4W, profile)
+
+    def test_baseline_requires_the_speculative_schedule(self):
+        """The baseline's main code is the speculative schedule."""
+        config = PipelineConfig(
+            codegen_passes=tuple(
+                PassSpec(name)
+                for name in ("liveness", "schedule-original", "speculate", "baseline")
+            )
+        )
+        reset_operation_ids()
+        program = load_benchmark("swim", scale=0.25)
+        profile = profile_program(program)
+        with pytest.raises(PipelineError, match="schedule-speculative"):
             PassManager(config).compile(program, PLAYDOH_4W, profile)
 
     def test_run_rejects_stale_profile_with_program_passes(self):

@@ -20,6 +20,13 @@ from repro.trace import capture_trace
 from repro.workloads.suite import load_suite
 
 
+def _baseline(spec, machine, original_length):
+    return build_baseline_block(
+        schedule_speculative(spec, machine, original_length=original_length),
+        machine,
+    )
+
+
 @pytest.fixture
 def spec_and_machine(m4):
     fb = FunctionBuilder("f")
@@ -38,12 +45,12 @@ def spec_and_machine(m4):
 class TestCompensationBlocks:
     def test_one_block_per_prediction(self, spec_and_machine):
         spec, m4, orig = spec_and_machine
-        baseline = build_baseline_block(spec, m4, original_length=orig)
+        baseline = _baseline(spec, m4, orig)
         assert set(baseline.compensation) == set(spec.ldpred_ids)
 
     def test_compensation_contains_the_speculated_ops(self, spec_and_machine):
         spec, m4, orig = spec_and_machine
-        baseline = build_baseline_block(spec, m4, original_length=orig)
+        baseline = _baseline(spec, m4, orig)
         comp = baseline.compensation[spec.ldpred_ids[0]]
         assert comp.op_count == 2  # add and mul
         # dependent ops schedule serially: add(1) then mul(3)
@@ -52,14 +59,14 @@ class TestCompensationBlocks:
 
     def test_code_growth_reported(self, spec_and_machine):
         spec, m4, orig = spec_and_machine
-        baseline = build_baseline_block(spec, m4, original_length=orig)
+        baseline = _baseline(spec, m4, orig)
         assert baseline.static_comp_ops > 0
 
 
 class TestBaselineTiming:
     def test_correct_prediction_costs_main_schedule_only(self, spec_and_machine):
         spec, m4, orig = spec_and_machine
-        baseline = build_baseline_block(spec, m4, original_length=orig)
+        baseline = _baseline(spec, m4, orig)
         run = simulate_baseline_block(
             baseline, {spec.ldpred_ids[0]: True}, m4
         )
@@ -69,7 +76,7 @@ class TestBaselineTiming:
 
     def test_misprediction_pays_serial_recovery_and_branches(self, spec_and_machine):
         spec, m4, orig = spec_and_machine
-        baseline = build_baseline_block(spec, m4, original_length=orig)
+        baseline = _baseline(spec, m4, orig)
         run = simulate_baseline_block(
             baseline, {spec.ldpred_ids[0]: False}, m4
         )
@@ -84,7 +91,7 @@ class TestBaselineTiming:
         """The paper's headline comparison: parallel recovery beats the
         serial statically scheduled recovery."""
         spec, m4, orig = spec_and_machine
-        baseline = build_baseline_block(spec, m4, original_length=orig)
+        baseline = _baseline(spec, m4, orig)
         spec_schedule = schedule_speculative(spec, m4, original_length=orig)
         proposed = simulate_worst_case(spec_schedule)
         static = simulate_baseline_block(
@@ -94,7 +101,7 @@ class TestBaselineTiming:
 
     def test_equal_on_all_correct(self, spec_and_machine):
         spec, m4, orig = spec_and_machine
-        baseline = build_baseline_block(spec, m4, original_length=orig)
+        baseline = _baseline(spec, m4, orig)
         spec_schedule = schedule_speculative(spec, m4, original_length=orig)
         proposed = simulate_best_case(spec_schedule)
         static = simulate_baseline_block(
@@ -104,7 +111,7 @@ class TestBaselineTiming:
 
     def test_missing_outcomes_rejected(self, spec_and_machine):
         spec, m4, orig = spec_and_machine
-        baseline = build_baseline_block(spec, m4, original_length=orig)
+        baseline = _baseline(spec, m4, orig)
         with pytest.raises(ValueError, match="missing outcomes"):
             simulate_baseline_block(baseline, {}, m4)
 

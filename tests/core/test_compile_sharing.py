@@ -160,8 +160,10 @@ def test_rebound_copies_pin_their_own_machine_and_share_runs(
     assert own.schedule.machine is m4 and rebound.schedule.machine is fcm
     assert rebound is compile_cache.speculative_schedule(spec, fcm, length)
     assert compile_cache.origin(straight_block, rebound) is own
-    base = compile_cache.baseline_block(spec, fcm, length)
+    base = compile_cache.baseline_block(rebound, fcm)
+    assert base.schedule is rebound
     assert base.schedule.schedule.machine is fcm
+    assert compile_cache.baseline_block(own, m4).schedule is own
 
     pattern = (False,) * len(spec.ldpred_ids)
     run = compile_cache.pattern_run(own, pattern)

@@ -7,6 +7,10 @@ instead (``__reduce__``), which these tests hold for every class found,
 so a new one is covered without being listed here first.  Payloads
 written by the old codec must still decode, and a payload whose
 constructor arguments no longer fit must be a cache miss.
+
+A compile payload holds its build's program by reference
+(:class:`~repro.runner.cache.ProgramRefs`), so it decodes only against
+that program: its sidecar names the build entry.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import repro
 from repro.ddg.graph import DepEdge, DepKind
 from repro.ir.opcodes import Opcode
 from repro.ir.operation import Imm, Operation, Reg
-from repro.runner import DiskCache
+from repro.runner import DiskCache, ProgramRefs
 from repro.sched.schedule import ScheduledOp, VLIWInstruction
 
 
@@ -97,6 +101,40 @@ def small_cache(tmp_path_factory):
     return cache, payloads
 
 
+@pytest.fixture(scope="module")
+def build_programs(small_cache):
+    """Compile payload path -> its build's program, decoded from the
+    build entry its sidecar names."""
+    cache, payloads = small_cache
+    decoded = {}
+    programs = {}
+    for path in payloads:
+        program_key = json.loads(path.with_suffix(".json").read_text())["program"]
+        if program_key is None:
+            continue
+        if program_key not in decoded:
+            build = cache._paths(program_key)[0]
+            decoded[program_key] = cache.decode(build.read_bytes())
+        programs[path] = decoded[program_key]
+    assert programs
+    return programs
+
+
+@pytest.fixture(scope="module")
+def payload_refs(small_cache, build_programs):
+    """Payload path -> the references it was written with (``None`` for
+    every stage but ``compile``)."""
+    _, payloads = small_cache
+    tables = {}
+    refs = {}
+    for path in payloads:
+        program = build_programs.get(path)
+        if program is not None and id(program) not in tables:
+            tables[id(program)] = ProgramRefs(program)
+        refs[path] = None if program is None else tables[id(program)]
+    return refs
+
+
 def test_every_class_has_a_sample():
     missing = [cls.__qualname__ for cls in FROZEN_SLOTTED if cls not in SAMPLES]
     assert not missing, f"add a sample of each to SAMPLES: {missing}"
@@ -144,28 +182,33 @@ def test_profile_and_compile_payloads_carry_no_final_state(small_cache):
     assert all(seen.values()), seen
 
 
-def test_cached_payloads_decode_without_setstate(small_cache, no_setstate):
+def test_cached_payloads_decode_without_setstate(
+    small_cache, payload_refs, no_setstate
+):
     cache, payloads = small_cache
     for path in payloads:
-        cache.decode(path.read_bytes())
+        cache.decode(path.read_bytes(), payload_refs[path])
 
 
 class TestCompatibility:
     def test_payloads_of_the_old_codec_decode_to_equal_values(
-        self, small_cache, monkeypatch
+        self, small_cache, payload_refs, monkeypatch
     ):
         cache, payloads = small_cache
+        refs = [payload_refs[path] for path in payloads]
         current = [path.read_bytes() for path in payloads]
-        values = [cache.decode(payload) for payload in current]
+        values = [
+            cache.decode(payload, r) for payload, r in zip(current, refs)
+        ]
         with monkeypatch.context() as old_codec:
             for cls in SAMPLES:
                 old_codec.delattr(cls, "__reduce__")
-            old = [cache.encode(value) for value in values]
+            old = [cache.encode(value, r) for value, r in zip(values, refs)]
         assert old != current
         # Values holding Operations only compare by identity, so compare
         # what the current codec makes of each decoded value instead.
-        for old_payload, payload in zip(old, current):
-            assert cache.encode(cache.decode(old_payload)) == payload
+        for old_payload, payload, r in zip(old, current, refs):
+            assert cache.encode(cache.decode(old_payload, r), r) == payload
 
     @pytest.mark.parametrize(
         "stale",
@@ -183,3 +226,124 @@ class TestCompatibility:
         assert cache.get(key) == (False, None)
         assert cache.misses == 1
         assert not cache._paths(key)[0].exists()
+
+
+class TestCompilePayloadShape:
+    """A compile payload holds one copy of what simulation reads: its
+    build's program by reference, one main schedule per speculated block
+    and no dependence graph."""
+
+    @staticmethod
+    def _speculated(compilation):
+        return [comp for comp in compilation.blocks.values() if comp.speculated]
+
+    def test_program_objects_decode_to_the_build_programs_own(
+        self, small_cache, build_programs, payload_refs
+    ):
+        cache, _ = small_cache
+        shared = minted = 0
+        for path, program in build_programs.items():
+            compilation = cache.decode(path.read_bytes(), payload_refs[path])
+            assert compilation.program is program
+            ops = {
+                op.op_id: op
+                for function in program
+                for block in function
+                for op in block.operations
+            }
+            for comp in self._speculated(compilation):
+                spec_schedule = comp.spec_schedule
+                spec = spec_schedule.spec
+                assert spec.original is program.main.block(comp.label)
+                placed = [p.operation for p in spec_schedule.schedule.operations]
+                for op in spec.operations + placed:
+                    if op.op_id in ops:
+                        assert op is ops[op.op_id], (path.name, op)
+                        shared += 1
+                    else:
+                        minted += 1
+        assert shared and minted
+
+    def test_baseline_schedule_is_the_speculative_schedule(
+        self, small_cache, build_programs, payload_refs
+    ):
+        cache, _ = small_cache
+        machines = set()
+        for path in build_programs:
+            compilation = cache.decode(path.read_bytes(), payload_refs[path])
+            for comp in self._speculated(compilation):
+                assert comp.baseline.schedule is comp.spec_schedule
+                machines.add(compilation.machine.name)
+        assert {"playdoh-4w", "playdoh-8w"} <= machines
+
+    def test_a_rebound_schedule_stays_shared_through_the_cache(self, tmp_path):
+        from repro.compiler import PassManager
+        from repro.core import compile_cache
+        from repro.ir.operation import reset_operation_ids
+        from repro.machine.configs import PLAYDOH_4W, PLAYDOH_4W_SPEC
+        from repro.machine.spec import PredictorSpec
+        from repro.profiling.profile_run import profile_program
+        from repro.workloads.suite import load_benchmark
+
+        reset_operation_ids()
+        program = load_benchmark("li", scale=0.1)
+        profile = profile_program(program)
+        fcm = PLAYDOH_4W_SPEC.override(
+            name="fcm-4w", predictor=PredictorSpec(kind="fcm")
+        ).build()
+        PassManager().compile(program, PLAYDOH_4W, profile)
+        variant = PassManager().compile(program, fcm, profile)
+        speculated = self._speculated(variant)
+        assert speculated
+        for comp in speculated:
+            block = comp.spec_schedule.spec.original
+            # A copy rebound from the playdoh-4w product, not the product.
+            assert compile_cache.origin(block, comp.spec_schedule) is not (
+                comp.spec_schedule
+            )
+            assert comp.baseline.schedule is comp.spec_schedule
+
+        cache = DiskCache(root=tmp_path)
+        refs = ProgramRefs(program)
+        key = "cd" * 32
+        cache.put(key, variant, refs=refs)
+        hit, back = cache.get(key, refs)
+        assert hit
+        assert back.program is program
+        for comp in self._speculated(back):
+            assert comp.baseline.schedule is comp.spec_schedule
+            assert comp.spec_schedule.schedule.machine.name == "fcm-4w"
+
+    def test_no_compile_payload_pickles_a_dependence_graph(
+        self, small_cache, build_programs
+    ):
+        speculated = 0
+        for path in build_programs:
+            names = _referenced_names(path.read_bytes())
+            speculated += "SpeculativeBlock" in names
+            assert not names & {"DepEdge", "DependenceGraph"}, path.name
+        assert speculated
+
+    def test_unresolvable_references_are_an_evicted_miss(
+        self, build_programs, tmp_path
+    ):
+        def benchmark(path):
+            return json.loads(path.with_suffix(".json").read_text())["benchmark"]
+
+        path, program = next(iter(build_programs.items()))
+        other = next(
+            p for q, p in build_programs.items() if benchmark(q) != benchmark(path)
+        )
+        payload = path.read_bytes()
+        key = path.stem
+        for refs in (ProgramRefs(other), None):
+            store = DiskCache(root=tmp_path)
+            entry = store._paths(key)[0]
+            entry.parent.mkdir(parents=True, exist_ok=True)
+            entry.write_bytes(payload)
+            assert store.get(key, refs) == (False, None)
+            assert store.misses == 1
+            assert not entry.exists()
+        entry.write_bytes(payload)
+        hit, value = store.get(key, ProgramRefs(program))
+        assert hit and value.program is program

@@ -115,3 +115,22 @@ class TestEvaluationRunnerDelegation:
         assert sorted(j.spec.benchmark for j in jobs) == ["li", "swim"]
         rows = table2.compute(evaluation)
         assert [r.benchmark for r in rows] == ["li", "swim"]
+
+
+
+def test_partially_warm_cache_prints_the_cold_output(tmp_path, capsys):
+    """``table2`` then ``all`` into one cache prints what a fresh cold
+    ``all`` does.  The second run reads table2's compile payloads back
+    against builds it decodes, and compiles the rest itself.  Some of
+    those payloads differ in bytes from a cold run's, since pass-minted
+    op ids follow the process-wide counter, yet the output may not."""
+    from repro.evaluation.__main__ import main
+
+    def run(*args: str) -> str:
+        assert main([*args, "--json", "--scale", "0.1"]) == 0
+        return capsys.readouterr().out
+
+    partial = str(tmp_path / "partial")
+    run("table2", "--cache-dir", partial)
+    partially_warm = run("all", "--cache-dir", partial)
+    assert partially_warm == run("all", "--cache-dir", str(tmp_path / "cold"))
