@@ -1,89 +1,1 @@
-"""repro.bench — performance observability for the repro pipeline.
-
-The subsystem that watches the repo's *own* speed, the way the paper
-watched its machines': deterministic benchmark scenarios
-(:mod:`repro.bench.scenarios`) timed by a warmup+repeats harness with
-robust statistics (:mod:`repro.bench.harness`,
-:mod:`repro.bench.stats`), schema-versioned ``BENCH_*.json`` artifacts,
-threshold-gated artifact diffing (:mod:`repro.bench.compare`), and
-cProfile hot-function attribution grouped by subsystem
-(:mod:`repro.bench.profiler`).  The ``repro-bench`` CLI
-(:mod:`repro.bench.cli`) fronts all of it.
-"""
-
-from repro.bench.compare import (
-    DEFAULT_THRESHOLD,
-    CompareResult,
-    ScenarioComparison,
-    compare_artifacts,
-    render_report,
-)
-from repro.bench.harness import (
-    ARTIFACT_PREFIX,
-    PRESETS,
-    SCHEMA,
-    BenchConfig,
-    Measurement,
-    code_fingerprint,
-    host_fingerprint,
-    load_artifact,
-    make_artifact,
-    measure,
-    run_bench,
-    run_scenario,
-    scenario_entry,
-    write_artifact,
-)
-from repro.bench.profiler import (
-    HotFunction,
-    ProfileReport,
-    profile_scenario,
-    render_profile,
-    subsystem_of,
-)
-from repro.bench.scenarios import (
-    SCENARIOS,
-    BenchContext,
-    BenchScenario,
-    ScenarioRun,
-    register_scenario,
-    resolve_scenarios,
-)
-from repro.bench.stats import SampleStats, median, quantile, robust_stats
-
-__all__ = [
-    "ARTIFACT_PREFIX",
-    "BenchConfig",
-    "BenchContext",
-    "BenchScenario",
-    "CompareResult",
-    "DEFAULT_THRESHOLD",
-    "HotFunction",
-    "Measurement",
-    "PRESETS",
-    "ProfileReport",
-    "SCENARIOS",
-    "SCHEMA",
-    "SampleStats",
-    "ScenarioComparison",
-    "ScenarioRun",
-    "code_fingerprint",
-    "compare_artifacts",
-    "host_fingerprint",
-    "load_artifact",
-    "make_artifact",
-    "measure",
-    "median",
-    "profile_scenario",
-    "quantile",
-    "register_scenario",
-    "render_profile",
-    "render_report",
-    "resolve_scenarios",
-    "robust_stats",
-    "run_bench",
-    "run_scenario",
-    "scenario_entry",
-    "subsystem_of",
-    "write_artifact",
-]
+"""Host and code identity for timing artifacts (see :mod:`repro.bench.harness`)."""

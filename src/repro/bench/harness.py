@@ -1,115 +1,21 @@
-"""The benchmark harness: warmup, repeats, artifacts.
+"""Identity and file helpers for ``BENCH_*.json`` timing artifacts.
 
-:func:`run_bench` times each registered scenario (warmup iterations
-first, then ``repeats`` measured ones with a ``gc.collect()`` between
-runs), summarises wall time with :func:`repro.bench.stats.robust_stats`,
-derives per-run throughput rates from the scenario's work-unit counters
-(``sim_cycles`` / wall -> ``sim_cycles_per_s``), and assembles a
-schema-versioned artifact::
-
-    BENCH_<UTC stamp>.json
-      schema              "repro.bench/v1"
-      created_utc         ISO-8601 stamp
-      host                python/platform/machine/cpu_count fingerprint
-      code_version        repro.runner CODE_VERSION
-      pipeline_fingerprint  content hash of the standard compiler pipeline
-      config              preset, workload scale, repeats, warmup, suite
-      scenarios           per-scenario wall stats, counters, rates, extra
-
-``repro-bench compare`` (:mod:`repro.bench.compare`) diffs two such
-artifacts; :func:`measure` is the low-level timing primitive tests and
-the runner-scaling benchmark reuse directly.
+The end-to-end benchmark (``e2ebench/series.py``) stamps each artifact
+with the host and code it was measured on and writes it through
+:func:`write_artifact`.
 """
 
 from __future__ import annotations
 
-import gc
 import json
+import os
 import platform
-import shutil
-import tempfile
-import time
-from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
-
-from repro.bench.scenarios import (
-    BenchContext,
-    BenchScenario,
-    ScenarioRun,
-    resolve_scenarios,
-)
-from repro.bench.stats import SampleStats, robust_stats
-
-#: Artifact schema identifier; bump on any incompatible layout change.
-SCHEMA = "repro.bench/v1"
-
-#: Filename prefix of every artifact the harness writes.
-ARTIFACT_PREFIX = "BENCH_"
-
-#: Scale presets: (workload scale, repeats, warmup).
-PRESETS: Dict[str, Tuple[float, int, int]] = {
-    "small": (0.25, 3, 1),
-    "medium": (0.4, 5, 1),
-    "full": (1.0, 5, 2),
-}
-
-
-@dataclass(frozen=True)
-class BenchConfig:
-    """Resolved harness configuration for one ``run`` invocation."""
-
-    preset: str = "small"
-    workload_scale: float = 0.25
-    repeats: int = 3
-    warmup: int = 1
-    scenario_names: Tuple[str, ...] = ()
-    benchmarks: Optional[Tuple[str, ...]] = None
-    threshold: float = 0.65
-
-    @classmethod
-    def from_preset(
-        cls,
-        preset: str,
-        *,
-        scenarios: Optional[Sequence[str]] = None,
-        repeats: Optional[int] = None,
-        warmup: Optional[int] = None,
-        benchmarks: Optional[Sequence[str]] = None,
-        threshold: float = 0.65,
-    ) -> "BenchConfig":
-        if preset not in PRESETS:
-            raise ValueError(
-                f"unknown scale preset {preset!r}; available: {', '.join(PRESETS)}"
-            )
-        scale, preset_repeats, preset_warmup = PRESETS[preset]
-        return cls(
-            preset=preset,
-            workload_scale=scale,
-            repeats=repeats if repeats is not None else preset_repeats,
-            warmup=warmup if warmup is not None else preset_warmup,
-            scenario_names=tuple(scenarios or ()),
-            benchmarks=tuple(benchmarks) if benchmarks else None,
-            threshold=threshold,
-        )
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "preset": self.preset,
-            "workload_scale": self.workload_scale,
-            "repeats": self.repeats,
-            "warmup": self.warmup,
-            "scenarios": list(self.scenario_names),
-            "benchmarks": list(self.benchmarks) if self.benchmarks else None,
-            "threshold": self.threshold,
-        }
+from typing import Any, Dict, Mapping, Optional
 
 
 def host_fingerprint() -> Dict[str, Any]:
     """Where a timing came from — enough to judge comparability."""
-    import os
-
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
@@ -130,152 +36,6 @@ def code_fingerprint() -> Dict[str, str]:
     }
 
 
-@dataclass
-class Measurement:
-    """Low-level result of :func:`measure`."""
-
-    stats: SampleStats
-    results: List[Any] = field(default_factory=list)
-
-
-def measure(
-    fn: Callable[[], Any], *, repeats: int = 3, warmup: int = 1
-) -> Measurement:
-    """Time ``fn`` ``repeats`` times (after ``warmup`` untimed calls).
-
-    Runs ``gc.collect()`` before every timed call so collector debt from
-    a previous iteration is not billed to the next one, and resets the
-    process-wide sweep-sharing caches (batch context, compile memos,
-    shared build/profile products) so every timed iteration pays the
-    full cost a fresh process would — without the reset, repeat 2+ of a
-    sweep scenario would measure little but memo lookups.  Returns
-    robust wall-time stats plus each call's return value.
-    """
-    from repro.batchsim import reset_shared_state
-
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    for _ in range(warmup):
-        reset_shared_state()
-        fn()
-    samples: List[float] = []
-    results: List[Any] = []
-    for _ in range(repeats):
-        reset_shared_state()
-        gc.collect()
-        start = time.perf_counter()
-        results.append(fn())
-        samples.append(time.perf_counter() - start)
-    return Measurement(stats=robust_stats(samples), results=results)
-
-
-def scenario_entry(
-    wall: SampleStats,
-    runs: Sequence[ScenarioRun],
-    *,
-    subsystems: Sequence[str] = (),
-    description: str = "",
-) -> Dict[str, Any]:
-    """Assemble one artifact scenario record from timed runs.
-
-    Counters come from the final run; rates are the median over runs of
-    ``counter / wall`` (using the raw per-run samples, not the summary
-    median, so each rate pairs a counter with its own run's clock).
-    """
-    from repro.bench.stats import median
-
-    last = runs[-1] if runs else ScenarioRun()
-    counter_sets = {
-        tuple(sorted(run.counters.items())) for run in runs if run.counters
-    }
-    rates: Dict[str, float] = {}
-    for key in last.counters:
-        per_run = [
-            run.counters[key] / sample
-            for run, sample in zip(runs, wall.samples)
-            if key in run.counters and sample > 0
-        ]
-        if per_run:
-            rates[f"{key}_per_s"] = median(per_run)
-    entry: Dict[str, Any] = {
-        "description": description,
-        "subsystems": list(subsystems),
-        "wall_s": wall.as_dict(),
-        "counters": dict(sorted(last.counters.items())),
-        "rates": dict(sorted(rates.items())),
-        "counters_stable": len(counter_sets) <= 1,
-    }
-    if last.extra:
-        entry["extra"] = last.extra
-    return entry
-
-
-def run_scenario(
-    scenario: BenchScenario, ctx: BenchContext, *, repeats: int, warmup: int
-) -> Dict[str, Any]:
-    """Time one scenario end to end and return its artifact record."""
-    state = scenario.prepare(ctx) if scenario.prepare is not None else None
-    measurement = measure(
-        lambda: scenario.run(ctx, state), repeats=repeats, warmup=warmup
-    )
-    return scenario_entry(
-        measurement.stats,
-        measurement.results,
-        subsystems=scenario.subsystems,
-        description=scenario.description,
-    )
-
-
-def run_bench(
-    config: BenchConfig,
-    *,
-    progress: Optional[Callable[[str], None]] = None,
-) -> Dict[str, Any]:
-    """Run every configured scenario and return the artifact payload."""
-    scenarios = resolve_scenarios(config.scenario_names or None)
-    workdir = Path(tempfile.mkdtemp(prefix="repro-bench-"))
-    ctx = BenchContext(
-        workload_scale=config.workload_scale,
-        benchmarks=config.benchmarks,
-        threshold=config.threshold,
-        workdir=workdir,
-    )
-    results: Dict[str, Any] = {}
-    try:
-        for scenario in scenarios:
-            if progress is not None:
-                progress(f"bench: {scenario.name} ...")
-            entry = run_scenario(
-                scenario, ctx, repeats=config.repeats, warmup=config.warmup
-            )
-            results[scenario.name] = entry
-            if progress is not None:
-                wall = entry["wall_s"]
-                progress(
-                    f"bench: {scenario.name} median {wall['median']:.4f}s "
-                    f"(iqr {wall['iqr']:.4f}s, n={wall['n']})"
-                )
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
-    return make_artifact(config, results)
-
-
-def make_artifact(
-    config: BenchConfig, scenarios: Mapping[str, Any]
-) -> Dict[str, Any]:
-    payload: Dict[str, Any] = {
-        "schema": SCHEMA,
-        "created_utc": datetime.now(timezone.utc).strftime(
-            "%Y-%m-%dT%H:%M:%SZ"
-        ),
-        "host": host_fingerprint(),
-        "scenarios": dict(scenarios),
-        "config": config.as_dict(),
-    }
-    payload.update(code_fingerprint())
-    return payload
-
-
 def artifact_stamp(artifact: Mapping[str, Any]) -> str:
     """Filesystem-safe stamp derived from the artifact's creation time."""
     created = str(artifact.get("created_utc", ""))
@@ -288,46 +48,8 @@ def write_artifact(
     """Write ``BENCH_<stamp>.json`` under ``directory`` (default: cwd)."""
     root = Path(directory) if directory is not None else Path.cwd()
     root.mkdir(parents=True, exist_ok=True)
-    path = root / f"{ARTIFACT_PREFIX}{artifact_stamp(artifact)}.json"
+    path = root / f"BENCH_{artifact_stamp(artifact)}.json"
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(artifact, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
-
-
-def load_artifact(path: Path) -> Dict[str, Any]:
-    """Read and schema-check one artifact."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict) or payload.get("schema") != SCHEMA:
-        raise ValueError(
-            f"{path}: not a {SCHEMA} artifact "
-            f"(schema={payload.get('schema')!r})"
-            if isinstance(payload, dict)
-            else f"{path}: not a JSON object"
-        )
-    if not isinstance(payload.get("scenarios"), dict):
-        raise ValueError(f"{path}: artifact lacks a 'scenarios' object")
-    return payload
-
-
-def main_banner(artifact: Mapping[str, Any]) -> str:
-    """One-paragraph human summary of an artifact (used by the CLI)."""
-    host = artifact.get("host", {})
-    lines = [
-        f"schema {artifact.get('schema')}  created {artifact.get('created_utc')}",
-        f"host: python {host.get('python')} on {host.get('platform')} "
-        f"({host.get('cpu_count')} cpus)",
-        f"code {artifact.get('code_version')}  "
-        f"pipeline {str(artifact.get('pipeline_fingerprint'))[:12]}",
-    ]
-    for name, entry in artifact.get("scenarios", {}).items():
-        wall = entry.get("wall_s", {})
-        rates = entry.get("rates", {})
-        cyc = rates.get("sim_cycles_per_s")
-        rate_note = f", {cyc:,.0f} sim cycles/s" if cyc else ""
-        lines.append(
-            f"  {name:<20} median {wall.get('median', 0.0):.4f}s "
-            f"iqr {wall.get('iqr', 0.0):.4f}s n={wall.get('n')}{rate_note}"
-        )
-    return "\n".join(lines)

@@ -8,7 +8,6 @@ Usage::
     repro-eval table2 --benchmarks swim,li   # restrict the suite
     repro-eval all --events run.jsonl        # JSONL progress events (one run per file)
     repro-eval all --metrics metrics.json    # merged observability snapshot
-    repro-eval all --bench bench.json        # repro.bench timing artifact
     repro-eval all --no-cache                # bypass the on-disk result cache
     repro-eval all --cache-dir /tmp/repro    # relocate it
     repro-eval cache stats                   # inspect it
@@ -29,7 +28,6 @@ import argparse
 import dataclasses
 import json
 import sys
-import time
 from pathlib import Path
 from typing import List, Optional
 
@@ -56,6 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
             "Reproduce the evaluation of 'Value Prediction in VLIW "
             "Machines' (Nakra, Gupta, Soffa)."
         ),
+        # Flags are spelled out in full, so a removed flag such as
+        # ``--bench`` is a usage error, not a prefix of ``--benchmarks``.
+        allow_abbrev=False,
     )
     parser.add_argument(
         "experiments",
@@ -119,16 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "collect simulator observability metrics and write the merged "
             "snapshot (plus the runner summary) to PATH as JSON"
-        ),
-    )
-    parser.add_argument(
-        "--bench",
-        metavar="PATH",
-        default=None,
-        help=(
-            "time this invocation's pipeline + experiment generation and "
-            "write a repro.bench artifact (schema-versioned BENCH JSON) to "
-            "PATH; a directory gets a stamped BENCH_*.json inside"
         ),
     )
     parser.add_argument(
@@ -210,59 +201,6 @@ def _write_metrics(path: Optional[str], evaluation: Evaluation, events: EventLog
         fh.write("\n")
 
 
-def _write_bench(
-    path: str,
-    evaluation: Evaluation,
-    events: EventLog,
-    names: List[str],
-    elapsed: float,
-) -> None:
-    """Wrap this invocation in a single-scenario repro.bench artifact."""
-    import json as _json
-    from pathlib import Path
-
-    from repro.bench.harness import (
-        BenchConfig,
-        make_artifact,
-        scenario_entry,
-        write_artifact,
-    )
-    from repro.bench.scenarios import ScenarioRun, engine_counters
-    from repro.bench.stats import robust_stats
-
-    run = ScenarioRun(
-        counters=engine_counters(evaluation),
-        extra={"runner": events.summary()},
-    )
-    scenario = scenario_entry(
-        robust_stats([elapsed]),
-        [run],
-        subsystems=("evaluation",),
-        description=f"repro-eval {' '.join(names)} (single timed invocation)",
-    )
-    config = BenchConfig(
-        preset="repro-eval",
-        workload_scale=evaluation.settings.scale,
-        repeats=1,
-        warmup=0,
-        scenario_names=(f"repro-eval:{'+'.join(names)}",),
-        benchmarks=tuple(evaluation.settings.benchmarks),
-        threshold=evaluation.settings.spec_config.threshold,
-    )
-    artifact = make_artifact(
-        config, {f"repro-eval:{'+'.join(names)}": scenario}
-    )
-    target = Path(path)
-    if target.is_dir():
-        written = write_artifact(artifact, target)
-    else:
-        with open(target, "w", encoding="utf-8") as fh:
-            _json.dump(artifact, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        written = target
-    print(f"bench artifact: {written}", file=sys.stderr)
-
-
 def _render_cpi(evaluation: Evaluation) -> str:
     """CPI-stack columns for every cycle-accounted simulation so far."""
     from repro.ir.printer import format_table
@@ -319,7 +257,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     evaluation = Evaluation(
         settings,
         runner=runner,
-        collect_metrics=args.metrics is not None or args.bench is not None,
+        collect_metrics=args.metrics is not None,
         collect_cycles=args.cpi,
     )
 
@@ -336,7 +274,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 return 2
         # Execute the whole pipeline job graph up front, so the
         # experiment generators below only read warmed caches.
-        bench_start = time.perf_counter()
         evaluation.warm(None if run_all else names)
 
         if run_all:
@@ -353,14 +290,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 if args.cpi:
                     print()
                     print(_render_cpi(evaluation))
-            if args.bench is not None:
-                _write_bench(
-                    args.bench,
-                    evaluation,
-                    events,
-                    ["all"],
-                    time.perf_counter() - bench_start,
-                )
             _write_metrics(args.metrics, evaluation, events)
             return 0
         for name in names:
@@ -378,14 +307,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(json.dumps({"cpi": evaluation.cycle_stack_results()}, indent=2))
             else:
                 print(_render_cpi(evaluation))
-        if args.bench is not None:
-            _write_bench(
-                args.bench,
-                evaluation,
-                events,
-                names,
-                time.perf_counter() - bench_start,
-            )
         _write_metrics(args.metrics, evaluation, events)
         return 0
     finally:

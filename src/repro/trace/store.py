@@ -2,9 +2,9 @@
 
 The :class:`~repro.runner.Runner` path disk-caches traces as first-class
 jobs; direct :class:`~repro.evaluation.experiment.Evaluation` use (the
-table/figure modules, ``repro-bench`` scenarios, tests) has no disk cache
-to lean on, so this module provides a small in-process LRU keyed by the
-program's structural digest.  A threshold ablation that profiles and
+table/figure modules, tests) has no disk cache to lean on, so this
+module provides a small in-process LRU keyed by the program's
+structural digest.  A threshold ablation that profiles and
 simulates the same built program at N sweep points then pays for one
 interpretation and N-1 replays.
 """

@@ -139,6 +139,7 @@ class TestControlDependences:
 
         block, (a, b) = build_block(emit)
         g = build_ddg(block, m4)
+        assert len(g) == len(block.operations)
         term = block.terminator
         assert edge_between(g, a, term, DepKind.CONTROL)
         assert edge_between(g, b, term, DepKind.CONTROL)

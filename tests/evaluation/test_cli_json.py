@@ -109,11 +109,13 @@ class TestRunnerFlags:
         assert "unknown cache command" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flags", [["--jobs", "2"], ["-j", "0"], ["--surrogate"]]
+        "flags",
+        [["--jobs", "2"], ["-j", "0"], ["--surrogate"], ["--bench", "x.json"]],
     )
     def test_removed_flags_are_usage_errors(self, flags, capsys, tmp_path):
         # ``--jobs 1`` still parses (see test_jobs_and_events_flags);
-        # every other worker count, and the surrogate, are gone.
+        # every other worker count, the surrogate and the timing
+        # artifact are gone.
         with pytest.raises(SystemExit) as excinfo:
             main(["table2", "--cache-dir", str(tmp_path)] + flags)
         assert excinfo.value.code == 2

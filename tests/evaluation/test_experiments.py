@@ -1,28 +1,21 @@
 """Integration tests for the evaluation experiments.
 
-A session-scoped, scaled-down :class:`Evaluation` keeps these fast while
-still running the full pipeline (profile -> compile -> simulate) for
-every benchmark at both machine widths.
+A module-scoped, scaled-down :class:`Evaluation` (``conftest.py``)
+keeps these fast while still running the full pipeline (profile ->
+compile -> simulate) for every benchmark at both machine widths.  The
+``test_paper_shape_*`` bounds are the paper's claims about who wins and
+by about how much.
 """
 
 import pytest
 
 from repro.evaluation import baseline_cmp, figure8, table2, table3, table4
 from repro.evaluation.experiment import (
-    Evaluation,
     EvaluationSettings,
     arithmetic_mean,
     geometric_mean,
 )
 from repro.evaluation.report import experiment_names, full_report, run_experiment
-
-
-@pytest.fixture(scope="module")
-def evaluation():
-    # 0.4 is the smallest scale at which every benchmark's value profile
-    # has warmed up enough for the paper's 0.65 threshold to select loads
-    # in all eight programs.
-    return Evaluation(EvaluationSettings(scale=0.4))
 
 
 class TestEvaluationCache:
@@ -57,6 +50,7 @@ class TestTable2(object):
     def test_rows_cover_suite(self, evaluation):
         rows = table2.compute(evaluation)
         assert [r.benchmark for r in rows] == evaluation.benchmarks
+        assert len(rows) == 8
 
     def test_fractions_are_fractions(self, evaluation):
         for row in table2.compute(evaluation):
@@ -68,9 +62,12 @@ class TestTable2(object):
         rows = table2.compute(evaluation)
         best = arithmetic_mean([r.best_case_fraction for r in rows])
         worst = arithmetic_mean([r.worst_case_fraction for r in rows])
-        assert best > 0.3
-        assert worst < 0.25
-        assert best > 2 * worst
+        # "on average the benchmarks spent half of the overall time in
+        # blocks where all predictions were made correctly"
+        assert 0.35 <= best <= 0.70
+        # "account for a very small fraction of the overall execution time"
+        assert worst <= 0.15
+        assert best > 3 * worst
 
     def test_render(self, evaluation):
         text = table2.render(table2.compute(evaluation))
@@ -81,17 +78,20 @@ class TestTable3:
     def test_paper_shape_best_case_improves(self, evaluation):
         """Roughly 20% average best-case reduction (paper's headline)."""
         rows = table3.compute(evaluation)
+        assert len(rows) == 8
         mean_best = arithmetic_mean([r.best_case_fraction for r in rows])
-        assert 0.6 < mean_best < 0.95
+        assert 0.70 <= mean_best <= 0.90
         for row in rows:
             assert row.best_case_fraction < 1.0
 
     def test_worst_case_bounded(self, evaluation):
         """Parallel compensation keeps even all-wrong blocks near the
         original length (far from the serial-recovery blowup)."""
-        for row in table3.compute(evaluation):
+        rows = table3.compute(evaluation)
+        for row in rows:
             assert row.worst_case_fraction <= 1.5
             assert row.best_case_fraction <= row.worst_case_fraction
+        assert arithmetic_mean([r.worst_case_fraction for r in rows]) <= 1.25
 
     def test_render(self, evaluation):
         text = table3.render(table3.compute(evaluation))
@@ -101,6 +101,7 @@ class TestTable3:
 class TestTable4:
     def test_wider_machine_speculates_no_less(self, evaluation):
         rows = table4.compute(evaluation)
+        assert len(rows) == 8
         total_4w = sum(r.predictions_4w for r in rows)
         total_8w = sum(r.predictions_8w for r in rows)
         assert total_8w >= total_4w
@@ -109,7 +110,12 @@ class TestTable4:
         rows = table4.compute(evaluation)
         mean_4w = arithmetic_mean([r.length_fraction_4w for r in rows])
         mean_8w = arithmetic_mean([r.length_fraction_8w for r in rows])
-        assert mean_8w <= mean_4w + 0.02
+        assert mean_8w < mean_4w
+        # Most benchmarks, not all, gain from the width (the paper's figure).
+        strictly_better = sum(
+            1 for r in rows if r.length_fraction_8w < r.length_fraction_4w
+        )
+        assert strictly_better >= 3
 
     def test_render(self, evaluation):
         text = table4.render(table4.compute(evaluation))
@@ -118,7 +124,9 @@ class TestTable4:
 
 class TestFigure8:
     def test_percentages_sum_to_100(self, evaluation):
-        for row in figure8.compute(evaluation):
+        rows = figure8.compute(evaluation)
+        assert len(rows) == 8
+        for row in rows:
             assert sum(row.percentages.values()) == pytest.approx(100.0)
 
     def test_most_blocks_improve_by_small_amounts(self, evaluation):
@@ -129,6 +137,16 @@ class TestFigure8:
             [r.percentages["improved 1-4"] + r.percentages["improved 5-8"] for r in rows]
         )
         assert improved_small > 30.0
+        assert arithmetic_mean([r.percentages["improved 1-4"] for r in rows]) >= 25.0
+        improved_any = arithmetic_mean(
+            [
+                r.percentages["improved 1-4"]
+                + r.percentages["improved 5-8"]
+                + r.percentages["improved >8"]
+                for r in rows
+            ]
+        )
+        assert improved_any >= 40.0
 
     def test_no_degradation_in_all_correct_case(self, evaluation):
         for row in figure8.compute(evaluation):
@@ -146,10 +164,24 @@ class TestFigure8:
         assert "Figure 8" in text and "suite" in text
 
 
+#: Why the paper's "negligible overhead" bounds fail at scale 0.4.
+_OVERHEAD_REDEFINED = (
+    "since commit 4d591b9 proposed_overhead_fraction is the full CPI-stack "
+    "attributed overhead: mean proposed 0.0894 (0.0389 before), mean "
+    "baseline 0.0967, so neither baseline > 1.5 x proposed nor proposed "
+    "< 0.08 holds"
+)
+
+
 class TestBaselineComparison:
     def test_proposed_beats_baseline_everywhere(self, evaluation):
-        for row in baseline_cmp.compute(evaluation):
+        rows = baseline_cmp.compute(evaluation)
+        assert len(rows) == 8
+        for row in rows:
             assert row.cycles_proposed <= row.cycles_baseline
+            assert row.proposed_speedup >= row.baseline_speedup
+            # Selective parallel recovery also beats restart-the-block squash.
+            assert row.proposed_speedup >= row.squash_speedup
 
     def test_baseline_overhead_exceeds_proposed(self, evaluation):
         """The paper's claim: recovery overhead is significant for the
@@ -158,6 +190,18 @@ class TestBaselineComparison:
         mean_baseline = arithmetic_mean([r.baseline_overhead_fraction for r in rows])
         mean_proposed = arithmetic_mean([r.proposed_overhead_fraction for r in rows])
         assert mean_baseline > mean_proposed
+
+    @pytest.mark.xfail(strict=True, reason=_OVERHEAD_REDEFINED)
+    def test_paper_shape_baseline_overhead_is_significant(self, evaluation):
+        rows = baseline_cmp.compute(evaluation)
+        mean_baseline = arithmetic_mean([r.baseline_overhead_fraction for r in rows])
+        mean_proposed = arithmetic_mean([r.proposed_overhead_fraction for r in rows])
+        assert mean_baseline > 1.5 * mean_proposed
+
+    @pytest.mark.xfail(strict=True, reason=_OVERHEAD_REDEFINED)
+    def test_paper_shape_proposed_overhead_is_negligible(self, evaluation):
+        rows = baseline_cmp.compute(evaluation)
+        assert arithmetic_mean([r.proposed_overhead_fraction for r in rows]) < 0.08
 
     def test_speedups_positive(self, evaluation):
         for row in baseline_cmp.compute(evaluation):

@@ -56,6 +56,28 @@ class TestRegionsExperiment:
         assert "-" in text
 
 
+class TestFullSuite:
+    """The paper's superblock expectation across all eight programs."""
+
+    @pytest.fixture(scope="class")
+    def suite_rows(self):
+        # Full scale, so every benchmark's hottest loop divides by 2.
+        return compute(Evaluation(EvaluationSettings(scale=1.0)))
+
+    def test_every_benchmark_keeps_the_2x_variant(self, suite_rows):
+        assert len(suite_rows) == 8
+        for row in suite_rows:
+            assert row.fractions.get(2) is not None, row.benchmark
+
+    def test_most_parallel_loops_dilute(self, suite_rows):
+        """Unrolling an independent-iteration loop harvests its ILP
+        before prediction can claim it; only li is a serial chain."""
+        assert [r.benchmark for r in suite_rows if r.serial_chain] == ["li"]
+        parallel = [r for r in suite_rows if not r.serial_chain]
+        diluted = sum(1 for r in parallel if r.fractions[2] > r.fractions[1])
+        assert diluted >= len(parallel) // 2
+
+
 class TestRejectedVariants:
     """At scale 0.25 some trip counts do not divide the unroll factor:
     those variants end in a different state and must report ``None``."""

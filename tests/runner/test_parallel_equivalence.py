@@ -96,6 +96,36 @@ class TestParallelEquivalence:
         assert via_runner == plain
 
 
+class TestCacheSharing:
+    def test_warm_all_executes_zero_jobs(self, tmp_path):
+        cache_root = tmp_path / "cache"
+        cold = Runner(cache=DiskCache(root=cache_root))
+        Evaluation(SETTINGS, runner=cold).warm(None)
+        cold_summary = cold.events.summary()
+        assert cold_summary["executed"] > 0
+
+        warm = Runner(cache=DiskCache(root=cache_root))
+        Evaluation(SETTINGS, runner=warm).warm(None)
+        warm_summary = warm.events.summary()
+        assert warm_summary["executed"] == 0
+        assert warm_summary["executed_by_stage"] == {}
+        assert warm_summary["cache_hits"] == cold_summary["executed"]
+
+    def test_threshold_sweep_shares_builds_and_profiles(self, tmp_path):
+        """Another threshold recompiles, but serves the interpreter
+        stages (build and profile) from the cache."""
+        cache_root = tmp_path / "cache"
+        first = Runner(cache=DiskCache(root=cache_root))
+        Evaluation(SETTINGS, runner=first).warm(["table2"])
+
+        second = Runner(cache=DiskCache(root=cache_root))
+        Evaluation(SETTINGS.with_threshold(0.9), runner=second).warm(["table2"])
+        by_stage = second.events.summary()["executed_by_stage"]
+        assert by_stage.get("build", 0) == 0
+        assert by_stage.get("profile", 0) == 0
+        assert by_stage.get("compile", 0) > 0
+
+
 class TestEvaluationRunnerDelegation:
     def test_unwarmed_access_still_works_through_the_runner(self, tmp_path):
         """Stage accessors fall through to run_job on cold caches."""
