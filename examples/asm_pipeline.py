@@ -10,17 +10,17 @@ that does not come from the bundled workloads.
 Run:  python examples/asm_pipeline.py
 """
 
-from repro.compiler import PassManager, standard_pipeline
-from repro.core import (
-    schedule_speculative,
-    simulate_block,
-    speculate_block,
-    render_timeline,
-)
-from repro.ir import compute_liveness, format_program_asm, parse_program
-from repro.machine import PLAYDOH_4W
-from repro.profiling import profile_program
-from repro.sched import schedule_block
+from repro.compiler.config import standard_pipeline
+from repro.compiler.manager import PassManager
+from repro.core.machine_sim import simulate_block
+from repro.core.specsched import schedule_speculative
+from repro.core.speculation import speculate_block
+from repro.core.timeline import render_timeline
+from repro.ir.asm import format_program_asm, parse_program
+from repro.ir.liveness import compute_liveness
+from repro.machine.configs import PLAYDOH_4W
+from repro.profiling.profile_run import profile_program
+from repro.sched.list_scheduler import schedule_block
 
 SOURCE = """
 program checksum

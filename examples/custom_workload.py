@@ -14,17 +14,16 @@ than on the bundled SPEC95 stand-ins:
 Run:  python examples/custom_workload.py
 """
 
-from repro.core import (
-    OpForm,
-    schedule_speculative,
-    simulate_best_case,
-    simulate_worst_case,
-    speculate_block,
-)
-from repro.ir import FunctionBuilder, ProgramBuilder, compute_liveness, format_block
-from repro.machine import PLAYDOH_4W
-from repro.profiling import profile_program
-from repro.sched import schedule_block
+from repro.core.isa_ext import OpForm
+from repro.core.machine_sim import simulate_best_case, simulate_worst_case
+from repro.core.specsched import schedule_speculative
+from repro.core.speculation import speculate_block
+from repro.ir.builder import FunctionBuilder, ProgramBuilder
+from repro.ir.liveness import compute_liveness
+from repro.ir.printer import format_block
+from repro.machine.configs import PLAYDOH_4W
+from repro.profiling.profile_run import profile_program
+from repro.sched.list_scheduler import schedule_block
 
 COEFFS = 10_000
 XS = 20_000

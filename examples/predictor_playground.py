@@ -12,13 +12,11 @@ Run:  python examples/predictor_playground.py
 
 import random
 
-from repro.ir import format_table
-from repro.predict import (
-    FCMPredictor,
-    LastValuePredictor,
-    StridePredictor,
-    default_hybrid,
-)
+from repro.ir.printer import format_table
+from repro.predict.fcm import FCMPredictor
+from repro.predict.hybrid import default_hybrid
+from repro.predict.last_value import LastValuePredictor
+from repro.predict.stride import StridePredictor
 from repro.workloads import values
 
 STREAM_LENGTH = 500

@@ -17,12 +17,13 @@ Run:  python examples/quickstart.py [benchmark]
 
 import sys
 
-from repro.compiler import compile_program
-from repro.core import OutcomeClass, simulate_program
-from repro.machine import PLAYDOH_4W
-from repro.profiling import profile_program
-from repro.trace import capture_trace
-from repro.workloads import benchmark_names, load_benchmark
+from repro.compiler.manager import compile_program
+from repro.core.metrics import OutcomeClass
+from repro.core.program_sim import simulate_program
+from repro.machine.configs import PLAYDOH_4W
+from repro.profiling.profile_run import profile_program
+from repro.trace.capture import capture_trace
+from repro.workloads.suite import benchmark_names, load_benchmark
 
 
 def main() -> None:

@@ -7,7 +7,7 @@ the sweep to 4-, 8- and 16-wide machines derived from the same base
 configuration, reporting per width: predictions selected, the best-case
 schedule-length fraction, and the measured dynamic speedup.
 
-The sweep is expressed as a :func:`repro.runner.pipeline_jobs` graph and
+The sweep is expressed as a :func:`repro.runner.jobs.pipeline_jobs` graph and
 handed to the runner, so a rerun (say, after adding a width) only
 executes the new machine's compile/simulate jobs — profiles are shared
 across widths by construction.
@@ -17,16 +17,12 @@ Run:  python examples/sweep_issue_width.py [scale] [--cache-dir DIR]
 
 import argparse
 
-from repro.ir import format_table
-from repro.machine import PLAYDOH_4W
-from repro.runner import (
-    DiskCache,
-    Runner,
-    compile_spec,
-    pipeline_jobs,
-    simulate_spec,
-)
-from repro.workloads import benchmark_names
+from repro.ir.printer import format_table
+from repro.machine.configs import PLAYDOH_4W
+from repro.runner.cache import DiskCache
+from repro.runner.executor import Runner
+from repro.runner.jobs import compile_spec, pipeline_jobs, simulate_spec
+from repro.workloads.suite import benchmark_names
 
 
 def machines():

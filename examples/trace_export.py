@@ -13,15 +13,9 @@ Run:  python examples/trace_export.py [out.trace.json]
 import sys
 
 from repro.evaluation.paper_example import run_example
-from repro.obs import (
-    CheckEvent,
-    ExecuteEvent,
-    FlushEvent,
-    MetricsRegistry,
-    block_run_events,
-    chrome_trace,
-    write_trace,
-)
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.perfetto import block_run_events, chrome_trace, write_trace
+from repro.obs.trace import CheckEvent, ExecuteEvent, FlushEvent
 from repro.core.machine_sim import simulate_block
 
 

@@ -29,8 +29,8 @@ scratch in Python:
   (straight-line merging, loop unrolling with register renaming).
 * :mod:`repro.compiler` — the pass-pipeline driver: a registry of
   named passes, a declarative (serializable, content-hashable)
-  :class:`~repro.compiler.PipelineConfig`, and the
-  :class:`~repro.compiler.PassManager` that runs it with inter-pass
+  :class:`~repro.compiler.config.PipelineConfig`, and the
+  :class:`~repro.compiler.manager.PassManager` that runs it with inter-pass
   IR verification and per-pass metrics.
 * :mod:`repro.runner` — serial, disk-cached experiment execution;
   job cache keys incorporate the pipeline config.
@@ -39,11 +39,11 @@ scratch in Python:
 
 Quickstart::
 
-    from repro.machine import PLAYDOH_4W
-    from repro.profiling import profile_program
-    from repro.compiler import compile_program
-    from repro.core import simulate_program
-    from repro.workloads import load_benchmark
+    from repro.machine.configs import PLAYDOH_4W
+    from repro.profiling.profile_run import profile_program
+    from repro.compiler.manager import compile_program
+    from repro.core.program_sim import simulate_program
+    from repro.workloads.suite import load_benchmark
 
     program = load_benchmark("compress")
     profile = profile_program(program)
@@ -53,9 +53,10 @@ Quickstart::
 
 Non-standard pipelines are declared, not hand-stitched::
 
-    from repro.compiler import PassManager, standard_pipeline
+    from repro.compiler.config import standard_pipeline
+    from repro.compiler.manager import PassManager
 
-    pipeline = standard_pipeline(optimize=True, unroll=("loop", 2))
+    pipeline = standard_pipeline(optimize=True, unroll=("scan", 2))
     compilation = PassManager(pipeline).run(program, PLAYDOH_4W, None)
 
 ``python -m repro.compiler list`` prints the resolved pass order and

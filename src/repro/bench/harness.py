@@ -27,8 +27,8 @@ def host_fingerprint() -> Dict[str, Any]:
 
 def code_fingerprint() -> Dict[str, str]:
     """Code-side identity: runner CODE_VERSION + pipeline content hash."""
-    from repro.compiler import standard_pipeline
-    from repro.runner import CODE_VERSION
+    from repro.compiler.config import standard_pipeline
+    from repro.runner.jobs import CODE_VERSION
 
     return {
         "code_version": CODE_VERSION,

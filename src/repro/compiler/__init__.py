@@ -4,20 +4,21 @@ One typed pipeline covers the paper's whole compile-time half: classical
 optimisation (:mod:`repro.opt`), optional region enlargement
 (:mod:`repro.regions`), liveness, the value-speculation transform,
 speculative scheduling and baseline construction — declared as a
-serialisable :class:`PipelineConfig` and executed by a
-:class:`PassManager` that verifies the IR between passes and reports
+serialisable :class:`~repro.compiler.config.PipelineConfig` and executed
+by a :class:`~repro.compiler.manager.PassManager` that verifies the IR between passes and reports
 per-pass timings through :mod:`repro.obs`.
 
 Every compilation entry point in the repository routes through here:
 :func:`repro.core.metrics.compile_program` is a delegating shim, the
 experiment runner's ``build``/``compile`` job stages run the config's
 two halves (cache entries are keyed by the config's
-:meth:`~PipelineConfig.fingerprint`), and the region-size sweeps are
+:meth:`~repro.compiler.config.PipelineConfig.fingerprint`), and the region-size sweeps are
 just configs with an ``unroll`` pass in front.
 
 Quickstart::
 
-    from repro.compiler import PassManager, standard_pipeline
+    from repro.compiler.config import standard_pipeline
+    from repro.compiler.manager import PassManager
 
     manager = PassManager(standard_pipeline())
     compilation = manager.compile(program, machine, profile)
@@ -27,51 +28,3 @@ Inspect a resolved pipeline from the shell::
     python -m repro.compiler list
     repro-eval --list-passes
 """
-
-from repro.compiler.config import (
-    PIPELINE_SCHEMA_VERSION,
-    PassSpec,
-    PipelineConfig,
-    STANDARD_CODEGEN,
-    canonical_value,
-    compilation_fingerprint,
-    content_hash,
-    standard_pipeline,
-)
-from repro.compiler.manager import (
-    PassManager,
-    compilation_digest,
-    compile_program,
-)
-from repro.compiler.passes import (
-    REQUIRED,
-    CompileState,
-    PassInfo,
-    PipelineError,
-    available_passes,
-    pass_info,
-    register_pass,
-    resolve_options,
-)
-
-__all__ = [
-    "CompileState",
-    "PIPELINE_SCHEMA_VERSION",
-    "PassInfo",
-    "PassManager",
-    "PassSpec",
-    "PipelineConfig",
-    "PipelineError",
-    "REQUIRED",
-    "STANDARD_CODEGEN",
-    "available_passes",
-    "canonical_value",
-    "compilation_digest",
-    "compilation_fingerprint",
-    "compile_program",
-    "content_hash",
-    "pass_info",
-    "register_pass",
-    "resolve_options",
-    "standard_pipeline",
-]

@@ -24,12 +24,9 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from repro.compiler import (
-    PipelineConfig,
-    available_passes,
-    compilation_digest,
-    standard_pipeline,
-)
+from repro.compiler.config import PipelineConfig, standard_pipeline
+from repro.compiler.manager import compilation_digest
+from repro.compiler.passes import available_passes
 from repro.core.speculation import SpeculationConfig
 
 
@@ -124,14 +121,16 @@ def _run_passes() -> int:
 
 
 def _run_digest(args: argparse.Namespace) -> int:
-    from repro.runner import DiskCache, Runner, compile_job
+    from repro.runner.cache import DiskCache
+    from repro.runner.executor import Runner
+    from repro.runner.jobs import compile_job
     from repro.workloads.suite import BENCHMARKS, resolve_benchmarks
     from repro.machine.configs import PLAYDOH_4W
 
     names: List[str] = []
     for chunk in args.benchmarks or []:
         names.extend(n for n in chunk.split(",") if n)
-    benchmarks = resolve_benchmarks(names) if names else tuple(BENCHMARKS)
+    benchmarks = resolve_benchmarks(names) if names else BENCHMARKS
 
     spec_config = SpeculationConfig(threshold=args.threshold)
     cache = DiskCache(

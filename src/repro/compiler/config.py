@@ -1,7 +1,7 @@
 """Declarative, serialisable pipeline configurations.
 
 A :class:`PipelineConfig` names the passes the compiler driver
-(:class:`repro.compiler.PassManager`) will run, split in two stages:
+(:class:`repro.compiler.manager.PassManager`) will run, split in two stages:
 
 * ``program_passes`` rewrite the :class:`~repro.ir.program.Program`
   itself (classical optimisations, loop unrolling).  They run *before*

@@ -3,109 +3,19 @@ parallel Compensation Code Engine.
 
 Compiler side:
 
-* :func:`speculate_block` / :func:`transform_block` — the speculation
+* :func:`repro.core.speculation.speculate_block` /
+  :func:`repro.core.speculation.transform_block` — the speculation
   pass (ISA rewriting, Synchronization-bit assignment).
-* :func:`schedule_speculative` — list scheduling of transformed blocks
-  plus wait-mask/CCB-source annotation.
-* :func:`compile_program` — whole-program pipeline.
+* :func:`repro.core.specsched.schedule_speculative` — list scheduling of
+  transformed blocks plus wait-mask/CCB-source annotation.
+* :func:`repro.core.metrics.compile_program` — whole-program pipeline.
 
 Architecture side:
 
-* :func:`simulate_block` — dual-engine timing of one block instance.
-* :func:`simulate_program` — whole-program dynamic simulation with a
-  live value predictor, timing the proposed machine, the no-prediction
-  machine and the statically-recovered baseline of reference [4].
+* :func:`repro.core.machine_sim.simulate_block` — dual-engine timing of
+  one block instance.
+* :func:`repro.core.program_sim.simulate_program` — whole-program
+  dynamic simulation with a live value predictor, timing the proposed
+  machine, the no-prediction machine and the statically-recovered
+  baseline of reference [4].
 """
-
-from repro.core.baseline import (
-    BaselineBlock,
-    BaselineRun,
-    CompensationBlock,
-    build_baseline_block,
-    simulate_baseline_block,
-)
-from repro.core.cc_engine import CCEngineStats, CompensationEngine, SimulationDeadlock
-from repro.core.ccb import CCBEntry, CCBFull, CompensationCodeBuffer, OperandSource, SourceKind
-from repro.core.icache import CodeLayout, ICacheConfig, InstructionCache
-from repro.core.isa_ext import OpForm, SpecOpInfo, SpeculativeBlock
-from repro.core.machine_sim import (
-    BlockRun,
-    simulate_all_outcomes,
-    simulate_best_case,
-    simulate_block,
-    simulate_worst_case,
-)
-from repro.core.metrics import (
-    BlockCompilation,
-    OutcomeClass,
-    ProgramCompilation,
-    classify_outcome,
-    compile_program,
-)
-from repro.core.ovb import OperandKind, OperandState, OperandValueBuffer, ValueRecord
-from repro.core.program_sim import ProgramSimResult, simulate_program
-from repro.core.specsched import SpeculativeSchedule, compute_cc_sources, schedule_speculative
-from repro.core.timeline import render_timeline
-from repro.core.speculation import (
-    SpeculationConfig,
-    candidate_loads,
-    speculate_block,
-    transform_block,
-)
-from repro.core.sync_register import (
-    SyncBitAllocator,
-    SyncRegisterOverflow,
-    SyncRegisterState,
-)
-from repro.core.vliw_engine import VLIWEngineSim, VLIWRunStats
-
-__all__ = [
-    "BaselineBlock",
-    "BaselineRun",
-    "BlockCompilation",
-    "BlockRun",
-    "CCBEntry",
-    "CCBFull",
-    "CCEngineStats",
-    "CodeLayout",
-    "CompensationBlock",
-    "CompensationCodeBuffer",
-    "CompensationEngine",
-    "ICacheConfig",
-    "InstructionCache",
-    "OpForm",
-    "OperandKind",
-    "OperandSource",
-    "OperandState",
-    "OperandValueBuffer",
-    "OutcomeClass",
-    "ProgramCompilation",
-    "ProgramSimResult",
-    "SimulationDeadlock",
-    "SourceKind",
-    "SpecOpInfo",
-    "SpeculationConfig",
-    "SpeculativeBlock",
-    "SpeculativeSchedule",
-    "SyncBitAllocator",
-    "SyncRegisterOverflow",
-    "SyncRegisterState",
-    "VLIWEngineSim",
-    "VLIWRunStats",
-    "ValueRecord",
-    "build_baseline_block",
-    "candidate_loads",
-    "classify_outcome",
-    "compile_program",
-    "compute_cc_sources",
-    "schedule_speculative",
-    "simulate_all_outcomes",
-    "simulate_baseline_block",
-    "simulate_best_case",
-    "simulate_block",
-    "simulate_program",
-    "render_timeline",
-    "simulate_worst_case",
-    "speculate_block",
-    "transform_block",
-]

@@ -18,14 +18,15 @@ proposed in [4]").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
-from repro.ddg.graph import DepKind, DependenceGraph
-from repro.ir.operation import Operation
-from repro.machine.description import MachineDescription
-from repro.sched.list_scheduler import ListScheduler
-from repro.core.isa_ext import OpForm, SpeculativeBlock
-from repro.core.specsched import SpeculativeSchedule
+from repro.core.isa_ext import OpForm
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.ir.operation import Operation
+    from repro.machine.description import MachineDescription
+    from repro.core.isa_ext import SpeculativeBlock
+    from repro.core.specsched import SpeculativeSchedule
 
 
 @dataclass(frozen=True)
@@ -75,6 +76,8 @@ def _compensation_graph(
     spec: SpeculativeBlock, ldpred_id: int, machine: MachineDescription
 ) -> Optional[DependenceGraph]:
     """Dependence graph of the ops speculated from one prediction."""
+    from repro.ddg.graph import DepKind, DependenceGraph
+
     members: List[Operation] = [
         op
         for op in spec.operations
@@ -106,6 +109,8 @@ def build_baseline_block(
     """Compile a scheduled transform for the baseline recovery scheme:
     its main code *is* ``spec_schedule``, so only the compensation
     blocks are scheduled here."""
+    from repro.sched.list_scheduler import ListScheduler
+
     spec = spec_schedule.spec
     scheduler = ListScheduler(machine)
     compensation: Dict[int, CompensationBlock] = {}

@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional
 
-from repro.ddg.graph import DependenceGraph
-from repro.ir.block import BasicBlock
-from repro.ir.operation import Operation
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.ddg.graph import DependenceGraph
+    from repro.ir.block import BasicBlock
+    from repro.ir.operation import Operation
 
 
 class OpForm(enum.Enum):

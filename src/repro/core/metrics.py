@@ -14,16 +14,17 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.ir.program import Program
-from repro.machine.description import MachineDescription
-from repro.obs.metrics import MetricsSnapshot
-from repro.profiling.profile_run import ProfileData
-from repro.core.baseline import BaselineBlock
-from repro.core.machine_sim import BlockRun
-from repro.core.specsched import SpeculativeSchedule
-from repro.core.speculation import SpeculationConfig
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.ir.program import Program
+    from repro.machine.description import MachineDescription
+    from repro.obs.metrics import MetricsSnapshot
+    from repro.profiling.profile_run import ProfileData
+    from repro.core.baseline import BaselineBlock
+    from repro.core.machine_sim import BlockRun
+    from repro.core.specsched import SpeculativeSchedule
+    from repro.core.speculation import SpeculationConfig
 
 
 class OutcomeClass(enum.Enum):
@@ -216,6 +217,8 @@ class ProgramCompilation:
         ``collect_metrics=True``) aggregates the same per-block
         snapshots under real predictor outcomes instead.
         """
+        from repro.obs.metrics import MetricsSnapshot
+
         total = MetricsSnapshot.empty()
         for label, comp in self.blocks.items():
             if not comp.speculated:
@@ -241,8 +244,8 @@ def compile_program(
     scheduling, speculation, speculative scheduling, baseline) produces
     the identical :class:`ProgramCompilation`.  Callers wanting a
     different pass ordering, per-pass metrics or inter-pass verification
-    control should use :class:`repro.compiler.PassManager` directly.
+    control should use :class:`repro.compiler.manager.PassManager` directly.
     """
-    from repro.compiler import PassManager
+    from repro.compiler.manager import PassManager
 
     return PassManager().compile(program, machine, profile, spec_config=config)

@@ -30,26 +30,22 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple
 
-from repro.ir.block import BasicBlock
-from repro.ir.operation import Operation
-from repro.obs.cycles import attribute_schedule
-from repro.obs.metrics import MetricsRegistry, MetricsSnapshot, NULL_METRICS
-from repro.predict.base import ValuePredictor, _values_equal
-from repro.predict.confidence import ConfidenceEstimator
-from repro.predict.hybrid import default_hybrid
-from repro.predict.table import ValuePredictionTable
-from repro.profiling.interpreter import Interpreter
+from repro.obs.metrics import MetricsRegistry, NULL_METRICS
+from repro.predict.base import _values_equal
 from repro.core import compile_cache
-from repro.core.baseline import simulate_baseline_block, simulate_squash_block
-from repro.core.icache import CodeLayout, ICacheConfig, InstructionCache
-from repro.core.metrics import (
-    BlockCompilation,
-    OutcomeClass,
-    ProgramCompilation,
-    classify_outcome,
-)
+from repro.core.metrics import OutcomeClass, classify_outcome
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.ir.block import BasicBlock
+    from repro.ir.operation import Operation
+    from repro.obs.metrics import MetricsSnapshot
+    from repro.predict.base import ValuePredictor
+    from repro.predict.confidence import ConfidenceEstimator
+    from repro.predict.table import ValuePredictionTable
+    from repro.core.icache import ICacheConfig
+    from repro.core.metrics import BlockCompilation, ProgramCompilation
 
 
 @dataclass
@@ -182,6 +178,8 @@ def _shared_original_attribution(
     machine = compilation.machine
 
     def compute() -> Dict[str, int]:
+        from repro.obs.cycles import attribute_schedule
+
         schedule = compile_cache.original_schedule(block, machine)
         assert schedule.length == comp.original_length, (
             f"block {comp.label!r}: rebuilt original schedule is "
@@ -200,6 +198,8 @@ def _shared_baseline_attribution(comp: BlockCompilation) -> Dict[str, int]:
     baseline = compile_cache.origin(block, comp.baseline)
 
     def compute():
+        from repro.obs.cycles import attribute_schedule
+
         counts = attribute_schedule(baseline.schedule.schedule)
         assert sum(counts.values()) == baseline.main_length
         # The memo value pins the baseline object so the id in the key
@@ -214,17 +214,17 @@ def _shared_baseline_run(comp: BlockCompilation, ldpreds, pattern, machine):
     block = comp.baseline.spec.original
     baseline = compile_cache.origin(block, comp.baseline)
     tkey = compile_cache.timing_key(machine)
-    entry = compile_cache.cached(
-        block,
-        ("brun", id(baseline), tkey, pattern),
-        lambda: (
+
+    def compute():
+        from repro.core.baseline import simulate_baseline_block
+
+        return (
             baseline,
-            simulate_baseline_block(
-                baseline, dict(zip(ldpreds, pattern)), machine
-            ),
-        ),
-    )
-    return entry[1]
+            simulate_baseline_block(baseline, dict(zip(ldpreds, pattern)), machine),
+        )
+
+    key = ("brun", id(baseline), tkey, pattern)
+    return compile_cache.cached(block, key, compute)[1]
 
 
 def _shared_squash_run(comp: BlockCompilation, ldpreds, pattern, machine):
@@ -232,17 +232,17 @@ def _shared_squash_run(comp: BlockCompilation, ldpreds, pattern, machine):
     block = comp.spec_schedule.spec.original
     schedule = compile_cache.origin(block, comp.spec_schedule)
     tkey = compile_cache.timing_key(machine)
-    entry = compile_cache.cached(
-        block,
-        ("srun", id(schedule), tkey, pattern),
-        lambda: (
+
+    def compute():
+        from repro.core.baseline import simulate_squash_block
+
+        return (
             schedule,
-            simulate_squash_block(
-                schedule, dict(zip(ldpreds, pattern)), machine
-            ),
-        ),
-    )
-    return entry[1]
+            simulate_squash_block(schedule, dict(zip(ldpreds, pattern)), machine),
+        )
+
+    key = ("srun", id(schedule), tkey, pattern)
+    return compile_cache.cached(block, key, compute)[1]
 
 
 def _charge_scaled(stack: Dict[str, int], counts: Mapping[str, int], n: int) -> None:
@@ -381,6 +381,8 @@ class _FetchWalk:
     def __init__(
         self, compilation: ProgramCompilation, config: Optional[ICacheConfig]
     ):
+        from repro.core.icache import CodeLayout, ICacheConfig, InstructionCache
+
         config = config or ICacheConfig()
         self.layout = CodeLayout(config)
         self.proposed = InstructionCache(config)
@@ -586,13 +588,13 @@ def simulate_program(
             ``result.cycle_stacks``; each stack is asserted to sum
             exactly to the matching ``cycles_*`` total.  Off by default;
             timing results are identical either way.
-        trace: a :class:`~repro.trace.ValueTrace` captured from this
+        trace: a :class:`~repro.trace.format.ValueTrace` captured from this
             compilation's program.  When given, the simulation observer
             is driven from the recorded value stream instead of a live
             interpretation — results are identical because the observer
             consumes only block entries and traced-op result values.
             The trace must cover every predicted load of the
-            compilation; :class:`~repro.trace.TraceMismatch` is raised
+            compilation; :class:`~repro.trace.format.TraceMismatch` is raised
             otherwise.
         batch: opt into the batched struct-of-arrays engine
             (:mod:`repro.batchsim`).  Pass a
@@ -606,6 +608,9 @@ def simulate_program(
             both engines reduce the run to :class:`SimCounts` and share
             one accounting fold.
     """
+    from repro.predict.hybrid import default_hybrid
+    from repro.predict.table import ValuePredictionTable
+
     result = ProgramSimResult(
         program_name=compilation.program.name,
         machine_name=compilation.machine.name,
@@ -702,6 +707,8 @@ def simulate_program(
                 max_operations=max_operations,
             )
         else:
+            from repro.profiling.interpreter import Interpreter
+
             Interpreter(max_operations=max_operations).run(
                 compilation.program, observers=[observer]
             )

@@ -15,14 +15,17 @@ the run-time engines need beyond issue cycles:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Optional, Tuple
 
-from repro.ir.operation import Imm, Operation, Reg
-from repro.machine.description import MachineDescription
-from repro.sched.list_scheduler import ListScheduler
-from repro.sched.schedule import Schedule
+from repro.ir.operation import Imm
 from repro.core.ccb import OperandSource, SourceKind
-from repro.core.isa_ext import OpForm, SpeculativeBlock
+from repro.core.isa_ext import OpForm
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.ir.operation import Operation, Reg
+    from repro.machine.description import MachineDescription
+    from repro.sched.schedule import Schedule
+    from repro.core.isa_ext import SpeculativeBlock
 
 
 @dataclass
@@ -114,6 +117,8 @@ def schedule_speculative(
     ``analysis`` optionally supplies a precomputed critical-path
     analysis of ``spec.graph`` (see ``ListScheduler.schedule_graph``).
     """
+    from repro.sched.list_scheduler import ListScheduler
+
     scheduler = ListScheduler(machine, priority=priority)
     if original_length is None:
         original_length = scheduler.schedule_block(spec.original).length

@@ -40,17 +40,16 @@ waiting non-speculative op.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Set
 
-from repro.ddg.graph import DepKind, DependenceGraph
-from repro.ir.block import BasicBlock
-from repro.ir.opcodes import Opcode
-from repro.ir.operation import Operation, Reg
-from repro.machine.description import MachineDescription
-from repro.profiling.value_profile import ValueProfile
 from repro.core import compile_cache
-from repro.core.isa_ext import OpForm, SpecOpInfo, SpeculativeBlock
-from repro.core.sync_register import SyncBitAllocator, SyncRegisterOverflow
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.ir.block import BasicBlock
+    from repro.ir.operation import Operation, Reg
+    from repro.machine.description import MachineDescription
+    from repro.profiling.value_profile import ValueProfile
+    from repro.core.isa_ext import SpeculativeBlock
 
 
 #: Dependence graphs and critical-path analyses depend on the machine
@@ -153,6 +152,12 @@ def transform_block(
     is exposed separately so tests and the worked paper example can
     force specific prediction sets.
     """
+    from repro.ddg.graph import DepKind, DependenceGraph
+    from repro.ir.opcodes import Opcode
+    from repro.ir.operation import Operation
+    from repro.core.isa_ext import OpForm, SpecOpInfo, SpeculativeBlock
+    from repro.core.sync_register import SyncBitAllocator, SyncRegisterOverflow
+
     config = config or SpeculationConfig()
     original_graph = _shared_ddg(block, machine)
     block_ids = {op.op_id for op in block.operations}
@@ -442,6 +447,8 @@ def candidate_loads(
     chase the newly exposed path, and ops made non-speculable by the
     current choices are filtered out.
     """
+    from repro.core.isa_ext import OpForm
+
     if already:
         spec = _shared_transform(block, machine, already, live_out, config)
         graph, forms = spec.graph, spec.info

@@ -1,15 +1,1 @@
 """Data-dependence graphs and critical-path analysis."""
-
-from repro.ddg.builder import build_ddg
-from repro.ddg.critical_path import PathAnalysis, analyze, critical_path_loads
-from repro.ddg.graph import DepEdge, DepKind, DependenceGraph
-
-__all__ = [
-    "DepEdge",
-    "DepKind",
-    "DependenceGraph",
-    "PathAnalysis",
-    "analyze",
-    "build_ddg",
-    "critical_path_loads",
-]

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
-from repro.ir.operation import Operation
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.ir.operation import Operation
 
 
 class DepKind(enum.Enum):

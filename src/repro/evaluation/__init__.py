@@ -1,25 +1,1 @@
 """Experiment drivers regenerating every table and figure of the paper."""
-
-from repro.evaluation.experiment import (
-    Evaluation,
-    EvaluationSettings,
-    arithmetic_mean,
-    geometric_mean,
-)
-from repro.evaluation.report import (
-    EXPERIMENTS,
-    experiment_names,
-    full_report,
-    run_experiment,
-)
-
-__all__ = [
-    "EXPERIMENTS",
-    "Evaluation",
-    "EvaluationSettings",
-    "arithmetic_mean",
-    "experiment_names",
-    "full_report",
-    "geometric_mean",
-    "run_experiment",
-]

@@ -34,7 +34,9 @@ from typing import List, Optional
 from repro.evaluation import baseline_cmp, figure8, regions_exp, table2, table3, table4
 from repro.evaluation.experiment import Evaluation, EvaluationSettings
 from repro.evaluation.report import EXPERIMENTS, full_report, run_experiment
-from repro.runner import DiskCache, EventLog, ProgressRenderer, Runner
+from repro.runner.cache import DiskCache
+from repro.runner.events import EventLog, ProgressRenderer
+from repro.runner.executor import Runner
 
 #: Experiments with structured row output available as JSON.
 _COMPUTE = {
@@ -239,7 +241,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     settings = EvaluationSettings(scale=args.scale).with_threshold(args.threshold)
     if args.list_passes:
-        from repro.compiler import standard_pipeline
+        from repro.compiler.config import standard_pipeline
 
         print(standard_pipeline().describe(spec_config=settings.spec_config))
         return 0

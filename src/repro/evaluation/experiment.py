@@ -4,7 +4,7 @@
 results per (benchmark, machine) so the table/figure generators can share
 work — profiling is the expensive step and every experiment needs it.
 
-When constructed with a :class:`repro.runner.Runner`, every pipeline
+When constructed with a :class:`repro.runner.executor.Runner`, every pipeline
 stage is delegated to the runner as a declarative job: stage results are
 then additionally memoised on disk (surviving across processes and
 threshold/scale sweeps) and :meth:`Evaluation.warm` can execute the
@@ -27,19 +27,21 @@ from typing import (
     Union,
 )
 
-from repro.compiler import PassManager, PipelineConfig
-from repro.ir.program import Program
 from repro.machine.configs import by_name, spec_by_name
 from repro.machine.description import MachineDescription
 from repro.machine.spec import MachineSpec
-from repro.profiling.profile_run import ProfileData, profile_program
-from repro.core.metrics import ProgramCompilation
-from repro.core.program_sim import ProgramSimResult, simulate_program
+from repro.core.program_sim import simulate_program
 from repro.core.speculation import SpeculationConfig
 from repro.workloads.suite import BENCHMARKS, load_benchmark, resolve_benchmarks
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from repro.runner import Job, Runner
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.compiler.config import PipelineConfig
+    from repro.core.metrics import ProgramCompilation
+    from repro.core.program_sim import ProgramSimResult
+    from repro.ir.program import Program
+    from repro.profiling.profile_run import ProfileData
+    from repro.runner.executor import Runner
+    from repro.runner.jobs import Job
 
 
 #: How an experiment names a machine: a registry name, a spec-file path,
@@ -68,7 +70,7 @@ class EvaluationSettings:
 
     scale: float = 1.0
     spec_config: SpeculationConfig = field(default_factory=SpeculationConfig)
-    benchmarks: Tuple[str, ...] = tuple(BENCHMARKS)
+    benchmarks: Tuple[str, ...] = BENCHMARKS
     machines: Tuple[Tuple[str, MachineRef], ...] = DEFAULT_MACHINES
 
     def with_threshold(self, threshold: float) -> "EvaluationSettings":
@@ -187,7 +189,7 @@ class Evaluation:
         #: traces as jobs instead).  ``None`` uses the process-wide
         #: default store, so *separate* Evaluation instances over the
         #: same built program — a threshold sweep — still interpret it
-        #: only once.  Pass a fresh :class:`repro.trace.TraceStore` to
+        #: only once.  Pass a fresh :class:`repro.trace.store.TraceStore` to
         #: isolate.
         self.trace_store = trace_store
         self._machines: Dict[str, MachineDescription] = {}
@@ -210,7 +212,7 @@ class Evaluation:
         """The cached value trace for ``program``.
 
         Capture-on-first-use through the configured (or default
-        process-wide) :class:`repro.trace.TraceStore`.
+        process-wide) :class:`repro.trace.store.TraceStore`.
         """
         from repro.trace.store import default_store
 
@@ -225,7 +227,7 @@ class Evaluation:
                 # reference, so the parent must use the same object graph.
                 # adopt_program keeps later op-creating passes (regions
                 # unrolling) from minting ids that collide with it.
-                from repro.runner import adopt_program, build_job
+                from repro.runner.jobs import adopt_program, build_job
 
                 self._programs[name] = adopt_program(
                     self.runner.run_job(
@@ -243,12 +245,14 @@ class Evaluation:
     def profile(self, name: str) -> ProfileData:
         if name not in self._profiles:
             if self.runner is not None:
-                from repro.runner import profile_job
+                from repro.runner.jobs import profile_job
 
                 self._profiles[name] = self.runner.run_job(
                     profile_job(name, scale=self.settings.scale)
                 )
             else:
+                from repro.profiling.profile_run import profile_program
+
                 program = self.program(name)
                 self._profiles[name] = _shared(
                     _SHARED_PROFILES,
@@ -265,7 +269,7 @@ class Evaluation:
         key = (name, machine.name)
         if key not in self._compilations:
             if self.runner is not None:
-                from repro.runner import compile_job
+                from repro.runner.jobs import compile_job
 
                 self._compilations[key] = self.runner.run_job(
                     compile_job(
@@ -276,6 +280,8 @@ class Evaluation:
                     )
                 )
             else:
+                from repro.compiler.manager import PassManager
+
                 self._compilations[key] = PassManager().compile(
                     self.program(name),
                     machine,
@@ -287,7 +293,7 @@ class Evaluation:
     # -- pipeline variants ---------------------------------------------------
     #
     # A *variant* is the same benchmark compiled under a non-standard
-    # :class:`repro.compiler.PipelineConfig` — e.g. the region-size
+    # :class:`repro.compiler.config.PipelineConfig` — e.g. the region-size
     # sweeps' unrolled loops.  With a runner, variants are ordinary
     # build/profile/compile jobs (so every unroll factor is a durable
     # on-disk cache entry); without one, the pass manager runs inline.
@@ -296,7 +302,7 @@ class Evaluation:
         key = (name, pipeline.fingerprint())
         if key not in self._variant_programs:
             if self.runner is not None:
-                from repro.runner import adopt_program, build_job
+                from repro.runner.jobs import adopt_program, build_job
 
                 self._variant_programs[key] = adopt_program(
                     self.runner.run_job(
@@ -306,6 +312,8 @@ class Evaluation:
                     )
                 )
             else:
+                from repro.compiler.manager import PassManager
+
                 self._variant_programs[key] = _shared(
                     _SHARED_PROGRAMS,
                     (name, self.settings.scale, pipeline.fingerprint()),
@@ -319,7 +327,7 @@ class Evaluation:
         key = (name, pipeline.fingerprint())
         if key not in self._variant_profiles:
             if self.runner is not None:
-                from repro.runner import profile_job
+                from repro.runner.jobs import profile_job
 
                 self._variant_profiles[key] = self.runner.run_job(
                     profile_job(
@@ -327,6 +335,8 @@ class Evaluation:
                     )
                 )
             else:
+                from repro.profiling.profile_run import profile_program
+
                 program = self.variant_program(name, pipeline)
                 self._variant_profiles[key] = _shared(
                     _SHARED_PROFILES,
@@ -343,7 +353,7 @@ class Evaluation:
         key = (name, machine.name, pipeline.fingerprint())
         if key not in self._variant_compilations:
             if self.runner is not None:
-                from repro.runner import compile_job
+                from repro.runner.jobs import compile_job
 
                 self._variant_compilations[key] = self.runner.run_job(
                     compile_job(
@@ -355,6 +365,8 @@ class Evaluation:
                     )
                 )
             else:
+                from repro.compiler.manager import PassManager
+
                 self._variant_compilations[key] = PassManager(pipeline).compile(
                     self.variant_program(name, pipeline),
                     machine,
@@ -381,7 +393,7 @@ class Evaluation:
         key = (name, machine.name, model_icache, cycles)
         if key not in self._simulations:
             if self.runner is not None:
-                from repro.runner import simulate_job
+                from repro.runner.jobs import simulate_job
 
                 self._simulations[key] = self.runner.run_job(
                     simulate_job(
@@ -428,7 +440,7 @@ class Evaluation:
         self, experiments: Optional[Iterable[str]] = None
     ) -> List["Job"]:
         """The job graph covering ``experiments`` (default: all of them)."""
-        from repro.runner import compile_job, simulate_job
+        from repro.runner.jobs import compile_job, simulate_job
 
         names = list(experiments) if experiments is not None else list(
             EXPERIMENT_NEEDS

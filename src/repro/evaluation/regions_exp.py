@@ -28,13 +28,18 @@ both from the cache); without one, the evaluation's trace store.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.compiler import PipelineConfig, standard_pipeline
+from repro.compiler.config import standard_pipeline
 from repro.ir.printer import format_table
-from repro.profiling.memory import Number
-from repro.regions.unroll import UnrollError, unroll_program_loop
 from repro.evaluation.experiment import Evaluation
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.compiler.config import PipelineConfig
+    from repro.profiling.memory import Number
+
+    #: A program's final architectural state: registers and memory snapshot.
+    FinalState = Tuple[Dict[str, Number], Dict[int, Number]]
 
 FACTORS = (2, 4)
 
@@ -42,9 +47,6 @@ FACTORS = (2, 4)
 #: iteration to the next (the unrolled copies chain instead of running
 #: side by side).
 SERIAL_CHAIN_BENCHMARKS = frozenset({"li"})
-
-#: A program's final architectural state: registers and memory snapshot.
-FinalState = Tuple[Dict[str, Number], Dict[int, Number]]
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,7 @@ def _final_state(
     """Final registers and memory snapshot of ``name`` built with
     ``pipeline`` (``None``: the standard build), read from its trace."""
     if evaluation.runner is not None:
-        from repro.runner import trace_job
+        from repro.runner.jobs import trace_job
 
         trace = evaluation.runner.run_job(
             trace_job(name, scale=evaluation.settings.scale, pipeline=pipeline)
@@ -91,6 +93,8 @@ def _architecturally_equivalent(base: FinalState, variant: FinalState) -> bool:
 
 
 def compute(evaluation: Evaluation) -> List[RegionRow]:
+    from repro.regions.unroll import UnrollError, unroll_program_loop
+
     rows: List[RegionRow] = []
     machine = evaluation.machine_4w
     for name in evaluation.benchmarks:

@@ -168,7 +168,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         file=sys.stderr,
     )
 
-    from repro.runner import DiskCache, EventLog, ProgressRenderer, Runner
+    from repro.runner.cache import DiskCache
+    from repro.runner.events import EventLog, ProgressRenderer
+    from repro.runner.executor import Runner
 
     events = EventLog(
         path=args.events,

@@ -3,7 +3,7 @@
 The explore driver needs a second objective beside speedup to make a
 Pareto frontier meaningful: a bigger machine is (almost) always faster,
 so "fastest" alone degenerates to "largest".  This model assigns every
-:class:`~repro.machine.MachineSpec` a dimensionless *cost* — an additive
+:class:`~repro.machine.spec.MachineSpec` a dimensionless *cost* — an additive
 area/complexity proxy in "unit-equivalents", deliberately simple and
 fully documented so frontier plots are interpretable:
 
@@ -25,11 +25,13 @@ for sensitivity studies.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping
+from typing import TYPE_CHECKING, Dict, Mapping
 
 from repro.ir.opcodes import FUClass
-from repro.machine.predictor import PredictorSpec
-from repro.machine.spec import MachineSpec
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.machine.predictor import PredictorSpec
+    from repro.machine.spec import MachineSpec
 
 #: Per-unit weights, in integer-ALU equivalents.
 DEFAULT_UNIT_WEIGHTS: Mapping[FUClass, float] = {

@@ -2,7 +2,7 @@
 
 Each :class:`~repro.explore.space.DesignPoint` runs the paper's dynamic
 simulation (the table 2/4 machinery) per benchmark through one shared
-:class:`~repro.runner.Runner`, so points that share stages dedupe on
+:class:`~repro.runner.executor.Runner`, so points that share stages dedupe on
 content-hash job keys exactly like any other sweep: one
 build/trace/profile per benchmark for the *whole* sweep, one
 compile/simulate per distinct (machine fingerprint, speculation config)
@@ -16,7 +16,7 @@ The result layer is deliberately plain data (no live machine objects) so
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.evaluation.experiment import (
     Evaluation,
@@ -24,8 +24,9 @@ from repro.evaluation.experiment import (
     geometric_mean,
 )
 from repro.explore.cost import machine_cost
-from repro.explore.space import DesignPoint
-from repro.obs.cycles import CPIStack
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.explore.space import DesignPoint
 
 
 @dataclass(frozen=True)
@@ -124,6 +125,8 @@ def _evaluation_for(
 
 def _point_result(point: DesignPoint, evaluation: Evaluation) -> PointResult:
     """Exactly simulate one point's benchmarks and reduce to a result."""
+    from repro.obs.cycles import CPIStack
+
     bench_results: List[BenchmarkResult] = []
     merged = CPIStack.of({})
     for name in evaluation.benchmarks:
@@ -164,7 +167,7 @@ def _error_detail(exc: BaseException) -> str:
     A failed runner job reports its stage's own exception, so the detail
     is the same whether the point ran through the runner or in-process.
     """
-    from repro.runner import JobError
+    from repro.runner.executor import JobError
 
     if isinstance(exc, JobError):
         exc = exc.cause
@@ -191,7 +194,7 @@ def _prefetch(runner, job_lists: Iterable[Sequence[Any]]) -> None:
     the points that need that job (and lazily runs any job the batch did
     not reach), so the error is attributed there.
     """
-    from repro.runner import JobError
+    from repro.runner.executor import JobError
 
     jobs = _union(job_lists)
     if not jobs:

@@ -9,11 +9,14 @@ job diffs them).
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
-from repro.explore.driver import PointResult, PrunedPoint, pareto_frontier
-from repro.explore.space import DesignSpace
+from repro.explore.driver import pareto_frontier
 from repro.ir.printer import format_table
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.explore.driver import PointResult, PrunedPoint
+    from repro.explore.space import DesignSpace
 
 #: Bump when the artifact shape changes.  v2 added per-point
 #: ``bottleneck`` labels from the cycle-accounting engine; v3 added the

@@ -1,7 +1,7 @@
 """Design spaces: declared axes over machine + speculation parameters.
 
 An :class:`Axis` names one swept parameter and its values; a
-:class:`DesignSpace` is a base :class:`~repro.machine.MachineSpec` plus a
+:class:`DesignSpace` is a base :class:`~repro.machine.spec.MachineSpec` plus a
 list of axes, expanded to concrete :class:`DesignPoint` objects by
 :meth:`~DesignSpace.grid` (full cross product) or
 :meth:`~DesignSpace.sample` (seeded random subset).  Each point owns the
@@ -42,11 +42,13 @@ import dataclasses
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 
 from repro.core.speculation import SpeculationConfig
 from repro.ir.opcodes import FUClass, Opcode
-from repro.machine.spec import MachineSpec
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.machine.spec import MachineSpec
 
 #: Axes that apply to the machine spec directly.
 _MACHINE_AXES = (

@@ -1,80 +1,14 @@
 """VLIW intermediate representation: operations, blocks, functions, programs.
 
-This package replaces the Trimaran Elcor IR the paper builds on.  The
-public surface is re-exported here:
+This package replaces the Trimaran Elcor IR the paper builds on.  Import
+each name from its defining module:
 
-* :class:`Opcode`, :class:`FUClass` — operation codes and FU classes.
-* :class:`Reg`, :class:`Imm`, :class:`Operation` — operands/operations.
-* :class:`BasicBlock`, :class:`Function`, :class:`Program` — containers.
-* :class:`FunctionBuilder`, :class:`ProgramBuilder` — fluent construction.
-* :func:`verify_function`, :func:`verify_program` — invariant checks.
-* :func:`compute_liveness` — per-block live-in/live-out sets.
+* :mod:`repro.ir.opcodes` — ``Opcode``, ``FUClass``: operation codes and
+  FU classes.
+* :mod:`repro.ir.operation` — ``Reg``, ``Imm``, ``Operation``.
+* :mod:`repro.ir.block`, :mod:`repro.ir.function`, :mod:`repro.ir.program`
+  — the containers.
+* :mod:`repro.ir.builder` — ``FunctionBuilder``, ``ProgramBuilder``.
+* :mod:`repro.ir.verifier` — ``verify_function``, ``verify_program``.
+* :mod:`repro.ir.liveness` — ``compute_liveness``.
 """
-
-from repro.ir.asm import (
-    AsmSyntaxError,
-    format_function_asm,
-    format_operation_asm,
-    format_program_asm,
-    parse_function,
-    parse_operation,
-    parse_program,
-)
-from repro.ir.block import BasicBlock
-from repro.ir.builder import FunctionBuilder, ProgramBuilder, as_operand, as_reg
-from repro.ir.function import Function
-from repro.ir.liveness import LivenessInfo, compute_liveness
-from repro.ir.opcodes import (
-    BRANCH_OPCODES,
-    MEMORY_OPCODES,
-    FUClass,
-    Opcode,
-    arity,
-    evaluator,
-    fu_class,
-    is_alu,
-)
-from repro.ir.operation import Imm, Operand, Operation, Reg, reset_operation_ids
-from repro.ir.printer import format_block, format_function, format_program, format_table
-from repro.ir.program import Program
-from repro.ir.verifier import VerificationError, check_function, verify_function, verify_program
-
-__all__ = [
-    "AsmSyntaxError",
-    "BRANCH_OPCODES",
-    "MEMORY_OPCODES",
-    "BasicBlock",
-    "FUClass",
-    "Function",
-    "FunctionBuilder",
-    "Imm",
-    "LivenessInfo",
-    "Opcode",
-    "Operand",
-    "Operation",
-    "Program",
-    "ProgramBuilder",
-    "Reg",
-    "VerificationError",
-    "arity",
-    "as_operand",
-    "as_reg",
-    "check_function",
-    "compute_liveness",
-    "evaluator",
-    "format_block",
-    "format_function",
-    "format_function_asm",
-    "format_operation_asm",
-    "format_program_asm",
-    "format_program",
-    "format_table",
-    "fu_class",
-    "is_alu",
-    "parse_function",
-    "parse_operation",
-    "parse_program",
-    "reset_operation_ids",
-    "verify_function",
-    "verify_program",
-]

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from repro.ir.block import BasicBlock
-from repro.ir.function import Function
-from repro.ir.program import Program
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.ir.block import BasicBlock
+    from repro.ir.function import Function
+    from repro.ir.program import Program
 
 
 def format_block(block: BasicBlock, indent: str = "  ") -> str:

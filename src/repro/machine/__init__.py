@@ -1,55 +1,11 @@
 """Machine descriptions (HPL-PD/Playdoh stand-in): units, widths, latencies.
 
 Machines exist in two forms: the declarative, serialisable
-:class:`MachineSpec` (canonical JSON/TOML form, content-hash
-``fingerprint()``) and the runtime :class:`MachineDescription` that the
+:class:`~repro.machine.spec.MachineSpec` (canonical JSON/TOML form,
+content-hash ``fingerprint()``) and the runtime
+:class:`~repro.machine.description.MachineDescription` that the
 schedulers and engines consume (``spec.build()`` / ``machine.spec()``
 convert losslessly).  The registry in :mod:`repro.machine.configs` holds
-the predefined configurations; :func:`by_name` resolves registry names
+the predefined configurations; :func:`~repro.machine.configs.by_name` resolves registry names
 or spec-file paths.
 """
-
-from repro.machine.configs import (
-    PLAYDOH_4W,
-    PLAYDOH_4W_SPEC,
-    PLAYDOH_8W,
-    PLAYDOH_8W_SPEC,
-    UNLIMITED,
-    UNLIMITED_SPEC,
-    by_name,
-    register_machine,
-    registry_names,
-    spec_by_name,
-)
-from repro.machine.description import DEFAULT_LATENCIES, MachineDescription
-from repro.machine.predictor import PREDICTOR_KINDS, PredictorSpec
-from repro.machine.resources import FUPool, ReservationTable
-from repro.machine.spec import (
-    MACHINE_SCHEMA_VERSION,
-    MachineSpec,
-    load_spec,
-    machine_fingerprint,
-)
-
-__all__ = [
-    "DEFAULT_LATENCIES",
-    "FUPool",
-    "MACHINE_SCHEMA_VERSION",
-    "MachineDescription",
-    "MachineSpec",
-    "PLAYDOH_4W",
-    "PLAYDOH_4W_SPEC",
-    "PLAYDOH_8W",
-    "PLAYDOH_8W_SPEC",
-    "PREDICTOR_KINDS",
-    "PredictorSpec",
-    "ReservationTable",
-    "UNLIMITED",
-    "UNLIMITED_SPEC",
-    "by_name",
-    "load_spec",
-    "machine_fingerprint",
-    "register_machine",
-    "registry_names",
-    "spec_by_name",
-]

@@ -5,7 +5,7 @@ configuration: issue width, functional-unit pool, per-opcode latencies,
 branch penalty, Compensation-Code-Buffer and Operand-Value-Buffer
 capacities, Synchronization-register width, the value-predictor choice
 plus table geometry, and (optionally) non-default speculation-pass
-defaults.  It mirrors :class:`repro.compiler.PipelineConfig`: specs are
+defaults.  It mirrors :class:`repro.compiler.config.PipelineConfig`: specs are
 frozen dataclasses with a canonical JSON-primitive form
 (:meth:`canonical`) and a stable content hash (:meth:`fingerprint`) that
 addresses runner cache entries.

@@ -21,59 +21,3 @@ benchmark or the paper's worked example and emit a metrics snapshot and
 a ``.trace.json`` that https://ui.perfetto.dev opens directly.  See
 ``docs/OBSERVABILITY.md``.
 """
-
-from repro.obs.metrics import (
-    HistogramSummary,
-    MetricsRegistry,
-    MetricsSnapshot,
-    NULL_METRICS,
-    metric_key,
-)
-from repro.obs.perfetto import (
-    RUNNER_PID,
-    block_run_events,
-    chrome_trace,
-    runner_span_events,
-    validate_chrome_trace,
-    write_trace,
-)
-from repro.obs.trace import (
-    BitClearEvent,
-    CheckEvent,
-    ExecuteEvent,
-    FlushEvent,
-    LdPredEvent,
-    OvbTransitionEvent,
-    SpeculateEvent,
-    StallEvent,
-    SyncClearEvent,
-    SyncSetEvent,
-    TraceEvent,
-    TraceSink,
-)
-
-__all__ = [
-    "BitClearEvent",
-    "CheckEvent",
-    "ExecuteEvent",
-    "FlushEvent",
-    "HistogramSummary",
-    "LdPredEvent",
-    "MetricsRegistry",
-    "MetricsSnapshot",
-    "NULL_METRICS",
-    "OvbTransitionEvent",
-    "RUNNER_PID",
-    "SpeculateEvent",
-    "StallEvent",
-    "SyncClearEvent",
-    "SyncSetEvent",
-    "TraceEvent",
-    "TraceSink",
-    "block_run_events",
-    "chrome_trace",
-    "metric_key",
-    "runner_span_events",
-    "validate_chrome_trace",
-    "write_trace",
-]

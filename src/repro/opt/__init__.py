@@ -1,19 +1,1 @@
 """Classical block-local optimisations run ahead of scheduling."""
-
-from repro.opt.passes import (
-    DEFAULT_PASSES,
-    constant_folding,
-    copy_propagation,
-    dead_code_elimination,
-    optimize_function,
-    optimize_program,
-)
-
-__all__ = [
-    "DEFAULT_PASSES",
-    "constant_folding",
-    "copy_propagation",
-    "dead_code_elimination",
-    "optimize_function",
-    "optimize_program",
-]

@@ -1,27 +1,2 @@
 """Value predictors: last-value, stride, FCM, hybrid, plus the hardware
 value-prediction table and confidence estimation."""
-
-from repro.predict.base import Key, PredictorStats, Value, ValuePredictor
-from repro.predict.confidence import ConfidenceConfig, ConfidenceEstimator
-from repro.predict.dfcm import DFCMPredictor
-from repro.predict.fcm import FCMPredictor
-from repro.predict.hybrid import HybridPredictor, default_hybrid
-from repro.predict.last_value import LastValuePredictor
-from repro.predict.stride import StridePredictor
-from repro.predict.table import ValuePredictionTable
-
-__all__ = [
-    "ConfidenceConfig",
-    "ConfidenceEstimator",
-    "DFCMPredictor",
-    "FCMPredictor",
-    "HybridPredictor",
-    "Key",
-    "LastValuePredictor",
-    "PredictorStats",
-    "StridePredictor",
-    "Value",
-    "ValuePredictionTable",
-    "ValuePredictor",
-    "default_hybrid",
-]

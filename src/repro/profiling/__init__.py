@@ -1,29 +1,1 @@
 """Architectural execution and profiling (block frequency, value profiles)."""
-
-from repro.profiling.block_profile import BlockFrequencyProfiler, BlockProfile
-from repro.profiling.interpreter import (
-    ExecutionLimitExceeded,
-    ExecutionObserver,
-    ExecutionResult,
-    Interpreter,
-    run_program,
-)
-from repro.profiling.memory import Memory
-from repro.profiling.profile_run import ProfileData, profile_program
-from repro.profiling.value_profile import LoadValueStats, ValueProfile, ValueProfiler
-
-__all__ = [
-    "BlockFrequencyProfiler",
-    "BlockProfile",
-    "ExecutionLimitExceeded",
-    "ExecutionObserver",
-    "ExecutionResult",
-    "Interpreter",
-    "LoadValueStats",
-    "Memory",
-    "ProfileData",
-    "ValueProfile",
-    "ValueProfiler",
-    "profile_program",
-    "run_program",
-]

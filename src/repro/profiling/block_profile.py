@@ -9,10 +9,11 @@ for Tables 2-4.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.ir.block import BasicBlock
-from repro.ir.operation import Operation
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.ir.block import BasicBlock
+    from repro.ir.operation import Operation
 
 
 class BlockFrequencyProfiler:

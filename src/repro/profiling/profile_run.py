@@ -10,11 +10,12 @@ evaluation experiments consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.ir.program import Program
-from repro.profiling.block_profile import BlockFrequencyProfiler, BlockProfile
-from repro.profiling.interpreter import Interpreter
-from repro.profiling.value_profile import ValueProfile, ValueProfiler
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.ir.program import Program
+    from repro.profiling.block_profile import BlockProfile
+    from repro.profiling.value_profile import ValueProfile
 
 
 @dataclass(frozen=True)
@@ -22,7 +23,7 @@ class ProfileData:
     """Everything the compiler learns from a profiling run.
 
     The run's final registers and memory are not kept here: the
-    :class:`~repro.trace.ValueTrace` of the same run already holds them.
+    :class:`~repro.trace.format.ValueTrace` of the same run already holds them.
     """
 
     program_name: str
@@ -42,7 +43,7 @@ def profile_program(
     ``profile_alu=True`` additionally value-profiles long-latency ALU
     results (mul/div/...), enabling ``SpeculationConfig.predict_alu``.
 
-    ``trace`` (a :class:`~repro.trace.ValueTrace` captured from this
+    ``trace`` (a :class:`~repro.trace.format.ValueTrace` captured from this
     program) replays the recorded value stream instead of interpreting —
     the profilers consume only block entries and traced-op results, both
     of which the trace records exactly, so the profile is identical.
@@ -53,7 +54,8 @@ def profile_program(
     process-wide default) to profile from the shared trace decode.
     Requires ``trace``.  The profile is byte-identical either way.
     """
-    from repro.profiling.value_profile import LONG_LATENCY_OPCODES
+    from repro.profiling.block_profile import BlockFrequencyProfiler
+    from repro.profiling.value_profile import LONG_LATENCY_OPCODES, ValueProfiler
 
     if batch is not None and trace is not None:
         from repro.batchsim.context import resolve_context
@@ -79,6 +81,8 @@ def profile_program(
             trace, program, observers=observers, max_operations=max_operations
         )
     else:
+        from repro.profiling.interpreter import Interpreter
+
         Interpreter(max_operations=max_operations).run(
             program, observers=observers
         )

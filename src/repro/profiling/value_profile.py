@@ -16,15 +16,15 @@ pass can then predict when ``SpeculationConfig.predict_alu`` is set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Dict, FrozenSet, Optional
+from typing import TYPE_CHECKING, Collection, Dict, FrozenSet, Optional
 
-from repro.ir.block import BasicBlock
 from repro.ir.opcodes import Opcode
-from repro.ir.operation import Operation
+from repro.predict.base import _values_equal
 
-from repro.predict.base import ValuePredictor, _values_equal
-from repro.predict.fcm import FCMPredictor
-from repro.predict.stride import StridePredictor
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.ir.block import BasicBlock
+    from repro.ir.operation import Operation
+    from repro.predict.base import ValuePredictor
 
 #: Long-latency value-producing opcodes worth profiling beyond loads.
 LONG_LATENCY_OPCODES: FrozenSet[Opcode] = frozenset(
@@ -66,6 +66,9 @@ class ValueProfiler:
         fcm: Optional[ValuePredictor] = None,
         extra_opcodes: Collection[Opcode] = (),
     ):
+        from repro.predict.fcm import FCMPredictor
+        from repro.predict.stride import StridePredictor
+
         self._stride = stride if stride is not None else StridePredictor()
         self._fcm = fcm if fcm is not None else FCMPredictor(order=2)
         self._stats: Dict[int, LoadValueStats] = {}

@@ -4,13 +4,3 @@ The paper closes by expecting larger scheduling regions (superblocks,
 hyperblocks) to amplify value prediction's benefit.  These transforms
 let the experiments quantify that on the synthetic suite.
 """
-
-from repro.regions.merge import merge_straightline
-from repro.regions.unroll import UnrollError, unroll_loop, unroll_program_loop
-
-__all__ = [
-    "UnrollError",
-    "merge_straightline",
-    "unroll_loop",
-    "unroll_program_loop",
-]

@@ -9,7 +9,8 @@ design.
 
 Typical use::
 
-    from repro.runner import DiskCache, Runner
+    from repro.runner.cache import DiskCache
+    from repro.runner.executor import Runner
     from repro.evaluation.experiment import Evaluation
 
     runner = Runner(cache=DiskCache())
@@ -17,76 +18,3 @@ Typical use::
     evaluation.warm()                      # run the whole job graph once
     rows = table2.compute(evaluation)      # served from the warmed caches
 """
-
-from repro.runner.cache import (
-    CacheStats,
-    DiskCache,
-    ProgramRefs,
-    default_cache_dir,
-)
-from repro.runner.events import EventLog, ProgressRenderer, executed_jobs, read_events
-from repro.runner.executor import JobError, Runner
-from repro.runner.graph import CycleError, JobGraph
-from repro.runner.jobs import (
-    CODE_VERSION,
-    DepResults,
-    Job,
-    JobSpec,
-    adopt_program,
-    batch_simulate_job,
-    batch_simulate_spec,
-    build_job,
-    build_spec,
-    compile_job,
-    compile_spec,
-    default_deps,
-    dep_result,
-    execute_spec,
-    job_for,
-    pipeline_jobs,
-    profile_job,
-    profile_spec,
-    register_stage,
-    simulate_job,
-    simulate_spec,
-    trace_job,
-    trace_spec,
-)
-
-__all__ = [
-    "CODE_VERSION",
-    "CacheStats",
-    "CycleError",
-    "DepResults",
-    "DiskCache",
-    "EventLog",
-    "Job",
-    "JobError",
-    "JobGraph",
-    "JobSpec",
-    "ProgramRefs",
-    "ProgressRenderer",
-    "Runner",
-    "adopt_program",
-    "batch_simulate_job",
-    "batch_simulate_spec",
-    "build_job",
-    "build_spec",
-    "compile_job",
-    "compile_spec",
-    "default_cache_dir",
-    "default_deps",
-    "dep_result",
-    "execute_spec",
-    "executed_jobs",
-    "job_for",
-    "pipeline_jobs",
-    "profile_job",
-    "profile_spec",
-    "read_events",
-    "register_stage",
-    "simulate_job",
-    "simulate_spec",
-    "trace_job",
-    "trace_spec",
-]

@@ -37,9 +37,9 @@ A job runs at most once per runner, so ``key`` pairs each
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
-import uuid
 from typing import Any, Dict, IO, Iterable, List, Optional
 
 
@@ -85,7 +85,7 @@ class EventLog:
     ):
         self.path = path
         self.renderer = renderer
-        self.run_id = uuid.uuid4().hex[:12]
+        self.run_id = os.urandom(6).hex()
         self.events: List[Dict[str, Any]] = []
         self._fh: Optional[IO[str]] = None
         self._t0 = time.monotonic()

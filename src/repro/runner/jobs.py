@@ -44,7 +44,7 @@ from their keys: threshold and predictor ablations re-use the same
 profiling run, which is where most of the wall time goes.
 
 Compilation-shaped stages additionally carry a
-:class:`repro.compiler.PipelineConfig`: ``build`` runs its
+:class:`repro.compiler.config.PipelineConfig`: ``build`` runs its
 program-rewriting prefix (classical optimisation, loop unrolling),
 ``compile`` its codegen passes, and the config's canonical form joins
 the job key — so cache entries are addressed by *pipeline
@@ -116,7 +116,7 @@ class JobSpec:
     Attributes:
         stage: registered stage name (``profile``/``compile``/``simulate``
             or a test-injected stage).
-        benchmark: workload name from :data:`repro.workloads.BENCHMARKS`.
+        benchmark: workload name from :data:`repro.workloads.suite.BENCHMARKS`.
         scale: workload size multiplier.
         machine: target machine, or ``None`` for machine-independent
             stages (profiling).
@@ -327,7 +327,7 @@ def _run_build(spec: JobSpec, dep_results: DepResults) -> Any:
     reset_operation_ids()
     program = load_benchmark(spec.benchmark, scale=spec.scale)
     if spec.pipeline is not None and spec.pipeline.program_passes:
-        from repro.compiler import PassManager
+        from repro.compiler.manager import PassManager
 
         program = PassManager(spec.pipeline).run_program_passes(program)
     return program
@@ -360,7 +360,7 @@ def _run_profile(spec: JobSpec, dep_results: DepResults) -> Any:
 
 
 def _run_compile(spec: JobSpec, dep_results: DepResults) -> Any:
-    from repro.compiler import PassManager
+    from repro.compiler.manager import PassManager
 
     if spec.machine is None:
         raise ValueError(f"{spec.job_id}: compile jobs need a machine")

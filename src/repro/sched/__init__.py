@@ -1,22 +1,1 @@
 """Resource-constrained list scheduling for VLIW blocks."""
-
-from repro.sched.list_scheduler import ListScheduler, schedule_block
-from repro.sched.priorities import (
-    PRIORITY_FACTORIES,
-    height_priority,
-    slack_priority,
-    source_order_priority,
-)
-from repro.sched.schedule import Schedule, ScheduledOp, VLIWInstruction
-
-__all__ = [
-    "ListScheduler",
-    "PRIORITY_FACTORIES",
-    "Schedule",
-    "ScheduledOp",
-    "VLIWInstruction",
-    "height_priority",
-    "schedule_block",
-    "slack_priority",
-    "source_order_priority",
-]

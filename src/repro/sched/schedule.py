@@ -10,10 +10,11 @@ the last result becomes available.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
 
-from repro.ir.operation import Operation
-from repro.machine.description import MachineDescription
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.ir.operation import Operation
+    from repro.machine.description import MachineDescription
 
 
 @dataclass(frozen=True, slots=True)

@@ -35,14 +35,17 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Tuple, Union
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Tuple, Union
 
 from repro.ir.opcodes import Opcode
-from repro.ir.operation import Imm, Reg
-from repro.ir.program import Program
-from repro.profiling.interpreter import ExecutionResult
-from repro.profiling.memory import Memory, Number
+from repro.ir.operation import Imm
 from repro.profiling.value_profile import LONG_LATENCY_OPCODES
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.ir.operation import Reg
+    from repro.ir.program import Program
+    from repro.profiling.interpreter import ExecutionResult
+    from repro.profiling.memory import Number
 
 #: Bump when the trace layout changes incompatibly.
 TRACE_SCHEMA_VERSION = 1
@@ -162,6 +165,9 @@ class ValueTrace:
         replayed run reports the captured ``loads_executed`` /
         ``stores_executed`` instead of zero.
         """
+        from repro.profiling.interpreter import ExecutionResult
+        from repro.profiling.memory import Memory
+
         memory = Memory.with_counts(
             self.final_memory, reads=self.loads_executed, writes=self.stores_executed
         )

@@ -1,6 +1,6 @@
 """Process-level trace cache for runner-less evaluation sweeps.
 
-The :class:`~repro.runner.Runner` path disk-caches traces as first-class
+The :class:`~repro.runner.executor.Runner` path disk-caches traces as first-class
 jobs; direct :class:`~repro.evaluation.experiment.Evaluation` use (the
 table/figure modules, tests) has no disk cache to lean on, so this
 module provides a small in-process LRU keyed by the program's

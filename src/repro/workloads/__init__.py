@@ -1,21 +1,1 @@
 """Synthetic SPEC95-like workloads with controlled value predictability."""
-
-from repro.workloads.suite import (
-    BENCHMARKS,
-    FP_BENCHMARKS,
-    INT_BENCHMARKS,
-    benchmark_names,
-    load_benchmark,
-    load_suite,
-    resolve_benchmarks,
-)
-
-__all__ = [
-    "BENCHMARKS",
-    "FP_BENCHMARKS",
-    "INT_BENCHMARKS",
-    "benchmark_names",
-    "load_benchmark",
-    "load_suite",
-    "resolve_benchmarks",
-]

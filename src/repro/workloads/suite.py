@@ -7,33 +7,24 @@ tomcatv).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Tuple
+import importlib
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
-from repro.ir.program import Program
-from repro.workloads import (
-    compress,
-    hydro2d,
-    ijpeg,
-    li,
-    m88ksim,
-    swim,
-    tomcatv,
-    vortex,
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.ir.program import Program
+
+#: Benchmarks in the paper's table order.  Each is built by the
+#: ``build`` function of the :mod:`repro.workloads` module of that name.
+BENCHMARKS: Tuple[str, ...] = (
+    "compress",
+    "ijpeg",
+    "li",
+    "m88ksim",
+    "vortex",
+    "hydro2d",
+    "swim",
+    "tomcatv",
 )
-
-Builder = Callable[..., Program]
-
-#: Benchmarks in the paper's table order.
-BENCHMARKS: Dict[str, Builder] = {
-    "compress": compress.build,
-    "ijpeg": ijpeg.build,
-    "li": li.build,
-    "m88ksim": m88ksim.build,
-    "vortex": vortex.build,
-    "hydro2d": hydro2d.build,
-    "swim": swim.build,
-    "tomcatv": tomcatv.build,
-}
 
 INT_BENCHMARKS: List[str] = ["compress", "ijpeg", "li", "m88ksim", "vortex"]
 FP_BENCHMARKS: List[str] = ["hydro2d", "swim", "tomcatv"]
@@ -65,15 +56,11 @@ def resolve_benchmarks(names: Sequence[str]) -> Tuple[str, ...]:
 
 def load_benchmark(name: str, scale: float = 1.0) -> Program:
     """Build one benchmark by name."""
-    try:
-        builder = BENCHMARKS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown benchmark {name!r}; available: {benchmark_names()}"
-        ) from None
-    return builder(scale=scale)
+    if name not in BENCHMARKS:
+        raise KeyError(f"unknown benchmark {name!r}; available: {benchmark_names()}")
+    return importlib.import_module(f"repro.workloads.{name}").build(scale=scale)
 
 
 def load_suite(scale: float = 1.0) -> Dict[str, Program]:
     """Build the whole suite (deterministic: fixed per-benchmark seeds)."""
-    return {name: builder(scale=scale) for name, builder in BENCHMARKS.items()}
+    return {name: load_benchmark(name, scale=scale) for name in BENCHMARKS}

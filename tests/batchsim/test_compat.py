@@ -17,7 +17,7 @@ from repro.core.metrics import compile_program
 from repro.core.program_sim import simulate_program
 from repro.machine.configs import PLAYDOH_4W, PLAYDOH_8W
 from repro.profiling.profile_run import profile_program
-from repro.trace import capture_trace
+from repro.trace.capture import capture_trace
 from repro.workloads.suite import load_suite
 
 SUITE = load_suite(scale=0.25)
@@ -60,7 +60,8 @@ class TestUnsupportedReasons:
 class TestBatchSimulateJob:
     def test_job_results_match_scalar_simulate_jobs(self):
         """One batch_simulate job == N scalar simulate jobs, per entry."""
-        from repro.runner import Runner, batch_simulate_job, simulate_job
+        from repro.runner.executor import Runner
+        from repro.runner.jobs import batch_simulate_job, simulate_job
 
         machines = [PLAYDOH_4W, PLAYDOH_8W]
         batch = batch_simulate_job(

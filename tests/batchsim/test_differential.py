@@ -22,7 +22,7 @@ from repro.core.program_sim import simulate_program
 from repro.core.speculation import SpeculationConfig
 from repro.machine.configs import PLAYDOH_4W, PLAYDOH_8W, PLAYDOH_4W_SPEC
 from repro.profiling.profile_run import profile_program
-from repro.trace import capture_trace
+from repro.trace.capture import capture_trace
 from repro.workloads.suite import load_suite
 from repro.workloads.synthetic import random_program
 

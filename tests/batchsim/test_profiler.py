@@ -20,7 +20,7 @@ from repro.predict.base import _values_equal
 from repro.predict.fcm import FCMPredictor
 from repro.predict.stride import StridePredictor
 from repro.profiling.profile_run import profile_program
-from repro.trace import capture_trace
+from repro.trace.capture import capture_trace
 from repro.workloads.suite import load_suite
 
 SUITE = load_suite(scale=0.25)

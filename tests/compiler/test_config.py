@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.compiler import (
+from repro.compiler.config import (
     PassSpec,
     PipelineConfig,
     STANDARD_CODEGEN,

@@ -5,16 +5,9 @@ import pickle
 
 import pytest
 
-from repro.compiler import (
-    PassManager,
-    PassSpec,
-    PipelineConfig,
-    PipelineError,
-    available_passes,
-    compile_program,
-    register_pass,
-    standard_pipeline,
-)
+from repro.compiler.config import PassSpec, PipelineConfig, standard_pipeline
+from repro.compiler.manager import PassManager, compile_program
+from repro.compiler.passes import PipelineError, available_passes, register_pass
 from repro.compiler.passes import _REGISTRY
 from repro.ir.block import BasicBlock
 from repro.ir.builder import ProgramBuilder
@@ -171,7 +164,7 @@ class TestPassAlgebra:
         assert confirm.snapshot().counter_family("compiler.pass_changed") == {}
 
     def test_optimize_pass_matches_optimize_program(self):
-        from repro.opt import optimize_program
+        from repro.opt.passes import optimize_program
 
         program = sloppy_program()
         via_pass = PassManager(

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.batchsim import reset_shared_state
-from repro.compiler import compile_program
+from repro.batchsim.context import reset_shared_state
+from repro.compiler.manager import compile_program
 from repro.core.machine_sim import simulate_best_case, simulate_worst_case
 from repro.machine.configs import PLAYDOH_4W, PLAYDOH_8W
 from repro.profiling.profile_run import profile_program
-from repro.runner import DiskCache
+from repro.runner.cache import DiskCache
 from repro.workloads.suite import load_suite
 
 SCALE = 0.25

@@ -31,7 +31,7 @@ def _reset_shared_state():
     captures, runner events) or construct conflicting stand-ins must
     not see another test's entries.
     """
-    from repro.batchsim import reset_shared_state
+    from repro.batchsim.context import reset_shared_state
 
     reset_shared_state()
     yield

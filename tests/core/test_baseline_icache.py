@@ -16,7 +16,7 @@ from repro.machine.configs import PLAYDOH_4W
 from repro.predict.confidence import ConfidenceEstimator
 from repro.profiling.profile_run import profile_program
 from repro.sched.list_scheduler import schedule_block
-from repro.trace import capture_trace
+from repro.trace.capture import capture_trace
 from repro.workloads.suite import load_suite
 
 

@@ -68,7 +68,7 @@ class TestTimingKey:
 
 
 def _explore_counts(monkeypatch, kinds: str):
-    from repro.batchsim import reset_shared_state
+    from repro.batchsim.context import reset_shared_state
     from repro.explore.cli import main
 
     calls = []

@@ -5,7 +5,8 @@ import pytest
 from repro.evaluation import regions_exp
 from repro.evaluation.experiment import Evaluation, EvaluationSettings
 from repro.evaluation.regions_exp import RegionRow, compute, render
-from repro.runner import DiskCache, Runner
+from repro.runner.cache import DiskCache
+from repro.runner.executor import Runner
 
 
 @pytest.fixture(scope="module")

@@ -114,7 +114,8 @@ class TestExplorePoints:
         assert high.accuracy >= low.accuracy
 
     def test_runner_path_matches_runnerless(self, sweep):
-        from repro.runner import DiskCache, Runner
+        from repro.runner.cache import DiskCache
+        from repro.runner.executor import Runner
 
         space, local = sweep
         with_runner = explore(
@@ -288,7 +289,7 @@ class TestCli:
 
     def test_failing_point_is_pruned_not_fatal(self, tmp_path, capsys):
         from repro.explore.cli import main
-        from repro.runner import read_events
+        from repro.runner.events import read_events
 
         out, events = tmp_path / "sweep.json", tmp_path / "events.jsonl"
         argv = [

@@ -6,7 +6,7 @@ from repro.core.metrics import compile_program
 from repro.core.program_sim import simulate_program
 from repro.ir.builder import ProgramBuilder
 from repro.machine.configs import PLAYDOH_4W
-from repro.opt import optimize_program
+from repro.opt.passes import optimize_program
 from repro.profiling.profile_run import profile_program
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.ir.builder import FunctionBuilder, ProgramBuilder
 from repro.ir.opcodes import Opcode
 from repro.ir.operation import Imm, Reg
-from repro.opt import (
+from repro.opt.passes import (
     constant_folding,
     copy_propagation,
     dead_code_elimination,

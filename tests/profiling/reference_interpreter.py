@@ -1,6 +1,6 @@
 """The reference interpreter: one dispatch per dynamic operation.
 
-This is the original execution loop of :class:`repro.profiling.Interpreter`,
+This is the original execution loop of :class:`repro.profiling.interpreter.Interpreter`,
 kept as the executable specification its specialized fast path is
 checked against (``test_fast_path.py``): same results, same observer
 event streams, same errors at the same dynamic operation.

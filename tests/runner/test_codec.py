@@ -32,7 +32,7 @@ import repro
 from repro.ddg.graph import DepEdge, DepKind
 from repro.ir.opcodes import Opcode
 from repro.ir.operation import Imm, Operation, Reg
-from repro.runner import DiskCache, ProgramRefs
+from repro.runner.cache import DiskCache, ProgramRefs
 from repro.sched.schedule import ScheduledOp, VLIWInstruction
 
 
@@ -277,7 +277,7 @@ class TestCompilePayloadShape:
         assert {"playdoh-4w", "playdoh-8w"} <= machines
 
     def test_a_rebound_schedule_stays_shared_through_the_cache(self, tmp_path):
-        from repro.compiler import PassManager
+        from repro.compiler.manager import PassManager
         from repro.core import compile_cache
         from repro.ir.operation import reset_operation_ids
         from repro.machine.configs import PLAYDOH_4W, PLAYDOH_4W_SPEC

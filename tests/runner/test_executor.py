@@ -8,15 +8,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.runner import (
-    DiskCache,
-    EventLog,
-    Job,
-    JobError,
-    JobSpec,
-    Runner,
-    register_stage,
-)
+from repro.runner.cache import DiskCache
+from repro.runner.events import EventLog
+from repro.runner.executor import JobError, Runner
+from repro.runner.jobs import Job, JobSpec, register_stage
 
 
 def _bump_counter(path: str) -> int:

@@ -9,11 +9,10 @@ import pytest
 
 from repro.core.speculation import SpeculationConfig
 from repro.machine.configs import PLAYDOH_4W, PLAYDOH_8W
-from repro.runner import (
-    CycleError,
-    DiskCache,
+from repro.runner.cache import DiskCache
+from repro.runner.graph import CycleError, JobGraph
+from repro.runner.jobs import (
     Job,
-    JobGraph,
     JobSpec,
     build_spec,
     compile_spec,
@@ -210,14 +209,10 @@ class TestOperationIdAdoption:
         assert Operation(opcode=Opcode.HALT).op_id > 101
 
     def test_compile_of_cached_program_after_smaller_build(self, tmp_path):
-        from repro.machine import PLAYDOH_8W
-        from repro.runner import (
-            DiskCache,
-            Runner,
-            build_job,
-            compile_job,
-            profile_job,
-        )
+        from repro.machine.configs import PLAYDOH_8W
+        from repro.runner.cache import DiskCache
+        from repro.runner.executor import Runner
+        from repro.runner.jobs import build_job, compile_job, profile_job
 
         scale = 0.15
         big, small = "li", "hydro2d"  # most / fewest static operations

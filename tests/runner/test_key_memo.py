@@ -18,15 +18,10 @@ import types
 from repro.machine import spec as machine_spec_module
 from repro.machine.configs import PLAYDOH_4W, PLAYDOH_4W_SPEC, PLAYDOH_8W
 from repro.machine.spec import MachineSpec
-from repro.runner import (
-    DiskCache,
-    JobGraph,
-    JobSpec,
-    Runner,
-    compile_job,
-    pipeline_jobs,
-    simulate_spec,
-)
+from repro.runner.cache import DiskCache
+from repro.runner.executor import Runner
+from repro.runner.graph import JobGraph
+from repro.runner.jobs import JobSpec, compile_job, pipeline_jobs, simulate_spec
 from repro.runner import jobs as jobs_module
 
 

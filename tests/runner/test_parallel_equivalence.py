@@ -15,13 +15,9 @@ import pytest
 
 from repro.evaluation import table2, table3
 from repro.evaluation.experiment import Evaluation, EvaluationSettings
-from repro.runner import (
-    DiskCache,
-    EventLog,
-    Runner,
-    executed_jobs,
-    read_events,
-)
+from repro.runner.cache import DiskCache
+from repro.runner.events import EventLog, executed_jobs, read_events
+from repro.runner.executor import Runner
 
 SCALE = 0.2
 SETTINGS = EvaluationSettings(scale=SCALE)

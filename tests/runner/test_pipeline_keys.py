@@ -1,13 +1,14 @@
 """Pipeline-aware job keys: normalisation, distinctness, dep derivation,
 and end-to-end execution of a non-standard pipeline through the runner."""
 
-from repro.compiler import PassManager, compilation_digest, standard_pipeline
+from repro.compiler.config import standard_pipeline
+from repro.compiler.manager import PassManager, compilation_digest
 from repro.ir.operation import reset_operation_ids
 from repro.machine.configs import PLAYDOH_4W
 from repro.profiling.profile_run import profile_program
-from repro.runner import (
-    DiskCache,
-    Runner,
+from repro.runner.cache import DiskCache
+from repro.runner.executor import Runner
+from repro.runner.jobs import (
     build_spec,
     compile_job,
     compile_spec,

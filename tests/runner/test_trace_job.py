@@ -5,17 +5,17 @@ import dataclasses
 from repro.core.speculation import SpeculationConfig
 from repro.evaluation.experiment import Evaluation, EvaluationSettings
 from repro.machine.configs import PLAYDOH_4W, PLAYDOH_8W
-from repro.runner import (
-    DiskCache,
-    JobGraph,
-    Runner,
+from repro.runner.cache import DiskCache
+from repro.runner.executor import Runner
+from repro.runner.graph import JobGraph
+from repro.runner.jobs import (
     default_deps,
     profile_spec,
     simulate_job,
     simulate_spec,
     trace_spec,
 )
-from repro.trace import ValueTrace
+from repro.trace.format import ValueTrace
 
 
 class TestTraceSpec:

@@ -18,17 +18,12 @@ from hypothesis import strategies as st
 from repro.core.metrics import compile_program
 from repro.core.program_sim import simulate_program
 from repro.ir.builder import ProgramBuilder
-from repro.machine import PLAYDOH_4W
+from repro.machine.configs import PLAYDOH_4W
 from repro.profiling.interpreter import ExecutionLimitExceeded, Interpreter
 from repro.profiling.profile_run import profile_program
-from repro.trace import (
-    TraceError,
-    TraceMismatch,
-    ValueTrace,
-    capture_trace,
-    program_digest,
-    replay_trace,
-)
+from repro.trace.capture import capture_trace
+from repro.trace.format import TraceError, TraceMismatch, ValueTrace, program_digest
+from repro.trace.replay import replay_trace
 from repro.workloads.suite import load_suite
 
 SUITE = load_suite(scale=0.25)

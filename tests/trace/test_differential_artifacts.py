@@ -13,11 +13,11 @@ import dataclasses
 
 import pytest
 
-from repro.batchsim import reset_shared_state
+from repro.batchsim.context import reset_shared_state
 from repro.evaluation import figure8, table2, table3, table4
 from repro.evaluation.experiment import Evaluation, EvaluationSettings
 from repro.profiling.interpreter import Interpreter
-from repro.trace import TraceStore, reset_default_store
+from repro.trace.store import TraceStore, reset_default_store
 from tests.profiling.reference_interpreter import run_reference
 
 #: (mode name, interpret with the reference loop, replay the trace)

@@ -4,14 +4,10 @@ import dataclasses
 
 import pytest
 
-from repro.batchsim import reset_shared_state
+from repro.batchsim.context import reset_shared_state
 from repro.evaluation.experiment import Evaluation, EvaluationSettings
-from repro.trace import (
-    TraceStore,
-    capture_trace,
-    default_store,
-    reset_default_store,
-)
+from repro.trace.capture import capture_trace
+from repro.trace.store import TraceStore, default_store, reset_default_store
 from repro.workloads.suite import load_benchmark, load_suite
 
 

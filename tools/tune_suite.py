@@ -10,10 +10,12 @@ Run:  python tools/tune_suite.py [bench ...] [--scale S]
 import argparse
 import time
 
-from repro.core import OutcomeClass
-from repro.machine import PLAYDOH_4W, PLAYDOH_8W
-from repro.runner import DiskCache, Runner, compile_job, simulate_job
-from repro.workloads import BENCHMARKS
+from repro.core.metrics import OutcomeClass
+from repro.machine.configs import PLAYDOH_4W, PLAYDOH_8W
+from repro.runner.cache import DiskCache
+from repro.runner.executor import Runner
+from repro.runner.jobs import compile_job, simulate_job
+from repro.workloads.suite import BENCHMARKS
 
 # Paper Table 4 best-case targets: (ex-time fraction, schedule fraction @4w, schedule fraction @8w)
 TARGETS = {
