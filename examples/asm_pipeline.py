@@ -21,6 +21,7 @@ from repro.ir.liveness import compute_liveness
 from repro.machine.configs import PLAYDOH_4W
 from repro.profiling.profile_run import profile_program
 from repro.sched.list_scheduler import schedule_block
+from repro.trace.capture import capture_trace
 
 SOURCE = """
 program checksum
@@ -63,7 +64,7 @@ def main() -> None:
     print("parsed + optimised program:")
     print(format_program_asm(program))
 
-    profile = profile_program(program)
+    profile = profile_program(program, capture_trace(program))
     print("load predictability:")
     for op_id, stats in sorted(profile.values.loads.items()):
         print(f"  op{op_id}: stride={stats.stride_rate:.2f} fcm={stats.fcm_rate:.2f}")

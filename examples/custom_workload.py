@@ -24,6 +24,7 @@ from repro.ir.printer import format_block
 from repro.machine.configs import PLAYDOH_4W
 from repro.profiling.profile_run import profile_program
 from repro.sched.list_scheduler import schedule_block
+from repro.trace.capture import capture_trace
 
 COEFFS = 10_000
 XS = 20_000
@@ -66,7 +67,7 @@ def main() -> None:
     program = build_program()
     machine = PLAYDOH_4W
 
-    profile = profile_program(program)
+    profile = profile_program(program, capture_trace(program))
     print("Load predictability:")
     for op_id, stats in sorted(profile.values.loads.items()):
         print(f"  op{op_id}: stride {stats.stride_rate:.2f}, FCM {stats.fcm_rate:.2f}")

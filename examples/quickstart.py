@@ -35,7 +35,7 @@ def main() -> None:
 
     program = load_benchmark(name)
     trace = capture_trace(program)
-    profile = profile_program(program, trace=trace)
+    profile = profile_program(program, trace)
     print(f"profiled {trace.dynamic_operations} dynamic operations, "
           f"{profile.blocks.total} dynamic blocks")
     for op_id, stats in sorted(profile.values.loads.items()):
@@ -50,7 +50,7 @@ def main() -> None:
               f"{block.best_case().effective_length} cycles "
               f"({len(block.predicted_load_ids)} predicted load(s))")
 
-    result = simulate_program(compilation)
+    result = simulate_program(compilation, trace)
     print(f"\nno prediction : {result.cycles_nopred} cycles")
     print(f"proposed      : {result.cycles_proposed} cycles "
           f"(speedup {result.speedup_proposed:.3f})")

@@ -10,9 +10,11 @@ scratch in Python:
 * :mod:`repro.ddg` — data-dependence graphs and critical-path analysis.
 * :mod:`repro.sched` — resource-constrained list scheduling.
 * :mod:`repro.predict` — value predictors: last-value, stride, FCM,
-  hybrid; the hardware value-prediction table; confidence estimation.
+  DFCM, hybrid; the hardware value-prediction table.
 * :mod:`repro.profiling` — architectural execution, block-frequency and
   value profiling.
+* :mod:`repro.trace` — the value trace of one architectural run: the
+  only input of profiling and simulation.
 * :mod:`repro.core` — the paper's contribution: the value-speculation
   compiler pass (LdPred / check-prediction / speculative /
   non-speculative forms, Synchronization register) and the dual-engine
@@ -43,12 +45,14 @@ Quickstart::
     from repro.profiling.profile_run import profile_program
     from repro.compiler.manager import compile_program
     from repro.core.program_sim import simulate_program
+    from repro.trace.capture import capture_trace
     from repro.workloads.suite import load_benchmark
 
     program = load_benchmark("compress")
-    profile = profile_program(program)
+    trace = capture_trace(program)           # the one architectural run
+    profile = profile_program(program, trace)
     compilation = compile_program(program, PLAYDOH_4W, profile)
-    result = simulate_program(compilation)
+    result = simulate_program(compilation, trace)
     print(f"speedup over no prediction: {result.speedup_proposed:.3f}")
 
 Non-standard pipelines are declared, not hand-stitched::

@@ -9,8 +9,8 @@ histogram).  All caches are bounded LRUs keyed by object identity with
 strong references held in the values, so ids cannot be reused while an
 entry lives.
 
-A process-wide default context backs ``Evaluation`` sweeps without a
-runner (mirroring :func:`repro.trace.store.default_store`);
+A process-wide default context backs every batched simulation and
+profile (mirroring :func:`repro.trace.store.default_store`);
 :func:`reset_shared_state` drops it together with the compile-product
 memos — bench iterations call it so repeats measure real work, and the
 test suite resets between tests for isolation.
@@ -24,12 +24,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.batchsim.arrays import TraceArrays
-from repro.batchsim.outcomes import (
-    OutcomeColumn,
-    build_predictor,
-    compute_column,
-    predictor_key,
-)
+from repro.batchsim.outcomes import OutcomeColumn, compute_column, predictor_key
 
 
 class _LRU:
@@ -101,7 +96,7 @@ class BatchContext:
         column = compute_column(
             op_id,
             arrays.op_values(label, op_id),
-            lambda: build_predictor(machine),
+            machine.predictor.build,
         )
         self._columns.put(key, (arrays, column))
         return column
@@ -170,13 +165,6 @@ def default_context() -> BatchContext:
     if _DEFAULT is None:
         _DEFAULT = BatchContext()
     return _DEFAULT
-
-
-def resolve_context(batch) -> BatchContext:
-    """Interpret ``simulate_program``'s ``batch=`` argument."""
-    if isinstance(batch, BatchContext):
-        return batch
-    return default_context()
 
 
 def reset_default_context() -> None:

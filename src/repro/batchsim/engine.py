@@ -12,11 +12,11 @@ Because step 2 is literally shared code, batched results are
 byte-identical to the scalar engine by construction; the parity suite
 (`tests/batchsim/`) asserts it anyway, end to end.
 
-Points that leave the common path — explicit predictor override, finite
-value-prediction table, confidence gating, icache modelling (inherently
-sequential cache state) or a missing trace — run the scalar engine
-inside :func:`~repro.core.program_sim.simulate_program`; the decision
-is reported by :func:`unsupported_reason`.
+Points that leave the common path — a finite value-prediction table or
+icache modelling, both inherently sequential — replay the trace through
+the scalar observer inside
+:func:`~repro.core.program_sim.simulate_program`; the decision is
+reported by :func:`unsupported_reason`.
 """
 
 from __future__ import annotations
@@ -27,22 +27,10 @@ from repro.batchsim.context import BatchContext
 from repro.profiling.interpreter import ExecutionLimitExceeded
 
 
-def unsupported_reason(
-    predictor=None,
-    table=None,
-    confidence=None,
-    model_icache: bool = False,
-    trace=None,
-) -> Optional[str]:
-    """Why this simulation cannot run batched (``None`` = it can)."""
-    if trace is None:
-        return "no value trace (live interpretation is sequential)"
-    if predictor is not None:
-        return "explicit predictor instance (columns key on machine specs)"
-    if table is not None:
+def unsupported_reason(machine, model_icache: bool = False) -> Optional[str]:
+    """Why a simulation on ``machine`` cannot run batched (``None`` = it can)."""
+    if machine.predictor.table_entries is not None:
         return "finite prediction table (cross-op entry stealing is global)"
-    if confidence is not None:
-        return "confidence gating (estimator state is sequential)"
     if model_icache:
         return "icache modelling (cache state is sequential)"
     return None

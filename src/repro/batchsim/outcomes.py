@@ -2,7 +2,7 @@
 
 The scalar simulation observer trains the hardware predictor only on the
 ops a compilation predicts, and every shipped predictor (stride, FCM,
-DFCM, last-value, hybrid and its confidence scores) keeps strictly
+DFCM, last-value, hybrid and its chooser counters) keeps strictly
 per-static-op state.  Consequence — the batching theorem this package
 rests on: the per-occurrence outcome column of a static op depends only
 on (a) the op's own value sequence in the trace and (b) the predictor
@@ -47,19 +47,7 @@ class OutcomeColumn:
 
 def predictor_key(machine) -> str:
     """Canonical cache key of the machine's declared predictor."""
-    spec = getattr(machine, "predictor", None)
-    if spec is None:
-        return "default_hybrid"
-    return json.dumps(spec.canonical(), sort_keys=True)
-
-
-def build_predictor(machine) -> ValuePredictor:
-    spec = getattr(machine, "predictor", None)
-    if spec is not None:
-        return spec.build()
-    from repro.predict.hybrid import default_hybrid
-
-    return default_hybrid()
+    return json.dumps(machine.predictor.canonical(), sort_keys=True)
 
 
 def compute_column(

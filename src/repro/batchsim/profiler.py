@@ -128,9 +128,9 @@ def batch_profile(
     """The :class:`~repro.profiling.profile_run.ProfileData` of one
     captured run, computed from the struct-of-arrays decode.
 
-    Identical to ``profile_program(program, trace=trace, ...)`` — same
-    counters, same dict orders, same limit/mismatch errors — but driven
-    column-wise through ``context``'s shared :class:`TraceArrays`.
+    Identical to replaying the trace through the streaming profilers —
+    same counters, same dict orders, same limit/mismatch errors — but
+    driven column-wise through ``context``'s shared :class:`TraceArrays`.
     """
     from repro.profiling.profile_run import ProfileData
 

@@ -149,8 +149,9 @@ class PassManager:
 
         Only valid when the config has no program passes or ``profile``
         is ``None`` — a profile gathered on the un-rewritten program
-        would reference operations the rewrite replaced.  With program
-        passes and no profile, the rewritten program is profiled here.
+        would reference operations the rewrite replaced.  With no
+        profile, the (rewritten) program's trace is captured and
+        profiled here.
         """
         if self.config.program_passes:
             if profile is not None:
@@ -162,8 +163,9 @@ class PassManager:
             program = self.run_program_passes(program)
         if profile is None:
             from repro.profiling.profile_run import profile_program
+            from repro.trace.capture import capture_trace
 
-            profile = profile_program(program)
+            profile = profile_program(program, capture_trace(program))
         return self.compile(program, machine, profile, spec_config=spec_config)
 
     # -- internals ----------------------------------------------------------

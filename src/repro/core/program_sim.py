@@ -1,13 +1,19 @@
 """Whole-program dynamic simulation of the proposed architecture.
 
-The program is executed architecturally by the interpreter (or replayed
-from its value trace); a simulation observer rides along and, for every
-dynamic instance of a speculated block, queries the live hardware value
-predictor for each predicted load and scores it against the actual
-loaded value.  The run reduces to :class:`SimCounts` — instances per
-block version and per correctness pattern — and one fold charges each
-pattern its dual-engine timing, computed once per (block, pattern): a
-block with *n* predicted loads has at most ``2^n`` distinct timings.
+The program's value trace (one architectural run, captured by
+:mod:`repro.trace.capture`) is the only input: for every dynamic instance
+of a speculated block, the machine's hardware value predictor is queried
+for each predicted load and scored against the recorded loaded value.
+The run reduces to :class:`SimCounts` — instances per block version and
+per correctness pattern — and one fold charges each pattern its
+dual-engine timing, computed once per (block, pattern): a block with *n*
+predicted loads has at most ``2^n`` distinct timings.
+
+Two engines produce the counts.  The batched engine
+(:mod:`repro.batchsim.engine`) computes them column-wise from the shared
+trace decode; runs it cannot express — a finite value-prediction table
+or instruction-cache modelling, both of which couple instances through
+sequential state — replay the trace through :class:`_SimulationObserver`.
 
 The same fold accounts the two comparison machines:
 
@@ -41,11 +47,8 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.ir.block import BasicBlock
     from repro.ir.operation import Operation
     from repro.obs.metrics import MetricsSnapshot
-    from repro.predict.base import ValuePredictor
-    from repro.predict.confidence import ConfidenceEstimator
-    from repro.predict.table import ValuePredictionTable
-    from repro.core.icache import ICacheConfig
     from repro.core.metrics import BlockCompilation, ProgramCompilation
+    from repro.trace.format import ValueTrace
 
 
 @dataclass
@@ -83,10 +86,8 @@ class ProgramSimResult:
     cc_executed: int = 0
     cc_flushed: int = 0
     dynamic_blocks: int = 0
-    # Extensions: instances that fell back to the non-speculative block
-    # version because prediction confidence was low (see simulate_program's
-    # ``confidence`` option), and value-prediction-table tag misses.
-    gated_instances: int = 0
+    #: Value-prediction-table tag misses (machines with a finite
+    #: ``predictor.table_entries`` only).
     table_tag_misses: int = 0
     #: Aggregated observability snapshot; populated only when
     #: ``simulate_program`` ran with ``collect_metrics=True``.
@@ -149,16 +150,16 @@ class SimCounts:
 
     Everything :func:`simulate_program` reports, icache penalties aside
     (:class:`_FetchWalk`), is an exact, deterministic function of these
-    counts plus the (memoised) per-block compiler products: per label, how many instances ran non-speculated
-    / confidence-gated / under each correctness pattern, plus the raw
-    predictor hit counters.  The scalar observer and the batched engine
-    (:mod:`repro.batchsim.engine`) both reduce a run to this record and
-    share :func:`_fold_counts` for the accounting — which is what makes
-    batched results byte-identical to scalar results by construction.
+    counts plus the (memoised) per-block compiler products: per label, how
+    many instances ran non-speculated or under each correctness pattern,
+    plus the raw predictor hit counters.  The scalar observer and the
+    batched engine (:mod:`repro.batchsim.engine`) both reduce a run to
+    this record and share :func:`_fold_counts` for the accounting — which
+    is what makes batched results byte-identical to scalar results by
+    construction.
     """
 
     nonspec: Dict[str, int] = field(default_factory=dict)
-    gated: Dict[str, int] = field(default_factory=dict)
     patterns: Dict[str, Dict[Tuple[bool, ...], int]] = field(default_factory=dict)
     hits: int = 0
     misses: int = 0
@@ -296,20 +297,14 @@ def _fold_counts(
                 counts.no_predictions,
                 label=predictor_label,
             )
-    labels = sorted(
-        set(counts.nonspec) | set(counts.gated) | set(counts.patterns)
-    )
-    for label in labels:
+    for label in sorted(set(counts.nonspec) | set(counts.patterns)):
         comp = compilation.blocks[label]
-        n_nonspec = counts.nonspec.get(label, 0)
-        n_gated = counts.gated.get(label, 0)
+        plain = counts.nonspec.get(label, 0)
         per_pattern = counts.patterns.get(label)
         n_spec = sum(per_pattern.values()) if per_pattern else 0
-        total = n_nonspec + n_gated + n_spec
+        total = plain + n_spec
         res.dynamic_blocks += total
         res.cycles_nopred += comp.original_length * total
-        res.gated_instances += n_gated
-        plain = n_nonspec + n_gated
         if plain:
             res.cycles_proposed += comp.original_length * plain
             res.cycles_baseline += comp.original_length * plain
@@ -378,12 +373,10 @@ class _FetchWalk:
     squash machine's refetch on restart is folded into that penalty).
     """
 
-    def __init__(
-        self, compilation: ProgramCompilation, config: Optional[ICacheConfig]
-    ):
+    def __init__(self, compilation: ProgramCompilation):
         from repro.core.icache import CodeLayout, ICacheConfig, InstructionCache
 
-        config = config or ICacheConfig()
+        config = ICacheConfig()
         self.layout = CodeLayout(config)
         self.proposed = InstructionCache(config)
         self.baseline = InstructionCache(config)
@@ -446,35 +439,37 @@ class _FetchWalk:
 
 
 class _SimulationObserver:
-    """Interpreter observer reducing a run to its :class:`SimCounts`.
+    """Execution observer reducing a run to its :class:`SimCounts`.
 
-    It drives the live value predictor over the predicted loads and
-    records, per dynamic block instance, which version ran and under
-    which correctness pattern; :func:`_fold_counts` does all cycle
-    accounting after the run.  With icache modelling, each instance is
-    also handed to the run's :class:`_FetchWalk`.
+    It drives the machine's hardware value predictor (behind a finite
+    value-prediction table when ``predictor.table_entries`` is set) over
+    the predicted loads and records, per dynamic block instance, which
+    version ran and under which correctness pattern; :func:`_fold_counts`
+    does all cycle accounting after the run.  With icache modelling,
+    each instance is also handed to the run's :class:`_FetchWalk`.
     """
 
     def __init__(
         self,
         compilation: ProgramCompilation,
-        predictor: ValuePredictor,
-        counts: SimCounts,
-        table: Optional[ValuePredictionTable] = None,
-        confidence: Optional[ConfidenceEstimator] = None,
         fetch: Optional[_FetchWalk] = None,
     ):
+        from repro.predict.table import ValuePredictionTable
+
+        spec = compilation.machine.predictor
         self.compilation = compilation
-        self.predictor = predictor
-        self.counts = counts
-        self.table = table
-        self.confidence = confidence
+        self.predictor = spec.build()
+        self.table = (
+            ValuePredictionTable(self.predictor, capacity=spec.table_entries)
+            if spec.table_entries is not None
+            else None
+        )
+        self.counts = SimCounts()
         self.fetch = fetch
 
         self._current: Optional[BlockCompilation] = None
         self._predicted_ids: frozenset = frozenset()
         self._outcomes: Dict[int, bool] = {}
-        self._gated = False
 
     # -- observer protocol -------------------------------------------------
 
@@ -486,17 +481,6 @@ class _SimulationObserver:
         else:
             self._predicted_ids = frozenset()
         self._outcomes = {}
-        # Confidence gating decides at fetch time (before the block's
-        # loads execute) whether this instance runs the speculative or
-        # the plain version of the block.
-        self._gated = bool(
-            self.confidence is not None
-            and self._predicted_ids
-            and any(
-                not self.confidence.confident(op_id)
-                for op_id in self._predicted_ids
-            )
-        )
 
     def operation_executed(self, op: Operation, inputs, result) -> None:
         if op.op_id not in self._predicted_ids:
@@ -517,8 +501,6 @@ class _SimulationObserver:
             self.table.train(op.op_id, result)
         else:
             self.predictor.update(op.op_id, result)
-        if self.confidence is not None:
-            self.confidence.record(op.op_id, correct)
 
     def finish(self) -> None:
         self._finish_instance()
@@ -532,9 +514,6 @@ class _SimulationObserver:
         pattern = None
         if not comp.speculated:
             c.nonspec[comp.label] = c.nonspec.get(comp.label, 0) + 1
-        elif self._gated:
-            # Low confidence: the fetch unit selected the plain version.
-            c.gated[comp.label] = c.gated.get(comp.label, 0) + 1
         else:
             pattern = tuple(
                 self._outcomes.get(load_id, False)
@@ -546,39 +525,54 @@ class _SimulationObserver:
             self.fetch.instance(comp, pattern)
 
 
+def _check_coverage(compilation: ProgramCompilation) -> None:
+    """Every op the compilation predicts must be one the trace records.
+
+    Only traced ops carry values, so an untraced prediction would
+    silently score as "mispredicted" instead of against its real values.
+    """
+    from repro.trace.format import TRACED_OPCODES, TraceMismatch
+
+    function = compilation.program.main
+    for label, comp in compilation.blocks.items():
+        if not comp.speculated:
+            continue
+        traced_ids = {
+            op.op_id
+            for op in function.block(label).operations
+            if op.opcode in TRACED_OPCODES
+        }
+        missing = set(comp.predicted_load_ids) - traced_ids
+        if missing:
+            raise TraceMismatch(
+                f"block {label!r} of {compilation.program.name!r} "
+                f"predicts untraced operation(s) {sorted(missing)}"
+            )
+
+
 def simulate_program(
     compilation: ProgramCompilation,
-    predictor: Optional[ValuePredictor] = None,
+    trace: ValueTrace,
     model_icache: bool = False,
-    icache_config: Optional[ICacheConfig] = None,
     max_operations: int = 5_000_000,
-    table_capacity: Optional[int] = None,
-    confidence: Optional[ConfidenceEstimator] = None,
     collect_metrics: bool = False,
     collect_cycles: bool = False,
-    trace=None,
-    batch=None,
 ) -> ProgramSimResult:
-    """Execute the program once, timing all three machines.
+    """Time one run of the program on all three machines.
 
     Args:
         compilation: output of :func:`repro.core.metrics.compile_program`.
-        predictor: live hardware value predictor; ``None`` builds the
-            machine spec's declared predictor (the paper's machines
-            declare the stride+FCM hybrid, so the default is unchanged).
+            Its machine's ``predictor`` spec names the hardware value
+            predictor and, via ``table_entries``, an optional finite,
+            direct-mapped Value Prediction Table (``None`` — unbounded,
+            the paper's profile-based setting — on the registry machines).
+        trace: the :class:`~repro.trace.format.ValueTrace` captured from
+            this compilation's program.  It must match the program and
+            cover every predicted load;
+            :class:`~repro.trace.format.TraceMismatch` is raised otherwise.
         model_icache: charge instruction-cache miss penalties (used by
             the baseline-comparison experiment; off for Tables 2-4, which
             the paper computes from schedule lengths alone).
-        table_capacity: model a finite, direct-mapped Value Prediction
-            Table of this many entries; ``None`` falls back to the
-            machine spec's ``predictor.table_entries`` (itself ``None``
-            — unbounded, the paper's profile-based setting — on the
-            registry machines); conflicting static loads then steal each
-            other's entries.
-        confidence: optional saturating-counter confidence estimator;
-            when a block's predicted loads are not all confident, the
-            instance runs the plain (non-speculative) version of the
-            block — the classic dual-version gating extension.
         collect_metrics: aggregate an observability snapshot (predictor
             hit/miss counters, merged per-block dual-engine metrics,
             icache counters) into ``result.metrics``.  Off by default;
@@ -588,133 +582,57 @@ def simulate_program(
             ``result.cycle_stacks``; each stack is asserted to sum
             exactly to the matching ``cycles_*`` total.  Off by default;
             timing results are identical either way.
-        trace: a :class:`~repro.trace.format.ValueTrace` captured from this
-            compilation's program.  When given, the simulation observer
-            is driven from the recorded value stream instead of a live
-            interpretation — results are identical because the observer
-            consumes only block entries and traced-op result values.
-            The trace must cover every predicted load of the
-            compilation; :class:`~repro.trace.format.TraceMismatch` is raised
-            otherwise.
-        batch: opt into the batched struct-of-arrays engine
-            (:mod:`repro.batchsim`).  Pass a
-            :class:`~repro.batchsim.context.BatchContext` to share trace
-            decodes and predictor outcome columns across the points of a
-            sweep, or ``True`` for the process-wide default context.
-            The batched engine runs only when this simulation is on the
-            common path (trace-driven, machine-spec predictor, unbounded
-            table, no confidence gating, no icache); anything else runs
-            the scalar engine.  Results are byte-identical either way —
-            both engines reduce the run to :class:`SimCounts` and share
-            one accounting fold.
+
+    The counts come from the batched engine through the process-wide
+    :class:`~repro.batchsim.context.BatchContext`, which shares trace
+    decodes and predictor outcome columns across the points of a sweep,
+    unless :func:`~repro.batchsim.engine.unsupported_reason` names a
+    reason it cannot; those runs replay the trace through
+    :class:`_SimulationObserver`.  Both engines reduce the run to
+    :class:`SimCounts` and share one accounting fold.
     """
-    from repro.predict.hybrid import default_hybrid
-    from repro.predict.table import ValuePredictionTable
+    from repro.batchsim.engine import unsupported_reason
 
     result = ProgramSimResult(
         program_name=compilation.program.name,
         machine_name=compilation.machine.name,
     )
     registry = MetricsRegistry() if collect_metrics else NULL_METRICS
-    machine_predictor = getattr(compilation.machine, "predictor", None)
-    if predictor is not None:
-        base_predictor = predictor
-    elif machine_predictor is not None:
-        # The machine spec declares the hardware predictor; the registry
-        # machines declare the paper's hybrid, so this default matches
-        # the historical ``default_hybrid()``.
-        base_predictor = machine_predictor.build()
-    else:
-        base_predictor = default_hybrid()
-    if table_capacity is None and machine_predictor is not None:
-        table_capacity = machine_predictor.table_entries
-    table = (
-        ValuePredictionTable(base_predictor, capacity=table_capacity)
-        if table_capacity is not None
-        else None
-    )
-    predictor_label = (
-        f"table:{base_predictor.name}" if table is not None else base_predictor.name
-    )
-    if trace is not None:
-        from repro.trace.format import TRACED_OPCODES, TraceMismatch
-
-        # Static coverage check: replay only notifies traced ops, so
-        # every load (or ALU op) the compilation predicts must be in the
-        # traced set — otherwise its outcomes would silently default to
-        # "mispredicted" instead of being scored against real values.
-        function = compilation.program.main
-        for label, comp in compilation.blocks.items():
-            if not comp.speculated:
-                continue
-            traced_ids = {
-                op.op_id
-                for op in function.block(label).operations
-                if op.opcode in TRACED_OPCODES
-            }
-            missing = set(comp.predicted_load_ids) - traced_ids
-            if missing:
-                raise TraceMismatch(
-                    f"block {label!r} of {compilation.program.name!r} "
-                    f"predicts untraced operation(s) {sorted(missing)}"
-                )
+    spec = compilation.machine.predictor
+    predictor_label = spec.build().name
+    if spec.table_entries is not None:
+        predictor_label = f"table:{predictor_label}"
+    _check_coverage(compilation)
 
     cycle_stacks: Dict[str, Dict[str, int]] = {
         "nopred": {},
         "proposed": {},
         "baseline": {},
     }
-    sim_counts: Optional[SimCounts] = None
-    if batch is not None:
-        from repro.batchsim.engine import batch_counts, unsupported_reason
-
-        if (
-            unsupported_reason(
-                predictor=predictor,
-                table=table,
-                confidence=confidence,
-                model_icache=model_icache,
-                trace=trace,
-            )
-            is None
-        ):
-            from repro.batchsim.context import resolve_context
-
-            sim_counts = batch_counts(
-                compilation, trace, resolve_context(batch), max_operations
-            )
-
     fetch = None
-    if sim_counts is None:
-        sim_counts = SimCounts()
-        if model_icache:
-            fetch = _FetchWalk(compilation, icache_config)
-        observer = _SimulationObserver(
-            compilation,
-            base_predictor,
-            sim_counts,
-            table=table,
-            confidence=confidence,
-            fetch=fetch,
+    if unsupported_reason(compilation.machine, model_icache) is None:
+        from repro.batchsim.context import default_context
+        from repro.batchsim.engine import batch_counts
+
+        sim_counts = batch_counts(
+            compilation, trace, default_context(), max_operations
         )
-        if trace is not None:
-            from repro.trace.replay import replay_trace
+    else:
+        from repro.trace.replay import replay_trace
 
-            replay_trace(
-                trace,
-                compilation.program,
-                observers=[observer],
-                max_operations=max_operations,
-            )
-        else:
-            from repro.profiling.interpreter import Interpreter
-
-            Interpreter(max_operations=max_operations).run(
-                compilation.program, observers=[observer]
-            )
+        if model_icache:
+            fetch = _FetchWalk(compilation)
+        observer = _SimulationObserver(compilation, fetch=fetch)
+        replay_trace(
+            trace,
+            compilation.program,
+            observers=[observer],
+            max_operations=max_operations,
+        )
         observer.finish()
-        if table is not None:
-            result.table_tag_misses = table.tag_misses
+        sim_counts = observer.counts
+        if observer.table is not None:
+            result.table_tag_misses = observer.table.tag_misses
     _fold_counts(
         compilation,
         sim_counts,
@@ -753,7 +671,6 @@ def simulate_program(
                         "sim.cycles", cycles, label=f"cause={cause},model={model}"
                     )
         registry.inc("sim.dynamic_blocks", result.dynamic_blocks)
-        registry.inc("sim.gated_instances", result.gated_instances)
         if fetch is not None:
             for label, cache in (
                 ("proposed", fetch.proposed),

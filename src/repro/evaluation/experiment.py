@@ -257,9 +257,7 @@ class Evaluation:
                 self._profiles[name] = _shared(
                     _SHARED_PROFILES,
                     (name, self.settings.scale, None),
-                    lambda: profile_program(
-                        program, trace=self._trace_of(program), batch=True
-                    ),
+                    lambda: profile_program(program, self._trace_of(program)),
                 )
         return self._profiles[name]
 
@@ -341,9 +339,7 @@ class Evaluation:
                 self._variant_profiles[key] = _shared(
                     _SHARED_PROFILES,
                     (name, self.settings.scale, pipeline.fingerprint()),
-                    lambda: profile_program(
-                        program, trace=self._trace_of(program), batch=True
-                    ),
+                    lambda: profile_program(program, self._trace_of(program)),
                 )
         return self._variant_profiles[key]
 
@@ -407,31 +403,14 @@ class Evaluation:
                     )
                 )
             else:
-                from repro.trace.format import TraceMismatch
-
                 compilation = self.compilation(name, machine)
-                options = dict(
+                self._simulations[key] = simulate_program(
+                    compilation,
+                    self._trace_of(compilation.program),
                     model_icache=model_icache,
                     collect_metrics=self.collect_metrics,
                     collect_cycles=cycles,
                 )
-                try:
-                    # batch=True opts into the struct-of-arrays engine
-                    # via the process-wide context, sharing trace
-                    # decodes and predictor outcome columns with the
-                    # other points of a sweep; a configuration off the
-                    # batched common path runs the scalar engine
-                    # (byte-identically).
-                    self._simulations[key] = simulate_program(
-                        compilation,
-                        trace=self._trace_of(compilation.program),
-                        batch=True,
-                        **options,
-                    )
-                except TraceMismatch:
-                    self._simulations[key] = simulate_program(
-                        compilation, **options
-                    )
         return self._simulations[key]
 
     # -- runner integration -------------------------------------------------

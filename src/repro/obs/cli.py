@@ -201,7 +201,6 @@ def _trace_example(args: argparse.Namespace) -> int:
 
 def _trace_benchmark(args: argparse.Namespace) -> int:
     from repro.core.machine_sim import simulate_block
-    from repro.core.program_sim import simulate_program
     from repro.evaluation.experiment import Evaluation, EvaluationSettings
     from repro.workloads.suite import resolve_benchmarks
 
@@ -214,9 +213,9 @@ def _trace_benchmark(args: argparse.Namespace) -> int:
     machine = _MACHINES[args.machine]
     settings = EvaluationSettings(scale=args.scale).with_threshold(args.threshold)
     settings = settings.with_benchmarks([args.target])
-    evaluation = Evaluation(settings)
+    evaluation = Evaluation(settings, collect_metrics=True)
     compilation = evaluation.compilation(args.target, machine)
-    result = simulate_program(compilation, collect_metrics=True)
+    result = evaluation.simulation(args.target, machine)
     snapshot = result.metrics
 
     # Hottest speculated blocks by profiled frequency.

@@ -1,2 +1,2 @@
-"""Value predictors: last-value, stride, FCM, hybrid, plus the hardware
-value-prediction table and confidence estimation."""
+"""Value predictors: last-value, stride, FCM, DFCM, hybrid, plus the
+hardware value-prediction table."""

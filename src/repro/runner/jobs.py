@@ -25,7 +25,8 @@ simulate   compile + trace (+ model_icache) ``ProgramSimResult``
 
 ``trace`` interprets the built program exactly once and records the
 value stream (:mod:`repro.trace`); ``profile`` and ``simulate`` then
-*replay* it instead of re-interpreting.  Like ``profile``, the trace key
+read only that trace, and fail with ``TraceMismatch`` when it does not
+match their program.  Like ``profile``, the trace key
 excludes the machine and speculation config, so every sweep point of a
 threshold/predictor/machine ablation shares one cached interpretation.
 
@@ -83,7 +84,11 @@ from repro.machine.description import MachineDescription
 #: of embedding a copy, share one main schedule between the speculative
 #: and baseline compilations, and carry no dependence graphs; a new
 #: compile entry needs its build's program to decode.
-CODE_VERSION = "2026.10.3"
+#: 2026.10.4: simulation results lose ``gated_instances`` (confidence
+#: gating is gone), and profile/simulate read only the trace: a trace
+#: that does not match its program fails the stage instead of falling
+#: back to live interpretation.
+CODE_VERSION = "2026.10.4"
 
 #: The built-in pipeline stages, in dependency order.
 PIPELINE_STAGES = (
@@ -342,21 +347,12 @@ def _run_trace(spec: JobSpec, dep_results: DepResults) -> Any:
 
 def _run_profile(spec: JobSpec, dep_results: DepResults) -> Any:
     from repro.profiling.profile_run import profile_program
-    from repro.trace.format import TraceMismatch
 
-    program = dep_result(spec, dep_results, "build")
-    profile_alu = bool(spec.param("profile_alu", False))
-    try:
-        # batch=True: column-wise profiling off the shared trace decode
-        # (byte-identical to scalar replay).
-        return profile_program(
-            program,
-            profile_alu=profile_alu,
-            trace=dep_results.of_stage("trace"),
-            batch=True,
-        )
-    except TraceMismatch:
-        return profile_program(program, profile_alu=profile_alu)
+    return profile_program(
+        dep_result(spec, dep_results, "build"),
+        dep_result(spec, dep_results, "trace"),
+        profile_alu=bool(spec.param("profile_alu", False)),
+    )
 
 
 def _run_compile(spec: JobSpec, dep_results: DepResults) -> Any:
@@ -375,23 +371,14 @@ def _run_compile(spec: JobSpec, dep_results: DepResults) -> Any:
 
 def _run_simulate(spec: JobSpec, dep_results: DepResults) -> Any:
     from repro.core.program_sim import simulate_program
-    from repro.trace.format import TraceMismatch
 
-    compilation = dep_result(spec, dep_results, "compile")
-    options = dict(
+    return simulate_program(
+        dep_result(spec, dep_results, "compile"),
+        dep_result(spec, dep_results, "trace"),
         model_icache=bool(spec.param("model_icache", False)),
         collect_metrics=bool(spec.param("collect_metrics", False)),
         collect_cycles=bool(spec.param("collect_cycles", False)),
     )
-    try:
-        return simulate_program(
-            compilation,
-            trace=dep_results.of_stage("trace"),
-            batch=True,
-            **options,
-        )
-    except TraceMismatch:
-        return simulate_program(compilation, **options)
 
 
 def _run_batch_simulate(spec: JobSpec, dep_results: DepResults) -> Any:
@@ -406,7 +393,6 @@ def _run_batch_simulate(spec: JobSpec, dep_results: DepResults) -> Any:
     """
     from repro.core.metrics import ProgramCompilation
     from repro.core.program_sim import simulate_program
-    from repro.trace.format import TraceMismatch
 
     compilations = sorted(
         (v for v in dep_results.values() if isinstance(v, ProgramCompilation)),
@@ -422,16 +408,11 @@ def _run_batch_simulate(spec: JobSpec, dep_results: DepResults) -> Any:
         collect_metrics=bool(spec.param("collect_metrics", False)),
         collect_cycles=bool(spec.param("collect_cycles", False)),
     )
-    trace = dep_results.of_stage("trace")
-    results = {}
-    for comp in compilations:
-        try:
-            result = simulate_program(comp, trace=trace, batch=True, **options)
-        except TraceMismatch:
-            trace = None
-            result = simulate_program(comp, **options)
-        results[comp.machine.fingerprint()] = result
-    return results
+    trace = dep_result(spec, dep_results, "trace")
+    return {
+        comp.machine.fingerprint(): simulate_program(comp, trace, **options)
+        for comp in compilations
+    }
 
 
 register_stage("build", _run_build)

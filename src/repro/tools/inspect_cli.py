@@ -27,6 +27,7 @@ from repro.ir.liveness import compute_liveness
 from repro.machine.configs import by_name
 from repro.profiling.profile_run import profile_program
 from repro.sched.list_scheduler import schedule_block
+from repro.trace.capture import capture_trace
 from repro.core.machine_sim import simulate_block
 from repro.core.specsched import schedule_speculative
 from repro.core.speculation import SpeculationConfig, speculate_block
@@ -82,7 +83,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     function = program.main
 
     if args.list or not args.block:
-        profile = profile_program(program)
+        profile = profile_program(program, capture_trace(program))
         print(f"blocks of {args.benchmark} (dynamic count, #ops):")
         for block in function:
             print(
@@ -96,7 +97,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
     block = function.block(args.block)
-    profile = profile_program(program)
+    profile = profile_program(program, capture_trace(program))
 
     print(f"=== {args.benchmark}/{args.block} on {machine} ===\n")
     print("assembly:")

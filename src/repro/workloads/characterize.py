@@ -28,6 +28,7 @@ from repro.machine.configs import PLAYDOH_4W
 from repro.machine.description import MachineDescription
 from repro.profiling.interpreter import run_program
 from repro.profiling.profile_run import ProfileData, profile_program
+from repro.trace.capture import capture_trace
 from repro.ir.program import Program
 
 
@@ -77,7 +78,7 @@ def characterize(
 ) -> WorkloadProfile:
     """Measure one program's workload character."""
     if profile is None:
-        profile = profile_program(program)
+        profile = profile_program(program, capture_trace(program))
     mix = _MixCounter()
     run_program(program, observers=[mix])
 

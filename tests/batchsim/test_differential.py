@@ -1,11 +1,13 @@
 """Differential suite: batched engine vs scalar engine, byte for byte.
 
 The batched struct-of-arrays engine promises *byte identity* with the
-scalar simulation across the whole machine space — wide and narrow
+scalar replay engine across the whole machine space — wide and narrow
 issue, bounded CCBs, every speculation threshold.  These tests are the
 contract: the golden suite runs both engines on a machine x threshold
 grid, and hypothesis drives random synthetic programs through the same
-comparison.
+comparison.  ``simulate_program`` picks the batched engine for all of
+these points, so the scalar side is forced through
+:func:`tests.trace.reference_runs.scalar_simulation`.
 """
 
 from __future__ import annotations
@@ -16,15 +18,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.batchsim.context import BatchContext
+from repro.batchsim.context import BatchContext, default_context
+from repro.batchsim.engine import batch_counts
 from repro.core.metrics import compile_program
 from repro.core.program_sim import simulate_program
 from repro.core.speculation import SpeculationConfig
 from repro.machine.configs import PLAYDOH_4W, PLAYDOH_8W, PLAYDOH_4W_SPEC
+from repro.machine.predictor import PredictorSpec
 from repro.profiling.profile_run import profile_program
 from repro.trace.capture import capture_trace
 from repro.workloads.suite import load_suite
 from repro.workloads.synthetic import random_program
+from tests.trace.reference_runs import scalar_simulation
 
 #: The ISSUE's machine grid: the paper's 4-wide, the Table 4 8-wide,
 #: and a tight-CCB variant so compensation back-pressure (the one
@@ -38,7 +43,9 @@ THRESHOLDS = (0.5, 0.8)
 
 SUITE = load_suite(scale=0.25)
 TRACES = {name: capture_trace(program) for name, program in SUITE.items()}
-PROFILES = {name: profile_program(program) for name, program in SUITE.items()}
+PROFILES = {
+    name: profile_program(program, TRACES[name]) for name, program in SUITE.items()
+}
 
 
 def assert_results_identical(scalar, batched):
@@ -57,8 +64,8 @@ class TestGoldenSuiteParity:
             config=SpeculationConfig(threshold=threshold),
         )
         trace = TRACES[workload]
-        scalar = simulate_program(compilation, trace=trace)
-        batched = simulate_program(compilation, trace=trace, batch=True)
+        scalar = scalar_simulation(compilation, trace)
+        batched = simulate_program(compilation, trace)
         assert_results_identical(scalar, batched)
 
 
@@ -69,10 +76,8 @@ class TestMetricsAndContexts:
             SUITE["compress"], PLAYDOH_4W, PROFILES["compress"]
         )
         trace = TRACES["compress"]
-        scalar = simulate_program(compilation, trace=trace, collect_metrics=True)
-        batched = simulate_program(
-            compilation, trace=trace, collect_metrics=True, batch=True
-        )
+        scalar = scalar_simulation(compilation, trace, collect_metrics=True)
+        batched = simulate_program(compilation, trace, collect_metrics=True)
         assert_results_identical(scalar, batched)
 
     def test_cycle_stacks_match(self):
@@ -80,46 +85,46 @@ class TestMetricsAndContexts:
             SUITE["swim"], PLAYDOH_8W, PROFILES["swim"]
         )
         trace = TRACES["swim"]
-        scalar = simulate_program(compilation, trace=trace, collect_cycles=True)
-        batched = simulate_program(
-            compilation, trace=trace, collect_cycles=True, batch=True
-        )
+        scalar = scalar_simulation(compilation, trace, collect_cycles=True)
+        batched = simulate_program(compilation, trace, collect_cycles=True)
         assert_results_identical(scalar, batched)
 
     def test_explicit_context_equals_default(self):
-        """A caller-owned BatchContext gives the same answer as the
+        """A caller-owned BatchContext gives the same counts as the
         process-wide one, and reusing it across points is harmless."""
         compilation = compile_program(
             SUITE["compress"], PLAYDOH_4W, PROFILES["compress"]
         )
         trace = TRACES["compress"]
         context = BatchContext()
-        first = simulate_program(compilation, trace=trace, batch=context)
-        second = simulate_program(compilation, trace=trace, batch=context)
-        via_default = simulate_program(compilation, trace=trace, batch=True)
-        assert_results_identical(first, second)
-        assert_results_identical(first, via_default)
+        first = batch_counts(compilation, trace, context, None)
+        second = batch_counts(compilation, trace, context, None)
+        via_default = batch_counts(compilation, trace, default_context(), None)
+        assert first == second == via_default
         assert context.stats()["arrays.hits"] > 0  # second run shared the decode
 
     def test_off_path_points_fall_back_identically(self):
-        """Confidence gating leaves the batched fast path; the fallback
-        must still agree with the scalar engine called directly."""
-        from repro.predict.confidence import ConfidenceEstimator
-
-        compilation = compile_program(
-            SUITE["compress"], PLAYDOH_4W, PROFILES["compress"]
-        )
-        trace = TRACES["compress"]
-        scalar = simulate_program(
-            compilation, trace=trace, confidence=ConfidenceEstimator()
-        )
-        batched = simulate_program(
-            compilation,
-            trace=trace,
-            confidence=ConfidenceEstimator(),
-            batch=True,
-        )
-        assert_results_identical(scalar, batched)
+        """A finite value-prediction table leaves the batched fast path;
+        with a table too large to conflict, the scalar replay must agree
+        with the batched run field for field."""
+        machine = PLAYDOH_4W_SPEC.override(
+            name="playdoh-4w-vpt64k",
+            predictor=PredictorSpec(table_entries=1 << 16),
+        ).build()
+        compilations = [
+            compile_program(SUITE[name], m, PROFILES[name])
+            for name in ("ijpeg", "m88ksim")
+            for m in (PLAYDOH_4W, machine)
+        ]
+        for unbounded, tabled in zip(compilations[::2], compilations[1::2]):
+            trace = TRACES[unbounded.program.name]
+            batched = simulate_program(unbounded, trace, collect_cycles=True)
+            scalar = simulate_program(tabled, trace, collect_cycles=True)
+            assert scalar.table_tag_misses == 0
+            assert batched.predictions > 0
+            assert dataclasses.replace(
+                scalar, machine_name=batched.machine_name
+            ) == batched
 
 
 @settings(max_examples=20, deadline=None)
@@ -131,11 +136,11 @@ class TestMetricsAndContexts:
 def test_random_programs_batched_equals_scalar(seed, machine_idx, threshold):
     program = random_program(seed)
     machine = MACHINES[machine_idx]
-    profile = profile_program(program)
+    trace = capture_trace(program)
+    profile = profile_program(program, trace)
     compilation = compile_program(
         program, machine, profile, config=SpeculationConfig(threshold=threshold)
     )
-    trace = capture_trace(program)
-    scalar = simulate_program(compilation, trace=trace)
-    batched = simulate_program(compilation, trace=trace, batch=True)
+    scalar = scalar_simulation(compilation, trace)
+    batched = simulate_program(compilation, trace)
     assert_results_identical(scalar, batched)

@@ -22,6 +22,7 @@ from repro.predict.stride import StridePredictor
 from repro.profiling.profile_run import profile_program
 from repro.trace.capture import capture_trace
 from repro.workloads.suite import load_suite
+from tests.trace.reference_runs import observed_profile, replayed
 
 SUITE = load_suite(scale=0.25)
 TRACES = {name: capture_trace(program) for name, program in SUITE.items()}
@@ -91,14 +92,17 @@ class TestBatchProfileParity:
     def test_matches_replay_profile(self, workload):
         program = SUITE[workload]
         trace = TRACES[workload]
-        scalar = profile_program(program, trace=trace)
+        scalar = observed_profile(program, replayed(trace, program))
         batched = batch_profile(program, trace, BatchContext())
         assert_profiles_identical(scalar, batched)
+        assert_profiles_identical(scalar, profile_program(program, trace))
 
     def test_matches_replay_profile_with_alu(self, workload):
         program = SUITE[workload]
         trace = TRACES[workload]
-        scalar = profile_program(program, trace=trace, profile_alu=True)
+        scalar = observed_profile(
+            program, replayed(trace, program), profile_alu=True
+        )
         batched = batch_profile(
             program, trace, BatchContext(), profile_alu=True
         )

@@ -19,6 +19,7 @@ from repro.machine.configs import PLAYDOH_4W
 from repro.obs.metrics import MetricsRegistry
 from repro.opt.passes import function_shape
 from repro.profiling.profile_run import profile_program
+from repro.trace.capture import capture_trace
 from repro.sched.list_scheduler import ListScheduler
 from repro.core.baseline import build_baseline_block
 from repro.core.machine_sim import simulate_best_case, simulate_worst_case
@@ -101,11 +102,11 @@ class TestLegacyEquivalence:
     def test_standard_pipeline_matches_fused_loop_bytewise(self, workload):
         reset_operation_ids()
         p1 = load_benchmark(workload, scale=0.25)
-        r1 = profile_program(p1)
+        r1 = profile_program(p1, capture_trace(p1))
         legacy = legacy_compile(p1, PLAYDOH_4W, r1)
         reset_operation_ids()
         p2 = load_benchmark(workload, scale=0.25)
-        r2 = profile_program(p2)
+        r2 = profile_program(p2, capture_trace(p2))
         managed = PassManager().compile(p2, PLAYDOH_4W, r2)
         assert pickle.dumps(legacy) == pickle.dumps(managed)
 
@@ -114,10 +115,10 @@ class TestLegacyEquivalence:
 
         reset_operation_ids()
         p1 = load_benchmark("swim", scale=0.25)
-        via_compiler = compile_program(p1, PLAYDOH_4W, profile_program(p1))
+        via_compiler = compile_program(p1, PLAYDOH_4W, profile_program(p1, capture_trace(p1)))
         reset_operation_ids()
         p2 = load_benchmark("swim", scale=0.25)
-        via_core = core_compile(p2, PLAYDOH_4W, profile_program(p2))
+        via_core = core_compile(p2, PLAYDOH_4W, profile_program(p2, capture_trace(p2)))
         assert pickle.dumps(via_compiler) == pickle.dumps(via_core)
 
 
@@ -266,7 +267,7 @@ class TestPipelineErrors:
         config = PipelineConfig(codegen_passes=(PassSpec("speculate"),))
         reset_operation_ids()
         program = load_benchmark("swim", scale=0.25)
-        profile = profile_program(program)
+        profile = profile_program(program, capture_trace(program))
         with pytest.raises(PipelineError, match="liveness"):
             PassManager(config).compile(program, PLAYDOH_4W, profile)
 
@@ -280,14 +281,14 @@ class TestPipelineErrors:
         )
         reset_operation_ids()
         program = load_benchmark("swim", scale=0.25)
-        profile = profile_program(program)
+        profile = profile_program(program, capture_trace(program))
         with pytest.raises(PipelineError, match="schedule-speculative"):
             PassManager(config).compile(program, PLAYDOH_4W, profile)
 
     def test_run_rejects_stale_profile_with_program_passes(self):
         reset_operation_ids()
         program = load_benchmark("swim", scale=0.25)
-        profile = profile_program(program)
+        profile = profile_program(program, capture_trace(program))
         manager = PassManager(standard_pipeline(optimize=True))
         with pytest.raises(PipelineError, match="profile"):
             manager.run(program, PLAYDOH_4W, profile)
@@ -305,7 +306,7 @@ class TestMetrics:
     def test_passes_timed_and_counted(self):
         reset_operation_ids()
         program = load_benchmark("swim", scale=0.25)
-        profile = profile_program(program)
+        profile = profile_program(program, capture_trace(program))
         metrics = MetricsRegistry()
         PassManager(metrics=metrics).compile(program, PLAYDOH_4W, profile)
         snapshot = metrics.snapshot()

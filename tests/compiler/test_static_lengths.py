@@ -18,6 +18,7 @@ from repro.core.machine_sim import simulate_best_case, simulate_worst_case
 from repro.machine.configs import PLAYDOH_4W, PLAYDOH_8W
 from repro.profiling.profile_run import profile_program
 from repro.runner.cache import DiskCache
+from repro.trace.capture import capture_trace
 from repro.workloads.suite import load_suite
 
 SCALE = 0.25
@@ -42,7 +43,7 @@ def test_stored_lengths_equal_fresh_runs(machine, tmp_path):
     cache = DiskCache(root=tmp_path)
     checked = 0
     for name, program in load_suite(scale=SCALE).items():
-        compilation = compile_program(program, machine, profile_program(program))
+        compilation = compile_program(program, machine, profile_program(program, capture_trace(program)))
         cache.put(name, compilation)
         reset_shared_state()
         speculated = assert_lengths_match_fresh_runs(compilation)

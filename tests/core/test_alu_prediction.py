@@ -15,6 +15,7 @@ from repro.ir.opcodes import Opcode
 from repro.machine.configs import PLAYDOH_4W
 from repro.profiling.profile_run import profile_program
 from repro.sched.list_scheduler import schedule_block
+from repro.trace.capture import capture_trace
 
 
 def mul_chain_block():
@@ -98,7 +99,8 @@ class TestAluSelection:
 
     def test_alu_candidate_selected_only_with_flag(self):
         program = self.build_program()
-        profile = profile_program(program, profile_alu=True)
+        trace = capture_trace(program)
+        profile = profile_program(program, trace, profile_alu=True)
         block = program.main.block("loop")
 
         without = speculate_block(
@@ -121,7 +123,8 @@ class TestAluSelection:
 
     def test_profile_without_alu_tracking_blocks_selection(self):
         program = self.build_program()
-        profile = profile_program(program)  # loads only
+        trace = capture_trace(program)
+        profile = profile_program(program, trace)  # loads only
         block = program.main.block("loop")
         spec = speculate_block(
             block,
@@ -136,7 +139,8 @@ class TestAluSelection:
         from repro.core.program_sim import simulate_program
 
         program = self.build_program()
-        profile = profile_program(program, profile_alu=True)
+        trace = capture_trace(program)
+        profile = profile_program(program, trace, profile_alu=True)
         compilation = compile_program(
             program,
             PLAYDOH_4W,
@@ -144,7 +148,7 @@ class TestAluSelection:
             config=SpeculationConfig(predict_alu=True),
         )
         assert compilation.speculated_labels == ["loop"]
-        result = simulate_program(compilation)
+        result = simulate_program(compilation, trace)
         # the mul's value stream is constant: near-perfect prediction
         assert result.prediction_accuracy > 0.9
         assert result.cycles_proposed < result.cycles_nopred

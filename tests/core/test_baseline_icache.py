@@ -13,7 +13,6 @@ from repro.core.specsched import schedule_speculative
 from repro.core.speculation import transform_block
 from repro.ir.builder import FunctionBuilder
 from repro.machine.configs import PLAYDOH_4W
-from repro.predict.confidence import ConfidenceEstimator
 from repro.profiling.profile_run import profile_program
 from repro.sched.list_scheduler import schedule_block
 from repro.trace.capture import capture_trace
@@ -223,23 +222,20 @@ def compiled_suite():
     """One compilation and one trace per suite benchmark, on PLAYDOH_4W."""
     out = {}
     for name, program in SUITE.items():
-        profile = profile_program(program)
-        out[name] = (
-            compile_program(program, PLAYDOH_4W, profile),
-            capture_trace(program),
-        )
+        trace = capture_trace(program)
+        profile = profile_program(program, trace)
+        out[name] = (compile_program(program, PLAYDOH_4W, profile), trace)
     return out
 
 
-def _pair(compilation, trace, **kw):
+def _pair(compilation, trace):
     plain, icache = (
         simulate_program(
             compilation,
-            trace=trace,
+            trace,
             model_icache=model_icache,
             collect_cycles=True,
             collect_metrics=True,
-            **kw,
         )
         for model_icache in (False, True)
     )
@@ -291,23 +287,3 @@ def test_icache_runs_fold_dual_engine_histograms_by_frequency(
     pattern's histogram samples enter once, weighted by its count."""
     plain, icache = _pair(*compiled_suite[name])
     assert icache.metrics.histograms == plain.metrics.histograms
-
-
-def test_gated_instances_charge_squash_the_fetch_penalty(compiled_suite):
-    """A low-confidence instance runs the plain block on every machine,
-    so the squash machine fetches it like the proposed machine does."""
-    compilation, trace = compiled_suite["li"]
-    plain, icache = (
-        simulate_program(
-            compilation,
-            trace=trace,
-            model_icache=model_icache,
-            confidence=ConfidenceEstimator(),
-        )
-        for model_icache in (False, True)
-    )
-    assert icache.gated_instances > 0
-    assert (
-        icache.cycles_squash - plain.cycles_squash
-        == icache.proposed_icache_cycles
-    )

@@ -5,6 +5,7 @@ import pytest
 from repro.core.metrics import OutcomeClass, classify_outcome, compile_program
 from repro.core.program_sim import simulate_program
 from repro.profiling.profile_run import profile_program
+from repro.trace.capture import capture_trace
 
 
 class TestClassifyOutcome:
@@ -33,8 +34,13 @@ def compiled(request):
     from repro.workloads.suite import load_benchmark
 
     program = load_benchmark("compress", scale=0.3)
-    profile = profile_program(program)
+    profile = profile_program(program, capture_trace(program))
     return compile_program(program, PLAYDOH_4W, profile)
+
+
+@pytest.fixture(scope="module")
+def trace(compiled):
+    return capture_trace(compiled.program)
 
 
 class TestCompileProgram:
@@ -90,8 +96,8 @@ class TestCompileProgram:
 
 class TestDynamicSimulation:
     @pytest.fixture(scope="class")
-    def result(self, compiled):
-        return simulate_program(compiled)
+    def result(self, compiled, trace):
+        return simulate_program(compiled, trace)
 
     def test_class_cycles_partition_total(self, result):
         assert sum(result.cycles_by_class.values()) == result.cycles_proposed
@@ -129,9 +135,9 @@ class TestDynamicSimulation:
         total = sum(result.time_fraction(c) for c in OutcomeClass)
         assert total == pytest.approx(1.0)
 
-    def test_icache_modelling_only_adds_cycles(self, compiled):
-        plain = simulate_program(compiled)
-        cached = simulate_program(compiled, model_icache=True)
+    def test_icache_modelling_only_adds_cycles(self, compiled, trace):
+        plain = simulate_program(compiled, trace)
+        cached = simulate_program(compiled, trace, model_icache=True)
         assert cached.cycles_proposed >= plain.cycles_proposed
         assert cached.cycles_baseline >= plain.cycles_baseline
         assert cached.baseline_icache_cycles >= cached.proposed_icache_cycles

@@ -13,6 +13,7 @@ from repro.ir.verifier import verify_program
 from repro.machine.configs import PLAYDOH_4W, PLAYDOH_8W
 from repro.profiling.interpreter import Interpreter
 from repro.profiling.profile_run import profile_program
+from repro.trace.capture import capture_trace
 from repro.workloads.synthetic import random_program
 
 SEEDS = list(range(24))
@@ -23,7 +24,8 @@ def test_pipeline_invariants_on_random_program(seed):
     program = random_program(seed)
     verify_program(program)
     assert Interpreter().run(program).halted
-    profile = profile_program(program)
+    trace = capture_trace(program)
+    profile = profile_program(program, trace)
 
     for machine in (PLAYDOH_4W, PLAYDOH_8W):
         compilation = compile_program(program, machine, profile)
@@ -37,7 +39,7 @@ def test_pipeline_invariants_on_random_program(seed):
             worst = block_comp.worst_case()
             assert worst.effective_length >= best.effective_length
 
-        result = simulate_program(compilation)
+        result = simulate_program(compilation, trace)
 
         # Accounting invariants.
         assert sum(result.cycles_by_class.values()) == result.cycles_proposed
@@ -74,7 +76,8 @@ def test_random_programs_have_varied_predictability():
     unpredictable loads (otherwise the fuzz never exercises thresholds)."""
     rates = []
     for seed in range(8):
-        profile = profile_program(random_program(seed))
+        program = random_program(seed)
+        profile = profile_program(program, capture_trace(program))
         rates.extend(
             stats.best_rate for stats in profile.values.loads.values()
         )

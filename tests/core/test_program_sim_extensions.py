@@ -1,103 +1,58 @@
-"""Tests for the dynamic-simulation extensions: finite VP table capacity
-and confidence-gated (dual-version) speculation."""
+"""Tests for the finite value-prediction-table extension of the dynamic
+simulation, declared through the machine spec's ``predictor.table_entries``."""
 
-import pytest
+import functools
 
-from repro.core.metrics import OutcomeClass, compile_program
+from repro.core.metrics import compile_program
 from repro.core.program_sim import simulate_program
-from repro.machine.configs import PLAYDOH_4W
-from repro.predict.confidence import ConfidenceConfig, ConfidenceEstimator
+from repro.machine.configs import PLAYDOH_4W_SPEC
+from repro.machine.predictor import PredictorSpec
 from repro.profiling.profile_run import profile_program
+from repro.trace.capture import capture_trace
 from repro.workloads.suite import load_benchmark
 
 
-@pytest.fixture(scope="module")
-def compiled():
-    program = load_benchmark("m88ksim", scale=0.4)
-    profile = profile_program(program)
-    return compile_program(program, PLAYDOH_4W, profile)
+def _machine(table_entries=None):
+    """The paper's 4-wide machine with a value-prediction table of
+    ``table_entries`` entries (``None``: unbounded)."""
+    return PLAYDOH_4W_SPEC.override(
+        name=f"playdoh-4w-vpt{table_entries}",
+        predictor=PredictorSpec(table_entries=table_entries),
+    ).build()
+
+
+@functools.lru_cache(maxsize=None)
+def _traced(benchmark):
+    program = load_benchmark(benchmark, scale=0.4)
+    trace = capture_trace(program)
+    return program, trace, profile_program(program, trace)
+
+
+def _simulate(benchmark, table_entries=None):
+    program, trace, profile = _traced(benchmark)
+    compilation = compile_program(program, _machine(table_entries), profile)
+    return simulate_program(compilation, trace)
 
 
 class TestTableCapacity:
-    def test_unbounded_table_equals_raw_predictor(self, compiled):
-        raw = simulate_program(compiled)
-        tabled = simulate_program(compiled, table_capacity=1 << 16)
+    def test_unbounded_table_equals_raw_predictor(self):
+        raw = _simulate("m88ksim")
+        tabled = _simulate("m88ksim", table_entries=1 << 16)
         # A huge direct-mapped table has no conflicts for a handful of
         # static loads, so the accounting is identical.
         assert tabled.cycles_proposed == raw.cycles_proposed
         assert tabled.mispredictions == raw.mispredictions
         assert tabled.table_tag_misses == 0
 
-    @pytest.fixture(scope="class")
-    def multi_load_compiled(self):
-        # ijpeg's dct loop predicts two loads, so a one-entry table
-        # thrashes between them on every iteration.
-        program = load_benchmark("ijpeg", scale=0.4)
-        profile = profile_program(program)
-        return compile_program(program, PLAYDOH_4W, profile)
+    # ijpeg's dct loop predicts two loads, so a one-entry table thrashes
+    # between them on every iteration.
 
-    def test_tiny_table_causes_tag_misses(self, multi_load_compiled):
-        result = simulate_program(multi_load_compiled, table_capacity=1)
+    def test_tiny_table_causes_tag_misses(self):
+        result = _simulate("ijpeg", table_entries=1)
         assert result.table_tag_misses > 0
 
-    def test_capacity_never_helps(self, multi_load_compiled):
-        unbounded = simulate_program(multi_load_compiled)
-        tiny = simulate_program(multi_load_compiled, table_capacity=1)
+    def test_capacity_never_helps(self):
+        unbounded = _simulate("ijpeg")
+        tiny = _simulate("ijpeg", table_entries=1)
         assert tiny.mispredictions >= unbounded.mispredictions
         assert tiny.cycles_proposed >= unbounded.cycles_proposed
-
-
-class TestConfidenceGating:
-    def test_gated_instances_counted(self, compiled):
-        # A hair-trigger config that distrusts everything initially.
-        estimator = ConfidenceEstimator(
-            ConfidenceConfig(max_count=15, increment=1, decrement=8, threshold=10)
-        )
-        result = simulate_program(compiled, confidence=estimator)
-        assert result.gated_instances > 0
-
-    def test_gated_instances_cost_original_length(self, compiled):
-        # With an unsatisfiable threshold everything gates: the proposed
-        # machine degenerates to the no-prediction machine.
-        estimator = ConfidenceEstimator(
-            ConfidenceConfig(max_count=15, increment=0o1, decrement=1, threshold=15)
-        )
-        # make it unsatisfiable by huge decrement on every miss and never
-        # reaching the ceiling: threshold == max_count with decrement 1
-        # still reachable, so use a custom estimator that always says no.
-        class NeverConfident(ConfidenceEstimator):
-            def confident(self, key):
-                return False
-
-        result = simulate_program(compiled, confidence=NeverConfident())
-        assert result.cycles_proposed == result.cycles_nopred
-        assert result.predictions == 0
-        assert result.time_fraction(OutcomeClass.ALL_CORRECT) == 0.0
-
-    def test_always_confident_matches_ungated(self, compiled):
-        class AlwaysConfident(ConfidenceEstimator):
-            def confident(self, key):
-                return True
-
-        gated = simulate_program(compiled, confidence=AlwaysConfident())
-        plain = simulate_program(compiled)
-        assert gated.cycles_proposed == plain.cycles_proposed
-        assert gated.gated_instances == 0
-
-    def test_gating_trades_upside_for_safety(self, compiled):
-        """A sane confidence config reduces mispredictions per prediction
-        made (it skips cold/burned loads) at some cost in coverage."""
-        estimator = ConfidenceEstimator(
-            ConfidenceConfig(max_count=15, increment=1, decrement=6, threshold=4)
-        )
-        gated = simulate_program(compiled, confidence=estimator)
-        plain = simulate_program(compiled)
-        assert gated.predictions < plain.predictions
-        if gated.predictions:
-            assert gated.prediction_accuracy >= plain.prediction_accuracy - 0.02
-
-    def test_gated_runs_still_consistent(self, compiled):
-        estimator = ConfidenceEstimator()
-        result = simulate_program(compiled, confidence=estimator)
-        assert sum(result.cycles_by_class.values()) == result.cycles_proposed
-        assert sum(result.instances_by_class.values()) == result.dynamic_blocks

@@ -78,12 +78,14 @@ class TestSquash:
         from repro.core.program_sim import simulate_program
         from repro.machine.configs import PLAYDOH_4W
         from repro.profiling.profile_run import profile_program
+        from repro.trace.capture import capture_trace
         from repro.workloads.suite import load_benchmark
 
         program = load_benchmark("vortex", scale=0.4)
-        profile = profile_program(program)
+        trace = capture_trace(program)
+        profile = profile_program(program, trace)
         compilation = compile_program(program, PLAYDOH_4W, profile)
-        result = simulate_program(compilation)
+        result = simulate_program(compilation, trace)
         assert result.cycles_squash > 0
         # Each mispredicted speculated instance squashes exactly once.
         assert result.squashed_instances > 0

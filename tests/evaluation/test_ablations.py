@@ -29,12 +29,10 @@ from repro.evaluation.experiment import Evaluation, arithmetic_mean
 from repro.evaluation.paper_example import EXAMPLE_LIVE_OUT, build_example_block
 from repro.ir.builder import FunctionBuilder
 from repro.machine.configs import PLAYDOH_4W
-from repro.predict.fcm import FCMPredictor
-from repro.predict.hybrid import default_hybrid
-from repro.predict.last_value import LastValuePredictor
-from repro.predict.stride import StridePredictor
+from repro.machine.predictor import PredictorSpec
 from repro.profiling.profile_run import profile_program
 from repro.sched.list_scheduler import ListScheduler, schedule_block
+from repro.trace.capture import capture_trace
 from repro.workloads.suite import load_benchmark
 
 
@@ -146,24 +144,22 @@ def test_disambiguation_recovers_less_than_prediction(evaluation):
 def test_hybrid_predictor_needs_both_components(evaluation):
     """The compiler selects loads by best-of(stride, FCM) profile rates;
     swapping the run-time predictor shows why the hybrid is the default."""
+    base = evaluation.machine_4w
     accuracy = {}
     speedup = {}
-    for label, factory in (
-        ("last-value", LastValuePredictor),
-        ("stride", StridePredictor),
-        ("fcm", FCMPredictor),
-        ("hybrid", default_hybrid),
-    ):
+    for kind in ("last-value", "stride", "fcm", "hybrid"):
+        machine = replace(
+            base, name=f"{base.name}-{kind}", predictor=PredictorSpec(kind=kind)
+        )
         predictions = correct = proposed = nopred = 0
         for name in evaluation.benchmarks:
-            comp = evaluation.compilation(name, evaluation.machine_4w)
-            sim = simulate_program(comp, predictor=factory())
+            sim = evaluation.simulation(name, machine)
             predictions += sim.predictions
             correct += sim.predictions - sim.mispredictions
             proposed += sim.cycles_proposed
             nopred += sim.cycles_nopred
-        accuracy[label] = correct / predictions if predictions else 0.0
-        speedup[label] = nopred / proposed
+        accuracy[kind] = correct / predictions if predictions else 0.0
+        speedup[kind] = nopred / proposed
     # The hybrid never loses materially to either component, and neither
     # component dominates the other by a wide margin.
     assert accuracy["hybrid"] >= accuracy["stride"] - 0.03
@@ -231,14 +227,17 @@ def test_alu_prediction_adds_to_load_prediction(evaluation):
     speedups = {label: [] for label in configs}
     for name in evaluation.benchmarks:
         program = load_benchmark(name, scale=evaluation.settings.scale)
-        profile = profile_program(program, profile_alu=True)
+        trace = capture_trace(program)
+        profile = profile_program(program, trace, profile_alu=True)
         for label, config in configs.items():
             compilation = compile_program(program, PLAYDOH_4W, profile, config=config)
             predictions[label] += sum(
                 len(compilation.block(l).predicted_load_ids)
                 for l in compilation.speculated_labels
             )
-            speedups[label].append(simulate_program(compilation).speedup_proposed)
+            speedups[label].append(
+                simulate_program(compilation, trace).speedup_proposed
+            )
     assert predictions["loads+alu"] >= predictions["loads"]
     # Selection only accepts improvements, but run-time accuracy can
     # differ slightly.

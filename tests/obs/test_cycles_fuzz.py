@@ -23,6 +23,7 @@ from repro.core.speculation import SpeculationConfig
 from repro.machine.configs import PLAYDOH_4W, PLAYDOH_8W, PLAYDOH_4W_SPEC
 from repro.obs.cycles import CAUSES
 from repro.profiling.profile_run import profile_program
+from repro.trace.capture import capture_trace
 from repro.workloads.synthetic import random_program
 
 #: Tight CCB so the fuzz actually visits ``ccb_pressure`` back-pressure
@@ -74,11 +75,12 @@ def _assert_program_invariants(result):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_cycle_stacks_sum_on_random_programs(seed):
     program = random_program(seed)
-    profile = profile_program(program)
+    trace = capture_trace(program)
+    profile = profile_program(program, trace)
     for machine in MACHINES:
         compilation = compile_program(program, machine, profile)
         _assert_block_invariants(compilation)
-        result = simulate_program(compilation, collect_cycles=True)
+        result = simulate_program(compilation, trace, collect_cycles=True)
         _assert_program_invariants(result)
 
 
@@ -89,10 +91,11 @@ def test_cycle_stacks_sum_across_thresholds(threshold):
     config = SpeculationConfig(threshold=threshold)
     for seed in (1, 4):
         program = random_program(seed)
-        profile = profile_program(program)
+        trace = capture_trace(program)
+        profile = profile_program(program, trace)
         for machine in (PLAYDOH_4W, TIGHT_4W):
             compilation = compile_program(program, machine, profile, config)
-            result = simulate_program(compilation, collect_cycles=True)
+            result = simulate_program(compilation, trace, collect_cycles=True)
             _assert_program_invariants(result)
 
 
@@ -103,16 +106,18 @@ def test_tight_ccb_charges_ccb_pressure():
     pressure = 0
     for seed in SEEDS:
         program = random_program(seed)
-        profile = profile_program(program)
+        trace = capture_trace(program)
+        profile = profile_program(program, trace)
         compilation = compile_program(program, TIGHT_4W, profile)
-        result = simulate_program(compilation, collect_cycles=True)
+        result = simulate_program(compilation, trace, collect_cycles=True)
         pressure += result.cycle_stacks["proposed"].get("ccb_pressure", 0)
     assert pressure > 0
 
 
 def test_disabled_collection_leaves_no_stacks():
     program = random_program(0)
-    profile = profile_program(program)
+    trace = capture_trace(program)
+    profile = profile_program(program, trace)
     compilation = compile_program(program, PLAYDOH_4W, profile)
-    result = simulate_program(compilation)
+    result = simulate_program(compilation, trace)
     assert result.cycle_stacks is None

@@ -175,16 +175,23 @@ class TestProgramLevelMetrics:
         from repro.machine.configs import PLAYDOH_4W
         from repro.core.metrics import compile_program
         from repro.profiling.profile_run import profile_program
+        from repro.trace.capture import capture_trace
         from repro.workloads.suite import load_benchmark
 
         program = load_benchmark("li", scale=0.2)
-        profile = profile_program(program)
+        profile = profile_program(program, capture_trace(program))
         return compile_program(program, PLAYDOH_4W, profile)
 
-    def test_flush_reexec_identity_program(self, compiled):
+    @pytest.fixture(scope="class")
+    def trace(self, compiled):
+        from repro.trace.capture import capture_trace
+
+        return capture_trace(compiled.program)
+
+    def test_flush_reexec_identity_program(self, compiled, trace):
         from repro.core.program_sim import simulate_program
 
-        result = simulate_program(compiled, collect_metrics=True)
+        result = simulate_program(compiled, trace, collect_metrics=True)
         snap = result.metrics
         assert snap is not None
         assert (
@@ -199,16 +206,16 @@ class TestProgramLevelMetrics:
             + snap.counter("predict.miss", label="hybrid")
         )
 
-    def test_metrics_none_when_disabled(self, compiled):
+    def test_metrics_none_when_disabled(self, compiled, trace):
         from repro.core.program_sim import simulate_program
 
-        assert simulate_program(compiled).metrics is None
+        assert simulate_program(compiled, trace).metrics is None
 
-    def test_metrics_collection_leaves_timing_unchanged(self, compiled):
+    def test_metrics_collection_leaves_timing_unchanged(self, compiled, trace):
         from repro.core.program_sim import simulate_program
 
-        plain = simulate_program(compiled)
-        metered = simulate_program(compiled, collect_metrics=True)
+        plain = simulate_program(compiled, trace)
+        metered = simulate_program(compiled, trace, collect_metrics=True)
         assert plain.cycles_proposed == metered.cycles_proposed
         assert plain.cycles_baseline == metered.cycles_baseline
         assert plain.mispredictions == metered.mispredictions

@@ -8,6 +8,7 @@ from repro.ir.builder import ProgramBuilder
 from repro.machine.configs import PLAYDOH_4W
 from repro.opt.passes import optimize_program
 from repro.profiling.profile_run import profile_program
+from repro.trace.capture import capture_trace
 
 
 def build_sloppy_program():
@@ -49,7 +50,8 @@ class TestOptimizedPipeline:
 
     def test_optimized_program_still_speculates(self):
         optimized = optimize_program(build_sloppy_program())
-        profile = profile_program(optimized)
+        trace = capture_trace(optimized)
+        profile = profile_program(optimized, trace)
         compilation = compile_program(optimized, PLAYDOH_4W, profile)
         assert "loop" in compilation.speculated_labels
 
@@ -61,13 +63,13 @@ class TestOptimizedPipeline:
 
         results = {}
         for label, prog in (("raw", program), ("optimized", optimized)):
-            profile = profile_program(prog)
+            trace = capture_trace(prog)
+            profile = profile_program(prog, trace)
             compilation = compile_program(prog, PLAYDOH_4W, profile)
-            results[label] = simulate_program(compilation)
+            results[label] = simulate_program(compilation, trace)
         assert (
             results["optimized"].cycles_proposed
             <= results["raw"].cycles_proposed
         )
-        # and both machines computed the same memory image
-        # (simulate_program runs the real interpreter underneath).
+        # and the no-prediction machine is no slower either.
         assert results["optimized"].cycles_nopred <= results["raw"].cycles_nopred

@@ -1,8 +1,7 @@
-"""Unit tests for the value-prediction table and confidence estimation."""
+"""Unit tests for the value-prediction table."""
 
 import pytest
 
-from repro.predict.confidence import ConfidenceConfig, ConfidenceEstimator
 from repro.predict.stride import StridePredictor
 from repro.predict.table import ValuePredictionTable
 
@@ -54,45 +53,3 @@ class TestValuePredictionTable:
         table.reset()
         assert table.lookups == 0
         assert table.lookup("a") is None
-
-
-class TestConfidence:
-    def test_threshold_gating(self):
-        est = ConfidenceEstimator(ConfidenceConfig(max_count=4, increment=1, decrement=2, threshold=2))
-        key = "op1"
-        assert not est.confident(key)
-        est.record(key, True)
-        est.record(key, True)
-        assert est.confident(key)
-
-    def test_misprediction_penalised_harder(self):
-        est = ConfidenceEstimator()
-        key = "op1"
-        for _ in range(10):
-            est.record(key, True)
-        level_before = est.level(key)
-        est.record(key, False)
-        assert level_before - est.level(key) == est.config.decrement
-
-    def test_saturation(self):
-        est = ConfidenceEstimator(ConfidenceConfig(max_count=3, threshold=2))
-        for _ in range(10):
-            est.record("k", True)
-        assert est.level("k") == 3
-        for _ in range(10):
-            est.record("k", False)
-        assert est.level("k") == 0
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ConfidenceConfig(threshold=0)
-        with pytest.raises(ValueError):
-            ConfidenceConfig(max_count=4, threshold=5)
-        with pytest.raises(ValueError):
-            ConfidenceConfig(increment=0)
-
-    def test_reset(self):
-        est = ConfidenceEstimator()
-        est.record("k", True)
-        est.reset()
-        assert est.level("k") == 0

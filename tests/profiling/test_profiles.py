@@ -6,6 +6,7 @@ from repro.ir.builder import ProgramBuilder
 from repro.profiling.block_profile import BlockFrequencyProfiler
 from repro.profiling.memory import Memory
 from repro.profiling.profile_run import profile_program
+from repro.trace.capture import capture_trace
 from repro.profiling.value_profile import ValueProfiler
 from repro.profiling.interpreter import run_program
 
@@ -93,13 +94,13 @@ class TestValueProfile:
 
     def test_best_rate_is_max(self):
         program, _ = self.build_two_load_program()
-        data = profile_program(program)
+        data = profile_program(program, capture_trace(program))
         for stats in data.values.loads.values():
             assert stats.best_rate == max(stats.stride_rate, stats.fcm_rate)
 
     def test_predictable_loads_thresholding(self):
         program, _ = self.build_two_load_program()
-        data = profile_program(program)
+        data = profile_program(program, capture_trace(program))
         loads = program.main.block("loop").loads()
         predictable = data.values.predictable_loads(0.65)
         assert {l.op_id for l in loads} == set(predictable)
@@ -107,13 +108,13 @@ class TestValueProfile:
 
     def test_unknown_load_rate_zero(self):
         program, _ = self.build_two_load_program()
-        data = profile_program(program)
+        data = profile_program(program, capture_trace(program))
         assert data.values.rate(10**9) == 0.0
         assert data.values.executions(10**9) == 0
 
     def test_profile_data_contains_execution(self):
         program, _ = self.build_two_load_program()
-        data = profile_program(program)
+        data = profile_program(program, capture_trace(program))
         assert data.program_name == "p"
         assert run_program(program).halted
         assert data.blocks.count("loop") == 30

@@ -283,11 +283,12 @@ class TestCompilePayloadShape:
         from repro.machine.configs import PLAYDOH_4W, PLAYDOH_4W_SPEC
         from repro.machine.spec import PredictorSpec
         from repro.profiling.profile_run import profile_program
+        from repro.trace.capture import capture_trace
         from repro.workloads.suite import load_benchmark
 
         reset_operation_ids()
         program = load_benchmark("li", scale=0.1)
-        profile = profile_program(program)
+        profile = profile_program(program, capture_trace(program))
         fcm = PLAYDOH_4W_SPEC.override(
             name="fcm-4w", predictor=PredictorSpec(kind="fcm")
         ).build()

@@ -15,6 +15,7 @@ from repro.runner.jobs import (
     default_deps,
     profile_spec,
 )
+from repro.trace.capture import capture_trace
 from repro.workloads.suite import load_benchmark
 
 
@@ -107,7 +108,7 @@ class TestEndToEnd:
         reset_operation_ids()
         manager = PassManager(pipeline)
         program = manager.run_program_passes(load_benchmark("li", scale=0.25))
-        inline = manager.compile(program, PLAYDOH_4W, profile_program(program))
+        inline = manager.compile(program, PLAYDOH_4W, profile_program(program, capture_trace(program)))
 
         assert compilation_digest(via_runner) == compilation_digest(inline)
         assert via_runner.speculated_labels == inline.speculated_labels

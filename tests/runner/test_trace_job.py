@@ -79,15 +79,14 @@ class TestTraceExecution:
         assert trace.program_name == "compress"
         assert trace.dynamic_operations > 0
 
-    def test_runner_results_match_runnerless(self, tmp_path, monkeypatch):
-        """Simulation through the runner (trace-replayed, disk-cached)
-        equals direct live simulation with tracing disabled."""
+    def test_runner_results_match_runnerless(self, tmp_path):
+        """Simulation through the runner (trace job, disk-cached) equals
+        direct simulation off the in-process trace store."""
         settings = EvaluationSettings(scale=0.2).with_benchmarks(["swim"])
         runner = Runner(cache=DiskCache(root=tmp_path / "cache"))
         via_runner = Evaluation(settings, runner=runner).simulation(
             "swim", PLAYDOH_4W
         )
-        monkeypatch.setattr(Evaluation, "_trace_of", lambda self, p: None)
         direct = Evaluation(settings).simulation("swim", PLAYDOH_4W)
         assert dataclasses.asdict(via_runner) == dataclasses.asdict(direct)
 

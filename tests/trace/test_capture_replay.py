@@ -2,8 +2,11 @@
 
 The trace layer's contract is *byte identity*: replaying a captured
 trace through the profilers or the simulation observer must produce
-exactly what live interpretation produces — results, metrics snapshots,
-access counters and all.
+exactly what the same observers see riding a live interpretation —
+profiles, simulation counts, access counters and all.  The live side is
+driven here through ``Interpreter().run(program, observers=[...])``; the
+production entry points (``profile_program``, ``simulate_program``) read
+only the trace.
 """
 
 import dataclasses
@@ -16,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.metrics import compile_program
-from repro.core.program_sim import simulate_program
+from repro.core.program_sim import _SimulationObserver
 from repro.ir.builder import ProgramBuilder
 from repro.machine.configs import PLAYDOH_4W
 from repro.profiling.interpreter import ExecutionLimitExceeded, Interpreter
@@ -25,6 +28,7 @@ from repro.trace.capture import capture_trace
 from repro.trace.format import TraceError, TraceMismatch, ValueTrace, program_digest
 from repro.trace.replay import replay_trace
 from repro.workloads.suite import load_suite
+from tests.trace.reference_runs import live, observed_profile, replayed
 
 SUITE = load_suite(scale=0.25)
 TRACES = {name: capture_trace(program) for name, program in SUITE.items()}
@@ -43,28 +47,40 @@ def assert_profiles_identical(a, b):
 class TestSuiteReplay:
     def test_profile_replay_is_identical(self, workload):
         program = SUITE[workload]
-        live = profile_program(program)
-        replayed = profile_program(program, trace=TRACES[workload])
-        assert_profiles_identical(live, replayed)
+        trace = TRACES[workload]
+        from_live = observed_profile(program, live(program))
+        assert_profiles_identical(
+            from_live, observed_profile(program, replayed(trace, program))
+        )
+        assert_profiles_identical(from_live, profile_program(program, trace))
 
     def test_alu_profile_replay_is_identical(self, workload):
         program = SUITE[workload]
-        live = profile_program(program, profile_alu=True)
-        replayed = profile_program(
-            program, profile_alu=True, trace=TRACES[workload]
+        trace = TRACES[workload]
+        from_live = observed_profile(program, live(program), profile_alu=True)
+        assert_profiles_identical(
+            from_live,
+            observed_profile(
+                program, replayed(trace, program), profile_alu=True
+            ),
         )
-        assert_profiles_identical(live, replayed)
+        assert_profiles_identical(
+            from_live, profile_program(program, trace, profile_alu=True)
+        )
 
     def test_simulation_replay_is_identical(self, workload):
         program = SUITE[workload]
+        trace = TRACES[workload]
         compilation = compile_program(
-            program, PLAYDOH_4W, profile_program(program)
+            program, PLAYDOH_4W, profile_program(program, trace)
         )
-        live = simulate_program(compilation, collect_metrics=True)
-        replayed = simulate_program(
-            compilation, collect_metrics=True, trace=TRACES[workload]
-        )
-        assert dataclasses.asdict(live) == dataclasses.asdict(replayed)
+        counts = []
+        for drive in (live(program), replayed(trace, program)):
+            observer = _SimulationObserver(compilation)
+            drive([observer])
+            observer.finish()
+            counts.append(observer.counts)
+        assert counts[0] == counts[1]
 
     def test_replayed_final_state_matches_interpreter(self, workload):
         """Profiles do not carry the run's final state; the trace does,
@@ -95,9 +111,11 @@ class TestSuiteReplay:
         path = trace.save(tmp_path / f"{workload}.trace.gz")
         loaded = ValueTrace.load(path)
         assert dataclasses.asdict(loaded) == dataclasses.asdict(trace)
-        live = profile_program(SUITE[workload])
-        replayed = profile_program(SUITE[workload], trace=loaded)
-        assert_profiles_identical(live, replayed)
+        program = SUITE[workload]
+        assert_profiles_identical(
+            observed_profile(program, live(program)),
+            profile_program(program, loaded),
+        )
 
 
 class TestMismatchDetection:
@@ -120,8 +138,9 @@ class TestMismatchDetection:
     def test_truncated_value_stream_is_rejected(self):
         trace = TRACES["compress"]
         broken = dataclasses.replace(trace, values=trace.values[:-1])
+        program = SUITE["compress"]
         with pytest.raises(TraceMismatch, match="ran out of values"):
-            profile_program(SUITE["compress"], trace=broken)
+            observed_profile(program, replayed(broken, program))
 
     def test_oversized_value_stream_is_rejected(self):
         trace = TRACES["compress"]
@@ -213,6 +232,7 @@ def test_property_roundtrip_replay(values, iterations):
     trace = capture_trace(program)
     with tempfile.TemporaryDirectory() as tmp:
         loaded = ValueTrace.load(trace.save(Path(tmp) / "t.gz"))
-    live = profile_program(program)
-    replayed = profile_program(program, trace=loaded)
-    assert_profiles_identical(live, replayed)
+    assert_profiles_identical(
+        observed_profile(program, live(program)),
+        profile_program(program, loaded),
+    )

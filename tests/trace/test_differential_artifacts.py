@@ -1,30 +1,33 @@
 """End-to-end differential: every table/figure artifact is byte-identical
-across {reference interpreter, specialized interpreter, trace replay}.
+across {reference interpreter, specialized interpreter} x {batched
+engine, scalar replay engine}.
 
 This is the acceptance gate for the whole fast path: if any layer
 perturbs a single predicted value or block count, a paper artifact
-diverges and this suite catches it.  The two live modes drop the value
-trace from every stage (``Evaluation._trace_of`` returns ``None``); the
-reference mode also swaps the interpreter for the per-op dispatch loop
-it is specified by.
+diverges and this suite catches it.  The reference mode captures every
+value trace with the per-op dispatch loop the interpreter is specified
+by; the scalar mode sends every simulation to the scalar replay engine
+instead of the batched one.
 """
 
 import dataclasses
 
 import pytest
 
+from repro.batchsim import engine
 from repro.batchsim.context import reset_shared_state
 from repro.evaluation import figure8, table2, table3, table4
 from repro.evaluation.experiment import Evaluation, EvaluationSettings
 from repro.profiling.interpreter import Interpreter
 from repro.trace.store import TraceStore, reset_default_store
 from tests.profiling.reference_interpreter import run_reference
+from tests.trace.reference_runs import scalar_only
 
-#: (mode name, interpret with the reference loop, replay the trace)
+#: (mode name, capture with the reference loop, simulate by scalar replay)
 MODES = [
-    ("legacy", True, False),
-    ("specialized", False, False),
-    ("replay", False, True),
+    ("reference", True, True),
+    ("specialized", False, True),
+    ("batched", False, False),
 ]
 
 SETTINGS = EvaluationSettings(scale=0.25)
@@ -60,20 +63,20 @@ def clean_trace_state():
     reset_default_store()
 
 
-def _evaluation(monkeypatch, reference, replay):
+def _evaluation(monkeypatch, reference, scalar):
     """A fresh evaluation in one mode, sharing no product with another."""
     monkeypatch.undo()
     if reference:
         monkeypatch.setattr(Interpreter, "run", _reference_run)
-    if not replay:
-        monkeypatch.setattr(Evaluation, "_trace_of", lambda self, program: None)
+    if scalar:
+        monkeypatch.setattr(engine, "unsupported_reason", scalar_only)
     reset_shared_state()
     reset_default_store()
     return Evaluation(SETTINGS, trace_store=TraceStore())
 
 
-def _compute_all(monkeypatch, reference, replay):
-    evaluation = _evaluation(monkeypatch, reference, replay)
+def _compute_all(monkeypatch, reference, scalar):
+    evaluation = _evaluation(monkeypatch, reference, scalar)
     out = {}
     for name, compute in EXPERIMENTS.items():
         out[name] = _rows_as_data(compute(evaluation))
@@ -83,8 +86,8 @@ def _compute_all(monkeypatch, reference, replay):
 def test_all_artifacts_identical_across_modes(monkeypatch):
     baseline_mode, *other_modes = MODES
     baseline = _compute_all(monkeypatch, *baseline_mode[1:])
-    for mode, reference, replay in other_modes:
-        candidate = _compute_all(monkeypatch, reference, replay)
+    for mode, reference, scalar in other_modes:
+        candidate = _compute_all(monkeypatch, reference, scalar)
         for experiment in EXPERIMENTS:
             assert candidate[experiment] == baseline[experiment], (
                 f"{experiment} diverged under mode {mode!r}"
@@ -95,8 +98,8 @@ def test_rendered_tables_identical_across_modes(monkeypatch):
     """The human-facing renderings (what the CLI prints and the docs
     quote) are byte-identical too."""
     rendered = []
-    for _mode, reference, replay in MODES:
-        evaluation = _evaluation(monkeypatch, reference, replay)
+    for _mode, reference, scalar in MODES:
+        evaluation = _evaluation(monkeypatch, reference, scalar)
         rendered.append(
             "\n\n".join(
                 [

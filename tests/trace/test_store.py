@@ -7,6 +7,7 @@ import pytest
 from repro.batchsim.context import reset_shared_state
 from repro.evaluation.experiment import Evaluation, EvaluationSettings
 from repro.trace.capture import capture_trace
+from repro.trace.format import ValueTrace
 from repro.trace.store import TraceStore, default_store, reset_default_store
 from repro.workloads.suite import load_benchmark, load_suite
 
@@ -92,20 +93,24 @@ class TestEvaluationIntegration:
         # The sweep is real: different thresholds, comparable results.
         assert all(r.cycles_proposed > 0 for r in results)
 
-    def test_replay_results_equal_no_trace_results(self, monkeypatch):
+    def test_loaded_trace_results_equal_captured_results(self, tmp_path):
+        """A store serving a trace read back from disk simulates exactly
+        like the store that captured it."""
         settings = EvaluationSettings(scale=0.2).with_benchmarks(["li"])
+        machine = Evaluation().machine_4w
+        capturing = TraceStore()
+        first = Evaluation(settings, trace_store=capturing)
+        captured = first.simulation("li", machine)
+        trace = capturing.get(first.program("li"))
 
-        with monkeypatch.context() as live_mode:
-            live_mode.setattr(Evaluation, "_trace_of", lambda self, p: None)
-            live = Evaluation(settings).simulation(
-                "li", Evaluation().machine_4w
-            )
-
+        loading = TraceStore()
+        loading.put(ValueTrace.load(trace.save(tmp_path / "li.trace.gz")))
         reset_shared_state()
-        replayed = Evaluation(settings, trace_store=TraceStore()).simulation(
-            "li", Evaluation().machine_4w
+        loaded = Evaluation(settings, trace_store=loading).simulation(
+            "li", machine
         )
-        assert dataclasses.asdict(live) == dataclasses.asdict(replayed)
+        assert loading.captures == 0
+        assert dataclasses.asdict(loaded) == dataclasses.asdict(captured)
 
     def test_default_store_is_shared_process_wide(self):
         # The second Evaluation's profile is served by the shared

@@ -55,9 +55,10 @@ class TestCharacterize:
 
     def test_reuses_supplied_profile(self):
         from repro.profiling.profile_run import profile_program
+        from repro.trace.capture import capture_trace
 
         program = load_benchmark("compress", scale=0.2)
-        profile = profile_program(program)
+        profile = profile_program(program, capture_trace(program))
         a = characterize(program, profile=profile)
         b = characterize(program)
         assert a == b

@@ -6,6 +6,7 @@ from repro.ir.printer import format_program
 from repro.ir.verifier import verify_program
 from repro.profiling.interpreter import run_program
 from repro.profiling.profile_run import profile_program
+from repro.trace.capture import capture_trace
 from repro.workloads.kernels import LoopSpec, chain_loops
 from repro.workloads.suite import (
     BENCHMARKS,
@@ -59,18 +60,21 @@ class TestEveryBenchmark:
     def test_has_predictable_load_above_threshold(self, name):
         """Every benchmark must give the speculation pass something to
         chew on (the paper predicts loads in every benchmark)."""
-        profile = profile_program(load_benchmark(name, scale=0.5))
+        program = load_benchmark(name, scale=0.5)
+        profile = profile_program(program, capture_trace(program))
         assert profile.values.predictable_loads(0.65)
 
     def test_has_unpredictable_loads_too(self, name):
         """And something it must leave alone — the suite exercises the
         threshold, not just the transform."""
-        profile = profile_program(load_benchmark(name, scale=0.5))
+        program = load_benchmark(name, scale=0.5)
+        profile = profile_program(program, capture_trace(program))
         rates = [stats.best_rate for stats in profile.values.loads.values()]
         assert min(rates) < 0.65
 
     def test_loops_dominate_execution(self, name):
-        profile = profile_program(load_benchmark(name, scale=0.3))
+        program = load_benchmark(name, scale=0.3)
+        profile = profile_program(program, capture_trace(program))
         entry_fraction = profile.blocks.frequency("entry")
         assert entry_fraction < 0.05
 
