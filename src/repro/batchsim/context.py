@@ -10,10 +10,10 @@ strong references held in the values, so ids cannot be reused while an
 entry lives.
 
 A process-wide default context backs every batched simulation and
-profile (mirroring :func:`repro.trace.store.default_store`);
-:func:`reset_shared_state` drops it together with the compile-product
-memos — bench iterations call it so repeats measure real work, and the
-test suite resets between tests for isolation.
+profile; :func:`reset_shared_state` drops it together with the
+compile-product and program-digest memos — bench iterations call it so
+repeats measure real work, and the test suite resets between tests for
+isolation.
 """
 
 from __future__ import annotations
@@ -175,7 +175,8 @@ def reset_default_context() -> None:
 
 
 def reset_shared_state() -> None:
-    """Drop every process-wide fast-path cache (batch + compile memos).
+    """Drop every process-wide fast-path cache (batch, compile and
+    program-digest memos).
 
     Bench scenarios call this at iteration start so repeats measure the
     genuine per-sweep cost (cross-point sharing *within* the iteration
@@ -185,14 +186,10 @@ def reset_shared_state() -> None:
     from repro.core import compile_cache
 
     compile_cache.reset()
-    # The evaluation layer's shared build/profile products (imported
-    # lazily: evaluation sits above this package in the import graph,
-    # and there is nothing to clear if it was never imported).
+    # This package does not import the trace format; if nothing else
+    # did either, there is no digest memo to clear.
     import sys
 
-    experiment = sys.modules.get("repro.evaluation.experiment")
-    if experiment is not None:
-        experiment.reset_shared_products()
     trace_format = sys.modules.get("repro.trace.format")
     if trace_format is not None:
         trace_format.reset_digest_memo()

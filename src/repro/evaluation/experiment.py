@@ -4,13 +4,13 @@
 results per (benchmark, machine) so the table/figure generators can share
 work — profiling is the expensive step and every experiment needs it.
 
-When constructed with a :class:`repro.runner.executor.Runner`, every pipeline
-stage is delegated to the runner as a declarative job: stage results are
-then additionally memoised on disk (surviving across processes and
-threshold/scale sweeps) and :meth:`Evaluation.warm` can execute the
+Every pipeline stage is a declarative job of a
+:class:`repro.runner.executor.Runner`.  A runner with an enabled cache
+also memoises stage results on disk (surviving across processes and
+threshold/scale sweeps), and :meth:`Evaluation.warm` can execute the
 whole job graph for a set of experiments up front before the
-experiments read it back.  Without a runner the behaviour is the
-original in-process one — no disk I/O.
+experiments read it back.  An evaluation built without a runner uses a
+runner whose cache is disabled, so it does no disk I/O.
 """
 
 from __future__ import annotations
@@ -30,9 +30,11 @@ from typing import (
 from repro.machine.configs import by_name, spec_by_name
 from repro.machine.description import MachineDescription
 from repro.machine.spec import MachineSpec
-from repro.core.program_sim import simulate_program
+# No stage calls it here (simulation is a runner job), but the end-to-end
+# benchmark's self-checks (e2ebench/test_e2e.py) patch it by this name.
+from repro.core.program_sim import simulate_program  # noqa: F401
 from repro.core.speculation import SpeculationConfig
-from repro.workloads.suite import BENCHMARKS, load_benchmark, resolve_benchmarks
+from repro.workloads.suite import BENCHMARKS, resolve_benchmarks
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.compiler.config import PipelineConfig
@@ -133,37 +135,21 @@ EXPERIMENT_NEEDS: Dict[str, Tuple[Tuple[str, str, bool, bool], ...]] = {
 }
 
 
-# -- process-wide shared build/profile products ------------------------------
-#
-# A sweep constructs one Evaluation per point, but the build and profile
-# stages depend only on (benchmark, scale, pipeline) — not on the
-# machine or speculation knobs being swept.  Sharing them process-wide
-# means every point of a runner-less sweep sees the *same* Program
-# object graph, which in turn lets the identity-keyed per-block compile
-# memos (:mod:`repro.core.compile_cache`) and the batched simulation
-# context (:mod:`repro.batchsim`) hit across points.  Pure memos:
-# ``load_benchmark``/``run_program_passes``/``profile_program`` are
-# deterministic.  ``repro.batchsim.reset_shared_state`` clears these
-# together with the other process-wide caches.
+def memory_runner() -> "Runner":
+    """A runner whose cache is disabled: its jobs run in memory and
+    touch no disk."""
+    from repro.runner.cache import DiskCache
+    from repro.runner.executor import Runner
 
-_SHARED_PROGRAMS: Dict[Tuple[str, float, Optional[str]], Program] = {}
-_SHARED_PROFILES: Dict[Tuple[str, float, Optional[str]], ProfileData] = {}
-
-
-def reset_shared_products() -> None:
-    """Drop the process-wide build/profile memos (bench/test isolation)."""
-    _SHARED_PROGRAMS.clear()
-    _SHARED_PROFILES.clear()
-
-
-def _shared(store: Dict, key: Tuple, compute):
-    if key not in store:
-        store[key] = compute()
-    return store[key]
+    return Runner(cache=DiskCache(enabled=False))
 
 
 class Evaluation:
-    """Caching front end over profile -> compile -> simulate."""
+    """Caching front end over profile -> compile -> simulate.
+
+    Every stage is a :class:`repro.runner.executor.Runner` job.  Without
+    a runner the evaluation makes its own :func:`memory_runner`.
+    """
 
     def __init__(
         self,
@@ -171,10 +157,9 @@ class Evaluation:
         runner: Optional["Runner"] = None,
         collect_metrics: bool = False,
         collect_cycles: bool = False,
-        trace_store=None,
     ):
         self.settings = settings or EvaluationSettings()
-        self.runner = runner
+        self.runner = runner or memory_runner()
         #: When set, every simulate stage aggregates an observability
         #: snapshot into its result (``ProgramSimResult.metrics``); see
         #: :meth:`metrics_snapshot`.  Off by default — simulate job keys
@@ -185,191 +170,79 @@ class Evaluation:
         #: :mod:`repro.obs.cycles`).  Off by default — simulate job keys
         #: and timing outputs are unchanged.
         self.collect_cycles = collect_cycles
-        #: Trace cache for runner-less execution (the runner path caches
-        #: traces as jobs instead).  ``None`` uses the process-wide
-        #: default store, so *separate* Evaluation instances over the
-        #: same built program — a threshold sweep — still interpret it
-        #: only once.  Pass a fresh :class:`repro.trace.store.TraceStore` to
-        #: isolate.
-        self.trace_store = trace_store
         self._machines: Dict[str, MachineDescription] = {}
-        self._programs: Dict[str, Program] = {}
-        self._profiles: Dict[str, ProfileData] = {}
-        self._compilations: Dict[Tuple[str, str], ProgramCompilation] = {}
+        # Keyed by benchmark (and machine) plus the pipeline's
+        # fingerprint, ``None`` for the standard pipeline.
+        self._programs: Dict[Tuple[str, Optional[str]], Program] = {}
+        self._profiles: Dict[Tuple[str, Optional[str]], ProfileData] = {}
+        self._compilations: Dict[
+            Tuple[str, str, Optional[str]], ProgramCompilation
+        ] = {}
         self._simulations: Dict[
             Tuple[str, str, bool, bool], ProgramSimResult
         ] = {}
-        # Non-standard-pipeline products, keyed by pipeline fingerprint.
-        self._variant_programs: Dict[Tuple[str, str], Program] = {}
-        self._variant_profiles: Dict[Tuple[str, str], ProfileData] = {}
-        self._variant_compilations: Dict[
-            Tuple[str, str, str], ProgramCompilation
-        ] = {}
 
     # -- pipeline stages ----------------------------------------------------
-
-    def _trace_of(self, program: Program):
-        """The cached value trace for ``program``.
-
-        Capture-on-first-use through the configured (or default
-        process-wide) :class:`repro.trace.store.TraceStore`.
-        """
-        from repro.trace.store import default_store
-
-        store = self.trace_store if self.trace_store is not None else default_store()
-        return store.get_or_capture(program)
-
-    def program(self, name: str) -> Program:
-        if name not in self._programs:
-            if self.runner is not None:
-                # The runner's build job is the canonical program: its op
-                # ids are what the cached profiles and compilations
-                # reference, so the parent must use the same object graph.
-                # adopt_program keeps later op-creating passes (regions
-                # unrolling) from minting ids that collide with it.
-                from repro.runner.jobs import adopt_program, build_job
-
-                self._programs[name] = adopt_program(
-                    self.runner.run_job(
-                        build_job(name, scale=self.settings.scale)
-                    )
-                )
-            else:
-                self._programs[name] = _shared(
-                    _SHARED_PROGRAMS,
-                    (name, self.settings.scale, None),
-                    lambda: load_benchmark(name, scale=self.settings.scale),
-                )
-        return self._programs[name]
-
-    def profile(self, name: str) -> ProfileData:
-        if name not in self._profiles:
-            if self.runner is not None:
-                from repro.runner.jobs import profile_job
-
-                self._profiles[name] = self.runner.run_job(
-                    profile_job(name, scale=self.settings.scale)
-                )
-            else:
-                from repro.profiling.profile_run import profile_program
-
-                program = self.program(name)
-                self._profiles[name] = _shared(
-                    _SHARED_PROFILES,
-                    (name, self.settings.scale, None),
-                    lambda: profile_program(program, self._trace_of(program)),
-                )
-        return self._profiles[name]
-
-    def compilation(
-        self, name: str, machine: MachineDescription
-    ) -> ProgramCompilation:
-        key = (name, machine.name)
-        if key not in self._compilations:
-            if self.runner is not None:
-                from repro.runner.jobs import compile_job
-
-                self._compilations[key] = self.runner.run_job(
-                    compile_job(
-                        name,
-                        machine,
-                        scale=self.settings.scale,
-                        spec_config=self.settings.spec_config,
-                    )
-                )
-            else:
-                from repro.compiler.manager import PassManager
-
-                self._compilations[key] = PassManager().compile(
-                    self.program(name),
-                    machine,
-                    self.profile(name),
-                    spec_config=self.settings.spec_config,
-                )
-        return self._compilations[key]
-
-    # -- pipeline variants ---------------------------------------------------
     #
-    # A *variant* is the same benchmark compiled under a non-standard
+    # ``pipeline`` names a non-standard
     # :class:`repro.compiler.config.PipelineConfig` — e.g. the region-size
-    # sweeps' unrolled loops.  With a runner, variants are ordinary
-    # build/profile/compile jobs (so every unroll factor is a durable
-    # on-disk cache entry); without one, the pass manager runs inline.
+    # sweeps' unrolled loops.  Its build, profile and compile are ordinary
+    # jobs keyed by the pipeline, so every unroll factor is its own cache
+    # entry.
 
-    def variant_program(self, name: str, pipeline: PipelineConfig) -> Program:
-        key = (name, pipeline.fingerprint())
-        if key not in self._variant_programs:
-            if self.runner is not None:
-                from repro.runner.jobs import adopt_program, build_job
+    def program(
+        self, name: str, pipeline: Optional[PipelineConfig] = None
+    ) -> Program:
+        key = (name, _fingerprint(pipeline))
+        if key not in self._programs:
+            # The runner's build job is the canonical program: its op
+            # ids are what the cached profiles and compilations
+            # reference, so the parent must use the same object graph.
+            # adopt_program keeps later op-creating passes (regions
+            # unrolling) from minting ids that collide with it.
+            from repro.runner.jobs import adopt_program, build_job
 
-                self._variant_programs[key] = adopt_program(
-                    self.runner.run_job(
-                        build_job(
-                            name, scale=self.settings.scale, pipeline=pipeline
-                        )
-                    )
-                )
-            else:
-                from repro.compiler.manager import PassManager
-
-                self._variant_programs[key] = _shared(
-                    _SHARED_PROGRAMS,
-                    (name, self.settings.scale, pipeline.fingerprint()),
-                    lambda: PassManager(pipeline).run_program_passes(
-                        self.program(name)
-                    ),
-                )
-        return self._variant_programs[key]
-
-    def variant_profile(self, name: str, pipeline: PipelineConfig) -> ProfileData:
-        key = (name, pipeline.fingerprint())
-        if key not in self._variant_profiles:
-            if self.runner is not None:
-                from repro.runner.jobs import profile_job
-
-                self._variant_profiles[key] = self.runner.run_job(
-                    profile_job(
+            self._programs[key] = adopt_program(
+                self.runner.run_job(
+                    build_job(
                         name, scale=self.settings.scale, pipeline=pipeline
                     )
                 )
-            else:
-                from repro.profiling.profile_run import profile_program
+            )
+        return self._programs[key]
 
-                program = self.variant_program(name, pipeline)
-                self._variant_profiles[key] = _shared(
-                    _SHARED_PROFILES,
-                    (name, self.settings.scale, pipeline.fingerprint()),
-                    lambda: profile_program(program, self._trace_of(program)),
-                )
-        return self._variant_profiles[key]
+    def profile(
+        self, name: str, pipeline: Optional[PipelineConfig] = None
+    ) -> ProfileData:
+        key = (name, _fingerprint(pipeline))
+        if key not in self._profiles:
+            from repro.runner.jobs import profile_job
 
-    def variant_compilation(
-        self, name: str, machine: MachineDescription, pipeline: PipelineConfig
+            self._profiles[key] = self.runner.run_job(
+                profile_job(name, scale=self.settings.scale, pipeline=pipeline)
+            )
+        return self._profiles[key]
+
+    def compilation(
+        self,
+        name: str,
+        machine: MachineDescription,
+        pipeline: Optional[PipelineConfig] = None,
     ) -> ProgramCompilation:
-        key = (name, machine.name, pipeline.fingerprint())
-        if key not in self._variant_compilations:
-            if self.runner is not None:
-                from repro.runner.jobs import compile_job
+        key = (name, machine.name, _fingerprint(pipeline))
+        if key not in self._compilations:
+            from repro.runner.jobs import compile_job
 
-                self._variant_compilations[key] = self.runner.run_job(
-                    compile_job(
-                        name,
-                        machine,
-                        scale=self.settings.scale,
-                        spec_config=self.settings.spec_config,
-                        pipeline=pipeline,
-                    )
-                )
-            else:
-                from repro.compiler.manager import PassManager
-
-                self._variant_compilations[key] = PassManager(pipeline).compile(
-                    self.variant_program(name, pipeline),
+            self._compilations[key] = self.runner.run_job(
+                compile_job(
+                    name,
                     machine,
-                    self.variant_profile(name, pipeline),
+                    scale=self.settings.scale,
                     spec_config=self.settings.spec_config,
+                    pipeline=pipeline,
                 )
-        return self._variant_compilations[key]
+            )
+        return self._compilations[key]
 
     def simulation(
         self,
@@ -388,29 +261,19 @@ class Evaluation:
         cycles = self.collect_cycles if collect_cycles is None else collect_cycles
         key = (name, machine.name, model_icache, cycles)
         if key not in self._simulations:
-            if self.runner is not None:
-                from repro.runner.jobs import simulate_job
+            from repro.runner.jobs import simulate_job
 
-                self._simulations[key] = self.runner.run_job(
-                    simulate_job(
-                        name,
-                        machine,
-                        scale=self.settings.scale,
-                        spec_config=self.settings.spec_config,
-                        model_icache=model_icache,
-                        collect_metrics=self.collect_metrics,
-                        collect_cycles=cycles,
-                    )
-                )
-            else:
-                compilation = self.compilation(name, machine)
-                self._simulations[key] = simulate_program(
-                    compilation,
-                    self._trace_of(compilation.program),
+            self._simulations[key] = self.runner.run_job(
+                simulate_job(
+                    name,
+                    machine,
+                    scale=self.settings.scale,
+                    spec_config=self.settings.spec_config,
                     model_icache=model_icache,
                     collect_metrics=self.collect_metrics,
                     collect_cycles=cycles,
                 )
+            )
         return self._simulations[key]
 
     # -- runner integration -------------------------------------------------
@@ -459,28 +322,13 @@ class Evaluation:
     def warm(self, experiments: Optional[Iterable[str]] = None) -> int:
         """Execute every pipeline job the given experiments will need,
         in one runner batch, so subsequent ``compute`` calls
-        are pure cache reads.  Returns the number of jobs in the graph.
-        No-op without a runner."""
-        if self.runner is None:
-            return 0
+        are pure cache reads.  Returns the number of jobs in the graph."""
         jobs = self.required_jobs(experiments)
         if jobs:
             self.runner.run(jobs)
         return len(jobs)
 
     # -- observability --------------------------------------------------------
-
-    def seed_from(self, other: "Evaluation") -> "Evaluation":
-        """Adopt another evaluation's cached programs and profiles.
-
-        Lets a benchmark harness pay the (expensive, compiler-unrelated)
-        build/profile stages once and then time compile/simulate from a
-        cold start repeatedly.  Compilations and simulations are *not*
-        copied — those are the stages being measured.
-        """
-        self._programs.update(other._programs)
-        self._profiles.update(other._profiles)
-        return self
 
     @property
     def simulation_results(self) -> List[ProgramSimResult]:
@@ -557,6 +405,10 @@ class Evaluation:
         """The machine bound to the ``wide`` role (``playdoh-8w`` by
         default)."""
         return self.machine_for("wide")
+
+
+def _fingerprint(pipeline: Optional[PipelineConfig]) -> Optional[str]:
+    return None if pipeline is None else pipeline.fingerprint()
 
 
 def geometric_mean(values: List[float]) -> float:

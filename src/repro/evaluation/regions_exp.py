@@ -20,9 +20,9 @@ Every unrolled variant is validated architecturally (same final
 registers and memory as the original) before being measured; variants
 whose trip counts are not divisible by the factor fail validation and
 are reported as absent.  Validation reads each program's final state
-from its value trace — with a runner, the ``trace`` jobs the original's
-and the variant's profiles already depend on (so a warm rerun reads
-both from the cache); without one, the evaluation's trace store.
+from its value trace: the ``trace`` jobs the original's and the
+variant's profiles already depend on (so a warm rerun reads both from
+the cache).
 """
 
 from __future__ import annotations
@@ -66,18 +66,11 @@ def _final_state(
 ) -> FinalState:
     """Final registers and memory snapshot of ``name`` built with
     ``pipeline`` (``None``: the standard build), read from its trace."""
-    if evaluation.runner is not None:
-        from repro.runner.jobs import trace_job
+    from repro.runner.jobs import trace_job
 
-        trace = evaluation.runner.run_job(
-            trace_job(name, scale=evaluation.settings.scale, pipeline=pipeline)
-        )
-    else:
-        program = (
-            evaluation.program(name) if pipeline is None
-            else evaluation.variant_program(name, pipeline)
-        )
-        trace = evaluation._trace_of(program)
+    trace = evaluation.runner.run_job(
+        trace_job(name, scale=evaluation.settings.scale, pipeline=pipeline)
+    )
     return trace.final_registers, trace.final_memory
 
 
@@ -119,14 +112,14 @@ def compute(evaluation: Evaluation) -> List[RegionRow]:
                 unroll_program_loop(program, label, factor)
             except UnrollError:
                 continue
-            # The variant goes through the shared pipeline: with a
-            # runner its build, trace, profile and compile are durable
-            # cache entries keyed by the pipeline config.
+            # The variant goes through the shared pipeline: its build,
+            # trace, profile and compile are jobs keyed by the pipeline
+            # config.
             pipeline = standard_pipeline(unroll=(label, factor))
             variant_state = _final_state(evaluation, name, pipeline)
             if not _architecturally_equivalent(base_state, variant_state):
                 continue  # trip count not divisible by the factor
-            unrolled_compilation = evaluation.variant_compilation(
+            unrolled_compilation = evaluation.compilation(
                 name, machine, pipeline
             )
             if not unrolled_compilation.speculated_labels:

@@ -22,6 +22,7 @@ from repro.evaluation.experiment import (
     Evaluation,
     EvaluationSettings,
     geometric_mean,
+    memory_runner,
 )
 from repro.explore.cost import machine_cost
 
@@ -164,8 +165,8 @@ def _point_result(point: DesignPoint, evaluation: Evaluation) -> PointResult:
 def _error_detail(exc: BaseException) -> str:
     """``Type: message`` of the error a point's evaluation raised.
 
-    A failed runner job reports its stage's own exception, so the detail
-    is the same whether the point ran through the runner or in-process.
+    A failed runner job reports its stage's own exception, not the
+    runner's wrapper.
     """
     from repro.runner.executor import JobError
 
@@ -219,9 +220,10 @@ def explore(
     - records a point whose evaluation *raises* as pruned with reason
       ``"error"`` instead of aborting the whole sweep.
 
-    With a runner, the union of every point's job graph runs first (one
+    The union of every point's job graph runs first on ``runner`` (one
     execution with cross-point dedup); each point then reads its
-    simulations back from cache.  Results keep point order.  Pruned
+    simulations back from the runner.  Without a runner the sweep
+    makes one whose cache is disabled.  Results keep point order.  Pruned
     points are returned (and serialised into the report) with their
     reason — nothing is silently dropped.
     """
@@ -245,11 +247,11 @@ def explore(
         first_of[key] = point.label
         unique.append(point)
 
+    runner = runner or memory_runner()
     evaluations = [
         _evaluation_for(point, scale, benchmarks, runner) for point in unique
     ]
-    if runner is not None:
-        _prefetch(runner, (e.required_jobs(["table2"]) for e in evaluations))
+    _prefetch(runner, (e.required_jobs(["table2"]) for e in evaluations))
 
     results: List[PointResult] = []
     for point, evaluation in zip(unique, evaluations):

@@ -9,10 +9,9 @@ by the headline experiments, matching the paper's profile-based method).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional
+from typing import Dict, Optional
 
 from repro.predict.base import Key, Value, ValuePredictor
-from repro.predict.hybrid import default_hybrid
 
 
 class ValuePredictionTable:
@@ -28,12 +27,12 @@ class ValuePredictionTable:
 
     def __init__(
         self,
-        predictor: Optional[ValuePredictor] = None,
+        predictor: ValuePredictor,
         capacity: Optional[int] = None,
     ):
         if capacity is not None and capacity < 1:
             raise ValueError("capacity must be positive or None")
-        self.predictor = predictor if predictor is not None else default_hybrid()
+        self.predictor = predictor
         self.capacity = capacity
         self._occupant: Dict[int, Key] = {}
         self.lookups = 0

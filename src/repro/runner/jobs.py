@@ -10,8 +10,8 @@ misses, and bumping :data:`CODE_VERSION` invalidates everything at once.
 
 Stage semantics are looked up in a registry (:func:`register_stage`), so
 tests can inject synthetic stages (flaky, slow) and future pipelines can
-add stages without touching the executor.  The built-in stages mirror
-``Evaluation``:
+add stages without touching the executor.  The built-in stages are the
+ones ``Evaluation`` runs:
 
 ========== ================================ ============================
 stage      inputs                           produces
@@ -72,8 +72,9 @@ from repro.machine.description import MachineDescription
 #: previously cached results wrong.  Part of every job key.
 #: 2026.08.7: profile/simulate stages route through the batched
 #: struct-of-arrays engine (byte-identical results, but the batch
-#: context changes which memo state a worker accumulates) and the
-#: ``batch_simulate`` stage joined the registry.
+#: context changes which memo state a worker accumulates) and a
+#: multi-machine batched simulation stage (since removed) joined the
+#: registry.
 #: 2026.10.1: icache simulations fold their counts like every other run,
 #: so their metrics histograms pool per-pattern samples frequency-weighted
 #: instead of once per dynamic instance.
@@ -91,9 +92,7 @@ from repro.machine.description import MachineDescription
 CODE_VERSION = "2026.10.4"
 
 #: The built-in pipeline stages, in dependency order.
-PIPELINE_STAGES = (
-    "build", "trace", "profile", "compile", "simulate", "batch_simulate"
-)
+PIPELINE_STAGES = ("build", "trace", "profile", "compile", "simulate")
 
 
 def _normalise_pipeline(
@@ -240,9 +239,8 @@ class DepResults(dict):
     The runner builds it from the job's own dep specs, which it has
     already keyed, so a stage finds its inputs by stage name
     (:func:`dep_result`) without re-deriving and re-hashing
-    :func:`default_deps` on every call.  A stage that replays a trace
-    tolerates its absence (a graph built from explicit deps may carry
-    none): a missing trace simply means "interpret live".
+    :func:`default_deps` on every call.  A missing input fails the stage
+    that needs it (:func:`dep_result`).
     """
 
     def __init__(self, deps: Iterable[Tuple[JobSpec, Any]]):
@@ -270,9 +268,8 @@ _STAGES: Dict[str, StageFn] = {}
 def register_stage(name: str, fn: StageFn) -> None:
     """Register (or override) the implementation of a stage.
 
-    Worker processes inherit the registry through ``fork``; under a
-    ``spawn`` start method injected stages must be registered at import
-    time of the module that defines them.
+    The registry is process-wide: a registered stage serves every
+    runner in the process from then on.
     """
     _STAGES[name] = fn
 
@@ -381,46 +378,11 @@ def _run_simulate(spec: JobSpec, dep_results: DepResults) -> Any:
     )
 
 
-def _run_batch_simulate(spec: JobSpec, dep_results: DepResults) -> Any:
-    """Simulate one benchmark on B machine points in a single pass.
-
-    The job's dependencies are the B compile jobs (plus the shared
-    trace); their results arrive here together, so one job simulates
-    all points off one trace decode through the batched engine instead
-    of B jobs each decoding it.  Returns ``{machine fingerprint:
-    ProgramSimResult}`` — each entry byte-identical to the matching
-    scalar ``simulate`` job's result.
-    """
-    from repro.core.metrics import ProgramCompilation
-    from repro.core.program_sim import simulate_program
-
-    compilations = sorted(
-        (v for v in dep_results.values() if isinstance(v, ProgramCompilation)),
-        key=lambda comp: comp.machine.fingerprint(),
-    )
-    wanted = spec.param("machines", ())
-    if len(compilations) != len(wanted):
-        raise RuntimeError(
-            f"{spec.job_id}: expected {len(wanted)} compile dependency "
-            f"results, got {len(compilations)}"
-        )
-    options = dict(
-        collect_metrics=bool(spec.param("collect_metrics", False)),
-        collect_cycles=bool(spec.param("collect_cycles", False)),
-    )
-    trace = dep_result(spec, dep_results, "trace")
-    return {
-        comp.machine.fingerprint(): simulate_program(comp, trace, **options)
-        for comp in compilations
-    }
-
-
 register_stage("build", _run_build)
 register_stage("trace", _run_trace)
 register_stage("profile", _run_profile)
 register_stage("compile", _run_compile)
 register_stage("simulate", _run_simulate)
-register_stage("batch_simulate", _run_batch_simulate)
 
 
 # -- spec/job constructors ---------------------------------------------------
@@ -525,73 +487,6 @@ def simulate_spec(
     )
 
 
-def batch_simulate_spec(
-    benchmark: str,
-    machines: Sequence[MachineDescription],
-    scale: float = 1.0,
-    spec_config: Optional[SpeculationConfig] = None,
-    collect_metrics: bool = False,
-    collect_cycles: bool = False,
-    pipeline: Optional[PipelineConfig] = None,
-) -> JobSpec:
-    """One batched simulation of ``benchmark`` over every machine point.
-
-    Keyed by the *set* of machine spec fingerprints (sorted, so machine
-    order never splits cache entries): the job's result is the whole
-    sweep slice, one :class:`ProgramSimResult` per machine, each
-    byte-identical to the corresponding scalar ``simulate`` job.
-    """
-    config = spec_config or SpeculationConfig()
-    fingerprints = tuple(sorted(m.fingerprint() for m in machines))
-    if len(set(fingerprints)) != len(fingerprints):
-        raise ValueError(
-            f"batch_simulate:{benchmark}: duplicate machine fingerprints"
-        )
-    params: Tuple[Tuple[str, Any], ...] = (("machines", fingerprints),)
-    if collect_cycles:
-        params += (("collect_cycles", True),)
-    if collect_metrics:
-        params += (("collect_metrics", True),)
-    return JobSpec(
-        "batch_simulate", benchmark, scale=scale,
-        spec_config=config, params=params,
-        pipeline=_normalise_pipeline(pipeline),
-    )
-
-
-def batch_simulate_job(
-    benchmark: str,
-    machines: Sequence[MachineDescription],
-    scale: float = 1.0,
-    spec_config: Optional[SpeculationConfig] = None,
-    collect_metrics: bool = False,
-    collect_cycles: bool = False,
-    pipeline: Optional[PipelineConfig] = None,
-) -> Job:
-    """A :func:`batch_simulate_spec` job with its compile + trace deps.
-
-    The compile dependencies carry the actual machine objects (a spec
-    fingerprint alone cannot rebuild one), so batch jobs must be
-    constructed through this helper rather than :func:`job_for`.
-    """
-    spec = batch_simulate_spec(
-        benchmark, machines, scale,
-        spec_config=spec_config,
-        collect_metrics=collect_metrics,
-        collect_cycles=collect_cycles,
-        pipeline=pipeline,
-    )
-    deps = tuple(
-        compile_spec(
-            benchmark, machine, scale,
-            spec_config=spec_config, pipeline=pipeline,
-        )
-        for machine in machines
-    )
-    deps += default_deps(spec)
-    return Job(spec, deps=deps)
-
-
 def default_deps(spec: JobSpec) -> Tuple[JobSpec, ...]:
     """The natural upstream specs of a built-in pipeline stage.
 
@@ -624,10 +519,6 @@ def default_deps(spec: JobSpec) -> Tuple[JobSpec, ...]:
             ),
             trace_spec(spec.benchmark, spec.scale, spec.pipeline),
         )
-    if spec.stage == "batch_simulate":
-        # Only the trace dep is derivable from the spec: the compile
-        # deps need machine objects, which batch_simulate_job attaches.
-        return (trace_spec(spec.benchmark, spec.scale, spec.pipeline),)
     return ()
 
 

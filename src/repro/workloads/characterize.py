@@ -20,13 +20,11 @@ from typing import Dict, List
 
 from repro.ddg.builder import build_ddg
 from repro.ddg.critical_path import analyze
-from repro.ir.block import BasicBlock
-from repro.ir.opcodes import Opcode, is_alu
-from repro.ir.operation import Operation
+from repro.ir.opcodes import is_alu
 from repro.ir.printer import format_table
 from repro.machine.configs import PLAYDOH_4W
 from repro.machine.description import MachineDescription
-from repro.profiling.interpreter import run_program
+from repro.profiling.block_profile import BlockProfile
 from repro.profiling.profile_run import ProfileData, profile_program
 from repro.trace.capture import capture_trace
 from repro.ir.program import Program
@@ -48,27 +46,34 @@ class WorkloadProfile:
     mean_best_rate: float       # dynamic-weighted mean best prediction rate
 
 
-class _MixCounter:
-    def __init__(self) -> None:
-        self.alu = 0
-        self.memory = 0
-        self.branch = 0
-        self.loads = 0
-        self.total = 0
+@dataclass(frozen=True)
+class OperationMix:
+    """Dynamic operation counts of one run, by operation class."""
 
-    def block_entered(self, block: BasicBlock) -> None:
-        pass
+    total: int
+    alu: int
+    memory: int
+    branch: int
+    loads: int
 
-    def operation_executed(self, op: Operation, inputs, result) -> None:
-        self.total += 1
-        if is_alu(op.opcode):
-            self.alu += 1
-        elif op.is_memory:
-            self.memory += 1
-            if op.is_load:
-                self.loads += 1
-        elif op.is_branch:
-            self.branch += 1
+
+def operation_mix(program: Program, blocks: BlockProfile) -> OperationMix:
+    """The dynamic mix of ``program``: every operation of a block counts
+    once per entry of that block (the interpreter runs blocks whole)."""
+    alu = memory = branch = loads = total = 0
+    for block in program.main:
+        count = blocks.count(block.label)
+        for op in block.operations:
+            total += count
+            if is_alu(op.opcode):
+                alu += count
+            elif op.is_memory:
+                memory += count
+                if op.is_load:
+                    loads += count
+            elif op.is_branch:
+                branch += count
+    return OperationMix(total, alu, memory, branch, loads)
 
 
 def characterize(
@@ -79,8 +84,7 @@ def characterize(
     """Measure one program's workload character."""
     if profile is None:
         profile = profile_program(program, capture_trace(program))
-    mix = _MixCounter()
-    run_program(program, observers=[mix])
+    mix = operation_mix(program, profile.blocks)
 
     # Hot-block chain shape, weighted by execution count.
     weighted_height = 0.0

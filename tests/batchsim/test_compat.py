@@ -1,5 +1,4 @@
-"""Engine selection and the batch_simulate runner stage's parity with
-scalar simulate jobs.
+"""Engine selection: which points the batched engine simulates.
 
 ``simulate_program`` runs the batched engine unless the machine has a
 finite value-prediction table or the run models the instruction cache;
@@ -8,13 +7,11 @@ those points replay the trace through the scalar observer.
 
 from __future__ import annotations
 
-import dataclasses
-
 from repro.batchsim import engine
 from repro.batchsim.engine import unsupported_reason
 from repro.core.metrics import compile_program
 from repro.core.program_sim import simulate_program
-from repro.machine.configs import PLAYDOH_4W, PLAYDOH_4W_SPEC, PLAYDOH_8W
+from repro.machine.configs import PLAYDOH_4W, PLAYDOH_4W_SPEC
 from repro.machine.predictor import PredictorSpec
 from repro.profiling.profile_run import profile_program
 from repro.trace.capture import capture_trace
@@ -56,25 +53,3 @@ class TestUnsupportedReasons:
             simulate_program(compilation, trace, model_icache=model_icache)
         assert calls == [PLAYDOH_4W.name]
 
-
-class TestBatchSimulateJob:
-    def test_job_results_match_scalar_simulate_jobs(self):
-        """One batch_simulate job == N scalar simulate jobs, per entry."""
-        from repro.runner.executor import Runner
-        from repro.runner.jobs import batch_simulate_job, simulate_job
-
-        machines = [PLAYDOH_4W, PLAYDOH_8W]
-        batch = batch_simulate_job(
-            "compress", machines, scale=0.25, collect_metrics=True
-        )
-        scalars = [
-            simulate_job("compress", m, scale=0.25, collect_metrics=True)
-            for m in machines
-        ]
-        results = Runner(cache=None).run([batch] + scalars)
-        batched = results[batch.key()]
-        assert set(batched) == {m.fingerprint() for m in machines}
-        for machine, job in zip(machines, scalars):
-            assert dataclasses.asdict(
-                batched[machine.fingerprint()]
-            ) == dataclasses.asdict(results[job.key()])

@@ -25,11 +25,10 @@ def _private_result_cache(tmp_path_factory):
 def _reset_shared_state():
     """Isolate tests from the process-wide sweep-sharing caches.
 
-    The batched simulation context, the per-block compile memos, the
-    shared build/profile products and the program-digest memo are all
-    pure memos, but tests that count cache traffic (trace-store
-    captures, runner events) or construct conflicting stand-ins must
-    not see another test's entries.
+    The batched simulation context, the per-block compile memos and the
+    program-digest memo are all pure memos, but tests that count cache
+    traffic or construct conflicting stand-ins must not see another
+    test's entries.
     """
     from repro.batchsim.context import reset_shared_state
 

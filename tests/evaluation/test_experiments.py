@@ -11,6 +11,7 @@ import pytest
 
 from repro.evaluation import baseline_cmp, figure8, table2, table3, table4
 from repro.evaluation.experiment import (
+    Evaluation,
     EvaluationSettings,
     arithmetic_mean,
     geometric_mean,
@@ -30,6 +31,16 @@ class TestEvaluationCache:
         c = evaluation.compilation("compress", evaluation.machine_8w)
         assert a is b
         assert a is not c
+
+    def test_runs_without_a_runner_touch_no_disk(self, tmp_path, monkeypatch):
+        """An evaluation given no runner runs every stage in memory: the
+        default cache directory stays empty."""
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
+        rows = table2.compute(Evaluation(EvaluationSettings(scale=0.1)))
+        assert len(rows) == 8
+        assert list(cache_dir.iterdir()) == []
 
     def test_threshold_setting(self):
         settings = EvaluationSettings().with_threshold(0.8)

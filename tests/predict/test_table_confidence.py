@@ -40,11 +40,7 @@ class TestValuePredictionTable:
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
-            ValuePredictionTable(capacity=0)
-
-    def test_default_predictor_is_hybrid(self):
-        table = ValuePredictionTable()
-        assert table.predictor.name == "hybrid"
+            ValuePredictionTable(StridePredictor(), capacity=0)
 
     def test_reset(self):
         table = ValuePredictionTable(StridePredictor(), capacity=4)

@@ -80,8 +80,8 @@ class TestTraceExecution:
         assert trace.dynamic_operations > 0
 
     def test_runner_results_match_runnerless(self, tmp_path):
-        """Simulation through the runner (trace job, disk-cached) equals
-        direct simulation off the in-process trace store."""
+        """Simulation through a disk-cached runner equals simulation
+        through the in-memory runner an evaluation makes for itself."""
         settings = EvaluationSettings(scale=0.2).with_benchmarks(["swim"])
         runner = Runner(cache=DiskCache(root=tmp_path / "cache"))
         via_runner = Evaluation(settings, runner=runner).simulation(
@@ -89,6 +89,28 @@ class TestTraceExecution:
         )
         direct = Evaluation(settings).simulation("swim", PLAYDOH_4W)
         assert dataclasses.asdict(via_runner) == dataclasses.asdict(direct)
+
+    def test_evaluations_sharing_a_runner_capture_once(self):
+        """Separate Evaluations at different thresholds on one runner
+        interpret the benchmark once and replay its trace thereafter."""
+        runner = Runner(cache=DiskCache(enabled=False))
+        results = []
+        for threshold in (0.5, 0.8):
+            settings = (
+                EvaluationSettings(scale=0.2)
+                .with_threshold(threshold)
+                .with_benchmarks(["compress"])
+            )
+            evaluation = Evaluation(settings, runner=runner)
+            results.append(
+                evaluation.simulation("compress", evaluation.machine_4w)
+            )
+        by_stage = runner.events.summary()["executed_by_stage"]
+        assert by_stage["trace"] == 1
+        assert by_stage["profile"] == 1
+        assert by_stage["simulate"] == 2
+        # The sweep is real: different thresholds, comparable results.
+        assert all(r.cycles_proposed > 0 for r in results)
 
     def test_trace_result_is_served_from_disk_cache(self, tmp_path):
         cache_root = tmp_path / "cache"

@@ -8,17 +8,11 @@ import pytest
 
 from repro.explore.driver import explore
 from repro.explore.space import Axis, DesignSpace
-from repro.machine.configs import PLAYDOH_4W, PLAYDOH_4W_SPEC, PLAYDOH_8W
+from repro.machine.configs import PLAYDOH_4W, PLAYDOH_4W_SPEC
 from repro.runner import jobs
 from repro.runner.cache import DiskCache
 from repro.runner.executor import JobError, Runner
-from repro.runner.jobs import (
-    batch_simulate_job,
-    compile_job,
-    profile_job,
-    simulate_job,
-    trace_job,
-)
+from repro.runner.jobs import compile_job, profile_job, simulate_job, trace_job
 from repro.trace.capture import capture_trace
 from repro.trace.format import TraceMismatch
 from repro.workloads.suite import load_benchmark
@@ -67,16 +61,6 @@ def test_simulate_job_fails(stale_runner):
     runner = stale_runner(compile_job(BENCHMARK, PLAYDOH_4W, scale=SCALE))
     _assert_fails_with_mismatch(
         runner, simulate_job(BENCHMARK, PLAYDOH_4W, scale=SCALE)
-    )
-
-
-def test_batch_simulate_job_fails(stale_runner):
-    machines = (PLAYDOH_4W, PLAYDOH_8W)
-    runner = stale_runner(
-        *(compile_job(BENCHMARK, m, scale=SCALE) for m in machines)
-    )
-    _assert_fails_with_mismatch(
-        runner, batch_simulate_job(BENCHMARK, machines, scale=SCALE)
     )
 
 

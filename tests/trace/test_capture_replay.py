@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.metrics import compile_program
-from repro.core.program_sim import _SimulationObserver
+from repro.core.program_sim import _SimulationObserver, simulate_program
 from repro.ir.builder import ProgramBuilder
 from repro.machine.configs import PLAYDOH_4W
 from repro.profiling.interpreter import ExecutionLimitExceeded, Interpreter
@@ -116,6 +116,20 @@ class TestSuiteReplay:
             observed_profile(program, live(program)),
             profile_program(program, loaded),
         )
+
+
+    def test_loaded_trace_simulates_like_the_captured_one(
+        self, workload, tmp_path
+    ):
+        program = SUITE[workload]
+        trace = TRACES[workload]
+        compilation = compile_program(
+            program, PLAYDOH_4W, profile_program(program, trace)
+        )
+        loaded = ValueTrace.load(trace.save(tmp_path / f"{workload}.trace.gz"))
+        assert dataclasses.asdict(
+            simulate_program(compilation, loaded)
+        ) == dataclasses.asdict(simulate_program(compilation, trace))
 
 
 class TestMismatchDetection:

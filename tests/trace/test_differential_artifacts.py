@@ -19,7 +19,6 @@ from repro.batchsim.context import reset_shared_state
 from repro.evaluation import figure8, table2, table3, table4
 from repro.evaluation.experiment import Evaluation, EvaluationSettings
 from repro.profiling.interpreter import Interpreter
-from repro.trace.store import TraceStore, reset_default_store
 from tests.profiling.reference_interpreter import run_reference
 from tests.trace.reference_runs import scalar_only
 
@@ -56,13 +55,6 @@ def _reference_run(self, program, observers=None):
     )
 
 
-@pytest.fixture(autouse=True)
-def clean_trace_state():
-    reset_default_store()
-    yield
-    reset_default_store()
-
-
 def _evaluation(monkeypatch, reference, scalar):
     """A fresh evaluation in one mode, sharing no product with another."""
     monkeypatch.undo()
@@ -71,8 +63,7 @@ def _evaluation(monkeypatch, reference, scalar):
     if scalar:
         monkeypatch.setattr(engine, "unsupported_reason", scalar_only)
     reset_shared_state()
-    reset_default_store()
-    return Evaluation(SETTINGS, trace_store=TraceStore())
+    return Evaluation(SETTINGS)
 
 
 def _compute_all(monkeypatch, reference, scalar):

@@ -2,13 +2,38 @@
 
 import pytest
 
+from repro.ir.opcodes import is_alu
+from repro.profiling.interpreter import run_program
 from repro.workloads.characterize import (
+    OperationMix,
     WorkloadProfile,
     characterize,
     characterize_suite,
+    operation_mix,
     render,
 )
-from repro.workloads.suite import load_benchmark
+from repro.workloads.suite import BENCHMARKS, load_benchmark
+
+
+class _MixCounter:
+    """Interpreter observer classifying every executed operation."""
+
+    def __init__(self) -> None:
+        self.alu = self.memory = self.branch = self.loads = self.total = 0
+
+    def block_entered(self, block) -> None:
+        pass
+
+    def operation_executed(self, op, inputs, result) -> None:
+        self.total += 1
+        if is_alu(op.opcode):
+            self.alu += 1
+        elif op.is_memory:
+            self.memory += 1
+            if op.is_load:
+                self.loads += 1
+        elif op.is_branch:
+            self.branch += 1
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +77,23 @@ class TestCharacterize:
     def test_hot_blocks_have_real_chains(self, profiles):
         for p in profiles:
             assert p.hot_block_height >= 5.0
+
+    @pytest.mark.parametrize("name", BENCHMARKS)
+    def test_mix_from_block_counts_matches_an_interpreted_count(self, name):
+        from repro.profiling.profile_run import profile_program
+        from repro.trace.capture import capture_trace
+
+        program = load_benchmark(name, scale=0.25)
+        counter = _MixCounter()
+        run_program(program, observers=[counter])
+        profile = profile_program(program, capture_trace(program))
+        assert operation_mix(program, profile.blocks) == OperationMix(
+            total=counter.total,
+            alu=counter.alu,
+            memory=counter.memory,
+            branch=counter.branch,
+            loads=counter.loads,
+        )
 
     def test_reuses_supplied_profile(self):
         from repro.profiling.profile_run import profile_program
