@@ -91,10 +91,6 @@ from repro.machine.description import MachineDescription
 #: back to live interpretation.
 CODE_VERSION = "2026.10.4"
 
-#: The built-in pipeline stages, in dependency order.
-PIPELINE_STAGES = ("build", "trace", "profile", "compile", "simulate")
-
-
 def _normalise_pipeline(
     pipeline: Optional[PipelineConfig], frontend_only: bool = False
 ) -> Optional[PipelineConfig]:

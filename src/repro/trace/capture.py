@@ -1,68 +1,32 @@
-"""Capturing a value trace from one architectural run."""
+"""Capturing a value trace from one architectural run.
+
+The interpreter records the block sequence and the traced values as it
+runs (see :mod:`repro.profiling.interpreter`); capture adds the
+program's identity and the run's final state.
+"""
 
 from __future__ import annotations
 
-from typing import Dict, List
-
-from repro.ir.block import BasicBlock
-from repro.ir.operation import Operation
 from repro.ir.program import Program
 from repro.profiling.interpreter import Interpreter
-from repro.profiling.memory import Number
-from repro.trace.format import (
-    TRACED_OPCODES,
-    ValueTrace,
-    block_signature,
-    program_digest,
-)
-
-
-class TraceCaptureObserver:
-    """Execution observer recording the block sequence and traced values.
-
-    Rides along any architectural run; the interpreter's fast path keeps
-    capture cheap because the per-op tuple building it implies is paid
-    once, not once per downstream consumer.
-    """
-
-    def __init__(self) -> None:
-        self.labels: List[str] = []
-        self._label_ids: Dict[str, int] = {}
-        self.block_seq: List[int] = []
-        self.values: List[Number] = []
-
-    def block_entered(self, block: BasicBlock) -> None:
-        label = block.label
-        block_id = self._label_ids.get(label)
-        if block_id is None:
-            block_id = self._label_ids[label] = len(self.labels)
-            self.labels.append(label)
-        self.block_seq.append(block_id)
-
-    def operation_executed(self, op: Operation, inputs, result) -> None:
-        if op.opcode in TRACED_OPCODES:
-            self.values.append(result)
+from repro.trace.format import ValueTrace, block_signature, program_digest
 
 
 def capture_trace(
     program: Program, max_operations: int = 5_000_000
 ) -> ValueTrace:
     """Interpret ``program`` once and package the run as a trace."""
-    observer = TraceCaptureObserver()
-    result = Interpreter(max_operations=max_operations).run(
-        program, observers=[observer]
-    )
+    result = Interpreter(max_operations=max_operations).run(program)
     function = program.main
-    signatures = tuple(
-        block_signature(function.block(label)) for label in observer.labels
-    )
     return ValueTrace(
         program_name=program.name,
         program_digest=program_digest(program),
-        labels=tuple(observer.labels),
-        block_signatures=signatures,
-        block_seq=observer.block_seq,
-        values=observer.values,
+        labels=result.labels,
+        block_signatures=tuple(
+            block_signature(function.block(label)) for label in result.labels
+        ),
+        block_seq=result.block_seq,
+        values=result.values,
         dynamic_operations=result.dynamic_operations,
         dynamic_blocks=result.dynamic_blocks,
         loads_executed=result.loads_executed,

@@ -8,10 +8,10 @@ profiler and the dual-engine simulation observer consume — so replay
 produces identical profiles and simulation results at a fraction of the
 cost of re-interpreting every dynamic operation.
 
-Observers receive ``inputs=()`` during replay: operand values are not
-recorded in the trace, and no shipped observer reads them (they key on
-``op.op_id`` and ``result``).  Observers that need operand values must
-run against the live interpreter instead.
+Observers receive ``inputs=()``: operand values are not recorded in the
+trace, and no shipped observer reads them (they key on ``op.op_id`` and
+``result``).  Replay is the only place observers attach: the interpreter
+records the trace itself and takes none.
 """
 
 from __future__ import annotations

@@ -2,8 +2,11 @@
 
 This is the original execution loop of :class:`repro.profiling.interpreter.Interpreter`,
 kept as the executable specification its specialized fast path is
-checked against (``test_fast_path.py``): same results, same observer
-event streams, same errors at the same dynamic operation.
+checked against (``test_fast_path.py``): same results, same errors at
+the same dynamic operation.  It keeps the observer hooks the
+interpreter no longer has, so tests that watch every executed
+operation, and the reference trace recorder
+(``tests/trace/reference_runs.py``), ride this loop.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ def run_reference(
     program: Program,
     observers: Optional[List[ExecutionObserver]] = None,
     max_operations: int = 5_000_000,
-    strict_registers: bool = False,
 ) -> ExecutionResult:
     """Execute ``program``'s main function to completion, op by op."""
     function = program.main
@@ -37,8 +39,6 @@ def run_reference(
     def read(operand: Union[Reg, Imm]) -> Number:
         if isinstance(operand, Imm):
             return operand.value
-        if strict_registers and operand.name not in registers:
-            raise KeyError(f"read of uninitialised register {operand.name}")
         return registers.get(operand.name, 0)
 
     executed = 0

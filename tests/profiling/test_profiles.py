@@ -9,6 +9,7 @@ from repro.profiling.profile_run import profile_program
 from repro.trace.capture import capture_trace
 from repro.profiling.value_profile import ValueProfiler
 from repro.profiling.interpreter import run_program
+from tests.profiling.reference_interpreter import run_reference
 
 
 class TestMemory:
@@ -43,7 +44,7 @@ class TestMemory:
 class TestBlockProfile:
     def test_counts_and_frequencies(self, loop_program):
         profiler = BlockFrequencyProfiler()
-        run_program(loop_program, observers=[profiler])
+        run_reference(loop_program, observers=[profiler])
         profile = profiler.profile()
         assert profile.count("loop") == 50
         assert profile.count("entry") == 1
@@ -53,7 +54,7 @@ class TestBlockProfile:
 
     def test_hottest(self, loop_program):
         profiler = BlockFrequencyProfiler()
-        run_program(loop_program, observers=[profiler])
+        run_reference(loop_program, observers=[profiler])
         hottest = profiler.profile().hottest(1)
         assert hottest[0][0] == "loop"
 
@@ -83,7 +84,7 @@ class TestValueProfile:
     def test_rates_reflect_stream_character(self):
         program, _ = self.build_two_load_program()
         profiler = ValueProfiler()
-        run_program(program, observers=[profiler])
+        run_reference(program, observers=[profiler])
         profile = profiler.profile()
         loads = program.main.block("loop").loads()
         strided, repeating = loads[0], loads[1]

@@ -4,9 +4,9 @@ The trace layer's contract is *byte identity*: replaying a captured
 trace through the profilers or the simulation observer must produce
 exactly what the same observers see riding a live interpretation —
 profiles, simulation counts, access counters and all.  The live side is
-driven here through ``Interpreter().run(program, observers=[...])``; the
-production entry points (``profile_program``, ``simulate_program``) read
-only the trace.
+the reference interpreter's per-op loop (``reference_runs.live``), the
+only interpreter that takes observers; the production entry points
+(``profile_program``, ``simulate_program``) read only the trace.
 """
 
 import dataclasses

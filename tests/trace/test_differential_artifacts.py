@@ -5,9 +5,9 @@ engine, scalar replay engine}.
 This is the acceptance gate for the whole fast path: if any layer
 perturbs a single predicted value or block count, a paper artifact
 diverges and this suite catches it.  The reference mode captures every
-value trace with the per-op dispatch loop the interpreter is specified
-by; the scalar mode sends every simulation to the scalar replay engine
-instead of the batched one.
+value trace with the reference recorder on the per-op dispatch loop the
+interpreter is specified by; the scalar mode sends every simulation to
+the scalar replay engine instead of the batched one.
 """
 
 import dataclasses
@@ -18,9 +18,8 @@ from repro.batchsim import engine
 from repro.batchsim.context import reset_shared_state
 from repro.evaluation import figure8, table2, table3, table4
 from repro.evaluation.experiment import Evaluation, EvaluationSettings
-from repro.profiling.interpreter import Interpreter
-from tests.profiling.reference_interpreter import run_reference
-from tests.trace.reference_runs import scalar_only
+from repro.trace import capture
+from tests.trace.reference_runs import reference_capture, scalar_only
 
 #: (mode name, capture with the reference loop, simulate by scalar replay)
 MODES = [
@@ -46,20 +45,11 @@ def _rows_as_data(rows):
     ]
 
 
-def _reference_run(self, program, observers=None):
-    return run_reference(
-        program,
-        observers=observers,
-        max_operations=self.max_operations,
-        strict_registers=self.strict_registers,
-    )
-
-
 def _evaluation(monkeypatch, reference, scalar):
     """A fresh evaluation in one mode, sharing no product with another."""
     monkeypatch.undo()
     if reference:
-        monkeypatch.setattr(Interpreter, "run", _reference_run)
+        monkeypatch.setattr(capture, "capture_trace", reference_capture)
     if scalar:
         monkeypatch.setattr(engine, "unsupported_reason", scalar_only)
     reset_shared_state()

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.ir.opcodes import is_alu
-from repro.profiling.interpreter import run_program
 from repro.workloads.characterize import (
     OperationMix,
     WorkloadProfile,
@@ -13,10 +12,11 @@ from repro.workloads.characterize import (
     render,
 )
 from repro.workloads.suite import BENCHMARKS, load_benchmark
+from tests.profiling.reference_interpreter import run_reference
 
 
 class _MixCounter:
-    """Interpreter observer classifying every executed operation."""
+    """Reference-loop observer classifying every executed operation."""
 
     def __init__(self) -> None:
         self.alu = self.memory = self.branch = self.loads = self.total = 0
@@ -85,7 +85,7 @@ class TestCharacterize:
 
         program = load_benchmark(name, scale=0.25)
         counter = _MixCounter()
-        run_program(program, observers=[counter])
+        run_reference(program, observers=[counter])
         profile = profile_program(program, capture_trace(program))
         assert operation_mix(program, profile.blocks) == OperationMix(
             total=counter.total,
