@@ -244,9 +244,9 @@ def compilation_fingerprint(
     """Stable content hash of (program, machine, pipeline, speculation
     config) — everything that determines a compilation's result.
 
-    The program is hashed through its assembly rendering, which is
-    independent of operation-id counter state, so the same source
-    program fingerprints identically in any process.
+    The program is hashed through its assembly rendering, which carries
+    no operation ids, so programs that differ only in numbering
+    fingerprint identically.
     """
     from repro.ir.asm import format_program_asm
 

@@ -228,11 +228,11 @@ def compilation_digest(compilation: "ProgramCompilation") -> str:
     Covers the program text, machine, speculation config, and — per
     block — the original schedule length, the predicted loads, the full
     speculative schedule, its best/worst-case timings, and the baseline
-    compensation shapes.  Deliberately *excludes* raw operation ids of
-    pass-minted operations (LdPred/check forms), whose absolute values
-    depend on which process minted them; everything semantically
-    meaningful is id-free, so equal compilations digest equally across
-    runs, processes and cache temperature.
+    compensation shapes.  Schedule lines name operations by assembly
+    text and the ids of the LdPred/check operations the speculation pass
+    inserts are left out, so the digest reflects what the compilation
+    does, not how its operations are numbered.  Equal compilations
+    digest equally across runs, processes and cache temperature.
     """
     from repro.ir.asm import format_operation_asm, format_program_asm
 

@@ -213,6 +213,9 @@ def _pass_speculate(state: CompileState) -> bool:
     liveness = state.require("liveness", "speculate", "liveness")
     if state.profile is None:
         raise PipelineError("pass 'speculate' needs a value profile")
+    # One id base for the whole program: LdPred ids stay unique across
+    # blocks, and every compile of this program numbers alike.
+    id_base = state.program.max_op_id() + 1
     for block in state.program.main:
         spec = speculate_block(
             block,
@@ -220,6 +223,7 @@ def _pass_speculate(state: CompileState) -> bool:
             state.profile.values,
             live_out=liveness.live_out[block.label],
             config=state.spec_config,
+            id_base=id_base,
         )
         if spec is not None:
             state.specs[block.label] = spec

@@ -35,6 +35,11 @@ engine stalled on a bit whose clearing transitively requires a
 FIFO, so an unresolved earlier entry blocks recovery of later ones).
 The pass encodes this as weight-1 SYNC edges from every check to every
 waiting non-speculative op.
+
+The LdPred and check of predicted op *k* are ops ``B + 2k`` and
+``B + 2k + 1``, with ``B`` one past the program's highest id (a lone
+block's by default), so LdPred ids are unique across blocks and every
+compile of a program numbers alike.
 """
 
 from __future__ import annotations
@@ -66,12 +71,13 @@ def _shared_transform(
     predicted_loads: Sequence[Operation],
     live_out: FrozenSet[Reg],
     config: "SpeculationConfig",
+    id_base: Optional[int],
 ) -> SpeculativeBlock:
     """Memoised :func:`transform_block`.
 
     The rewrite depends on the *ordered* prediction set (Sync bits are
-    allocated in that order), the live-out set and the two config knobs
-    the transform reads (``sync_width``, ``speculate_liveout``) —
+    allocated in that order), the id base, the live-out set and the two
+    config knobs the transform reads (``sync_width``, ``speculate_liveout``) —
     thresholds and profile filters affect only *selection*, so sweeps
     over them share every trial transform.  Of the machine it reads only
     the latency table (LdPred/check latencies enter the rewired edge
@@ -81,6 +87,7 @@ def _shared_transform(
     """
     key = (
         "xform",
+        id_base,
         compile_cache.latency_fingerprint(machine),
         machine.sync_width,
         tuple(op.op_id for op in predicted_loads),
@@ -92,7 +99,7 @@ def _shared_transform(
         block,
         key,
         lambda: transform_block(
-            block, machine, predicted_loads, live_out=live_out, config=config
+            block, machine, predicted_loads, live_out, config, id_base
         ),
     )
 
@@ -143,14 +150,16 @@ def transform_block(
     predicted_loads: Sequence[Operation],
     live_out: FrozenSet[Reg] = frozenset(),
     config: Optional[SpeculationConfig] = None,
+    id_base: Optional[int] = None,
 ) -> SpeculativeBlock:
     """Rewrite ``block`` predicting exactly ``predicted_loads``.
 
-    The predicted operations must belong to ``block`` and be loads or
-    pure value-producing ALU ops.  Selection policy lives in
-    :func:`speculate_block`; this function is the mechanical rewrite and
-    is exposed separately so tests and the worked paper example can
-    force specific prediction sets.
+    The predicted operations must be ``block``'s own objects (not equal
+    ids from another build) and be loads or pure value-producing ALU
+    ops; ``id_base`` is ``B`` of the module docstring.  Selection policy
+    lives in :func:`speculate_block`; this function is the mechanical
+    rewrite and is exposed separately so tests and the worked paper
+    example can force specific prediction sets.
     """
     from repro.ddg.graph import DepKind, DependenceGraph
     from repro.ir.opcodes import Opcode
@@ -159,10 +168,12 @@ def transform_block(
     from repro.core.sync_register import SyncBitAllocator, SyncRegisterOverflow
 
     config = config or SpeculationConfig()
+    if id_base is None:
+        id_base = max((op.op_id for op in block.operations), default=0) + 1
     original_graph = _shared_ddg(block, machine)
-    block_ids = {op.op_id for op in block.operations}
+    members = {id(op) for op in block.operations}
     for op in predicted_loads:
-        if op.op_id not in block_ids:
+        if id(op) not in members:
             raise ValueError(f"{op} is not an operation of block {block.label!r}")
         if not _predictable(op):
             raise ValueError(
@@ -180,21 +191,15 @@ def transform_block(
     ldpred_for: Dict[int, Operation] = {}
     check_for: Dict[int, Operation] = {}
     for op in predicted_loads:
-        ldpred_for[op.op_id] = Operation(opcode=Opcode.LDPRED, dest=op.dest)
-        if op.is_load:
-            check_for[op.op_id] = Operation(
-                opcode=Opcode.CHKPRED,
-                dest=op.dest,
-                srcs=op.srcs,
-                offset=op.offset,
-            )
-        else:
-            check_for[op.op_id] = Operation(
-                opcode=op.opcode,
-                dest=op.dest,
-                srcs=op.srcs,
-                offset=op.offset,
-            )
+        ldpred_id = id_base + 2 * op.op_id
+        ldpred_for[op.op_id] = Operation(opcode=Opcode.LDPRED, dest=op.dest, op_id=ldpred_id)
+        check_for[op.op_id] = Operation(
+            opcode=Opcode.CHKPRED if op.is_load else op.opcode,
+            dest=op.dest,
+            srcs=op.srcs,
+            offset=op.offset,
+            op_id=ldpred_id + 1,
+        )
     predicted_by_check = {
         check_for[l.op_id].op_id: l.op_id for l in predicted_loads
     }
@@ -435,28 +440,24 @@ def candidate_loads(
     machine: MachineDescription,
     profile: ValueProfile,
     config: SpeculationConfig,
-    already: Sequence[Operation] = (),
-    live_out: FrozenSet[Reg] = frozenset(),
+    current: Optional[SpeculativeBlock] = None,
 ) -> List[Operation]:
     """Predictable operations on the *current* longest critical path.
 
     Loads always qualify; with ``config.predict_alu`` long-latency ALU
     results qualify too (provided the profile tracked them).  With
-    ``already`` non-empty the critical path is that of the block
-    transformed by the current prediction set, so successive selections
-    chase the newly exposed path, and ops made non-speculable by the
-    current choices are filtered out.
+    ``current`` (the block transformed by the predictions chosen so far)
+    the critical path is that of the transformed block, so successive
+    selections chase the newly exposed path, and ops made non-speculable
+    by the current choices are filtered out.
     """
     from repro.core.isa_ext import OpForm
 
-    if already:
-        spec = _shared_transform(block, machine, already, live_out, config)
-        graph, forms = spec.graph, spec.info
+    if current is not None:
+        graph, forms = current.graph, current.info
     else:
-        graph = _shared_ddg(block, machine)
-        forms = None
+        graph, forms = _shared_ddg(block, machine), None
     analysis = _shared_analysis(block, graph, machine)
-    chosen_ids = {op.op_id for op in already}
 
     def qualifies(op: Operation) -> bool:
         if op.is_load:
@@ -470,7 +471,7 @@ def candidate_loads(
     out: List[Operation] = []
     for op_id in analysis.critical_ops:
         op = graph.operation(op_id)
-        if not qualifies(op) or op.op_id in chosen_ids:
+        if not qualifies(op):
             continue
         if forms is not None and forms[op.op_id].form not in (
             OpForm.PLAIN,
@@ -528,6 +529,7 @@ def speculate_block(
     profile: ValueProfile,
     live_out: FrozenSet[Reg] = frozenset(),
     config: Optional[SpeculationConfig] = None,
+    id_base: Optional[int] = None,
 ) -> Optional[SpeculativeBlock]:
     """Select predictions for ``block`` and return the transformed block.
 
@@ -541,14 +543,15 @@ def speculate_block(
     Selection is memoised process-wide, keyed on everything it actually
     depends on: the machine's timing key (so predictor variants share
     it), the profile-eligible op set (the only way threshold/profile
-    enter), live-out set and the pass config — so threshold sweeps that
-    agree on eligibility share one greedy run, and its trial
-    transforms/schedules, outright.
+    enter), the id base (module docstring), live-out set and the pass
+    config — so threshold sweeps that agree on eligibility share one
+    greedy run, and its trial transforms/schedules, outright.
     """
     config = config or SpeculationConfig()
     tkey = compile_cache.timing_key(machine)
     eligible = frozenset(_eligible_ops(block, machine, profile, config))
     rest = (
+        id_base,
         live_out,
         config.max_predictions,
         config.sync_width,
@@ -569,7 +572,7 @@ def speculate_block(
         for known_eligible, selection, result in index:
             if selection <= eligible <= known_eligible:
                 return result
-        result = _speculate_block_impl(block, machine, profile, live_out, config)
+        result = _speculate_block_impl(block, machine, profile, live_out, config, id_base)
         if result is None:
             selection = frozenset()
         else:
@@ -588,6 +591,7 @@ def _speculate_block_impl(
     profile: ValueProfile,
     live_out: FrozenSet[Reg],
     config: SpeculationConfig,
+    id_base: Optional[int],
 ) -> Optional[SpeculativeBlock]:
     original_length = compile_cache.original_schedule(block, machine).length
     current_length = original_length
@@ -595,9 +599,7 @@ def _speculate_block_impl(
     chosen: List[Operation] = []
     best: Optional[SpeculativeBlock] = None
     while len(chosen) < config.max_predictions:
-        candidates = candidate_loads(
-            block, machine, profile, config, already=chosen, live_out=live_out
-        )
+        candidates = candidate_loads(block, machine, profile, config, current=best)
         # Evaluate every candidate of this round and keep the one giving
         # the shortest schedule (first-improving greedy is noticeably
         # worse on chained-load blocks, where predicting the *last* load
@@ -606,7 +608,7 @@ def _speculate_block_impl(
         round_best: Optional[tuple[int, List[Operation], SpeculativeBlock]] = None
         for cand in candidates:
             trial_set = chosen + [cand]
-            trial = _shared_transform(block, machine, trial_set, live_out, config)
+            trial = _shared_transform(block, machine, trial_set, live_out, config, id_base)
             # Dependence-height lower bound: resource constraints only
             # ever lengthen a list schedule, so a transform whose
             # critical path is already no shorter than the incumbent

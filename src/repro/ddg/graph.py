@@ -63,7 +63,9 @@ class DependenceGraph:
     def add_edge(self, src: Operation, dst: Operation, kind: DepKind, weight: int) -> None:
         if src.op_id == dst.op_id:
             raise ValueError("self-dependence is not allowed")
-        if src.op_id not in self._ops or dst.op_id not in self._ops:
+        # Identity, not id: another build of the same block numbers its
+        # operations alike.
+        if self._ops.get(src.op_id) is not src or self._ops.get(dst.op_id) is not dst:
             raise KeyError("both endpoints must be operations of this block")
         # Keep only the strongest constraint between a pair for a kind —
         # duplicates with lower weight add nothing to the scheduler.

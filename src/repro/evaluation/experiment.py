@@ -195,19 +195,12 @@ class Evaluation:
     ) -> Program:
         key = (name, _fingerprint(pipeline))
         if key not in self._programs:
-            # The runner's build job is the canonical program: its op
-            # ids are what the cached profiles and compilations
-            # reference, so the parent must use the same object graph.
-            # adopt_program keeps later op-creating passes (regions
-            # unrolling) from minting ids that collide with it.
-            from repro.runner.jobs import adopt_program, build_job
+            # The runner's build job is the canonical program: the cached
+            # profiles and compilations reference its object graph.
+            from repro.runner.jobs import build_job
 
-            self._programs[key] = adopt_program(
-                self.runner.run_job(
-                    build_job(
-                        name, scale=self.settings.scale, pipeline=pipeline
-                    )
-                )
+            self._programs[key] = self.runner.run_job(
+                build_job(name, scale=self.settings.scale, pipeline=pipeline)
             )
         return self._programs[key]
 

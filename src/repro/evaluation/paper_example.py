@@ -3,7 +3,8 @@
 Builds an 11-operation block with the dependence structure the paper
 describes — two 3-cycle loads (operations 4 and 7), consumers 5/6/8/9
 speculated, 10/11 non-speculative — schedules it without and with value
-prediction, and simulates the four outcome scenarios of Figure 3:
+prediction, and simulates the four outcome scenarios of Figure 3.  The
+operations carry the paper's numbers (``op1``..``op11``) in every run:
 
 * (b) both predictions correct,
 * (c) r7 mispredicted,

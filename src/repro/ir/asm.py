@@ -32,12 +32,16 @@ Conventions:
 * ``;`` starts a comment; blank lines are ignored;
 * the prediction forms (``ldpred``/``chkpred``) are intentionally not
   parseable — they only exist in compiler-transformed code.
+
+Operation ids are not part of the text: the parser numbers a program's
+operations 1..N in source order, as the builders do.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.ir.block import BasicBlock
 from repro.ir.function import Function
@@ -179,8 +183,8 @@ def _split_operands(rest: str) -> List[str]:
     return [token.strip() for token in rest.split(",") if token.strip()]
 
 
-def parse_operation(line: str, line_no: int = 0) -> Operation:
-    """Parse one assembly operation."""
+def parse_operation(line: str, line_no: int = 0, op_id: int = 1) -> Operation:
+    """Parse one assembly operation, giving it id ``op_id``."""
     text = line.split(";", 1)[0].strip()
     if not text:
         raise AsmSyntaxError(line_no, line, "empty operation")
@@ -195,26 +199,32 @@ def parse_operation(line: str, line_no: int = 0) -> Operation:
         if len(tokens) != 2:
             raise AsmSyntaxError(line_no, line, "load takes dest, [base+off]")
         base, offset = _parse_mem(tokens[1], line_no, line)
-        return Operation(opcode=opcode, dest=Reg(tokens[0]), srcs=(base,), offset=offset)
+        return Operation(
+            opcode=opcode, dest=Reg(tokens[0]), srcs=(base,), offset=offset,
+            op_id=op_id,
+        )
     if opcode is Opcode.STORE:
         if len(tokens) != 2:
             raise AsmSyntaxError(line_no, line, "store takes value, [base+off]")
         value = _parse_operand(tokens[0], line_no, line)
         base, offset = _parse_mem(tokens[1], line_no, line)
-        return Operation(opcode=opcode, srcs=(value, base), offset=offset)
+        return Operation(opcode=opcode, srcs=(value, base), offset=offset, op_id=op_id)
     if opcode is Opcode.BR:
         if len(tokens) != 1:
             raise AsmSyntaxError(line_no, line, "br takes one target label")
-        return Operation(opcode=opcode, targets=(tokens[0],))
+        return Operation(opcode=opcode, targets=(tokens[0],), op_id=op_id)
     if opcode is Opcode.BRCOND:
         if len(tokens) != 3:
             raise AsmSyntaxError(line_no, line, "brcond takes cond, then, else")
         cond = _parse_operand(tokens[0], line_no, line)
-        return Operation(opcode=opcode, srcs=(cond,), targets=(tokens[1], tokens[2]))
+        return Operation(
+            opcode=opcode, srcs=(cond,), targets=(tokens[1], tokens[2]),
+            op_id=op_id,
+        )
     if opcode is Opcode.HALT:
         if tokens:
             raise AsmSyntaxError(line_no, line, "halt takes no operands")
-        return Operation(opcode=opcode)
+        return Operation(opcode=opcode, op_id=op_id)
 
     # ALU / compare forms: dest, src [, src]
     if not is_alu(opcode):
@@ -226,7 +236,7 @@ def parse_operation(line: str, line_no: int = 0) -> Operation:
         )
     dest = Reg(tokens[0])
     srcs = tuple(_parse_operand(t, line_no, line) for t in tokens[1:])
-    return Operation(opcode=opcode, dest=dest, srcs=srcs)
+    return Operation(opcode=opcode, dest=dest, srcs=srcs, op_id=op_id)
 
 
 _FUNCTION_RE = re.compile(
@@ -238,8 +248,12 @@ _REG_RE = re.compile(r"^reg\s+(?P<name>\w+)\s*=\s*(?P<value>-?\d+(?:\.\d+)?)$")
 _PROGRAM_RE = re.compile(r"^program\s+(?P<name>\w+)$")
 
 
-def parse_function(text: str, start_line: int = 1) -> Function:
-    """Parse one function definition (no program directives)."""
+def parse_function(
+    text: str, start_line: int = 1, ids: Optional[Iterator[int]] = None
+) -> Function:
+    """Parse one function definition (no program directives); ``ids``
+    (from 1 by default) numbers its operations."""
+    ids = itertools.count(1) if ids is None else ids
     function: Optional[Function] = None
     block: Optional[BasicBlock] = None
     for offset, raw in enumerate(text.splitlines()):
@@ -264,7 +278,7 @@ def parse_function(text: str, start_line: int = 1) -> Function:
             continue
         if block is None:
             raise AsmSyntaxError(line_no, raw, "operation outside any block")
-        block.append(parse_operation(line, line_no))
+        block.append(parse_operation(line, line_no, op_id=next(ids)))
     if function is None:
         raise AsmSyntaxError(start_line, text[:40], "no function found")
     return verify_function(function)
@@ -309,8 +323,9 @@ def parse_program(text: str) -> Program:
 
     if program is None:
         raise AsmSyntaxError(1, text[:40], "missing 'program NAME' directive")
+    ids = itertools.count(1)
     for start, chunk in function_chunks:
-        program.add_function(parse_function("\n".join(chunk), start_line=start))
+        program.add_function(parse_function("\n".join(chunk), start, ids))
     for address, values in pending_memory:
         program.poke_array(address, values)
     for name, value in pending_regs:

@@ -18,11 +18,14 @@ Example::
     fb.block("exit")
     fb.halt()
     function = fb.build()
+
+Operations are numbered 1..N in emission order, one counter per program.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+import itertools
+from typing import Iterator, Optional, Union
 
 from repro.ir.block import BasicBlock
 from repro.ir.function import Function
@@ -53,11 +56,15 @@ def as_reg(value: Union[str, Reg]) -> Reg:
 
 
 class FunctionBuilder:
-    """Builds a :class:`Function` block by block."""
+    """Builds a :class:`Function` block by block; ``ids`` (from 1 by
+    default) numbers its operations."""
 
-    def __init__(self, name: str, entry_label: str = "entry"):
+    def __init__(
+        self, name: str, entry_label: str = "entry", ids: Optional[Iterator[int]] = None
+    ):
         self._function = Function(name, entry_label=entry_label)
         self._current: Optional[BasicBlock] = None
+        self._ids = itertools.count(1) if ids is None else ids
 
     # -- blocks ------------------------------------------------------------
 
@@ -90,6 +97,7 @@ class FunctionBuilder:
                 srcs=tuple(as_operand(s) for s in srcs),
                 offset=offset,
                 targets=targets,
+                op_id=next(self._ids),
             )
         )
 
@@ -221,9 +229,10 @@ class ProgramBuilder:
 
     def __init__(self, name: str, main: str = "main"):
         self._program = Program(name, main=main)
+        self._ids = itertools.count(1)
 
     def function(self, name: Optional[str] = None, entry_label: str = "entry") -> FunctionBuilder:
-        return FunctionBuilder(name or self._program.main_name, entry_label=entry_label)
+        return FunctionBuilder(name or self._program.main_name, entry_label, self._ids)
 
     def add(self, function: Function) -> "ProgramBuilder":
         self._program.add_function(function)

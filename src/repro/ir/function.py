@@ -57,6 +57,10 @@ class Function:
     def __len__(self) -> int:
         return len(self._order)
 
+    def max_op_id(self) -> int:
+        """Highest operation id in the function (0 when it has none)."""
+        return max((op.op_id for block in self for op in block), default=0)
+
     # -- CFG -------------------------------------------------------------
 
     def successors(self, label: str) -> List[BasicBlock]:

@@ -8,7 +8,6 @@ immediates (:class:`Imm`).  Memory operations address memory as
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Tuple, Union
 
@@ -50,29 +49,6 @@ class Imm:
 
 Operand = Union[Reg, Imm]
 
-_op_counter = itertools.count(1)
-
-
-def reset_operation_ids() -> None:
-    """Restart the global operation-id counter (used by test fixtures)."""
-    global _op_counter
-    _op_counter = itertools.count(1)
-
-
-def ensure_operation_ids_above(min_id: int) -> None:
-    """Advance the id counter so new operations get ids above ``min_id``.
-
-    Required before an op-creating pass (speculation, unrolling) runs
-    over a program whose operations were numbered by a *different*
-    counter state — unpickled from the result cache or shipped from
-    another process.  Without it a freshly created operation can collide
-    with an existing id and corrupt every id-keyed structure (dependence
-    graphs, schedules, value profiles).
-    """
-    global _op_counter
-    current = next(_op_counter)
-    _op_counter = itertools.count(max(current, min_id + 1))
-
 
 @dataclass(eq=False, slots=True)
 class Operation:
@@ -88,8 +64,9 @@ class Operation:
         offset: byte offset added to the base register of a memory op.
         targets: branch target labels — ``(then, else)`` for ``BRCOND``,
             ``(target,)`` for ``BR``, empty otherwise.
-        op_id: unique id assigned at construction; stable identity for
-            dependence graphs, schedules and the speculation pass.
+        op_id: unique within the program (builders and the parser number
+            its operations 1..N in emission order); the key of dependence
+            graphs, schedules, value profiles and the speculation pass.
     """
 
     opcode: Opcode
@@ -97,7 +74,7 @@ class Operation:
     srcs: Tuple[Operand, ...] = ()
     offset: int = 0
     targets: Tuple[str, ...] = ()
-    op_id: int = field(default_factory=lambda: next(_op_counter))
+    op_id: int = field(kw_only=True)
 
     def __post_init__(self) -> None:
         self._validate()

@@ -55,6 +55,10 @@ class Program:
     def __len__(self) -> int:
         return len(self._functions)
 
+    def max_op_id(self) -> int:
+        """Highest operation id in the program (0 when it has none)."""
+        return max((function.max_op_id() for function in self), default=0)
+
     # -- memory image helpers ---------------------------------------------
 
     def poke(self, address: int, value: Number) -> None:

@@ -15,8 +15,9 @@ intentionally conservative:
   whose results are never used again (needs whole-function liveness for
   the block boundary).
 
-Passes build *new* operations (fresh ids); run them before profiling so
-profiles and schedules see the final code.
+A rewritten operation keeps the id of the operation it replaces, so a
+pass never mints ids; run the passes before profiling so profiles and
+schedules see the final code.
 """
 
 from __future__ import annotations
@@ -59,7 +60,9 @@ def _fold_block(ops: List[Operation]) -> List[Operation]:
                 folded = evaluator(op.opcode)(*values)
                 constants[op.dest] = folded
                 out.append(
-                    Operation(opcode=Opcode.MOV, dest=op.dest, srcs=(Imm(folded),))
+                    Operation(
+                        opcode=Opcode.MOV, dest=op.dest, srcs=(Imm(folded),), op_id=op.op_id
+                    )
                 )
                 continue
             constants.pop(op.dest, None)
@@ -69,7 +72,7 @@ def _fold_block(ops: List[Operation]) -> List[Operation]:
             cond = value_of(op.srcs[0])
             if cond is not None:
                 target = op.targets[0] if cond != 0 else op.targets[1]
-                out.append(Operation(opcode=Opcode.BR, targets=(target,)))
+                out.append(Operation(opcode=Opcode.BR, targets=(target,), op_id=op.op_id))
                 continue
         for reg in op.defs():
             constants.pop(reg, None)
@@ -107,6 +110,7 @@ def _propagate_block(ops: List[Operation]) -> List[Operation]:
                 srcs=new_srcs,
                 offset=op.offset,
                 targets=op.targets,
+                op_id=op.op_id,
             )
         # Invalidate copies killed by this definition.
         for reg in new_op.defs():

@@ -15,6 +15,9 @@ cannot check that statically, so callers (and the region experiments)
 validate by architectural equivalence: run both versions and compare
 final state.
 
+The unrolled block's operations are numbered from one past the input
+function's highest id, so the result's ids depend only on its input.
+
 This transform exists to quantify the paper's closing expectation that
 "for larger regions such as hyperblocks and superblocks, we expect to
 see a further improvement" from value prediction.
@@ -22,6 +25,7 @@ see a further improvement" from value prediction.
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, Optional
 
 from repro.ir.block import BasicBlock
@@ -44,8 +48,9 @@ def _copy_op(
     op: Operation,
     mapping: Dict[Reg, Reg],
     fresh_suffix: Optional[str],
+    op_id: int,
 ) -> Operation:
-    """Copy ``op`` with operands renamed through ``mapping``; if
+    """Copy ``op`` as ``op_id`` with operands renamed through ``mapping``; if
     ``fresh_suffix`` is given, the destination gets a fresh name and the
     mapping is updated, otherwise the destination reverts to the
     original architectural name."""
@@ -64,6 +69,7 @@ def _copy_op(
         srcs=srcs,
         offset=op.offset,
         targets=op.targets,
+        op_id=op_id,
     )
 
 
@@ -109,19 +115,21 @@ def unroll_loop(function: Function, label: str, factor: int) -> Function:
     body = [op for op in block.body]
     new_ops: List[Operation] = []
     mapping: Dict[Reg, Reg] = {}
+    ids = itertools.count(function.max_op_id() + 1)
     for copy_index in range(factor):
         last_copy = copy_index == factor - 1
         suffix = None if last_copy else f"__u{copy_index}"
         for op in body:
             if not last_copy and op.op_id == cond_def.op_id:
                 continue  # intermediate exit test elided
-            new_ops.append(_copy_op(op, mapping, suffix))
+            new_ops.append(_copy_op(op, mapping, suffix, next(ids)))
     # The back edge: same branch shape, condition renamed through the map.
     new_ops.append(
         Operation(
             opcode=Opcode.BRCOND,
             srcs=(_rename_operand(cond_reg, mapping),),
             targets=term.targets,
+            op_id=next(ids),
         )
     )
 

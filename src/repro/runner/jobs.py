@@ -30,15 +30,14 @@ match their program.  Like ``profile``, the trace key
 excludes the machine and speculation config, so every sweep point of a
 threshold/predictor/machine ablation shares one cached interpretation.
 
-``build`` exists because operation ids are assigned from a process-local
-counter: profiles and compilations reference programs *by op id*, so all
-downstream stages must consume the one program object the build stage
-produced (read back by pickle) rather than rebuilding it in whatever
-counter state the process happens to be in.  The build stage resets the
-counter first, making the shipped program canonical.  A ``compile``
-payload holds that program by reference, not as a copy, so it decodes
-only against its own build's result
-(:class:`~repro.runner.cache.ProgramRefs`).
+``build`` exists so that every downstream stage consumes one program
+object: profiles and compilations reference programs *by op id*, and a
+``compile`` payload holds that program by reference, not as a copy, so
+it decodes only against its own build's result
+(:class:`~repro.runner.cache.ProgramRefs`).  Operation ids are a pure
+function of the program — builders number them 1..N in emission order
+— so every build of a (benchmark, scale, pipeline front end) numbers
+alike, in any process.
 
 ``build`` and ``profile`` deliberately exclude the speculation config
 from their keys: threshold and predictor ablations re-use the same
@@ -89,7 +88,10 @@ from repro.machine.description import MachineDescription
 #: gating is gone), and profile/simulate read only the trace: a trace
 #: that does not match its program fails the stage instead of falling
 #: back to live interpretation.
-CODE_VERSION = "2026.10.4"
+#: 2026.10.5: operation ids come from the program, not a process-wide
+#: counter: LdPred/check ids in compile payloads are the speculation
+#: pass's program-derived ``B + 2k`` / ``B + 2k + 1``.
+CODE_VERSION = "2026.10.5"
 
 def _normalise_pipeline(
     pipeline: Optional[PipelineConfig], frontend_only: bool = False
@@ -292,37 +294,9 @@ def dep_result(spec: JobSpec, dep_results: DepResults, stage: str) -> Any:
     return value
 
 
-def adopt_program(program: Any) -> Any:
-    """Make a program numbered elsewhere safe for op-creating passes here.
-
-    A program that arrived by pickle (a cache hit) carries
-    op ids from a foreign counter state; the local counter may sit *below*
-    its maximum — notably after an in-process ``build`` of a smaller
-    benchmark reset it.  Bump the counter past the program's ids so the
-    speculation pass and the unroller cannot mint colliding ids.
-    """
-    from repro.ir.operation import ensure_operation_ids_above
-
-    max_id = max(
-        (
-            op.op_id
-            for function in program
-            for block in function
-            for op in block.operations
-        ),
-        default=0,
-    )
-    ensure_operation_ids_above(max_id)
-    return program
-
-
 def _run_build(spec: JobSpec, dep_results: DepResults) -> Any:
-    from repro.ir.operation import reset_operation_ids
     from repro.workloads.suite import load_benchmark
 
-    # Canonical ids: every build of (benchmark, scale, pipeline front
-    # end) numbers its operations identically, wherever it runs.
-    reset_operation_ids()
     program = load_benchmark(spec.benchmark, scale=spec.scale)
     if spec.pipeline is not None and spec.pipeline.program_passes:
         from repro.compiler.manager import PassManager
@@ -355,7 +329,7 @@ def _run_compile(spec: JobSpec, dep_results: DepResults) -> Any:
         raise ValueError(f"{spec.job_id}: compile jobs need a machine")
     # The build dependency already ran the pipeline's program-rewriting
     # prefix; only the codegen passes run here.
-    program = adopt_program(dep_result(spec, dep_results, "build"))
+    program = dep_result(spec, dep_results, "build")
     profile = dep_result(spec, dep_results, "profile")
     return PassManager(spec.pipeline).compile(
         program, spec.machine, profile, spec_config=spec.spec_config

@@ -127,7 +127,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     config = SpeculationConfig(threshold=args.threshold)
     live_out = compute_liveness(function).live_out[block.label]
     spec = speculate_block(
-        block, machine, profile.values, live_out=live_out, config=config
+        block, machine, profile.values, live_out=live_out, config=config,
+        id_base=program.max_op_id() + 1,  # number ops as the compiler does
     )
     if spec is None:
         print("\nspeculation: nothing profitable to predict at this threshold")

@@ -21,9 +21,9 @@ Format invariants (see ``docs/INTERNALS.md`` for the full spec):
   speculation decisions at capture time.
 * **Identity** — ``program_digest`` hashes the program *structure*
   (labels, opcode/operand/target sequences, initial state) but not
-  operation ids, which are assigned by a process-global counter and
-  differ between builds of the same program.  A trace therefore replays
-  against any structurally identical program.
+  operation ids: the architectural run never reads them (values are
+  matched to ops by position), so a trace replays against any
+  structurally identical program, however it is numbered.
 * **Versioning** — ``schema_version`` gates compatibility; loaders
   reject other versions rather than misinterpreting the stream.
 """
@@ -89,8 +89,8 @@ def program_digest(program: Program) -> str:
     Covers everything that determines the architectural run — function
     and block structure, opcodes, operands, offsets, branch targets, and
     the initial register/memory image — but deliberately *not* operation
-    ids, so two builds of the same workload (whose ids depend on global
-    counter state) share one trace.
+    ids, which the architectural run never reads: programs that differ
+    only in numbering share one trace.
     """
     entry = _DIGESTS.get(id(program))
     if entry is not None and entry[0] is program:

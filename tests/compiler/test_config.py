@@ -11,7 +11,6 @@ from repro.compiler.config import (
     standard_pipeline,
 )
 from repro.core.speculation import SpeculationConfig
-from repro.ir.operation import reset_operation_ids
 from repro.machine.configs import PLAYDOH_4W, PLAYDOH_8W
 from repro.workloads.suite import load_benchmark
 
@@ -99,16 +98,13 @@ class TestCanonicalValue:
 
 class TestCompilationFingerprint:
     def test_insensitive_to_operation_id_state(self):
-        reset_operation_ids()
         first = load_benchmark("swim", scale=0.25)
-        # Same source program, ids minted from a different counter state.
         second = load_benchmark("swim", scale=0.25)
         assert compilation_fingerprint(
             first, PLAYDOH_4W
         ) == compilation_fingerprint(second, PLAYDOH_4W)
 
     def test_sensitive_to_every_input(self):
-        reset_operation_ids()
         program = load_benchmark("swim", scale=0.25)
         base = compilation_fingerprint(program, PLAYDOH_4W)
         assert base != compilation_fingerprint(program, PLAYDOH_8W)

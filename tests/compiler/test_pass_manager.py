@@ -13,7 +13,6 @@ from repro.ir.block import BasicBlock
 from repro.ir.builder import ProgramBuilder
 from repro.ir.function import Function
 from repro.ir.liveness import compute_liveness
-from repro.ir.operation import reset_operation_ids
 from repro.ir.verifier import VerificationError
 from repro.machine.configs import PLAYDOH_4W
 from repro.obs.metrics import MetricsRegistry
@@ -53,6 +52,7 @@ def legacy_compile(program, machine, profile, config=None):
     function = program.main
     liveness = compute_liveness(function)
     scheduler = ListScheduler(machine)
+    id_base = program.max_op_id() + 1
     blocks = {}
     for block in function:
         original_length = scheduler.schedule_block(block).length
@@ -62,6 +62,7 @@ def legacy_compile(program, machine, profile, config=None):
         spec = speculate_block(
             block, machine, profile.values,
             live_out=liveness.live_out[block.label], config=config,
+            id_base=id_base,
         )
         if spec is not None:
             compilation.spec_schedule = schedule_speculative(
@@ -100,11 +101,9 @@ def temporary_pass():
 class TestLegacyEquivalence:
     @pytest.mark.parametrize("workload", ["li", "swim"])
     def test_standard_pipeline_matches_fused_loop_bytewise(self, workload):
-        reset_operation_ids()
         p1 = load_benchmark(workload, scale=0.25)
         r1 = profile_program(p1, capture_trace(p1))
         legacy = legacy_compile(p1, PLAYDOH_4W, r1)
-        reset_operation_ids()
         p2 = load_benchmark(workload, scale=0.25)
         r2 = profile_program(p2, capture_trace(p2))
         managed = PassManager().compile(p2, PLAYDOH_4W, r2)
@@ -113,10 +112,8 @@ class TestLegacyEquivalence:
     def test_module_level_compile_program_delegates(self):
         from repro.core.metrics import compile_program as core_compile
 
-        reset_operation_ids()
         p1 = load_benchmark("swim", scale=0.25)
         via_compiler = compile_program(p1, PLAYDOH_4W, profile_program(p1, capture_trace(p1)))
-        reset_operation_ids()
         p2 = load_benchmark("swim", scale=0.25)
         via_core = core_compile(p2, PLAYDOH_4W, profile_program(p2, capture_trace(p2)))
         assert pickle.dumps(via_compiler) == pickle.dumps(via_core)
@@ -177,7 +174,6 @@ class TestPassAlgebra:
     def test_unroll_pass_matches_unroll_program_loop(self):
         from repro.regions.unroll import UnrollError, unroll_program_loop
 
-        reset_operation_ids()
         program = load_benchmark("li", scale=0.25)
         label = None
         via_direct = None
@@ -265,7 +261,6 @@ class TestPipelineErrors:
 
     def test_speculate_requires_liveness(self):
         config = PipelineConfig(codegen_passes=(PassSpec("speculate"),))
-        reset_operation_ids()
         program = load_benchmark("swim", scale=0.25)
         profile = profile_program(program, capture_trace(program))
         with pytest.raises(PipelineError, match="liveness"):
@@ -279,14 +274,12 @@ class TestPipelineErrors:
                 for name in ("liveness", "schedule-original", "speculate", "baseline")
             )
         )
-        reset_operation_ids()
         program = load_benchmark("swim", scale=0.25)
         profile = profile_program(program, capture_trace(program))
         with pytest.raises(PipelineError, match="schedule-speculative"):
             PassManager(config).compile(program, PLAYDOH_4W, profile)
 
     def test_run_rejects_stale_profile_with_program_passes(self):
-        reset_operation_ids()
         program = load_benchmark("swim", scale=0.25)
         profile = profile_program(program, capture_trace(program))
         manager = PassManager(standard_pipeline(optimize=True))
@@ -294,7 +287,6 @@ class TestPipelineErrors:
             manager.run(program, PLAYDOH_4W, profile)
 
     def test_run_profiles_rewritten_program(self):
-        reset_operation_ids()
         program = load_benchmark("swim", scale=0.25)
         compilation = PassManager(standard_pipeline(optimize=True)).run(
             program, PLAYDOH_4W, None
@@ -304,7 +296,6 @@ class TestPipelineErrors:
 
 class TestMetrics:
     def test_passes_timed_and_counted(self):
-        reset_operation_ids()
         program = load_benchmark("swim", scale=0.25)
         profile = profile_program(program, capture_trace(program))
         metrics = MetricsRegistry()

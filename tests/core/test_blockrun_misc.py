@@ -55,12 +55,13 @@ class TestProgramSimResultHelpers:
 
 class TestPredictionFormAsm:
     def test_ldpred_formats(self):
-        op = Operation(opcode=Opcode.LDPRED, dest=Reg("r4"))
+        op = Operation(opcode=Opcode.LDPRED, dest=Reg("r4"), op_id=1)
         assert format_operation_asm(op) == "ldpred r4"
 
     def test_chkpred_formats_like_a_load(self):
         op = Operation(
-            opcode=Opcode.CHKPRED, dest=Reg("r4"), srcs=(Reg("r3"),), offset=8
+            opcode=Opcode.CHKPRED, dest=Reg("r4"), srcs=(Reg("r3"),), offset=8,
+            op_id=1,
         )
         assert format_operation_asm(op) == "chkpred r4, [r3+8]"
 

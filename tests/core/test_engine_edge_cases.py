@@ -21,7 +21,7 @@ from repro.sched.list_scheduler import schedule_block
 
 
 def make_entry(op_id_origins, bit=5, insert_time=3):
-    op = Operation(opcode=Opcode.MOV, dest=Reg("x"), srcs=(Reg("y"),))
+    op = Operation(opcode=Opcode.MOV, dest=Reg("x"), srcs=(Reg("y"),), op_id=1)
     return CCBEntry(
         operation=op,
         insert_time=insert_time,
@@ -76,7 +76,7 @@ class TestCompensationEngineDirect:
 
     def test_execute_waits_for_corrected_operand(self):
         self.ovb.record_predicted(100, available_at=1)
-        op = Operation(opcode=Opcode.MOV, dest=Reg("x"), srcs=(Reg("y"),))
+        op = Operation(opcode=Opcode.MOV, dest=Reg("x"), srcs=(Reg("y"),), op_id=1)
         entry = CCBEntry(
             operation=op,
             insert_time=2,

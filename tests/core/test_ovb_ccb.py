@@ -1,5 +1,7 @@
 """Unit tests for the Operand Value Buffer and Compensation Code Buffer."""
 
+import itertools
+
 import pytest
 
 from repro.core.ccb import (
@@ -14,8 +16,14 @@ from repro.ir.opcodes import Opcode
 from repro.ir.operation import Operation, Reg
 
 
+#: Entry op ids, kept clear of the default origin id 1.
+_ids = itertools.count(2)
+
+
 def entry(op_id_holder=[], insert_time=0, origins=frozenset({1}), bit=0):
-    op = Operation(opcode=Opcode.MOV, dest=Reg("a"), srcs=(Reg("b"),))
+    op = Operation(
+        opcode=Opcode.MOV, dest=Reg("a"), srcs=(Reg("b"),), op_id=next(_ids)
+    )
     return CCBEntry(
         operation=op,
         insert_time=insert_time,

@@ -1,5 +1,7 @@
 """Unit tests for the dependence-graph data structure."""
 
+import itertools
+
 import pytest
 
 from repro.ddg.graph import DepKind, DependenceGraph
@@ -7,8 +9,13 @@ from repro.ir.opcodes import Opcode
 from repro.ir.operation import Operation, Reg
 
 
+_ids = itertools.count(1)
+
+
 def mov(dst, src):
-    return Operation(opcode=Opcode.MOV, dest=Reg(dst), srcs=(Reg(src),))
+    return Operation(
+        opcode=Opcode.MOV, dest=Reg(dst), srcs=(Reg(src),), op_id=next(_ids)
+    )
 
 
 @pytest.fixture
@@ -37,6 +44,15 @@ class TestDependenceGraph:
         g = DependenceGraph(three_ops)
         with pytest.raises(KeyError):
             g.add_edge(three_ops[0], mov("z", "y"), DepKind.FLOW, 1)
+
+    def test_equal_id_op_of_another_build_rejected(self, three_ops):
+        a, b, _ = three_ops
+        g = DependenceGraph(three_ops)
+        twin = Operation(
+            opcode=Opcode.MOV, dest=Reg("c"), srcs=(Reg("b"),), op_id=b.op_id
+        )
+        with pytest.raises(KeyError):
+            g.add_edge(a, twin, DepKind.FLOW, 1)
 
     def test_duplicate_edge_keeps_strongest(self, three_ops):
         a, b, _ = three_ops

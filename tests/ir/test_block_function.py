@@ -1,5 +1,7 @@
 """Unit tests for basic blocks and functions (CFG structure)."""
 
+import itertools
+
 import pytest
 
 from repro.ir.block import BasicBlock
@@ -9,8 +11,11 @@ from repro.ir.opcodes import Opcode
 from repro.ir.operation import Operation, Reg
 
 
+_ids = itertools.count(1)
+
+
 def mk(opcode, dest=None, srcs=(), **kw):
-    return Operation(opcode=opcode, dest=dest, srcs=srcs, **kw)
+    return Operation(opcode=opcode, dest=dest, srcs=srcs, op_id=next(_ids), **kw)
 
 
 class TestBasicBlock:

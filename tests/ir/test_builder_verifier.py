@@ -115,7 +115,7 @@ class TestProgramBuilder:
 
 class TestVerifier:
     def halted(self, label="entry"):
-        return BasicBlock(label, [Operation(opcode=Opcode.HALT)])
+        return BasicBlock(label, [Operation(opcode=Opcode.HALT, op_id=1)])
 
     def test_function_without_blocks(self):
         problems = check_function(Function("f"))
@@ -131,7 +131,7 @@ class TestVerifier:
         f = Function("f")
         blk = BasicBlock("entry")
         blk.append(
-            Operation(opcode=Opcode.MOV, dest=Reg("a"), srcs=(Reg("b"),))
+            Operation(opcode=Opcode.MOV, dest=Reg("a"), srcs=(Reg("b"),), op_id=1)
         )
         f.add_block(blk)
         problems = check_function(f)
@@ -139,15 +139,17 @@ class TestVerifier:
 
     def test_unknown_branch_target(self):
         f = Function("f")
-        f.add_block(BasicBlock("entry", [Operation(opcode=Opcode.BR, targets=("gone",))]))
+        f.add_block(
+            BasicBlock("entry", [Operation(opcode=Opcode.BR, targets=("gone",), op_id=1)])
+        )
         problems = check_function(f)
         assert any("unknown label" in p for p in problems)
 
     def test_prediction_forms_rejected_in_frontend_code(self):
         f = Function("f")
         blk = BasicBlock("entry")
-        blk.append(Operation(opcode=Opcode.LDPRED, dest=Reg("a")))
-        blk.append(Operation(opcode=Opcode.HALT))
+        blk.append(Operation(opcode=Opcode.LDPRED, dest=Reg("a"), op_id=1))
+        blk.append(Operation(opcode=Opcode.HALT, op_id=2))
         f.add_block(blk)
         problems = check_function(f)
         assert any("speculation pass" in p for p in problems)

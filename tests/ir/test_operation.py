@@ -2,12 +2,13 @@
 
 import pytest
 
+from repro.ir.builder import FunctionBuilder
 from repro.ir.opcodes import Opcode
 from repro.ir.operation import Imm, Operation, Reg
 
 
-def op(opcode, dest=None, srcs=(), **kw):
-    return Operation(opcode=opcode, dest=dest, srcs=srcs, **kw)
+def op(opcode, dest=None, srcs=(), op_id=1, **kw):
+    return Operation(opcode=opcode, dest=dest, srcs=srcs, op_id=op_id, **kw)
 
 
 class TestOperands:
@@ -121,9 +122,15 @@ class TestProperties:
         assert not op(Opcode.ADD, Reg("d"), (Reg("a"), Reg("b"))).has_side_effect
 
     def test_unique_ids(self):
-        a = op(Opcode.HALT)
-        b = op(Opcode.HALT)
-        assert a.op_id != b.op_id
+        fb = FunctionBuilder("f")
+        fb.block("entry")
+        a = fb.mov("r1", 0)
+        b = fb.halt()
+        assert (a.op_id, b.op_id) == (1, 2)
+
+    def test_op_id_is_required(self):
+        with pytest.raises(TypeError, match="op_id"):
+            Operation(opcode=Opcode.HALT)
 
     def test_hash_by_id(self):
         a = op(Opcode.HALT)

@@ -160,8 +160,8 @@ class TestDispatchMiss:
     @pytest.mark.parametrize(
         "op",
         [
-            Operation(Opcode.LDPRED, dest=Reg("p")),
-            Operation(Opcode.CHKPRED, dest=Reg("p"), srcs=(Reg("a"),)),
+            Operation(Opcode.LDPRED, dest=Reg("p"), op_id=100),
+            Operation(Opcode.CHKPRED, dest=Reg("p"), srcs=(Reg("a"),), op_id=100),
         ],
         ids=["ldpred", "chkpred"],
     )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ir.builder import FunctionBuilder, ProgramBuilder
+from repro.ir.builder import ProgramBuilder
 from repro.profiling.interpreter import (
     ExecutionLimitExceeded,
     Interpreter,

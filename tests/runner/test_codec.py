@@ -52,8 +52,8 @@ def _frozen_slotted_classes():
 
 FROZEN_SLOTTED = _frozen_slotted_classes()
 
-_LOAD = Operation(Opcode.LOAD, dest=Reg("r2"), srcs=(Reg("r1"),), offset=8)
-_ADD = Operation(Opcode.ADD, dest=Reg("r3"), srcs=(Reg("r2"), Imm(-1)))
+_LOAD = Operation(Opcode.LOAD, dest=Reg("r2"), srcs=(Reg("r1"),), offset=8, op_id=1)
+_ADD = Operation(Opcode.ADD, dest=Reg("r3"), srcs=(Reg("r2"), Imm(-1)), op_id=2)
 _PLACED = ScheduledOp(_LOAD, 3, 2)
 
 #: One instance per class, every field away from any default.
@@ -279,14 +279,12 @@ class TestCompilePayloadShape:
     def test_a_rebound_schedule_stays_shared_through_the_cache(self, tmp_path):
         from repro.compiler.manager import PassManager
         from repro.core import compile_cache
-        from repro.ir.operation import reset_operation_ids
         from repro.machine.configs import PLAYDOH_4W, PLAYDOH_4W_SPEC
         from repro.machine.spec import PredictorSpec
         from repro.profiling.profile_run import profile_program
         from repro.trace.capture import capture_trace
         from repro.workloads.suite import load_benchmark
 
-        reset_operation_ids()
         program = load_benchmark("li", scale=0.1)
         profile = profile_program(program, capture_trace(program))
         fcm = PLAYDOH_4W_SPEC.override(

@@ -178,68 +178,3 @@ class TestDiskCache:
         orphan.write_text("{}\n")
         assert cache.clear() == 1
         assert list(cache.store.iterdir()) == []
-
-
-class TestOperationIdAdoption:
-    """A cached program's op ids must survive in-process stage interleaving.
-
-    ``build`` resets the global op-id counter; if a *small* benchmark
-    builds in-process and a *large* benchmark's compile is then served
-    its program from the cache, the counter sits below the program's max
-    id and the speculation pass would mint colliding LDPRED/check ids.
-    ``adopt_program`` in the compile stage prevents exactly that.
-    """
-
-    def test_ensure_operation_ids_above_bumps_the_counter(self):
-        from repro.ir.operation import (
-            Opcode,
-            Operation,
-            Reg,
-            ensure_operation_ids_above,
-            reset_operation_ids,
-        )
-
-        reset_operation_ids()
-        first = Operation(opcode=Opcode.HALT)
-        assert first.op_id == 1
-        ensure_operation_ids_above(100)
-        assert Operation(opcode=Opcode.HALT).op_id == 101
-        # Already past the floor: must not move backwards.
-        ensure_operation_ids_above(50)
-        assert Operation(opcode=Opcode.HALT).op_id > 101
-
-    def test_compile_of_cached_program_after_smaller_build(self, tmp_path):
-        from repro.machine.configs import PLAYDOH_8W
-        from repro.runner.cache import DiskCache
-        from repro.runner.executor import Runner
-        from repro.runner.jobs import build_job, compile_job, profile_job
-
-        scale = 0.15
-        big, small = "li", "hydro2d"  # most / fewest static operations
-        cache_root = tmp_path / "cache"
-        Runner(cache=DiskCache(root=cache_root)).run_job(
-            profile_job(big, scale=scale)
-        )
-
-        runner = Runner(cache=DiskCache(root=cache_root))
-        # In-process build of the small benchmark resets the op-id
-        # counter to just past its (few) operations...
-        runner.run_job(build_job(small, scale=scale))
-        # ...and the big benchmark's compile must still be safe even
-        # though its program arrives from the cache with higher ids.
-        compilation = runner.run_job(compile_job(big, PLAYDOH_8W, scale=scale))
-        program_ids = {
-            op.op_id
-            for function in compilation.program
-            for block in function
-            for op in block.operations
-        }
-        minted = set()
-        for label in compilation.speculated_labels:
-            spec_block = compilation.block(label).spec_schedule.spec
-            minted.update(spec_block.ldpred_ids)
-            minted.update(spec_block.check_of.values())
-        assert minted, f"{big} speculated nothing at scale {scale}"
-        # The LDPRED/check ops were created *after* the cached program was
-        # adopted, so their ids must not collide with any program op id.
-        assert minted.isdisjoint(program_ids)

@@ -146,17 +146,26 @@ class TestEvaluationRunnerDelegation:
 
 def test_partially_warm_cache_prints_the_cold_output(tmp_path, capsys):
     """``table2`` then ``all`` into one cache prints what a fresh cold
-    ``all`` does.  The second run reads table2's compile payloads back
-    against builds it decodes, and compiles the rest itself.  Some of
-    those payloads differ in bytes from a cold run's, since pass-minted
-    op ids follow the process-wide counter, yet the output may not."""
+    ``all`` does, and leaves the same payload bytes.  The second run
+    reads table2's compile payloads back against builds it decodes, and
+    compiles the rest itself after those in-process jobs; op ids come
+    from the program alone, so its compiles pickle as a cold run's do."""
     from repro.evaluation.__main__ import main
 
     def run(*args: str) -> str:
         assert main([*args, "--json", "--scale", "0.1"]) == 0
         return capsys.readouterr().out
 
-    partial = str(tmp_path / "partial")
-    run("table2", "--cache-dir", partial)
-    partially_warm = run("all", "--cache-dir", partial)
-    assert partially_warm == run("all", "--cache-dir", str(tmp_path / "cold"))
+    def payloads(root):
+        return {
+            path.relative_to(root): path.read_bytes()
+            for path in root.glob("v*/*/*.pkl")
+        }
+
+    partial, cold = tmp_path / "partial", tmp_path / "cold"
+    run("table2", "--cache-dir", str(partial))
+    partially_warm = run("all", "--cache-dir", str(partial))
+    assert partially_warm == run("all", "--cache-dir", str(cold))
+    warm_payloads, cold_payloads = payloads(partial), payloads(cold)
+    assert cold_payloads and warm_payloads.keys() == cold_payloads.keys()
+    assert [k for k in cold_payloads if warm_payloads[k] != cold_payloads[k]] == []

@@ -3,7 +3,6 @@ and end-to-end execution of a non-standard pipeline through the runner."""
 
 from repro.compiler.config import standard_pipeline
 from repro.compiler.manager import PassManager, compilation_digest
-from repro.ir.operation import reset_operation_ids
 from repro.machine.configs import PLAYDOH_4W
 from repro.profiling.profile_run import profile_program
 from repro.runner.cache import DiskCache
@@ -96,7 +95,6 @@ class TestEndToEnd:
         raise AssertionError("no unrollable self-loop")
 
     def test_runner_compiles_unroll_variant_like_inline(self):
-        reset_operation_ids()
         label = self._loop_label(load_benchmark("li", scale=0.25))
         pipeline = standard_pipeline(unroll=(label, 2))
 
@@ -105,7 +103,6 @@ class TestEndToEnd:
             compile_job("li", PLAYDOH_4W, scale=0.25, pipeline=pipeline)
         )
 
-        reset_operation_ids()
         manager = PassManager(pipeline)
         program = manager.run_program_passes(load_benchmark("li", scale=0.25))
         inline = manager.compile(program, PLAYDOH_4W, profile_program(program, capture_trace(program)))

@@ -1,5 +1,7 @@
 """Unit tests for the schedule data structures."""
 
+import itertools
+
 import pytest
 
 from repro.ir.opcodes import Opcode
@@ -8,12 +10,19 @@ from repro.machine.configs import PLAYDOH_4W
 from repro.sched.schedule import Schedule
 
 
+_ids = itertools.count(1)
+
+
 def mov(dst="a", src="b"):
-    return Operation(opcode=Opcode.MOV, dest=Reg(dst), srcs=(Reg(src),))
+    return Operation(
+        opcode=Opcode.MOV, dest=Reg(dst), srcs=(Reg(src),), op_id=next(_ids)
+    )
 
 
 def load(dst="a", base="p"):
-    return Operation(opcode=Opcode.LOAD, dest=Reg(dst), srcs=(Reg(base),))
+    return Operation(
+        opcode=Opcode.LOAD, dest=Reg(dst), srcs=(Reg(base),), op_id=next(_ids)
+    )
 
 
 class TestSchedule:

@@ -114,7 +114,10 @@ def test_budget_error_precedes_a_later_dispatch_miss(build):
         traced = [i for i, op in enumerate(ops[:-1])
                   if op.opcode in TRACED_OPCODES]
         if traced:
-            ops.insert(traced[0] + 1, Operation(Opcode.LDPRED, dest=Reg("q")))
+            ldpred = Operation(
+                Opcode.LDPRED, dest=Reg("q"), op_id=program.max_op_id() + 1
+            )
+            ops.insert(traced[0] + 1, ldpred)
             position = executed + traced[0] + 1  # 1-based dynamic index
             break
         executed += len(ops)

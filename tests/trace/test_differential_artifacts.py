@@ -12,8 +12,6 @@ the scalar replay engine instead of the batched one.
 
 import dataclasses
 
-import pytest
-
 from repro.batchsim import engine
 from repro.batchsim.context import reset_shared_state
 from repro.evaluation import figure8, table2, table3, table4

@@ -5,7 +5,6 @@ import pytest
 from repro.ir.opcodes import is_alu
 from repro.workloads.characterize import (
     OperationMix,
-    WorkloadProfile,
     characterize,
     characterize_suite,
     operation_mix,
