@@ -6,8 +6,10 @@ in one pass: the trace is decoded once into struct-of-arrays form
 once and shared by every point that predicts that op (:mod:`.outcomes`),
 and each point's dynamic accounting collapses to a vectorised
 pattern-bitmask histogram folded through the exact per-pattern block
-timings (:mod:`.engine`).  Results are byte-identical to the scalar
-engine — both paths share one deterministic accounting fold.
+timings (:mod:`.engine`).  A finite prediction table masks the shared
+columns by slot occupancy (:mod:`.outcomes`), and icache runs fold
+their fetch streams in one pass (:mod:`.fetch`).  This is the only
+engine; the test suite holds it to a scalar per-op replay.
 
 This package imports lazily: the engine modules import NumPy, which
 only a batched run needs.

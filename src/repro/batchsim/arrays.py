@@ -17,11 +17,14 @@ index — the layout every sweep point of the batch shares:
   does the gathers and histogramming);
 * per label: the instance index vector (``np.nonzero``) and the static
   traced-op id tuple, so op *p* of label *L* reads its occurrence
-  values as ``stream[starts[instances[L]] + pos(p)]``.
+  values as ``stream[starts[instances[L]] + pos(p)]`` — positions that
+  are also the op's place in the run's global value order.
 
-Validation mirrors :func:`repro.trace.replay._replay_plan` plus the
-end-of-replay cursor check, so a trace the scalar replayer would reject
-is rejected here with the same exception types.
+Decoding validates the trace against the program: a wrong digest, an
+unknown label, a block whose opcodes changed since capture, a block id
+outside the label table, or a value stream whose length the block
+sequence does not account for all raise
+:class:`~repro.trace.format.TraceMismatch`.
 """
 
 from __future__ import annotations
@@ -31,15 +34,56 @@ from typing import Dict, Tuple
 import numpy as np
 
 from repro.ir.program import Program
-from repro.trace.format import TraceMismatch, ValueTrace
-from repro.trace.replay import _replay_plan
+from repro.trace.format import (
+    TRACED_OPCODES,
+    TraceMismatch,
+    ValueTrace,
+    block_signature,
+    program_digest,
+)
+
+
+def block_plan(trace: ValueTrace, program: Program):
+    """Resolve trace block ids to this program's blocks and traced ops.
+
+    Raises :class:`TraceMismatch` when the trace does not belong to a
+    structurally identical program — wrong digest, unknown label, or a
+    block whose opcode sequence changed since capture.
+    """
+    digest = program_digest(program)
+    if digest != trace.program_digest:
+        raise TraceMismatch(
+            f"trace was captured from a different program: digest "
+            f"{trace.program_digest[:12]} != {digest[:12]} "
+            f"({trace.program_name!r} vs {program.name!r})"
+        )
+    function = program.main
+    plan = []
+    for label, signature in zip(trace.labels, trace.block_signatures):
+        try:
+            block = function.block(label)
+        except KeyError as exc:
+            raise TraceMismatch(
+                f"trace references block {label!r} missing from "
+                f"program {program.name!r}"
+            ) from exc
+        if block_signature(block) != signature:
+            raise TraceMismatch(
+                f"block {label!r} of {program.name!r} changed since the "
+                "trace was captured"
+            )
+        traced_ops = tuple(
+            op for op in block.operations if op.opcode in TRACED_OPCODES
+        )
+        plan.append((block, traced_ops))
+    return plan
 
 
 class TraceArrays:
     """One trace decoded to struct-of-arrays form (see module docstring)."""
 
     def __init__(self, trace: ValueTrace, program: Program):
-        plan = _replay_plan(trace, program)  # validates digest/labels/sigs
+        plan = block_plan(trace, program)
         self.trace = trace
         self.program = program
         self.labels: Tuple[str, ...] = tuple(trace.labels)
@@ -95,11 +139,16 @@ class TraceArrays:
         idx = self.label_index.get(label)
         return 0 if idx is None else int(self._instances[idx].size)
 
-    def op_values(self, label: str, op_id: int):
-        """Object ndarray of ``op_id``'s values, one per occurrence.
+    def instances(self, label: str):
+        """Indices into ``block_seq`` of ``label``'s dynamic instances."""
+        return self._instances[self.label_index[label]]
 
-        Occurrences are ordered by dynamic instance of ``label`` — the
-        order the scalar observer sees them in.
+    def op_positions(self, label: str, op_id: int):
+        """Positions of ``op_id``'s occurrences in the flat value stream.
+
+        One per dynamic instance of ``label``, ascending: the stream is
+        the run's value order, so these also order the op's occurrences
+        among every other traced op's.
         """
         idx = self.label_index[label]
         pos = self._pos[idx].get(op_id)
@@ -107,4 +156,9 @@ class TraceArrays:
             raise TraceMismatch(
                 f"operation {op_id} of block {label!r} is not traced"
             )
-        return self.stream[self.starts[self._instances[idx]] + pos]
+        return self.starts[self._instances[idx]] + pos
+
+    def op_values(self, label: str, op_id: int):
+        """Object ndarray of ``op_id``'s values, one per occurrence, in
+        dynamic instance order of ``label``."""
+        return self.stream[self.op_positions(label, op_id)]

@@ -2,12 +2,14 @@
 
 A :class:`BatchContext` owns everything the points of a batch can share:
 decoded :class:`~repro.batchsim.arrays.TraceArrays`, per-op predictor
-:class:`~repro.batchsim.outcomes.OutcomeColumn` columns, and per-point
-pattern-count histograms (many points predict the same op set, e.g. the
-same threshold on machines of different widths, and then share even the
-histogram).  All caches are bounded LRUs keyed by object identity with
-strong references held in the values, so ids cannot be reused while an
-entry lives.
+:class:`~repro.batchsim.outcomes.OutcomeColumn` columns (shared by every
+table capacity), and per-point pattern codes and histograms on an
+unbounded table (many points predict the same op set, e.g. the same
+threshold on machines of different widths, and then share even the
+histogram).  A finite table's patterns depend on the compilation's whole
+predicted-op set, so those are computed per point, never cached.  All
+caches are bounded LRUs keyed by object identity with strong references
+held in the values, so ids cannot be reused while an entry lives.
 
 A process-wide default context backs every batched simulation and
 profile; :func:`reset_shared_state` drops it together with the
@@ -24,7 +26,12 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.batchsim.arrays import TraceArrays
-from repro.batchsim.outcomes import OutcomeColumn, compute_column, predictor_key
+from repro.batchsim.outcomes import (
+    OutcomeColumn,
+    compute_column,
+    pack_patterns,
+    predictor_key,
+)
 
 
 class _LRU:
@@ -101,42 +108,36 @@ class BatchContext:
         self._columns.put(key, (arrays, column))
         return column
 
-    # -- per-point pattern histograms --------------------------------------
+    # -- per-point pattern codes ------------------------------------------
 
-    def pattern_counts(
+    def patterns(
         self,
         arrays: TraceArrays,
         machine,
         label: str,
         op_ids: Tuple[int, ...],
-    ) -> Dict[Tuple[bool, ...], int]:
-        """Histogram of correctness patterns over the label's instances.
+    ) -> Tuple[np.ndarray, Dict[Tuple[bool, ...], int]]:
+        """Pattern codes of the label's instances and their histogram
+        (:func:`~repro.batchsim.outcomes.pack_patterns`) on an unbounded
+        table.
 
         ``op_ids`` are the predicted original op ids in LdPred order —
-        pattern position *j* is op ``op_ids[j]``, matching the scalar
-        observer's ``predicted_load_ids`` convention.
+        pattern position *j* is op ``op_ids[j]``, matching the
+        compilation's ``predicted_load_ids`` convention.
         """
+        # The key leaves the table capacity out (predictor_key).
+        assert machine.predictor.table_entries is None
         pkey = predictor_key(machine)
         key = (id(arrays), pkey, label, op_ids)
         entry = self._histograms.get(key)
         if entry is not None and entry[0] is arrays:
             return entry[1]
         columns = [self.column(arrays, machine, label, op_id) for op_id in op_ids]
-        k = len(columns)
-        if k > 20:  # 2^k pattern space; the compiler caps far below this
-            raise ValueError(f"{k} predictions in one block exceed batch limit")
-        n = arrays.instance_count(label)
-        code = np.zeros(n, dtype=np.int64)
-        for j, column in enumerate(columns):
-            code |= column.correct.astype(np.int64) << j
-        binc = np.bincount(code, minlength=1 << k)
-        counts = {
-            tuple(bool((mask >> j) & 1) for j in range(k)): int(binc[mask])
-            for mask in range(1 << k)
-            if binc[mask]
-        }
-        self._histograms.put(key, (arrays, counts))
-        return counts
+        packed = pack_patterns(
+            [column.correct for column in columns], arrays.instance_count(label)
+        )
+        self._histograms.put(key, (arrays, packed))
+        return packed
 
     # -- bookkeeping -------------------------------------------------------
 

@@ -1,48 +1,43 @@
-"""The batched point engine: trace columns -> per-point sim counts.
+"""The program-level engine: trace columns -> per-point sim counts.
 
-One sweep point's dynamic simulation reduces, given the shared
+One simulation reduces, given the shared
 :class:`~repro.batchsim.context.BatchContext`, to
 
 1. a pattern-count histogram per speculated block (vectorised bitmask
-   pack + ``bincount`` over the shared outcome columns), and
-2. the same deterministic accounting fold the scalar engine uses
+   pack + ``bincount`` over the shared outcome columns, masked by table
+   occupancy on a finite Value Prediction Table —
+   :func:`~repro.batchsim.outcomes.table_served`),
+2. with icache modelling, the fetch totals of the run's block stream
+   (:func:`~repro.batchsim.fetch.fetch_counts`), and
+3. the deterministic accounting fold
    (:func:`repro.core.program_sim._fold_counts`) over those counts.
 
-Because step 2 is literally shared code, batched results are
-byte-identical to the scalar engine by construction; the parity suite
-(`tests/batchsim/`) asserts it anyway, end to end.
-
-Points that leave the common path — a finite value-prediction table or
-icache modelling, both inherently sequential — replay the trace through
-the scalar observer inside
-:func:`~repro.core.program_sim.simulate_program`; the decision is
-reported by :func:`unsupported_reason`.
+Every :func:`~repro.core.program_sim.simulate_program` call takes this
+path.  The parity suite (``tests/batchsim/``) holds it, field for field,
+to a scalar replay of the trace through a per-op observer, a stateful
+prediction table and a stateful instruction cache
+(``tests/trace/reference_runs.py``).
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.batchsim.context import BatchContext
+from repro.batchsim.outcomes import pack_patterns, table_served
 from repro.profiling.interpreter import ExecutionLimitExceeded
 
 
-def unsupported_reason(machine, model_icache: bool = False) -> Optional[str]:
-    """Why a simulation on ``machine`` cannot run batched (``None`` = it can)."""
-    if machine.predictor.table_entries is not None:
-        return "finite prediction table (cross-op entry stealing is global)"
-    if model_icache:
-        return "icache modelling (cache state is sequential)"
-    return None
-
-
-def batch_counts(compilation, trace, context: BatchContext, max_operations):
+def batch_counts(
+    compilation,
+    trace,
+    context: BatchContext,
+    max_operations,
+    model_icache: bool = False,
+):
     """Per-point simulation counts from the shared trace columns.
 
-    Raises exactly what scalar replay of the same inputs would raise
-    (:class:`ExecutionLimitExceeded` on budget overflow,
-    :class:`~repro.trace.format.TraceMismatch`/``TraceError`` on a trace
-    that does not match the program).
+    Raises :class:`ExecutionLimitExceeded` when the trace is longer than
+    ``max_operations``, and :class:`~repro.trace.format.TraceMismatch`/
+    ``TraceError`` on a trace that does not match the program.
     """
     from repro.core.program_sim import SimCounts
 
@@ -53,29 +48,51 @@ def batch_counts(compilation, trace, context: BatchContext, max_operations):
     arrays = context.arrays(trace, compilation.program)
     machine = compilation.machine
     counts = SimCounts()
+    # Blocks the compiler did not cover run no version and fetch
+    # nothing; the label table only holds labels of the program.
+    speculated = []
     for label in arrays.labels:
-        n = arrays.instance_count(label)
-        if n == 0:
-            continue
         comp = compilation.blocks.get(label)
-        if comp is None:
-            # The scalar observer ignores blocks the compiler did not
-            # cover; _replay_plan guarantees the label exists in the
-            # program, so this cannot happen for pipeline compilations.
+        if comp is None or not arrays.instance_count(label):
             continue
-        if not comp.speculated:
-            counts.nonspec[label] = n
-            continue
-        op_ids = comp.predicted_load_ids
-        counts.patterns[label] = dict(
-            context.pattern_counts(arrays, machine, label, op_ids)
+        if comp.speculated:
+            speculated.append((label, comp.predicted_load_ids))
+        else:
+            counts.nonspec[label] = arrays.instance_count(label)
+
+    entries = machine.predictor.table_entries
+    if entries is not None:
+        flat = [(label, op_id) for label, op_ids in speculated for op_id in op_ids]
+        masks, counts.table_tag_misses = table_served(
+            [op_id for _, op_id in flat],
+            [arrays.op_positions(label, op_id) for label, op_id in flat],
+            entries,
         )
-        for op_id in op_ids:
-            column = context.column(arrays, machine, label, op_id)
-            hits = column.hits
-            counts.hits += hits
-            counts.misses += column.occurrences - hits
-            counts.no_predictions += column.occurrences - int(
-                column.predicted.sum()
+        served = dict(zip(flat, masks))
+    codes = {}
+    for label, op_ids in speculated:
+        columns = [context.column(arrays, machine, label, op_id) for op_id in op_ids]
+        if entries is None:
+            correct = [column.correct for column in columns]
+            predicted = [column.predicted for column in columns]
+            codes[label], histogram = context.patterns(
+                arrays, machine, label, op_ids
             )
+            counts.patterns[label] = dict(histogram)
+        else:
+            masks = [served[label, op_id] for op_id in op_ids]
+            correct = [c.correct & m for c, m in zip(columns, masks)]
+            predicted = [c.predicted & m for c, m in zip(columns, masks)]
+            codes[label], counts.patterns[label] = pack_patterns(
+                correct, arrays.instance_count(label)
+            )
+        for hit, made in zip(correct, predicted):
+            hits = int(hit.sum())
+            counts.hits += hits
+            counts.misses += hit.size - hits
+            counts.no_predictions += hit.size - int(made.sum())
+    if model_icache:
+        from repro.batchsim.fetch import fetch_counts
+
+        counts.icache = fetch_counts(compilation, arrays, codes)
     return counts

@@ -1,8 +1,8 @@
 """Per-static-op predictor outcome columns.
 
-The scalar simulation observer trains the hardware predictor only on the
-ops a compilation predicts, and every shipped predictor (stride, FCM,
-DFCM, last-value, hybrid and its chooser counters) keeps strictly
+The simulation trains the hardware predictor only on the ops a
+compilation predicts, and every shipped predictor (stride, FCM, DFCM,
+last-value, hybrid and its chooser counters) keeps strictly
 per-static-op state.  Consequence — the batching theorem this package
 rests on: the per-occurrence outcome column of a static op depends only
 on (a) the op's own value sequence in the trace and (b) the predictor
@@ -11,15 +11,23 @@ one column, computed once, is exact for every point in the batch.
 
 Columns are computed by feeding the op's (trace-extracted) value
 sequence through a **real** scalar predictor instance — predict, score,
-update, exactly the observer's order — not a NumPy re-implementation,
-so there is no numeric-semantics drift to audit.  NumPy enters only
-downstream, where columns are packed into per-point pattern bitmasks.
+update, in occurrence order — not a NumPy re-implementation, so there
+is no numeric-semantics drift to audit.  NumPy enters only downstream,
+where columns are packed into per-point pattern bitmasks.
+
+A finite Value Prediction Table (``predictor.table_entries``) does not
+change a column either.  The table is direct-mapped on
+``hash(op_id) % table_entries``, every predicted occurrence trains the
+predictor and takes its slot, and ``predict`` is pure.  So an occurrence
+is served exactly when the previous predicted occurrence mapped to its
+slot, in the run's value order, was of the same op; the table outcome
+is the column ANDed with that mask (:func:`table_served`).
 """
 
 from __future__ import annotations
 
 import json
-from typing import Callable
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -46,8 +54,14 @@ class OutcomeColumn:
 
 
 def predictor_key(machine) -> str:
-    """Canonical cache key of the machine's declared predictor."""
-    return json.dumps(machine.predictor.canonical(), sort_keys=True)
+    """Cache key of the columns of the machine's declared predictor.
+
+    The table capacity is left out: it only masks which occurrences the
+    table serves, so every capacity shares the unbounded columns.
+    """
+    canonical = machine.predictor.canonical()
+    del canonical["table_entries"]
+    return json.dumps(canonical, sort_keys=True)
 
 
 def compute_column(
@@ -55,8 +69,8 @@ def compute_column(
 ) -> OutcomeColumn:
     """Run a fresh scalar predictor over the op's value sequence.
 
-    A fresh instance per column is equivalent to the observer's single
-    shared instance because predictor state is per static op — the
+    A fresh instance per column is equivalent to one instance shared by
+    every predicted op because predictor state is per static op — the
     other ops' training can never touch this op's entries.
     """
     predictor = build()
@@ -72,3 +86,64 @@ def compute_column(
                 correct[i] = True
         predictor.update(op_id, value)
     return OutcomeColumn(op_id, correct, predicted)
+
+
+def table_served(
+    op_ids: Sequence[int], positions: Sequence, entries: int
+) -> Tuple[List[np.ndarray], int]:
+    """Which occurrences a direct-mapped table of ``entries`` slots serves.
+
+    ``positions[i]`` holds op ``op_ids[i]``'s occurrence positions in the
+    run's value order, ascending; together they are every predicted
+    occurrence of the run.  Returns one served mask per op, parallel to
+    its positions, and the tag-miss count: occurrences whose slot was
+    last taken by another op.  An occurrence whose slot is still empty
+    is neither served nor a tag miss.
+    """
+    sizes = [len(p) for p in positions]
+    if not sum(sizes):
+        return [np.zeros(0, dtype=bool) for _ in sizes], 0
+    owner = np.repeat(np.asarray(op_ids, dtype=np.int64), sizes)
+    slot = np.repeat(
+        np.fromiter((hash(k) % entries for k in op_ids), np.int64, len(op_ids)),
+        sizes,
+    )
+    # Sorted by slot, then position: each slot's occurrences in run
+    # order, so an occurrence's previous occupant is its left neighbour
+    # when that neighbour shares its slot.  The same op always maps to
+    # the same slot, so an equal neighbour is always a slot-mate.
+    order = np.lexsort((np.concatenate(positions), slot))
+    slot, owner = slot[order], owner[order]
+    occupied = np.zeros(order.size, dtype=bool)
+    occupied[1:] = slot[1:] == slot[:-1]
+    same = np.zeros(order.size, dtype=bool)
+    same[1:] = owner[1:] == owner[:-1]
+    served = np.empty(order.size, dtype=bool)
+    served[order] = same
+    tag_misses = int((occupied & ~same).sum())
+    return np.split(served, np.cumsum(sizes)[:-1]), tag_misses
+
+
+def pack_patterns(
+    correct: Sequence[np.ndarray], n: int
+) -> Tuple[np.ndarray, Dict[Tuple[bool, ...], int]]:
+    """Per-instance pattern codes and their histogram.
+
+    ``correct[j]`` is prediction *j*'s outcome per instance; bit *j* of
+    an instance's code is set when it was right.  The histogram maps
+    each pattern that occurs, as a tuple of bools in prediction order,
+    to its instance count.
+    """
+    k = len(correct)
+    if k > 20:  # 2^k pattern space; the compiler caps far below this
+        raise ValueError(f"{k} predictions in one block exceed batch limit")
+    code = np.zeros(n, dtype=np.int64)
+    for j, column in enumerate(correct):
+        code |= column.astype(np.int64) << j
+    binc = np.bincount(code, minlength=1 << k)
+    counts = {
+        tuple(bool((mask >> j) & 1) for j in range(k)): int(binc[mask])
+        for mask in range(1 << k)
+        if binc[mask]
+    }
+    return code, counts

@@ -1,12 +1,9 @@
 """Trace-driven profiling over the struct-of-arrays decode.
 
-The scalar profiling path replays the whole dynamic block sequence,
-dispatching two observers per block entry and per traced value
-(:func:`repro.trace.replay.replay_trace` driving
-:class:`~repro.profiling.block_profile.BlockFrequencyProfiler` and
-:class:`~repro.profiling.value_profile.ValueProfiler`).  Both consumers
-reduce to per-column facts the :class:`~repro.batchsim.arrays.TraceArrays`
-decode already holds:
+A profile counts block entries and, per tracked op, how often a stride
+and an FCM predictor would have been right.  Both reduce to per-column
+facts the :class:`~repro.batchsim.arrays.TraceArrays` decode already
+holds:
 
 * block frequencies are an ``np.bincount`` over the block sequence;
 * the per-load stride/FCM hit counters depend only on that load's own
@@ -19,15 +16,17 @@ column.  Byte-parity notes:
 
 * dict insertion order is observable through pickling, so both the
   block-count dict and the value-stats dict are built in *first dynamic
-  encounter* order, exactly as the streaming observers would;
-* ops that never execute get no stats entry (the scalar observer only
+  encounter* order, exactly as a per-event profiler would;
+* ops that never execute get no stats entry (a per-event profiler only
   creates stats on first execution);
 * the inlined predictors replicate two-delta stride and order-2 FCM
   update/predict rules verbatim, including ``_values_equal`` scoring and
   Python ``hash`` context hashing.
 
-The differential suite (``tests/batchsim/``) asserts equality against
-the replay path on hypothesis-generated programs.
+The parity suites (``tests/batchsim/``, ``tests/trace/``) assert
+equality against the streaming reference profilers of
+``tests/trace/reference_runs.py`` on the suite and on
+hypothesis-generated programs.
 """
 
 from __future__ import annotations
@@ -128,9 +127,9 @@ def batch_profile(
     """The :class:`~repro.profiling.profile_run.ProfileData` of one
     captured run, computed from the struct-of-arrays decode.
 
-    Identical to replaying the trace through the streaming profilers —
-    same counters, same dict orders, same limit/mismatch errors — but
-    driven column-wise through ``context``'s shared :class:`TraceArrays`.
+    Computed column-wise through ``context``'s shared
+    :class:`TraceArrays`: same counters and dict orders as profilers fed
+    one event at a time, and the engine's limit/mismatch errors.
     """
     from repro.profiling.profile_run import ProfileData
 

@@ -29,7 +29,7 @@ import dataclasses
 import enum
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 #: Bump when the canonical serialisation of pipeline configs changes

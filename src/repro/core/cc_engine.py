@@ -17,9 +17,8 @@ architectural interpreter; here only availability times matter.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.ir.operation import Operation
 from repro.machine.description import MachineDescription
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS
 from repro.obs.trace import ExecuteEvent, FlushEvent, TraceSink

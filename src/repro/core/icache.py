@@ -8,7 +8,9 @@ already-decoded operations), so only the baseline pays these penalties.
 
 The model is deliberately simple — a direct-mapped cache of instruction
 lines with a fixed miss penalty — because only the *relative* pollution
-effect matters for the comparison.
+effect matters for the comparison.  A run's fetch stream is folded in
+one pass (:func:`count_misses`; the stream itself comes from
+:mod:`repro.batchsim.fetch`).
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Dict, Optional
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -35,40 +39,20 @@ class ICacheConfig:
         return max(1, math.ceil(op_count / self.ops_per_line))
 
 
-class InstructionCache:
-    """Direct-mapped cache over a flat line-address space."""
+def count_misses(config: ICacheConfig, lines: np.ndarray) -> int:
+    """Misses of a cold cache over a stream of line addresses.
 
-    def __init__(self, config: Optional[ICacheConfig] = None):
-        self.config = config or ICacheConfig()
-        self._tags: Dict[int, int] = {}
-        self.accesses = 0
-        self.misses = 0
-
-    def access_range(self, first_line: int, line_count: int) -> int:
-        """Fetch ``line_count`` lines starting at ``first_line``.
-
-        Returns the miss penalty in cycles for this fetch.
-        """
-        if line_count < 1:
-            raise ValueError("must access at least one line")
-        penalty = 0
-        for line in range(first_line, first_line + line_count):
-            self.accesses += 1
-            index = line % self.config.lines
-            if self._tags.get(index) != line:
-                self.misses += 1
-                self._tags[index] = line
-                penalty += self.config.miss_penalty
-        return penalty
-
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
-    def reset(self) -> None:
-        self._tags = {}
-        self.accesses = 0
-        self.misses = 0
+    The cache is direct-mapped, so a fetch of a line misses exactly when
+    the previous fetch that mapped to the same set (``line %
+    config.lines``) was of another line, or there was none.  A stable
+    sort by set puts each set's fetches next to each other in stream
+    order, which reduces the whole walk to one comparison with the
+    neighbour (neighbours from different sets are different lines).
+    """
+    if not lines.size:
+        return 0
+    ordered = lines[np.argsort(lines % config.lines, kind="stable")]
+    return 1 + int((ordered[1:] != ordered[:-1]).sum())
 
 
 class CodeLayout:
@@ -98,11 +82,6 @@ class CodeLayout:
             return self._ranges[block_id]
         except KeyError:
             raise KeyError(f"block {block_id!r} was never placed") from None
-
-    def fetch(self, cache: InstructionCache, block_id: str) -> int:
-        """Fetch a placed block through the cache; returns penalty cycles."""
-        first, count = self.range_of(block_id)
-        return cache.access_range(first, count)
 
     @property
     def total_lines(self) -> int:

@@ -25,7 +25,7 @@ pickled).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only

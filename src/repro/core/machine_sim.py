@@ -12,8 +12,8 @@ in parallel and only extends the block when a non-speculative consumer
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.obs.cycles import CycleLedger, NULL_CYCLES
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS

@@ -9,11 +9,10 @@ per correctness pattern — and one fold charges each pattern its
 dual-engine timing, computed once per (block, pattern): a block with *n*
 predicted loads has at most ``2^n`` distinct timings.
 
-Two engines produce the counts.  The batched engine
-(:mod:`repro.batchsim.engine`) computes them column-wise from the shared
-trace decode; runs it cannot express — a finite value-prediction table
-or instruction-cache modelling, both of which couple instances through
-sequential state — replay the trace through :class:`_SimulationObserver`.
+One engine produces the counts: :mod:`repro.batchsim.engine` computes
+them column-wise from the shared trace decode, including the two parts
+that couple instances through sequential state — a finite
+value-prediction table and the instruction-cache fetch walk.
 
 The same fold accounts the two comparison machines:
 
@@ -23,8 +22,8 @@ The same fold accounts the two comparison machines:
   compensation-block excursions and branch redirects.
 
 Instruction-cache pollution, when modelled, is the one order-dependent
-cost: a fetch walk adds each instance's miss penalties on top of the
-fold.
+cost: the engine folds the run's fetch streams into per-cache miss
+counts, and their penalties are added on top of the fold.
 
 This mirrors the paper's methodology of combining profiled block
 frequencies with per-block schedule lengths, except outcomes come from a
@@ -39,13 +38,10 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS
-from repro.predict.base import _values_equal
 from repro.core import compile_cache
 from repro.core.metrics import OutcomeClass, classify_outcome
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from repro.ir.block import BasicBlock
-    from repro.ir.operation import Operation
     from repro.obs.metrics import MetricsSnapshot
     from repro.core.metrics import BlockCompilation, ProgramCompilation
     from repro.trace.format import ValueTrace
@@ -148,15 +144,13 @@ class ProgramSimResult:
 class SimCounts:
     """Sufficient statistics of one dynamic run.
 
-    Everything :func:`simulate_program` reports, icache penalties aside
-    (:class:`_FetchWalk`), is an exact, deterministic function of these
-    counts plus the (memoised) per-block compiler products: per label, how
-    many instances ran non-speculated or under each correctness pattern,
-    plus the raw predictor hit counters.  The scalar observer and the
-    batched engine (:mod:`repro.batchsim.engine`) both reduce a run to
-    this record and share :func:`_fold_counts` for the accounting — which
-    is what makes batched results byte-identical to scalar results by
-    construction.
+    Everything :func:`simulate_program` reports is an exact,
+    deterministic function of these counts plus the (memoised) per-block
+    compiler products: per label, how many instances ran non-speculated
+    or under each correctness pattern, the raw predictor hit counters,
+    the finite table's tag misses and, for icache runs, each cache's
+    fetch totals.  :mod:`repro.batchsim.engine` reduces a run to this
+    record and :func:`_fold_counts` does all accounting from it.
     """
 
     nonspec: Dict[str, int] = field(default_factory=dict)
@@ -164,6 +158,11 @@ class SimCounts:
     hits: int = 0
     misses: int = 0
     no_predictions: int = 0
+    table_tag_misses: int = 0
+    #: ``(accesses, misses)`` per cache, ``"proposed"`` (main code) and
+    #: ``"baseline"`` (main and compensation code); empty unless the run
+    #: modelled the instruction cache.
+    icache: Dict[str, Tuple[int, int]] = field(default_factory=dict)
 
 
 def _shared_original_attribution(
@@ -278,11 +277,11 @@ def _fold_counts(
 
     Labels and patterns are folded in sorted order, each charged
     ``count`` times via multiplication, so every result container has a
-    canonical layout independent of dynamic encounter order — the
-    keystone of scalar/batched byte-parity.  Per-pattern block timings,
-    baseline and squash recovery runs are computed once per (block,
-    pattern) and shared process-wide through
-    :mod:`repro.core.compile_cache`.
+    canonical layout independent of dynamic encounter order.  Per-pattern
+    block timings, baseline and squash recovery runs are computed once
+    per (block, pattern) and shared process-wide through
+    :mod:`repro.core.compile_cache`.  Instruction-cache penalties, when
+    the run modelled the cache, are added last.
     """
     machine = compilation.machine
     res = result
@@ -358,171 +357,44 @@ def _fold_counts(
             res.cycles_squash += squash_run.effective_length * n
             if squash_run.squashed:
                 res.squashed_instances += n
+    res.table_tag_misses += counts.table_tag_misses
+    if counts.icache:
+        _charge_icache(res, counts.icache, cycle_stacks if collect_cycles else None)
 
 
-class _FetchWalk:
-    """Instruction-cache fetches of one run, walked in dynamic order.
+def _charge_icache(
+    result: ProgramSimResult,
+    icache: Dict[str, Tuple[int, int]],
+    cycle_stacks: Optional[Dict[str, Dict[str, int]]],
+) -> None:
+    """Add the run's instruction-cache miss penalties to the folded
+    totals and stacks.
 
-    Cache state depends on the fetch sequence, so this is the only
-    per-instance work an icache run adds to the counts fold.  Every
-    instance fetches its main block through both caches; a speculated
-    instance on the baseline machine then fetches, in LdPred order, the
-    compensation block of each mispredicted load that has operations.
-    The no-prediction and squash machines fetch the same block stream as
-    the proposed machine, so all three are charged its penalty (the
-    squash machine's refetch on restart is folded into that penalty).
+    The no-prediction and squash machines fetch the proposed machine's
+    block stream (:mod:`repro.batchsim.fetch`), so they are charged its
+    penalty too.
     """
+    from repro.core.icache import ICacheConfig
 
-    def __init__(self, compilation: ProgramCompilation):
-        from repro.core.icache import CodeLayout, ICacheConfig, InstructionCache
-
-        config = ICacheConfig()
-        self.layout = CodeLayout(config)
-        self.proposed = InstructionCache(config)
-        self.baseline = InstructionCache(config)
-        self.proposed_cycles = 0
-        self.baseline_cycles = 0
-        # Main code first, then the baseline's compensation blocks.
-        for label, comp in compilation.blocks.items():
-            if comp.spec_schedule is not None:
-                op_count = len(comp.spec_schedule.spec.operations)
-            else:
-                op_count = len(compilation.program.main.block(label).operations)
-            self.layout.place(f"main:{label}", op_count)
-        for comp in compilation.blocks.values():
-            if comp.baseline is None:
-                continue
-            for c in comp.baseline.compensation.values():
-                if c.op_count:
-                    self.layout.place(c.code_id, c.op_count)
-
-    def instance(
-        self, comp: BlockCompilation, pattern: Optional[Tuple[bool, ...]]
-    ) -> None:
-        """Fetch one instance; ``pattern`` is ``None`` unless it ran the
-        speculative version."""
-        main = f"main:{comp.label}"
-        fetch = self.layout.fetch
-        self.proposed_cycles += fetch(self.proposed, main)
-        self.baseline_cycles += fetch(self.baseline, main)
-        if pattern is None:
-            return
-        compensation = comp.baseline.compensation
-        for ldpred_id, correct in zip(comp.spec_schedule.spec.ldpred_ids, pattern):
-            block = compensation[ldpred_id]
-            if not correct and block.op_count:
-                self.baseline_cycles += fetch(self.baseline, block.code_id)
-
-    def charge(
-        self,
-        result: ProgramSimResult,
-        cycle_stacks: Optional[Dict[str, Dict[str, int]]],
-    ) -> None:
-        """Add the walked penalties to the folded totals and stacks."""
-        proposed, baseline = self.proposed_cycles, self.baseline_cycles
-        result.proposed_icache_cycles += proposed
-        result.cycles_nopred += proposed
-        result.cycles_proposed += proposed
-        result.cycles_squash += proposed
-        result.baseline_icache_cycles += baseline
-        result.cycles_baseline += baseline
-        if cycle_stacks is None:
-            return
-        for model, cycles in (
-            ("nopred", proposed),
-            ("proposed", proposed),
-            ("baseline", baseline),
-        ):
-            if cycles:
-                stack = cycle_stacks[model]
-                stack["icache_miss"] = stack.get("icache_miss", 0) + cycles
-
-
-class _SimulationObserver:
-    """Execution observer reducing a run to its :class:`SimCounts`.
-
-    It drives the machine's hardware value predictor (behind a finite
-    value-prediction table when ``predictor.table_entries`` is set) over
-    the predicted loads and records, per dynamic block instance, which
-    version ran and under which correctness pattern; :func:`_fold_counts`
-    does all cycle accounting after the run.  With icache modelling,
-    each instance is also handed to the run's :class:`_FetchWalk`.
-    """
-
-    def __init__(
-        self,
-        compilation: ProgramCompilation,
-        fetch: Optional[_FetchWalk] = None,
+    penalty = ICacheConfig().miss_penalty
+    proposed = icache["proposed"][1] * penalty
+    baseline = icache["baseline"][1] * penalty
+    result.proposed_icache_cycles += proposed
+    result.cycles_nopred += proposed
+    result.cycles_proposed += proposed
+    result.cycles_squash += proposed
+    result.baseline_icache_cycles += baseline
+    result.cycles_baseline += baseline
+    if cycle_stacks is None:
+        return
+    for model, cycles in (
+        ("nopred", proposed),
+        ("proposed", proposed),
+        ("baseline", baseline),
     ):
-        from repro.predict.table import ValuePredictionTable
-
-        spec = compilation.machine.predictor
-        self.compilation = compilation
-        self.predictor = spec.build()
-        self.table = (
-            ValuePredictionTable(self.predictor, capacity=spec.table_entries)
-            if spec.table_entries is not None
-            else None
-        )
-        self.counts = SimCounts()
-        self.fetch = fetch
-
-        self._current: Optional[BlockCompilation] = None
-        self._predicted_ids: frozenset = frozenset()
-        self._outcomes: Dict[int, bool] = {}
-
-    # -- observer protocol -------------------------------------------------
-
-    def block_entered(self, block: BasicBlock) -> None:
-        self._finish_instance()
-        self._current = self.compilation.blocks.get(block.label)
-        if self._current is not None and self._current.speculated:
-            self._predicted_ids = frozenset(self._current.predicted_load_ids)
-        else:
-            self._predicted_ids = frozenset()
-        self._outcomes = {}
-
-    def operation_executed(self, op: Operation, inputs, result) -> None:
-        if op.op_id not in self._predicted_ids:
-            return
-        if self.table is not None:
-            prediction = self.table.lookup(op.op_id)
-        else:
-            prediction = self.predictor.predict(op.op_id)
-        correct = prediction is not None and _values_equal(prediction, result)
-        self._outcomes[op.op_id] = correct
-        if correct:
-            self.counts.hits += 1
-        else:
-            self.counts.misses += 1
-        if prediction is None:
-            self.counts.no_predictions += 1
-        if self.table is not None:
-            self.table.train(op.op_id, result)
-        else:
-            self.predictor.update(op.op_id, result)
-
-    def finish(self) -> None:
-        self._finish_instance()
-        self._current = None
-
-    def _finish_instance(self) -> None:
-        comp = self._current
-        if comp is None:
-            return
-        c = self.counts
-        pattern = None
-        if not comp.speculated:
-            c.nonspec[comp.label] = c.nonspec.get(comp.label, 0) + 1
-        else:
-            pattern = tuple(
-                self._outcomes.get(load_id, False)
-                for load_id in comp.predicted_load_ids
-            )
-            per = c.patterns.setdefault(comp.label, {})
-            per[pattern] = per.get(pattern, 0) + 1
-        if self.fetch is not None:
-            self.fetch.instance(comp, pattern)
+        if cycles:
+            stack = cycle_stacks[model]
+            stack["icache_miss"] = stack.get("icache_miss", 0) + cycles
 
 
 def _check_coverage(compilation: ProgramCompilation) -> None:
@@ -583,15 +455,13 @@ def simulate_program(
             exactly to the matching ``cycles_*`` total.  Off by default;
             timing results are identical either way.
 
-    The counts come from the batched engine through the process-wide
-    :class:`~repro.batchsim.context.BatchContext`, which shares trace
-    decodes and predictor outcome columns across the points of a sweep,
-    unless :func:`~repro.batchsim.engine.unsupported_reason` names a
-    reason it cannot; those runs replay the trace through
-    :class:`_SimulationObserver`.  Both engines reduce the run to
-    :class:`SimCounts` and share one accounting fold.
+    The counts come from :func:`repro.batchsim.engine.batch_counts`
+    through the process-wide :class:`~repro.batchsim.context.BatchContext`,
+    which shares trace decodes and predictor outcome columns across the
+    points of a sweep; one accounting fold turns them into the result.
     """
-    from repro.batchsim.engine import unsupported_reason
+    from repro.batchsim.context import default_context
+    from repro.batchsim.engine import batch_counts
 
     result = ProgramSimResult(
         program_name=compilation.program.name,
@@ -609,30 +479,9 @@ def simulate_program(
         "proposed": {},
         "baseline": {},
     }
-    fetch = None
-    if unsupported_reason(compilation.machine, model_icache) is None:
-        from repro.batchsim.context import default_context
-        from repro.batchsim.engine import batch_counts
-
-        sim_counts = batch_counts(
-            compilation, trace, default_context(), max_operations
-        )
-    else:
-        from repro.trace.replay import replay_trace
-
-        if model_icache:
-            fetch = _FetchWalk(compilation)
-        observer = _SimulationObserver(compilation, fetch=fetch)
-        replay_trace(
-            trace,
-            compilation.program,
-            observers=[observer],
-            max_operations=max_operations,
-        )
-        observer.finish()
-        sim_counts = observer.counts
-        if observer.table is not None:
-            result.table_tag_misses = observer.table.tag_misses
+    sim_counts = batch_counts(
+        compilation, trace, default_context(), max_operations, model_icache
+    )
     _fold_counts(
         compilation,
         sim_counts,
@@ -642,8 +491,6 @@ def simulate_program(
         cycle_stacks,
         predictor_label,
     )
-    if fetch is not None:
-        fetch.charge(result, cycle_stacks if collect_cycles else None)
     if collect_cycles:
         totals = {
             "nopred": result.cycles_nopred,
@@ -671,12 +518,8 @@ def simulate_program(
                         "sim.cycles", cycles, label=f"cause={cause},model={model}"
                     )
         registry.inc("sim.dynamic_blocks", result.dynamic_blocks)
-        if fetch is not None:
-            for label, cache in (
-                ("proposed", fetch.proposed),
-                ("baseline", fetch.baseline),
-            ):
-                registry.inc("icache.access", cache.accesses, label=label)
-                registry.inc("icache.miss", cache.misses, label=label)
+        for label, (accesses, misses) in sim_counts.icache.items():
+            registry.inc("icache.access", accesses, label=label)
+            registry.inc("icache.miss", misses, label=label)
         result.metrics = registry.snapshot()
     return result

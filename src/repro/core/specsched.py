@@ -14,7 +14,7 @@ the run-time engines need beyond issue cycles:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, FrozenSet, Optional, Tuple
 
 from repro.ir.operation import Imm

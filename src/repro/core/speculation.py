@@ -44,7 +44,7 @@ compile of a program numbers alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Set
 
 from repro.core import compile_cache

@@ -14,7 +14,6 @@ it cleared, which is all the timing model needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
 
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS

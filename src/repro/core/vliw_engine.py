@@ -25,7 +25,7 @@ Per-operation behaviour at issue:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional
 
 from repro.machine.description import MachineDescription
 from repro.obs.cycles import (

@@ -9,7 +9,7 @@ job diffs them).
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence
 
 from repro.explore.driver import pareto_frontier
 from repro.ir.printer import format_table

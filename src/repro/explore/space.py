@@ -42,7 +42,7 @@ import dataclasses
 import itertools
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, List, Sequence, Tuple
 
 from repro.core.speculation import SpeculationConfig
 from repro.ir.opcodes import FUClass, Opcode

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List
 
 from repro.ir.block import BasicBlock
 
@@ -91,12 +91,3 @@ class Function:
 
     def __repr__(self) -> str:
         return f"<Function {self.name} ({len(self)} blocks)>"
-
-
-def find_block_of_operation(function: Function, op_id: int) -> Optional[BasicBlock]:
-    """Locate the block containing the operation with the given id."""
-    for block in function:
-        for op in block:
-            if op.op_id == op_id:
-                return block
-    return None

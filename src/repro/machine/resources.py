@@ -8,7 +8,7 @@ pool (and the issue width) from the 4-wide to the 8-wide configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Mapping
 
 from repro.ir.opcodes import FUClass

@@ -38,7 +38,6 @@ from repro.obs.trace import (
     StallEvent,
     SyncClearEvent,
     SyncSetEvent,
-    TraceEvent,
 )
 
 #: pid reserved for the runner's pipeline-stage tracks.

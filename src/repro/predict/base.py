@@ -9,16 +9,17 @@ protocol is the standard two-phase one of the value-prediction literature
   the predictor has no basis for a prediction yet;
 * ``update(key, actual)`` — train with the architecturally correct value.
 
-The profiling pass (:mod:`repro.profiling.value_profile`) replays a
-program's value streams through predictor instances to obtain per-load
-prediction rates, and the dynamic simulation uses a live predictor as the
-hardware Value Predictor of the paper's Figure 5.
+The profiling pass (:mod:`repro.batchsim.profiler`) scores each load's
+value stream under stride and FCM prediction to obtain per-load
+prediction rates, and the dynamic simulation runs the machine's predictor
+over each predicted op's stream as the hardware Value Predictor of the
+paper's Figure 5 (:mod:`repro.batchsim.outcomes`).
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Hashable, Optional, Union
 
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS

@@ -8,28 +8,8 @@ for Tables 2-4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from repro.ir.block import BasicBlock
-    from repro.ir.operation import Operation
-
-
-class BlockFrequencyProfiler:
-    """Execution observer counting dynamic entries per block label."""
-
-    def __init__(self) -> None:
-        self.counts: Dict[str, int] = {}
-
-    def block_entered(self, block: BasicBlock) -> None:
-        self.counts[block.label] = self.counts.get(block.label, 0) + 1
-
-    def operation_executed(self, op: Operation, inputs, result) -> None:
-        pass
-
-    def profile(self) -> "BlockProfile":
-        return BlockProfile(dict(self.counts))
+from dataclasses import dataclass
+from typing import Dict
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ this path is checked against
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.ir.block import BasicBlock
 from repro.ir.opcodes import Opcode, evaluator, is_alu
@@ -29,18 +29,6 @@ from repro.ir.operation import Imm, Operation, Reg
 from repro.ir.program import Program
 from repro.profiling.memory import Memory, Number
 from repro.trace.format import TRACED_OPCODES
-
-
-class ExecutionObserver(Protocol):
-    """Hook interface for the consumers of a trace replay."""
-
-    def block_entered(self, block: BasicBlock) -> None:
-        """Called when control enters a basic block."""
-
-    def operation_executed(
-        self, op: Operation, inputs: tuple[Number, ...], result: Optional[Number]
-    ) -> None:
-        """Called after each dynamic operation with its actual values."""
 
 
 class ExecutionLimitExceeded(RuntimeError):
@@ -52,8 +40,7 @@ class ExecutionResult:
     """Outcome of one architectural run.
 
     ``labels``, ``block_seq`` and ``values`` are the interpreter's
-    recording in the :class:`~repro.trace.format.ValueTrace` layout; a
-    result rebuilt from a trace by replay leaves them empty.
+    recording in the :class:`~repro.trace.format.ValueTrace` layout.
     """
 
     program_name: str

@@ -21,23 +21,6 @@ class Memory:
         self.reads = 0
         self.writes = 0
 
-    @classmethod
-    def with_counts(
-        cls, image: Mapping[int, Number] | None, reads: int, writes: int
-    ) -> "Memory":
-        """A memory reconstructed from a finished run.
-
-        Trace replay rebuilds the final memory image without re-executing
-        the loads and stores; restoring the captured access counters here
-        keeps ``loads_executed``/``stores_executed`` (and everything
-        validated against them) identical to the live run instead of
-        reporting zero.
-        """
-        memory = cls(image)
-        memory.reads = reads
-        memory.writes = writes
-        return memory
-
     def load(self, address: int) -> Number:
         self.reads += 1
         return self._words.get(int(address), 0)

@@ -11,7 +11,7 @@ Content-key dedup is also what fans one ``trace`` job out to a whole
 sweep: the trace spec excludes the machine and speculation config, so
 every simulate job of a threshold/machine ablation materialises the
 *same* trace dependency, and the closure collapses the N copies into one
-interpretation shared by N replays.
+interpretation shared by N simulations.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Value-stream capture and replay.
+"""Value-stream capture.
 
 One architectural run per (program, pipeline fingerprint) is recorded as
 a compact trace — the dynamic block sequence plus the result values of

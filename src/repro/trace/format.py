@@ -3,10 +3,9 @@
 A :class:`ValueTrace` records everything the downstream consumers of an
 architectural run actually use — the dynamic block sequence and the
 result values of *traced* operations (loads and long-latency ALU ops,
-the only opcodes the value profiler and the simulation observer read) —
-plus the run's final architectural state, so replay can reconstruct a
-byte-identical :class:`~repro.profiling.interpreter.ExecutionResult`
-without re-interpreting the program.
+the only opcodes value profiling and the simulated value predictor
+read) — plus the run's final architectural state.  The column decode of
+:mod:`repro.batchsim.arrays` is how every consumer reads it.
 
 Format invariants (see ``docs/INTERNALS.md`` for the full spec):
 
@@ -17,12 +16,12 @@ Format invariants (see ``docs/INTERNALS.md`` for the full spec):
   block instance consumes one value per *traced* static operation of
   that block, in static (program) order; instances are concatenated in
   ``block_seq`` order.  Predicted loads are a subset of traced ops, so
-  the replay driver can feed the simulation observer without knowing the
-  speculation decisions at capture time.
+  one trace serves every compilation without knowing its speculation
+  decisions at capture time.
 * **Identity** — ``program_digest`` hashes the program *structure*
   (labels, opcode/operand/target sequences, initial state) but not
   operation ids: the architectural run never reads them (values are
-  matched to ops by position), so a trace replays against any
+  matched to ops by position), so a trace applies to any
   structurally identical program, however it is numbered.
 * **Versioning** — ``schema_version`` gates compatibility; loaders
   reject other versions rather than misinterpreting the stream.
@@ -44,7 +43,6 @@ from repro.profiling.value_profile import LONG_LATENCY_OPCODES
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.ir.operation import Reg
     from repro.ir.program import Program
-    from repro.profiling.interpreter import ExecutionResult
     from repro.profiling.memory import Number
 
 #: Bump when the trace layout changes incompatibly.
@@ -62,7 +60,7 @@ class TraceError(RuntimeError):
 
 
 class TraceMismatch(TraceError):
-    """A trace does not correspond to the program offered for replay."""
+    """A trace does not correspond to the program it is read against."""
 
 
 def _operand_key(operand: Union[Reg, Imm]):
@@ -157,28 +155,6 @@ class ValueTrace:
     final_registers: Dict[str, Number] = field(default_factory=dict)
     final_memory: Dict[int, Number] = field(default_factory=dict)
     schema_version: int = TRACE_SCHEMA_VERSION
-
-    def to_execution_result(self) -> ExecutionResult:
-        """Reconstruct the captured run's :class:`ExecutionResult`.
-
-        The memory's access counters are restored from the capture so a
-        replayed run reports the captured ``loads_executed`` /
-        ``stores_executed`` instead of zero.
-        """
-        from repro.profiling.interpreter import ExecutionResult
-        from repro.profiling.memory import Memory
-
-        memory = Memory.with_counts(
-            self.final_memory, reads=self.loads_executed, writes=self.stores_executed
-        )
-        return ExecutionResult(
-            program_name=self.program_name,
-            dynamic_operations=self.dynamic_operations,
-            dynamic_blocks=self.dynamic_blocks,
-            registers=dict(self.final_registers),
-            memory=memory,
-            halted=self.halted,
-        )
 
     @property
     def n_values(self) -> int:

@@ -16,7 +16,7 @@ claim is checkable rather than rhetorical:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from repro.ddg.builder import build_ddg
 from repro.ddg.critical_path import analyze

@@ -30,7 +30,7 @@ TRACES = {name: capture_trace(program) for name, program in SUITE.items()}
 
 def scalar_column_stats(values):
     """Reference: one key driven through the real predictor objects,
-    exactly as ``ValueProfiler.operation_executed`` does."""
+    exactly as the reference ``ValueProfiler.operation_executed`` does."""
     from repro.profiling.value_profile import LoadValueStats
 
     stride = StridePredictor()

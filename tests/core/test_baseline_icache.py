@@ -2,10 +2,13 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.baseline import build_baseline_block, simulate_baseline_block
-from repro.core.icache import CodeLayout, ICacheConfig, InstructionCache
+from repro.core.icache import CodeLayout, ICacheConfig, count_misses
 from repro.core.machine_sim import simulate_best_case, simulate_worst_case
 from repro.core.metrics import compile_program
 from repro.core.program_sim import simulate_program
@@ -17,6 +20,7 @@ from repro.profiling.profile_run import profile_program
 from repro.sched.list_scheduler import schedule_block
 from repro.trace.capture import capture_trace
 from repro.workloads.suite import load_suite
+from tests.trace.reference_runs import InstructionCache
 
 
 def _baseline(spec, machine, original_length):
@@ -155,6 +159,21 @@ class TestInstructionCache:
         assert cache.accesses == 0 and cache.misses == 0
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    lines=st.lists(st.integers(min_value=0, max_value=40), max_size=60),
+    sets=st.integers(min_value=1, max_value=8),
+)
+def test_stream_fold_equals_cache_walk(lines, sets):
+    """``count_misses`` over a whole fetch stream counts exactly the misses
+    of the stateful cache fetching it line by line."""
+    config = ICacheConfig(lines=sets)
+    cache = InstructionCache(config)
+    for line in lines:
+        cache.access_range(line, 1)
+    assert count_misses(config, np.array(lines, dtype=np.int64)) == cache.misses
+
+
 class TestCodeLayout:
     def test_contiguous_placement(self):
         layout = CodeLayout(ICacheConfig(ops_per_line=4))
@@ -179,8 +198,8 @@ class TestCodeLayout:
         layout = CodeLayout(config)
         cache = InstructionCache(config)
         layout.place("main", 4)
-        assert layout.fetch(cache, "main") == 3
-        assert layout.fetch(cache, "main") == 0
+        assert cache.fetch(layout, "main") == 3
+        assert cache.fetch(layout, "main") == 0
 
     def test_pollution_scenario(self):
         """Compensation blocks evict main code: the paper's cache story."""
@@ -191,12 +210,12 @@ class TestCodeLayout:
         layout.place("main", 8)   # 2 lines: fills the cache
         layout.place("comp", 8)   # 2 lines: aliases main's lines
         # Clean machine: main stays resident.
-        layout.fetch(clean, "main")
-        assert layout.fetch(clean, "main") == 0
+        clean.fetch(layout, "main")
+        assert clean.fetch(layout, "main") == 0
         # Polluted machine: recovery evicts main every time.
-        layout.fetch(polluted, "main")
-        layout.fetch(polluted, "comp")
-        assert layout.fetch(polluted, "main") == 2
+        polluted.fetch(layout, "main")
+        polluted.fetch(layout, "comp")
+        assert polluted.fetch(layout, "main") == 2
 
 
 # -- whole-program icache runs -------------------------------------------------

@@ -12,7 +12,6 @@ from repro.core.ovb import OperandValueBuffer
 from repro.core.specsched import schedule_speculative
 from repro.core.speculation import transform_block
 from repro.core.sync_register import SyncRegisterState
-from repro.core.vliw_engine import VLIWEngineSim
 from repro.ir.builder import FunctionBuilder
 from repro.ir.opcodes import Opcode
 from repro.ir.operation import Operation, Reg

@@ -6,7 +6,7 @@ import pytest
 
 from repro.ir.block import BasicBlock
 from repro.ir.builder import FunctionBuilder
-from repro.ir.function import Function, find_block_of_operation
+from repro.ir.function import Function
 from repro.ir.opcodes import Opcode
 from repro.ir.operation import Operation, Reg
 
@@ -120,13 +120,6 @@ class TestFunction:
         f.add_block(BasicBlock("mid", [mk(Opcode.HALT)]))
         f.add_block(BasicBlock("island", [mk(Opcode.HALT)]))
         assert f.reachable_labels() == {"entry", "mid"}
-
-    def test_find_block_of_operation(self):
-        f = self.build_diamond()
-        op = f.block("then").operations[0]
-        found = find_block_of_operation(f, op.op_id)
-        assert found is f.block("then")
-        assert find_block_of_operation(f, 10**9) is None
 
     def test_entry_property(self):
         f = self.build_diamond()

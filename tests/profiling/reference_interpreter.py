@@ -11,18 +11,20 @@ operation, and the reference trace recorder
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from repro.ir.opcodes import Opcode, evaluator, is_alu
 from repro.ir.operation import Imm, Reg
 from repro.ir.program import Program
 from repro.profiling.interpreter import (
     ExecutionLimitExceeded,
-    ExecutionObserver,
     ExecutionResult,
     _dispatch_miss_message,
 )
 from repro.profiling.memory import Memory, Number
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from tests.trace.reference_runs import ExecutionObserver
 
 
 def run_reference(

@@ -3,13 +3,12 @@
 import pytest
 
 from repro.ir.builder import ProgramBuilder
-from repro.profiling.block_profile import BlockFrequencyProfiler
 from repro.profiling.memory import Memory
 from repro.profiling.profile_run import profile_program
 from repro.trace.capture import capture_trace
-from repro.profiling.value_profile import ValueProfiler
 from repro.profiling.interpreter import run_program
 from tests.profiling.reference_interpreter import run_reference
+from tests.trace.reference_runs import BlockFrequencyProfiler, ValueProfiler
 
 
 class TestMemory:

@@ -1,11 +1,12 @@
 """Capture/replay correctness: profiles, simulations and round trips.
 
 The trace layer's contract is *byte identity*: replaying a captured
-trace through the profilers or the simulation observer must produce
-exactly what the same observers see riding a live interpretation —
-profiles, simulation counts, access counters and all.  The live side is
-the reference interpreter's per-op loop (``reference_runs.live``), the
-only interpreter that takes observers; the production entry points
+trace through the reference profilers or simulation observer
+(``tests/trace/reference_runs.py``) must produce exactly what the same
+observers see riding a live interpretation — profiles, simulation
+counts, access counters and all.  The live side is the reference
+interpreter's per-op loop (``reference_runs.live``), the only
+interpreter that takes observers; the production entry points
 (``profile_program``, ``simulate_program``) read only the trace.
 """
 
@@ -19,16 +20,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.metrics import compile_program
-from repro.core.program_sim import _SimulationObserver, simulate_program
+from repro.core.program_sim import simulate_program
 from repro.ir.builder import ProgramBuilder
 from repro.machine.configs import PLAYDOH_4W
 from repro.profiling.interpreter import ExecutionLimitExceeded, Interpreter
 from repro.profiling.profile_run import profile_program
 from repro.trace.capture import capture_trace
 from repro.trace.format import TraceError, TraceMismatch, ValueTrace, program_digest
-from repro.trace.replay import replay_trace
 from repro.workloads.suite import load_suite
-from tests.trace.reference_runs import live, observed_profile, replayed
+from tests.trace.reference_runs import (
+    SimulationObserver,
+    live,
+    observed_profile,
+    replay_trace,
+    replayed,
+)
 
 SUITE = load_suite(scale=0.25)
 TRACES = {name: capture_trace(program) for name, program in SUITE.items()}
@@ -76,10 +82,9 @@ class TestSuiteReplay:
         )
         counts = []
         for drive in (live(program), replayed(trace, program)):
-            observer = _SimulationObserver(compilation)
+            observer = SimulationObserver(compilation)
             drive([observer])
-            observer.finish()
-            counts.append(observer.counts)
+            counts.append(observer.finish())
         assert counts[0] == counts[1]
 
     def test_replayed_final_state_matches_interpreter(self, workload):

@@ -1,23 +1,24 @@
 """End-to-end differential: every table/figure artifact is byte-identical
-across {reference interpreter, specialized interpreter} x {batched
-engine, scalar replay engine}.
+across {reference interpreter, specialized interpreter} x {column
+engine, scalar reference replay}.
 
 This is the acceptance gate for the whole fast path: if any layer
 perturbs a single predicted value or block count, a paper artifact
 diverges and this suite catches it.  The reference mode captures every
 value trace with the reference recorder on the per-op dispatch loop the
-interpreter is specified by; the scalar mode sends every simulation to
-the scalar replay engine instead of the batched one.
+interpreter is specified by; the scalar mode takes every simulation's
+counts from the scalar reference replay
+(``tests/trace/reference_runs.py``) instead of the column engine.
 """
 
 import dataclasses
 
 from repro.batchsim import engine
 from repro.batchsim.context import reset_shared_state
-from repro.evaluation import figure8, table2, table3, table4
+from repro.evaluation import baseline_cmp, figure8, table2, table3, table4
 from repro.evaluation.experiment import Evaluation, EvaluationSettings
 from repro.trace import capture
-from tests.trace.reference_runs import reference_capture, scalar_only
+from tests.trace.reference_runs import reference_capture, reference_counts
 
 #: (mode name, capture with the reference loop, simulate by scalar replay)
 MODES = [
@@ -33,6 +34,7 @@ EXPERIMENTS = {
     "table3": table3.compute,
     "table4": table4.compute,
     "figure8": figure8.compute,
+    "baseline": baseline_cmp.compute,
 }
 
 
@@ -49,7 +51,7 @@ def _evaluation(monkeypatch, reference, scalar):
     if reference:
         monkeypatch.setattr(capture, "capture_trace", reference_capture)
     if scalar:
-        monkeypatch.setattr(engine, "unsupported_reason", scalar_only)
+        monkeypatch.setattr(engine, "batch_counts", reference_counts)
     reset_shared_state()
     return Evaluation(SETTINGS)
 
