@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Predictor playground: how each predictor fares on each stream shape.
 
-Feeds characteristic value streams (constant, strided, noisy-strided,
-repeating, random — the shapes the synthetic benchmarks are built from)
-through every predictor in the library and tabulates hit rates.  This is
+Runs every predictor kernel in the library over characteristic value
+streams (constant, strided, noisy-strided, repeating, random — the
+shapes the synthetic benchmarks are built from) and tabulates hit rates:
+correct predictions over all values of the stream.  This is
 the intuition behind the paper's choice to profile with *both* stride and
 FCM and take the better of the two.
 
@@ -13,13 +14,14 @@ Run:  python examples/predictor_playground.py
 import random
 
 from repro.ir.printer import format_table
-from repro.predict.fcm import FCMPredictor
-from repro.predict.hybrid import default_hybrid
-from repro.predict.last_value import LastValuePredictor
-from repro.predict.stride import StridePredictor
+from repro.predict.fcm import fcm_column
+from repro.predict.hybrid import hybrid_column
+from repro.predict.last_value import last_value_column
+from repro.predict.stride import stride_column
 from repro.workloads import values
 
 STREAM_LENGTH = 500
+PREDICTORS = ("last-value", "stride", "fcm", "hybrid")
 
 
 def streams():
@@ -38,29 +40,30 @@ def streams():
     }
 
 
-def predictors():
+def columns(stream):
+    """Each predictor's ``(predicted, correct)`` column over the stream;
+    the hybrid folds the stride and order-2 FCM columns."""
+    stride = stride_column(stream)
+    fcm = fcm_column(stream)
     return {
-        "last-value": LastValuePredictor,
-        "stride": StridePredictor,
-        "fcm": FCMPredictor,
-        "hybrid": default_hybrid,
+        "last-value": last_value_column(stream),
+        "stride": stride,
+        "fcm": fcm,
+        "hybrid": hybrid_column(stride, fcm),
     }
 
 
 def main() -> None:
     table = []
-    names = list(predictors())
     for stream_name, stream in streams().items():
-        row = [stream_name]
-        for predictor_name in names:
-            predictor = predictors()[predictor_name]()
-            for v in stream:
-                predictor.observe("k", v)
-            row.append(f"{predictor.stats.hit_rate:.2f}")
-        table.append(row)
+        outcomes = columns(stream)
+        table.append(
+            [stream_name]
+            + [f"{sum(outcomes[name][1]) / len(stream):.2f}" for name in PREDICTORS]
+        )
 
     print("Hit rate by predictor and stream shape:\n")
-    print(format_table(["stream"] + names, table))
+    print(format_table(["stream"] + list(PREDICTORS), table))
     print(
         "\nStride prediction owns arithmetic sequences, FCM owns repeating "
         "patterns, and the hybrid tracks whichever is winning per key — "

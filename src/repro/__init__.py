@@ -9,8 +9,8 @@ scratch in Python:
 * :mod:`repro.machine` — HPL-PD/Playdoh-style machine descriptions.
 * :mod:`repro.ddg` — data-dependence graphs and critical-path analysis.
 * :mod:`repro.sched` — resource-constrained list scheduling.
-* :mod:`repro.predict` — value predictors: last-value, stride, FCM,
-  DFCM, hybrid; the hardware value-prediction table.
+* :mod:`repro.predict` — value predictors as column kernels:
+  last-value, stride, FCM, DFCM, hybrid.
 * :mod:`repro.profiling` — architectural execution, block-frequency and
   value profiling.
 * :mod:`repro.trace` — the value trace of one architectural run: the

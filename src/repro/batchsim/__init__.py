@@ -3,7 +3,8 @@
 ``repro.batchsim`` simulates *B* sweep points that share a program trace
 in one pass: the trace is decoded once into struct-of-arrays form
 (:mod:`.arrays`), per-static-op predictor outcome columns are computed
-once and shared by every point that predicts that op (:mod:`.outcomes`),
+once by the column kernels of :mod:`repro.predict` and shared by the
+profile and every point that predicts that op (:mod:`.outcomes`),
 and each point's dynamic accounting collapses to a vectorised
 pattern-bitmask histogram folded through the exact per-pattern block
 timings (:mod:`.engine`).  A finite prediction table masks the shared

@@ -13,8 +13,8 @@ index — the layout every sweep point of the batch shares:
   value in the flat value stream (``cumsum`` of per-instance sizes);
 * ``stream`` — ``(V,)`` object ndarray of traced values (values are
   arbitrary Python ints/floats; object dtype keeps exact semantics —
-  correctness is decided by the *real* scalar predictor, NumPy only
-  does the gathers and histogramming);
+  correctness is decided by the predictor column kernels on Python
+  values, NumPy only does the gathers and histogramming);
 * per label: the instance index vector (``np.nonzero``) and the static
   traced-op id tuple, so op *p* of label *L* reads its occurrence
   values as ``stream[starts[instances[L]] + pos(p)]`` — positions that

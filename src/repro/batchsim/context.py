@@ -3,13 +3,17 @@
 A :class:`BatchContext` owns everything the points of a batch can share:
 decoded :class:`~repro.batchsim.arrays.TraceArrays`, per-op predictor
 :class:`~repro.batchsim.outcomes.OutcomeColumn` columns (shared by every
-table capacity), and per-point pattern codes and histograms on an
-unbounded table (many points predict the same op set, e.g. the same
-threshold on machines of different widths, and then share even the
-histogram).  A finite table's patterns depend on the compilation's whole
+table capacity, by the hybrid that folds its stride and FCM component
+columns, and by the profile that sums them), and per-point pattern
+codes and histograms on an unbounded table (many points predict the
+same op set, e.g. the same threshold on machines of different widths,
+and then share even the histogram).  A finite table's patterns depend on the compilation's whole
 predicted-op set, so those are computed per point, never cached.  All
-caches are bounded LRUs keyed by object identity with strong references
-held in the values, so ids cannot be reused while an entry lives.
+caches are bounded LRUs keyed by object identity.  The decode cache
+holds its traces and programs strongly; the column and histogram caches
+hold their decode weakly and check it on every hit, so a decode the
+decode cache evicted is freed, and a later object that reuses its id
+cannot read its entries.
 
 A process-wide default context backs every batched simulation and
 profile; :func:`reset_shared_state` drops it together with the
@@ -20,6 +24,7 @@ isolation.
 
 from __future__ import annotations
 
+import weakref
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
@@ -27,11 +32,13 @@ import numpy as np
 
 from repro.batchsim.arrays import TraceArrays
 from repro.batchsim.outcomes import (
+    KERNELS,
+    STRIDE,
     OutcomeColumn,
-    compute_column,
     pack_patterns,
-    predictor_key,
 )
+from repro.predict.hybrid import hybrid_column
+from repro.trace.format import reset_digest_memo
 
 
 class _LRU:
@@ -92,51 +99,74 @@ class BatchContext:
 
     # -- predictor outcome columns ----------------------------------------
 
-    def column(
-        self, arrays: TraceArrays, machine, label: str, op_id: int
+    def component(
+        self, arrays: TraceArrays, pkey: Tuple, label: str, op_id: int
     ) -> OutcomeColumn:
-        pkey = predictor_key(machine)
+        """The outcome column of the predictor with column key ``pkey``
+        (:func:`~repro.batchsim.outcomes.predictor_key`) on one op.
+
+        A hybrid column folds its stride and FCM component columns,
+        which live in the same cache, so the profile, a stride or FCM
+        point and a hybrid point walk each op's values once per
+        component.
+        """
         key = (id(arrays), pkey, label, op_id)
         entry = self._columns.get(key)
-        if entry is not None and entry[0] is arrays:
+        if entry is not None and entry[0]() is arrays:
             return entry[1]
-        column = compute_column(
+        predicted, correct = self._walk(arrays, pkey, label, op_id)
+        column = OutcomeColumn(
             op_id,
-            arrays.op_values(label, op_id),
-            machine.predictor.build,
+            np.frombuffer(correct, dtype=bool),
+            np.frombuffer(predicted, dtype=bool),
         )
-        self._columns.put(key, (arrays, column))
+        self._columns.put(key, (weakref.ref(arrays), column))
         return column
+
+    def _walk(self, arrays: TraceArrays, pkey: Tuple, label: str, op_id: int):
+        """Compute one column: the kind's kernel over the op's values,
+        or for a hybrid the chooser fold over its component columns."""
+        kind = pkey[0]
+        if kind == "hybrid":
+            fcm_order, table_bits, counter_max = pkey[1:]
+            first = self.component(arrays, STRIDE, label, op_id)
+            second = self.component(
+                arrays, ("fcm", fcm_order, table_bits), label, op_id
+            )
+            return hybrid_column(
+                (first.predicted.tobytes(), first.correct.tobytes()),
+                (second.predicted.tobytes(), second.correct.tobytes()),
+                counter_max,
+            )
+        values = arrays.op_values(label, op_id).tolist()
+        return KERNELS[kind](values, *pkey[1:])
 
     # -- per-point pattern codes ------------------------------------------
 
     def patterns(
         self,
         arrays: TraceArrays,
-        machine,
+        pkey: Tuple,
         label: str,
         op_ids: Tuple[int, ...],
     ) -> Tuple[np.ndarray, Dict[Tuple[bool, ...], int]]:
         """Pattern codes of the label's instances and their histogram
         (:func:`~repro.batchsim.outcomes.pack_patterns`) on an unbounded
-        table.
+        table, for the predictor with column key ``pkey``.
 
         ``op_ids`` are the predicted original op ids in LdPred order —
         pattern position *j* is op ``op_ids[j]``, matching the
         compilation's ``predicted_load_ids`` convention.
         """
-        # The key leaves the table capacity out (predictor_key).
-        assert machine.predictor.table_entries is None
-        pkey = predictor_key(machine)
         key = (id(arrays), pkey, label, op_ids)
         entry = self._histograms.get(key)
-        if entry is not None and entry[0] is arrays:
+        if entry is not None and entry[0]() is arrays:
             return entry[1]
-        columns = [self.column(arrays, machine, label, op_id) for op_id in op_ids]
+        columns = [self.component(arrays, pkey, label, op_id) for op_id in op_ids]
         packed = pack_patterns(
             [column.correct for column in columns], arrays.instance_count(label)
         )
-        self._histograms.put(key, (arrays, packed))
+        self._histograms.put(key, (weakref.ref(arrays), packed))
         return packed
 
     # -- bookkeeping -------------------------------------------------------
@@ -187,10 +217,4 @@ def reset_shared_state() -> None:
     from repro.core import compile_cache
 
     compile_cache.reset()
-    # This package does not import the trace format; if nothing else
-    # did either, there is no digest memo to clear.
-    import sys
-
-    trace_format = sys.modules.get("repro.trace.format")
-    if trace_format is not None:
-        trace_format.reset_digest_memo()
+    reset_digest_memo()

@@ -22,7 +22,7 @@ prediction table and a stateful instruction cache
 from __future__ import annotations
 
 from repro.batchsim.context import BatchContext
-from repro.batchsim.outcomes import pack_patterns, table_served
+from repro.batchsim.outcomes import pack_patterns, predictor_key, table_served
 from repro.profiling.interpreter import ExecutionLimitExceeded
 
 
@@ -35,18 +35,20 @@ def batch_counts(
 ):
     """Per-point simulation counts from the shared trace columns.
 
-    Raises :class:`ExecutionLimitExceeded` when the trace is longer than
+    Raises ``ValueError`` on a predictor geometry no table can take,
+    :class:`ExecutionLimitExceeded` when the trace is longer than
     ``max_operations``, and :class:`~repro.trace.format.TraceMismatch`/
     ``TraceError`` on a trace that does not match the program.
     """
     from repro.core.program_sim import SimCounts
 
+    machine = compilation.machine
+    pkey = predictor_key(machine.predictor)
     if max_operations is not None and trace.dynamic_operations > max_operations:
         raise ExecutionLimitExceeded(
             f"{trace.program_name}: exceeded {max_operations} operations"
         )
     arrays = context.arrays(trace, compilation.program)
-    machine = compilation.machine
     counts = SimCounts()
     # Blocks the compiler did not cover run no version and fetch
     # nothing; the label table only holds labels of the program.
@@ -71,13 +73,11 @@ def batch_counts(
         served = dict(zip(flat, masks))
     codes = {}
     for label, op_ids in speculated:
-        columns = [context.column(arrays, machine, label, op_id) for op_id in op_ids]
+        columns = [context.component(arrays, pkey, label, op_id) for op_id in op_ids]
         if entries is None:
             correct = [column.correct for column in columns]
             predicted = [column.predicted for column in columns]
-            codes[label], histogram = context.patterns(
-                arrays, machine, label, op_ids
-            )
+            codes[label], histogram = context.patterns(arrays, pkey, label, op_ids)
             counts.patterns[label] = dict(histogram)
         else:
             masks = [served[label, op_id] for op_id in op_ids]

@@ -9,11 +9,17 @@ on (a) the op's own value sequence in the trace and (b) the predictor
 spec.  It is *independent* of which other ops a sweep point predicts, so
 one column, computed once, is exact for every point in the batch.
 
-Columns are computed by feeding the op's (trace-extracted) value
-sequence through a **real** scalar predictor instance — predict, score,
-update, in occurrence order — not a NumPy re-implementation, so there
-is no numeric-semantics drift to audit.  NumPy enters only downstream,
-where columns are packed into per-point pattern bitmasks.
+Columns come from the column kernels of :mod:`repro.predict`: one
+pure-Python loop per (op, predictor kind) over the op's value list,
+scored with the predictors' exact-match ``_values_equal`` and ``hash``
+context hashing.  A hybrid column is the chooser fold over its stride
+and FCM component columns, which the profile's per-load stride and FCM
+counts are sums of too (:mod:`repro.batchsim.profiler`), so
+:class:`~repro.batchsim.context.BatchContext` walks each (op, component)
+stream once for all of them.  The parity suite
+(``tests/predict/test_kernel_parity.py``) holds every kernel to a
+stateful one-value-at-a-time predictor class.  NumPy enters only
+downstream, where columns are packed into per-point pattern bitmasks.
 
 A finite Value Prediction Table (``predictor.table_entries``) does not
 change a column either.  The table is direct-mapped on
@@ -26,12 +32,31 @@ is the column ANDed with that mask (:func:`table_served`).
 
 from __future__ import annotations
 
-import json
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.predict.base import ValuePredictor, _values_equal
+from repro.predict.base import check_table
+from repro.predict.dfcm import dfcm_column
+from repro.predict.fcm import fcm_column
+from repro.predict.last_value import last_value_column
+from repro.predict.stride import stride_column
+
+#: Column key of the two-delta stride predictor, the hybrid's first
+#: component and the profile's stride predictor.
+STRIDE = ("stride",)
+#: Column key of the profile's FCM predictor (order 2, 16 table bits),
+#: the default hybrid's second component.
+PROFILE_FCM = ("fcm", 2, 16)
+
+#: Kernel of every kind whose column is a walk over the op's values;
+#: a key's fields after the kind are the kernel's arguments.
+KERNELS = {
+    "stride": stride_column,
+    "fcm": fcm_column,
+    "dfcm": dfcm_column,
+    "last-value": last_value_column,
+}
 
 
 class OutcomeColumn:
@@ -53,39 +78,28 @@ class OutcomeColumn:
         return int(self.correct.size)
 
 
-def predictor_key(machine) -> str:
-    """Cache key of the columns of the machine's declared predictor.
+def predictor_key(spec) -> Tuple:
+    """Column key of a :class:`~repro.machine.predictor.PredictorSpec`:
+    its kind plus only the fields that kind reads.
 
     The table capacity is left out: it only masks which occurrences the
-    table serves, so every capacity shares the unbounded columns.
+    table serves, so every capacity shares the unbounded columns.  So
+    are the fields a kind ignores, so e.g. every ``fcm_order`` shares
+    the stride columns.  A hybrid key is its FCM component's fields plus
+    the chooser bound: ``("hybrid", fcm_order, table_bits, counter_max)``.
+
+    Raises ``ValueError`` on a (D)FCM geometry no table can take, before
+    any column is walked.
     """
-    canonical = machine.predictor.canonical()
-    del canonical["table_entries"]
-    return json.dumps(canonical, sort_keys=True)
-
-
-def compute_column(
-    op_id: int, values, build: Callable[[], ValuePredictor]
-) -> OutcomeColumn:
-    """Run a fresh scalar predictor over the op's value sequence.
-
-    A fresh instance per column is equivalent to one instance shared by
-    every predicted op because predictor state is per static op — the
-    other ops' training can never touch this op's entries.
-    """
-    predictor = build()
-    n = len(values)
-    correct = np.zeros(n, dtype=bool)
-    predicted = np.zeros(n, dtype=bool)
-    for i in range(n):
-        value = values[i]
-        prediction = predictor.predict(op_id)
-        if prediction is not None:
-            predicted[i] = True
-            if _values_equal(prediction, value):
-                correct[i] = True
-        predictor.update(op_id, value)
-    return OutcomeColumn(op_id, correct, predicted)
+    if spec.kind in ("stride", "last-value"):
+        return (spec.kind,)
+    check_table(
+        "DFCM" if spec.kind == "dfcm" else "FCM", spec.fcm_order, spec.table_bits
+    )
+    key = (spec.kind, spec.fcm_order, spec.table_bits)
+    if spec.kind == "hybrid":
+        key += (spec.counter_max,)
+    return key
 
 
 def table_served(

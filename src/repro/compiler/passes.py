@@ -191,7 +191,14 @@ def _import_dce():
 
 
 def _pass_liveness(state: CompileState) -> bool:
-    state.liveness = compute_liveness(state.program.main)
+    from repro.core import compile_cache
+
+    # Machine- and profile-independent: one analysis per function serves
+    # every compile of the program.
+    function = state.program.main
+    state.liveness = compile_cache.cached(
+        function, ("liveness",), lambda: compute_liveness(function)
+    )
     return True
 
 

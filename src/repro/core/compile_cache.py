@@ -5,11 +5,12 @@ variants; most per-block products (dependence graphs, original
 schedules, speculation transforms, per-pattern dual-engine timings,
 baseline/squash recovery runs) depend on far fewer inputs than a whole
 sweep point, so recomputing them per point is the dominant sweep cost.
-This module gives every :class:`~repro.ir.block.BasicBlock` a weakly
-keyed memo dictionary; domain modules (:mod:`repro.core.speculation`,
-:mod:`repro.core.metrics`, :mod:`repro.core.program_sim`,
-:mod:`repro.compiler.passes`) store their products under explicit keys
-via :func:`cached`.
+This module gives every :class:`~repro.ir.block.BasicBlock` (and every
+:class:`~repro.ir.function.Function`, for whole-function analyses such
+as liveness) a weakly keyed memo dictionary; domain modules
+(:mod:`repro.core.speculation`, :mod:`repro.core.metrics`,
+:mod:`repro.core.program_sim`, :mod:`repro.compiler.passes`) store their
+products under explicit keys via :func:`cached`.
 
 Rules of the game:
 

@@ -43,6 +43,8 @@ class OpForm(enum.Enum):
     SPECULATIVE = "speculative"
     NONSPEC = "nonspec"
 
+    __hash__ = object.__hash__  # identity, as for repro.ir.opcodes.FUClass
+
 
 @dataclass(frozen=True)
 class SpecOpInfo:

@@ -469,7 +469,7 @@ def simulate_program(
     )
     registry = MetricsRegistry() if collect_metrics else NULL_METRICS
     spec = compilation.machine.predictor
-    predictor_label = spec.build().name
+    predictor_label = spec.kind
     if spec.table_entries is not None:
         predictor_label = f"table:{predictor_label}"
     _check_coverage(compilation)

@@ -30,6 +30,8 @@ class DepKind(enum.Enum):
                          # check operations its Synchronization-register
                          # wait bits depend on
 
+    __hash__ = object.__hash__  # identity, as for repro.ir.opcodes.FUClass
+
 
 @dataclass(frozen=True, slots=True)
 class DepEdge:

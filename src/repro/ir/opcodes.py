@@ -23,6 +23,10 @@ class FUClass(enum.Enum):
     MEM = "mem"
     BRANCH = "branch"
 
+    # Members are singletons compared by identity, so hash by identity
+    # too: Enum.__hash__ hashes the name in Python on every dict lookup.
+    __hash__ = object.__hash__
+
 
 class Opcode(enum.Enum):
     """Operation codes understood by the IR, interpreter and scheduler."""
@@ -71,6 +75,8 @@ class Opcode(enum.Enum):
     # front end never emits them.
     LDPRED = "ldpred"
     CHKPRED = "chkpred"
+
+    __hash__ = object.__hash__  # identity, as for FUClass
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Opcode.{self.name}"

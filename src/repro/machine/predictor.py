@@ -3,8 +3,9 @@
 A :class:`PredictorSpec` names the hardware value predictor a machine
 ships (paper Figure 5) plus its table geometry — as *data*, so a whole
 machine configuration (see :mod:`repro.machine.spec`) can be serialised,
-fingerprinted and swept.  :meth:`PredictorSpec.build` materialises the
-live :class:`repro.predict.base.ValuePredictor`; the default spec builds
+fingerprinted and swept.  The simulation runs the column kernel of the
+spec's kind (:mod:`repro.predict`, dispatched by
+:func:`repro.batchsim.outcomes.predictor_key`); the default spec is
 exactly the paper's profile configuration (stride + order-2 FCM behind a
 tournament chooser, unbounded table), so simulations that never mention
 a predictor spec behave identically to the historical default.
@@ -78,34 +79,6 @@ class PredictorSpec:
                 f"unknown predictor field(s): {', '.join(sorted(unknown))}"
             )
         return cls(**known)
-
-    # -- materialisation ---------------------------------------------------
-
-    def build(self):
-        """The live :class:`~repro.predict.base.ValuePredictor` this spec
-        describes.  The default spec is byte-for-byte the historical
-        :func:`repro.predict.hybrid.default_hybrid` configuration."""
-        from repro.predict.dfcm import DFCMPredictor
-        from repro.predict.fcm import FCMPredictor
-        from repro.predict.hybrid import HybridPredictor
-        from repro.predict.last_value import LastValuePredictor
-        from repro.predict.stride import StridePredictor
-
-        if self.kind == "stride":
-            return StridePredictor()
-        if self.kind == "fcm":
-            return FCMPredictor(order=self.fcm_order, table_bits=self.table_bits)
-        if self.kind == "dfcm":
-            return DFCMPredictor(order=self.fcm_order, table_bits=self.table_bits)
-        if self.kind == "last-value":
-            return LastValuePredictor()
-        return HybridPredictor(
-            [
-                StridePredictor(),
-                FCMPredictor(order=self.fcm_order, table_bits=self.table_bits),
-            ],
-            counter_max=self.counter_max,
-        )
 
     def __str__(self) -> str:
         table = "inf" if self.table_entries is None else str(self.table_entries)

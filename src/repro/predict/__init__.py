@@ -1,2 +1,2 @@
-"""Value predictors: last-value, stride, FCM, DFCM, hybrid, plus the
-hardware value-prediction table."""
+"""Value predictors as column kernels: last-value, stride, FCM, DFCM and
+the hybrid tournament over stride and FCM."""

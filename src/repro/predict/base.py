@@ -1,127 +1,38 @@
-"""Common interface for value predictors.
+"""The column-kernel protocol shared by every value predictor.
 
-Predictors are keyed by *static operation id* (the analogue of the
-instruction address that indexes hardware value-prediction tables).  The
-protocol is the standard two-phase one of the value-prediction literature
-[Lipasti et al., Sazeides & Smith]:
+Every predictor here keeps strictly per-static-operation state (the
+analogue of the instruction address that indexes a hardware
+value-prediction table), so its behaviour on one op depends only on
+that op's own value sequence.  Each predictor kind is therefore one
+*kernel*: a pure function from one op's values, in occurrence order, to
+its outcome :data:`Column` — per occurrence, whether the predictor
+offered a value and whether that value was right.  The scoring is the
+two-phase protocol of the value-prediction literature [Lipasti et al.,
+Sazeides & Smith]: predict from the state the earlier values left, score
+the prediction against the actual value (:func:`_values_equal`), then
+train on the actual value.
 
-* ``predict(key)`` — return the predicted next value, or ``None`` when
-  the predictor has no basis for a prediction yet;
-* ``update(key, actual)`` — train with the architecturally correct value.
-
-The profiling pass (:mod:`repro.batchsim.profiler`) scores each load's
-value stream under stride and FCM prediction to obtain per-load
-prediction rates, and the dynamic simulation runs the machine's predictor
-over each predicted op's stream as the hardware Value Predictor of the
-paper's Figure 5 (:mod:`repro.batchsim.outcomes`).
+The profile (:mod:`repro.batchsim.profiler`) sums the stride and FCM
+columns of each load to its per-load prediction rates, and the
+simulation (:mod:`repro.batchsim.outcomes`) takes the machine
+predictor's column of each predicted op as the hardware Value Predictor
+of the paper's Figure 5.  The test suite holds every kernel to a
+stateful one-value-at-a-time predictor class
+(``tests/predict/reference_predictors.py``).
 """
 
 from __future__ import annotations
 
-import abc
-from dataclasses import dataclass
-from typing import Dict, Hashable, Optional, Union
+from typing import List, Tuple, Union
 
-from repro.obs.metrics import MetricsRegistry, NULL_METRICS
+import numpy as np
 
 Value = Union[int, float]
-Key = Hashable
 
-
-@dataclass
-class PredictorStats:
-    """Running accuracy accounting for one predictor."""
-
-    predictions: int = 0
-    correct: int = 0
-    no_prediction: int = 0
-
-    @property
-    def attempts(self) -> int:
-        return self.predictions + self.no_prediction
-
-    @property
-    def accuracy(self) -> float:
-        """Fraction of actual predictions that were correct."""
-        if self.predictions == 0:
-            return 0.0
-        return self.correct / self.predictions
-
-    @property
-    def coverage(self) -> float:
-        """Fraction of opportunities for which a prediction was offered."""
-        if self.attempts == 0:
-            return 0.0
-        return self.predictions / self.attempts
-
-    @property
-    def hit_rate(self) -> float:
-        """Correct predictions over all opportunities (accuracy x coverage)."""
-        if self.attempts == 0:
-            return 0.0
-        return self.correct / self.attempts
-
-
-class ValuePredictor(abc.ABC):
-    """Abstract value predictor."""
-
-    name: str = "abstract"
-
-    def __init__(self) -> None:
-        self.stats = PredictorStats()
-        self._per_key: Dict[Key, PredictorStats] = {}
-        self._metrics: MetricsRegistry = NULL_METRICS
-
-    # -- core protocol -----------------------------------------------------
-
-    @abc.abstractmethod
-    def predict(self, key: Key) -> Optional[Value]:
-        """Predicted next value for ``key``, or ``None`` if unknown."""
-
-    @abc.abstractmethod
-    def update(self, key: Key, actual: Value) -> None:
-        """Train the predictor with the true outcome for ``key``."""
-
-    def reset(self) -> None:
-        """Discard all learned state and statistics."""
-        self.stats = PredictorStats()
-        self._per_key = {}
-
-    def attach_metrics(self, metrics: MetricsRegistry) -> None:
-        """Mirror :meth:`observe` outcomes into a metrics registry as
-        ``predict.hit`` / ``predict.miss`` / ``predict.no_prediction``
-        counters labelled by predictor type."""
-        self._metrics = metrics
-
-    # -- instrumented use ----------------------------------------------------
-
-    def observe(self, key: Key, actual: Value) -> Optional[Value]:
-        """Predict, score against ``actual``, then train.  Returns the
-        prediction that was made (or ``None``)."""
-        prediction = self.predict(key)
-        stats = self._per_key.setdefault(key, PredictorStats())
-        if prediction is None:
-            self.stats.no_prediction += 1
-            stats.no_prediction += 1
-            self._metrics.inc("predict.no_prediction", label=self.name)
-        else:
-            self.stats.predictions += 1
-            stats.predictions += 1
-            correct = _values_equal(prediction, actual)
-            if correct:
-                self.stats.correct += 1
-                stats.correct += 1
-            self._metrics.inc(
-                "predict.hit" if correct else "predict.miss", label=self.name
-            )
-        self.update(key, actual)
-        return prediction
-
-    def key_stats(self, key: Key) -> PredictorStats:
-        return self._per_key.get(key, PredictorStats())
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} acc={self.stats.accuracy:.3f} n={self.stats.attempts}>"
+#: ``(predicted, correct)``, one byte per occurrence: 1 where the
+#: predictor offered a value, and 1 where it offered one equal to the
+#: actual value.
+Column = Tuple[bytearray, bytearray]
 
 
 def _values_equal(a: Value, b: Value) -> bool:
@@ -129,3 +40,29 @@ def _values_equal(a: Value, b: Value) -> bool:
     if isinstance(a, float) or isinstance(b, float):
         return float(a) == float(b)
     return a == b
+
+
+def check_table(kind: str, order: int, table_bits: int) -> None:
+    """The (D)FCM geometry checks: ``order >= 1``, ``table_bits`` in [1, 30]."""
+    if order < 1:
+        raise ValueError(f"{kind} order must be >= 1")
+    if table_bits < 1 or table_bits > 30:
+        raise ValueError("table_bits must be in [1, 30]")
+
+
+def context_slots(stream: List[Value], order: int, table_bits: int) -> List[int]:
+    """Second-level table slot of every length-``order`` window of a
+    stream.
+
+    Entry *j* is the slot of the context ``stream[j:j + order]``, oldest
+    first: ``h = 0; for v in context: h = (h * 1000003) ^ hash(v)``,
+    then ``h % 2**table_bits``.  The low ``table_bits`` bits of a
+    product or an XOR depend only on the low bits of its operands, so
+    the fold runs vectorised in wrapping 64-bit arithmetic and keeps
+    exactly the bits of the unbounded Python one.
+    """
+    hashes = np.fromiter(map(hash, stream), dtype=np.int64, count=len(stream))
+    contexts = hashes
+    for m in range(1, order):
+        contexts = (contexts[:-1] * 1000003) ^ hashes[m:]
+    return (contexts & ((1 << table_bits) - 1)).tolist()

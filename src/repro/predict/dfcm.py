@@ -13,57 +13,44 @@ natural "next predictor up" for the ablation benchmarks.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, Optional, Tuple
+from typing import List
 
-from repro.predict.base import Key, Value, ValuePredictor
+from repro.predict.base import Column, Value, check_table, _values_equal, context_slots
 
 
-class DFCMPredictor(ValuePredictor):
-    """Order-``k`` differential finite-context-method predictor."""
+def dfcm_column(values: List[Value], order: int = 2, table_bits: int = 16) -> Column:
+    """Outcomes of order-``order`` DFCM prediction over one op's value list.
 
-    name = "dfcm"
-
-    def __init__(self, order: int = 2, table_bits: int = 16) -> None:
-        super().__init__()
-        if order < 1:
-            raise ValueError("DFCM order must be >= 1")
-        if table_bits < 1 or table_bits > 30:
-            raise ValueError("table_bits must be in [1, 30]")
-        self.order = order
-        self.table_size = 1 << table_bits
-        self._last: Dict[Key, Value] = {}
-        self._stride_history: Dict[Key, Deque[Value]] = {}
-        self._second_level: Dict[Tuple[Key, int], Value] = {}
-
-    def _context_hash(self, history: Deque[Value]) -> int:
-        h = 0
-        for value in history:
-            h = (h * 1000003) ^ hash(value)
-        return h % self.table_size
-
-    def predict(self, key: Key) -> Optional[Value]:
-        history = self._stride_history.get(key)
-        if history is None or len(history) < self.order:
-            return None
-        stride = self._second_level.get((key, self._context_hash(history)))
-        if stride is None:
-            return None
-        return self._last[key] + stride
-
-    def update(self, key: Key, actual: Value) -> None:
-        last = self._last.get(key)
-        self._last[key] = actual
-        if last is None:
-            return  # no stride to learn from yet
-        stride = actual - last
-        history = self._stride_history.setdefault(key, deque(maxlen=self.order))
-        if len(history) == self.order:
-            self._second_level[(key, self._context_hash(history))] = stride
-        history.append(stride)
-
-    def reset(self) -> None:
-        super().reset()
-        self._last = {}
-        self._stride_history = {}
-        self._second_level = {}
+    The strides between consecutive values play FCM's values: occurrence
+    *i* is predicted once ``order`` strides precede it (``i > order``)
+    and their context slot was trained, as ``values[i - 1]`` plus the
+    stride that followed that slot last.
+    """
+    check_table("DFCM", order, table_bits)
+    n = len(values)
+    predicted = bytearray(n)
+    correct = bytearray(n)
+    if n <= order + 1:
+        return predicted, correct
+    strides = [value - last for last, value in zip(values, values[1:])]
+    slots = context_slots(strides, order, table_bits)
+    table = {}
+    get = table.get
+    # Occurrence i reads the context of strides[i - order - 1 : i - 1]
+    # and trains its slot with strides[i - 1], the stride into it.
+    i = order + 1
+    for slot, last, stride in zip(slots, values[order:], strides[order:]):
+        learned = get(slot)
+        if learned is not None:
+            predicted[i] = 1
+            prediction = last + learned
+            value = values[i]
+            # Same type: ``==`` is what _values_equal computes.
+            correct[i] = (
+                prediction == value
+                if type(prediction) is type(value)
+                else _values_equal(prediction, value)
+            )
+        table[slot] = stride
+        i += 1
+    return predicted, correct

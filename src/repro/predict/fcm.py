@@ -10,47 +10,40 @@ profile predictor of the paper.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, Optional, Tuple
+from typing import List
 
-from repro.predict.base import Key, Value, ValuePredictor
+from repro.predict.base import Column, Value, check_table, _values_equal, context_slots
 
 
-class FCMPredictor(ValuePredictor):
-    """Order-``k`` finite-context-method predictor."""
+def fcm_column(values: List[Value], order: int = 2, table_bits: int = 16) -> Column:
+    """Outcomes of order-``order`` FCM prediction over one op's value list.
 
-    name = "fcm"
-
-    def __init__(self, order: int = 2, table_bits: int = 16) -> None:
-        super().__init__()
-        if order < 1:
-            raise ValueError("FCM order must be >= 1")
-        if table_bits < 1 or table_bits > 30:
-            raise ValueError("table_bits must be in [1, 30]")
-        self.order = order
-        self.table_size = 1 << table_bits
-        self._history: Dict[Key, Deque[Value]] = {}
-        self._second_level: Dict[Tuple[Key, int], Value] = {}
-
-    def _context_hash(self, history: Deque[Value]) -> int:
-        h = 0
-        for value in history:
-            h = (h * 1000003) ^ hash(value)
-        return h % self.table_size
-
-    def predict(self, key: Key) -> Optional[Value]:
-        history = self._history.get(key)
-        if history is None or len(history) < self.order:
-            return None
-        return self._second_level.get((key, self._context_hash(history)))
-
-    def update(self, key: Key, actual: Value) -> None:
-        history = self._history.setdefault(key, deque(maxlen=self.order))
-        if len(history) == self.order:
-            self._second_level[(key, self._context_hash(history))] = actual
-        history.append(actual)
-
-    def reset(self) -> None:
-        super().reset()
-        self._history = {}
-        self._second_level = {}
+    The first ``order`` occurrences fill the context and get no
+    prediction.  After that an occurrence is predicted when its context
+    (the ``order`` values before it) hashes to a slot of the
+    ``2**table_bits``-entry second level that an earlier occurrence
+    trained; the prediction is the value that followed that slot last.
+    """
+    check_table("FCM", order, table_bits)
+    n = len(values)
+    predicted = bytearray(n)
+    correct = bytearray(n)
+    if n <= order:
+        return predicted, correct
+    slots = context_slots(values, order, table_bits)
+    table = {}
+    get = table.get
+    i = order
+    for slot, value in zip(slots, values[order:]):
+        prediction = get(slot)
+        if prediction is not None:
+            predicted[i] = 1
+            # Same type: ``==`` is what _values_equal computes.
+            correct[i] = (
+                prediction == value
+                if type(prediction) is type(value)
+                else _values_equal(prediction, value)
+            )
+        table[slot] = value
+        i += 1
+    return predicted, correct

@@ -3,80 +3,58 @@
 The paper profiles each operation with both stride and FCM and uses "the
 higher value out of these two prediction rates".  The run-time analogue is
 a tournament predictor: both components train on every outcome, and a
-per-key saturating chooser selects which component's prediction to use.
+per-op saturating chooser selects which component's prediction to use.
+
+The chooser reads only whether each component predicted and whether it
+was right, so the hybrid's column is a fold over its components'
+columns: no value is looked at again.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Tuple
 
-from repro.predict.base import Key, Value, ValuePredictor, _values_equal
-from repro.predict.fcm import FCMPredictor
-from repro.predict.stride import StridePredictor
+from repro.predict.base import Column
 
 
-class HybridPredictor(ValuePredictor):
-    """Tournament over component predictors with a per-key chooser.
+def hybrid_column(
+    first: Tuple[bytes, bytes], second: Tuple[bytes, bytes], counter_max: int = 8
+) -> Column:
+    """Outcomes of the tournament over two component columns.
 
-    The chooser is a saturating counter per key: positive favours the
-    first component, negative the second (generalised to N components as
-    per-component scores).
+    ``first`` and ``second`` are the components' ``(predicted, correct)``
+    columns over the same op (the paper's configuration is stride, then
+    FCM).  Each component has a chooser score in
+    ``[-counter_max, counter_max]``, starting at 0, that every
+    prediction it offers moves one step up when right and one step down
+    when wrong.  An occurrence takes the prediction of the
+    better-scored component that offers one; ties go to ``first``.
     """
-
-    name = "hybrid"
-
-    def __init__(
-        self,
-        components: Optional[Sequence[ValuePredictor]] = None,
-        counter_max: int = 8,
-    ) -> None:
-        super().__init__()
-        self.components: list[ValuePredictor] = list(
-            components if components is not None else (StridePredictor(), FCMPredictor())
-        )
-        if not self.components:
-            raise ValueError("hybrid predictor needs at least one component")
-        self.counter_max = counter_max
-        self._scores: Dict[Key, list[int]] = {}
-
-    def _score_row(self, key: Key) -> list[int]:
-        return self._scores.setdefault(key, [0] * len(self.components))
-
-    def predict(self, key: Key) -> Optional[Value]:
-        row = self._score_row(key)
-        # Try components from best score down; first one with an actual
-        # prediction wins.
-        order = sorted(range(len(self.components)), key=lambda i: row[i], reverse=True)
-        for i in order:
-            prediction = self.components[i].predict(key)
-            if prediction is not None:
-                return prediction
-        return None
-
-    def update(self, key: Key, actual: Value) -> None:
-        row = self._score_row(key)
-        for i, component in enumerate(self.components):
-            prediction = component.predict(key)
-            if prediction is not None:
-                if _values_equal(prediction, actual):
-                    row[i] = min(self.counter_max, row[i] + 1)
-                else:
-                    row[i] = max(-self.counter_max, row[i] - 1)
-            component.update(key, actual)
-
-    def reset(self) -> None:
-        super().reset()
-        for component in self.components:
-            component.reset()
-        self._scores = {}
-
-    def chosen_component(self, key: Key) -> ValuePredictor:
-        """The component the chooser currently favours for a key."""
-        row = self._score_row(key)
-        best = max(range(len(self.components)), key=lambda i: row[i])
-        return self.components[best]
-
-
-def default_hybrid() -> HybridPredictor:
-    """The paper's profile configuration: stride + order-2 FCM."""
-    return HybridPredictor([StridePredictor(), FCMPredictor(order=2)])
+    first_predicted, first_correct = first
+    second_predicted, second_correct = second
+    n = len(first_predicted)
+    predicted = bytearray(n)
+    correct = bytearray(n)
+    a = b = 0  # chooser scores of first and second
+    low = -counter_max
+    i = 0
+    for pa, ca, pb, cb in zip(
+        first_predicted, first_correct, second_predicted, second_correct
+    ):
+        if pa or pb:
+            predicted[i] = 1
+            correct[i] = ca if pa and (a >= b or not pb) else cb
+            if pa:
+                if ca:
+                    if a < counter_max:
+                        a += 1
+                elif a > low:
+                    a -= 1
+            if pb:
+                if cb:
+                    if b < counter_max:
+                        b += 1
+                elif b > low:
+                    b -= 1
+        i += 1
+    return predicted, correct

@@ -8,26 +8,26 @@ with stride and FCM.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import List
 
-from repro.predict.base import Key, Value, ValuePredictor
+from repro.predict.base import Column, Value, _values_equal
 
 
-class LastValuePredictor(ValuePredictor):
-    """Predict the previously seen value for the same static operation."""
+def last_value_column(values: List[Value]) -> Column:
+    """Outcomes of predicting each value as the one before it.
 
-    name = "last-value"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._last: Dict[Key, Value] = {}
-
-    def predict(self, key: Key) -> Optional[Value]:
-        return self._last.get(key)
-
-    def update(self, key: Key, actual: Value) -> None:
-        self._last[key] = actual
-
-    def reset(self) -> None:
-        super().reset()
-        self._last = {}
+    ``values`` is one op's value list in occurrence order; the first
+    occurrence gets no prediction.
+    """
+    if not values:
+        return bytearray(), bytearray()
+    predicted = bytearray(b"\x01") * len(values)
+    predicted[0] = 0
+    # Same type: ``==`` is what _values_equal computes.
+    correct = bytearray(1) + bytearray(
+        prediction == value
+        if type(prediction) is type(value)
+        else _values_equal(prediction, value)
+        for prediction, value in zip(values, values[1:])
+    )
+    return predicted, correct

@@ -9,60 +9,40 @@ profile predictor of the paper's experimental section.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import List
 
-from repro.predict.base import Key, Value, ValuePredictor
-
-
-@dataclass
-class _StrideEntry:
-    last: Value
-    stride: Value = 0
-    candidate: Value = 0
-    seen: int = 1  # number of values observed for this key
+from repro.predict.base import Column, Value, _values_equal
 
 
-class StridePredictor(ValuePredictor):
-    """Predict ``last + stride`` with two-delta stride update."""
+def stride_column(values: List[Value]) -> Column:
+    """Outcomes of two-delta stride prediction over one op's value list.
 
-    name = "stride"
-
-    def __init__(self, two_delta: bool = True) -> None:
-        super().__init__()
-        self.two_delta = two_delta
-        self._table: Dict[Key, _StrideEntry] = {}
-
-    def predict(self, key: Key) -> Optional[Value]:
-        entry = self._table.get(key)
-        if entry is None or entry.seen < 2:
-            # With one observation there is no delta yet; predicting
-            # last+0 would just be last-value prediction, which we allow.
-            if entry is None:
-                return None
-            return entry.last
-        return entry.last + entry.stride
-
-    def update(self, key: Key, actual: Value) -> None:
-        entry = self._table.get(key)
-        if entry is None:
-            self._table[key] = _StrideEntry(last=actual)
-            return
-        delta = actual - entry.last
-        if self.two_delta:
-            if delta == entry.candidate:
-                entry.stride = delta
-            entry.candidate = delta
-        else:
-            entry.stride = delta
-        entry.last = actual
-        entry.seen += 1
-
-    def reset(self) -> None:
-        super().reset()
-        self._table = {}
-
-    def stride_of(self, key: Key) -> Optional[Value]:
-        """Currently committed stride for a key (diagnostics)."""
-        entry = self._table.get(key)
-        return None if entry is None else entry.stride
+    The first occurrence gets no prediction.  With one value seen there
+    is no delta yet, so the second is predicted as the first (last-value
+    prediction); from then on the prediction is ``last + stride``, where
+    ``stride`` is the last delta seen twice in a row (initially 0).
+    """
+    n = len(values)
+    if not n:
+        return bytearray(), bytearray()
+    predicted = bytearray(b"\x01") * n
+    predicted[0] = 0
+    correct = bytearray(n)
+    last = prediction = values[0]
+    stride = candidate = 0
+    i = 1
+    for value in values[1:]:
+        # Same type: ``==`` is what _values_equal computes.
+        correct[i] = (
+            prediction == value
+            if type(prediction) is type(value)
+            else _values_equal(prediction, value)
+        )
+        delta = value - last
+        if delta == candidate:
+            stride = delta
+        candidate = delta
+        last = value
+        prediction = last + stride
+        i += 1
+    return predicted, correct

@@ -2,8 +2,9 @@
 
 ``batch_profile`` promises the identical :class:`ProfileData` the
 scalar trace replay produces — same counters, same dict orders (both
-are pickled into runner cache keys downstream).  ``column_stats`` is
-additionally pinned against the real predictor objects it inlines.
+are pickled into runner cache keys downstream).  The per-load counters
+it sums from the stride and FCM column kernels are additionally pinned
+against the stateful reference predictors.
 """
 
 from __future__ import annotations
@@ -15,24 +16,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.batchsim.context import BatchContext
-from repro.batchsim.profiler import batch_profile, column_stats
+from repro.batchsim.profiler import batch_profile
 from repro.predict.base import _values_equal
-from repro.predict.fcm import FCMPredictor
-from repro.predict.stride import StridePredictor
+from repro.predict.fcm import fcm_column
+from repro.predict.stride import stride_column
 from repro.profiling.profile_run import profile_program
+from repro.profiling.value_profile import LoadValueStats
 from repro.trace.capture import capture_trace
 from repro.workloads.suite import load_suite
+from tests.predict.reference_predictors import FCMPredictor, StridePredictor
 from tests.trace.reference_runs import observed_profile, replayed
 
 SUITE = load_suite(scale=0.25)
 TRACES = {name: capture_trace(program) for name, program in SUITE.items()}
 
 
-def scalar_column_stats(values):
-    """Reference: one key driven through the real predictor objects,
-    exactly as the reference ``ValueProfiler.operation_executed`` does."""
-    from repro.profiling.value_profile import LoadValueStats
+def column_stats(values):
+    """The profile counters of one load as ``batch_profile`` sums them
+    from its stride and order-2 FCM columns."""
+    return LoadValueStats(
+        executions=len(values),
+        stride_correct=sum(stride_column(values)[1]),
+        fcm_correct=sum(fcm_column(values, 2, 16)[1]),
+    )
 
+
+def scalar_column_stats(values):
+    """Reference: one key driven through the stateful predictor classes,
+    exactly as the reference ``ValueProfiler.operation_executed`` does."""
     stride = StridePredictor()
     fcm = FCMPredictor(order=2)
     stats = LoadValueStats()

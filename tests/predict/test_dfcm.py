@@ -2,9 +2,7 @@
 
 import pytest
 
-from repro.predict.dfcm import DFCMPredictor
-from repro.predict.fcm import FCMPredictor
-from repro.predict.stride import StridePredictor
+from tests.predict.reference_predictors import DFCMPredictor, FCMPredictor, StridePredictor
 
 
 def feed(predictor, values, key="k"):
@@ -80,7 +78,7 @@ class TestDFCM:
             DFCMPredictor(table_bits=40)
 
     def test_in_hybrid(self):
-        from repro.predict.hybrid import HybridPredictor
+        from tests.predict.reference_predictors import HybridPredictor
 
         hybrid = HybridPredictor([StridePredictor(), DFCMPredictor()])
         values = [0]

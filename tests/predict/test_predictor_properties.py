@@ -3,10 +3,12 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.predict.fcm import FCMPredictor
-from repro.predict.hybrid import default_hybrid
-from repro.predict.last_value import LastValuePredictor
-from repro.predict.stride import StridePredictor
+from tests.predict.reference_predictors import (
+    FCMPredictor,
+    LastValuePredictor,
+    StridePredictor,
+    default_hybrid,
+)
 
 _PREDICTOR_FACTORIES = [
     LastValuePredictor,

