@@ -2,9 +2,10 @@
 
 Sweeps simulate the *same* program blocks under many machine/threshold
 variants; most per-block products (dependence graphs, original
-schedules, speculation transforms, per-pattern dual-engine timings,
-baseline/squash recovery runs) depend on far fewer inputs than a whole
-sweep point, so recomputing them per point is the dominant sweep cost.
+schedules, speculation transforms and the trial kit they read,
+per-pattern dual-engine timings, baseline/squash recovery runs) depend
+on far fewer inputs than a whole sweep point, so recomputing them per
+point is the dominant sweep cost.
 This module gives every :class:`~repro.ir.block.BasicBlock` (and every
 :class:`~repro.ir.function.Function`, for whole-function analyses such
 as liveness) a weakly keyed memo dictionary; domain modules

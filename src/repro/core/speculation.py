@@ -144,6 +144,53 @@ def _predictable(op: Operation) -> bool:
     return op.is_load or (is_alu(op.opcode) and op.dest is not None)
 
 
+class _TransformKit:
+    """Static facts of one block's original dependence graph, read by
+    every trial transform of the block (memoised per latency table).
+
+    The shared dependence graph itself (its flow cones), and per op id:
+    the flow predecessor ids, the original pred and succ edge lists
+    (tuples, shared by every trial graph in which the op gains no edge)
+    and its ``PLAIN`` annotation (frozen, so shared by every trial that
+    leaves the op plain); plus program positions, the op-by-id map, the
+    membership set of the block's operation objects and the ops that are
+    never speculated.
+    """
+
+    __slots__ = (
+        "graph", "position", "op_by_id", "members", "flow_preds",
+        "preds", "succs", "plain", "unspeculable",
+    )
+
+    def __init__(self, block: BasicBlock, graph) -> None:
+        from repro.core.isa_ext import OpForm, SpecOpInfo
+
+        ops = block.operations
+        self.graph = graph
+        self.plain = {op.op_id: SpecOpInfo(form=OpForm.PLAIN) for op in ops}
+        # Stores and branches are never speculated, nor loads (a tainted
+        # address could fault): tainted, they wait for verification.
+        self.unspeculable = frozenset(
+            op.op_id for op in ops if op.has_side_effect or op.is_load
+        )
+        self.position = {op.op_id: i for i, op in enumerate(ops)}
+        self.op_by_id = {op.op_id: op for op in ops}
+        self.members = frozenset(id(op) for op in ops)
+        self.preds = {op.op_id: tuple(graph.pred_edges(op.op_id)) for op in ops}
+        self.succs = {op.op_id: tuple(graph.succ_edges(op.op_id)) for op in ops}
+        self.flow_preds = {
+            op.op_id: tuple(graph.flow_predecessors(op.op_id)) for op in ops
+        }
+
+
+def _transform_kit(block: BasicBlock, machine: MachineDescription) -> _TransformKit:
+    return compile_cache.cached(
+        block,
+        ("xkit", compile_cache.latency_fingerprint(machine)),
+        lambda: _TransformKit(block, _shared_ddg(block, machine)),
+    )
+
+
 def transform_block(
     block: BasicBlock,
     machine: MachineDescription,
@@ -160,8 +207,18 @@ def transform_block(
     lives in :func:`speculate_block`; this function is the mechanical
     rewrite and is exposed separately so tests and the worked paper
     example can force specific prediction sets.
+
+    A trial costs what it changes: only the flow cone of the predicted
+    ops can be tainted (every other op stays ``PLAIN``), and edges
+    between two original ops carry over verbatim; only edges touching a
+    LdPred or check are built, deduplicated to the strongest weight per
+    ``(src, dst, kind)``.  The per-node edge *order* differs from an
+    ``add_edge`` rebuild, which nothing reads: the scheduler and the
+    critical-path analysis take maxima and counts over edges.
     """
-    from repro.ddg.graph import DepKind, DependenceGraph
+    from bisect import bisect_right
+
+    from repro.ddg.graph import DepEdge, DepKind, DependenceGraph
     from repro.ir.opcodes import Opcode
     from repro.ir.operation import Operation
     from repro.core.isa_ext import OpForm, SpecOpInfo, SpeculativeBlock
@@ -170,18 +227,15 @@ def transform_block(
     config = config or SpeculationConfig()
     if id_base is None:
         id_base = max((op.op_id for op in block.operations), default=0) + 1
-    original_graph = _shared_ddg(block, machine)
-    members = {id(op) for op in block.operations}
+    kit = _transform_kit(block, machine)
     for op in predicted_loads:
-        if id(op) not in members:
+        if id(op) not in kit.members:
             raise ValueError(f"{op} is not an operation of block {block.label!r}")
         if not _predictable(op):
             raise ValueError(
                 f"only loads and pure value-producing ops can be predicted, got {op}"
             )
-
-    predicted_ids = {op.op_id for op in predicted_loads}
-    op_by_id = {op.op_id: op for op in block.operations}
+    position = kit.position
 
     # -- create LdPred and check ops -------------------------------------
     # The check form re-executes the predicted operation and compares:
@@ -200,14 +254,11 @@ def transform_block(
             offset=op.offset,
             op_id=ldpred_id + 1,
         )
-    predicted_by_check = {
-        check_for[l.op_id].op_id: l.op_id for l in predicted_loads
-    }
     load_of_ldpred = {
         ldpred.op_id: load_id for load_id, ldpred in ldpred_for.items()
     }
 
-    # -- classify every original operation --------------------------------
+    # -- classify the flow cone of the predictions ------------------------
     # The pass cannot use more sync bits than the machine physically has,
     # whatever the pass config asks for (registry machines declare 64,
     # matching the config default, so paper schedules are unchanged).
@@ -215,7 +266,6 @@ def transform_block(
         width=min(config.sync_width, machine.sync_width)
     )
     info: Dict[int, SpecOpInfo] = {}
-
     for load in predicted_loads:
         ldpred = ldpred_for[load.op_id]
         bit = allocator.allocate(ldpred.op_id)
@@ -223,36 +273,34 @@ def transform_block(
             form=OpForm.LDPRED, origins=frozenset({ldpred.op_id}), sync_bit=bit
         )
 
-    def producer_taint(op: Operation) -> FrozenSet[int]:
-        """Origins reaching ``op`` through its operand producers."""
+    # Taint flows only along flow edges, from a prediction or from a
+    # speculated op (itself tainted), so ops outside the flow cone of the
+    # predicted ops stay PLAIN.  The cone is classified in program order,
+    # which is also the order Sync bits are allocated in.
+    flow_preds = kit.flow_preds
+    cone = kit.graph.flow_reachable_from(list(ldpred_for))
+    cone.update(ldpred_for)
+    # Keyed by *original* op id (a predicted op's entry is its check's).
+    classified: Dict[int, SpecOpInfo] = {}
+    op_by_id = kit.op_by_id
+    unspeculable = kit.unspeculable
+    pinned_live_out = frozenset() if config.speculate_liveout else live_out
+    for op_id in sorted(cone, key=position.__getitem__):
+        # The origins reaching the op through its operand producers, and
+        # the bits of the most recent predicted producers of the operands.
         taint: Set[int] = set()
-        for pred_id in original_graph.flow_predecessors(op.op_id):
-            if pred_id in predicted_ids:
-                taint.add(ldpred_for[pred_id].op_id)
+        bits: Set[int] = set()
+        for pred_id in flow_preds[op_id]:
+            if pred_id in ldpred_for:
+                ldpred_id = ldpred_for[pred_id].op_id
+                taint.add(ldpred_id)
+                bits.add(info[ldpred_id].sync_bit)
             else:
-                pred_info = info.get(pred_id)
+                pred_info = classified.get(pred_id)
                 if pred_info is not None and pred_info.form is OpForm.SPECULATIVE:
                     taint.update(pred_info.origins)
-        return frozenset(taint)
-
-    def immediate_wait_bits(op: Operation) -> FrozenSet[int]:
-        """Bits of the most recent predicted producers of the operands."""
-        bits: Set[int] = set()
-        for pred_id in original_graph.flow_predecessors(op.op_id):
-            if pred_id in predicted_ids:
-                bits.add(info[ldpred_for[pred_id].op_id].sync_bit)
-            else:
-                pred_info = info.get(pred_id)
-                if (
-                    pred_info is not None
-                    and pred_info.form is OpForm.SPECULATIVE
-                    and pred_info.sync_bit is not None
-                ):
                     bits.add(pred_info.sync_bit)
-        return frozenset(bits)
-
-    for op in block.operations:
-        if op.op_id in predicted_ids:
+        if op_id in ldpred_for:
             # The check form inherits the load's operand (address)
             # dependences.  A tainted address means the *check* must wait
             # for verification — this is what permits predicting chained
@@ -262,121 +310,140 @@ def transform_block(
             # value is independent of the address computation, so
             # consumers of the prediction are tainted only by this
             # load's own LdPred, never by the address chain.
-            taint = producer_taint(op)
-            info[check_for[op.op_id].op_id] = SpecOpInfo(
+            classified[op_id] = SpecOpInfo(
                 form=OpForm.CHECK,
-                origins=taint,
-                wait_bits=immediate_wait_bits(op),
-                verifies=ldpred_for[op.op_id].op_id,
+                origins=frozenset(taint),
+                wait_bits=frozenset(bits),
+                verifies=ldpred_for[op_id].op_id,
             )
             continue
-        taint = producer_taint(op)
         if not taint:
-            info[op.op_id] = SpecOpInfo(form=OpForm.PLAIN)
-            continue
-        must_be_nonspec = (
-            op.has_side_effect
-            or op.is_load
-            or (op.dest is not None and op.dest in live_out and not config.speculate_liveout)
-        )
-        if not must_be_nonspec:
+            continue  # PLAIN after all
+        if op_id not in unspeculable and op_by_id[op_id].dest not in pinned_live_out:
             try:
-                bit = allocator.allocate(op.op_id)
+                bit = allocator.allocate(op_id)
             except SyncRegisterOverflow:
-                must_be_nonspec = True  # graceful demotion
+                pass  # graceful demotion
             else:
-                info[op.op_id] = SpecOpInfo(
-                    form=OpForm.SPECULATIVE, origins=taint, sync_bit=bit
+                classified[op_id] = SpecOpInfo(
+                    form=OpForm.SPECULATIVE, origins=frozenset(taint), sync_bit=bit
                 )
                 continue
-        info[op.op_id] = SpecOpInfo(
-            form=OpForm.NONSPEC, origins=taint, wait_bits=immediate_wait_bits(op)
+        classified[op_id] = SpecOpInfo(
+            form=OpForm.NONSPEC, origins=frozenset(taint), wait_bits=frozenset(bits)
         )
 
-    # -- transformed operation list ----------------------------------------
+    # -- transformed operation list and carried-over edges -------------------
     # Each LdPred sits immediately before its check (at the original
     # load's position).  This keeps the operation list topologically
     # ordered even when the load's destination register has earlier
     # definitions or uses (whose anti/output edges also constrain the
     # LdPred); the scheduler is constrained only by edges, so the early
-    # issue of LdPred is unaffected.
+    # issue of LdPred is unaffected.  Edges between two original ops
+    # carry over as they are: an op sharing no edge with a predicted op
+    # keeps the kit's edge tuples, the others drop their predicted-op edges.
     operations: List[Operation] = []
+    plain = kit.plain
     for op in block.operations:
-        if op.op_id in predicted_ids:
-            operations.append(ldpred_for[op.op_id])
-            operations.append(check_for[op.op_id])
+        op_id = op.op_id
+        if op_id in ldpred_for:
+            ldpred, check = ldpred_for[op_id], check_for[op_id]
+            operations.append(ldpred)
+            operations.append(check)
+            info[check.op_id] = classified[op_id]
         else:
             operations.append(op)
+            info[op_id] = classified.get(op_id) or plain[op_id]
+    preds: Dict[int, Sequence[DepEdge]] = dict(kit.preds)
+    succs: Dict[int, Sequence[DepEdge]] = dict(kit.succs)
+    touched: Set[int] = set()
+    for load_id in ldpred_for:
+        touched.update(e.src for e in preds.pop(load_id))
+        touched.update(e.dst for e in succs.pop(load_id))
+    for op_id in touched - ldpred_for.keys():
+        preds[op_id] = [e for e in preds[op_id] if e.src not in ldpred_for]
+        succs[op_id] = [e for e in succs[op_id] if e.dst not in ldpred_for]
+    for ldpred_id in load_of_ldpred:
+        preds[ldpred_id] = []
+        succs[ldpred_id] = []
+        preds[ldpred_id + 1] = []
+        succs[ldpred_id + 1] = []
 
-    # -- rewire the dependence graph -----------------------------------------
-    graph = DependenceGraph(operations)
+    # -- rewire the edges touching a LdPred or check -------------------------
+    # Keyed (src, dst, kind) -> weight: only the strongest constraint
+    # between a pair for a kind is kept, as DependenceGraph.add_edge does.
+    # No such edge can duplicate a carried-over one (those join two
+    # original ops).  A LdPred's check is the next id (module docstring),
+    # so ``origin + 1`` is the check verifying LdPred ``origin``.
+    added: Dict[tuple, int] = {}
+
+    def add(src: int, dst: int, kind: DepKind, weight: int) -> None:
+        key = (src, dst, kind)
+        if added.get(key, -1) < weight:
+            added[key] = weight
+
+    def node(op_id: int) -> int:
+        """Id of the transformed node standing for original op ``op_id``."""
+        return check_for[op_id].op_id if op_id in check_for else op_id
+
+    check_latency = {
+        load_id: machine.latency(check.opcode) for load_id, check in check_for.items()
+    }
+    flow, sync = DepKind.FLOW, DepKind.SYNC
+    reg_orders = (DepKind.ANTI, DepKind.OUTPUT)
     terminator = block.terminator
-    ldpred_latency = machine.latency(Opcode.LDPRED)
-
-    def check_latency(check_op: Operation) -> int:
-        return machine.latency(check_op.opcode)
-
-    def node(op_id: int) -> Operation:
-        """Transformed node standing for original op ``op_id``."""
-        return check_for[op_id] if op_id in predicted_ids else op_by_id[op_id]
-
     for load in predicted_loads:
-        ldpred = ldpred_for[load.op_id]
-        check = check_for[load.op_id]
+        ldpred_id = ldpred_for[load.op_id].op_id
+        check_id = ldpred_id + 1
         # LdPred writes the destination before the check (re)writes it.
-        graph.add_edge(ldpred, check, DepKind.OUTPUT, 1)
+        add(ldpred_id, check_id, DepKind.OUTPUT, 1)
         if terminator is not None:
-            graph.add_edge(ldpred, node(terminator.op_id), DepKind.CONTROL, 0)
-        for edge in original_graph.predecessors(load.op_id):
+            add(ldpred_id, node(terminator.op_id), DepKind.CONTROL, 0)
+        for edge in kit.preds[load.op_id]:
             src = node(edge.src)
             # The check inherits all of the load's constraints.  When the
             # producer is itself a predicted load, node() maps it to its
             # check, so the address comes from the *verified* value.
             weight = edge.weight
-            if edge.kind is DepKind.FLOW and edge.src in predicted_ids:
-                weight = check_latency(check_for[edge.src])
-            graph.add_edge(src, check, edge.kind, weight)
+            if edge.kind is flow and edge.src in check_for:
+                weight = check_latency[edge.src]
+            add(src, check_id, edge.kind, weight)
             # Writes of the destination register also constrain LdPred.
-            if edge.kind in (DepKind.ANTI, DepKind.OUTPUT):
-                graph.add_edge(src, ldpred, edge.kind, edge.weight)
+            if edge.kind in reg_orders:
+                add(src, ldpred_id, edge.kind, edge.weight)
         # A check with tainted address operands must also wait for the
         # verification of every origin prediction (best-case timing: the
         # origin checks' completions).
-        for origin in info[check.op_id].origins:
-            origin_check = check_for[load_of_ldpred[origin]]
-            if origin_check.op_id != check.op_id:
-                graph.add_edge(
-                    origin_check, check, DepKind.SYNC, check_latency(origin_check)
-                )
-
-    for op in block.operations:
-        if op.op_id in predicted_ids:
-            continue
-        dst = node(op.op_id)
-        op_info = info[op.op_id]
-        for edge in original_graph.predecessors(op.op_id):
-            if edge.src in predicted_ids:
-                ldpred = ldpred_for[edge.src]
-                check = check_for[edge.src]
-                if edge.kind is DepKind.FLOW:
-                    if op_info.form is OpForm.SPECULATIVE:
-                        graph.add_edge(ldpred, dst, DepKind.FLOW, ldpred_latency)
-                    else:
-                        graph.add_edge(
-                            check, dst, DepKind.FLOW, check_latency(check)
-                        )
+        for origin in info[check_id].origins:
+            origin_load = load_of_ldpred[origin]
+            if origin + 1 != check_id:
+                add(origin + 1, check_id, sync, check_latency[origin_load])
+        # Consumers of the prediction: speculated ones read the LdPred,
+        # the rest the verified value of the check.
+        for edge in kit.succs[load.op_id]:
+            dst = edge.dst
+            if dst in check_for:
+                continue  # drawn above, as the successor's own constraint
+            if edge.kind is flow:
+                if info[dst].form is OpForm.SPECULATIVE:
+                    add(ldpred_id, dst, flow, machine.latency(Opcode.LDPRED))
                 else:
-                    graph.add_edge(check, dst, edge.kind, edge.weight)
-                    if edge.kind in (DepKind.ANTI, DepKind.OUTPUT):
-                        graph.add_edge(ldpred, dst, edge.kind, edge.weight)
+                    add(check_id, dst, flow, check_latency[load.op_id])
             else:
-                graph.add_edge(node(edge.src), dst, edge.kind, edge.weight)
-        # Non-speculative ops wait for verification: in the all-correct
-        # case their wait bits clear when the relevant checks complete.
-        if op_info.form is OpForm.NONSPEC:
-            for origin in op_info.origins:
-                check = check_for[load_of_ldpred[origin]]
-                graph.add_edge(check, dst, DepKind.SYNC, check_latency(check))
+                add(check_id, dst, edge.kind, edge.weight)
+                if edge.kind in reg_orders:
+                    add(ldpred_id, dst, edge.kind, edge.weight)
+
+    # Non-speculative ops wait for verification: in the all-correct case
+    # their wait bits clear when the relevant checks complete.
+    waiting_nonspec: List[int] = []
+    for op_id, op_info in classified.items():
+        if op_id in check_for or op_info.form is not OpForm.NONSPEC:
+            continue
+        for origin in op_info.origins:
+            add(origin + 1, op_id, sync, check_latency[load_of_ldpred[origin]])
+        if op_info.wait_bits:
+            waiting_nonspec.append(op_id)
 
     # Deadlock avoidance (see module docstring): every check issues
     # strictly before any instruction that can stall on sync bits.
@@ -384,47 +451,48 @@ def transform_block(
     # are chained among each other in program order (acyclic, since an
     # address can only derive from an earlier load's value), and receive
     # ordering edges from all non-waiting checks.
-    position = {op.op_id: i for i, op in enumerate(block.operations)}
-    waiting_nonspec = [
-        op for op in block.operations
-        if op.op_id not in predicted_ids
-        and info[op.op_id].form is OpForm.NONSPEC
-        and info[op.op_id].wait_bits
-    ]
-    checks = [check_for[l.op_id] for l in predicted_loads]
-    waiting_checks = sorted(
-        (c for c in checks if info[c.op_id].wait_bits),
-        key=lambda c: position[predicted_by_check[c.op_id]],
-    )
-
-    def check_position(check_op) -> int:
-        return position[predicted_by_check[check_op.op_id]]
-
+    #
     # Ordering edges must only run *forward* in program order — a
     # backward edge could close a cycle through the value chain feeding a
     # later check's address.  Forward-only ordering covers the common
     # case; prediction sets whose schedules could still deadlock are
     # rejected by the exhaustive outcome validation in speculate_block.
-    for check in checks:
-        for op in waiting_nonspec:
-            if position[op.op_id] > check_position(check):
-                graph.add_edge(check, op, DepKind.SYNC, 1)
-        if not info[check.op_id].wait_bits:
-            for waiting in waiting_checks:
-                if (
-                    waiting.op_id != check.op_id
-                    and check_position(waiting) > check_position(check)
-                ):
-                    graph.add_edge(check, waiting, DepKind.SYNC, 1)
+    # Both waiting lists are position-sorted (``classified`` is in
+    # program order), so each check's targets are a suffix of each.
+    waiting_checks = [
+        check_for[op_id].op_id
+        for op_id, op_info in classified.items()
+        if op_id in check_for and op_info.wait_bits
+    ]
+    nonspec_positions = [position[op_id] for op_id in waiting_nonspec]
+    check_positions = [position[load_of_ldpred[c - 1]] for c in waiting_checks]
+    for load in predicted_loads:
+        check_id = check_for[load.op_id].op_id
+        here = position[load.op_id]
+        for op_id in waiting_nonspec[bisect_right(nonspec_positions, here):]:
+            add(check_id, op_id, sync, 1)
+        if not info[check_id].wait_bits:
+            for waiting in waiting_checks[bisect_right(check_positions, here):]:
+                add(check_id, waiting, sync, 1)
     for earlier, later in zip(waiting_checks, waiting_checks[1:]):
-        graph.add_edge(earlier, later, DepKind.SYNC, 1)
+        add(earlier, later, sync, 1)
+
+    # Untouched ops share the kit's edge tuples; an op gaining an edge
+    # gets a list of its own.
+    for (src, dst, kind), weight in added.items():
+        edge = DepEdge(src, dst, kind, weight)
+        for table, op_id in ((succs, src), (preds, dst)):
+            edges = table[op_id]
+            if isinstance(edges, tuple):
+                edges = table[op_id] = list(edges)
+            edges.append(edge)
 
     return SpeculativeBlock(
         label=block.label,
         original=block,
         operations=operations,
         info=info,
-        graph=graph,
+        graph=DependenceGraph.from_edge_lists(operations, preds, succs),
         ldpred_ids=[ldpred_for[l.op_id].op_id for l in predicted_loads],
         check_of={
             ldpred_for[l.op_id].op_id: check_for[l.op_id].op_id for l in predicted_loads

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, List
+from typing import TYPE_CHECKING, Dict, Iterator, List, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.ir.operation import Operation
@@ -57,8 +57,34 @@ class DependenceGraph:
     def __init__(self, operations: List[Operation]):
         self._ops: Dict[int, Operation] = {op.op_id: op for op in operations}
         self._order: List[int] = [op.op_id for op in operations]
-        self._succs: Dict[int, List[DepEdge]] = {i: [] for i in self._order}
-        self._preds: Dict[int, List[DepEdge]] = {i: [] for i in self._order}
+        self._succs: Dict[int, Sequence[DepEdge]] = {i: [] for i in self._order}
+        self._preds: Dict[int, Sequence[DepEdge]] = {i: [] for i in self._order}
+
+    @classmethod
+    def from_edge_lists(
+        cls,
+        operations: List[Operation],
+        preds: Dict[int, Sequence[DepEdge]],
+        succs: Dict[int, Sequence[DepEdge]],
+    ) -> "DependenceGraph":
+        """A read-only graph adopting prebuilt per-node edge sequences
+        (not copied).
+
+        Every operation needs an entry in both maps, every edge must sit
+        in its source's successor sequence and its destination's
+        predecessor sequence, and no two edges may share
+        ``(src, dst, kind)`` — the invariant :meth:`add_edge` keeps.  A
+        sequence may be a tuple shared with other graphs, so such a graph
+        takes no :meth:`add_edge`.  The speculation transform builds its
+        trial graphs this way, sharing the edge tuples of untouched ops
+        instead of re-adding each edge.
+        """
+        graph = cls.__new__(cls)
+        graph._ops = {op.op_id: op for op in operations}
+        graph._order = [op.op_id for op in operations]
+        graph._succs = succs
+        graph._preds = preds
+        return graph
 
     # -- construction -------------------------------------------------------
 
@@ -100,8 +126,8 @@ class DependenceGraph:
     def predecessors(self, op_id: int) -> List[DepEdge]:
         return list(self._preds[op_id])
 
-    def succ_edges(self, op_id: int) -> List[DepEdge]:
-        """The successor edge list itself, *not* a copy — read-only.
+    def succ_edges(self, op_id: int) -> Sequence[DepEdge]:
+        """The successor edge sequence itself, *not* a copy — read-only.
 
         The list scheduler and critical-path analysis walk every edge of
         every block of every sweep point; the defensive copies of
@@ -110,8 +136,8 @@ class DependenceGraph:
         """
         return self._succs[op_id]
 
-    def pred_edges(self, op_id: int) -> List[DepEdge]:
-        """Read-only view of the predecessor edge list (see
+    def pred_edges(self, op_id: int) -> Sequence[DepEdge]:
+        """Read-only view of the predecessor edge sequence (see
         :meth:`succ_edges`)."""
         return self._preds[op_id]
 
@@ -141,8 +167,8 @@ class DependenceGraph:
     def flow_reachable_from(self, sources: List[int]) -> set[int]:
         """Operation ids transitively flow-dependent on any of ``sources``.
 
-        The speculation pass uses this to find every operation whose value
-        is (directly or indirectly) derived from a predicted load.
+        The speculation transform uses this to find every operation whose
+        value is (directly or indirectly) derived from a predicted op.
         """
         seen: set[int] = set()
         stack = list(sources)

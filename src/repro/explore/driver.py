@@ -16,7 +16,7 @@ The result layer is deliberately plain data (no live machine objects) so
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.evaluation.experiment import (
     Evaluation,
@@ -25,6 +25,7 @@ from repro.evaluation.experiment import (
     memory_runner,
 )
 from repro.explore.cost import machine_cost
+from repro.explore.space import InvalidPoint
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.explore.space import DesignPoint
@@ -90,8 +91,11 @@ class PrunedPoint:
     """One design point that was *not* exactly simulated, and why.
 
     Reasons: ``"duplicate"`` (identical machine + speculation config to
-    an earlier point), ``"error"`` (its evaluation raised).  Pruned
-    points are always recorded in the report — never silently dropped.
+    an earlier point), ``"invalid"`` (an axis value the machine spec or
+    its predictor rejects, e.g. ``issue_width=0``; ``detail`` is the
+    validation message — see :class:`~repro.explore.space.InvalidPoint`),
+    ``"error"`` (its evaluation raised).  Pruned points are always
+    recorded in the report — never silently dropped.
     """
 
     label: str
@@ -163,7 +167,7 @@ def _point_result(point: DesignPoint, evaluation: Evaluation) -> PointResult:
 
 
 def _error_detail(exc: BaseException) -> str:
-    """``Type: message`` of the error a point's evaluation raised.
+    """``Type: message`` of the error a point's validation or evaluation raised.
 
     A failed runner job reports its stage's own exception, not the
     runner's wrapper.
@@ -207,13 +211,15 @@ def _prefetch(runner, job_lists: Iterable[Sequence[Any]]) -> None:
 
 
 def explore(
-    points: Sequence[DesignPoint],
+    points: Sequence[Union[DesignPoint, InvalidPoint]],
     scale: float = 1.0,
     benchmarks: Optional[Sequence[str]] = None,
     runner=None,
 ) -> ExploreOutcome:
     """Exactly simulate a sweep, with dedup and error capture.
 
+    - prunes :class:`~repro.explore.space.InvalidPoint` entries (axis values
+      the machine spec rejects) with reason ``"invalid"``;
     - skips points whose (machine fingerprint, speculation config) pair
       duplicates an earlier point — the evaluation stack would dedupe
       their jobs anyway, so the duplicate row carries no information;
@@ -231,6 +237,15 @@ def explore(
     unique: List[DesignPoint] = []
     first_of: Dict[Tuple[str, Any], str] = {}
     for point in points:
+        if isinstance(point, InvalidPoint):
+            pruned.append(
+                PrunedPoint(
+                    label=point.label,
+                    reason="invalid",
+                    detail=_error_detail(point.error),
+                )
+            )
+            continue
         key = (point.fingerprint(), point.spec_config)
         if key in first_of:
             pruned.append(

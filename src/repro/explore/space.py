@@ -42,7 +42,7 @@ import dataclasses
 import itertools
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, List, Sequence, Tuple, Union
 
 from repro.core.speculation import SpeculationConfig
 from repro.ir.opcodes import FUClass, Opcode
@@ -155,6 +155,21 @@ class DesignPoint:
         return self.spec.fingerprint()
 
 
+@dataclass(frozen=True)
+class InvalidPoint:
+    """An axis assignment that names no valid configuration.
+
+    A swept value the machine spec or its predictor rejects (say
+    ``issue_width=0`` or ``predictor.table_bits=31``) expands to this
+    instead of a :class:`DesignPoint`; the sweep prunes it with reason
+    ``"invalid"`` and the validation ``error``'s message, and runs the
+    other points.
+    """
+
+    label: str
+    error: ValueError
+
+
 def _apply(
     base: MachineSpec,
     config: SpeculationConfig,
@@ -198,6 +213,14 @@ def _format_value(value: Any) -> str:
     return str(value)
 
 
+def _label(assignment: Sequence[Tuple[str, Any]]) -> str:
+    """A point's label: deterministic over its axis assignment."""
+    return (
+        "/".join(f"{name}={_format_value(value)}" for name, value in assignment)
+        or "base"
+    )
+
+
 @dataclass(frozen=True)
 class DesignSpace:
     """A base machine spec plus the axes swept around it."""
@@ -214,18 +237,20 @@ class DesignSpace:
             seen.add(axis.name)
         object.__setattr__(self, "axes", tuple(self.axes))
 
-    def point(self, assignment: Sequence[Tuple[str, Any]]) -> DesignPoint:
-        """The concrete point for one ``(axis, value)`` assignment."""
+    def point(
+        self, assignment: Sequence[Tuple[str, Any]]
+    ) -> Union[DesignPoint, InvalidPoint]:
+        """The concrete point for one ``(axis, value)`` assignment, or an
+        :class:`InvalidPoint` when a value makes the machine spec or the
+        speculation config invalid."""
+        label = _label(assignment)
         spec = self.base
         config = self.base_config
-        for name, value in assignment:
-            spec, config = _apply(spec, config, name, value)
-        label = (
-            "/".join(
-                f"{name}={_format_value(value)}" for name, value in assignment
-            )
-            or "base"
-        )
+        try:
+            for name, value in assignment:
+                spec, config = _apply(spec, config, name, value)
+        except ValueError as exc:
+            return InvalidPoint(label=label, error=exc)
         # The machine is renamed from the *machine* axes only: points
         # differing purely in speculation knobs share one machine
         # fingerprint, so their compile/simulate jobs dedupe on the
@@ -246,8 +271,9 @@ class DesignSpace:
             assignment=tuple(assignment),
         )
 
-    def grid(self) -> List[DesignPoint]:
-        """The full cross product of every axis (deterministic order)."""
+    def grid(self) -> List[Union[DesignPoint, InvalidPoint]]:
+        """The full cross product of every axis (deterministic order);
+        assignments with a rejected value are :class:`InvalidPoint` entries."""
         if not self.axes:
             return [self.point(())]
         names = [axis.name for axis in self.axes]
@@ -258,7 +284,9 @@ class DesignSpace:
             )
         ]
 
-    def sample(self, count: int, seed: int = 0) -> List[DesignPoint]:
+    def sample(
+        self, count: int, seed: int = 0
+    ) -> List[Union[DesignPoint, InvalidPoint]]:
         """``count`` distinct points drawn uniformly from the grid.
 
         Seeded and stateless — the same (space, count, seed) always

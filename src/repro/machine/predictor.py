@@ -49,8 +49,10 @@ class PredictorSpec:
             raise ValueError("predictor table_entries must be positive or None")
         if self.fcm_order < 1:
             raise ValueError("fcm_order must be >= 1")
-        if self.table_bits < 1:
-            raise ValueError("table_bits must be >= 1")
+        # The (D)FCM context hash (repro.predict.base.context_slots)
+        # indexes a table of 2**table_bits slots.
+        if not 1 <= self.table_bits <= 30:
+            raise ValueError("table_bits must be in [1, 30]")
         if self.counter_max < 1:
             raise ValueError("counter_max must be >= 1")
 

@@ -23,6 +23,8 @@ stateful one-value-at-a-time predictor class
 
 from __future__ import annotations
 
+import sys
+from operator import ne
 from typing import List, Tuple, Union
 
 import numpy as np
@@ -50,18 +52,29 @@ def check_table(kind: str, order: int, table_bits: int) -> None:
         raise ValueError("table_bits must be in [1, 30]")
 
 
+#: The context hash of every NaN.  Python hashes a NaN by its identity,
+#: so two NaNs of equal bits would land in different slots; hardware
+#: hashes the bit pattern, so every NaN here takes ``sys.hash_info.nan``
+#: (0, the hash Python gave every NaN before 3.10).
+NAN_HASH = sys.hash_info.nan
+
+
 def context_slots(stream: List[Value], order: int, table_bits: int) -> List[int]:
     """Second-level table slot of every length-``order`` window of a
     stream.
 
     Entry *j* is the slot of the context ``stream[j:j + order]``, oldest
     first: ``h = 0; for v in context: h = (h * 1000003) ^ hash(v)``,
-    then ``h % 2**table_bits``.  The low ``table_bits`` bits of a
-    product or an XOR depend only on the low bits of its operands, so
-    the fold runs vectorised in wrapping 64-bit arithmetic and keeps
-    exactly the bits of the unbounded Python one.
+    then ``h % 2**table_bits``, with :data:`NAN_HASH` standing for the
+    hash of a NaN.  The low ``table_bits`` bits of a product or an XOR
+    depend only on the low bits of its operands, so the fold runs
+    vectorised in wrapping 64-bit arithmetic and keeps exactly the bits
+    of the unbounded Python one.
     """
-    hashes = np.fromiter(map(hash, stream), dtype=np.int64, count=len(stream))
+    n = len(stream)
+    hashes = np.fromiter(map(hash, stream), dtype=np.int64, count=n)
+    if any(map(ne, stream, stream)):  # only a NaN differs from itself
+        hashes[np.fromiter(map(ne, stream, stream), dtype=bool, count=n)] = NAN_HASH
     contexts = hashes
     for m in range(1, order):
         contexts = (contexts[:-1] * 1000003) ^ hashes[m:]

@@ -10,7 +10,7 @@ the last result becomes available.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.ir.operation import Operation
@@ -61,12 +61,27 @@ class VLIWInstruction:
 
 
 class Schedule:
-    """The static schedule of one basic block."""
+    """The static schedule of one basic block.
+
+    ``length``, ``operations`` and ``instructions()`` are computed on
+    first read and kept until the next :meth:`place`; they return
+    immutable results.  The kept results are never pickled (a pickled
+    schedule is its label, machine and placements) and not carried into
+    copies.
+    """
+
+    #: Query results kept since the last place(); ``None`` until read.
+    _length: Optional[int] = None
+    _operations: Optional[Tuple[ScheduledOp, ...]] = None
+    _instructions: Optional[Tuple[VLIWInstruction, ...]] = None
 
     def __init__(self, label: str, machine: MachineDescription):
         self.label = label
         self.machine = machine
         self._by_op: Dict[int, ScheduledOp] = {}
+
+    def __getstate__(self) -> Dict:
+        return {"label": self.label, "machine": self.machine, "_by_op": self._by_op}
 
     def place(self, operation: Operation, cycle: int, latency: Optional[int] = None) -> ScheduledOp:
         if operation.op_id in self._by_op:
@@ -76,6 +91,7 @@ class Schedule:
         lat = self.machine.latency(operation.opcode) if latency is None else latency
         placed = ScheduledOp(operation, cycle, lat)
         self._by_op[operation.op_id] = placed
+        self._length = self._operations = self._instructions = None
         return placed
 
     # -- queries ------------------------------------------------------------
@@ -96,8 +112,13 @@ class Schedule:
         return len(self._by_op)
 
     @property
-    def operations(self) -> List[ScheduledOp]:
-        return sorted(self._by_op.values(), key=lambda s: (s.cycle, s.operation.op_id))
+    def operations(self) -> Tuple[ScheduledOp, ...]:
+        """Placed operations by (issue cycle, op id)."""
+        if self._operations is None:
+            self._operations = tuple(
+                sorted(self._by_op.values(), key=lambda s: (s.cycle, s.operation.op_id))
+            )
+        return self._operations
 
     @property
     def length(self) -> int:
@@ -105,24 +126,26 @@ class Schedule:
 
         An empty schedule has length zero.
         """
-        if not self._by_op:
-            return 0
-        return max(s.completion for s in self._by_op.values())
+        if self._length is None:
+            self._length = max((s.completion for s in self._by_op.values()), default=0)
+        return self._length
 
     @property
     def issue_cycles_used(self) -> int:
         """Number of distinct cycles in which at least one op issues."""
         return len({s.cycle for s in self._by_op.values()})
 
-    def instructions(self) -> List[VLIWInstruction]:
+    def instructions(self) -> Tuple[VLIWInstruction, ...]:
         """Group scheduled ops into VLIW instructions by issue cycle."""
-        by_cycle: Dict[int, List[ScheduledOp]] = {}
-        for placed in self._by_op.values():
-            by_cycle.setdefault(placed.cycle, []).append(placed)
-        return [
-            VLIWInstruction(cycle, tuple(sorted(ops, key=lambda s: s.operation.op_id)))
-            for cycle, ops in sorted(by_cycle.items())
-        ]
+        if self._instructions is None:
+            by_cycle: Dict[int, List[ScheduledOp]] = {}
+            for placed in self._by_op.values():
+                by_cycle.setdefault(placed.cycle, []).append(placed)
+            self._instructions = tuple(
+                VLIWInstruction(cycle, tuple(sorted(ops, key=lambda s: s.operation.op_id)))
+                for cycle, ops in sorted(by_cycle.items())
+            )
+        return self._instructions
 
     def __str__(self) -> str:
         lines = [f"schedule {self.label} (length {self.length})"]

@@ -164,6 +164,24 @@ class TestPruning:
         # The healthy points still simulated.
         assert len(outcome.results) == len(space.grid())
 
+    def test_invalid_axis_values_prune_not_raise(self, sweep):
+        """A swept value the machine spec rejects is pruned up front with
+        reason ``invalid`` and the validation message; the valid points
+        still simulate."""
+        space, _ = sweep
+        bad = DesignSpace(
+            base=PLAYDOH_4W_SPEC,
+            axes=(Axis.parse("issue_width=0"), Axis.parse("predictor.table_bits=0,31")),
+        )
+        points = list(bad.grid()) + list(space.grid())
+        outcome = explore(points, scale=SCALE, benchmarks=BENCHMARKS)
+        assert [(p.label, p.reason) for p in outcome.pruned] == [
+            ("issue_width=0/predictor.table_bits=0", "invalid"),
+            ("issue_width=0/predictor.table_bits=31", "invalid"),
+        ]
+        assert outcome.pruned[0].detail == "ValueError: issue width must be positive"
+        assert len(outcome.results) == len(space.grid())
+
     def test_every_point_is_result_or_pruned(self, sweep):
         space, _ = sweep
         doomed = DesignSpace(
@@ -348,6 +366,25 @@ class TestCli:
 
         assert main(["--axis", "frobnicate=1"]) == 2
         assert "unknown axis" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "axis, detail",
+        [
+            ("issue_width=0,4", "ValueError: issue width must be positive"),
+            ("predictor.table_bits=0,16", "ValueError: table_bits must be in [1, 30]"),
+        ],
+    )
+    def test_invalid_axis_value_does_not_abort_the_sweep(self, axis, detail, capsys):
+        from repro.explore.cli import main
+
+        argv = ["--axis", axis, "--scale", str(SCALE), "--benchmarks", "compress",
+                "--no-cache", "--json"]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(report["points"]) == 1
+        assert [(p["reason"], p["detail"]) for p in report["pruned"]] == [
+            ("invalid", detail)
+        ]
 
     def test_no_axes_is_a_clean_error(self, capsys):
         from repro.explore.cli import main

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.speculation import SpeculationConfig
-from repro.explore.space import Axis, DesignSpace, parse_axis_value
+from repro.explore.space import Axis, DesignPoint, DesignSpace, InvalidPoint, parse_axis_value
 from repro.ir.opcodes import FUClass, Opcode
 from repro.machine.configs import PLAYDOH_4W_SPEC
 
@@ -85,6 +85,14 @@ class TestDesignSpace:
         assert [p.label for p in first] != [p.label for p in other]
         grid_labels = [p.label for p in s.grid()]
         assert all(p.label in grid_labels for p in first)
+
+    def test_rejected_values_expand_to_invalid_points(self):
+        s = space("issue_width=0,4")
+        invalid, valid = s.grid()
+        assert isinstance(invalid, InvalidPoint) and isinstance(valid, DesignPoint)
+        assert invalid.label == "issue_width=0"
+        assert str(invalid.error) == "issue width must be positive"
+        assert s.point((("issue_width", 0),)).label == "issue_width=0"
 
     def test_sample_larger_than_grid_returns_grid(self):
         s = space("issue_width=2,4")

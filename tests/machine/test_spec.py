@@ -222,6 +222,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="predictor"):
             PredictorSpec(kind="oracle")
 
+    @pytest.mark.parametrize("bits", [0, 31])
+    def test_predictor_table_bits_validated(self, bits):
+        """The (D)FCM kernels index 2**table_bits slots for table_bits
+        in [1, 30]; the spec rejects the rest before any simulation."""
+        with pytest.raises(ValueError, match=r"table_bits must be in \[1, 30\]"):
+            PredictorSpec(kind="fcm", table_bits=bits)
+        assert PredictorSpec(kind="fcm", table_bits=30).table_bits == 30
+
 
 class TestDerivations:
     def test_widened_doubles_everything(self):

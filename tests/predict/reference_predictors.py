@@ -20,6 +20,7 @@ runs of ``tests/trace/reference_runs.py`` drive these classes.
 from __future__ import annotations
 
 import abc
+import sys
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, Hashable, Optional, Sequence, Tuple
@@ -185,7 +186,8 @@ class StridePredictor(ValuePredictor):
 def _context_hash(history: Deque[Value], table_size: int) -> int:
     h = 0
     for value in history:
-        h = (h * 1000003) ^ hash(value)
+        # Every NaN hashes alike (Python hashes NaN by identity).
+        h = (h * 1000003) ^ (hash(value) if value == value else sys.hash_info.nan)
     return h % table_size
 
 

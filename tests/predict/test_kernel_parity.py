@@ -12,15 +12,16 @@ adversarial hypothesis streams: ints and floats mixed, ``3`` against
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.batchsim.context import BatchContext
 from repro.batchsim.outcomes import predictor_key
 from repro.machine.predictor import PREDICTOR_KINDS, PredictorSpec
-from repro.predict.base import _values_equal
+from repro.predict.base import _values_equal, context_slots
 from repro.predict.dfcm import dfcm_column
 from repro.predict.fcm import fcm_column
 from repro.predict.hybrid import hybrid_column
@@ -28,7 +29,7 @@ from repro.predict.last_value import last_value_column
 from repro.predict.stride import stride_column
 from repro.trace.capture import capture_trace
 from repro.workloads.suite import load_suite
-from tests.predict.reference_predictors import build_predictor
+from tests.predict.reference_predictors import _context_hash, build_predictor
 
 SUITE = load_suite(scale=0.25)
 
@@ -121,10 +122,10 @@ _NUMBERS = st.one_of(
     bits=st.integers(min_value=1, max_value=3),
     cmax=st.integers(min_value=1, max_value=3),
 )
+# A NaN stride is a fresh object each time it is computed: the context
+# hash must not tell two NaNs apart.
+@example(values=[3] * 11 + [math.nan, 3, 3], kind="dfcm", order=1, bits=3, cmax=1)
 def test_mixed_streams(values, kind, order, bits, cmax):
-    # A NaN stride is a fresh object each time it is computed, and NaN
-    # hashes by identity, so no two DFCM runs agree on its context slot.
-    assume(kind != "dfcm" or not any(v != v for v in values))
     spec = PredictorSpec(kind=kind, fcm_order=order, table_bits=bits, counter_max=cmax)
     assert as_bools(kernel_column(spec, values)) == reference_column(spec, values)
 
@@ -137,6 +138,15 @@ def test_equal_hashes_share_a_slot():
         PredictorSpec(kind="fcm", fcm_order=1), values
     )
     assert fcm_column(values, 1, 16)[1][3] == 1
+
+
+def test_every_nan_hashes_to_one_slot():
+    """Python hashes a NaN by identity; the context hash must not."""
+    first, second = float("nan"), float("nan")
+    slots = context_slots([first, 3, second], 1, 16)
+    assert slots[0] == slots[2] != slots[1]
+    assert _context_hash(deque([first]), 1 << 16) == slots[0]
+    assert _context_hash(deque([second]), 1 << 16) == slots[2]
 
 
 def test_int_and_float_compare_as_hardware_does():

@@ -1,6 +1,8 @@
 """Unit tests for the schedule data structures."""
 
+import copy
 import itertools
+import pickle
 
 import pytest
 
@@ -69,7 +71,7 @@ class TestSchedule:
         s = Schedule("b", PLAYDOH_4W)
         assert s.length == 0
         assert len(s) == 0
-        assert s.instructions() == []
+        assert s.instructions() == ()
 
     def test_instructions_grouped_by_cycle(self):
         s = Schedule("b", PLAYDOH_4W)
@@ -104,3 +106,40 @@ class TestSchedule:
         s.place(mov(), 0)
         text = str(s)
         assert "blk" in text and "cycle 0" in text
+
+
+class TestComputedOnceQueries:
+    def test_queries_are_immutable_and_kept(self):
+        s = Schedule("b", PLAYDOH_4W)
+        s.place(load("a"), 0)
+        s.place(mov("c", "d"), 1)
+        assert isinstance(s.operations, tuple) and s.operations is s.operations
+        assert isinstance(s.instructions(), tuple)
+        assert s.instructions() is s.instructions()
+
+    def test_place_invalidates(self):
+        s = Schedule("b", PLAYDOH_4W)
+        s.place(mov("a", "x"), 0)
+        assert (s.length, len(s.operations), len(s.instructions())) == (1, 1, 1)
+        s.place(load("b"), 4)  # completes at 7
+        assert (s.length, len(s.operations), len(s.instructions())) == (7, 2, 2)
+
+    def test_reading_queries_does_not_change_the_pickle(self):
+        s = Schedule("b", PLAYDOH_4W)
+        s.place(load("a"), 0)
+        s.place(mov("c", "d"), 1)
+        s.place(mov("e", "f"), 1)
+        before = pickle.dumps(s, protocol=pickle.HIGHEST_PROTOCOL)
+        assert s.length == 3 and len(s.instructions()) == 2 and len(s.operations) == 3
+        assert pickle.dumps(s, protocol=pickle.HIGHEST_PROTOCOL) == before
+        clone = pickle.loads(before)
+        assert clone.length == s.length
+        assert [(i.cycle, [p.operation.op_id for p in i]) for i in clone.instructions()] == [
+            (i.cycle, [p.operation.op_id for p in i]) for i in s.instructions()
+        ]
+
+    def test_copies_do_not_carry_kept_results(self):
+        s = Schedule("b", PLAYDOH_4W)
+        s.place(mov("a", "x"), 0)
+        s.instructions()
+        assert "_instructions" not in copy.copy(s).__dict__
