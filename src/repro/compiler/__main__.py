@@ -144,10 +144,13 @@ def _run_digest(args: argparse.Namespace) -> int:
         )
         for name in benchmarks
     }
-    runner.run(list(jobs.values()))
-    for name, job in jobs.items():
-        compilation = runner.run_job(job)
-        print(f"{name} {compilation_digest(compilation)}")
+    try:
+        runner.run(list(jobs.values()))
+        for name, job in jobs.items():
+            compilation = runner.run_job(job)
+            print(f"{name} {compilation_digest(compilation)}")
+    finally:
+        cache.close()
     return 0
 
 

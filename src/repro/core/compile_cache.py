@@ -23,7 +23,8 @@ Rules of the game:
 * products that read the machine are keyed on its :func:`timing_key`,
   so they are built once for whichever machine asks first.  Every
   machine with another fingerprint is handed a shallow copy rebound to
-  itself (``Schedule.machine``, ``SpeculativeSchedule.schedule``,
+  itself (``Schedule.rebound``, which shares the placements and the
+  query results read so far, ``SpeculativeSchedule.schedule``,
   ``BaselineBlock.schedule``, which is the compilation's own
   speculative schedule), memoised per (shared product, fingerprint):
   a compilation references only its own machine, so its pickled bytes
@@ -36,7 +37,6 @@ Rules of the game:
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 from collections import Counter
 from typing import Any, Callable, Dict, Hashable, Tuple
@@ -215,15 +215,9 @@ def _handed_out(block, product, built_for, machine, rebind):
     return cached(block, ("rebind", id(product), fp), compute)[1]
 
 
-def _rebind_schedule(schedule, machine):
-    rebound = copy.copy(schedule)
-    rebound.machine = machine
-    return rebound
-
-
 def _rebind_spec_schedule(spec_schedule, machine):
     return dataclasses.replace(
-        spec_schedule, schedule=_rebind_schedule(spec_schedule.schedule, machine)
+        spec_schedule, schedule=spec_schedule.schedule.rebound(machine)
     )
 
 
@@ -239,7 +233,7 @@ def original_schedule(block, machine):
         )
 
     schedule = cached(block, ("osched", timing_key(machine)), compute)
-    return _handed_out(block, schedule, schedule.machine, machine, _rebind_schedule)
+    return _handed_out(block, schedule, schedule.machine, machine, type(schedule).rebound)
 
 
 def speculative_schedule(spec, machine, original_length):

@@ -174,14 +174,17 @@ def _make_cache(args: argparse.Namespace) -> DiskCache:
 def _cache_command(args: argparse.Namespace) -> int:
     cache = _make_cache(args)
     subcommand = args.experiments[1] if len(args.experiments) > 1 else "stats"
-    if subcommand == "stats":
-        stats = cache.stats()
-        print(json.dumps(stats.as_dict(), indent=2) if args.json else stats.render())
-        return 0
-    if subcommand == "clear":
-        removed = cache.clear()
-        print(f"removed {removed} cached result(s) from {cache.root}")
-        return 0
+    try:
+        if subcommand == "stats":
+            stats = cache.stats()
+            print(json.dumps(stats.as_dict(), indent=2) if args.json else stats.render())
+            return 0
+        if subcommand == "clear":
+            removed = cache.clear()
+            print(f"removed {removed} cached result(s) from {cache.root}")
+            return 0
+    finally:
+        cache.close()
     print(
         f"unknown cache command {subcommand!r}; available: stats, clear",
         file=sys.stderr,
@@ -313,6 +316,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     finally:
         events.close()
+        runner.cache.close()
 
 
 if __name__ == "__main__":

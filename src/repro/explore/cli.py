@@ -197,6 +197,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     finally:
         events.close()
+        runner.cache.close()
 
     results = list(outcome.results)
     for p in outcome.pruned:

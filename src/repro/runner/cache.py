@@ -4,19 +4,21 @@
 hash (:meth:`repro.runner.jobs.JobSpec.key`), which already folds in
 :data:`repro.runner.jobs.CODE_VERSION` — so code changes miss naturally.
 :data:`FORMAT_VERSION` versions the *store layout* instead: a layout
-change moves to a new namespace and strands (rather than misreads) old
+change moves to a new file and strands (rather than misreads) old
 entries.
 
 The store lives in ``~/.cache/repro`` by default, overridable with
-``--cache-dir`` or ``$REPRO_CACHE_DIR``::
+``--cache-dir`` or ``$REPRO_CACHE_DIR``.  It is one SQLite database,
+``<root>/v2.sqlite``, holding one table::
 
-    <root>/v1/<key[:2]>/<key>.pkl     pickled stage result
-    <root>/v1/<key[:2]>/<key>.json    sidecar manifest (human-inspectable)
+    entries(key TEXT PRIMARY KEY, stage TEXT, manifest TEXT, payload BLOB)
 
-The store is fault-tolerant by construction: writes go through a
-temporary file and an atomic ``os.replace`` (a concurrent writer racing
-on the same key wins-or-noops, never corrupts), and any unreadable or
-truncated entry is treated as a miss and evicted.
+``payload`` is the pickled stage result and ``manifest`` a JSON object
+describing it.  Each store is one autocommitted ``INSERT OR REPLACE``
+into a WAL-journaled database, so writers racing on a key win or do
+nothing, no reader sees a torn entry, and a concurrent ``clear()`` is
+safe.  An entry that does not decode is a miss and is evicted.
+``sqlite3`` is imported on first use, so ``--no-cache`` never loads it.
 """
 
 from __future__ import annotations
@@ -25,14 +27,14 @@ import io
 import json
 import os
 import pickle
-import tempfile
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 #: Bump when the on-disk layout (not the result semantics) changes.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: Exceptions that mean "this payload does not decode to a value".
 #: Anything else propagating from ``pickle.loads`` is a real bug.
@@ -45,6 +47,9 @@ DECODE_ERRORS = (
     ValueError,
     TypeError,
 )
+
+#: Tries at switching a store to WAL, 10 ms apart.
+_WAL_ATTEMPTS = 500
 
 
 def default_cache_dir() -> Path:
@@ -65,8 +70,8 @@ class CacheStats:
     entries: int = 0
     total_bytes: int = 0
     by_stage: Dict[str, int] = field(default_factory=dict)
-    #: On-disk bytes per stage — traces and compilations dominate, and
-    #: this is what says so without spelunking the shard directories.
+    #: Payload bytes per stage — traces and compilations dominate, and
+    #: this is what says so without opening the database.
     bytes_by_stage: Dict[str, int] = field(default_factory=dict)
     hits: int = 0
     misses: int = 0
@@ -100,6 +105,11 @@ class DiskCache:
     ``enabled=False`` turns every lookup into a miss and every store into
     a no-op, which lets callers thread one object through unconditionally
     (the ``--no-cache`` path).
+
+    One connection serves every thread of the process.  It opens on
+    first use, and only a store creates a missing database.
+    :meth:`close` closes it (a later use reopens it); closing the last
+    connection folds the write-ahead log back into the database file.
     """
 
     def __init__(self, root: Optional[Path] = None, enabled: bool = True):
@@ -107,16 +117,58 @@ class DiskCache:
         self.enabled = enabled
         self.hits = 0
         self.misses = 0
-
-    # -- paths --------------------------------------------------------------
+        self._conn = None
+        self._lock = threading.RLock()
 
     @property
     def store(self) -> Path:
-        return self.root / f"v{FORMAT_VERSION}"
+        """The database file."""
+        return self.root / f"v{FORMAT_VERSION}.sqlite"
 
-    def _paths(self, key: str) -> Tuple[Path, Path]:
-        shard = self.store / key[:2]
-        return shard / f"{key}.pkl", shard / f"{key}.json"
+    def _query(self, sql: str, params: Tuple = (), create: bool = False) -> List[Tuple]:
+        """Run one statement and return its rows.
+
+        The connection opens on first use.  Unless ``create``, a store
+        that does not exist yet reads as empty instead of being created.
+        """
+        with self._lock:
+            if self._conn is None:
+                if not create and not self.store.exists():
+                    return []
+                self._conn = self._connect()
+            return self._conn.execute(sql, params).fetchall()
+
+    def _connect(self):
+        import sqlite3
+
+        self.root.mkdir(parents=True, exist_ok=True)
+        conn = sqlite3.connect(self.store, isolation_level=None, check_same_thread=False)
+        # Switching to WAL fails at once, without waiting, while another
+        # process holds a lock on the file (two processes opening a new
+        # store); the switch is stored in the file, so retrying is enough.
+        for attempt in range(_WAL_ATTEMPTS):
+            try:
+                conn.execute("PRAGMA journal_mode=WAL")
+                break
+            except sqlite3.OperationalError:
+                if attempt == _WAL_ATTEMPTS - 1:
+                    raise
+                time.sleep(0.01)
+        conn.execute("PRAGMA synchronous=NORMAL")
+        # 64 KiB of page cache: entries are read once, not re-read.
+        conn.execute("PRAGMA cache_size=-64")
+        conn.execute(
+            "CREATE TABLE IF NOT EXISTS entries("
+            "key TEXT PRIMARY KEY, stage TEXT, manifest TEXT, payload BLOB)"
+        )
+        return conn
+
+    def close(self) -> None:
+        """Close the connection, if one is open."""
+        with self._lock:
+            if self._conn is not None:
+                self._conn.close()
+                self._conn = None
 
     # -- value codec ---------------------------------------------------------
 
@@ -157,13 +209,12 @@ class DiskCache:
         if not self.enabled:
             self.misses += 1
             return False, None
-        try:
-            payload = self._paths(key)[0].read_bytes()
-        except OSError:
+        rows = self._query("SELECT payload FROM entries WHERE key = ?", (key,))
+        if not rows:
             self.misses += 1
             return False, None
         try:
-            value = self.decode(payload, refs)
+            value = self.decode(rows[0][0], refs)
         except DECODE_ERRORS:
             # Corrupt or stale-unreadable entry: evict it.
             self.evict(key)
@@ -198,108 +249,45 @@ class DiskCache:
             "size_bytes": len(payload),
             **(manifest or {}),
         }
-        pkl, manifest_path = self._paths(key)
-        self._atomic_write(pkl, payload)
-        self._atomic_write(
-            manifest_path, (json.dumps(meta, indent=2) + "\n").encode("utf-8")
+        self._query(
+            "INSERT OR REPLACE INTO entries VALUES (?, ?, ?, ?)",
+            (key, str(meta.get("stage", "unknown")), json.dumps(meta), payload),
+            create=True,
         )
         return payload
 
     def evict(self, key: str) -> None:
-        """Best-effort removal of one entry."""
-        for path in self._paths(key):
-            try:
-                path.unlink()
-            except OSError:
-                pass
+        """Remove one entry, if it is there."""
+        self._query("DELETE FROM entries WHERE key = ?", (key,))
 
-    @staticmethod
-    def _atomic_write(path: Path, data: bytes) -> None:
-        """Last-writer-wins atomic replace, safe under concurrent writers.
-
-        Two writers racing on the same key each stage a unique temporary
-        file and ``os.replace`` it over the destination — the second
-        simply overwrites the first's (identical) entry.  A concurrent
-        ``clear()`` can yank the shard directory out from under either
-        step; both spots retry once after recreating it, and if the
-        directory is lost twice the write is dropped (the entry was
-        being deleted anyway).  A replace refused by the OS while a
-        complete entry exists means another writer won: noop.
-        """
-        for _ in range(2):
-            try:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                fd, tmp = tempfile.mkstemp(
-                    dir=path.parent, prefix=path.name, suffix=".tmp"
-                )
-            except (FileNotFoundError, FileExistsError):
-                # The shard was removed between mkdir and mkstemp, or
-                # inside mkdir itself: pathlib reports a directory that
-                # appeared and vanished again as FileExistsError.
-                continue
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    fh.write(data)
-                os.replace(tmp, path)
-                return
-            except FileNotFoundError:
-                _unlink_quietly(tmp)
-                continue  # shard removed under the replace; retry
-            except OSError:
-                _unlink_quietly(tmp)
-                if path.exists():
-                    return  # a concurrent writer already won this key
-                raise
-            except BaseException:
-                _unlink_quietly(tmp)
-                raise
+    def entries(self) -> Iterator[Tuple[str, Dict[str, Any], bytes]]:
+        """``(key, manifest, payload)`` of every entry, by key."""
+        rows = self._query("SELECT key, manifest, payload FROM entries ORDER BY key")
+        for key, manifest, payload in rows:
+            yield key, json.loads(manifest), payload
 
     def stats(self) -> CacheStats:
         stats = CacheStats(root=str(self.root), hits=self.hits, misses=self.misses)
-        if not self.store.is_dir():
-            return stats
-        for manifest_path in self.store.glob("*/*.json"):
-            pkl = manifest_path.with_suffix(".pkl")
-            if not pkl.exists():
-                continue
-            stats.entries += 1
-            size = pkl.stat().st_size
+        rows = self._query(
+            "SELECT stage, COUNT(*), SUM(LENGTH(payload)) FROM entries GROUP BY stage"
+        )
+        for stage, count, size in rows:
+            stats.entries += count
             stats.total_bytes += size
-            try:
-                meta = json.loads(manifest_path.read_text())
-                stage = str(meta.get("stage", "unknown"))
-            except (OSError, json.JSONDecodeError):
-                stage = "unknown"
-            stats.by_stage[stage] = stats.by_stage.get(stage, 0) + 1
-            stats.bytes_by_stage[stage] = (
-                stats.bytes_by_stage.get(stage, 0) + size
-            )
+            stats.by_stage[stage] = count
+            stats.bytes_by_stage[stage] = size
         return stats
 
     def clear(self) -> int:
         """Delete every entry of the current format version; return the count.
 
-        Leftovers that are not entries go too, uncounted: a killed
-        writer's ``<key>.pkl….tmp`` and a sidecar whose payload is gone.
-        Either would otherwise keep its shard directory alive.
+        The database is vacuumed, so the file shrinks once closed.
         """
-        removed = 0
-        if not self.store.is_dir():
-            return removed
-        for path in self.store.glob("*/*"):
-            if path.suffix not in (".pkl", ".json", ".tmp"):
-                continue
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            if path.suffix == ".pkl":
-                removed += 1
-        for shard in self.store.glob("*"):
-            try:
-                shard.rmdir()
-            except OSError:
-                pass
+        with self._lock:
+            [(removed,)] = self._query("SELECT COUNT(*) FROM entries") or [(0,)]
+            if removed:
+                self._query("DELETE FROM entries")
+                self._query("VACUUM")
         return removed
 
 
@@ -354,9 +342,3 @@ class ProgramRefs:
         #: ``Unpickler.persistent_load``: the object an id names.
         self.persistent_load = objects.__getitem__
 
-
-def _unlink_quietly(path: str) -> None:
-    try:
-        os.unlink(path)
-    except OSError:
-        pass

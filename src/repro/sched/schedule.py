@@ -66,8 +66,8 @@ class Schedule:
     ``length``, ``operations`` and ``instructions()`` are computed on
     first read and kept until the next :meth:`place`; they return
     immutable results.  The kept results are never pickled (a pickled
-    schedule is its label, machine and placements) and not carried into
-    copies.
+    schedule is its label, machine and placements); only
+    :meth:`rebound` copies share them.
     """
 
     #: Query results kept since the last place(); ``None`` until read.
@@ -82,6 +82,15 @@ class Schedule:
 
     def __getstate__(self) -> Dict:
         return {"label": self.label, "machine": self.machine, "_by_op": self._by_op}
+
+    def rebound(self, machine: MachineDescription) -> "Schedule":
+        """A copy pinned to ``machine`` that shares this schedule's
+        placements and the query results read so far, none of which
+        read the machine."""
+        copy = object.__new__(type(self))
+        copy.__dict__.update(self.__dict__)
+        copy.machine = machine
+        return copy
 
     def place(self, operation: Operation, cycle: int, latency: Optional[int] = None) -> ScheduledOp:
         if operation.op_id in self._by_op:

@@ -10,8 +10,8 @@ compilation still references only its own machine.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +21,7 @@ from repro.ir.opcodes import FUClass, Opcode
 from repro.machine.configs import PLAYDOH_4W_SPEC
 from repro.machine.predictor import PredictorSpec
 from repro.machine.spec import MachineSpec
+from repro.runner.cache import DiskCache
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 SWEEP = ["--scale", "0.25", "--benchmarks", "li,compress"]
@@ -121,12 +122,11 @@ def _fcm_compile_payloads(tmp_path: Path, kinds: str):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    payloads = {}
-    for sidecar in cache.rglob("*.json"):
-        meta = json.loads(sidecar.read_text(encoding="utf-8"))
-        if meta["stage"] == "compile" and "predictor.kind=fcm" in meta["machine"]:
-            payloads[meta["key"]] = sidecar.with_suffix(".pkl").read_bytes()
-    return payloads
+    return {
+        key: payload
+        for key, meta, payload in DiskCache(cache).entries()
+        if meta["stage"] == "compile" and "predictor.kind=fcm" in meta["machine"]
+    }
 
 
 def test_rebound_compile_payloads_do_not_depend_on_point_order(tmp_path):
@@ -169,3 +169,18 @@ def test_rebound_copies_pin_their_own_machine_and_share_runs(
     run = compile_cache.pattern_run(own, pattern)
     assert compile_cache.pattern_run(rebound, pattern) is run
     assert sum(dict(run.cycle_stack).values()) == run.effective_length
+
+
+def test_rebound_schedules_share_their_query_results(straight_block, m4):
+    fcm = PLAYDOH_4W_SPEC.override(
+        name="fcm-4w", predictor=PredictorSpec(kind="fcm")
+    ).build()
+    original = compile_cache.original_schedule(straight_block, m4)
+    original.instructions(), original.operations
+    rebound = compile_cache.original_schedule(straight_block, fcm)
+    assert rebound is not original and rebound.machine is fcm
+    assert rebound.instructions() is original.instructions()
+    assert rebound.operations is original.operations
+    assert rebound.length == original.length
+    # The shared results are not pickled.
+    assert "_instructions" not in pickle.loads(pickle.dumps(rebound)).__dict__

@@ -83,7 +83,7 @@ class TestRunnerFlags:
             )
             == 0
         )
-        assert not list(cache.glob("**/*.pkl"))
+        assert not cache.exists()
 
     def test_cache_stats_and_clear(self, capsys, tmp_path):
         cache = tmp_path / "cache"
@@ -93,6 +93,10 @@ class TestRunnerFlags:
             == 0
         )
         capsys.readouterr()
+        # The run closed its store: one file, no write-ahead log beside it.
+        (store,) = cache.iterdir()
+        assert store.name == "v2.sqlite"
+        full = store.stat().st_size
         assert main(["cache", "stats", "--cache-dir", str(cache), "--json"]) == 0
         stats = json.loads(capsys.readouterr().out)
         # build + trace + profile + compile.
@@ -103,6 +107,8 @@ class TestRunnerFlags:
         assert "removed 4" in capsys.readouterr().out
         assert main(["cache", "stats", "--cache-dir", str(cache), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["entries"] == 0
+        assert list(cache.iterdir()) == [store]
+        assert store.stat().st_size < full
 
     def test_unknown_cache_command(self, capsys, tmp_path):
         assert main(["cache", "bogus", "--cache-dir", str(tmp_path)]) == 2

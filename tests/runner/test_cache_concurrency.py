@@ -1,17 +1,24 @@
 """DiskCache under concurrent writers, readers, and clears.
 
-The contract under test (``DiskCache._atomic_write``): concurrent
-writers racing on one key win-or-noop — readers observe either a miss or
-one complete entry, never a torn file — and a ``clear()`` yanking shard
-directories out from under in-flight writes must not raise or corrupt.
+The contract under test: concurrent writers racing on one key
+win-or-noop — readers observe either a miss or one complete entry, never
+a torn one — and a ``clear()`` racing in-flight writes must not raise or
+corrupt.  Threads share one cache object and its one connection; writer
+processes each open their own.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 from repro.runner.cache import DiskCache
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def _key(seed: str) -> str:
@@ -33,10 +40,18 @@ def _hammer(threads_fn, count: int) -> list:
     threads = [
         threading.Thread(target=wrap(threads_fn(n))) for n in range(count)
     ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+    # Switch threads far more often than the default 5 ms, so the
+    # statements of different threads interleave.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
     return errors
 
 
@@ -60,8 +75,10 @@ class TestConcurrentWriters:
         assert _hammer(writer, 8) == []
         assert cache.get(key) == (True, value)
         assert cache.stats().entries == 1
-        # No stranded temporary files from lost races.
-        assert not list(cache.store.glob("*/*.tmp"))
+        # Lost races leave nothing behind: the store is one file again
+        # once closed.
+        cache.close()
+        assert [p.name for p in tmp_path.iterdir()] == [cache.store.name]
 
     def test_writers_on_distinct_keys(self, tmp_path):
         cache = DiskCache(root=tmp_path)
@@ -161,3 +178,50 @@ class TestConcurrentWriters:
         assert _hammer(actor, 4) == []
         hit, value = cache.get(key)
         assert not hit or value == "value"
+
+
+_WRITER = """
+import sys
+from pathlib import Path
+from repro.runner.cache import DiskCache
+
+root, name = Path(sys.argv[1]), sys.argv[2]
+cache = DiskCache(root=root)
+for i in range(400):
+    # Keys 0-199 are shared with the other writer, 200-399 are this one's.
+    key = f"{i:064x}" if i < 200 else f"{name}{i:062x}"
+    cache.put(key, ("shared", i) if i < 200 else (name, i), manifest={"stage": name})
+    hit, value = cache.get(key)
+    assert hit, key
+cache.close()
+"""
+
+
+class TestConcurrentProcesses:
+    def test_two_writer_processes(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        writers = [
+            subprocess.Popen(
+                [sys.executable, "-c", _WRITER, str(tmp_path), name],
+                env=env,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+            for name in ("aa", "bb")
+        ]
+        for writer in writers:
+            _, err = writer.communicate(timeout=120)
+            assert writer.returncode == 0, err[-2000:]
+        cache = DiskCache(root=tmp_path)
+        entries = {key: cache.decode(payload) for key, _, payload in cache.entries()}
+        assert len(entries) == 200 + 2 * 200
+        for i in range(200):
+            assert entries[f"{i:064x}"] == ("shared", i)
+            for name in ("aa", "bb"):
+                assert entries[f"{name}{i + 200:062x}"] == (name, i + 200)
+        assert sum(cache.stats().by_stage.values()) == len(entries)
+        cache.close()
+        assert [p.name for p in tmp_path.iterdir()] == [cache.store.name]

@@ -10,7 +10,7 @@ constructor arguments no longer fit must be a cache miss.
 
 A compile payload holds its build's program by reference
 (:class:`~repro.runner.cache.ProgramRefs`), so it decodes only against
-that program: its sidecar names the build entry.
+that program: its manifest names the build entry.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import dataclasses
 import importlib
 import inspect
 import io
-import json
 import pickle
 import pickletools
 import pkgutil
@@ -96,42 +95,42 @@ def small_cache(tmp_path_factory):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["all", "--scale", "0.1", "--json", "--cache-dir", str(root)]) == 0
     cache = DiskCache(root=root)
-    payloads = sorted(cache.store.glob("*/*.pkl"))
-    assert payloads
-    return cache, payloads
+    entries = {key: (manifest, payload) for key, manifest, payload in cache.entries()}
+    cache.close()
+    assert entries
+    return cache, entries
 
 
 @pytest.fixture(scope="module")
 def build_programs(small_cache):
-    """Compile payload path -> its build's program, decoded from the
-    build entry its sidecar names."""
-    cache, payloads = small_cache
+    """Compile entry key -> its build's program, decoded from the build
+    entry its manifest names."""
+    cache, entries = small_cache
     decoded = {}
     programs = {}
-    for path in payloads:
-        program_key = json.loads(path.with_suffix(".json").read_text())["program"]
+    for key, (manifest, _) in entries.items():
+        program_key = manifest["program"]
         if program_key is None:
             continue
         if program_key not in decoded:
-            build = cache._paths(program_key)[0]
-            decoded[program_key] = cache.decode(build.read_bytes())
-        programs[path] = decoded[program_key]
+            decoded[program_key] = cache.decode(entries[program_key][1])
+        programs[key] = decoded[program_key]
     assert programs
     return programs
 
 
 @pytest.fixture(scope="module")
 def payload_refs(small_cache, build_programs):
-    """Payload path -> the references it was written with (``None`` for
+    """Entry key -> the references it was written with (``None`` for
     every stage but ``compile``)."""
-    _, payloads = small_cache
+    _, entries = small_cache
     tables = {}
     refs = {}
-    for path in payloads:
-        program = build_programs.get(path)
+    for key in entries:
+        program = build_programs.get(key)
         if program is not None and id(program) not in tables:
             tables[id(program)] = ProgramRefs(program)
-        refs[path] = None if program is None else tables[id(program)]
+        refs[key] = None if program is None else tables[id(program)]
     return refs
 
 
@@ -169,34 +168,34 @@ def test_profile_and_compile_payloads_carry_no_final_state(small_cache):
     """The run's final registers and memory live in the trace payload
     only; a profile or a compilation (which embeds its profile) must not
     pickle a second copy."""
-    cache, payloads = small_cache
+    _, entries = small_cache
     seen = {"profile": 0, "compile": 0}
-    for path in payloads:
-        stage = json.loads(path.with_suffix(".json").read_text())["stage"]
+    for key, (manifest, payload) in entries.items():
+        stage = manifest["stage"]
         if stage not in seen:
             continue
         seen[stage] += 1
-        names = _referenced_names(path.read_bytes())
-        assert "ProfileData" in names, path.name
-        assert not names & {"ExecutionResult", "Memory"}, (stage, path.name)
+        names = _referenced_names(payload)
+        assert "ProfileData" in names, key
+        assert not names & {"ExecutionResult", "Memory"}, (stage, key)
     assert all(seen.values()), seen
 
 
 def test_cached_payloads_decode_without_setstate(
     small_cache, payload_refs, no_setstate
 ):
-    cache, payloads = small_cache
-    for path in payloads:
-        cache.decode(path.read_bytes(), payload_refs[path])
+    cache, entries = small_cache
+    for key, (_, payload) in entries.items():
+        cache.decode(payload, payload_refs[key])
 
 
 class TestCompatibility:
     def test_payloads_of_the_old_codec_decode_to_equal_values(
         self, small_cache, payload_refs, monkeypatch
     ):
-        cache, payloads = small_cache
-        refs = [payload_refs[path] for path in payloads]
-        current = [path.read_bytes() for path in payloads]
+        cache, entries = small_cache
+        refs = [payload_refs[key] for key in entries]
+        current = [payload for _, payload in entries.values()]
         values = [
             cache.decode(payload, r) for payload, r in zip(current, refs)
         ]
@@ -225,7 +224,7 @@ class TestCompatibility:
         cache.put(key, [Stale()])
         assert cache.get(key) == (False, None)
         assert cache.misses == 1
-        assert not cache._paths(key)[0].exists()
+        assert list(cache.entries()) == []
 
 
 class TestCompilePayloadShape:
@@ -240,10 +239,10 @@ class TestCompilePayloadShape:
     def test_program_objects_decode_to_the_build_programs_own(
         self, small_cache, build_programs, payload_refs
     ):
-        cache, _ = small_cache
+        cache, entries = small_cache
         shared = minted = 0
-        for path, program in build_programs.items():
-            compilation = cache.decode(path.read_bytes(), payload_refs[path])
+        for key, program in build_programs.items():
+            compilation = cache.decode(entries[key][1], payload_refs[key])
             assert compilation.program is program
             ops = {
                 op.op_id: op
@@ -258,7 +257,7 @@ class TestCompilePayloadShape:
                 placed = [p.operation for p in spec_schedule.schedule.operations]
                 for op in spec.operations + placed:
                     if op.op_id in ops:
-                        assert op is ops[op.op_id], (path.name, op)
+                        assert op is ops[op.op_id], (key, op)
                         shared += 1
                     else:
                         minted += 1
@@ -267,10 +266,10 @@ class TestCompilePayloadShape:
     def test_baseline_schedule_is_the_speculative_schedule(
         self, small_cache, build_programs, payload_refs
     ):
-        cache, _ = small_cache
+        cache, entries = small_cache
         machines = set()
-        for path in build_programs:
-            compilation = cache.decode(path.read_bytes(), payload_refs[path])
+        for key in build_programs:
+            compilation = cache.decode(entries[key][1], payload_refs[key])
             for comp in self._speculated(compilation):
                 assert comp.baseline.schedule is comp.spec_schedule
                 machines.add(compilation.machine.name)
@@ -316,33 +315,39 @@ class TestCompilePayloadShape:
     def test_no_compile_payload_pickles_a_dependence_graph(
         self, small_cache, build_programs
     ):
+        _, entries = small_cache
         speculated = 0
-        for path in build_programs:
-            names = _referenced_names(path.read_bytes())
+        for key in build_programs:
+            names = _referenced_names(entries[key][1])
             speculated += "SpeculativeBlock" in names
-            assert not names & {"DepEdge", "DependenceGraph"}, path.name
+            assert not names & {"DepEdge", "DependenceGraph"}, key
         assert speculated
 
     def test_unresolvable_references_are_an_evicted_miss(
-        self, build_programs, tmp_path
+        self, small_cache, build_programs, tmp_path
     ):
-        def benchmark(path):
-            return json.loads(path.with_suffix(".json").read_text())["benchmark"]
+        _, entries = small_cache
 
-        path, program = next(iter(build_programs.items()))
+        def benchmark(key):
+            return entries[key][0]["benchmark"]
+
+        key, program = next(iter(build_programs.items()))
         other = next(
-            p for q, p in build_programs.items() if benchmark(q) != benchmark(path)
+            p for k, p in build_programs.items() if benchmark(k) != benchmark(key)
         )
-        payload = path.read_bytes()
-        key = path.stem
-        for refs in (ProgramRefs(other), None):
+        manifest, payload = entries[key]
+        value = DiskCache.decode(payload, ProgramRefs(program))
+
+        def store_entry():
             store = DiskCache(root=tmp_path)
-            entry = store._paths(key)[0]
-            entry.parent.mkdir(parents=True, exist_ok=True)
-            entry.write_bytes(payload)
+            store.put(key, value, manifest=manifest, refs=ProgramRefs(program))
+            assert [p for _, _, p in store.entries()] == [payload]
+            return store
+
+        for refs in (ProgramRefs(other), None):
+            store = store_entry()
             assert store.get(key, refs) == (False, None)
             assert store.misses == 1
-            assert not entry.exists()
-        entry.write_bytes(payload)
-        hit, value = store.get(key, ProgramRefs(program))
+            assert list(store.entries()) == []
+        hit, value = store_entry().get(key, ProgramRefs(program))
         assert hit and value.program is program

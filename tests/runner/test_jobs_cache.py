@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
-import json
+import sqlite3
+import subprocess
+import sys
 
 import pytest
 
@@ -125,12 +128,20 @@ class TestDiskCache:
         cache.put("ab" * 32, {"answer": 42}, manifest={"stage": "simulate"})
         hit, value = cache.get("ab" * 32)
         assert hit and value == {"answer": 42}
-        sidecars = list(cache.store.glob("*/*.json"))
-        assert len(sidecars) == 1
-        manifest = json.loads(sidecars[0].read_text())
+        [(key, manifest, payload)] = cache.entries()
+        assert key == "ab" * 32
         assert manifest["stage"] == "simulate"
         assert manifest["key"] == "ab" * 32
-        assert manifest["size_bytes"] > 0
+        assert manifest["size_bytes"] == len(payload) > 0
+        assert cache.decode(payload) == {"answer": 42}
+
+    def test_the_store_is_one_file(self, tmp_path):
+        cache = DiskCache(root=tmp_path)
+        for n in range(3):
+            cache.put(f"{n:064x}", n, manifest={"stage": "simulate"})
+        cache.close()
+        assert [p.name for p in tmp_path.iterdir()] == [cache.store.name]
+        assert DiskCache(root=tmp_path).get(f"{2:064x}") == (True, 2)
 
     def test_miss_on_unknown_key(self, tmp_path):
         cache = DiskCache(root=tmp_path)
@@ -140,18 +151,33 @@ class TestDiskCache:
 
     def test_corrupt_entry_is_a_miss_and_evicted(self, tmp_path):
         cache = DiskCache(root=tmp_path)
-        cache.put("ef" * 32, [1, 2, 3])
-        pkl, _ = cache._paths("ef" * 32)
-        pkl.write_bytes(b"not a pickle")
-        hit, _ = cache.get("ef" * 32)
-        assert not hit
-        assert not pkl.exists()
+        cache.put("ef" * 32, [1, 2, 3], manifest={"stage": "simulate"})
+        cache.put("0f" * 32, [4, 5], manifest={"stage": "simulate"})
+        with contextlib.closing(sqlite3.connect(cache.store)) as other:
+            with other:
+                other.execute(
+                    "UPDATE entries SET payload = ? WHERE key = ?",
+                    (b"not a pickle", "ef" * 32),
+                )
+        assert cache.get("ef" * 32) == (False, None)
+        assert cache.misses == 1
+        assert [key for key, _, _ in cache.entries()] == ["0f" * 32]
+        assert cache.stats().entries == 1
 
     def test_disabled_cache_never_stores(self, tmp_path):
         cache = DiskCache(root=tmp_path, enabled=False)
         cache.put("12" * 32, "value")
         assert cache.get("12" * 32) == (False, None)
-        assert not (tmp_path / "v1").exists()
+        cache.close()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_reading_a_missing_store_creates_nothing(self, tmp_path):
+        cache = DiskCache(root=tmp_path / "cache")
+        assert cache.stats().entries == 0
+        assert list(cache.entries()) == []
+        assert cache.clear() == 0
+        cache.evict("34" * 32)
+        assert not (tmp_path / "cache").exists()
 
     def test_stats_and_clear(self, tmp_path):
         cache = DiskCache(root=tmp_path)
@@ -160,21 +186,38 @@ class TestDiskCache:
         stats = cache.stats()
         assert stats.entries == 2
         assert stats.by_stage == {"profile": 1, "simulate": 1}
-        assert stats.total_bytes > 0
+        assert stats.total_bytes == sum(len(p) for _, _, p in cache.entries())
+        assert stats.bytes_by_stage.keys() == stats.by_stage.keys()
         assert "2" in stats.render()
         assert cache.clear() == 2
         assert cache.stats().entries == 0
 
-    def test_clear_removes_leftovers_without_counting_them(self, tmp_path):
+    def test_clear_shrinks_the_file(self, tmp_path):
+        cache = DiskCache(root=tmp_path)
+        for n in range(40):
+            cache.put(f"{n:064x}", bytes(4096), manifest={"stage": "trace"})
+        cache.close()
+        full = cache.store.stat().st_size
+        assert cache.clear() == 40
+        cache.close()
+        assert cache.stats().entries == 0
+        assert cache.store.stat().st_size < full
+
+    def test_a_killed_writer_leaves_no_entry(self, tmp_path):
+        # A writer that dies inside its transaction commits nothing:
+        # its entry is not there, and clear() counts only real entries.
         cache = DiskCache(root=tmp_path)
         cache.put("11" * 32, "a", manifest={"stage": "profile"})
-        # A writer killed between mkstemp and os.replace leaves its
-        # temporary file; an entry whose payload went leaves its sidecar.
-        stray = cache.store / "22" / f"{'22' * 32}.pkl7f3a_x.tmp"
-        stray.parent.mkdir(parents=True)
-        stray.write_bytes(b"partial")
-        orphan = cache._paths("33" * 32)[1]
-        orphan.parent.mkdir(parents=True)
-        orphan.write_text("{}\n")
+        cache.close()
+        killed = (
+            "import os, sqlite3\n"
+            f"conn = sqlite3.connect({str(cache.store)!r}, isolation_level=None)\n"
+            "conn.execute('BEGIN')\n"
+            "conn.execute('INSERT INTO entries VALUES (?, ?, ?, ?)',"
+            " ('22' * 32, 'profile', '{}', b'partial'))\n"
+            "os._exit(0)\n"
+        )
+        subprocess.run([sys.executable, "-c", killed], check=True, timeout=60)
+        assert cache.get("22" * 32) == (False, None)
+        assert [key for key, _, _ in cache.entries()] == ["11" * 32]
         assert cache.clear() == 1
-        assert list(cache.store.iterdir()) == []

@@ -157,10 +157,7 @@ def test_partially_warm_cache_prints_the_cold_output(tmp_path, capsys):
         return capsys.readouterr().out
 
     def payloads(root):
-        return {
-            path.relative_to(root): path.read_bytes()
-            for path in root.glob("v*/*/*.pkl")
-        }
+        return {key: payload for key, _, payload in DiskCache(root).entries()}
 
     partial, cold = tmp_path / "partial", tmp_path / "cold"
     run("table2", "--cache-dir", str(partial))

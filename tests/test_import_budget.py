@@ -5,8 +5,10 @@ cached payload classes import the simulator only inside the functions
 that run it.  So starting ``repro-eval`` or ``repro-explore`` loads no
 interpreter, scheduler, predictor, trace exporter or workload builder,
 and a warm ``repro-eval`` run, which only reads cached payloads, loads
-none of them either.  Every check runs in a fresh interpreter, since
-this test process has imported the whole package already.
+none of them either.  ``sqlite3`` loads on the result cache's first use
+only, so neither CLI's import nor a ``--no-cache`` run loads it.  Every
+check runs in a fresh interpreter, since this test process has imported
+the whole package already.
 """
 
 from __future__ import annotations
@@ -78,8 +80,8 @@ def _loaded_after(statements: str) -> set:
 @pytest.mark.parametrize(
     "module, forbidden",
     [
-        ("repro.evaluation.__main__", HEAVY + ("uuid",)),
-        ("repro.explore.cli", HEAVY),
+        ("repro.evaluation.__main__", HEAVY + ("uuid", "sqlite3")),
+        ("repro.explore.cli", HEAVY + ("sqlite3",)),
     ],
 )
 def test_cli_import_loads_no_heavy_module(module, forbidden):
@@ -102,6 +104,20 @@ def test_warm_regeneration_loads_no_pipeline_stage(tmp_path):
     rows, modules = warm.splitlines()[-2:]
     assert rows == cold
     assert sorted(set(json.loads(modules)) & set(NOT_WARM)) == []
+
+
+def test_uncached_run_loads_no_sqlite(tmp_path):
+    cache = tmp_path / "cache"
+    argv = ["table2", "--json", "--no-cache", "--scale", "0.1",
+            "--benchmarks", "li", "--cache-dir", str(cache)]
+    loaded = _loaded_after(
+        "import contextlib, io\n"
+        "from repro.evaluation.__main__ import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0"
+    )
+    assert "sqlite3" not in loaded
+    assert not cache.exists()
 
 
 def _package_inits():
