@@ -12,7 +12,7 @@ Run:  python examples/asm_pipeline.py
 
 from repro.compiler.config import standard_pipeline
 from repro.compiler.manager import PassManager
-from repro.core.machine_sim import simulate_block
+from repro.core.machine_sim import trace_block
 from repro.core.specsched import schedule_speculative
 from repro.core.speculation import speculate_block
 from repro.core.timeline import render_timeline
@@ -79,13 +79,9 @@ def main() -> None:
     print(f"\nschedule: {original.length} -> {sched.length} cycles "
           f"({spec.num_predictions} prediction(s))\n")
 
-    run = simulate_block(
-        sched,
-        {l: False for l in spec.ldpred_ids},
-        collect_trace=True,
-    )
+    run, log = trace_block(sched, {l: False for l in spec.ldpred_ids})
     print("worst-case timeline (every prediction wrong):")
-    print(render_timeline(sched, run))
+    print(render_timeline(sched, run, log))
 
 
 if __name__ == "__main__":

@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Observability walkthrough: metrics, typed traces, Perfetto export.
+"""Observability walkthrough: event log, typed traces, metrics, Perfetto.
 
-Simulates the paper's worked example with metrics and tracing enabled,
-shows how the snapshot agrees with the simulator's own counters, and
-writes a Chrome trace-event file for https://ui.perfetto.dev with the
-two engines side by side — the visual version of Figure 3's parallel
-recovery.
+Runs one scenario of the paper's worked example, reads typed trace
+events and the metrics snapshot from the run's event log, shows how the
+snapshot agrees with the simulator's own counters, and writes a Chrome
+trace-event file for https://ui.perfetto.dev with the two engines side
+by side — the visual version of Figure 3's parallel recovery.
 
 Run:  python examples/trace_export.py [out.trace.json]
 """
@@ -13,10 +13,9 @@ Run:  python examples/trace_export.py [out.trace.json]
 import sys
 
 from repro.evaluation.paper_example import run_example
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.perfetto import block_run_events, chrome_trace, write_trace
 from repro.obs.trace import CheckEvent, ExecuteEvent, FlushEvent
-from repro.core.machine_sim import simulate_block
+from repro.core.machine_sim import trace_block
 
 
 def main() -> None:
@@ -25,16 +24,13 @@ def main() -> None:
     spec_schedule = example.spec_schedule
     l4, l7 = spec_schedule.spec.ldpred_ids
 
-    # Re-simulate the r7-mispredict scenario with both a trace sink and
-    # a metrics registry attached.  Neither changes the timing result.
-    registry = MetricsRegistry()
-    run = simulate_block(
-        spec_schedule, {l4: True, l7: False}, collect_trace=True, metrics=registry
-    )
-    snapshot = registry.snapshot()
+    # Run the r7-mispredict scenario and keep its event log.  The run's
+    # metrics snapshot is folded from the same log.
+    run, log = trace_block(spec_schedule, {l4: True, l7: False})
+    snapshot = run.metrics
 
     print("Typed trace events (r7 mispredicted):")
-    for event in run.trace:
+    for event in log.events():
         if isinstance(event, (CheckEvent, FlushEvent, ExecuteEvent)):
             print(f"  cycle {event.cycle:>2}  {event}")
 
@@ -53,7 +49,7 @@ def main() -> None:
         f"{flush + reexec == run.flushed + run.executed}"
     )
 
-    events = block_run_events(spec_schedule, run, title="paper example")
+    events = block_run_events(spec_schedule, run, log, title="paper example")
     write_trace(out, chrome_trace(events))
     print(f"\nWrote {out} ({len(events)} trace events).")
     print("Open it at https://ui.perfetto.dev — the VLIW Engine's issue")

@@ -121,7 +121,7 @@ def _run_passes() -> int:
 
 
 def _run_digest(args: argparse.Namespace) -> int:
-    from repro.runner.cache import DiskCache
+    from repro.runner.cache import CorruptStore, DiskCache
     from repro.runner.executor import Runner
     from repro.runner.jobs import compile_job
     from repro.workloads.suite import BENCHMARKS, resolve_benchmarks
@@ -149,6 +149,9 @@ def _run_digest(args: argparse.Namespace) -> int:
         for name, job in jobs.items():
             compilation = runner.run_job(job)
             print(f"{name} {compilation_digest(compilation)}")
+    except CorruptStore as exc:
+        print(exc, file=sys.stderr)
+        return 1
     finally:
         cache.close()
     return 0

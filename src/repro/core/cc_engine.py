@@ -11,17 +11,16 @@ prediction related to the entry's operands is verified, then either
   register file), and clears the operation's Synchronization bit.
 
 The engine is a *timing* model: values themselves are tracked by the
-architectural interpreter; here only availability times matter.
+architectural interpreter; here only availability times matter.  Each
+flush and re-execution is appended to the run's event log.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.machine.description import MachineDescription
-from repro.obs.metrics import MetricsRegistry, NULL_METRICS
-from repro.obs.trace import ExecuteEvent, FlushEvent, TraceSink
 from repro.core.ccb import CCBEntry, CompensationCodeBuffer, OperandSource, SourceKind
 from repro.core.ovb import OperandState, OperandValueBuffer
 from repro.core.sync_register import SyncRegisterState
@@ -33,11 +32,7 @@ class CCEngineStats:
 
     flushed: int = 0
     executed: int = 0
-    busy_cycles: int = 0
     last_exec_completion: int = 0
-    exec_completions: List[int] = field(default_factory=list)
-    #: (slot cycle, "flush"|"execute", op id, completion cycle)
-    events: List[Tuple[int, str, int, int]] = field(default_factory=list)
     #: Cycle each processed entry's CCB slot freed (monotone ascending,
     #: one entry per flush/execute); the VLIW engine reads this to model
     #: issue stalls against a bounded CCB.
@@ -53,8 +48,7 @@ class CompensationEngine:
         ovb: OperandValueBuffer,
         sync: SyncRegisterState,
         buffer: Optional[CompensationCodeBuffer] = None,
-        trace: Optional[TraceSink] = None,
-        metrics: MetricsRegistry = NULL_METRICS,
+        log: Optional[List[tuple]] = None,
     ):
         self.machine = machine
         self.ovb = ovb
@@ -62,15 +56,13 @@ class CompensationEngine:
         self.buffer = buffer if buffer is not None else CompensationCodeBuffer()
         self.stats = CCEngineStats()
         self._free_time = 0
-        self._trace = trace
-        self._metrics = metrics
+        self._emit = (log if log is not None else []).append
 
     # -- VLIW-engine interface ------------------------------------------------
 
     def insert(self, entry: CCBEntry) -> None:
         """Buffer a decoded speculated operation (sent at VLIW issue)."""
         self.buffer.insert(entry)
-        self._metrics.observe("cce.ccb_occupancy", self.buffer.pending)
 
     def process_available(self) -> None:
         """Advance the pipeline as far as verification outcomes allow.
@@ -101,20 +93,13 @@ class CompensationEngine:
             start = max(self._free_time, entry.insert_time + 1, decide_time)
             self._free_time = start + 1
             self.stats.flushed += 1
-            self.stats.busy_cycles += 1
-            self._metrics.inc("cce.flush")
-            self._metrics.inc("cce.busy_cycles")
             if record.state is not OperandState.C:
                 self.ovb.resolve_speculated_correct(entry.op_id, decide_time)
             # The check op already cleared the bit at decide_time; the
             # call is idempotent and keeps the earliest clear time.
             self.sync.clear_bit(entry.sync_bit, decide_time, source="flush")
             self.stats.free_times.append(start + 1)
-            self.stats.events.append((start, "flush", entry.op_id, start + 1))
-            if self._trace is not None:
-                self._trace.emit(
-                    FlushEvent(cycle=start, op_id=entry.op_id, completion=start + 1)
-                )
+            self._emit(("flush", start, entry.op_id, start + 1))
             return
 
         # Some origin was mispredicted: re-execute with correct operands.
@@ -130,21 +115,13 @@ class CompensationEngine:
         completion = start + latency
         self._free_time = start + 1  # pipelined single issue
         self.stats.executed += 1
-        self.stats.busy_cycles += latency
-        self._metrics.inc("cce.reexec")
-        self._metrics.inc("cce.busy_cycles", latency)
         self.stats.last_exec_completion = max(
             self.stats.last_exec_completion, completion
         )
-        self.stats.exec_completions.append(completion)
         self.ovb.record_recomputed(entry.op_id, completion)
         self.sync.clear_bit(entry.sync_bit, completion, source="execute")
         self.stats.free_times.append(start + 1)
-        self.stats.events.append((start, "execute", entry.op_id, completion))
-        if self._trace is not None:
-            self._trace.emit(
-                ExecuteEvent(cycle=start, op_id=entry.op_id, completion=completion)
-            )
+        self._emit(("execute", start, entry.op_id, completion))
 
     def _source_ready(self, entry: CCBEntry, source: OperandSource) -> int:
         if source.kind is SourceKind.SHIPPED:

@@ -49,7 +49,6 @@ __all__ = [
     "machine_fingerprint",
     "original_schedule",
     "origin",
-    "pattern_metrics",
     "pattern_run",
     "reset",
     "schedule_validated",
@@ -296,9 +295,9 @@ def schedule_validated(spec_schedule) -> bool:
     """Exhaustive outcome validation of a speculative schedule.
 
     ``True`` iff every correctness pattern simulates without engine
-    deadlock.  The sweep runs each pattern once, with its cycle stack,
-    and seeds the run into the :func:`pattern_run` memo, so the dynamic
-    simulation and its cycle accounting later read it back instead of
+    deadlock.  The sweep runs each pattern once and seeds the run into
+    the :func:`pattern_run` memo, so the dynamic simulation, its cycle
+    accounting and its metrics later read it back instead of
     re-simulating.
     """
     from repro.core.cc_engine import SimulationDeadlock
@@ -324,8 +323,8 @@ def schedule_validated(spec_schedule) -> bool:
 
 
 def pattern_run(spec_schedule, pattern: Tuple[bool, ...]):
-    """Dual-engine timing of one correctness pattern, with its cycle
-    stack (shared memo)."""
+    """Dual-engine run of one correctness pattern, with its cycle stack
+    and metrics snapshot (shared memo)."""
     from repro.core.machine_sim import simulate_block
 
     block = spec_schedule.spec.original
@@ -334,38 +333,9 @@ def pattern_run(spec_schedule, pattern: Tuple[bool, ...]):
     entry = cached(
         block,
         ("prun", id(shared), pattern),
-        lambda: (
-            shared,
-            simulate_block(
-                shared, dict(zip(ldpreds, pattern)), collect_cycles=True
-            ),
-        ),
+        lambda: (shared, simulate_block(shared, dict(zip(ldpreds, pattern)))),
     )
     return entry[1]
-
-
-def pattern_metrics(spec_schedule, pattern: Tuple[bool, ...]):
-    """(BlockRun, MetricsSnapshot) of one pattern (shared memo); the run
-    carries its cycle stack like every :func:`pattern_run` entry."""
-    from repro.core.machine_sim import simulate_block
-    from repro.obs.metrics import MetricsRegistry
-
-    block = spec_schedule.spec.original
-    shared = origin(block, spec_schedule)
-    ldpreds = shared.spec.ldpred_ids
-
-    def compute():
-        registry = MetricsRegistry()
-        run = simulate_block(
-            shared,
-            dict(zip(ldpreds, pattern)),
-            metrics=registry,
-            collect_cycles=True,
-        )
-        return (shared, run, registry.snapshot())
-
-    entry = cached(block, ("pmet", id(shared), pattern), compute)
-    return entry[1], entry[2]
 
 
 def stats() -> Dict[str, int]:

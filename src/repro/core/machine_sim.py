@@ -13,22 +13,27 @@ in parallel and only extends the block when a non-speculative consumer
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Mapping, Optional, Tuple
 
-from repro.obs.cycles import CycleLedger, NULL_CYCLES
-from repro.obs.metrics import MetricsRegistry, NULL_METRICS
-from repro.obs.trace import TraceEvent, TraceSink
-from repro.core.cc_engine import CCEngineStats, CompensationEngine
+from repro.obs.metrics import MetricsSnapshot
+from repro.obs.trace import BlockLog, Tally
+from repro.core.cc_engine import CompensationEngine
 from repro.core.ccb import CompensationCodeBuffer
 from repro.core.ovb import OperandValueBuffer
 from repro.core.specsched import SpeculativeSchedule
 from repro.core.sync_register import SyncRegisterState
-from repro.core.vliw_engine import VLIWEngineSim, VLIWRunStats
+from repro.core.vliw_engine import VLIWEngineSim
 
 
 @dataclass(frozen=True)
 class BlockRun:
-    """Result of simulating one dynamic block instance."""
+    """Result of simulating one dynamic block instance.
+
+    The timing fields, the cycle stack and the metrics tally are folded
+    from the run's event log; the log itself is returned only by
+    :func:`trace_block`.
+    """
 
     label: str
     effective_length: int
@@ -39,20 +44,17 @@ class BlockRun:
     mispredictions: int
     flushed: int
     executed: int
-    #: Typed structured trace events (see :mod:`repro.obs.trace`), sorted
-    #: by cycle; populated when collect_trace is set.
-    trace: Tuple[TraceEvent, ...] = ()
-    #: (op id, issue cycle) pairs; populated when collect_trace is set.
-    issue_times: Tuple[Tuple[int, int], ...] = ()
-    #: (slot cycle, "flush"|"execute", op id, completion) CCE activity;
-    #: populated when collect_trace is set.
-    cc_events: Tuple[Tuple[int, str, int, int], ...] = ()
-    #: Per-cause cycle attribution, sorted by cause; populated when
-    #: collect_cycles is set.  Sums exactly to ``effective_length``.
+    #: Per-cause cycle attribution, sorted by cause.  Sums exactly to
+    #: ``effective_length``.
     cycle_stack: Tuple[Tuple[str, int], ...] = ()
-    #: (cycle, cause, cycles) charge events for Perfetto counter tracks;
-    #: populated when both collect_cycles and collect_trace are set.
-    cycle_events: Tuple[Tuple[int, str, int], ...] = ()
+    #: The run's counters, OVB peak and CCB occupancy samples (see
+    #: :meth:`repro.obs.trace.BlockLog.fold`).
+    tally: Tally = Tally({}, 0, ())
+
+    @cached_property
+    def metrics(self) -> MetricsSnapshot:
+        """The run's metrics snapshot, built from its tally."""
+        return self.tally.snapshot()
 
     @property
     def all_correct(self) -> bool:
@@ -70,48 +72,24 @@ class BlockRun:
         )
 
 
-def simulate_block(
+def trace_block(
     spec_schedule: SpeculativeSchedule,
     outcomes: Mapping[int, bool],
-    collect_trace: bool = False,
     ccb_capacity: Optional[int] = None,
-    metrics: MetricsRegistry = NULL_METRICS,
-    collect_cycles: bool = False,
-) -> BlockRun:
-    """Simulate one dynamic instance of a speculative block.
+) -> Tuple[BlockRun, BlockLog]:
+    """Simulate one dynamic instance of a speculative block and return
+    the run with its event log.
 
-    Args:
-        spec_schedule: the statically scheduled transformed block.
-        outcomes: per-``LdPred`` op id, whether the prediction was correct.
-        collect_trace: record typed trace events (used by the worked
-            example, the timeline renderer and the Perfetto exporter).
-        ccb_capacity: bound the Compensation Code Buffer; ``None`` falls
-            back to the machine spec's ``ccb_capacity`` (itself ``None``
-            — unbounded — on the paper's machines).
-        metrics: registry receiving the run's counters and histograms
-            (``vliw.stall_cycles``, ``cce.flush``, ``cce.reexec``,
-            ``ovb.state_transitions{...}``, ...); the default disabled
-            registry costs one branch per site.
-        collect_cycles: attribute every cycle of the run to one cause
-            (see :mod:`repro.obs.cycles`) into ``BlockRun.cycle_stack``;
-            debug runs assert the stack sums to ``effective_length``.
-            Timing results are identical either way.
-
-    The OVB capacity and Synchronization-register width are read from the
-    machine description (``MachineSpec.ovb_capacity`` / ``sync_width``);
-    the width is grown if the schedule allocated more sync bits than the
-    hardware declares, which keeps pre-spec schedules simulating.
+    The log is what the timeline, the Perfetto exporter and the worked
+    example render; :func:`simulate_block` drops it.  Arguments as for
+    :func:`simulate_block`.
     """
-    sink: Optional[TraceSink] = TraceSink() if collect_trace else None
+    log = BlockLog()
     machine = spec_schedule.schedule.machine
 
-    ovb = OperandValueBuffer(
-        trace=sink, metrics=metrics, capacity=machine.ovb_capacity
-    )
+    ovb = OperandValueBuffer(capacity=machine.ovb_capacity, log=log)
     sync = SyncRegisterState(
-        width=max(machine.sync_width, spec_schedule.spec.sync_bits_used),
-        trace=sink,
-        metrics=metrics,
+        width=max(machine.sync_width, spec_schedule.spec.sync_bits_used), log=log
     )
     if ccb_capacity is None:
         ccb_capacity = machine.ccb_capacity
@@ -120,28 +98,10 @@ def simulate_block(
         ovb=ovb,
         sync=sync,
         buffer=CompensationCodeBuffer(capacity=ccb_capacity),
-        trace=sink,
-        metrics=metrics,
+        log=log,
     )
-    ledger = (
-        CycleLedger(record_events=collect_trace)
-        if collect_cycles
-        else NULL_CYCLES
-    )
-    vliw = VLIWEngineSim(
-        spec_schedule,
-        outcomes,
-        ovb=ovb,
-        sync=sync,
-        cc=cc,
-        trace=sink,
-        metrics=metrics,
-        cycles=ledger,
-    )
-
-    stats: VLIWRunStats = vliw.run()
+    stats = VLIWEngineSim(spec_schedule, outcomes, ovb, sync, cc, log).run()
     cc.drain()
-    cc_stats: CCEngineStats = cc.stats
 
     # The block is architecturally complete when the VLIW stream is: all
     # side effects (stores, branches) and all live-out values execute in
@@ -151,33 +111,56 @@ def simulate_block(
     # bit.  That tail overlaps the next block and is reported as
     # ``cc_tail`` rather than charged to this block's length.
     effective = stats.completion
-    if collect_cycles:
-        # The hard cycle-accounting invariant: every cycle of the block
-        # is attributed to exactly one cause.
-        assert ledger.total() == effective, (
-            f"block {spec_schedule.label!r}: cycle stack sums to "
-            f"{ledger.total()}, simulated {effective} cycles"
-        )
-    return BlockRun(
+    stack, tally = log.fold()
+    # The hard cycle-accounting invariant: every cycle of the block is
+    # attributed to exactly one cause.
+    assert sum(stack.values()) == effective, (
+        f"block {spec_schedule.label!r}: cycle stack sums to "
+        f"{sum(stack.values())}, simulated {effective} cycles"
+    )
+    run = BlockRun(
         label=spec_schedule.label,
         effective_length=effective,
         vliw_length=stats.completion,
-        cc_tail=max(0, cc_stats.last_exec_completion - stats.completion),
+        cc_tail=max(0, cc.stats.last_exec_completion - stats.completion),
         stall_cycles=stats.stall_cycles,
         predictions=stats.predictions,
         mispredictions=stats.mispredictions,
-        flushed=cc_stats.flushed,
-        executed=cc_stats.executed,
-        trace=tuple(sink.sorted()) if sink is not None else (),
-        issue_times=(
-            tuple(sorted(stats.issue_times.items())) if collect_trace else ()
-        ),
-        cc_events=tuple(cc_stats.events) if collect_trace else (),
-        cycle_stack=(
-            tuple(sorted(ledger.counts.items())) if collect_cycles else ()
-        ),
-        cycle_events=tuple(ledger.events),
+        flushed=cc.stats.flushed,
+        executed=cc.stats.executed,
+        cycle_stack=tuple(sorted(stack.items())),
+        tally=tally,
     )
+    return run, log
+
+
+def simulate_block(
+    spec_schedule: SpeculativeSchedule,
+    outcomes: Mapping[int, bool],
+    ccb_capacity: Optional[int] = None,
+) -> BlockRun:
+    """Simulate one dynamic instance of a speculative block.
+
+    Args:
+        spec_schedule: the statically scheduled transformed block.
+        outcomes: per-``LdPred`` op id, whether the prediction was correct.
+        ccb_capacity: bound the Compensation Code Buffer; ``None`` falls
+            back to the machine spec's ``ccb_capacity`` (itself ``None``
+            — unbounded — on the paper's machines).
+
+    The run carries its cycle stack (every cycle attributed to one
+    cause, see :mod:`repro.obs.cycles`; the stack is asserted to sum to
+    ``effective_length``) and its metrics snapshot
+    (``vliw.stall_cycles``, ``cce.flush``, ``cce.reexec``,
+    ``ovb.state_transitions{...}``, ...), both folded from the run's
+    event log, which is then dropped.
+
+    The OVB capacity and Synchronization-register width are read from the
+    machine description (``MachineSpec.ovb_capacity`` / ``sync_width``);
+    the width is grown if the schedule allocated more sync bits than the
+    hardware declares, which keeps pre-spec schedules simulating.
+    """
+    return trace_block(spec_schedule, outcomes, ccb_capacity)[0]
 
 
 def simulate_best_case(spec_schedule: SpeculativeSchedule) -> BlockRun:
@@ -197,8 +180,7 @@ def simulate_worst_case(spec_schedule: SpeculativeSchedule) -> BlockRun:
 def simulate_all_outcomes(
     spec_schedule: SpeculativeSchedule,
 ) -> Dict[Tuple[bool, ...], BlockRun]:
-    """Simulate every outcome pattern (2^n for n predictions), each run
-    carrying its cycle stack.
+    """Simulate every outcome pattern (2^n for n predictions).
 
     The dynamic program simulation memoises block timings and cycle
     stacks per pattern through this map; blocks predict at most a
@@ -209,7 +191,5 @@ def simulate_all_outcomes(
     for mask in range(1 << len(ldpreds)):
         pattern = tuple(bool(mask & (1 << i)) for i in range(len(ldpreds)))
         outcomes = dict(zip(ldpreds, pattern))
-        results[pattern] = simulate_block(
-            spec_schedule, outcomes, collect_cycles=True
-        )
+        results[pattern] = simulate_block(spec_schedule, outcomes)
     return results

@@ -68,9 +68,6 @@ class BlockCompilation:
     best_length: Optional[int] = None
     worst_length: Optional[int] = None
     _pattern_cache: Dict[Tuple[bool, ...], BlockRun] = field(default_factory=dict)
-    _metrics_cache: Dict[Tuple[bool, ...], MetricsSnapshot] = field(
-        default_factory=dict
-    )
     _cycles_cache: Dict[Tuple[bool, ...], Dict[str, int]] = field(
         default_factory=dict
     )
@@ -83,7 +80,6 @@ class BlockCompilation:
         # rebuilt on demand after unpickling.
         state = self.__dict__.copy()
         state["_pattern_cache"] = {}
-        state["_metrics_cache"] = {}
         state["_cycles_cache"] = {}
         return state
 
@@ -132,28 +128,9 @@ class BlockCompilation:
         return self.run_for((False,) * n)
 
     def metrics_for(self, pattern: Tuple[bool, ...]) -> MetricsSnapshot:
-        """Dual-engine metrics for one correctness pattern (memoised).
-
-        Metrics are collected lazily, per distinct pattern, so bulk
-        simulation without observability pays nothing; a metrics-enabled
-        run of the same pattern is deterministic, so the timing result
-        doubles as a ``run_for`` memo entry.
-        """
-        if self.spec_schedule is None:
-            raise RuntimeError(f"block {self.label!r} was not speculated")
-        cached = self._metrics_cache.get(pattern)
-        if cached is None:
-            ldpreds = self.spec_schedule.spec.ldpred_ids
-            if len(pattern) != len(ldpreds):
-                raise ValueError(
-                    f"pattern of length {len(pattern)} for {len(ldpreds)} predictions"
-                )
-            from repro.core import compile_cache
-
-            run, cached = compile_cache.pattern_metrics(self.spec_schedule, pattern)
-            self._metrics_cache[pattern] = cached
-            self._pattern_cache.setdefault(pattern, run)
-        return cached
+        """Dual-engine metrics for one correctness pattern: the snapshot
+        folded from the pattern's :meth:`run_for` run."""
+        return self.run_for(pattern).metrics
 
     def cycles_for(self, pattern: Tuple[bool, ...]) -> Dict[str, int]:
         """Per-cause cycle stack for one correctness pattern (memoised).

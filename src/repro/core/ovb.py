@@ -26,17 +26,15 @@ State transitions (paper's Figure 7 walkthrough):
   once the Compensation Code Engine re-executes the operation.
 
 Every record carries timestamps so the timing simulator can ask *when* a
-correct value became available.
+correct value became available.  Each state a record enters is appended
+to the run's event log.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional
-
-from repro.obs.metrics import MetricsRegistry, NULL_METRICS
-from repro.obs.trace import BufferStallEvent, OvbTransitionEvent, TraceSink
+from typing import Dict, FrozenSet, List, Optional
 
 
 class OperandKind(enum.Enum):
@@ -88,25 +86,20 @@ class OperandValueBuffer:
 
     Unbounded by default, as in the paper's simulation.  With
     ``capacity`` set (from ``MachineSpec.ovb_capacity``) inserts beyond
-    the bound raise :class:`OVBFull`; ``high_water`` records the peak
-    occupancy either way, which the explore driver uses to size buffers.
+    the bound raise :class:`OVBFull`.  Records are never removed within
+    a block, so the buffer's size is also its peak occupancy (the
+    ``ovb.size`` gauge read from the log).
     """
 
     def __init__(
-        self,
-        trace: Optional[TraceSink] = None,
-        metrics: MetricsRegistry = NULL_METRICS,
-        capacity: Optional[int] = None,
+        self, capacity: Optional[int] = None, log: Optional[List[tuple]] = None
     ) -> None:
         if capacity is not None and capacity < 1:
             raise ValueError("OVB capacity must be positive or None")
         self._records: Dict[int, ValueRecord] = {}
-        self.inserts = 0
         self.updates = 0
         self.capacity = capacity
-        self.high_water = 0
-        self._trace = trace
-        self._metrics = metrics
+        self._emit = (log if log is not None else []).append
 
     def _admit(self, producer_id: int, time: int) -> None:
         if (
@@ -114,23 +107,14 @@ class OperandValueBuffer:
             and producer_id not in self._records
             and len(self._records) >= self.capacity
         ):
-            if self._trace is not None:
-                self._trace.emit(
-                    BufferStallEvent(
-                        cycle=time, buffer="ovb", op_id=producer_id, stall=0
-                    )
-                )
+            self._emit(("buffer_stall", time, "ovb", producer_id, 0))
             raise OVBFull(
                 f"OVB capacity {self.capacity} exceeded inserting op "
                 f"{producer_id}; bound speculation or enlarge ovb_capacity"
             )
 
     def _transition(self, op_id: int, state: OperandState, time: int) -> None:
-        self._metrics.inc("ovb.state_transitions", label=state.name)
-        if self._trace is not None:
-            self._trace.emit(
-                OvbTransitionEvent(cycle=time, op_id=op_id, state=state.name)
-            )
+        self._emit(("ovb_transition", time, op_id, state.name))
 
     # -- insertion (VLIW engine side) ------------------------------------
 
@@ -144,10 +128,6 @@ class OperandValueBuffer:
             origins=frozenset({ldpred_id}),
         )
         self._records[ldpred_id] = record
-        self.inserts += 1
-        self._metrics.inc("ovb.inserts")
-        self._metrics.set_gauge("ovb.size", len(self._records))
-        self.high_water = max(self.high_water, len(self._records))
         self._transition(ldpred_id, OperandState.PN, available_at)
         return record
 
@@ -163,10 +143,6 @@ class OperandValueBuffer:
             origins=origins,
         )
         self._records[op_id] = record
-        self.inserts += 1
-        self._metrics.inc("ovb.inserts")
-        self._metrics.set_gauge("ovb.size", len(self._records))
-        self.high_water = max(self.high_water, len(self._records))
         self._transition(op_id, OperandState.RN, available_at)
         return record
 

@@ -37,7 +37,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple
 
-from repro.obs.metrics import MetricsRegistry, NULL_METRICS
+from repro.obs.metrics import MetricsRegistry
 from repro.core import compile_cache
 from repro.core.metrics import OutcomeClass, classify_outcome
 
@@ -268,7 +268,7 @@ def _fold_counts(
     compilation: ProgramCompilation,
     counts: SimCounts,
     result: ProgramSimResult,
-    registry: MetricsRegistry,
+    registry: Optional[MetricsRegistry],
     collect_cycles: bool,
     cycle_stacks: Dict[str, Dict[str, int]],
     predictor_label: str,
@@ -285,7 +285,7 @@ def _fold_counts(
     """
     machine = compilation.machine
     res = result
-    if registry.enabled:
+    if registry is not None:
         if counts.hits:
             registry.inc("predict.hit", counts.hits, label=predictor_label)
         if counts.misses:
@@ -323,7 +323,7 @@ def _fold_counts(
         for pattern in sorted(per_pattern):
             n = per_pattern[pattern]
             run = comp.run_for(pattern)
-            if registry.enabled:
+            if registry is not None:
                 registry.merge_snapshot(comp.metrics_for(pattern).scaled(n))
             res.cycles_proposed += run.effective_length * n
             res.predictions += run.predictions * n
@@ -467,7 +467,7 @@ def simulate_program(
         program_name=compilation.program.name,
         machine_name=compilation.machine.name,
     )
-    registry = MetricsRegistry() if collect_metrics else NULL_METRICS
+    registry = MetricsRegistry() if collect_metrics else None
     spec = compilation.machine.predictor
     predictor_label = spec.kind
     if spec.table_entries is not None:
@@ -510,7 +510,7 @@ def simulate_program(
             model: dict(sorted(stack.items()))
             for model, stack in cycle_stacks.items()
         }
-    if registry.enabled:
+    if registry is not None:
         if result.cycle_stacks:
             for model, stack in result.cycle_stacks.items():
                 for cause, cycles in stack.items():

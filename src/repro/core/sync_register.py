@@ -9,15 +9,13 @@ operations encode wait masks over these bits and stall while any masked
 bit is set.
 
 The simulator variant here tracks *times*: when each bit was set and when
-it cleared, which is all the timing model needs.
+it cleared, which is all the timing model needs.  Each set and each
+recorded clear is appended to the run's event log.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
-
-from repro.obs.metrics import MetricsRegistry, NULL_METRICS
-from repro.obs.trace import SyncClearEvent, SyncSetEvent, TraceSink
+from typing import Dict, Iterable, List, Optional
 
 
 class SyncRegisterOverflow(RuntimeError):
@@ -62,27 +60,19 @@ class SyncBitAllocator:
 class SyncRegisterState:
     """Run-time bit state with set/clear timestamps (simulator side)."""
 
-    def __init__(
-        self,
-        width: int = 64,
-        trace: Optional[TraceSink] = None,
-        metrics: MetricsRegistry = NULL_METRICS,
-    ):
+    def __init__(self, width: int = 64, log: Optional[List[tuple]] = None):
         self.width = width
         self._set_at: Dict[int, int] = {}
         self._cleared_at: Dict[int, int] = {}
         self._cleared_by: Dict[int, Optional[str]] = {}
-        self._trace = trace
-        self._metrics = metrics
+        self._emit = (log if log is not None else []).append
 
     def set_bit(self, bit: int, time: int) -> None:
         self._check(bit)
         self._set_at[bit] = time
         self._cleared_at.pop(bit, None)
         self._cleared_by.pop(bit, None)
-        self._metrics.inc("sync.sets")
-        if self._trace is not None:
-            self._trace.emit(SyncSetEvent(cycle=time, bit=bit))
+        self._emit(("sync_set", time, bit))
 
     def clear_bit(
         self, bit: int, time: int, source: Optional[str] = None
@@ -108,9 +98,7 @@ class SyncRegisterState:
             return
         self._cleared_at[bit] = time
         self._cleared_by[bit] = source
-        self._metrics.inc("sync.clears")
-        if self._trace is not None:
-            self._trace.emit(SyncClearEvent(cycle=time, bit=bit))
+        self._emit(("sync_clear", time, bit))
 
     def clear_time(self, bit: int) -> Optional[int]:
         """Time the bit cleared, or ``None`` while still pending."""

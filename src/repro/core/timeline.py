@@ -1,6 +1,7 @@
 """Cycle-by-cycle timeline rendering (the paper's Figure 7 view).
 
-Given a speculative schedule and a traced :class:`BlockRun`, renders a
+Given a speculative schedule, a :class:`BlockRun` and the run's event
+log (both from :func:`repro.core.machine_sim.trace_block`), renders a
 three-column per-cycle table: what the VLIW Engine issues (with operation
 forms and Synchronization-bit annotations), what the Compensation Code
 Engine does, and the verification events of the cycle.  This is the tool
@@ -21,6 +22,7 @@ from repro.obs.trace import (
     StallEvent,
 )
 from repro.core.isa_ext import OpForm
+from repro.obs.trace import BlockLog
 from repro.core.machine_sim import BlockRun
 from repro.core.specsched import SpeculativeSchedule
 
@@ -52,19 +54,12 @@ def _vliw_cell(spec_schedule: SpeculativeSchedule, op_ids: List[int]) -> str:
     return "; ".join(parts)
 
 
-def render_timeline(spec_schedule: SpeculativeSchedule, run: BlockRun) -> str:
-    """Render a per-cycle dual-engine timeline.
-
-    Requires ``run`` to have been produced with ``collect_trace=True``
-    (so issue times and CCE events were recorded).
-    """
-    if not run.issue_times:
-        raise ValueError(
-            "timeline rendering needs a run simulated with collect_trace=True"
-        )
-
+def render_timeline(
+    spec_schedule: SpeculativeSchedule, run: BlockRun, log: BlockLog
+) -> str:
+    """Render a per-cycle dual-engine timeline of ``run`` from its log."""
     issued_at: Dict[int, List[int]] = {}
-    for op_id, cycle in run.issue_times:
+    for op_id, cycle in log.issue_times():
         issued_at.setdefault(cycle, []).append(op_id)
 
     # The CCE column shows pipeline activity; the events column shows
@@ -73,7 +68,7 @@ def render_timeline(spec_schedule: SpeculativeSchedule, run: BlockRun) -> str:
     # stall/check/bit-clear events the notes.
     cce_at: Dict[int, List[str]] = {}
     notes_at: Dict[int, List[str]] = {}
-    for event in run.trace:
+    for event in log.events():
         if isinstance(event, ExecuteEvent):
             cce_at.setdefault(event.cycle, []).append(
                 f"execute op{event.op_id} (done @{event.completion})"

@@ -20,30 +20,23 @@ Per-operation behaviour at issue:
   decoded op into the Compensation Code Buffer.
 * plain / non-speculative — ordinary execution (non-speculative issue
   gating happened at the instruction level).
+
+Everything the engine does is appended to the run's event log: one
+``issue`` entry per operation, the typed-event entries above, and one
+``charge`` entry per chunk of cycles attributed to a cause (see
+:mod:`repro.obs.cycles`), so the charges sum to the block's length.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Mapping
 
 from repro.machine.description import MachineDescription
 from repro.obs.cycles import (
     SYNC_CLEAR_CAUSES,
     SYNC_SOURCE_RANK,
-    CycleLedger,
-    NULL_CYCLES,
     instruction_binding,
-)
-from repro.obs.metrics import MetricsRegistry, NULL_METRICS
-from repro.obs.trace import (
-    BitClearEvent,
-    BufferStallEvent,
-    CheckEvent,
-    LdPredEvent,
-    SpeculateEvent,
-    StallEvent,
-    TraceSink,
 )
 from repro.core.cc_engine import CompensationEngine, SimulationDeadlock
 from repro.core.ccb import CCBEntry, CCBFull
@@ -62,7 +55,6 @@ class VLIWRunStats:
     instructions_issued: int = 0
     predictions: int = 0
     mispredictions: int = 0
-    issue_times: Dict[int, int] = field(default_factory=dict)
 
 
 class VLIWEngineSim:
@@ -75,9 +67,7 @@ class VLIWEngineSim:
         ovb: OperandValueBuffer,
         sync: SyncRegisterState,
         cc: CompensationEngine,
-        trace: Optional[TraceSink] = None,
-        metrics: MetricsRegistry = NULL_METRICS,
-        cycles: CycleLedger = NULL_CYCLES,
+        log: List[tuple],
     ):
         self.spec_schedule = spec_schedule
         self.machine: MachineDescription = spec_schedule.schedule.machine
@@ -85,9 +75,7 @@ class VLIWEngineSim:
         self.ovb = ovb
         self.sync = sync
         self.cc = cc
-        self._trace = trace
-        self._metrics = metrics
-        self._cycles = cycles
+        self._emit = log.append
 
         missing = set(spec_schedule.spec.ldpred_ids) - set(self.outcomes)
         if missing:
@@ -105,13 +93,12 @@ class VLIWEngineSim:
         stats = VLIWRunStats()
         spec = self.spec_schedule.spec
         shift = 0
-        ledger = self._cycles
+        emit = self._emit
         ccb_capacity = self.cc.buffer.capacity
 
-        # Cycle-accounting state (touched only when the ledger is live).
-        # Static gaps mirror obs.cycles.attribute_schedule; the dynamic
-        # completion tail is bound by the longest in-flight op at its
-        # *shifted* completion.
+        # Cycle-accounting state.  Static gaps mirror
+        # obs.cycles.attribute_schedule; the dynamic completion tail is
+        # bound by the longest in-flight op at its *shifted* completion.
         prev_static = -1
         static_best = (-1, -1, "dep_stall")  # (completion, rank, cause)
         last_issue = -1
@@ -134,14 +121,7 @@ class VLIWEngineSim:
                 issue = max(tentative, clear)
             sync_stall = issue - tentative
             if sync_stall:
-                self._metrics.inc("vliw.stalls")
-                self._metrics.inc("vliw.stall_cycles", sync_stall)
-                if self._trace is not None:
-                    self._trace.emit(
-                        StallEvent(
-                            cycle=issue, bits=tuple(sorted(wait)), stall=sync_stall
-                        )
-                    )
+                emit(("stall", issue, tuple(sorted(wait)), sync_stall))
             ccb_stall = 0
             if ccb_capacity is not None:
                 issue = self._admit_ccb(instr, issue, ccb_capacity)
@@ -150,45 +130,41 @@ class VLIWEngineSim:
             stats.stall_cycles += stall
             shift += stall
             stats.instructions_issued += 1
-            self._metrics.inc("vliw.instructions")
 
-            if ledger.enabled:
-                issue_cause, latency, rank, cause = instruction_binding(instr)
-                static_gap = instr.cycle - prev_static - 1
-                if static_gap > 0:
-                    in_flight = static_best[0] > prev_static + 1
-                    ledger.charge(
+            issue_cause, latency, rank, cause = instruction_binding(instr)
+            static_gap = instr.cycle - prev_static - 1
+            if static_gap > 0:
+                in_flight = static_best[0] > prev_static + 1
+                emit(
+                    (
+                        "charge",
+                        issue,
                         static_best[2] if in_flight else "dep_stall",
                         static_gap,
-                        at=issue,
                     )
-                if sync_stall:
-                    ledger.charge(
-                        self._sync_stall_cause(wait), sync_stall, at=issue
-                    )
-                if ccb_stall:
-                    ledger.charge("ccb_pressure", ccb_stall, at=issue)
-                ledger.charge(issue_cause, 1, at=issue)
-                prev_static = instr.cycle
-                last_issue = issue
-                # Every slot of an instruction is shifted alike, so its
-                # binding op is the same statically and dynamically.
-                static_best = max(static_best, (instr.cycle + latency, rank, cause))
-                tail_best = max(tail_best, (issue + latency, rank, cause))
+                )
+            if sync_stall:
+                emit(("charge", issue, self._sync_stall_cause(wait), sync_stall))
+            if ccb_stall:
+                emit(("charge", issue, "ccb_pressure", ccb_stall))
+            emit(("charge", issue, issue_cause, 1))
+            prev_static = instr.cycle
+            last_issue = issue
+            # Every slot of an instruction is shifted alike, so its
+            # binding op is the same statically and dynamically.
+            static_best = max(static_best, (instr.cycle + latency, rank, cause))
+            tail_best = max(tail_best, (issue + latency, rank, cause))
 
             for slot in instr.slots:
+                emit(("issue", issue, slot.operation.op_id))
                 self._issue_op(slot.operation, issue, slot.latency, stats)
                 stats.completion = max(stats.completion, issue + slot.latency)
-                stats.issue_times[slot.operation.op_id] = issue
 
-        if ledger.enabled and stats.instructions_issued:
-            # Completion tail: cycles after the last issue while the
-            # longest in-flight operation drains.
-            ledger.charge(
-                tail_best[2],
-                stats.completion - last_issue - 1,
-                at=stats.completion,
-            )
+        # Completion tail: cycles after the last issue while the longest
+        # in-flight operation drains.
+        tail = stats.completion - last_issue - 1
+        if stats.instructions_issued and tail > 0:
+            emit(("charge", stats.completion, tail_best[2], tail))
         return stats
 
     def _sync_stall_cause(self, wait) -> str:
@@ -238,12 +214,7 @@ class VLIWEngineSim:
             return issue
         free_times = self.cc.stats.free_times
         if freed_needed > len(free_times):
-            if self._trace is not None:
-                self._trace.emit(
-                    BufferStallEvent(
-                        cycle=issue, buffer="ccb", op_id=spec_ops[0], stall=0
-                    )
-                )
+            self._emit(("buffer_stall", issue, "ccb", spec_ops[0], 0))
             raise CCBFull(
                 f"block {spec.label!r}: CCB capacity {capacity} can never "
                 f"admit op {spec_ops[0]} (nothing left to free); bound "
@@ -252,15 +223,7 @@ class VLIWEngineSim:
         ready = free_times[freed_needed - 1]
         if ready <= issue:
             return issue
-        stall = ready - issue
-        self._metrics.inc("vliw.ccb_stalls")
-        self._metrics.inc("vliw.ccb_stall_cycles", stall)
-        if self._trace is not None:
-            self._trace.emit(
-                BufferStallEvent(
-                    cycle=ready, buffer="ccb", op_id=spec_ops[0], stall=stall
-                )
-            )
+        self._emit(("buffer_stall", ready, "ccb", spec_ops[0], ready - issue))
         return ready
 
     # -- per-operation behaviour ----------------------------------------------
@@ -274,11 +237,7 @@ class VLIWEngineSim:
             self.sync.set_bit(info.sync_bit, issue)
             self.ovb.record_predicted(op.op_id, available_at=completion)
             stats.predictions += 1
-            self._metrics.inc("vliw.predictions")
-            if self._trace is not None:
-                self._trace.emit(
-                    LdPredEvent(cycle=issue, op_id=op.op_id, sync_bit=info.sync_bit)
-                )
+            self._emit(("ldpred", issue, op.op_id, info.sync_bit))
         elif info.form is OpForm.CHECK:
             self._complete_check(op, info.verifies, completion, stats)
         elif info.form is OpForm.SPECULATIVE:
@@ -295,11 +254,7 @@ class VLIWEngineSim:
                     sync_bit=info.sync_bit,
                 )
             )
-            self._metrics.inc("vliw.speculated")
-            if self._trace is not None:
-                self._trace.emit(
-                    SpeculateEvent(cycle=issue, op_id=op.op_id, sync_bit=info.sync_bit)
-                )
+            self._emit(("speculate", issue, op.op_id, info.sync_bit))
         # PLAIN and NONSPEC ops need no special action at issue: wait-bit
         # gating already happened at the instruction level.
 
@@ -311,18 +266,9 @@ class VLIWEngineSim:
         # value and (on mismatch) updated the register file with it.
         self.sync.clear_bit(ldpred_bit, completion, source="check")
         self.ovb.apply_check(ldpred_id, completion, correct)
-        if self._trace is not None:
-            self._trace.emit(
-                CheckEvent(
-                    cycle=completion,
-                    op_id=op.op_id,
-                    ldpred_id=ldpred_id,
-                    correct=correct,
-                )
-            )
+        self._emit(("check", completion, op.op_id, ldpred_id, correct))
         if not correct:
             stats.mispredictions += 1
-            self._metrics.inc("vliw.mispredictions")
             return
         # On success the check clears the bits of dependent speculated
         # ops whose *every* origin is now verified correct.
@@ -336,14 +282,6 @@ class VLIWEngineSim:
             if all(r.state is OperandState.C for r in origin_records):
                 settle = max(r.resolved_at for r in origin_records)
                 self.ovb.resolve_speculated_correct(spec_id, settle)
-                self.sync.clear_bit(
-                    spec.info[spec_id].sync_bit, settle, source="check"
-                )
-                if self._trace is not None:
-                    self._trace.emit(
-                        BitClearEvent(
-                            cycle=settle,
-                            op_id=spec_id,
-                            sync_bit=spec.info[spec_id].sync_bit,
-                        )
-                    )
+                bit = spec.info[spec_id].sync_bit
+                self.sync.clear_bit(bit, settle, source="check")
+                self._emit(("bit_clear", settle, spec_id, bit))

@@ -34,7 +34,7 @@ from typing import List, Optional
 from repro.evaluation import baseline_cmp, figure8, regions_exp, table2, table3, table4
 from repro.evaluation.experiment import Evaluation, EvaluationSettings
 from repro.evaluation.report import EXPERIMENTS, full_report, run_experiment
-from repro.runner.cache import DiskCache
+from repro.runner.cache import CorruptStore, DiskCache
 from repro.runner.events import EventLog, ProgressRenderer
 from repro.runner.executor import Runner
 
@@ -183,6 +183,9 @@ def _cache_command(args: argparse.Namespace) -> int:
             removed = cache.clear()
             print(f"removed {removed} cached result(s) from {cache.root}")
             return 0
+    except CorruptStore as exc:
+        print(exc, file=sys.stderr)
+        return 1
     finally:
         cache.close()
     print(
@@ -314,6 +317,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(_render_cpi(evaluation))
         _write_metrics(args.metrics, evaluation, events)
         return 0
+    except CorruptStore as exc:
+        print(exc, file=sys.stderr)
+        return 1
     finally:
         events.close()
         runner.cache.close()

@@ -30,7 +30,8 @@ from repro.machine.configs import PLAYDOH_4W
 from repro.machine.description import MachineDescription
 from repro.sched.list_scheduler import schedule_block
 from repro.sched.schedule import Schedule
-from repro.core.machine_sim import BlockRun, simulate_block
+from repro.obs.trace import BlockLog
+from repro.core.machine_sim import BlockRun, trace_block
 from repro.core.specsched import SpeculativeSchedule, schedule_speculative
 from repro.core.speculation import transform_block
 
@@ -46,6 +47,8 @@ class PaperExample:
     original_schedule: Schedule
     spec_schedule: SpeculativeSchedule
     scenarios: Dict[str, BlockRun]
+    #: Each scenario's event log (what the timelines render).
+    logs: Dict[str, BlockLog]
 
     @property
     def ldpred_r4(self) -> int:
@@ -86,9 +89,7 @@ def build_example_block() -> Tuple[Function, Operation, Operation]:
 EXAMPLE_LIVE_OUT = frozenset({Reg("r10"), Reg("r11")})
 
 
-def run_example(
-    machine: MachineDescription = PLAYDOH_4W, collect_trace: bool = True
-) -> PaperExample:
+def run_example(machine: MachineDescription = PLAYDOH_4W) -> PaperExample:
     """Build, transform, schedule and simulate all four scenarios."""
     function, load_r4, load_r7 = build_example_block()
     block = function.block("entry")
@@ -106,8 +107,8 @@ def run_example(
         "r4 mispredicted": {l4: False, l7: True},
         "both mispredicted": {l4: False, l7: False},
     }
-    runs = {
-        name: simulate_block(spec_schedule, outcomes, collect_trace=collect_trace)
+    traced = {
+        name: trace_block(spec_schedule, outcomes)
         for name, outcomes in scenarios.items()
     }
     return PaperExample(
@@ -117,7 +118,8 @@ def run_example(
         load_r7=load_r7,
         original_schedule=original,
         spec_schedule=spec_schedule,
-        scenarios=runs,
+        scenarios={name: run for name, (run, _) in traced.items()},
+        logs={name: log for name, (_, log) in traced.items()},
     )
 
 
@@ -135,7 +137,9 @@ def render(example: PaperExample) -> str:
     lines.append("")
     for name, run in example.scenarios.items():
         lines.append(f"--- Scenario: {name} ---")
-        lines.append(render_timeline(example.spec_schedule, run))
+        lines.append(
+            render_timeline(example.spec_schedule, run, example.logs[name])
+        )
         lines.append("")
     return "\n".join(lines)
 

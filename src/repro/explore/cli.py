@@ -168,7 +168,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         file=sys.stderr,
     )
 
-    from repro.runner.cache import DiskCache
+    from repro.runner.cache import CorruptStore, DiskCache
     from repro.runner.events import EventLog, ProgressRenderer
     from repro.runner.executor import Runner
 
@@ -195,6 +195,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    except CorruptStore as exc:
+        print(exc, file=sys.stderr)
+        return 1
     finally:
         events.close()
         runner.cache.close()

@@ -9,17 +9,17 @@ Usage::
     repro-trace --metrics metrics.json        # also dump the metrics snapshot
     repro-trace --runner-events run.jsonl     # add runner pipeline-stage spans
 
-The default target is the paper's worked example: the chosen scenario is
-re-simulated with tracing and metrics enabled, exported as Chrome
-trace-event JSON (open it at https://ui.perfetto.dev), and the metrics
-snapshot is cross-checked against the simulator's own counters
+The default target is the paper's worked example: the chosen scenario's
+event log is exported as Chrome trace-event JSON (open it at
+https://ui.perfetto.dev), and the metrics snapshot folded from the same
+log is cross-checked against the simulator's own counters
 (``cce.flush + cce.reexec`` must equal flushed + executed).
 
 With a benchmark name the full in-process pipeline runs (build, profile,
 compile), the program is simulated once with ``collect_metrics=True``,
 and the top ``--max-blocks`` speculated blocks (by profiled frequency)
-are each traced under the chosen outcome pattern on their own pair of
-process tracks.
+are each run under the chosen outcome pattern and exported from their
+event logs on their own pair of process tracks.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import sys
 from typing import Any, Dict, List, Optional
 
 from repro.machine.configs import PLAYDOH_4W, PLAYDOH_8W
-from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
+from repro.obs.metrics import MetricsSnapshot
 from repro.obs.perfetto import (
     block_run_events,
     chrome_trace,
@@ -148,7 +148,6 @@ def _check_consistency(snapshot: MetricsSnapshot, flushed: int, executed: int) -
 
 
 def _trace_example(args: argparse.Namespace) -> int:
-    from repro.core.machine_sim import simulate_block
     from repro.evaluation.paper_example import run_example
 
     machine = _MACHINES[args.machine]
@@ -160,27 +159,13 @@ def _trace_example(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    l4, l7 = example.spec_schedule.spec.ldpred_ids
-    outcomes = {
-        "both correct": {l4: True, l7: True},
-        "r7 mispredicted": {l4: True, l7: False},
-        "r4 mispredicted": {l4: False, l7: True},
-        "both mispredicted": {l4: False, l7: False},
-    }[args.scenario]
-
-    registry = MetricsRegistry()
-    run = simulate_block(
-        example.spec_schedule,
-        outcomes,
-        collect_trace=True,
-        collect_cycles=True,
-        metrics=registry,
-    )
-    snapshot = registry.snapshot()
+    run = example.scenarios[args.scenario]
+    snapshot = run.metrics
 
     events = block_run_events(
         example.spec_schedule,
         run,
+        example.logs[args.scenario],
         title=f"paper example [{args.scenario}]",
     )
     events.extend(_runner_events(args))
@@ -200,7 +185,7 @@ def _trace_example(args: argparse.Namespace) -> int:
 
 
 def _trace_benchmark(args: argparse.Namespace) -> int:
-    from repro.core.machine_sim import simulate_block
+    from repro.core.machine_sim import trace_block
     from repro.evaluation.experiment import Evaluation, EvaluationSettings
     from repro.workloads.suite import resolve_benchmarks
 
@@ -232,13 +217,12 @@ def _trace_benchmark(args: argparse.Namespace) -> int:
         comp = compilation.block(label)
         correct = args.pattern == "best"
         outcomes = {l: correct for l in comp.spec_schedule.spec.ldpred_ids}
-        run = simulate_block(
-            comp.spec_schedule, outcomes, collect_trace=True, collect_cycles=True
-        )
+        run, log = trace_block(comp.spec_schedule, outcomes)
         events.extend(
             block_run_events(
                 comp.spec_schedule,
                 run,
+                log,
                 base_pid=index * 10,
                 title=f"{args.target}:{label} [{args.pattern}]",
             )

@@ -5,10 +5,10 @@ load-dependence stall cycles for (hopefully fewer) check/flush/re-exec
 recovery cycles — so the simulator must be able to say not just *how
 many* cycles a block cost but *why*.  This module provides:
 
-* :class:`CycleLedger` — the write side the engines charge into, with
-  the same zero-cost-when-disabled discipline as
-  :class:`repro.obs.metrics.MetricsRegistry` (:data:`NULL_CYCLES` is the
-  shared disabled instance);
+* the cause vocabulary and binding rules the VLIW engine uses to write
+  ``charge`` entries into a block run's event log
+  (:class:`repro.obs.trace.BlockLog`), from which the run's stack is
+  folded;
 * :func:`attribute_schedule` — static attribution of a
   :class:`~repro.sched.schedule.Schedule`: every cycle of the schedule
   length goes to exactly one cause, by construction;
@@ -56,8 +56,9 @@ for sync stalls the bit with the latest clear time (ties broken
 in-flight operation with the latest completion (ties broken
 ``load_wait`` > ``check_compare`` > ``dep_stall``).
 
-The hard invariant — ``sum(stack) == total cycles`` — is asserted in
-debug runs by :func:`repro.core.machine_sim.simulate_block` and
+The hard invariant — ``sum(stack) == total cycles`` — is asserted on
+every block run by :func:`repro.core.machine_sim.simulate_block` and on
+every cycle-accounted program run by
 :func:`repro.core.program_sim.simulate_program`.
 """
 
@@ -133,40 +134,6 @@ def instruction_binding(instr: Any) -> Tuple[str, int, int, str]:
         if key > best:
             best = key
     return ("check_compare" if checks_only else "issue",) + best
-
-
-class CycleLedger:
-    """Write side of cycle accounting.
-
-    Engines call :meth:`charge` once per attributed chunk.  A disabled
-    ledger (the shared :data:`NULL_CYCLES`) rejects every charge after a
-    single branch, so the hot loops stay instrumented unconditionally.
-    With ``record_events=True`` each charge is also kept as an
-    ``(at, cause, cycles)`` event for Perfetto counter tracks.
-    """
-
-    __slots__ = ("enabled", "counts", "events", "record_events")
-
-    def __init__(self, enabled: bool = True, record_events: bool = False):
-        self.enabled = enabled
-        self.record_events = record_events
-        self.counts: Dict[str, int] = {}
-        self.events: List[Tuple[int, str, int]] = []
-
-    def charge(self, cause: str, cycles: int, at: Optional[int] = None) -> None:
-        """Attribute ``cycles`` to ``cause`` (no-op when disabled or 0)."""
-        if not self.enabled or cycles <= 0:
-            return
-        self.counts[cause] = self.counts.get(cause, 0) + cycles
-        if self.record_events and at is not None:
-            self.events.append((at, cause, cycles))
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-
-#: Shared disabled ledger: the default for every instrumented code path.
-NULL_CYCLES = CycleLedger(enabled=False)
 
 
 def attribute_schedule(schedule: Any) -> Dict[str, int]:

@@ -1,6 +1,6 @@
 """A lightweight metrics layer: counters, gauges, histograms.
 
-The simulator and the experiment pipeline are instrumented against a
+The experiment pipeline and the compiler collect metrics in a
 :class:`MetricsRegistry`.  The registry is deliberately tiny:
 
 * **counters** accumulate integer increments (``cce.flush``,
@@ -15,11 +15,14 @@ Metric keys are a dotted name plus an optional label rendered as
 ``predict.hit{stride+fcm}``), so a family of related series shares one
 name and snapshots stay plain string-keyed dictionaries.
 
-Instrumented code paths take a registry argument defaulting to
-:data:`NULL_METRICS`, a process-wide disabled registry whose update
-methods return after a single attribute check — the overhead of
-disabled metrics is one branch per site, which is what lets the hot
-simulation loops stay instrumented unconditionally.
+The dual engine does not write a registry: each block run's snapshot
+is folded from its event log (:meth:`repro.obs.trace.BlockLog.fold`).
+Registries collect the program-level roll-up
+(:func:`repro.core.program_sim.simulate_program` with
+``collect_metrics=True``) and the compiler's per-pass timings;
+:data:`NULL_METRICS` is a process-wide disabled registry whose update
+methods return after a single attribute check, the default for
+:class:`repro.compiler.manager.PassManager`.
 
 :class:`MetricsSnapshot` is the immutable read side: ``snapshot()`` the
 registry, ``merged()`` snapshots across blocks or benchmarks,
@@ -255,8 +258,7 @@ class MetricsRegistry:
 
     A disabled registry (``enabled=False``) rejects every update after a
     single branch and never allocates; :data:`NULL_METRICS` is the shared
-    disabled instance used as the default argument throughout the
-    simulator.
+    disabled instance.
     """
 
     __slots__ = ("enabled", "_counters", "_gauges", "_histograms")
@@ -338,5 +340,5 @@ class MetricsRegistry:
         )
 
 
-#: Shared disabled registry: the default for every instrumented code path.
+#: Shared disabled registry: the default for the compiler's pass timings.
 NULL_METRICS = MetricsRegistry(enabled=False)

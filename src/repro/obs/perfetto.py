@@ -13,7 +13,9 @@ Track layout for one simulated block (:func:`block_run_events`):
   a *verify* thread (check verdicts as instants) and a *sync bits*
   thread (set/clear instants);
 * a **Compensation Code Engine** process whose *pipeline* thread carries
-  flush/execute spans.
+  flush/execute spans;
+* one ``cpi:<cause>`` counter track per cycle-accounting cause
+  (cumulative cycles), on the VLIW Engine process.
 
 Simulator timestamps are cycles, exported 1 cycle = 1 µs so Perfetto's
 zoom and duration readouts show cycle counts directly.
@@ -33,6 +35,7 @@ from repro.obs.trace import (
     BitClearEvent,
     BufferStallEvent,
     CheckEvent,
+    BlockLog,
     ExecuteEvent,
     FlushEvent,
     StallEvent,
@@ -119,19 +122,17 @@ def _counter(
 def block_run_events(
     spec_schedule: Any,
     run: Any,
+    log: BlockLog,
     base_pid: int = 0,
     title: Optional[str] = None,
 ) -> List[Dict[str, Any]]:
-    """Trace events for one traced :class:`~repro.core.machine_sim.BlockRun`.
+    """Trace events for one :class:`~repro.core.machine_sim.BlockRun`,
+    read from its event log (both from
+    :func:`~repro.core.machine_sim.trace_block`).
 
-    ``run`` must come from ``simulate_block(..., collect_trace=True)``.
     ``base_pid`` offsets the process ids so several blocks can coexist in
     one trace file (each block claims ``base_pid+1`` and ``base_pid+2``).
     """
-    if not run.issue_times:
-        raise ValueError(
-            "trace export needs a run simulated with collect_trace=True"
-        )
     label = title or run.label
     pid_vliw = base_pid + 1
     pid_cce = base_pid + 2
@@ -163,7 +164,7 @@ def block_run_events(
     for index in range(max_slots):
         events.append(_meta("thread_name", pid_vliw, index, f"issue slot {index}"))
 
-    for op_id, issue in run.issue_times:
+    for op_id, issue in log.issue_times():
         op = by_id[op_id]
         info = spec.info[op_id]
         latency = latency_of.get(op_id, 1)
@@ -179,7 +180,7 @@ def block_run_events(
             )
         )
 
-    for event in run.trace:
+    for event in log.events():
         if isinstance(event, StallEvent):
             events.append(
                 _span(
@@ -260,11 +261,9 @@ def block_run_events(
                 )
             )
 
-    # One counter track per cycle-accounting cause (cumulative cycles);
-    # present when the run was simulated with collect_cycles as well.
-    cycle_events = getattr(run, "cycle_events", ()) or ()
+    # One counter track per cycle-accounting cause (cumulative cycles).
     totals: Dict[str, int] = {}
-    for cycle, cause, cycles in sorted(cycle_events):
+    for cycle, cause, cycles in sorted(log.charges()):
         totals[cause] = totals.get(cause, 0) + cycles
         events.append(
             _counter(f"cpi:{cause}", ts=cycle, pid=pid_vliw, value=totals[cause])

@@ -1,23 +1,36 @@
-"""Typed structured trace events for the dual-engine simulator.
+"""The dual engine's event log and the typed events read from it.
 
-These dataclasses replace the former ``(cycle, "free-form string")``
-tuples: every event carries a machine-readable ``kind``, the engine that
-produced it, a ``cycle``, and whatever identifiers the event is about
-(``op_id``, sync bit, verdict).  Consumers that want the old human text
-call :meth:`TraceEvent.describe`; consumers that want structure (the
-timeline renderer, the Perfetto exporter, tests) match on the event
-classes or ``kind`` and never parse strings.
+Every fact about a block run is something one of the machine's four
+parts did at some cycle: the VLIW Engine, the Compensation Code Engine,
+the OVB and the Synchronization register.  They append it, as a plain
+tuple ``(kind, cycle, *fields)``, to one :class:`BlockLog` owned by the
+run.  The log is always on; everything else is read from it after the
+run:
 
-Events are collected by a :class:`TraceSink`, which the block simulator
-threads through the VLIW engine, the Compensation Code Engine, the OVB
-and the Synchronization register.  A ``None`` sink disables tracing
-entirely (the default for bulk simulation).
+* the typed events below (:meth:`BlockLog.events`), which carry a
+  machine-readable ``kind``, the engine that produced them, a ``cycle``
+  and the identifiers the event is about.  Consumers that want human
+  text call :meth:`TraceEvent.describe`; consumers that want structure
+  (the timeline renderer, the Perfetto exporter, tests) match on the
+  event classes and never parse strings;
+* the ``issue_times`` and ``cc_events`` views and the cycle-accounting
+  charges (:meth:`BlockLog.issue_times`, :meth:`BlockLog.cc_events`,
+  :meth:`BlockLog.charges`);
+* the run's cycle stack and metrics snapshot (:meth:`BlockLog.fold`).
+
+An entry's fields follow its event class's field order, so
+``EVENT_CLASSES[kind](*entry[1:])`` builds the typed event.  Two kinds
+have no event class: ``("issue", cycle, op_id)`` for each issued
+operation and ``("charge", cycle, cause, cycles)`` for each attributed
+chunk of cycles (see :mod:`repro.obs.cycles`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, ClassVar, Dict, Iterator, List, Tuple
+from typing import Any, ClassVar, Dict, List, NamedTuple, Tuple
+
+from repro.obs.metrics import HistogramSummary, MetricsSnapshot, metric_key
 
 #: Engine/track identifiers, used by the Perfetto exporter for grouping.
 ENGINE_VLIW = "vliw"
@@ -236,31 +249,218 @@ class SyncClearEvent(TraceEvent):
         return f"clear bit {self.bit}"
 
 
-class TraceSink:
-    """Ordered collector of :class:`TraceEvent`.
+#: Entry kind -> typed event class (the log's read-side vocabulary).
+EVENT_CLASSES: Dict[str, type] = {
+    cls.kind: cls
+    for cls in (
+        StallEvent,
+        BufferStallEvent,
+        LdPredEvent,
+        SpeculateEvent,
+        CheckEvent,
+        BitClearEvent,
+        FlushEvent,
+        ExecuteEvent,
+        OvbTransitionEvent,
+        SyncSetEvent,
+        SyncClearEvent,
+    )
+}
 
-    Events arrive in emission order, which is chronological per engine
-    but only loosely so across engines; consumers that need a global
-    order sort by ``cycle`` (Python's stable sort preserves emission
-    order within a cycle).
+#: Entry kinds without an event class.
+ISSUE = "issue"
+CHARGE = "charge"
+
+#: Counter key of each OVB state a record can enter (paper Table 1).
+_TRANSITION_KEYS = {
+    state: metric_key("ovb.state_transitions", state)
+    for state in ("PN", "RN", "C", "R")
+}
+
+
+class Tally(NamedTuple):
+    """A block run's metrics as :meth:`BlockLog.fold` counts them.
+
+    Kept on every memoised run instead of a :class:`MetricsSnapshot`,
+    which :meth:`snapshot` builds on demand.
     """
 
-    __slots__ = ("events",)
+    #: Counter values, keyed in the order each series was first counted.
+    counters: Dict[str, int]
+    #: Peak OVB occupancy (records are never removed within a block).
+    ovb_size: int
+    #: The CCB's pending entries at each insertion, in insertion order.
+    ccb_occupancy: Tuple[int, ...]
 
-    def __init__(self) -> None:
-        self.events: List[TraceEvent] = []
+    def snapshot(self) -> MetricsSnapshot:
+        """The run's counters, ``ovb.size`` gauge and
+        ``cce.ccb_occupancy`` histogram."""
+        histograms: Dict[str, HistogramSummary] = {}
+        if self.ccb_occupancy:
+            summary = histograms["cce.ccb_occupancy"] = HistogramSummary()
+            for sample in self.ccb_occupancy:
+                summary.observe(sample)
+        return MetricsSnapshot(
+            counters=dict(self.counters),
+            gauges={"ovb.size": self.ovb_size} if self.ovb_size else {},
+            histograms=histograms,
+        )
 
-    def emit(self, event: TraceEvent) -> None:
-        self.events.append(event)
 
-    def of_kind(self, *kinds: str) -> List[TraceEvent]:
-        return [e for e in self.events if e.kind in kinds]
+class BlockLog(list):
+    """The entries one block run appended, in emission order.
 
-    def sorted(self) -> List[TraceEvent]:
-        return sorted(self.events, key=lambda e: e.cycle)
+    Emission order is chronological per engine but only loosely so
+    across engines; :meth:`events` sorts by cycle (Python's stable sort
+    keeps emission order within a cycle).
+    """
 
-    def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self.events)
+    __slots__ = ()
 
-    def __len__(self) -> int:
-        return len(self.events)
+    def events(self) -> Tuple[TraceEvent, ...]:
+        """The typed trace events, sorted by cycle."""
+        classes = EVENT_CLASSES
+        return tuple(
+            sorted(
+                (classes[e[0]](*e[1:]) for e in self if e[0] in classes),
+                key=lambda event: event.cycle,
+            )
+        )
+
+    def issue_times(self) -> Tuple[Tuple[int, int], ...]:
+        """``(op id, issue cycle)`` pairs, sorted by op id."""
+        return tuple(sorted((e[2], e[1]) for e in self if e[0] == ISSUE))
+
+    def cc_events(self) -> Tuple[Tuple[int, str, int, int], ...]:
+        """``(slot cycle, "flush"|"execute", op id, completion)`` of the
+        Compensation Code Engine, in processing order."""
+        return tuple(
+            (e[1], e[0], e[2], e[3])
+            for e in self
+            if e[0] == "flush" or e[0] == "execute"
+        )
+
+    def charges(self) -> Tuple[Tuple[int, str, int], ...]:
+        """``(cycle, cause, cycles)`` cycle-accounting charges."""
+        return tuple((e[1], e[2], e[3]) for e in self if e[0] == CHARGE)
+
+    def fold(self) -> Tuple[Dict[str, int], Tally]:
+        """One pass over the log: the per-cause cycle stack and the
+        run's :class:`Tally`.
+
+        Counters: ``vliw.instructions`` (distinct issue cycles),
+        ``vliw.stalls``/``vliw.stall_cycles``,
+        ``vliw.ccb_stalls``/``vliw.ccb_stall_cycles``,
+        ``vliw.predictions``, ``vliw.mispredictions``,
+        ``vliw.speculated``, ``cce.flush``, ``cce.reexec``,
+        ``cce.busy_cycles``, ``ovb.inserts``,
+        ``ovb.state_transitions{PN,RN,C,R}``, ``sync.sets`` and
+        ``sync.clears``.  A series appears once counted, keyed in the
+        order the log first counts it.
+        """
+        stack: Dict[str, int] = {}
+        order: List[str] = []
+        transitions: Dict[str, int] = {}
+        producers = set()
+        occupancy: List[int] = []
+        pending = instructions = inserts = 0
+        last_issue = -1
+        sets = clears = ldpreds = mispredictions = 0
+        flushes = executes = exec_cycles = 0
+        stalls = stall_cycles = ccb_stalls = ccb_stall_cycles = 0
+        # Branches in descending order of frequency.
+        for entry in self:
+            kind = entry[0]
+            if kind == ISSUE:
+                if entry[1] != last_issue:
+                    last_issue = entry[1]
+                    if not instructions:
+                        order.append("vliw.instructions")
+                    instructions += 1
+            elif kind == CHARGE:
+                cause = entry[2]
+                stack[cause] = stack.get(cause, 0) + entry[3]
+            elif kind == "ovb_transition":
+                state = entry[3]
+                if state == "PN" or state == "RN":
+                    if not inserts:
+                        order.append("ovb.inserts")
+                    inserts += 1
+                    producers.add(entry[2])
+                key = _TRANSITION_KEYS[state]
+                count = transitions.get(key)
+                if count is None:
+                    order.append(key)
+                    count = 0
+                transitions[key] = count + 1
+            elif kind == "sync_set":
+                if not sets:
+                    order.append("sync.sets")
+                sets += 1
+            elif kind == "sync_clear":
+                if not clears:
+                    order.append("sync.clears")
+                clears += 1
+            elif kind == "speculate":
+                if not occupancy:
+                    order.append("vliw.speculated")
+                pending += 1
+                occupancy.append(pending)
+            elif kind == "execute":
+                if not executes:
+                    order.append("cce.reexec")
+                    if not flushes:
+                        order.append("cce.busy_cycles")
+                pending -= 1
+                executes += 1
+                exec_cycles += entry[3] - entry[1]
+            elif kind == "flush":
+                if not flushes:
+                    order.append("cce.flush")
+                    if not executes:
+                        order.append("cce.busy_cycles")
+                pending -= 1
+                flushes += 1
+            elif kind == "ldpred":
+                if not ldpreds:
+                    order.append("vliw.predictions")
+                ldpreds += 1
+            elif kind == "check":
+                if not entry[4]:
+                    if not mispredictions:
+                        order.append("vliw.mispredictions")
+                    mispredictions += 1
+            elif kind == "stall":
+                if not stalls:
+                    order += ("vliw.stalls", "vliw.stall_cycles")
+                stalls += 1
+                stall_cycles += entry[3]
+            elif kind == "buffer_stall" and entry[4]:
+                if not ccb_stalls:
+                    order += ("vliw.ccb_stalls", "vliw.ccb_stall_cycles")
+                ccb_stalls += 1
+                ccb_stall_cycles += entry[4]
+
+        values = {
+            "vliw.instructions": instructions,
+            "vliw.stalls": stalls,
+            "vliw.stall_cycles": stall_cycles,
+            "vliw.ccb_stalls": ccb_stalls,
+            "vliw.ccb_stall_cycles": ccb_stall_cycles,
+            "vliw.predictions": ldpreds,
+            "vliw.mispredictions": mispredictions,
+            "vliw.speculated": len(occupancy),
+            "cce.flush": flushes,
+            "cce.reexec": executes,
+            "cce.busy_cycles": flushes + exec_cycles,
+            "ovb.inserts": inserts,
+            "sync.sets": sets,
+            "sync.clears": clears,
+        }
+        values.update(transitions)
+        tally = Tally(
+            counters={key: values[key] for key in order},
+            ovb_size=len(producers),
+            ccb_occupancy=tuple(occupancy),
+        )
+        return stack, tally

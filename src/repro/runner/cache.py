@@ -17,8 +17,11 @@ The store lives in ``~/.cache/repro`` by default, overridable with
 describing it.  Each store is one autocommitted ``INSERT OR REPLACE``
 into a WAL-journaled database, so writers racing on a key win or do
 nothing, no reader sees a torn entry, and a concurrent ``clear()`` is
-safe.  An entry that does not decode is a miss and is evicted.
-``sqlite3`` is imported on first use, so ``--no-cache`` never loads it.
+safe.  An entry that does not decode is a miss and is evicted.  A
+store file that is not a readable database raises :class:`CorruptStore`
+on use, naming the file and ``repro-eval cache clear``, which deletes
+it.  ``sqlite3`` is imported on first use, so ``--no-cache`` never
+loads it.
 """
 
 from __future__ import annotations
@@ -50,6 +53,16 @@ DECODE_ERRORS = (
 
 #: Tries at switching a store to WAL, 10 ms apart.
 _WAL_ATTEMPTS = 500
+
+
+class CorruptStore(RuntimeError):
+    """The store file exists but is not a readable SQLite database."""
+
+    def __init__(self, cache: "DiskCache"):
+        super().__init__(
+            f"result store {cache.store} is not a readable database; "
+            f"remove it with: repro-eval cache clear --cache-dir {cache.root}"
+        )
 
 
 def default_cache_dir() -> Path:
@@ -130,37 +143,54 @@ class DiskCache:
 
         The connection opens on first use.  Unless ``create``, a store
         that does not exist yet reads as empty instead of being created.
+        A file that is not a database raises :class:`CorruptStore`.
         """
         with self._lock:
-            if self._conn is None:
-                if not create and not self.store.exists():
-                    return []
-                self._conn = self._connect()
-            return self._conn.execute(sql, params).fetchall()
+            if self._conn is None and not create and not self.store.exists():
+                return []
+            import sqlite3
+
+            try:
+                if self._conn is None:
+                    self._conn = self._connect()
+                return self._conn.execute(sql, params).fetchall()
+            except sqlite3.DatabaseError as exc:
+                # A plain DatabaseError is a file that is not a database
+                # or a malformed one; its subclasses (a locked store, a
+                # failed constraint) are other faults.
+                if type(exc) is not sqlite3.DatabaseError:
+                    raise
+                self.close()
+                raise CorruptStore(self) from exc
 
     def _connect(self):
         import sqlite3
 
         self.root.mkdir(parents=True, exist_ok=True)
         conn = sqlite3.connect(self.store, isolation_level=None, check_same_thread=False)
-        # Switching to WAL fails at once, without waiting, while another
-        # process holds a lock on the file (two processes opening a new
-        # store); the switch is stored in the file, so retrying is enough.
-        for attempt in range(_WAL_ATTEMPTS):
-            try:
-                conn.execute("PRAGMA journal_mode=WAL")
-                break
-            except sqlite3.OperationalError:
-                if attempt == _WAL_ATTEMPTS - 1:
-                    raise
-                time.sleep(0.01)
-        conn.execute("PRAGMA synchronous=NORMAL")
-        # 64 KiB of page cache: entries are read once, not re-read.
-        conn.execute("PRAGMA cache_size=-64")
-        conn.execute(
-            "CREATE TABLE IF NOT EXISTS entries("
-            "key TEXT PRIMARY KEY, stage TEXT, manifest TEXT, payload BLOB)"
-        )
+        try:
+            # Switching to WAL fails at once, without waiting, while
+            # another process holds a lock on the file (two processes
+            # opening a new store); the switch is stored in the file, so
+            # retrying is enough.
+            for attempt in range(_WAL_ATTEMPTS):
+                try:
+                    conn.execute("PRAGMA journal_mode=WAL")
+                    break
+                except sqlite3.OperationalError:
+                    if attempt == _WAL_ATTEMPTS - 1:
+                        raise
+                    time.sleep(0.01)
+            conn.execute("PRAGMA synchronous=NORMAL")
+            # 64 KiB of page cache: entries are read once, not re-read.
+            conn.execute("PRAGMA cache_size=-64")
+            conn.execute(
+                "CREATE TABLE IF NOT EXISTS entries("
+                "key TEXT PRIMARY KEY, stage TEXT, manifest TEXT, payload BLOB)"
+            )
+        except BaseException:
+            conn.close()
+            raise
         return conn
 
     def close(self) -> None:
@@ -281,13 +311,22 @@ class DiskCache:
     def clear(self) -> int:
         """Delete every entry of the current format version; return the count.
 
-        The database is vacuumed, so the file shrinks once closed.
+        The database is vacuumed, so the file shrinks once closed.  A
+        store that is not a readable database is deleted, with its
+        write-ahead-log files, and counts as holding no entry.
         """
         with self._lock:
-            [(removed,)] = self._query("SELECT COUNT(*) FROM entries") or [(0,)]
-            if removed:
-                self._query("DELETE FROM entries")
-                self._query("VACUUM")
+            try:
+                [(removed,)] = self._query("SELECT COUNT(*) FROM entries") or [(0,)]
+                if removed:
+                    self._query("DELETE FROM entries")
+                    self._query("VACUUM")
+            except CorruptStore:
+                for suffix in ("", "-wal", "-shm"):
+                    self.store.with_name(self.store.name + suffix).unlink(
+                        missing_ok=True
+                    )
+                return 0
         return removed
 
 

@@ -91,7 +91,9 @@ from repro.machine.description import MachineDescription
 #: 2026.10.5: operation ids come from the program, not a process-wide
 #: counter: LdPred/check ids in compile payloads are the speculation
 #: pass's program-derived ``B + 2k`` / ``B + 2k + 1``.
-CODE_VERSION = "2026.10.5"
+#: 2026.10.6: compile payloads lose the per-block metrics memo:
+#: a block's per-pattern metrics are read from its pattern run.
+CODE_VERSION = "2026.10.6"
 
 def _normalise_pipeline(
     pipeline: Optional[PipelineConfig], frontend_only: bool = False

@@ -28,7 +28,7 @@ from repro.machine.configs import by_name
 from repro.profiling.profile_run import profile_program
 from repro.sched.list_scheduler import schedule_block
 from repro.trace.capture import capture_trace
-from repro.core.machine_sim import simulate_block
+from repro.core.machine_sim import trace_block
 from repro.core.specsched import schedule_speculative
 from repro.core.speculation import SpeculationConfig, speculate_block
 from repro.core.timeline import render_timeline
@@ -141,9 +141,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     outcomes_list = _parse_scenario(args.scenario, spec.num_predictions)
     outcomes = dict(zip(spec.ldpred_ids, outcomes_list))
-    run = simulate_block(sched, outcomes, collect_trace=True)
+    run, log = trace_block(sched, outcomes)
     print(f"\nscenario {args.scenario!r}:")
-    print(render_timeline(sched, run))
+    print(render_timeline(sched, run, log))
     return 0
 
 

@@ -3,7 +3,6 @@ and the asm formatting of compiler-introduced forms."""
 
 import pytest
 
-from repro.core.machine_sim import simulate_block
 from repro.core.metrics import OutcomeClass
 from repro.core.program_sim import ProgramSimResult
 from repro.ir.asm import format_operation_asm
@@ -25,14 +24,6 @@ class TestBlockRunPresentation:
         assert runs["both mispredicted"].all_incorrect
         mixed = runs["r7 mispredicted"]
         assert not mixed.all_correct and not mixed.all_incorrect
-
-    def test_untraced_run_carries_no_events(self, paper_example):
-        sched = paper_example.spec_schedule
-        outcomes = {l: True for l in sched.spec.ldpred_ids}
-        run = simulate_block(sched, outcomes)
-        assert run.trace == ()
-        assert run.issue_times == ()
-        assert run.cc_events == ()
 
 
 class TestProgramSimResultHelpers:

@@ -16,6 +16,7 @@ from repro.ir.builder import FunctionBuilder
 from repro.ir.opcodes import Opcode
 from repro.ir.operation import Operation, Reg
 from repro.machine.configs import PLAYDOH_4W
+from repro.obs.trace import BlockLog
 from repro.sched.list_scheduler import schedule_block
 
 
@@ -32,9 +33,12 @@ def make_entry(op_id_origins, bit=5, insert_time=3):
 
 class TestCompensationEngineDirect:
     def setup_method(self):
-        self.ovb = OperandValueBuffer()
-        self.sync = SyncRegisterState(width=16)
-        self.engine = CompensationEngine(PLAYDOH_4W, self.ovb, self.sync)
+        self.log = BlockLog()
+        self.ovb = OperandValueBuffer(log=self.log)
+        self.sync = SyncRegisterState(width=16, log=self.log)
+        self.engine = CompensationEngine(
+            PLAYDOH_4W, self.ovb, self.sync, log=self.log
+        )
 
     def test_head_blocks_until_origin_resolved(self):
         self.ovb.record_predicted(100, available_at=1)
@@ -59,7 +63,7 @@ class TestCompensationEngineDirect:
             self.ovb.record_speculated(e.op_id, available_at=4, origins=e.origins)
             self.engine.insert(e)
         self.engine.process_available()
-        events = self.engine.stats.events
+        events = self.log.cc_events()
         assert [kind for _, kind, _, _ in events] == ["flush", "flush"]
         # back-to-back slots: second flush one cycle after the first
         assert events[1][0] == events[0][0] + 1
@@ -88,7 +92,7 @@ class TestCompensationEngineDirect:
         self.engine.insert(entry)
         self.ovb.apply_check(100, time=9, correct=False)
         self.engine.process_available()
-        (start, kind, op_id, completion) = self.engine.stats.events[0]
+        (start, kind, op_id, completion) = self.log.cc_events()[0]
         assert kind == "execute"
         assert start >= 9  # corrected operand only exists at check time
         assert self.sync.clear_time(7) == completion

@@ -7,6 +7,7 @@ from repro.core.machine_sim import (
     simulate_best_case,
     simulate_block,
     simulate_worst_case,
+    trace_block,
 )
 from repro.core.specsched import schedule_speculative
 from repro.core.speculation import transform_block
@@ -71,28 +72,20 @@ class TestSingleBlockTiming:
             simulate_block(chain, {})
 
     def test_trace_collection(self, chain):
-        run = simulate_worst_case(chain)
-        assert run.trace == ()
-        traced = simulate_block(
-            chain,
-            {chain.spec.ldpred_ids[0]: False},
-            collect_trace=True,
-        )
-        checks = [e for e in traced.trace if isinstance(e, CheckEvent)]
+        run, log = trace_block(chain, {chain.spec.ldpred_ids[0]: False})
+        assert run == simulate_worst_case(chain)
+        events = log.events()
+        checks = [e for e in events if isinstance(e, CheckEvent)]
         assert any(not e.correct for e in checks)
-        assert any(isinstance(e, ExecuteEvent) for e in traced.trace)
+        assert any(isinstance(e, ExecuteEvent) for e in events)
         # The rendered form keeps the historical wording.
-        text = "\n".join(str(e) for e in traced.trace)
+        text = "\n".join(str(e) for e in events)
         assert "MISPREDICT" in text
         assert "execute" in text
 
     def test_trace_events_sorted_by_cycle(self, chain):
-        traced = simulate_block(
-            chain,
-            {chain.spec.ldpred_ids[0]: False},
-            collect_trace=True,
-        )
-        cycles = [e.cycle for e in traced.trace]
+        _, log = trace_block(chain, {chain.spec.ldpred_ids[0]: False})
+        cycles = [e.cycle for e in log.events()]
         assert cycles == sorted(cycles)
 
     def test_all_outcomes_enumerates_patterns(self, chain):

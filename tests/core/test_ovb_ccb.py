@@ -100,7 +100,6 @@ class TestOVBStateMachine:
         ovb.record_predicted(1, 0)
         ovb.record_speculated(2, 0, frozenset({1}))
         ovb.apply_check(1, 3, True)
-        assert ovb.inserts == 2
         assert ovb.updates == 1
         assert len(ovb) == 2
         assert 1 in ovb and 3 not in ovb

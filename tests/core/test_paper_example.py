@@ -87,13 +87,13 @@ class TestTraces:
     def test_trace_shows_parallel_recovery(self, paper_example):
         from repro.obs.trace import CheckEvent, ExecuteEvent
 
-        run = paper_example.scenarios["r4 mispredicted"]
-        assert any(isinstance(e, ExecuteEvent) for e in run.trace)
+        events = paper_example.logs["r4 mispredicted"].events()
+        assert any(isinstance(e, ExecuteEvent) for e in events)
         assert any(
-            isinstance(e, CheckEvent) and not e.correct for e in run.trace
+            isinstance(e, CheckEvent) and not e.correct for e in events
         )
         # Rendered text keeps the historical engine-prefixed wording.
-        text = "\n".join(str(e) for e in run.trace)
+        text = "\n".join(str(e) for e in events)
         assert "CCE: execute" in text
         assert "MISPREDICT" in text
 
@@ -102,13 +102,9 @@ class TestTraces:
         speculated ops are flushed out of the CCB head."""
         from repro.obs.trace import ExecuteEvent, FlushEvent
 
-        run = paper_example.scenarios["r7 mispredicted"]
-        first_flush = min(
-            e.cycle for e in run.trace if isinstance(e, FlushEvent)
-        )
-        first_exec = min(
-            e.cycle for e in run.trace if isinstance(e, ExecuteEvent)
-        )
+        events = paper_example.logs["r7 mispredicted"].events()
+        first_flush = min(e.cycle for e in events if isinstance(e, FlushEvent))
+        first_exec = min(e.cycle for e in events if isinstance(e, ExecuteEvent))
         assert first_flush < first_exec
 
     def test_render_includes_all_scenarios(self, paper_example):

@@ -110,6 +110,36 @@ class TestRunnerFlags:
         assert list(cache.iterdir()) == [store]
         assert store.stat().st_size < full
 
+    def test_a_store_that_is_not_a_database(self, capsys, tmp_path):
+        """Cached commands name the file and the fix; ``cache clear``
+        removes it with its write-ahead-log files."""
+        from repro.compiler.__main__ import main as compiler_main
+        from repro.explore.cli import main as explore_main
+
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        store = cache / "v2.sqlite"
+        store.write_bytes(bytes(range(256)) * 20)
+        run = ["table2", "--scale", "0.1", "--benchmarks", "li",
+               "--cache-dir", str(cache)]
+        for command, argv in (
+            (main, run),
+            (main, ["cache", "stats", "--cache-dir", str(cache)]),
+            (explore_main, ["--axis", "issue_width=4", "--scale", "0.1",
+                            "--benchmarks", "li", "--cache-dir", str(cache)]),
+            (compiler_main, ["digest", "--scale", "0.1", "--benchmarks", "li",
+                             "--cache-dir", str(cache)]),
+        ):
+            assert command(argv) == 1, argv
+            err = capsys.readouterr().err.strip().splitlines()[-1]
+            assert str(store) in err and "repro-eval cache clear" in err
+        for suffix in ("-wal", "-shm"):
+            (cache / f"v2.sqlite{suffix}").write_bytes(b"x")
+        assert main(["cache", "clear", "--cache-dir", str(cache)]) == 0
+        assert list(cache.iterdir()) == []
+        assert main(run) == 0
+        assert list(cache.iterdir()) == [store]
+
     def test_unknown_cache_command(self, capsys, tmp_path):
         assert main(["cache", "bogus", "--cache-dir", str(tmp_path)]) == 2
         assert "unknown cache command" in capsys.readouterr().err

@@ -10,51 +10,40 @@ from repro.ir.opcodes import Opcode
 from repro.obs.cycles import (
     CAUSES,
     CPI_SCHEMA_VERSION,
-    NULL_CYCLES,
     CPIStack,
-    CycleLedger,
     attribute_schedule,
     instruction_cause,
     operation_wait_cause,
     render_diff,
     render_stack,
 )
+from repro.obs.trace import BlockLog
 from repro.sched.list_scheduler import ListScheduler
 
 
 class TestCycleLedger:
+    """The ledger is the ``charge`` entries of a block run's event log."""
+
     def test_charges_accumulate(self):
-        ledger = CycleLedger()
-        ledger.charge("issue", 3)
-        ledger.charge("issue", 2)
-        ledger.charge("dep_stall", 1)
-        assert ledger.counts == {"issue": 5, "dep_stall": 1}
-        assert ledger.total() == 6
+        log = BlockLog(
+            [
+                ("charge", 0, "issue", 3),
+                ("charge", 4, "issue", 2),
+                ("charge", 5, "dep_stall", 1),
+            ]
+        )
+        stack, _ = log.fold()
+        assert stack == {"issue": 5, "dep_stall": 1}
+        assert sum(stack.values()) == 6
 
-    def test_zero_and_negative_charges_are_noops(self):
-        ledger = CycleLedger()
-        ledger.charge("issue", 0)
-        ledger.charge("issue", -4)
-        assert ledger.counts == {}
-        assert ledger.total() == 0
+    def test_zero_and_negative_charges_are_noops(self, paper_example):
+        """The engine appends no empty charge, so every charge counts."""
+        for log in paper_example.logs.values():
+            assert all(cycles > 0 for _, _, cycles in log.charges())
 
-    def test_disabled_ledger_rejects_charges(self):
-        ledger = CycleLedger(enabled=False)
-        ledger.charge("issue", 10)
-        assert ledger.counts == {}
-        assert not NULL_CYCLES.enabled
-        NULL_CYCLES.charge("issue", 10)
-        assert NULL_CYCLES.counts == {}
-
-    def test_events_only_with_record_events_and_timestamp(self):
-        plain = CycleLedger()
-        plain.charge("issue", 1, at=5)
-        assert plain.events == []
-        recording = CycleLedger(record_events=True)
-        recording.charge("issue", 1, at=5)
-        recording.charge("dep_stall", 2)  # no timestamp -> count only
-        assert recording.events == [(5, "issue", 1)]
-        assert recording.counts == {"issue": 1, "dep_stall": 2}
+    def test_charges_view_keeps_every_timestamp(self):
+        log = BlockLog([("charge", 5, "issue", 1), ("issue", 5, 2)])
+        assert log.charges() == ((5, "issue", 1),)
 
 
 class TestCauseHelpers:

@@ -44,11 +44,7 @@ def _assert_block_invariants(compilation):
         spec_schedule = compilation.block(label).spec_schedule
         ldpreds = spec_schedule.spec.ldpred_ids
         for correct in (True, False):
-            run = simulate_block(
-                spec_schedule,
-                {op: correct for op in ldpreds},
-                collect_cycles=True,
-            )
+            run = simulate_block(spec_schedule, {op: correct for op in ldpreds})
             stack = dict(run.cycle_stack)
             assert sum(stack.values()) == run.effective_length, (
                 label,

@@ -13,7 +13,7 @@ from repro.obs.perfetto import (
     validate_chrome_trace,
     write_trace,
 )
-from repro.core.machine_sim import simulate_worst_case
+from repro.core.machine_sim import trace_block
 
 
 @pytest.fixture(scope="module")
@@ -24,15 +24,12 @@ def example():
 @pytest.fixture(scope="module")
 def trace_events(example):
     run = example.scenarios["r7 mispredicted"]
-    return block_run_events(example.spec_schedule, run)
+    return block_run_events(
+        example.spec_schedule, run, example.logs["r7 mispredicted"]
+    )
 
 
 class TestBlockRunEvents:
-    def test_untraced_run_rejected(self, example):
-        bare = simulate_worst_case(example.spec_schedule)
-        with pytest.raises(ValueError, match="collect_trace"):
-            block_run_events(example.spec_schedule, bare)
-
     def test_both_engine_processes_present(self, trace_events):
         names = {
             e["args"]["name"]
@@ -43,11 +40,11 @@ class TestBlockRunEvents:
         assert any("Compensation Code Engine" in n for n in names)
 
     def test_op_spans_cover_issue_times(self, example, trace_events):
-        run = example.scenarios["r7 mispredicted"]
+        log = example.logs["r7 mispredicted"]
         op_spans = [
             e for e in trace_events if e["ph"] == "X" and e["name"].startswith("op")
         ]
-        assert len(op_spans) == len(run.issue_times)
+        assert len(op_spans) == len(log.issue_times())
 
     def test_cce_spans_on_second_process(self, trace_events):
         cce = [
@@ -60,7 +57,9 @@ class TestBlockRunEvents:
 
     def test_base_pid_offsets_processes(self, example):
         run = example.scenarios["r7 mispredicted"]
-        events = block_run_events(example.spec_schedule, run, base_pid=10)
+        events = block_run_events(
+            example.spec_schedule, run, example.logs["r7 mispredicted"], base_pid=10
+        )
         assert {e["pid"] for e in events} == {11, 12}
 
     def test_validates_clean(self, trace_events):
@@ -163,18 +162,12 @@ class TestCycleCounterTrack:
 
     @pytest.fixture(scope="class")
     def cycles_run(self, example):
-        from repro.core.machine_sim import simulate_block
-
         outcomes = {l: False for l in example.spec_schedule.spec.ldpred_ids}
-        return simulate_block(
-            example.spec_schedule,
-            outcomes,
-            collect_trace=True,
-            collect_cycles=True,
-        )
+        return trace_block(example.spec_schedule, outcomes)
 
     def test_counter_events_per_cause(self, example, cycles_run):
-        events = block_run_events(example.spec_schedule, cycles_run)
+        run, log = cycles_run
+        events = block_run_events(example.spec_schedule, run, log)
         counters = [e for e in events if e.get("ph") == "C"]
         assert counters, "no counter events emitted"
         assert all(e["name"].startswith("cpi:") for e in counters)
@@ -182,25 +175,14 @@ class TestCycleCounterTrack:
         finals = {}
         for e in counters:
             finals[e["name"][len("cpi:"):]] = e["args"]["cycles"]
-        assert finals == dict(cycles_run.cycle_stack)
+        assert finals == dict(run.cycle_stack)
         assert validate_chrome_trace(chrome_trace(events)) == []
 
-    def test_no_counters_without_cycle_collection(self, trace_events):
-        assert [e for e in trace_events if e.get("ph") == "C"] == []
-
     def test_ccb_stall_becomes_span(self, example):
-        from repro.core.machine_sim import simulate_block
-
         outcomes = {l: False for l in example.spec_schedule.spec.ldpred_ids}
-        run = simulate_block(
-            example.spec_schedule,
-            outcomes,
-            collect_trace=True,
-            collect_cycles=True,
-            ccb_capacity=3,
-        )
+        run, log = trace_block(example.spec_schedule, outcomes, ccb_capacity=3)
         assert dict(run.cycle_stack).get("ccb_pressure", 0) > 0
-        events = block_run_events(example.spec_schedule, run)
+        events = block_run_events(example.spec_schedule, run, log)
         spans = [
             e
             for e in events
@@ -211,17 +193,12 @@ class TestCycleCounterTrack:
         assert validate_chrome_trace(chrome_trace(events)) == []
 
     def test_ovb_overflow_becomes_instant(self, example):
-        from dataclasses import replace
-
-        from repro.obs.trace import BufferStallEvent
+        from repro.obs.trace import BlockLog
 
         run = example.scenarios["r7 mispredicted"]
-        boosted = replace(
-            run,
-            trace=run.trace
-            + (BufferStallEvent(cycle=4, buffer="ovb", op_id=99, stall=0),),
-        )
-        events = block_run_events(example.spec_schedule, boosted)
+        boosted = BlockLog(example.logs["r7 mispredicted"])
+        boosted.append(("buffer_stall", 4, "ovb", 99, 0))
+        events = block_run_events(example.spec_schedule, run, boosted)
         instants = [
             e
             for e in events

@@ -1,20 +1,19 @@
 """Perfetto export round-trip: the JSON on disk must agree with the
 metrics snapshot of the very simulation it renders.
 
-A traced block run is exported via :mod:`repro.obs.perfetto`, re-parsed
-from disk, and the span population is checked against the
-:class:`~repro.obs.metrics.MetricsRegistry` that rode along: every
-``cce.flush`` increment is one flush span, every ``cce.reexec``
-increment one execute span, and both engine process tracks exist.
+A block run's event log is exported via :mod:`repro.obs.perfetto`,
+re-parsed from disk, and the span population is checked against the
+metrics snapshot folded from the same log: every ``cce.flush``
+increment is one flush span, every ``cce.reexec`` increment one execute
+span, and both engine process tracks exist.
 """
 
 import json
 
 import pytest
 
-from repro.core.machine_sim import simulate_block
+from repro.core.machine_sim import trace_block
 from repro.evaluation.paper_example import run_example
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.perfetto import block_run_events, chrome_trace, write_trace
 
 
@@ -24,14 +23,11 @@ def example():
 
 
 def _export_and_reload(tmp_path, spec_schedule, outcomes):
-    registry = MetricsRegistry()
-    run = simulate_block(
-        spec_schedule, outcomes, collect_trace=True, metrics=registry
-    )
-    events = block_run_events(spec_schedule, run)
+    run, log = trace_block(spec_schedule, outcomes)
+    events = block_run_events(spec_schedule, run, log)
     path = tmp_path / "roundtrip.trace.json"
     write_trace(str(path), chrome_trace(events))
-    return json.loads(path.read_text()), registry.snapshot(), run
+    return json.loads(path.read_text()), run.metrics, run
 
 
 @pytest.mark.parametrize(

@@ -1,16 +1,17 @@
-"""Typed trace events and simulator instrumentation.
+"""The event log, the typed events read from it, and the metrics
+folded from it.
 
-Includes the PR's acceptance check: for a metrics-enabled run of the
-worked example, ``cce.flush + cce.reexec`` in the snapshot equals the
-simulator's own ``flushed + executed`` counters — and the same identity
-holds for a whole-program simulation.
+Includes the acceptance check: for every run of the worked example,
+``cce.flush + cce.reexec`` in the run's snapshot equals the simulator's
+own ``flushed + executed`` counters — and the same identity holds for a
+whole-program simulation.
 """
 
 import pytest
 
 from repro.evaluation.paper_example import run_example
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import (
+    BlockLog,
     CheckEvent,
     ExecuteEvent,
     FlushEvent,
@@ -20,9 +21,8 @@ from repro.obs.trace import (
     StallEvent,
     SyncClearEvent,
     SyncSetEvent,
-    TraceSink,
 )
-from repro.core.machine_sim import simulate_block
+from repro.core.machine_sim import simulate_block, trace_block
 
 
 @pytest.fixture(scope="module")
@@ -30,143 +30,155 @@ def example():
     return run_example()
 
 
-def _resimulate(example, scenario, metrics=None):
-    l4, l7 = example.spec_schedule.spec.ldpred_ids
-    outcomes = {
-        "both correct": {l4: True, l7: True},
-        "r7 mispredicted": {l4: True, l7: False},
-        "r4 mispredicted": {l4: False, l7: True},
-        "both mispredicted": {l4: False, l7: False},
-    }[scenario]
-    kwargs = {"metrics": metrics} if metrics is not None else {}
-    return simulate_block(
-        example.spec_schedule, outcomes, collect_trace=True, **kwargs
-    )
+def _events(example, scenario):
+    return example.logs[scenario].events()
 
 
 class TestTypedEvents:
     def test_event_kinds_present(self, example):
-        run = example.scenarios["r7 mispredicted"]
-        kinds = {e.kind for e in run.trace}
+        kinds = {e.kind for e in _events(example, "r7 mispredicted")}
         assert {"ldpred", "speculate", "check", "flush", "execute",
                 "sync_set", "sync_clear", "ovb_transition"} <= kinds
 
     def test_events_sorted_by_cycle(self, example):
-        for run in example.scenarios.values():
-            cycles = [e.cycle for e in run.trace]
+        for log in example.logs.values():
+            cycles = [e.cycle for e in log.events()]
             assert cycles == sorted(cycles)
 
     def test_check_events_match_outcomes(self, example):
-        run = example.scenarios["both mispredicted"]
-        checks = [e for e in run.trace if isinstance(e, CheckEvent)]
+        events = _events(example, "both mispredicted")
+        checks = [e for e in events if isinstance(e, CheckEvent)]
         assert len(checks) == 2
         assert all(not e.correct for e in checks)
 
     def test_ldpred_events_one_per_prediction(self, example):
-        run = example.scenarios["both correct"]
-        assert len([e for e in run.trace if isinstance(e, LdPredEvent)]) == 2
+        events = _events(example, "both correct")
+        assert len([e for e in events if isinstance(e, LdPredEvent)]) == 2
 
     def test_flush_and_execute_partition_ccb(self, example):
         run = example.scenarios["r7 mispredicted"]
-        flushes = [e for e in run.trace if isinstance(e, FlushEvent)]
-        executes = [e for e in run.trace if isinstance(e, ExecuteEvent)]
+        events = _events(example, "r7 mispredicted")
+        flushes = [e for e in events if isinstance(e, FlushEvent)]
+        executes = [e for e in events if isinstance(e, ExecuteEvent)]
         assert len(flushes) == run.flushed == 2
         assert len(executes) == run.executed == 2
 
     def test_speculate_events_cover_ccb_inserts(self, example):
         run = example.scenarios["both correct"]
-        inserts = [e for e in run.trace if isinstance(e, SpeculateEvent)]
+        events = _events(example, "both correct")
+        inserts = [e for e in events if isinstance(e, SpeculateEvent)]
         assert len(inserts) == run.flushed + run.executed == 4
 
     def test_as_dict_is_json_friendly(self, example):
         import json
 
-        run = example.scenarios["r4 mispredicted"]
-        payload = [e.as_dict() for e in run.trace]
+        payload = [e.as_dict() for e in _events(example, "r4 mispredicted")]
         text = json.dumps(payload)
         assert '"kind"' in text and '"engine"' in text
 
     def test_str_has_engine_prefix(self, example):
-        run = example.scenarios["r4 mispredicted"]
-        by_engine = {str(e).split(":")[0] for e in run.trace}
+        events = _events(example, "r4 mispredicted")
+        by_engine = {str(e).split(":")[0] for e in events}
         assert {"VLIW", "CCE", "OVB", "SYNC"} <= by_engine
 
-    def test_sink_of_kind(self):
-        sink = TraceSink()
-        sink.emit(SyncSetEvent(cycle=0, bit=1))
-        sink.emit(SyncClearEvent(cycle=3, bit=1))
-        assert len(sink) == 2
-        assert [e.kind for e in sink.of_kind("sync_set")] == ["sync_set"]
 
+
+class TestBlockLog:
+    def test_entries_build_typed_events_in_cycle_order(self):
+        log = BlockLog(
+            [
+                ("sync_clear", 3, 1),
+                ("issue", 0, 7),
+                ("sync_set", 0, 1),
+                ("charge", 1, "issue", 1),
+                ("stall", 3, (1,), 2),
+            ]
+        )
+        assert log.events() == (
+            SyncSetEvent(cycle=0, bit=1),
+            SyncClearEvent(cycle=3, bit=1),
+            StallEvent(cycle=3, bits=(1,), stall=2),
+        )
+        assert log.issue_times() == ((7, 0),)
+        assert log.charges() == ((1, "issue", 1),)
+
+    def test_fold_counts_instructions_and_ccb_occupancy(self):
+        log = BlockLog(
+            [
+                ("issue", 0, 1),
+                ("issue", 0, 2),
+                ("speculate", 0, 2, 0),
+                ("issue", 1, 3),
+                ("speculate", 1, 3, 1),
+                ("flush", 2, 2, 3),
+                ("issue", 2, 4),
+                ("speculate", 2, 4, 2),
+                ("execute", 3, 3, 5),
+                ("charge", 0, "issue", 3),
+                ("charge", 3, "dep_stall", 1),
+            ]
+        )
+        stack, tally = log.fold()
+        snap = tally.snapshot()
+        assert stack == {"issue": 3, "dep_stall": 1}
+        assert snap.counter("vliw.instructions") == 3
+        assert snap.counter("vliw.speculated") == 3
+        assert snap.counter("cce.busy_cycles") == 1 + 2
+        # Pending entries at each insertion, in insertion order.
+        assert snap.histogram("cce.ccb_occupancy").samples == [1, 2, 2]
+        assert snap.gauges == {}
 
 class TestMetricsInstrumentation:
     def test_flush_reexec_identity_block(self, example):
         """Acceptance: snapshot flush+reexec == simulator flushed+executed."""
-        for scenario in (
-            "both correct",
-            "r7 mispredicted",
-            "r4 mispredicted",
-            "both mispredicted",
-        ):
-            registry = MetricsRegistry()
-            run = _resimulate(example, scenario, metrics=registry)
-            snap = registry.snapshot()
+        for scenario, run in example.scenarios.items():
+            snap = run.metrics
             assert (
                 snap.counter("cce.flush") + snap.counter("cce.reexec")
                 == run.flushed + run.executed
             ), scenario
 
     def test_stall_cycles_counter(self, example):
-        registry = MetricsRegistry()
-        run = _resimulate(example, "both mispredicted", metrics=registry)
-        snap = registry.snapshot()
-        assert snap.counter("vliw.stall_cycles") == run.stall_cycles
-        stall_events = [e for e in run.trace if isinstance(e, StallEvent)]
+        run = example.scenarios["both mispredicted"]
+        assert run.metrics.counter("vliw.stall_cycles") == run.stall_cycles
+        events = _events(example, "both mispredicted")
+        stall_events = [e for e in events if isinstance(e, StallEvent)]
         assert sum(e.stall for e in stall_events) == run.stall_cycles
 
     def test_prediction_counters(self, example):
-        registry = MetricsRegistry()
-        run = _resimulate(example, "r4 mispredicted", metrics=registry)
-        snap = registry.snapshot()
+        run = example.scenarios["r4 mispredicted"]
+        snap = run.metrics
         assert snap.counter("vliw.predictions") == run.predictions == 2
         assert snap.counter("vliw.mispredictions") == run.mispredictions == 1
 
     def test_ovb_transition_counters_match_events(self, example):
-        registry = MetricsRegistry()
-        run = _resimulate(example, "r7 mispredicted", metrics=registry)
-        snap = registry.snapshot()
-        transitions = [e for e in run.trace if isinstance(e, OvbTransitionEvent)]
+        snap = example.scenarios["r7 mispredicted"].metrics
+        events = _events(example, "r7 mispredicted")
+        transitions = [e for e in events if isinstance(e, OvbTransitionEvent)]
         family = snap.counter_family("ovb.state_transitions")
         assert sum(family.values()) == len(transitions)
         # The r7 scenario exercises every OVB state.
         assert set(family) == {"PN", "RN", "C", "R"}
 
     def test_ccb_occupancy_histogram(self, example):
-        registry = MetricsRegistry()
-        _resimulate(example, "both correct", metrics=registry)
-        h = registry.snapshot().histogram("cce.ccb_occupancy")
+        h = example.scenarios["both correct"].metrics.histogram("cce.ccb_occupancy")
         assert h.count == 4  # one sample per CCB insert
         assert h.max >= 1
 
     def test_metrics_without_trace(self, example):
-        """Metrics do not require trace collection (and vice versa)."""
+        """A run whose log is dropped still carries its metrics."""
         l4, l7 = example.spec_schedule.spec.ldpred_ids
-        registry = MetricsRegistry()
-        run = simulate_block(
-            example.spec_schedule, {l4: False, l7: False}, metrics=registry
-        )
-        assert run.trace == ()
-        assert registry.counter("vliw.predictions") == 2
+        run = simulate_block(example.spec_schedule, {l4: False, l7: False})
+        assert run.metrics.counter("vliw.predictions") == 2
 
-    def test_disabled_metrics_identical_timing(self, example):
+    def test_traced_and_plain_runs_are_one_run(self, example):
         l4, l7 = example.spec_schedule.spec.ldpred_ids
-        plain = simulate_block(example.spec_schedule, {l4: False, l7: True})
-        metered = simulate_block(
-            example.spec_schedule,
-            {l4: False, l7: True},
-            metrics=MetricsRegistry(),
-        )
-        assert plain == metered
+        outcomes = {l4: False, l7: True}
+        plain = simulate_block(example.spec_schedule, outcomes)
+        traced, log = trace_block(example.spec_schedule, outcomes)
+        assert plain == traced
+        assert log.fold() == (dict(plain.cycle_stack), plain.tally)
+        assert plain.metrics == traced.metrics
 
 
 class TestProgramLevelMetrics:
@@ -228,6 +240,7 @@ class TestProgramLevelMetrics:
         second = comp.metrics_for((False,) * n)
         assert first is second
         run = comp.run_for((False,) * n)
+        assert first is run.metrics
         assert first.counter("cce.flush") + first.counter("cce.reexec") == (
             run.flushed + run.executed
         )
@@ -241,13 +254,14 @@ class TestProgramLevelMetrics:
         # Every weighted instance predicts at least one load.
         assert snap.counter("vliw.predictions") >= total_weight
 
-    def test_pickled_compilation_drops_metrics_cache(self, compiled):
+    def test_pickled_compilation_drops_pattern_cache(self, compiled):
         import pickle
 
         label = compiled.speculated_labels[0]
         comp = compiled.block(label)
         n = len(comp.predicted_load_ids)
         comp.metrics_for((True,) * n)
+        assert comp._pattern_cache
         clone = pickle.loads(pickle.dumps(comp))
-        assert clone._metrics_cache == {}
         assert clone._pattern_cache == {}
+        assert clone._cycles_cache == {}

@@ -65,7 +65,7 @@ class TestWorkedExample:
     def test_loads_are_op4_and_op7_after_other_builds(self):
         for name in benchmark_names():
             load_benchmark(name, scale=0.1)
-        example = run_example(collect_trace=False)
+        example = run_example()
         assert str(example.load_r4).startswith("op4: load r4")
         assert str(example.load_r7).startswith("op7: load r7")
 
