@@ -52,7 +52,6 @@ class VLIWRunStats:
 
     completion: int = 0
     stall_cycles: int = 0
-    instructions_issued: int = 0
     predictions: int = 0
     mispredictions: int = 0
 
@@ -129,8 +128,6 @@ class VLIWEngineSim:
             stall = sync_stall + ccb_stall
             stats.stall_cycles += stall
             shift += stall
-            stats.instructions_issued += 1
-
             issue_cause, latency, rank, cause = instruction_binding(instr)
             static_gap = instr.cycle - prev_static - 1
             if static_gap > 0:
@@ -163,7 +160,7 @@ class VLIWEngineSim:
         # Completion tail: cycles after the last issue while the longest
         # in-flight operation drains.
         tail = stats.completion - last_issue - 1
-        if stats.instructions_issued and tail > 0:
+        if tail > 0:
             emit(("charge", stats.completion, tail_best[2], tail))
         return stats
 

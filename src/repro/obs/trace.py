@@ -251,21 +251,9 @@ class SyncClearEvent(TraceEvent):
 
 #: Entry kind -> typed event class (the log's read-side vocabulary).
 EVENT_CLASSES: Dict[str, type] = {
-    cls.kind: cls
-    for cls in (
-        StallEvent,
-        BufferStallEvent,
-        LdPredEvent,
-        SpeculateEvent,
-        CheckEvent,
-        BitClearEvent,
-        FlushEvent,
-        ExecuteEvent,
-        OvbTransitionEvent,
-        SyncSetEvent,
-        SyncClearEvent,
-    )
+    cls.kind: cls for cls in TraceEvent.__subclasses__()
 }
+
 
 #: Entry kinds without an event class.
 ISSUE = "issue"
@@ -359,108 +347,59 @@ class BlockLog(list):
         order the log first counts it.
         """
         stack: Dict[str, int] = {}
-        order: List[str] = []
-        transitions: Dict[str, int] = {}
+        counters: Dict[str, int] = {}
+        count = counters.get
         producers = set()
         occupancy: List[int] = []
-        pending = instructions = inserts = 0
+        pending = 0
         last_issue = -1
-        sets = clears = ldpreds = mispredictions = 0
-        flushes = executes = exec_cycles = 0
-        stalls = stall_cycles = ccb_stalls = ccb_stall_cycles = 0
-        # Branches in descending order of frequency.
+        # Branches in descending order of frequency; each kind counts
+        # its series in the order the engines count them.
         for entry in self:
             kind = entry[0]
             if kind == ISSUE:
                 if entry[1] != last_issue:
                     last_issue = entry[1]
-                    if not instructions:
-                        order.append("vliw.instructions")
-                    instructions += 1
+                    counters["vliw.instructions"] = count("vliw.instructions", 0) + 1
             elif kind == CHARGE:
                 cause = entry[2]
                 stack[cause] = stack.get(cause, 0) + entry[3]
             elif kind == "ovb_transition":
                 state = entry[3]
                 if state == "PN" or state == "RN":
-                    if not inserts:
-                        order.append("ovb.inserts")
-                    inserts += 1
+                    counters["ovb.inserts"] = count("ovb.inserts", 0) + 1
                     producers.add(entry[2])
                 key = _TRANSITION_KEYS[state]
-                count = transitions.get(key)
-                if count is None:
-                    order.append(key)
-                    count = 0
-                transitions[key] = count + 1
+                counters[key] = count(key, 0) + 1
             elif kind == "sync_set":
-                if not sets:
-                    order.append("sync.sets")
-                sets += 1
+                counters["sync.sets"] = count("sync.sets", 0) + 1
             elif kind == "sync_clear":
-                if not clears:
-                    order.append("sync.clears")
-                clears += 1
+                counters["sync.clears"] = count("sync.clears", 0) + 1
             elif kind == "speculate":
-                if not occupancy:
-                    order.append("vliw.speculated")
+                counters["vliw.speculated"] = count("vliw.speculated", 0) + 1
                 pending += 1
                 occupancy.append(pending)
-            elif kind == "execute":
-                if not executes:
-                    order.append("cce.reexec")
-                    if not flushes:
-                        order.append("cce.busy_cycles")
+            elif kind == "execute" or kind == "flush":
+                key = "cce.reexec" if kind == "execute" else "cce.flush"
+                counters[key] = count(key, 0) + 1
+                counters["cce.busy_cycles"] = (
+                    count("cce.busy_cycles", 0) + entry[3] - entry[1]
+                )
                 pending -= 1
-                executes += 1
-                exec_cycles += entry[3] - entry[1]
-            elif kind == "flush":
-                if not flushes:
-                    order.append("cce.flush")
-                    if not executes:
-                        order.append("cce.busy_cycles")
-                pending -= 1
-                flushes += 1
             elif kind == "ldpred":
-                if not ldpreds:
-                    order.append("vliw.predictions")
-                ldpreds += 1
+                counters["vliw.predictions"] = count("vliw.predictions", 0) + 1
             elif kind == "check":
                 if not entry[4]:
-                    if not mispredictions:
-                        order.append("vliw.mispredictions")
-                    mispredictions += 1
+                    counters["vliw.mispredictions"] = (
+                        count("vliw.mispredictions", 0) + 1
+                    )
             elif kind == "stall":
-                if not stalls:
-                    order += ("vliw.stalls", "vliw.stall_cycles")
-                stalls += 1
-                stall_cycles += entry[3]
+                counters["vliw.stalls"] = count("vliw.stalls", 0) + 1
+                counters["vliw.stall_cycles"] = count("vliw.stall_cycles", 0) + entry[3]
             elif kind == "buffer_stall" and entry[4]:
-                if not ccb_stalls:
-                    order += ("vliw.ccb_stalls", "vliw.ccb_stall_cycles")
-                ccb_stalls += 1
-                ccb_stall_cycles += entry[4]
-
-        values = {
-            "vliw.instructions": instructions,
-            "vliw.stalls": stalls,
-            "vliw.stall_cycles": stall_cycles,
-            "vliw.ccb_stalls": ccb_stalls,
-            "vliw.ccb_stall_cycles": ccb_stall_cycles,
-            "vliw.predictions": ldpreds,
-            "vliw.mispredictions": mispredictions,
-            "vliw.speculated": len(occupancy),
-            "cce.flush": flushes,
-            "cce.reexec": executes,
-            "cce.busy_cycles": flushes + exec_cycles,
-            "ovb.inserts": inserts,
-            "sync.sets": sets,
-            "sync.clears": clears,
-        }
-        values.update(transitions)
-        tally = Tally(
-            counters={key: values[key] for key in order},
-            ovb_size=len(producers),
-            ccb_occupancy=tuple(occupancy),
-        )
+                counters["vliw.ccb_stalls"] = count("vliw.ccb_stalls", 0) + 1
+                counters["vliw.ccb_stall_cycles"] = (
+                    count("vliw.ccb_stall_cycles", 0) + entry[4]
+                )
+        tally = Tally(counters, len(producers), tuple(occupancy))
         return stack, tally

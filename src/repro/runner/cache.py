@@ -168,29 +168,24 @@ class DiskCache:
 
         self.root.mkdir(parents=True, exist_ok=True)
         conn = sqlite3.connect(self.store, isolation_level=None, check_same_thread=False)
-        try:
-            # Switching to WAL fails at once, without waiting, while
-            # another process holds a lock on the file (two processes
-            # opening a new store); the switch is stored in the file, so
-            # retrying is enough.
-            for attempt in range(_WAL_ATTEMPTS):
-                try:
-                    conn.execute("PRAGMA journal_mode=WAL")
-                    break
-                except sqlite3.OperationalError:
-                    if attempt == _WAL_ATTEMPTS - 1:
-                        raise
-                    time.sleep(0.01)
-            conn.execute("PRAGMA synchronous=NORMAL")
-            # 64 KiB of page cache: entries are read once, not re-read.
-            conn.execute("PRAGMA cache_size=-64")
-            conn.execute(
-                "CREATE TABLE IF NOT EXISTS entries("
-                "key TEXT PRIMARY KEY, stage TEXT, manifest TEXT, payload BLOB)"
-            )
-        except BaseException:
-            conn.close()
-            raise
+        # Switching to WAL fails at once, without waiting, while another
+        # process holds a lock on the file (two processes opening a new
+        # store); the switch is stored in the file, so retrying is enough.
+        for attempt in range(_WAL_ATTEMPTS):
+            try:
+                conn.execute("PRAGMA journal_mode=WAL")
+                break
+            except sqlite3.OperationalError:
+                if attempt == _WAL_ATTEMPTS - 1:
+                    raise
+                time.sleep(0.01)
+        conn.execute("PRAGMA synchronous=NORMAL")
+        # 64 KiB of page cache: entries are read once, not re-read.
+        conn.execute("PRAGMA cache_size=-64")
+        conn.execute(
+            "CREATE TABLE IF NOT EXISTS entries("
+            "key TEXT PRIMARY KEY, stage TEXT, manifest TEXT, payload BLOB)"
+        )
         return conn
 
     def close(self) -> None:
