@@ -12,7 +12,7 @@ in parallel and only extends the block when a non-speculative consumer
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -30,9 +30,8 @@ from repro.core.vliw_engine import VLIWEngineSim
 class BlockRun:
     """Result of simulating one dynamic block instance.
 
-    The timing fields, the cycle stack and the metrics tally are folded
-    from the run's event log; the log itself is returned only by
-    :func:`trace_block`.
+    The cycle stack and the metrics tally are folded from the run's
+    event log; the log itself is returned only by :func:`trace_block`.
     """
 
     label: str
@@ -49,7 +48,7 @@ class BlockRun:
     cycle_stack: Tuple[Tuple[str, int], ...] = ()
     #: The run's counters, OVB peak and CCB occupancy samples (see
     #: :meth:`repro.obs.trace.BlockLog.fold`).
-    tally: Tally = Tally({}, 0, ())
+    tally: Tally = field(default=Tally((), (), 0, ()), hash=False)
 
     @cached_property
     def metrics(self) -> MetricsSnapshot:

@@ -7,9 +7,11 @@ Four layers, each usable alone:
   so per-block metrics aggregate up through program compilation and
   dynamic simulation (``vliw.stall_cycles``, ``cce.flush``,
   ``cce.reexec``, ``ovb.state_transitions{PN,RN,C,R}``, ...).
-* :mod:`repro.obs.trace` — typed structured trace events (dataclasses
-  with ``kind``/``cycle``/``op_id``) emitted by the VLIW engine, the
-  Compensation Code Engine, the OVB and the Synchronization register.
+* :mod:`repro.obs.trace` — the event log each dual-engine run writes
+  (the VLIW engine, the Compensation Code Engine, the OVB and the
+  Synchronization register append to it), the typed trace events
+  (dataclasses with ``kind``/``cycle``/``op_id``) read from it, and the
+  fold into the run's cycle stack and counters.
 * :mod:`repro.obs.perfetto` — a Chrome trace-event / Perfetto JSON
   exporter rendering the two engines as parallel tracks, plus
   runner-stage timing spans.

@@ -265,6 +265,10 @@ _TRANSITION_KEYS = {
     for state in ("PN", "RN", "C", "R")
 }
 
+#: Every counter order a fold has produced; runs with the same order
+#: share one tuple (a handful of orders serve every block).
+_SERIES: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+
 
 class Tally(NamedTuple):
     """A block run's metrics as :meth:`BlockLog.fold` counts them.
@@ -273,8 +277,10 @@ class Tally(NamedTuple):
     which :meth:`snapshot` builds on demand.
     """
 
-    #: Counter values, keyed in the order each series was first counted.
-    counters: Dict[str, int]
+    #: Counter names, in the order each series was first counted.
+    series: Tuple[str, ...]
+    #: Counter values, one per name.
+    counts: Tuple[int, ...]
     #: Peak OVB occupancy (records are never removed within a block).
     ovb_size: int
     #: The CCB's pending entries at each insertion, in insertion order.
@@ -289,7 +295,7 @@ class Tally(NamedTuple):
             for sample in self.ccb_occupancy:
                 summary.observe(sample)
         return MetricsSnapshot(
-            counters=dict(self.counters),
+            counters=dict(zip(self.series, self.counts)),
             gauges={"ovb.size": self.ovb_size} if self.ovb_size else {},
             histograms=histograms,
         )
@@ -349,6 +355,7 @@ class BlockLog(list):
         stack: Dict[str, int] = {}
         counters: Dict[str, int] = {}
         count = counters.get
+        transition_keys = _TRANSITION_KEYS
         producers = set()
         occupancy: List[int] = []
         pending = 0
@@ -357,11 +364,11 @@ class BlockLog(list):
         # its series in the order the engines count them.
         for entry in self:
             kind = entry[0]
-            if kind == ISSUE:
+            if kind == "issue":
                 if entry[1] != last_issue:
                     last_issue = entry[1]
                     counters["vliw.instructions"] = count("vliw.instructions", 0) + 1
-            elif kind == CHARGE:
+            elif kind == "charge":
                 cause = entry[2]
                 stack[cause] = stack.get(cause, 0) + entry[3]
             elif kind == "ovb_transition":
@@ -369,7 +376,7 @@ class BlockLog(list):
                 if state == "PN" or state == "RN":
                     counters["ovb.inserts"] = count("ovb.inserts", 0) + 1
                     producers.add(entry[2])
-                key = _TRANSITION_KEYS[state]
+                key = transition_keys[state]
                 counters[key] = count(key, 0) + 1
             elif kind == "sync_set":
                 counters["sync.sets"] = count("sync.sets", 0) + 1
@@ -401,5 +408,11 @@ class BlockLog(list):
                 counters["vliw.ccb_stall_cycles"] = (
                     count("vliw.ccb_stall_cycles", 0) + entry[4]
                 )
-        tally = Tally(counters, len(producers), tuple(occupancy))
+        series = tuple(counters)
+        tally = Tally(
+            _SERIES.setdefault(series, series),
+            tuple(counters.values()),
+            len(producers),
+            tuple(occupancy),
+        )
         return stack, tally

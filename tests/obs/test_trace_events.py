@@ -254,7 +254,9 @@ class TestProgramLevelMetrics:
         # Every weighted instance predicts at least one load.
         assert snap.counter("vliw.predictions") >= total_weight
 
-    def test_pickled_compilation_drops_pattern_cache(self, compiled):
+    def test_pickled_compilation_drops_metrics_cache(self, compiled):
+        """A block's metrics live on its pattern runs, which pickling
+        drops with the other per-pattern memos."""
         import pickle
 
         label = compiled.speculated_labels[0]
