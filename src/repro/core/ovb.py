@@ -113,9 +113,6 @@ class OperandValueBuffer:
                 f"{producer_id}; bound speculation or enlarge ovb_capacity"
             )
 
-    def _transition(self, op_id: int, state: OperandState, time: int) -> None:
-        self._emit(("ovb_transition", time, op_id, state.name))
-
     # -- insertion (VLIW engine side) ------------------------------------
 
     def record_predicted(self, ldpred_id: int, available_at: int) -> ValueRecord:
@@ -128,7 +125,7 @@ class OperandValueBuffer:
             origins=frozenset({ldpred_id}),
         )
         self._records[ldpred_id] = record
-        self._transition(ldpred_id, OperandState.PN, available_at)
+        self._emit(("ovb_transition", available_at, ldpred_id, "PN"))
         return record
 
     def record_speculated(
@@ -143,7 +140,7 @@ class OperandValueBuffer:
             origins=origins,
         )
         self._records[op_id] = record
-        self._transition(op_id, OperandState.RN, available_at)
+        self._emit(("ovb_transition", available_at, op_id, "RN"))
         return record
 
     # -- verification updates ----------------------------------------------
@@ -161,7 +158,7 @@ class OperandValueBuffer:
         record.resolved_at = time
         record.correct_value_at = record.available_at if correct else time
         self.updates += 1
-        self._transition(ldpred_id, record.state, time)
+        self._emit(("ovb_transition", time, ldpred_id, record.state.name))
         return record
 
     def resolve_speculated_correct(self, op_id: int, time: int) -> ValueRecord:
@@ -172,7 +169,7 @@ class OperandValueBuffer:
         record.resolved_at = time
         record.correct_value_at = max(record.available_at, time)
         self.updates += 1
-        self._transition(op_id, OperandState.C, time)
+        self._emit(("ovb_transition", time, op_id, "C"))
         return record
 
     def mark_needs_recompute(self, op_id: int, time: int) -> ValueRecord:
@@ -181,7 +178,7 @@ class OperandValueBuffer:
         record.state = OperandState.R
         record.resolved_at = time
         self.updates += 1
-        self._transition(op_id, OperandState.R, time)
+        self._emit(("ovb_transition", time, op_id, "R"))
         return record
 
     def record_recomputed(self, op_id: int, completion: int) -> ValueRecord:

@@ -93,6 +93,9 @@ class VLIWEngineSim:
         spec = self.spec_schedule.spec
         shift = 0
         emit = self._emit
+        issue_op = self._issue_op
+        wait_bits = self.spec_schedule.wait_bits_by_cycle
+        no_wait = frozenset()
         ccb_capacity = self.cc.buffer.capacity
 
         # Cycle-accounting state.  Static gaps mirror
@@ -105,7 +108,7 @@ class VLIWEngineSim:
 
         for instr in self.spec_schedule.schedule.instructions():
             tentative = instr.cycle + shift
-            wait = self.spec_schedule.wait_bits_by_cycle.get(instr.cycle, frozenset())
+            wait = wait_bits.get(instr.cycle, no_wait)
             issue = tentative
             if wait:
                 # Give the Compensation Code Engine a chance to clear
@@ -149,13 +152,18 @@ class VLIWEngineSim:
             last_issue = issue
             # Every slot of an instruction is shifted alike, so its
             # binding op is the same statically and dynamically.
-            static_best = max(static_best, (instr.cycle + latency, rank, cause))
-            tail_best = max(tail_best, (issue + latency, rank, cause))
+            bound = (instr.cycle + latency, rank, cause)
+            if bound > static_best:
+                static_best = bound
+            bound = (issue + latency, rank, cause)
+            if bound > tail_best:
+                tail_best = bound
 
             for slot in instr.slots:
                 emit(("issue", issue, slot.operation.op_id))
-                self._issue_op(slot.operation, issue, slot.latency, stats)
-                stats.completion = max(stats.completion, issue + slot.latency)
+                issue_op(slot.operation, issue, slot.latency, stats)
+                if issue + slot.latency > stats.completion:
+                    stats.completion = issue + slot.latency
 
         # Completion tail: cycles after the last issue while the longest
         # in-flight operation drains.
