@@ -454,9 +454,9 @@ def transform_block(
     #
     # Ordering edges must only run *forward* in program order — a
     # backward edge could close a cycle through the value chain feeding a
-    # later check's address.  Forward-only ordering covers the common
-    # case; prediction sets whose schedules could still deadlock are
-    # rejected by the exhaustive outcome validation in speculate_block.
+    # later check's address.  What they leave open, a speculated consumer
+    # of a later prediction entering the CCB ahead of an op a waiting
+    # instruction needs, is repaired by schedule_speculative.
     # Both waiting lists are position-sorted (``classified`` is in
     # program order), so each check's targets are a suffix of each.
     waiting_checks = [
@@ -694,9 +694,14 @@ def _speculate_block_impl(
                 continue
             if round_best is not None and spec_schedule.length >= round_best[0]:
                 continue
-            # Validate every outcome pattern: a prediction set whose
-            # schedule could leave the engines without forward progress
-            # (see the deadlock discussion above) is rejected outright.
+            # A set whose list schedule the scheduler had to reorder
+            # for the FIFO CCB (see the deadlock discussion above) is
+            # rejected, as it was when such schedules deadlocked:
+            # accepting the reordered schedules changes which sets are
+            # chosen, and with them the published figures.  Validation
+            # of every outcome pattern stays as a guard.
+            if spec_schedule.ccb_order_edges:
+                continue
             if not compile_cache.schedule_validated(spec_schedule):
                 continue
             round_best = (spec_schedule.length, trial_set, trial)

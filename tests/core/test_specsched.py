@@ -1,14 +1,19 @@
-"""Tests for speculative scheduling annotations (wait masks, CCB sources)."""
+"""Tests for speculative scheduling: wait masks, CCB sources, CCB order."""
 
 import pytest
 
 from repro.core.ccb import SourceKind
 from repro.core.isa_ext import OpForm
-from repro.core.specsched import compute_cc_sources, schedule_speculative
+from repro.core.machine_sim import simulate_all_outcomes
+from repro.core.specsched import (
+    ccb_order_conflicts,
+    compute_cc_sources,
+    schedule_speculative,
+)
 from repro.core.speculation import transform_block
 from repro.ir.builder import FunctionBuilder
 from repro.ir.opcodes import Opcode
-from repro.sched.list_scheduler import schedule_block
+from repro.sched.list_scheduler import ListScheduler, schedule_block
 
 
 @pytest.fixture
@@ -122,3 +127,45 @@ class TestWaitMasks:
         sched = schedule_speculative(spec, m4)
         cycle = sched.schedule.issue_cycle(check2)
         assert spec.info[check2].wait_bits <= sched.wait_bits_by_cycle[cycle]
+
+
+class TestCCBOrder:
+    @pytest.fixture
+    def crossed_spec(self, m4):
+        # The consumer of the second prediction hoists above the consumer
+        # of the first, so it enters the CCB first; the store waits on
+        # the first consumer, but the second check issues after it.
+        fb = FunctionBuilder("f")
+        fb.block("entry")
+        fb.mov("r0", 100)
+        fb.add("r0", "r0", "r0")
+        l1 = fb.load("r2", "r0")
+        first = fb.add("r2", "r2", "r0")
+        fb.store("r0", "r2", offset=7)
+        l2 = fb.load("r1", "r0")
+        second = fb.add("r3", "r0", "r1")
+        fb.halt()
+        block = fb.build().block("entry")
+        return transform_block(block, m4, [l1, l2]), first.op_id, second.op_id
+
+    def test_plain_list_schedule_has_the_conflict(self, crossed_spec, m4):
+        spec, first, second = crossed_spec
+        plain = ListScheduler(m4).schedule_graph(spec.label, spec.graph)
+        assert plain.issue_cycle(second) < plain.issue_cycle(first)
+        assert ccb_order_conflicts(spec, plain) == [(first, second)]
+
+    def test_schedule_orders_the_ccb_and_never_deadlocks(self, crossed_spec, m4):
+        spec, first, second = crossed_spec
+        sched = schedule_speculative(spec, m4)
+        assert sched.ccb_order_edges == ((first, second),)
+        assert ccb_order_conflicts(spec, sched.schedule) == []
+        assert sched.schedule.issue_cycle(first) <= sched.schedule.issue_cycle(second)
+        runs = simulate_all_outcomes(sched)
+        assert len(runs) == 4
+        # The repair edge lives on a copy: the transform's graph is shared.
+        assert all(e.dst != second for e in spec.graph.succ_edges(first))
+
+    def test_unconflicted_schedule_records_no_edges(self, two_chain_spec):
+        spec, m4, orig = two_chain_spec
+        sched = schedule_speculative(spec, m4, original_length=orig)
+        assert sched.ccb_order_edges == ()

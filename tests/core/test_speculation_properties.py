@@ -6,7 +6,7 @@ invariants are checked on each stage.  This is the widest net for
 interaction bugs between the compiler pass and the dual-engine model.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.isa_ext import OpForm
@@ -50,6 +50,44 @@ def _ops_strategy():
     )
 
 
+# Draws that deadlocked the FIFO CCB before the speculative scheduler
+# repaired CCB entry order: a speculated consumer of one prediction
+# entered the CCB ahead of a speculated op that a later waiting
+# instruction (a check with a tainted address, or a store) needs
+# recomputed, while that consumer's own check issued after the wait.
+@example(
+    ops=[
+        ("load", "r0", "r0", "r0"),
+        ("mul", "r1", "r0", "r0"),
+        ("alu", "r1", "r1", "r1"),
+        ("load", "r2", "r1", "r0"),
+        ("alu", "r0", "r0", "r2"),
+    ],
+    pick=1,
+    wide=False,
+)
+@example(
+    ops=[
+        ("load", "r0", "r0", "r0"),
+        ("alu", "r0", "r0", "r0"),
+        ("load", "r2", "r0", "r0"),
+        ("alu", "r1", "r1", "r2"),
+    ],
+    pick=1,
+    wide=False,
+)
+@example(
+    ops=[
+        ("alu", "r0", "r0", "r0"),
+        ("load", "r2", "r0", "r0"),
+        ("alu", "r2", "r2", "r0"),
+        ("store", "r0", "r0", "r2"),
+        ("load", "r1", "r0", "r0"),
+        ("alu", "r3", "r0", "r1"),
+    ],
+    pick=1,
+    wide=False,
+)
 @settings(max_examples=60, deadline=None)
 @given(ops=_ops_strategy(), pick=st.integers(min_value=0, max_value=3), wide=st.booleans())
 def test_transform_and_simulate_invariants(ops, pick, wide):
