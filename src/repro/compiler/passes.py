@@ -247,8 +247,8 @@ def _pass_schedule_speculative(state: CompileState) -> bool:
         compilation.spec_schedule = compile_cache.speculative_schedule(
             spec, state.machine, compilation.original_length
         )
-        # Static lengths for Tables 3/4 and Figure 8.  Outcome
-        # validation seeded both pattern runs, so these are memo reads.
+        # Static lengths for Tables 3/4 and Figure 8: the first reads
+        # of the best- and worst-case runs simulate them.
         n = len(spec.ldpred_ids)
         compilation.best_length = compile_cache.pattern_run(
             compilation.spec_schedule, (True,) * n

@@ -65,7 +65,6 @@ class CompensationCodeBuffer:
         self.capacity = capacity
         self._entries: List[CCBEntry] = []
         self._cursor = 0
-        self.high_water = 0
 
     def insert(self, entry: CCBEntry) -> None:
         if self.capacity is not None and self.pending > self.capacity - 1:
@@ -75,7 +74,6 @@ class CompensationCodeBuffer:
         if self._entries and entry.insert_time < self._entries[-1].insert_time:
             raise ValueError("CCB entries must be inserted in issue order")
         self._entries.append(entry)
-        self.high_water = max(self.high_water, self.pending)
 
     @property
     def pending(self) -> int:
@@ -105,3 +103,13 @@ class CompensationCodeBuffer:
 
 class CCBFull(RuntimeError):
     """The Compensation Code Buffer ran out of entries."""
+
+    @classmethod
+    def never_admits(cls, label: str, capacity: int, op_id: int) -> "CCBFull":
+        """A structural overflow: no amount of waiting frees a slot for
+        op ``op_id`` (raised by the VLIW engine and the static checker)."""
+        return cls(
+            f"block {label!r}: CCB capacity {capacity} can never "
+            f"admit op {op_id} (nothing left to free); bound "
+            "speculation or enlarge ccb_capacity"
+        )

@@ -31,6 +31,11 @@ Rules of the game:
   do not depend on which point compiled first.  Memos of
   runs *on* a product key on the shared product (:func:`origin`), so
   rebound copies hit them;
+* a dual-engine run is simulated when a compilation first reads its
+  pattern (:func:`pattern_run`), never ahead of time: selection proves
+  a speculative schedule safe statically
+  (:func:`repro.core.specsched.check_schedule`), not by simulating
+  every outcome pattern;
 * everything here is a *pure* memo — a product is byte-identical to
   what computing it afresh would give.
 """
@@ -50,8 +55,8 @@ __all__ = [
     "original_schedule",
     "origin",
     "pattern_run",
+    "plain_schedule",
     "reset",
-    "schedule_validated",
     "shared_analysis",
     "shared_ddg",
     "speculative_schedule",
@@ -235,6 +240,30 @@ def original_schedule(block, machine):
     return _handed_out(block, schedule, schedule.machine, machine, type(schedule).rebound)
 
 
+def plain_schedule(spec, machine):
+    """The plain list schedule of a transformed block, before any CCB
+    order repair (keyed on the spec identity and the timing key).
+
+    Selection reads it to reject a set whose schedule would need a
+    repair without running the repair; :func:`speculative_schedule`
+    starts from it.  The memo value pins ``spec``, so the ``id(spec)``
+    in the key cannot be reused while the entry lives (see module
+    docstring rules).
+    """
+    from repro.sched.list_scheduler import ListScheduler
+
+    def compute():
+        analysis = shared_analysis(spec.original, spec.graph, machine)
+        return (
+            spec,
+            ListScheduler(machine).schedule_graph(
+                spec.label, spec.graph, analysis=analysis
+            ),
+        )
+
+    return cached(spec.original, ("psched", id(spec), timing_key(machine)), compute)[1]
+
+
 def speculative_schedule(spec, machine, original_length):
     """List-schedule a transformed block (keyed on the spec identity),
     pinned to ``machine``.
@@ -249,7 +278,11 @@ def speculative_schedule(spec, machine, original_length):
         return (
             spec,
             schedule_speculative(
-                spec, machine, original_length=original_length, analysis=analysis
+                spec,
+                machine,
+                original_length=original_length,
+                analysis=analysis,
+                schedule=plain_schedule(spec, machine),
             ),
         )
 
@@ -291,40 +324,13 @@ def baseline_block(spec_schedule, machine):
     )
 
 
-def schedule_validated(spec_schedule) -> bool:
-    """Exhaustive outcome validation of a speculative schedule.
-
-    ``True`` iff every correctness pattern simulates without engine
-    deadlock.  The sweep runs each pattern once and seeds the run into
-    the :func:`pattern_run` memo, so the dynamic simulation, its cycle
-    accounting and its metrics later read it back instead of
-    re-simulating.
-    """
-    from repro.core.cc_engine import SimulationDeadlock
-    from repro.core.machine_sim import simulate_all_outcomes
-
-    block = spec_schedule.spec.original
-    shared = origin(block, spec_schedule)
-
-    def compute():
-        try:
-            runs = simulate_all_outcomes(shared)
-        except SimulationDeadlock:
-            return (shared, False)
-        for pattern, run in runs.items():
-            cached(
-                block,
-                ("prun", id(shared), pattern),
-                lambda run=run: (shared, run),
-            )
-        return (shared, True)
-
-    return cached(block, ("valid", id(shared)), compute)[1]
-
-
 def pattern_run(spec_schedule, pattern: Tuple[bool, ...]):
     """Dual-engine run of one correctness pattern, with its cycle stack
-    and metrics snapshot (shared memo)."""
+    and metrics snapshot (shared memo).
+
+    A pattern is simulated the first time any compilation reads it, so
+    only the patterns a trace reaches (and the best and worst cases the
+    tables print) are ever run."""
     from repro.core.machine_sim import simulate_block
 
     block = spec_schedule.spec.original

@@ -179,11 +179,15 @@ def simulate_worst_case(spec_schedule: SpeculativeSchedule) -> BlockRun:
 def simulate_all_outcomes(
     spec_schedule: SpeculativeSchedule,
 ) -> Dict[Tuple[bool, ...], BlockRun]:
-    """Simulate every outcome pattern (2^n for n predictions).
+    """Simulate every outcome pattern (2^n for n predictions), all-wrong
+    first.
 
-    The dynamic program simulation memoises block timings and cycle
-    stacks per pattern through this map; blocks predict at most a
-    handful of loads so the pattern space stays tiny.
+    The oracle :func:`repro.core.specsched.check_schedule` is held to in
+    the tests: the checker accepts a schedule iff this finishes without
+    :class:`SimulationDeadlock`, and raises ``CCBFull``/``OVBFull``
+    with the same message iff this does.  The compiler and the program
+    simulation never sweep patterns; they simulate one pattern when
+    they first read it (``compile_cache.pattern_run``).
     """
     ldpreds = spec_schedule.spec.ldpred_ids
     results: Dict[Tuple[bool, ...], BlockRun] = {}

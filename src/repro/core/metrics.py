@@ -111,8 +111,7 @@ class BlockCompilation:
                     f"pattern of length {len(pattern)} for {len(ldpreds)} predictions"
                 )
             # Shared process-wide per (spec schedule, pattern): sweep
-            # points compiled from the same transform read one memo (the
-            # speculation pass's validation sweep pre-seeds it).
+            # points compiled from the same transform read one memo.
             from repro.core import compile_cache
 
             cached = compile_cache.pattern_run(self.spec_schedule, pattern)

@@ -80,6 +80,15 @@ class OVBFull(RuntimeError):
     loudly rather than silently mis-timing blocks.
     """
 
+    @classmethod
+    def exceeded(cls, capacity: int, producer_id: int) -> "OVBFull":
+        """The record of ``producer_id`` does not fit (raised by the OVB
+        and the static checker)."""
+        return cls(
+            f"OVB capacity {capacity} exceeded inserting op "
+            f"{producer_id}; bound speculation or enlarge ovb_capacity"
+        )
+
 
 class OperandValueBuffer:
     """Keyed store of :class:`ValueRecord`.
@@ -108,10 +117,7 @@ class OperandValueBuffer:
             and len(self._records) >= self.capacity
         ):
             self._emit(("buffer_stall", time, "ovb", producer_id, 0))
-            raise OVBFull(
-                f"OVB capacity {self.capacity} exceeded inserting op "
-                f"{producer_id}; bound speculation or enlarge ovb_capacity"
-            )
+            raise OVBFull.exceeded(self.capacity, producer_id)
 
     # -- insertion (VLIW engine side) ------------------------------------
 

@@ -661,6 +661,8 @@ def _speculate_block_impl(
     config: SpeculationConfig,
     id_base: Optional[int],
 ) -> Optional[SpeculativeBlock]:
+    from repro.core import specsched
+
     original_length = compile_cache.original_schedule(block, machine).length
     current_length = original_length
 
@@ -687,22 +689,25 @@ def _speculate_block_impl(
             target = current_length if round_best is None else round_best[0]
             if _shared_analysis(block, trial.graph, machine).length >= target:
                 continue
+            plain = compile_cache.plain_schedule(trial, machine)
+            if plain.length >= target:
+                continue
+            # A set whose plain list schedule the scheduler would have
+            # to reorder for the FIFO CCB (see the deadlock discussion
+            # above) is rejected, as it was when such schedules
+            # deadlocked, before the repair runs: accepting the
+            # reordered schedules changes which sets are chosen, and
+            # with them the published figures.  Any length the repair
+            # reached would be rejected with the set, so the plain
+            # length filters as well.
+            if specsched.ccb_order_conflicts(trial, plain):
+                continue
             spec_schedule = compile_cache.speculative_schedule(
                 trial, machine, original_length
             )
-            if spec_schedule.length >= current_length:
-                continue
-            if round_best is not None and spec_schedule.length >= round_best[0]:
-                continue
-            # A set whose list schedule the scheduler had to reorder
-            # for the FIFO CCB (see the deadlock discussion above) is
-            # rejected, as it was when such schedules deadlocked:
-            # accepting the reordered schedules changes which sets are
-            # chosen, and with them the published figures.  Validation
-            # of every outcome pattern stays as a guard.
-            if spec_schedule.ccb_order_edges:
-                continue
-            if not compile_cache.schedule_validated(spec_schedule):
+            # The static safety proof stays as a guard; it raises when a
+            # bounded CCB or OVB cannot hold the schedule's entries.
+            if specsched.check_schedule(spec_schedule).violation is not None:
                 continue
             round_best = (spec_schedule.length, trial_set, trial)
         if round_best is None:

@@ -220,11 +220,7 @@ class VLIWEngineSim:
         free_times = self.cc.stats.free_times
         if freed_needed > len(free_times):
             self._emit(("buffer_stall", issue, "ccb", spec_ops[0], 0))
-            raise CCBFull(
-                f"block {spec.label!r}: CCB capacity {capacity} can never "
-                f"admit op {spec_ops[0]} (nothing left to free); bound "
-                "speculation or enlarge ccb_capacity"
-            )
+            raise CCBFull.never_admits(spec.label, capacity, spec_ops[0])
         ready = free_times[freed_needed - 1]
         if ready <= issue:
             return issue

@@ -69,15 +69,18 @@ class TestTimingKey:
 
 
 def _explore_counts(monkeypatch, kinds: str):
+    """Compile-product misses of one sweep, its ``simulate_block`` calls
+    and the distinct (schedule, pattern) keys they simulated."""
     from repro.batchsim.context import reset_shared_state
     from repro.explore.cli import main
 
-    calls = []
+    runs = []
     original = machine_sim.simulate_block
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counting(spec_schedule, outcomes, *args, **kwargs):
+        # The list keeps each schedule alive, so no id is reused.
+        runs.append((spec_schedule, tuple(sorted(outcomes.items()))))
+        return original(spec_schedule, outcomes, *args, **kwargs)
 
     reset_shared_state()
     monkeypatch.setattr(machine_sim, "simulate_block", counting)
@@ -87,9 +90,10 @@ def _explore_counts(monkeypatch, kinds: str):
     stats = compile_cache.stats()
     misses = {
         kind: stats.get(f"{kind}.miss", 0)
-        for kind in ("osched", "spec", "sched", "valid", "base")
+        for kind in ("osched", "spec", "psched", "sched", "base")
     }
-    return misses, len(calls)
+    keys = {(id(spec_schedule), pattern) for spec_schedule, pattern in runs}
+    return misses, len(runs), len(keys)
 
 
 def test_predictor_variants_compile_and_simulate_each_block_once(
@@ -99,7 +103,13 @@ def test_predictor_variants_compile_and_simulate_each_block_once(
     five = _explore_counts(monkeypatch, KINDS)
     capsys.readouterr()
     assert one[0]["osched"] > 0 and one[1] > 0
-    assert five == one
+    # Every predictor kind reads the same compile products...
+    assert five[0] == one[0]
+    # ...and each (shared schedule, pattern) run is simulated once, on
+    # first read; other predictors reach more patterns.
+    for misses, calls, keys in (one, five):
+        assert calls == keys
+    assert five[1] >= one[1]
 
 
 def _fcm_compile_payloads(tmp_path: Path, kinds: str):

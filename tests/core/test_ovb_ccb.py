@@ -11,7 +11,11 @@ from repro.core.ccb import (
     OperandSource,
     SourceKind,
 )
+from repro.core.machine_sim import simulate_all_outcomes
 from repro.core.ovb import OperandKind, OperandState, OperandValueBuffer
+from repro.core.specsched import check_schedule, schedule_speculative
+from repro.core.speculation import transform_block
+from repro.ir.builder import FunctionBuilder
 from repro.ir.opcodes import Opcode
 from repro.ir.operation import Operation, Reg
 
@@ -140,14 +144,31 @@ class TestCCB:
         with pytest.raises(IndexError):
             CompensationCodeBuffer().pop()
 
-    def test_high_water(self):
-        buf = CompensationCodeBuffer()
-        buf.insert(entry(insert_time=0))
-        buf.insert(entry(insert_time=0))
-        buf.pop()
-        assert buf.high_water == 2
-        assert buf.total_inserted == 2
-        assert len(buf) == 1
+    def test_occupancy_bound_is_the_sample_peak(self, m4):
+        """The static checker's CCB bound is the most entries any outcome
+        pattern holds at once, on the smallest CCB that admits the
+        schedule: the peak of the runs' ``cce.ccb_occupancy`` samples."""
+        fb = FunctionBuilder("f")
+        fb.block("entry")
+        fb.mov("p", 100)
+        first = fb.load("a", "p")
+        fb.add("b", "a", 1)
+        fb.mul("c", "b", "b")
+        second = fb.load("e", "p", offset=4)
+        fb.add("f", "e", 1)
+        fb.add("g", "c", "f")
+        fb.store("g", "p", offset=8)
+        fb.halt()
+        spec = transform_block(fb.build().block("entry"), m4, [first, second])
+        bound = check_schedule(schedule_speculative(spec, m4)).ccb_occupancy
+        assert bound >= 2
+        fits = m4.spec().override(ccb_capacity=bound).build()
+        runs = simulate_all_outcomes(schedule_speculative(spec, fits))
+        assert len(runs) == 4
+        assert max(max(run.tally.ccb_occupancy) for run in runs.values()) == bound
+        short = m4.spec().override(ccb_capacity=bound - 1).build()
+        with pytest.raises(CCBFull):
+            check_schedule(schedule_speculative(spec, short))
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):

@@ -391,3 +391,27 @@ class TestCli:
 
         assert main([]) == 2
         assert "no axes" in capsys.readouterr().err
+
+    def test_ccb_grid_prunes_are_pinned(self, capsys):
+        """At paper scale, capacities 1, 2 and 4 overflow the CCB in one
+        block each, on both widths; the messages name the block and the
+        op that can never enter."""
+        from repro.explore.cli import main
+
+        argv = ["--json", "--no-cache", "--scale", "1.0",
+                "--axis", "ccb_capacity=1,2,4,8,16,none", "--axis", "issue_width=4,8"]
+        assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(report["points"]) == 6
+        overflows = [(1, "scan", 14), (2, "eval", 23), (4, "cycle", 11)]
+        assert [(p["label"], p["reason"], p["detail"]) for p in report["pruned"]] == [
+            (
+                f"ccb_capacity={capacity}/issue_width={width}",
+                "error",
+                f"CCBFull: block {block!r}: CCB capacity {capacity} can never admit "
+                f"op {op} (nothing left to free); bound speculation or enlarge "
+                "ccb_capacity",
+            )
+            for capacity, block, op in overflows
+            for width in (4, 8)
+        ]
