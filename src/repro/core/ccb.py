@@ -101,6 +101,19 @@ class CompensationCodeBuffer:
         return self.pending
 
 
+def cce_runs_before_issue(waits: bool, enters: bool, capacity: Optional[int]) -> bool:
+    """Whether the Compensation Code Engine processes the entries it can
+    before an instruction issues: when the instruction waits on
+    Synchronization bits (re-execution may clear them) and, with a
+    bounded CCB, when speculated ops enter (processing frees slots).
+    Nowhere else, so an unbounded CCB holds processable entries until
+    the next wait.  The VLIW engine runs the CCE by this rule and the
+    static checker (:func:`repro.core.specsched.check_schedule`) counts
+    occupancy by it.
+    """
+    return waits or (enters and capacity is not None)
+
+
 class CCBFull(RuntimeError):
     """The Compensation Code Buffer ran out of entries."""
 

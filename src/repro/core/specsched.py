@@ -24,7 +24,7 @@ from typing import (
 
 from repro.ddg.graph import DepEdge, DepKind, DependenceGraph
 from repro.ir.operation import Imm
-from repro.core.ccb import CCBFull, OperandSource, SourceKind
+from repro.core.ccb import CCBFull, OperandSource, SourceKind, cce_runs_before_issue
 from repro.core.isa_ext import OpForm
 from repro.core.ovb import OVBFull
 
@@ -303,9 +303,7 @@ def _guarded_inputs(spec: SpeculativeBlock) -> Dict[int, FrozenSet[int]]:
     return guarded
 
 
-def check_schedule(
-    spec_schedule: SpeculativeSchedule, ccb_capacity: Optional[int] = None
-) -> ScheduleCheck:
+def check_schedule(spec_schedule: SpeculativeSchedule) -> ScheduleCheck:
     """Prove ``spec_schedule`` safe without simulating it.
 
     Walks the VLIW instructions in issue order and tests the paper's
@@ -323,8 +321,8 @@ def check_schedule(
       re-executed it, i.e. once the origins of its CCB entry and of
       every entry ahead of it in the FIFO are checked (an entry ahead
       that is not is a :func:`ccb_order_conflicts` pair);
-    * the CCB and OVB occupancy fit ``ccb_capacity`` (``None`` reads the
-      machine's) and the machine's ``ovb_capacity``.
+    * the CCB and OVB occupancy fit the machine's ``ccb_capacity`` and
+      ``ovb_capacity``.
 
     All-wrong is the worst outcome pattern: the CC engine processes an
     entry once its origins are checked, right or wrong, and a right
@@ -344,8 +342,7 @@ def check_schedule(
     spec = spec_schedule.spec
     info = spec.info
     machine = spec_schedule.schedule.machine
-    if ccb_capacity is None:
-        ccb_capacity = machine.ccb_capacity
+    ccb_capacity = machine.ccb_capacity
     ovb_capacity = machine.ovb_capacity
     instructions = spec_schedule.schedule.instructions()
     guarded = _guarded_inputs(spec)
@@ -373,9 +370,7 @@ def check_schedule(
         ]
         while ready < len(fifo) and info[fifo[ready]].origins <= checked:
             ready += 1
-        # The engines process the CCB before a wait and, when it is
-        # bounded, before speculated ops enter.
-        if wait or (entering and ccb_capacity is not None):
+        if cce_runs_before_issue(bool(wait), bool(entering), ccb_capacity):
             for op_id in fifo[processed:ready]:
                 pending.discard(info[op_id].sync_bit)
             processed = ready

@@ -39,7 +39,7 @@ from repro.obs.cycles import (
     instruction_binding,
 )
 from repro.core.cc_engine import CompensationEngine, SimulationDeadlock
-from repro.core.ccb import CCBEntry, CCBFull
+from repro.core.ccb import CCBEntry, CCBFull, cce_runs_before_issue
 from repro.core.isa_ext import OpForm
 from repro.core.ovb import OperandState, OperandValueBuffer
 from repro.core.specsched import SpeculativeSchedule
@@ -109,11 +109,11 @@ class VLIWEngineSim:
         for instr in self.spec_schedule.schedule.instructions():
             tentative = instr.cycle + shift
             wait = wait_bits.get(instr.cycle, no_wait)
+            entering = self._entering(instr) if ccb_capacity is not None else ()
+            if cce_runs_before_issue(bool(wait), bool(entering), ccb_capacity):
+                self.cc.process_available()
             issue = tentative
             if wait:
-                # Give the Compensation Code Engine a chance to clear
-                # bits for recomputed values before we read them.
-                self.cc.process_available()
                 clear = self.sync.wait_until_clear(wait)
                 if clear is None:
                     raise SimulationDeadlock(
@@ -125,8 +125,8 @@ class VLIWEngineSim:
             if sync_stall:
                 emit(("stall", issue, tuple(sorted(wait)), sync_stall))
             ccb_stall = 0
-            if ccb_capacity is not None:
-                issue = self._admit_ccb(instr, issue, ccb_capacity)
+            if entering:
+                issue = self._admit_ccb(entering, issue, ccb_capacity)
                 ccb_stall = issue - tentative - sync_stall
             stall = sync_stall + ccb_stall
             stats.stall_cycles += stall
@@ -195,25 +195,27 @@ class VLIWEngineSim:
                 cause = SYNC_CLEAR_CAUSES.get(source, "sync_stall")
         return cause
 
-    def _admit_ccb(self, instr, issue: int, capacity: int) -> int:
-        """Delay ``issue`` until a bounded CCB can take this instruction's
-        speculative ops; raise :class:`CCBFull` if no amount of waiting
-        can ever make room (structural overflow).
+    def _entering(self, instr) -> List[int]:
+        """The speculated ops ``instr`` inserts into the CCB."""
+        info = self.spec_schedule.spec.info
+        return [
+            slot.operation.op_id
+            for slot in instr.slots
+            if info[slot.operation.op_id].form is OpForm.SPECULATIVE
+        ]
+
+    def _admit_ccb(self, spec_ops: List[int], issue: int, capacity: int) -> int:
+        """Delay ``issue`` until a bounded CCB can take the speculated
+        ops ``spec_ops`` of one instruction; raise :class:`CCBFull` if no
+        amount of waiting can ever make room (structural overflow).
 
         The timing model: an entry's slot frees when the Compensation
         Code Engine processes it (``stats.free_times``, monotone), so
         inserting the ``k``-th entry past capacity must wait for the
-        ``k``-th free.
+        ``k``-th free.  The CCE has processed what it can just before
+        (:func:`cce_runs_before_issue`).
         """
         spec = self.spec_schedule.spec
-        spec_ops = [
-            slot.operation.op_id
-            for slot in instr.slots
-            if spec.info[slot.operation.op_id].form is OpForm.SPECULATIVE
-        ]
-        if not spec_ops:
-            return issue
-        self.cc.process_available()
         freed_needed = self.cc.buffer.total_inserted + len(spec_ops) - capacity
         if freed_needed <= 0:
             return issue

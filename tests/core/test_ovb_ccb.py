@@ -120,6 +120,9 @@ class TestCCB:
         assert buf.pop() is e1
         assert buf.head is e2
         assert buf.pending == 1
+        assert len(buf) == 1
+        # Popped entries still count: a bounded CCB's admission reads it.
+        assert buf.total_inserted == 2
 
     def test_insert_out_of_order_rejected(self):
         buf = CompensationCodeBuffer()

@@ -4,8 +4,10 @@
 schedule safe from its static facts; :func:`simulate_all_outcomes` is
 the oracle it replaced.  On every schedule the compiler can build (the
 greedy trial sets of the suite at three thresholds on both paper
-machines, random blocks, each both as the plain list schedule and as
-repaired by ``schedule_speculative``) and under bounded CCBs and OVBs,
+machines, under the default pass config and with ALU prediction and
+live-out speculation, random blocks, each both as the plain list
+schedule and as repaired by ``schedule_speculative``) and under bounded
+CCBs and OVBs,
 the checker accepts exactly when no outcome pattern deadlocks, and
 raises ``CCBFull``/``OVBFull`` exactly when a pattern does, with the
 same message.  Mutated schedules (one SYNC edge dropped, a live bit
@@ -23,7 +25,9 @@ from hypothesis import strategies as st
 from repro.core import speculation
 from repro.core.cc_engine import SimulationDeadlock
 from repro.core.ccb import CCBFull
+from repro.core.isa_ext import OpForm
 from repro.core.machine_sim import simulate_all_outcomes
+from repro.core.metrics import compile_program
 from repro.core.ovb import OVBFull
 from repro.core.specsched import (
     annotate,
@@ -31,10 +35,15 @@ from repro.core.specsched import (
     check_schedule,
     schedule_speculative,
 )
+from repro.core.speculation import SpeculationConfig
 from repro.ddg.graph import DepKind, DependenceGraph
 from repro.evaluation.experiment import Evaluation, EvaluationSettings
+from repro.ir.opcodes import Opcode
 from repro.machine.configs import PLAYDOH_4W, PLAYDOH_8W
+from repro.profiling.profile_run import profile_program
 from repro.sched.list_scheduler import ListScheduler
+from repro.trace.capture import capture_trace
+from repro.workloads.suite import load_benchmark
 from tests.core.test_speculation_properties import _ops_strategy, build_random_block
 
 #: (ccb_capacity, ovb_capacity) variants every schedule is checked under.
@@ -88,27 +97,57 @@ def _assert_agree(spec_schedule):
         assert _static(bounded) == _oracle(bounded), (spec_schedule, ccb, ovb)
 
 
+THRESHOLDS = (0.5, 0.65, 0.8)
+
+#: Pass configs beyond the default, selected over an ALU-tracking profile.
+VARIANTS = {
+    "alu": SpeculationConfig(predict_alu=True),
+    "liveout": SpeculationConfig(speculate_liveout=True),
+    "alu+liveout": SpeculationConfig(predict_alu=True, speculate_liveout=True),
+}
+
+
 @pytest.fixture(scope="module")
-def suite_trials():
+def recorded_trials():
     """Every trial transform greedy selection builds for the suite at
-    scale 1.0 and thresholds 0.5/0.65/0.8, paired with each paper
-    machine (the two share transforms: they have one latency table)."""
-    specs = []
+    scale 1.0 and thresholds 0.5/0.65/0.8, under the default pass config
+    and each of :data:`VARIANTS`: ``(config label, spec, live_out)``."""
+    trials = []
     original = speculation.transform_block
 
-    def recording(*args):
-        specs.append(original(*args))
-        return specs[-1]
+    def recording(block, machine, predicted, live_out=frozenset(), config=None, *rest):
+        spec = original(block, machine, predicted, live_out, config, *rest)
+        trials.append((label, spec, live_out))
+        return spec
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(speculation, "transform_block", recording)
-        for threshold in (0.5, 0.65, 0.8):
+        label = "default"
+        for threshold in THRESHOLDS:
             evaluation = Evaluation(EvaluationSettings(scale=1.0).with_threshold(threshold))
-            machines = (evaluation.machine_4w, evaluation.machine_8w)
             for name in evaluation.benchmarks:
-                for machine in machines:
+                for machine in (evaluation.machine_4w, evaluation.machine_8w):
                     evaluation.compilation(name, machine)
-    return [(spec, machine) for spec in specs for machine in machines]
+        for name in evaluation.benchmarks:
+            program = load_benchmark(name, scale=1.0)
+            profile = profile_program(program, capture_trace(program), profile_alu=True)
+            for label, variant in VARIANTS.items():
+                for threshold in THRESHOLDS:
+                    config = dataclasses.replace(variant, threshold=threshold)
+                    for machine in (PLAYDOH_4W, PLAYDOH_8W):
+                        compile_program(program, machine, profile, config=config)
+    return trials
+
+
+@pytest.fixture(scope="module")
+def suite_trials(recorded_trials):
+    """Each recorded trial paired with each paper machine (the two share
+    transforms: they have one latency table)."""
+    return [
+        (spec, machine)
+        for _, spec, _ in recorded_trials
+        for machine in (PLAYDOH_4W, PLAYDOH_8W)
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +160,33 @@ def test_the_suite_builds_multi_prediction_and_repaired_trials(suite_schedules):
     assert len(suite_schedules) > 100
     assert any(p.spec.num_predictions > 2 for p, _ in suite_schedules)
     assert any(r.ccb_order_edges for _, r in suite_schedules)
+
+
+def test_the_variants_predict_alu_ops_and_speculate_live_outs(recorded_trials):
+    """The variant configs reach transforms the default never builds: an
+    ALU result predicted (its check is the op itself, not ``CHKPRED``),
+    and a speculated op whose result is live out of the block."""
+
+    def predicts_alu(spec):
+        return any(
+            spec.info[op.op_id].form is OpForm.CHECK and op.opcode is not Opcode.CHKPRED
+            for op in spec.operations
+        )
+
+    def speculates_live_out(spec, live_out):
+        return any(
+            spec.info[op.op_id].form is OpForm.SPECULATIVE and op.dest in live_out
+            for op in spec.operations
+        )
+
+    by_label = {}
+    for label, spec, live_out in recorded_trials:
+        by_label.setdefault(label, []).append((spec, live_out))
+    assert set(by_label) == {"default", *VARIANTS}
+    for label, trials in by_label.items():
+        alu = any(predicts_alu(spec) for spec, _ in trials)
+        liveout = any(speculates_live_out(*trial) for trial in trials)
+        assert (alu, liveout) == ("alu" in label, "liveout" in label), label
 
 
 def test_checker_matches_the_oracle_on_the_suite(suite_schedules):
@@ -138,19 +204,31 @@ def test_repaired_suite_schedules_are_safe(suite_schedules):
         assert check_schedule(repaired).violation is None
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(
     ops=_ops_strategy(),
     picks=st.lists(st.integers(min_value=0, max_value=15), max_size=4, unique=True),
     wide=st.booleans(),
+    alu=st.booleans(),
+    liveout=st.booleans(),
 )
-def test_checker_matches_the_oracle_on_random_blocks(ops, picks, wide):
+def test_checker_matches_the_oracle_on_random_blocks(ops, picks, wide, alu, liveout):
+    """With ``alu`` long-latency ALU results are predicted too; every
+    register the block defines is live out, and is pinned unless
+    ``liveout`` lets the pass speculate it."""
     machine = PLAYDOH_8W if wide else PLAYDOH_4W
     block, loads = build_random_block(ops)
-    if not loads:
+    candidates = loads + [
+        op
+        for op in block.operations
+        if alu and not op.is_load and op.dest is not None and machine.latency(op.opcode) >= 3
+    ]
+    if not candidates:
         return
-    chosen = list(dict.fromkeys(loads[i % len(loads)] for i in picks))
-    spec = speculation.transform_block(block, machine, chosen)
+    chosen = list(dict.fromkeys(candidates[i % len(candidates)] for i in picks))
+    live_out = frozenset(op.dest for op in block.operations if op.dest is not None)
+    config = SpeculationConfig(predict_alu=alu, speculate_liveout=liveout)
+    spec = speculation.transform_block(block, machine, chosen, live_out, config)
     for spec_schedule in _plain_and_repaired(spec, machine):
         _assert_agree(spec_schedule)
 
