@@ -27,13 +27,13 @@ scratch in Python:
   figure of the paper's evaluation section.
 * :mod:`repro.opt` — classical block-local optimisations (constant
   folding, copy propagation, dead-code elimination).
-* :mod:`repro.regions` — superblock-style region enlargement
-  (straight-line merging, loop unrolling with register renaming).
+* :mod:`repro.regions` — superblock-style region enlargement (loop
+  unrolling with register renaming).
 * :mod:`repro.compiler` — the pass-pipeline driver: a registry of
   named passes, a declarative (serializable, content-hashable)
   :class:`~repro.compiler.config.PipelineConfig`, and the
   :class:`~repro.compiler.manager.PassManager` that runs it with inter-pass
-  IR verification and per-pass metrics.
+  IR verification.
 * :mod:`repro.runner` — serial, disk-cached experiment execution;
   job cache keys incorporate the pipeline config.
 * :mod:`repro.obs` — metrics, structured tracing, Perfetto export.

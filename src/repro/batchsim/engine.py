@@ -37,8 +37,8 @@ def batch_counts(
 
     Raises ``ValueError`` on a predictor geometry no table can take,
     :class:`ExecutionLimitExceeded` when the trace is longer than
-    ``max_operations``, and :class:`~repro.trace.format.TraceMismatch`/
-    ``TraceError`` on a trace that does not match the program.
+    ``max_operations``, and :class:`~repro.trace.format.TraceMismatch`
+    on a trace that does not match the program.
     """
     from repro.core.program_sim import SimCounts
 

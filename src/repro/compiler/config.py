@@ -17,10 +17,7 @@ Configs are plain frozen dataclasses built from :class:`PassSpec`
 entries (a pass name plus a sorted option tuple), so they hash, compare
 and pickle; :meth:`PipelineConfig.canonical` reduces one to JSON
 primitives and :meth:`PipelineConfig.fingerprint` to a stable content
-hash — which is what the runner keys its on-disk cache entries by.  The
-``verify`` toggle is deliberately *excluded* from the canonical form:
-inter-pass verification can only raise, never change a result, so it
-must not split the cache.
+hash — which is what the runner keys its on-disk cache entries by.
 """
 
 from __future__ import annotations
@@ -96,12 +93,6 @@ class PassSpec:
     def make(cls, name: str, **options: Any) -> "PassSpec":
         return cls(name, tuple(sorted(options.items())))
 
-    def option(self, key: str, default: Any = None) -> Any:
-        for name, value in self.options:
-            if name == key:
-                return value
-        return default
-
     def canonical(self) -> Dict[str, Any]:
         return {
             "name": self.name,
@@ -134,34 +125,17 @@ class PipelineConfig:
         program_passes: program-rewriting passes, applied pre-profiling.
         codegen_passes: state-building passes that produce the
             :class:`~repro.core.metrics.ProgramCompilation`.
-        verify: run the IR verifier between program-rewriting passes
-            (and once before codegen).  Not part of the canonical form.
     """
 
     program_passes: Tuple[PassSpec, ...] = ()
     codegen_passes: Tuple[PassSpec, ...] = STANDARD_CODEGEN
-    verify: bool = True
-
-    @property
-    def passes(self) -> Tuple[PassSpec, ...]:
-        return self.program_passes + self.codegen_passes
 
     def frontend(self) -> "PipelineConfig":
         """The program-rewriting prefix only (what a build stage runs)."""
-        return PipelineConfig(
-            program_passes=self.program_passes,
-            codegen_passes=(),
-            verify=self.verify,
-        )
-
-    def with_program_pass(self, spec: PassSpec) -> "PipelineConfig":
-        return dataclasses.replace(
-            self, program_passes=self.program_passes + (spec,)
-        )
+        return PipelineConfig(program_passes=self.program_passes, codegen_passes=())
 
     def canonical(self) -> Dict[str, Any]:
-        """JSON-primitive form; ``verify`` is excluded (cannot change
-        results, must not split caches)."""
+        """JSON-primitive form (what :meth:`fingerprint` hashes)."""
         return {
             "schema": PIPELINE_SCHEMA_VERSION,
             "program": [p.canonical() for p in self.program_passes],
@@ -208,7 +182,7 @@ class PipelineConfig:
                 opts = ", ".join(f"{k}={v!r}" for k, v in sorted(options.items()))
                 suffix = f"  [{opts}]" if opts else ""
                 lines.append(f"    {info.name:<22}{info.summary}{suffix}")
-        lines.append("  verify between passes: " + ("on" if self.verify else "off"))
+        lines.append("  verify between passes: on")
         return "\n".join(lines)
 
 
@@ -216,7 +190,6 @@ def standard_pipeline(
     *,
     optimize: bool = False,
     unroll: Optional[Tuple[str, int]] = None,
-    verify: bool = True,
 ) -> PipelineConfig:
     """The default pipeline, optionally with a classical-optimisation
     and/or loop-unrolling front end.
@@ -230,31 +203,4 @@ def standard_pipeline(
     if unroll is not None:
         label, factor = unroll
         program += (PassSpec.make("unroll", label=label, factor=int(factor)),)
-    return PipelineConfig(
-        program_passes=program, codegen_passes=STANDARD_CODEGEN, verify=verify
-    )
-
-
-def compilation_fingerprint(
-    program: Any,
-    machine: Any,
-    pipeline: Optional[PipelineConfig] = None,
-    spec_config: Optional[Any] = None,
-) -> str:
-    """Stable content hash of (program, machine, pipeline, speculation
-    config) — everything that determines a compilation's result.
-
-    The program is hashed through its assembly rendering, which carries
-    no operation ids, so programs that differ only in numbering
-    fingerprint identically.
-    """
-    from repro.ir.asm import format_program_asm
-
-    return content_hash(
-        {
-            "program": format_program_asm(program),
-            "machine": canonical_value(machine),
-            "pipeline": (pipeline or standard_pipeline()).canonical(),
-            "spec_config": canonical_value(spec_config),
-        }
-    )
+    return PipelineConfig(program_passes=program, codegen_passes=STANDARD_CODEGEN)

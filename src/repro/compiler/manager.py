@@ -5,15 +5,13 @@ evaluation experiments, the runner's ``build``/``compile`` job stages,
 the region-size sweeps and the quickstart all route through it.  It
 
 * applies the config's program-rewriting passes
-  (:meth:`~PassManager.run_program_passes`), verifying the IR between
-  passes when ``verify`` is on;
+  (:meth:`~PassManager.run_program_passes`), verifying the IR after
+  each one;
 * lowers a profiled program to a
   :class:`~repro.core.metrics.ProgramCompilation`
-  (:meth:`~PassManager.compile`) by running the codegen passes over a
-  shared :class:`~repro.compiler.passes.CompileState`;
-* times and counts every pass through :mod:`repro.obs` metrics
-  (``compiler.pass_ns{name}`` histograms, ``compiler.pass_runs`` and
-  ``compiler.pass_changed`` counters) — free when metrics are disabled.
+  (:meth:`~PassManager.compile`) by verifying it and running the
+  codegen passes over a shared
+  :class:`~repro.compiler.passes.CompileState`.
 
 The default pipeline reproduces the original ``compile_program``
 byte-for-byte: the same per-block products, built in the same operation
@@ -23,7 +21,6 @@ as the old fused loop did).
 
 from __future__ import annotations
 
-import time
 from typing import Any, Dict, Optional
 
 from repro.compiler.config import (
@@ -34,7 +31,6 @@ from repro.compiler.config import (
 )
 from repro.compiler.passes import (
     CompileState,
-    PassInfo,
     PipelineError,
     pass_info,
     resolve_options,
@@ -42,31 +38,15 @@ from repro.compiler.passes import (
 from repro.ir.program import Program
 from repro.ir.verifier import verify_function
 from repro.machine.description import MachineDescription
-from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.profiling.profile_run import ProfileData
 from repro.core.speculation import SpeculationConfig
-
-
-def _program_shape(program: Program) -> tuple:
-    """Structural fingerprint for change detection (id-insensitive)."""
-    from repro.opt.passes import function_shape
-
-    return tuple((f.name, function_shape(f)) for f in program)
 
 
 class PassManager:
     """Executes the passes of one :class:`PipelineConfig`."""
 
-    def __init__(
-        self,
-        config: Optional[PipelineConfig] = None,
-        *,
-        metrics: MetricsRegistry = NULL_METRICS,
-        verify: Optional[bool] = None,
-    ):
+    def __init__(self, config: Optional[PipelineConfig] = None):
         self.config = config or standard_pipeline()
-        self.verify = self.config.verify if verify is None else verify
-        self.metrics = metrics
 
     # -- program-rewriting stage --------------------------------------------
 
@@ -76,20 +56,13 @@ class PassManager:
         for spec in self.config.program_passes:
             info = pass_info(spec.name)
             options = resolve_options(info, spec)
-            before = _program_shape(program)
-            start = time.perf_counter_ns()
-            if info.kind == "function":
-                program = self._lift_function_pass(program, info, options)
-            elif info.kind == "program":
-                program = info.fn(program, **options)
-            else:
+            if info.kind != "program":
                 raise PipelineError(
                     f"codegen pass {info.name!r} cannot appear in "
                     "program_passes"
                 )
-            self._record(info.name, start, changed=_program_shape(program) != before)
-            if self.verify:
-                self._verify(program, info.name)
+            program = info.fn(program, **options)
+            self._verify(program, info.name)
         return program
 
     # -- codegen stage ------------------------------------------------------
@@ -111,8 +84,7 @@ class PassManager:
         from repro.core.metrics import ProgramCompilation
 
         spec_config = spec_config or SpeculationConfig()
-        if self.verify:
-            self._verify(program, "codegen input")
+        self._verify(program, "codegen input")
         state = CompileState(
             program=program,
             machine=machine,
@@ -126,10 +98,7 @@ class PassManager:
                     f"{info.kind} pass {info.name!r} cannot appear in "
                     "codegen_passes; it belongs in program_passes"
                 )
-            options = resolve_options(info, spec)
-            start = time.perf_counter_ns()
-            changed = bool(info.fn(state, **options))
-            self._record(info.name, start, changed=changed)
+            info.fn(state, **resolve_options(info, spec))
         return ProgramCompilation(
             program=state.program,
             machine=machine,
@@ -170,16 +139,6 @@ class PassManager:
 
     # -- internals ----------------------------------------------------------
 
-    def _lift_function_pass(
-        self, program: Program, info: PassInfo, options: Dict[str, Any]
-    ) -> Program:
-        result = Program(program.name, main=program.main_name)
-        for function in program:
-            result.add_function(info.fn(function, **options))
-        result.initial_memory.update(program.initial_memory)
-        result.initial_registers.update(program.initial_registers)
-        return result
-
     def _verify(self, program: Program, after: str) -> None:
         for function in program:
             try:
@@ -190,32 +149,15 @@ class PassManager:
                      getattr(exc, "problems", [str(exc)])]
                 ) from exc
 
-    def _record(self, name: str, start_ns: int, changed: bool) -> None:
-        self.metrics.observe(
-            "compiler.pass_ns", time.perf_counter_ns() - start_ns, label=name
-        )
-        self.metrics.inc("compiler.pass_runs", label=name)
-        if changed:
-            self.metrics.inc("compiler.pass_changed", label=name)
-
 
 def compile_program(
     program: Program,
     machine: MachineDescription,
     profile: ProfileData,
     config: Optional[SpeculationConfig] = None,
-    pipeline: Optional[PipelineConfig] = None,
-    metrics: MetricsRegistry = NULL_METRICS,
 ) -> "ProgramCompilation":
-    """Compile ``program`` through the pass-manager pipeline.
-
-    Drop-in replacement for the historical
-    :func:`repro.core.metrics.compile_program` (which now delegates
-    here): with the default ``pipeline`` the result is identical.
-    """
-    return PassManager(pipeline, metrics=metrics).compile(
-        program, machine, profile, spec_config=config
-    )
+    """Compile ``program`` through the standard pipeline's codegen passes."""
+    return PassManager().compile(program, machine, profile, spec_config=config)
 
 
 # ---------------------------------------------------------------------------

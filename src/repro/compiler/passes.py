@@ -1,17 +1,12 @@
 """The pass registry and the built-in passes.
 
-A *pass* is a named, registered unit of pipeline work.  Three kinds
+A *pass* is a named, registered unit of pipeline work.  Two kinds
 exist, distinguished by what they transform:
 
-* ``function`` — ``fn(function, **options) -> Function``; the manager
-  lifts it over every function of the program (fresh
-  :class:`~repro.ir.program.Program`, same memory/register images).
 * ``program`` — ``fn(program, **options) -> Program``; whole-program
-  rewrites such as loop unrolling.
-* ``codegen`` — ``fn(state, **options) -> bool``; reads and extends the
-  :class:`CompileState` that accumulates the compilation products.  The
-  return value reports whether the pass produced anything (it feeds the
-  ``compiler.pass_changed`` metric).
+  rewrites such as classical optimisation and loop unrolling.
+* ``codegen`` — ``fn(state, **options)``; reads and extends the
+  :class:`CompileState` that accumulates the compilation products.
 
 Registration is open: tests and downstream users may
 :func:`register_pass` their own (including deliberately broken ones, to
@@ -26,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.compiler.config import PassSpec
-from repro.ir.function import Function
 from repro.ir.liveness import LivenessInfo, compute_liveness
 from repro.ir.program import Program
 from repro.machine.description import MachineDescription
@@ -48,7 +42,7 @@ class PassInfo:
     """Registry entry for one pass."""
 
     name: str
-    kind: str  # "function" | "program" | "codegen"
+    kind: str  # "program" | "codegen"
     summary: str
     defaults: Tuple[Tuple[str, Any], ...]
     fn: Callable[..., Any]
@@ -65,7 +59,7 @@ def register_pass(
     **defaults: Any,
 ) -> None:
     """Register (or override) a pass implementation."""
-    if kind not in ("function", "program", "codegen"):
+    if kind not in ("program", "codegen"):
         raise ValueError(f"unknown pass kind {kind!r}")
     _REGISTRY[name] = PassInfo(
         name=name,
@@ -161,36 +155,11 @@ def _lift_unroll(program: Program, label: Any = REQUIRED, factor: int = 2) -> Pr
     return unroll_program_loop(program, label, factor)
 
 
-def _register_function_pass(name: str, summary: str, importer: Callable[[], Callable]) -> None:
-    def run(function: Function) -> Function:
-        return importer()(function)
-
-    register_pass(name, "function", summary, run)
-
-
-def _import_fold():
-    from repro.opt.passes import constant_folding
-
-    return constant_folding
-
-
-def _import_copyprop():
-    from repro.opt.passes import copy_propagation
-
-    return copy_propagation
-
-
-def _import_dce():
-    from repro.opt.passes import dead_code_elimination
-
-    return dead_code_elimination
-
-
 # ---------------------------------------------------------------------------
 # built-in codegen passes
 
 
-def _pass_liveness(state: CompileState) -> bool:
+def _pass_liveness(state: CompileState) -> None:
     from repro.core import compile_cache
 
     # Machine- and profile-independent: one analysis per function serves
@@ -199,10 +168,9 @@ def _pass_liveness(state: CompileState) -> bool:
     state.liveness = compile_cache.cached(
         function, ("liveness",), lambda: compute_liveness(function)
     )
-    return True
 
 
-def _pass_schedule_original(state: CompileState) -> bool:
+def _pass_schedule_original(state: CompileState) -> None:
     from repro.core import compile_cache
     from repro.core.metrics import BlockCompilation
 
@@ -211,10 +179,9 @@ def _pass_schedule_original(state: CompileState) -> bool:
         state.blocks[block.label] = BlockCompilation(
             label=block.label, original_length=length
         )
-    return bool(state.blocks)
 
 
-def _pass_speculate(state: CompileState) -> bool:
+def _pass_speculate(state: CompileState) -> None:
     from repro.core.speculation import speculate_block
 
     liveness = state.require("liveness", "speculate", "liveness")
@@ -234,10 +201,9 @@ def _pass_speculate(state: CompileState) -> bool:
         )
         if spec is not None:
             state.specs[block.label] = spec
-    return bool(state.specs)
 
 
-def _pass_schedule_speculative(state: CompileState) -> bool:
+def _pass_schedule_speculative(state: CompileState) -> None:
     from repro.core import compile_cache
 
     if state.specs:
@@ -256,10 +222,9 @@ def _pass_schedule_speculative(state: CompileState) -> bool:
         compilation.worst_length = compile_cache.pattern_run(
             compilation.spec_schedule, (False,) * n
         ).effective_length
-    return bool(state.specs)
 
 
-def _pass_baseline(state: CompileState) -> bool:
+def _pass_baseline(state: CompileState) -> None:
     from repro.core import compile_cache
 
     if state.specs:
@@ -274,21 +239,11 @@ def _pass_baseline(state: CompileState) -> bool:
         compilation.baseline = compile_cache.baseline_block(
             compilation.spec_schedule, state.machine
         )
-    return bool(state.specs)
 
 
 # ---------------------------------------------------------------------------
 # registration
 
-_register_function_pass(
-    "fold", "evaluate constant ALU chains and constant branches", _import_fold
-)
-_register_function_pass(
-    "copyprop", "forward register copies to their uses", _import_copyprop
-)
-_register_function_pass(
-    "dce", "drop side-effect-free operations never read", _import_dce
-)
 register_pass(
     "optimize",
     "program",

@@ -8,7 +8,9 @@ Compiler side:
   pass (ISA rewriting, Synchronization-bit assignment).
 * :func:`repro.core.specsched.schedule_speculative` — list scheduling of
   transformed blocks plus wait-mask/CCB-source annotation.
-* :func:`repro.core.metrics.compile_program` — whole-program pipeline.
+* :class:`repro.core.metrics.ProgramCompilation` — the whole-program
+  compilation products (built by
+  :func:`repro.compiler.manager.compile_program`).
 
 Architecture side:
 

@@ -66,11 +66,6 @@ class BaselineBlock:
     def main_length(self) -> int:
         return self.schedule.length
 
-    @property
-    def static_comp_ops(self) -> int:
-        """Total operations duplicated into compensation blocks (code growth)."""
-        return sum(c.op_count for c in self.compensation.values())
-
 
 def _compensation_graph(
     spec: SpeculativeBlock, ldpred_id: int, machine: MachineDescription

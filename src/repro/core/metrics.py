@@ -5,9 +5,8 @@ program on one machine — per block: original schedule length,
 speculation transform (where profitable), speculative schedule, and the
 statically-recovered baseline version.  It is what both the static
 experiments (Tables 3/4) and the dynamic simulation consume.  The
-pipeline that builds it lives in :mod:`repro.compiler`;
-:func:`compile_program` here is a compatibility shim over the standard
-pass list.
+pipeline that builds it lives in :mod:`repro.compiler`
+(:func:`repro.compiler.manager.compile_program`).
 """
 
 from __future__ import annotations
@@ -205,23 +204,3 @@ class ProgramCompilation:
             pattern = (best,) * len(comp.predicted_load_ids)
             total = total.merged(comp.metrics_for(pattern).scaled(weight))
         return total
-
-
-def compile_program(
-    program: Program,
-    machine: MachineDescription,
-    profile: ProfileData,
-    config: Optional[SpeculationConfig] = None,
-) -> ProgramCompilation:
-    """Run the full block-level compilation pipeline over ``program``.
-
-    Kept as a compatibility shim: the pipeline itself lives in
-    :mod:`repro.compiler`, whose standard pass list (liveness, original
-    scheduling, speculation, speculative scheduling, baseline) produces
-    the identical :class:`ProgramCompilation`.  Callers wanting a
-    different pass ordering, per-pass metrics or inter-pass verification
-    control should use :class:`repro.compiler.manager.PassManager` directly.
-    """
-    from repro.compiler.manager import PassManager
-
-    return PassManager().compile(program, machine, profile, spec_config=config)

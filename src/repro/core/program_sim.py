@@ -120,13 +120,6 @@ class ProgramSimResult:
             return 0.0
         return self.cycles_by_class.get(outcome, 0) / self.cycles_proposed
 
-    def class_length_fraction(self, outcome: OutcomeClass) -> float:
-        """Effective/original length ratio for instances of a class."""
-        orig = self.original_cycles_by_class.get(outcome, 0)
-        if orig == 0:
-            return 1.0
-        return self.cycles_by_class.get(outcome, 0) / orig
-
     @property
     def baseline_compensation_fraction(self) -> float:
         """Share of baseline time spent off the main schedule (recovery)."""
@@ -433,7 +426,7 @@ def simulate_program(
     """Time one run of the program on all three machines.
 
     Args:
-        compilation: output of :func:`repro.core.metrics.compile_program`.
+        compilation: output of :func:`repro.compiler.manager.compile_program`.
             Its machine's ``predictor`` spec names the hardware value
             predictor and, via ``table_entries``, an optional finite,
             direct-mapped Value Prediction Table (``None`` — unbounded,

@@ -191,7 +191,6 @@ def schedule_speculative(
     spec: SpeculativeBlock,
     machine: MachineDescription,
     original_length: Optional[int] = None,
-    priority: str = "height",
     analysis=None,
     schedule: Optional[Schedule] = None,
 ) -> SpeculativeSchedule:
@@ -205,7 +204,7 @@ def schedule_speculative(
     from repro.ddg.critical_path import analyze
     from repro.sched.list_scheduler import ListScheduler
 
-    scheduler = ListScheduler(machine, priority=priority)
+    scheduler = ListScheduler(machine)
     if original_length is None:
         original_length = scheduler.schedule_block(spec.original).length
     if analysis is None:

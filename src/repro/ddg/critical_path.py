@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.ddg.graph import DependenceGraph
-from repro.ir.operation import Operation
 from repro.machine.description import MachineDescription
 
 
@@ -30,13 +29,6 @@ class PathAnalysis:
     height: Dict[int, int]
     length: int
     critical_ops: List[int]
-
-    def slack(self, op_id: int) -> int:
-        """Cycles the op can slip without lengthening the critical path."""
-        return self.length - (self.earliest_start[op_id] + self.height[op_id])
-
-    def is_critical(self, op_id: int) -> bool:
-        return self.slack(op_id) == 0
 
 
 def analyze(graph: DependenceGraph, machine: MachineDescription) -> PathAnalysis:
@@ -73,22 +65,3 @@ def analyze(graph: DependenceGraph, machine: MachineDescription) -> PathAnalysis
         length=length,
         critical_ops=critical,
     )
-
-
-def critical_path_loads(
-    graph: DependenceGraph, machine: MachineDescription
-) -> List[Operation]:
-    """Loads lying on the longest critical path, most critical first.
-
-    "Most critical" means deepest remaining height — predicting such a
-    load breaks the longest remaining chain, which is exactly the paper's
-    selection rule.
-    """
-    analysis = analyze(graph, machine)
-    loads = [
-        graph.operation(op_id)
-        for op_id in analysis.critical_ops
-        if graph.operation(op_id).is_load
-    ]
-    loads.sort(key=lambda op: analysis.height[op.op_id], reverse=True)
-    return loads

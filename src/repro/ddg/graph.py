@@ -180,19 +180,6 @@ class DependenceGraph:
                     stack.append(succ)
         return seen
 
-    # -- interop -----------------------------------------------------------
-
-    def to_networkx(self):
-        """Export to a :class:`networkx.DiGraph` (visualisation, analysis)."""
-        import networkx as nx
-
-        g = nx.DiGraph()
-        for op in self.operations:
-            g.add_node(op.op_id, operation=op)
-        for edge in self.edges():
-            g.add_edge(edge.src, edge.dst, kind=edge.kind.value, weight=edge.weight)
-        return g
-
     def topological_order(self) -> List[Operation]:
         """Operations in a dependence-respecting order.
 

@@ -323,11 +323,6 @@ class Evaluation:
 
     # -- observability --------------------------------------------------------
 
-    @property
-    def simulation_results(self) -> List[ProgramSimResult]:
-        """Every simulation result this evaluation has produced so far."""
-        return list(self._simulations.values())
-
     def cycle_stack_results(self) -> Dict[str, Dict[str, Dict[str, int]]]:
         """Cycle stacks of every simulation run so far.
 

@@ -25,7 +25,7 @@ for sensitivity studies.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from repro.ir.opcodes import FUClass
 
@@ -115,21 +115,3 @@ def machine_cost(spec: MachineSpec, **overrides: float) -> float:
         fcm_entry_weight=overrides.get("fcm_entry_weight", FCM_ENTRY_WEIGHT),
     )
     return cost
-
-
-def cost_breakdown(spec: MachineSpec) -> Dict[str, float]:
-    """Per-component costs (sums to :func:`machine_cost` defaults)."""
-    units = sum(
-        DEFAULT_UNIT_WEIGHTS.get(fu, 1.0) * count
-        for fu, count in spec.units.items()
-    )
-    ccb = spec.ccb_capacity if spec.ccb_capacity is not None else UNBOUNDED_BUFFER_ENTRIES
-    ovb = spec.ovb_capacity if spec.ovb_capacity is not None else UNBOUNDED_BUFFER_ENTRIES
-    return {
-        "units": units,
-        "issue": spec.issue_width * ISSUE_SLOT_WEIGHT,
-        "ccb": ccb * CCB_ENTRY_WEIGHT,
-        "ovb": ovb * OVB_ENTRY_WEIGHT,
-        "sync": spec.sync_width * SYNC_BIT_WEIGHT,
-        "predictor": predictor_cost(spec.predictor),
-    }

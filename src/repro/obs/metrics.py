@@ -17,12 +17,9 @@ name and snapshots stay plain string-keyed dictionaries.
 
 The dual engine does not write a registry: each block run's snapshot
 is folded from its event log (:meth:`repro.obs.trace.BlockLog.fold`).
-Registries collect the program-level roll-up
+A registry collects the program-level roll-up
 (:func:`repro.core.program_sim.simulate_program` with
-``collect_metrics=True``) and the compiler's per-pass timings;
-:data:`NULL_METRICS` is a process-wide disabled registry whose update
-methods return after a single attribute check, the default for
-:class:`repro.compiler.manager.PassManager`.
+``collect_metrics=True``).
 
 :class:`MetricsSnapshot` is the immutable read side: ``snapshot()`` the
 registry, ``merged()`` snapshots across blocks or benchmarks,
@@ -254,17 +251,11 @@ class MetricsSnapshot:
 
 
 class MetricsRegistry:
-    """Mutable metric store the instrumentation writes into.
+    """Mutable metric store the instrumentation writes into."""
 
-    A disabled registry (``enabled=False``) rejects every update after a
-    single branch and never allocates; :data:`NULL_METRICS` is the shared
-    disabled instance.
-    """
+    __slots__ = ("_counters", "_gauges", "_histograms")
 
-    __slots__ = ("enabled", "_counters", "_gauges", "_histograms")
-
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self):
         self._counters: Dict[str, int] = {}
         self._gauges: Dict[str, float] = {}
         self._histograms: Dict[str, HistogramSummary] = {}
@@ -273,8 +264,6 @@ class MetricsRegistry:
 
     def inc(self, name: str, value: int = 1, label: Optional[str] = None) -> None:
         """Add ``value`` to a counter."""
-        if not self.enabled:
-            return
         key = metric_key(name, label)
         self._counters[key] = self._counters.get(key, 0) + value
 
@@ -282,8 +271,6 @@ class MetricsRegistry:
         self, name: str, value: float, label: Optional[str] = None
     ) -> None:
         """Record a level; the registry keeps the maximum seen."""
-        if not self.enabled:
-            return
         key = metric_key(name, label)
         prior = self._gauges.get(key)
         self._gauges[key] = value if prior is None else max(prior, value)
@@ -292,8 +279,6 @@ class MetricsRegistry:
         self, name: str, value: float, label: Optional[str] = None
     ) -> None:
         """Feed one sample into a histogram series."""
-        if not self.enabled:
-            return
         key = metric_key(name, label)
         summary = self._histograms.get(key)
         if summary is None:
@@ -303,8 +288,6 @@ class MetricsRegistry:
     def merge_snapshot(self, snapshot: MetricsSnapshot) -> None:
         """Fold an already-aggregated snapshot into this registry
         (how per-block metrics roll up into a program-level registry)."""
-        if not self.enabled:
-            return
         for key, value in snapshot.counters.items():
             self._counters[key] = self._counters.get(key, 0) + value
         for key, value in snapshot.gauges.items():
@@ -333,12 +316,7 @@ class MetricsRegistry:
         )
 
     def __repr__(self) -> str:
-        state = "enabled" if self.enabled else "disabled"
         return (
-            f"<MetricsRegistry {state}: {len(self._counters)} counter(s), "
+            f"<MetricsRegistry: {len(self._counters)} counter(s), "
             f"{len(self._gauges)} gauge(s), {len(self._histograms)} histogram(s)>"
         )
-
-
-#: Shared disabled registry: the default for the compiler's pass timings.
-NULL_METRICS = MetricsRegistry(enabled=False)

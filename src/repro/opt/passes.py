@@ -173,29 +173,25 @@ def dead_code_elimination(function: Function) -> Function:
 DEFAULT_PASSES = (constant_folding, copy_propagation, dead_code_elimination)
 
 
-def optimize_function(
-    function: Function,
-    passes=DEFAULT_PASSES,
-    max_iterations: int = 8,
-) -> Function:
+def optimize_function(function: Function, max_iterations: int = 8) -> Function:
     """Run the pass pipeline to a fixpoint (bounded)."""
     current = function
     for _ in range(max_iterations):
-        before = _shape(current)
-        for pass_fn in passes:
+        before = function_shape(current)
+        for pass_fn in DEFAULT_PASSES:
             current = pass_fn(current)
-        if _shape(current) == before:
+        if function_shape(current) == before:
             break
     return current
 
 
-def optimize_program(program, passes=DEFAULT_PASSES, max_iterations: int = 8):
+def optimize_program(program, max_iterations: int = 8):
     """Optimise every function of a program (returns a new program)."""
     from repro.ir.program import Program
 
     result = Program(program.name, main=program.main_name)
     for function in program:
-        result.add_function(optimize_function(function, passes, max_iterations))
+        result.add_function(optimize_function(function, max_iterations))
     result.initial_memory.update(program.initial_memory)
     result.initial_registers.update(program.initial_registers)
     return result
@@ -203,12 +199,8 @@ def optimize_program(program, passes=DEFAULT_PASSES, max_iterations: int = 8):
 
 def function_shape(function: Function) -> tuple:
     """A structural fingerprint of a function, insensitive to operation
-    ids — used for fixpoint detection here and change detection in the
-    pass manager (:mod:`repro.compiler`)."""
+    ids — used for fixpoint detection."""
     return tuple(
         (block.label, tuple(str(op).split(": ", 1)[1] for op in block))
         for block in function
     )
-
-
-_shape = function_shape

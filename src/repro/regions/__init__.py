@@ -1,4 +1,4 @@
-"""Region enlargement: straight-line merging and loop unrolling.
+"""Region enlargement: loop unrolling with register renaming.
 
 The paper closes by expecting larger scheduling regions (superblocks,
 hyperblocks) to amplify value prediction's benefit.  These transforms

@@ -170,8 +170,8 @@ class JobSpec:
                 ),
                 "spec_config": _canonical(self.spec_config),
                 "params": _canonical(self.params),
-                # The canonical form, not the dataclass: it excludes
-                # result-neutral knobs such as `verify`.
+                # The canonical form: the passes and their options as
+                # JSON primitives.
                 "pipeline": (
                     self.pipeline.canonical() if self.pipeline else None
                 ),

@@ -1,7 +1,8 @@
 """Resource-constrained list scheduling of basic blocks.
 
 The scheduler is the cycle-driven list scheduler of VLIW compilers: keep a
-ready list ordered by priority (dependence height by default); each cycle,
+ready list ordered by dependence height (the greatest remaining height
+first, the earlier operation on a tie); each cycle,
 issue ready operations into free functional units up to the issue width;
 an operation becomes ready when every dependence predecessor has issued
 and its edge distance has elapsed.
@@ -22,20 +23,14 @@ from repro.ddg.graph import DependenceGraph
 from repro.ir.block import BasicBlock
 from repro.machine.description import MachineDescription
 from repro.machine.resources import ReservationTable
-from repro.sched.priorities import PRIORITY_FACTORIES, PriorityFn
 from repro.sched.schedule import Schedule
 
 
 class ListScheduler:
     """Schedules one dependence graph onto one machine."""
 
-    def __init__(self, machine: MachineDescription, priority: str = "height"):
-        if priority not in PRIORITY_FACTORIES:
-            raise ValueError(
-                f"unknown priority {priority!r}; available: {sorted(PRIORITY_FACTORIES)}"
-            )
+    def __init__(self, machine: MachineDescription):
         self.machine = machine
-        self.priority_name = priority
 
     def schedule_graph(
         self,
@@ -52,7 +47,7 @@ class ListScheduler:
         machine = self.machine
         if analysis is None:
             analysis = analyze(graph, machine)
-        priority: PriorityFn = PRIORITY_FACTORIES[self.priority_name](analysis)
+        height = analysis.height
 
         schedule = Schedule(label, machine)
         if not len(graph):
@@ -67,12 +62,13 @@ class ListScheduler:
         fu_of: dict[int, object] = {}
         latency_of: dict[int, int] = {}
 
-        # Max-heap of (negated priority, op_id) for ops whose preds have
-        # all issued; an entry may still have ready_at in the future.
-        # Keys are unique (the priority tie-breaks on op_id), so the pop
-        # order is a pure function of the key set and heapify yields the
-        # same schedule heappush-by-push would.
-        heap: list[tuple[tuple, int]] = []
+        # Min-heap of (-height, op_id) for ops whose preds have all
+        # issued, so the greatest height pops first and the earlier op
+        # wins a tie; an entry may still have ready_at in the future.
+        # Keys are unique, so the pop order is a pure function of the
+        # key set and heapify yields the same schedule heappush-by-push
+        # would.
+        heap: list[tuple[int, int]] = []
         for op in graph.operations:
             op_id = op.op_id
             operation_of[op_id] = op
@@ -82,7 +78,7 @@ class ListScheduler:
             fu_of[op_id] = machine.fu_class(op.opcode)
             latency_of[op_id] = machine.latency(op.opcode)
             if preds == 0:
-                heap.append((_neg(priority(op_id)), op_id))
+                heap.append((-height[op_id], op_id))
         heapq.heapify(heap)
 
         table = ReservationTable(machine.pool, machine.issue_width)
@@ -102,12 +98,13 @@ class ListScheduler:
             # (anti/control) edge can make an operation ready in the very
             # cycle its predecessor issues.
             while True:
-                deferred: list[tuple[tuple, int]] = []
+                deferred: list[tuple[int, int]] = []
                 issued_this_pass = False
                 while heap:
-                    key, op_id = heappop(heap)
+                    entry = heappop(heap)
+                    op_id = entry[1]
                     if ready_at[op_id] > cycle or not try_issue(cycle, fu_of[op_id]):
-                        deferred.append((key, op_id))
+                        deferred.append(entry)
                         continue
                     place(operation_of[op_id], cycle, latency_of[op_id])
                     issued_this_pass = True
@@ -120,7 +117,7 @@ class ListScheduler:
                         left = remaining_preds[dst] - 1
                         remaining_preds[dst] = left
                         if left == 0:
-                            deferred.append((_neg(priority(dst)), dst))
+                            deferred.append((-height[dst], dst))
                 for item in deferred:
                     heappush(heap, item)
                 if not issued_this_pass:
@@ -135,15 +132,6 @@ class ListScheduler:
         return self.schedule_graph(block.label, graph)
 
 
-def _neg(key: tuple) -> tuple:
-    """Negate a priority key so a min-heap yields the max first."""
-    return tuple(-k for k in key)
-
-
-def schedule_block(
-    block: BasicBlock,
-    machine: MachineDescription,
-    priority: str = "height",
-) -> Schedule:
+def schedule_block(block: BasicBlock, machine: MachineDescription) -> Schedule:
     """Convenience wrapper: schedule one block on one machine."""
-    return ListScheduler(machine, priority=priority).schedule_block(block)
+    return ListScheduler(machine).schedule_block(block)

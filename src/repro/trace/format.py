@@ -23,17 +23,15 @@ Format invariants (see ``docs/INTERNALS.md`` for the full spec):
   operation ids: the architectural run never reads them (values are
   matched to ops by position), so a trace applies to any
   structurally identical program, however it is numbered.
-* **Versioning** — ``schema_version`` gates compatibility; loaders
-  reject other versions rather than misinterpreting the stream.
+* **Versioning** — ``schema_version`` names the layout a trace was
+  captured with.
 """
 
 from __future__ import annotations
 
-import gzip
 import hashlib
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Tuple, Union
 
 from repro.ir.opcodes import Opcode
@@ -55,11 +53,7 @@ TRACE_SCHEMA_VERSION = 1
 TRACED_OPCODES: FrozenSet[Opcode] = frozenset({Opcode.LOAD}) | LONG_LATENCY_OPCODES
 
 
-class TraceError(RuntimeError):
-    """A trace could not be captured, serialized, or loaded."""
-
-
-class TraceMismatch(TraceError):
+class TraceMismatch(RuntimeError):
     """A trace does not correspond to the program it is read against."""
 
 
@@ -159,74 +153,3 @@ class ValueTrace:
     @property
     def n_values(self) -> int:
         return len(self.values)
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json_obj(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "program_name": self.program_name,
-            "program_digest": self.program_digest,
-            "labels": list(self.labels),
-            "block_signatures": [list(sig) for sig in self.block_signatures],
-            "block_seq": list(self.block_seq),
-            "values": list(self.values),
-            "dynamic_operations": self.dynamic_operations,
-            "dynamic_blocks": self.dynamic_blocks,
-            "loads_executed": self.loads_executed,
-            "stores_executed": self.stores_executed,
-            "halted": self.halted,
-            "final_registers": dict(self.final_registers),
-            # JSON object keys are strings; load() converts them back.
-            "final_memory": {str(k): v for k, v in self.final_memory.items()},
-        }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "ValueTrace":
-        try:
-            version = obj["schema_version"]
-            if version != TRACE_SCHEMA_VERSION:
-                raise TraceError(
-                    f"unsupported trace schema version {version} "
-                    f"(this build reads version {TRACE_SCHEMA_VERSION})"
-                )
-            return cls(
-                program_name=obj["program_name"],
-                program_digest=obj["program_digest"],
-                labels=tuple(obj["labels"]),
-                block_signatures=tuple(
-                    tuple(sig) for sig in obj["block_signatures"]
-                ),
-                block_seq=list(obj["block_seq"]),
-                values=list(obj["values"]),
-                dynamic_operations=obj["dynamic_operations"],
-                dynamic_blocks=obj["dynamic_blocks"],
-                loads_executed=obj["loads_executed"],
-                stores_executed=obj["stores_executed"],
-                halted=obj["halted"],
-                final_registers=dict(obj["final_registers"]),
-                final_memory={
-                    int(k): v for k, v in obj["final_memory"].items()
-                },
-                schema_version=version,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TraceError(f"malformed trace object: {exc}") from exc
-
-    def save(self, path: Union[str, Path]) -> Path:
-        path = Path(path)
-        payload = json.dumps(self.to_json_obj(), separators=(",", ":"))
-        with gzip.open(path, "wt", encoding="utf-8") as handle:
-            handle.write(payload)
-        return path
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "ValueTrace":
-        try:
-            with gzip.open(Path(path), "rt", encoding="utf-8") as handle:
-                obj = json.load(handle)
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise TraceError(f"cannot read trace {path}: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise TraceError(f"cannot read trace {path}: not a JSON object")
-        return cls.from_json_obj(obj)

@@ -6,7 +6,7 @@ runs on a finite value-prediction table alike.
 from __future__ import annotations
 
 from repro.batchsim import engine
-from repro.core.metrics import compile_program
+from repro.compiler.manager import compile_program
 from repro.core.program_sim import simulate_program
 from repro.machine.configs import PLAYDOH_4W, PLAYDOH_4W_SPEC
 from repro.machine.predictor import PredictorSpec

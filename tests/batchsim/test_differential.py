@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.batchsim.context import BatchContext, default_context
 from repro.batchsim.engine import batch_counts
-from repro.core.metrics import compile_program
+from repro.compiler.manager import compile_program
 from repro.core.program_sim import simulate_program
 from repro.core.speculation import SpeculationConfig
 from repro.machine.configs import PLAYDOH_4W, PLAYDOH_8W, PLAYDOH_4W_SPEC

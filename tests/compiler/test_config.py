@@ -7,12 +7,9 @@ from repro.compiler.config import (
     PipelineConfig,
     STANDARD_CODEGEN,
     canonical_value,
-    compilation_fingerprint,
     standard_pipeline,
 )
 from repro.core.speculation import SpeculationConfig
-from repro.machine.configs import PLAYDOH_4W, PLAYDOH_8W
-from repro.workloads.suite import load_benchmark
 
 
 class TestPassSpec:
@@ -21,11 +18,6 @@ class TestPassSpec:
         b = PassSpec.make("unroll", factor=2, label="loop")
         assert a == b
         assert a.options == (("factor", 2), ("label", "loop"))
-
-    def test_option_lookup(self):
-        spec = PassSpec.make("unroll", label="loop", factor=4)
-        assert spec.option("factor") == 4
-        assert spec.option("missing", "dflt") == "dflt"
 
     def test_render(self):
         assert PassSpec("dce").render() == "dce"
@@ -45,13 +37,6 @@ class TestPipelineConfig:
         assert names == ["optimize", "unroll"]
         assert not config.is_standard()
 
-    def test_verify_excluded_from_canonical(self):
-        on = standard_pipeline(verify=True)
-        off = standard_pipeline(verify=False)
-        assert on != off
-        assert on.canonical() == off.canonical()
-        assert on.fingerprint() == off.fingerprint()
-
     def test_fingerprint_distinguishes_options(self):
         two = standard_pipeline(unroll=("loop", 2))
         four = standard_pipeline(unroll=("loop", 4))
@@ -63,11 +48,6 @@ class TestPipelineConfig:
         frontend = config.frontend()
         assert frontend.program_passes == config.program_passes
         assert frontend.codegen_passes == ()
-
-    def test_passes_property_concatenates(self):
-        config = standard_pipeline(optimize=True)
-        assert [p.name for p in config.passes][0] == "optimize"
-        assert [p.name for p in config.passes][-1] == "baseline"
 
     def test_describe_shows_speculation_knobs(self):
         text = standard_pipeline().describe(
@@ -94,23 +74,3 @@ class TestCanonicalValue:
     def test_rejects_opaque_objects(self):
         with pytest.raises(TypeError):
             canonical_value(object())
-
-
-class TestCompilationFingerprint:
-    def test_insensitive_to_operation_id_state(self):
-        first = load_benchmark("swim", scale=0.25)
-        second = load_benchmark("swim", scale=0.25)
-        assert compilation_fingerprint(
-            first, PLAYDOH_4W
-        ) == compilation_fingerprint(second, PLAYDOH_4W)
-
-    def test_sensitive_to_every_input(self):
-        program = load_benchmark("swim", scale=0.25)
-        base = compilation_fingerprint(program, PLAYDOH_4W)
-        assert base != compilation_fingerprint(program, PLAYDOH_8W)
-        assert base != compilation_fingerprint(
-            program, PLAYDOH_4W, spec_config=SpeculationConfig(threshold=0.8)
-        )
-        assert base != compilation_fingerprint(
-            program, PLAYDOH_4W, pipeline=standard_pipeline(optimize=True)
-        )

@@ -1,4 +1,4 @@
-"""Tests for the pass manager: pass algebra, verification, metrics, and
+"""Tests for the pass manager: pass algebra, verification, and
 byte-identity with the historical fused compilation loop."""
 
 import pickle
@@ -6,16 +6,16 @@ import pickle
 import pytest
 
 from repro.compiler.config import PassSpec, PipelineConfig, standard_pipeline
-from repro.compiler.manager import PassManager, compile_program
+from repro.compiler.manager import PassManager
 from repro.compiler.passes import PipelineError, available_passes, register_pass
 from repro.compiler.passes import _REGISTRY
 from repro.ir.block import BasicBlock
 from repro.ir.builder import ProgramBuilder
 from repro.ir.function import Function
 from repro.ir.liveness import compute_liveness
+from repro.ir.program import Program
 from repro.ir.verifier import VerificationError
 from repro.machine.configs import PLAYDOH_4W
-from repro.obs.metrics import MetricsRegistry
 from repro.opt.passes import function_shape
 from repro.profiling.profile_run import profile_program
 from repro.trace.capture import capture_trace
@@ -109,58 +109,8 @@ class TestLegacyEquivalence:
         managed = PassManager().compile(p2, PLAYDOH_4W, r2)
         assert pickle.dumps(legacy) == pickle.dumps(managed)
 
-    def test_module_level_compile_program_delegates(self):
-        from repro.core.metrics import compile_program as core_compile
-
-        p1 = load_benchmark("swim", scale=0.25)
-        via_compiler = compile_program(p1, PLAYDOH_4W, profile_program(p1, capture_trace(p1)))
-        p2 = load_benchmark("swim", scale=0.25)
-        via_core = core_compile(p2, PLAYDOH_4W, profile_program(p2, capture_trace(p2)))
-        assert pickle.dumps(via_compiler) == pickle.dumps(via_core)
-
 
 class TestPassAlgebra:
-    def test_dce_is_idempotent(self):
-        program = sloppy_program()
-        dce_only = PipelineConfig(program_passes=(PassSpec("dce"),))
-        first = PassManager(dce_only).run_program_passes(program)
-        assert function_shape(first.main) != function_shape(program.main)
-        metrics = MetricsRegistry()
-        second = PassManager(dce_only, metrics=metrics).run_program_passes(first)
-        assert function_shape(second.main) == function_shape(first.main)
-        snapshot = metrics.snapshot()
-        assert snapshot.counter("compiler.pass_changed", label="dce") == 0
-        assert snapshot.counter("compiler.pass_runs", label="dce") == 1
-
-    def test_fold_copyprop_reaches_fixpoint(self):
-        config = PipelineConfig(
-            program_passes=(PassSpec("fold"), PassSpec("copyprop"))
-        )
-        current = sloppy_program()
-        for _ in range(8):
-            metrics = MetricsRegistry()
-            current = PassManager(config, metrics=metrics).run_program_passes(
-                current
-            )
-            snapshot = metrics.snapshot()
-            changed = (
-                snapshot.counter("compiler.pass_changed", label="fold")
-                + snapshot.counter("compiler.pass_changed", label="copyprop")
-            )
-            if changed == 0:
-                break
-        else:
-            pytest.fail("fold/copyprop never reached a fixpoint")
-        # The fixpoint rewrote the program, and re-running the pair from
-        # the fixpoint is a no-op (confirmed by fresh metrics).
-        assert function_shape(current.main) != function_shape(
-            sloppy_program().main
-        )
-        confirm = MetricsRegistry()
-        again = PassManager(config, metrics=confirm).run_program_passes(current)
-        assert function_shape(again.main) == function_shape(current.main)
-        assert confirm.snapshot().counter_family("compiler.pass_changed") == {}
-
     def test_optimize_pass_matches_optimize_program(self):
         from repro.opt.passes import optimize_program
 
@@ -194,28 +144,24 @@ class TestPassAlgebra:
 
 class TestVerification:
     def test_rejects_malformed_pass_output(self, temporary_pass):
-        def drop_terminator(function):
-            blocks = []
-            for block in function:
-                ops = [op for op in block.operations]
-                blocks.append(BasicBlock(block.label, ops[:-1]))
-            result = Function(function.name, entry_label=function.entry_label)
-            for block in blocks:
-                result.add_block(block)
+        def drop_terminators(program):
+            result = Program(program.name, main=program.main_name)
+            for function in program:
+                broken = Function(function.name, entry_label=function.entry_label)
+                for block in function:
+                    broken.add_block(
+                        BasicBlock(block.label, list(block.operations)[:-1])
+                    )
+                result.add_function(broken)
             return result
 
-        temporary_pass("test-break-terminator", "function", drop_terminator)
+        temporary_pass("test-break-terminator", "program", drop_terminators)
         config = PipelineConfig(
             program_passes=(PassSpec("test-break-terminator"),)
         )
         with pytest.raises(VerificationError) as excinfo:
             PassManager(config).run_program_passes(sloppy_program())
         assert "test-break-terminator" in str(excinfo.value)
-        # With verification off the malformed program passes through.
-        broken = PassManager(config, verify=False).run_program_passes(
-            sloppy_program()
-        )
-        assert broken.main.block("entry").terminator is None
 
     def test_verifies_codegen_input(self):
         program = sloppy_program()
@@ -223,8 +169,6 @@ class TestVerification:
         mangled.add_block(
             BasicBlock("entry", list(program.main.block("entry").operations)[:-1])
         )
-        from repro.ir.program import Program
-
         bad = Program("bad", main="main")
         bad.add_function(mangled)
         with pytest.raises(VerificationError):
@@ -255,8 +199,8 @@ class TestPipelineErrors:
             PassManager(config).run_program_passes(sloppy_program())
 
     def test_program_pass_rejected_in_codegen_position(self):
-        config = PipelineConfig(codegen_passes=(PassSpec("dce"),))
-        with pytest.raises(PipelineError, match="dce"):
+        config = PipelineConfig(codegen_passes=(PassSpec("optimize"),))
+        with pytest.raises(PipelineError, match="optimize"):
             PassManager(config).compile(sloppy_program(), PLAYDOH_4W, None)
 
     def test_speculate_requires_liveness(self):
@@ -294,25 +238,11 @@ class TestPipelineErrors:
         assert compilation.blocks
 
 
-class TestMetrics:
-    def test_passes_timed_and_counted(self):
-        program = load_benchmark("swim", scale=0.25)
-        profile = profile_program(program, capture_trace(program))
-        metrics = MetricsRegistry()
-        PassManager(metrics=metrics).compile(program, PLAYDOH_4W, profile)
-        snapshot = metrics.snapshot()
-        for spec in standard_pipeline().codegen_passes:
-            hist = snapshot.histogram("compiler.pass_ns", label=spec.name)
-            assert hist is not None and hist.count == 1
-            assert snapshot.counter("compiler.pass_runs", label=spec.name) == 1
-        assert snapshot.counter("compiler.pass_changed", label="liveness") == 1
-
-
 class TestRegistry:
     def test_builtin_passes_registered(self):
         names = {info.name for info in available_passes()}
         assert {
-            "fold", "copyprop", "dce", "optimize", "unroll",
+            "optimize", "unroll",
             "liveness", "schedule-original", "speculate",
             "schedule-speculative", "baseline",
         } <= names

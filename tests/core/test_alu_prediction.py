@@ -135,7 +135,7 @@ class TestAluSelection:
         assert spec is None  # the mul was never profiled
 
     def test_end_to_end_dynamic_simulation(self):
-        from repro.core.metrics import compile_program
+        from repro.compiler.manager import compile_program
         from repro.core.program_sim import simulate_program
 
         program = self.build_program()

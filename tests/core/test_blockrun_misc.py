@@ -34,14 +34,7 @@ class TestProgramSimResultHelpers:
         assert result.speedup_squash == 1.0
         assert result.prediction_accuracy == 0.0
         assert result.time_fraction(OutcomeClass.ALL_CORRECT) == 0.0
-        assert result.class_length_fraction(OutcomeClass.MIXED) == 1.0
         assert result.baseline_compensation_fraction == 0.0
-
-    def test_class_length_fraction(self):
-        result = ProgramSimResult(program_name="p", machine_name="m")
-        result.cycles_by_class[OutcomeClass.ALL_CORRECT] = 80
-        result.original_cycles_by_class[OutcomeClass.ALL_CORRECT] = 100
-        assert result.class_length_fraction(OutcomeClass.ALL_CORRECT) == 0.8
 
 
 class TestPredictionFormAsm:

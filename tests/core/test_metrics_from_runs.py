@@ -14,7 +14,7 @@ import pickle
 import pytest
 
 from repro.core import machine_sim
-from repro.core.metrics import compile_program
+from repro.compiler.manager import compile_program
 from repro.core.program_sim import simulate_program
 from repro.machine.configs import PLAYDOH_4W
 from repro.profiling.profile_run import profile_program

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.core.metrics import OutcomeClass, classify_outcome, compile_program
+from repro.compiler.manager import compile_program
+
+from repro.core.metrics import OutcomeClass, classify_outcome
 from repro.core.program_sim import simulate_program
 from repro.profiling.profile_run import profile_program
 from repro.trace.capture import capture_trace

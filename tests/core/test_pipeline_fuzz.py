@@ -7,7 +7,9 @@ invariants must hold on every one of them.
 
 import pytest
 
-from repro.core.metrics import OutcomeClass, compile_program
+from repro.compiler.manager import compile_program
+
+from repro.core.metrics import OutcomeClass
 from repro.core.program_sim import simulate_program
 from repro.ir.verifier import verify_program
 from repro.machine.configs import PLAYDOH_4W, PLAYDOH_8W

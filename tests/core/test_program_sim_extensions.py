@@ -3,7 +3,7 @@ simulation, declared through the machine spec's ``predictor.table_entries``."""
 
 import functools
 
-from repro.core.metrics import compile_program
+from repro.compiler.manager import compile_program
 from repro.core.program_sim import simulate_program
 from repro.machine.configs import PLAYDOH_4W_SPEC
 from repro.machine.predictor import PredictorSpec

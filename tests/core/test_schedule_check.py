@@ -27,7 +27,7 @@ from repro.core.cc_engine import SimulationDeadlock
 from repro.core.ccb import CCBFull
 from repro.core.isa_ext import OpForm
 from repro.core.machine_sim import simulate_all_outcomes
-from repro.core.metrics import compile_program
+from repro.compiler.manager import compile_program
 from repro.core.ovb import OVBFull
 from repro.core.specsched import (
     annotate,

@@ -74,7 +74,7 @@ class TestSquash:
             simulate_squash_block(schedule, {}, m4)
 
     def test_program_level_accounting(self):
-        from repro.core.metrics import compile_program
+        from repro.compiler.manager import compile_program
         from repro.core.program_sim import simulate_program
         from repro.machine.configs import PLAYDOH_4W
         from repro.profiling.profile_run import profile_program

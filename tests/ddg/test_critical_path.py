@@ -1,10 +1,21 @@
-"""Unit tests for critical-path analysis."""
+"""Unit tests for critical-path analysis and the loads selection reads
+off the critical path."""
 
 import pytest
 
+from repro.core.speculation import SpeculationConfig, candidate_loads
 from repro.ddg.builder import build_ddg
-from repro.ddg.critical_path import analyze, critical_path_loads
+from repro.ddg.critical_path import analyze
 from repro.ir.builder import FunctionBuilder
+from repro.profiling.value_profile import LoadValueStats, ValueProfile
+
+
+def critical_path_loads(block, machine):
+    """The loads speculation may select when every load always predicts
+    correctly: the loads on the critical path, deepest first."""
+    always = LoadValueStats(executions=100, stride_correct=100, fcm_correct=0)
+    profile = ValueProfile({op.op_id: always for op in block.loads()})
+    return candidate_loads(block, machine, profile, SpeculationConfig())
 
 
 def loop_block(emit):
@@ -56,9 +67,13 @@ class TestAnalyze:
         g = build_ddg(block, m4)
         analysis = analyze(g, m4)
         load, add, mov = block.operations[:3]
-        assert analysis.is_critical(load.op_id)
-        assert analysis.is_critical(add.op_id)
-        assert analysis.slack(mov.op_id) > 0
+        assert load.op_id in analysis.critical_ops
+        assert add.op_id in analysis.critical_ops
+        assert mov.op_id not in analysis.critical_ops
+        slack = analysis.length - (
+            analysis.earliest_start[mov.op_id] + analysis.height[mov.op_id]
+        )
+        assert slack > 0
 
     def test_parallel_chains_critical_is_longest(self, m4):
         block = loop_block(lambda fb: (
@@ -71,8 +86,8 @@ class TestAnalyze:
         analysis = analyze(g, m4)
         load = block.operations[0]
         mov = block.operations[2]
-        assert analysis.is_critical(load.op_id)
-        assert not analysis.is_critical(mov.op_id)
+        assert load.op_id in analysis.critical_ops
+        assert mov.op_id not in analysis.critical_ops
 
     def test_empty_graph(self, m4):
         from repro.ddg.graph import DependenceGraph
@@ -89,8 +104,7 @@ class TestCriticalPathLoads:
             fb.add("b", "a", 1),
             fb.mul("c", "b", 3),
         ))
-        g = build_ddg(block, m4)
-        loads = critical_path_loads(g, m4)
+        loads = critical_path_loads(block, m4)
         assert [l.op_id for l in loads] == [block.operations[0].op_id]
 
     def test_off_path_load_excluded(self, m4):
@@ -101,8 +115,7 @@ class TestCriticalPathLoads:
             fb.mul("d", "c", "c"),
             fb.load("x", "q"),     # isolated short chain
         ))
-        g = build_ddg(block, m4)
-        loads = critical_path_loads(g, m4)
+        loads = critical_path_loads(block, m4)
         assert [l.op_id for l in loads] == [block.operations[0].op_id]
 
     def test_deepest_load_first(self, m4):
@@ -114,6 +127,5 @@ class TestCriticalPathLoads:
         fb.add("c", "b", 1)
         fb.halt()
         block = fb.build().block("entry")
-        g = build_ddg(block, m4)
-        loads = critical_path_loads(g, m4)
+        loads = critical_path_loads(block, m4)
         assert [l.op_id for l in loads] == [first.op_id, second.op_id]

@@ -93,15 +93,6 @@ class TestDependenceGraph:
         g.add_edge(a, b, DepKind.ANTI, 0)
         assert g.flow_reachable_from([a.op_id]) == set()
 
-    def test_to_networkx(self, three_ops):
-        a, b, _ = three_ops
-        g = DependenceGraph(three_ops)
-        g.add_edge(a, b, DepKind.FLOW, 1)
-        nx_graph = g.to_networkx()
-        assert nx_graph.number_of_nodes() == 3
-        assert nx_graph[a.op_id][b.op_id]["kind"] == "flow"
-        assert nx_graph[a.op_id][b.op_id]["weight"] == 1
-
     def test_contains_and_len(self, three_ops):
         g = DependenceGraph(three_ops)
         assert len(g) == 3

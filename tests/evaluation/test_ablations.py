@@ -20,7 +20,7 @@ from repro.core.machine_sim import (
     simulate_block,
     simulate_worst_case,
 )
-from repro.core.metrics import compile_program
+from repro.compiler.manager import compile_program
 from repro.core.program_sim import simulate_program
 from repro.core.specsched import schedule_speculative
 from repro.core.speculation import SpeculationConfig, transform_block

@@ -177,10 +177,10 @@ class TestFigure8:
 
 #: Why the paper's "negligible overhead" bounds fail at scale 0.4.
 _OVERHEAD_REDEFINED = (
-    "since commit 4d591b9 proposed_overhead_fraction is the full CPI-stack "
-    "attributed overhead: mean proposed 0.0894 (0.0389 before), mean "
-    "baseline 0.0967, so neither baseline > 1.5 x proposed nor proposed "
-    "< 0.08 holds"
+    "on the scale-0.4 evaluation fixture the mean proposed_overhead_fraction "
+    "(the full CPI-stack attributed overhead since commit 4d591b9) is 0.0894 "
+    "and the mean baseline_overhead_fraction 0.0967, so neither baseline > "
+    "1.5 x proposed nor proposed < 0.08 holds"
 )
 
 

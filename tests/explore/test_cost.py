@@ -2,13 +2,7 @@
 
 from __future__ import annotations
 
-import pytest
-
-from repro.explore.cost import (
-    cost_breakdown,
-    machine_cost,
-    predictor_cost,
-)
+from repro.explore.cost import machine_cost, predictor_cost
 from repro.machine.configs import PLAYDOH_4W_SPEC, PLAYDOH_8W_SPEC
 from repro.machine.predictor import PredictorSpec
 
@@ -28,11 +22,6 @@ class TestMachineCost:
         small = PLAYDOH_4W_SPEC.override(ccb_capacity=8)
         large = PLAYDOH_4W_SPEC.override(ccb_capacity=64)
         assert machine_cost(small) < machine_cost(large)
-
-    def test_breakdown_sums_to_total(self):
-        for spec in (PLAYDOH_4W_SPEC, PLAYDOH_8W_SPEC):
-            parts = cost_breakdown(spec)
-            assert sum(parts.values()) == pytest.approx(machine_cost(spec))
 
     def test_weight_overrides(self):
         base = machine_cost(PLAYDOH_4W_SPEC)

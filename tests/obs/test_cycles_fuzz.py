@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.metrics import compile_program
+from repro.compiler.manager import compile_program
 from repro.core.program_sim import simulate_program
 from repro.core.speculation import SpeculationConfig
 from repro.machine.configs import PLAYDOH_4W, PLAYDOH_8W, PLAYDOH_4W_SPEC

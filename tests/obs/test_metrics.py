@@ -6,7 +6,6 @@ from repro.obs.metrics import (
     HistogramSummary,
     MetricsRegistry,
     MetricsSnapshot,
-    NULL_METRICS,
     metric_key,
 )
 
@@ -42,18 +41,6 @@ class TestRegistry:
         h = reg.snapshot().histogram("occ")
         assert (h.count, h.total, h.min, h.max) == (3, 9.0, 1, 5)
         assert h.mean == 3.0
-
-    def test_disabled_registry_records_nothing(self):
-        reg = MetricsRegistry(enabled=False)
-        reg.inc("a")
-        reg.set_gauge("g", 1)
-        reg.observe("h", 1)
-        reg.merge_snapshot(MetricsSnapshot(counters={"a": 5}))
-        snap = reg.snapshot()
-        assert snap.counters == {} and snap.gauges == {} and snap.histograms == {}
-
-    def test_null_metrics_is_disabled(self):
-        assert NULL_METRICS.enabled is False
 
     def test_reset(self):
         reg = MetricsRegistry()

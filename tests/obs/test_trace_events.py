@@ -185,7 +185,7 @@ class TestProgramLevelMetrics:
     @pytest.fixture(scope="class")
     def compiled(self):
         from repro.machine.configs import PLAYDOH_4W
-        from repro.core.metrics import compile_program
+        from repro.compiler.manager import compile_program
         from repro.profiling.profile_run import profile_program
         from repro.trace.capture import capture_trace
         from repro.workloads.suite import load_benchmark

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.metrics import compile_program
+from repro.compiler.manager import compile_program
 from repro.core.program_sim import simulate_program
 from repro.ir.builder import ProgramBuilder
 from repro.machine.configs import PLAYDOH_4W

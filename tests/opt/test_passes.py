@@ -12,6 +12,7 @@ from repro.opt.passes import (
     constant_folding,
     copy_propagation,
     dead_code_elimination,
+    function_shape,
     optimize_function,
     optimize_program,
 )
@@ -171,6 +172,42 @@ class TestDeadCodeElimination:
         out = optimize_function(fn)
         body_dests = [op.dest for op in out.block("entry").operations if op.dest]
         assert body_dests == []
+
+
+def sloppy_function():
+    """A function the classical passes can visibly improve."""
+    return function_of(lambda fb: (
+        fb.mov("a", 6),
+        fb.mov("b", 7),
+        fb.mul("c", "a", "b"),     # folds to 42
+        fb.mov("d", "c"),          # copy to propagate
+        fb.add("e", "d", 1),       # then folds to 43
+        fb.mov("dead", 99),        # never read again
+        fb.mov("p", 0),
+        fb.store("e", "p"),
+    ))
+
+
+class TestPassAlgebra:
+    def test_dce_is_idempotent(self):
+        function = sloppy_function()
+        first = dead_code_elimination(function)
+        assert function_shape(first) != function_shape(function)
+        second = dead_code_elimination(first)
+        assert function_shape(second) == function_shape(first)
+
+    def test_fold_copyprop_reaches_fixpoint(self):
+        current = sloppy_function()
+        for _ in range(8):
+            before = function_shape(current)
+            current = copy_propagation(constant_folding(current))
+            if function_shape(current) == before:
+                break
+        else:
+            pytest.fail("fold/copyprop never reached a fixpoint")
+        # The loop stopped where one more round changed nothing; the
+        # fixpoint it reached is a rewrite of the input.
+        assert function_shape(current) != function_shape(sloppy_function())
 
 
 class TestPipelineEquivalence:

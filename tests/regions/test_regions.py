@@ -1,11 +1,10 @@
-"""Tests for region enlargement: block merging and loop unrolling."""
+"""Tests for region enlargement: loop unrolling."""
 
 import pytest
 
-from repro.ir.builder import FunctionBuilder, ProgramBuilder
+from repro.ir.builder import ProgramBuilder
 from repro.ir.verifier import verify_function
 from repro.profiling.interpreter import run_program
-from repro.regions.merge import merge_straightline
 from repro.regions.unroll import UnrollError, unroll_loop, unroll_program_loop
 
 
@@ -29,63 +28,6 @@ def counted_loop_program(trips=40, store_addr=5000):
     pb.add(fb.build())
     pb.memory(1000, [3 * k + 1 for k in range(trips)])
     return pb.build()
-
-
-class TestMergeStraightline:
-    def test_merges_unique_chain(self):
-        fb = FunctionBuilder("f")
-        fb.block("entry")
-        fb.mov("a", 1)
-        fb.br("mid")
-        fb.block("mid")
-        fb.add("b", "a", 2)
-        fb.br("tail")
-        fb.block("tail")
-        fb.store("b", "a", offset=9)
-        fb.halt()
-        merged = merge_straightline(fb.build())
-        assert [b.label for b in merged] == ["entry"]
-        assert len(merged.block("entry")) == 4  # mov, add, store, halt
-        verify_function(merged)
-
-    def test_merged_function_equivalent(self):
-        program = counted_loop_program()
-        merged_fn = merge_straightline(program.main)
-        from repro.ir.program import Program
-
-        clone = Program("merged")
-        clone.add_function(merged_fn)
-        clone.initial_memory.update(program.initial_memory)
-        base = run_program(program)
-        new = run_program(clone)
-        assert new.registers == base.registers
-        assert new.memory.snapshot() == base.memory.snapshot()
-
-    def test_does_not_merge_across_join(self):
-        fb = FunctionBuilder("f")
-        fb.block("entry")
-        fb.cmplt("c", "x", 1)
-        fb.brcond("c", "a", "b")
-        fb.block("a")
-        fb.br("join")
-        fb.block("b")
-        fb.br("join")
-        fb.block("join")  # two predecessors: must survive
-        fb.halt()
-        merged = merge_straightline(fb.build())
-        assert merged.has_block("join")
-
-    def test_does_not_merge_self_loop(self):
-        program = counted_loop_program()
-        merged = merge_straightline(program.main)
-        assert merged.has_block("loop")
-
-    def test_loop_exit_chain_merges(self):
-        # loop -> exit is not mergeable (loop has 2 successors), but the
-        # entry -> loop edge is not mergeable either (loop has 2 preds).
-        program = counted_loop_program()
-        merged = merge_straightline(program.main)
-        assert {b.label for b in merged} == {"entry", "loop", "exit"}
 
 
 class TestUnrollLoop:

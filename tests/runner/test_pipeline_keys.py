@@ -26,12 +26,6 @@ class TestNormalisation:
         assert plain.key() == explicit.key()
         assert plain.job_id == explicit.job_id
 
-    def test_verify_flag_never_splits_caches(self):
-        noisy = compile_spec(
-            "li", PLAYDOH_4W, pipeline=standard_pipeline(verify=False)
-        )
-        assert noisy.key() == compile_spec("li", PLAYDOH_4W).key()
-
     def test_build_and_profile_keep_only_the_frontend(self):
         pipeline = standard_pipeline(unroll=("loop", 2))
         built = build_spec("li", pipeline=pipeline)

@@ -67,21 +67,6 @@ class TestBasicScheduling:
         schedule = ListScheduler(m4).schedule_graph("empty", DependenceGraph([]))
         assert schedule.length == 0
 
-    def test_unknown_priority_rejected(self, m4):
-        with pytest.raises(ValueError, match="unknown priority"):
-            ListScheduler(m4, priority="bogus")
-
-    def test_all_priorities_produce_valid_schedules(self, straight_block):
-        graph = build_ddg(straight_block, PLAYDOH_4W)
-        for priority in ("height", "slack", "source"):
-            schedule = ListScheduler(PLAYDOH_4W, priority=priority).schedule_graph(
-                "b", graph
-            )
-            for edge in graph.edges():
-                assert (
-                    schedule.issue_cycle(edge.dst)
-                    >= schedule.issue_cycle(edge.src) + edge.weight
-                )
 
 
 class TestResourceContention:

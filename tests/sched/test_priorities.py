@@ -1,70 +1,48 @@
-"""Direct unit tests for the list-scheduling priority functions."""
+"""The list scheduler's priority: dependence height, earlier op on a tie.
 
-import pytest
+A one-wide machine issues one operation per cycle, so the issue order of
+two ready operations is exactly the order the priority puts them in.
+"""
+
+import dataclasses
 
 from repro.ddg.builder import build_ddg
 from repro.ddg.critical_path import analyze
 from repro.ir.builder import FunctionBuilder
-from repro.sched.priorities import (
-    PRIORITY_FACTORIES,
-    height_priority,
-    slack_priority,
-    source_order_priority,
-)
+from repro.machine.configs import PLAYDOH_4W
+from repro.sched.list_scheduler import schedule_block
+
+ONE_WIDE = dataclasses.replace(PLAYDOH_4W, name="one-wide", issue_width=1)
 
 
-@pytest.fixture
-def analysed(m4):
+def block_of(emit):
     fb = FunctionBuilder("f")
     fb.block("entry")
-    load = fb.load("a", "p")     # heads the long chain
-    dep = fb.add("b", "a", 1)
-    slackful = fb.mov("z", 5)    # independent, lots of slack
+    ops = emit(fb)
     fb.halt()
-    block = fb.build().block("entry")
-    graph = build_ddg(block, m4)
-    return analyze(graph, m4), load, dep, slackful
+    return fb.build().block("entry"), ops
 
 
 class TestHeightPriority:
-    def test_deeper_op_wins(self, analysed):
-        analysis, load, dep, slackful = analysed
-        priority = height_priority(analysis)
-        assert priority(load.op_id) > priority(slackful.op_id)
-        assert priority(load.op_id) > priority(dep.op_id)
+    def test_deeper_op_wins(self):
+        block, (shallow, load, dep) = block_of(lambda fb: (
+            fb.mov("z", 5),          # independent, height 1, first in order
+            fb.load("a", "p"),       # heads the long chain
+            fb.add("b", "a", 1),
+        ))
+        analysis = analyze(build_ddg(block, ONE_WIDE), ONE_WIDE)
+        assert analysis.height[load.op_id] > analysis.height[shallow.op_id]
+        schedule = schedule_block(block, ONE_WIDE)
+        # Source order would issue the mov first; height issues the load.
+        assert schedule.issue_cycle(load.op_id) < schedule.issue_cycle(shallow.op_id)
+        assert schedule.issue_cycle(load.op_id) == 0
 
-    def test_tie_break_prefers_earlier_op(self, analysed):
-        analysis, load, dep, slackful = analysed
-        priority = height_priority(analysis)
-        # equal heights tie-break on smaller op id (earlier program order)
-        a, b = sorted([dep.op_id, slackful.op_id])
-        if analysis.height[a] == analysis.height[b]:
-            assert priority(a) > priority(b)
-
-
-class TestSlackPriority:
-    def test_critical_op_wins(self, analysed):
-        analysis, load, dep, slackful = analysed
-        priority = slack_priority(analysis)
-        assert priority(load.op_id) > priority(slackful.op_id)
-
-    def test_zero_slack_sorts_first(self, analysed):
-        analysis, load, dep, slackful = analysed
-        assert analysis.slack(load.op_id) == 0
-        assert analysis.slack(slackful.op_id) > 0
-
-
-class TestSourceOrder:
-    def test_program_order(self, analysed):
-        analysis, load, dep, slackful = analysed
-        priority = source_order_priority()
-        assert priority(load.op_id) > priority(dep.op_id) > priority(slackful.op_id)
-
-
-class TestRegistry:
-    def test_factories(self, analysed):
-        analysis, load, _, _ = analysed
-        assert set(PRIORITY_FACTORIES) == {"height", "slack", "source"}
-        for factory in PRIORITY_FACTORIES.values():
-            priority = factory(analysis)
-            assert isinstance(priority(load.op_id), tuple)
+    def test_tie_break_prefers_earlier_op(self):
+        block, (first, second) = block_of(lambda fb: (
+            fb.mov("x", 1),
+            fb.mov("y", 2),
+        ))
+        analysis = analyze(build_ddg(block, ONE_WIDE), ONE_WIDE)
+        assert analysis.height[first.op_id] == analysis.height[second.op_id]
+        schedule = schedule_block(block, ONE_WIDE)
+        assert schedule.issue_cycle(first.op_id) < schedule.issue_cycle(second.op_id)

@@ -7,11 +7,13 @@ observers see riding a live interpretation — profiles, simulation
 counts, access counters and all.  The live side is the reference
 interpreter's per-op loop (``reference_runs.live``), the only
 interpreter that takes observers; the production entry points
-(``profile_program``, ``simulate_program``) read only the trace.
+(``profile_program``, ``simulate_program``) read only the trace.  A
+trace persists the way the runner stores every stage result: pickled
+into its disk cache (``DiskCache``), and a trace read back from there
+must replay exactly like the captured one.
 """
 
 import dataclasses
-import json
 import tempfile
 from pathlib import Path
 
@@ -19,14 +21,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.metrics import compile_program
+from repro.compiler.manager import compile_program
 from repro.core.program_sim import simulate_program
 from repro.ir.builder import ProgramBuilder
 from repro.machine.configs import PLAYDOH_4W
 from repro.profiling.interpreter import ExecutionLimitExceeded, Interpreter
 from repro.profiling.profile_run import profile_program
 from repro.trace.capture import capture_trace
-from repro.trace.format import TraceError, TraceMismatch, ValueTrace, program_digest
+from repro.runner.cache import DiskCache
+from repro.trace.format import TraceMismatch, program_digest
 from repro.workloads.suite import load_suite
 from tests.trace.reference_runs import (
     SimulationObserver,
@@ -38,6 +41,19 @@ from tests.trace.reference_runs import (
 
 SUITE = load_suite(scale=0.25)
 TRACES = {name: capture_trace(program) for name, program in SUITE.items()}
+
+
+def stored_and_read(trace, root):
+    """``trace`` written to a disk cache at ``root`` and read back by a
+    fresh cache instance, as a warm run reads it."""
+    writer = DiskCache(root=root)
+    writer.put("trace", trace)
+    writer.close()
+    reader = DiskCache(root=root)
+    hit, loaded = reader.get("trace")
+    reader.close()
+    assert hit
+    return loaded
 
 
 def assert_profiles_identical(a, b):
@@ -113,8 +129,7 @@ class TestSuiteReplay:
 
     def test_file_roundtrip_replays_identically(self, workload, tmp_path):
         trace = TRACES[workload]
-        path = trace.save(tmp_path / f"{workload}.trace.gz")
-        loaded = ValueTrace.load(path)
+        loaded = stored_and_read(trace, tmp_path / "cache")
         assert dataclasses.asdict(loaded) == dataclasses.asdict(trace)
         program = SUITE[workload]
         assert_profiles_identical(
@@ -131,7 +146,7 @@ class TestSuiteReplay:
         compilation = compile_program(
             program, PLAYDOH_4W, profile_program(program, trace)
         )
-        loaded = ValueTrace.load(trace.save(tmp_path / f"{workload}.trace.gz"))
+        loaded = stored_and_read(trace, tmp_path / "cache")
         assert dataclasses.asdict(
             simulate_program(compilation, loaded)
         ) == dataclasses.asdict(simulate_program(compilation, trace))
@@ -192,29 +207,6 @@ class TestFormat:
         b.poke(99999, 1)
         assert program_digest(a) != program_digest(b)
 
-    def test_unsupported_schema_version_is_rejected(self):
-        obj = TRACES["compress"].to_json_obj()
-        obj["schema_version"] = 999
-        with pytest.raises(TraceError, match="schema version 999"):
-            ValueTrace.from_json_obj(obj)
-
-    def test_malformed_object_is_rejected(self):
-        with pytest.raises(TraceError, match="malformed"):
-            ValueTrace.from_json_obj({"schema_version": 1})
-
-    def test_unreadable_file_is_rejected(self, tmp_path):
-        path = tmp_path / "bogus.trace.gz"
-        path.write_bytes(b"not gzip at all")
-        with pytest.raises(TraceError, match="cannot read"):
-            ValueTrace.load(path)
-
-    def test_memory_keys_survive_json(self):
-        trace = TRACES["compress"]
-        rt = ValueTrace.from_json_obj(
-            json.loads(json.dumps(trace.to_json_obj()))
-        )
-        assert rt.final_memory == trace.final_memory
-        assert all(isinstance(k, int) for k in rt.final_memory)
 
 
 @settings(max_examples=25, deadline=None)
@@ -229,7 +221,7 @@ class TestFormat:
     iterations=st.integers(min_value=1, max_value=8),
 )
 def test_property_roundtrip_replay(values, iterations):
-    """serialize -> load -> replay reproduces the live profile for
+    """store -> read back -> replay reproduces the live profile for
     arbitrary array contents and loop lengths."""
     pb = ProgramBuilder("prop")
     fb = pb.function()
@@ -254,7 +246,7 @@ def test_property_roundtrip_replay(values, iterations):
 
     trace = capture_trace(program)
     with tempfile.TemporaryDirectory() as tmp:
-        loaded = ValueTrace.load(trace.save(Path(tmp) / "t.gz"))
+        loaded = stored_and_read(trace, Path(tmp) / "cache")
     assert_profiles_identical(
         observed_profile(program, live(program)),
         profile_program(program, loaded),
