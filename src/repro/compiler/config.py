@@ -26,12 +26,16 @@ import dataclasses
 import enum
 import hashlib
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 #: Bump when the canonical serialisation of pipeline configs changes
 #: shape (part of every fingerprint, hence of every runner cache key).
 PIPELINE_SCHEMA_VERSION = 1
+
+
+_PRIMITIVES = frozenset({str, int, bool, type(None)})
 
 
 def canonical_value(value: Any) -> Any:
@@ -42,6 +46,11 @@ def canonical_value(value: Any) -> Any:
     sets (sorted) and primitives.  Floats go through ``repr`` so the
     hash sees full precision.
     """
+    # Exact types, checked first because they are most of what a job
+    # key holds: an enum or other subclass of int or str still takes
+    # its own branch below.
+    if type(value) in _PRIMITIVES:
+        return value
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {
             "__dataclass__": type(value).__name__,
@@ -62,7 +71,7 @@ def canonical_value(value: Any) -> Any:
         return [canonical_value(v) for v in value]
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, (str, int, bool)) or value is None:
+    if isinstance(value, (str, int, bool)):
         return value
     raise TypeError(
         f"cannot canonicalise {type(value).__name__} for a content hash"

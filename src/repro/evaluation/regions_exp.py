@@ -86,7 +86,7 @@ def _architecturally_equivalent(base: FinalState, variant: FinalState) -> bool:
 
 
 def compute(evaluation: Evaluation) -> List[RegionRow]:
-    from repro.regions.unroll import UnrollError, unroll_program_loop
+    from repro.regions.unroll import UnrollError, check_unrollable
 
     rows: List[RegionRow] = []
     machine = evaluation.machine_4w
@@ -107,9 +107,9 @@ def compute(evaluation: Evaluation) -> List[RegionRow]:
         for factor in FACTORS:
             fractions[factor] = None
             try:
-                # Cheap and interpreter-free: a loop the unroller
-                # rejects has no variant to build or trace.
-                unroll_program_loop(program, label, factor)
+                # The unroller's own structural checks, copying no op:
+                # a loop it rejects has no variant to build or trace.
+                check_unrollable(program.main, label, factor)
             except UnrollError:
                 continue
             # The variant goes through the shared pipeline: its build,

@@ -79,6 +79,15 @@ class Operation:
     def __post_init__(self) -> None:
         self._validate()
 
+    def __reduce__(self):
+        # Pickle by a restore function, not the slot-state default
+        # (docs/RUNNER.md, "Payload codec").
+        return (
+            _restore_operation,
+            (self.opcode, self.dest, self.srcs, self.offset, self.targets,
+             self.op_id),
+        )
+
     def _validate(self) -> None:
         op = self.opcode
         if is_alu(op):
@@ -169,3 +178,19 @@ class Operation:
 
     def __hash__(self) -> int:
         return hash(self.op_id)
+
+
+def _restore_operation(opcode, dest, srcs, offset, targets, op_id) -> Operation:
+    """Rebuild a pickled :class:`Operation`.
+
+    The fields were validated when the original was built, so the
+    restore sets them without running the constructor's checks again.
+    """
+    op = object.__new__(Operation)
+    op.opcode = opcode
+    op.dest = dest
+    op.srcs = srcs
+    op.offset = offset
+    op.targets = targets
+    op.op_id = op_id
+    return op

@@ -9,10 +9,13 @@ every op whose opcode is in :data:`~repro.trace.format.TRACED_OPCODES`,
 in execution order.
 
 Each basic block is precompiled, once per static block per run, into a
-dispatch list of per-op closures: the opcode handler, operand readers,
-destination slot and, for traced ops, the append to the run's value
-list are resolved at compile time instead of being re-dispatched for
-every dynamic instance.  The test suite keeps the original per-op
+dispatch list of no-argument per-op closures: the opcode handler, the
+register slots of operands and destination (one slot per register name
+in the run's register list), the memory dict and, for traced ops, the
+append to the run's value list are resolved at compile time instead of
+being re-dispatched for every dynamic instance.  Loads and stores read
+and write the memory words inline; their counts are added once per
+block entry.  The test suite keeps the original per-op
 dispatch loop, with its observer hooks, as the executable specification
 this path is checked against
 (``tests/profiling/reference_interpreter.py``).
@@ -74,66 +77,111 @@ def _dispatch_miss_message(opcode: Opcode) -> str:
 # -- block specialization ----------------------------------------------------
 
 
-def _make_reader(src: Union[Reg, Imm]):
+class _RegisterFile:
+    """The run's registers as one list with a slot per register name.
+
+    Slots are handed out as blocks are compiled, so a compiled step
+    indexes a list instead of hashing a name.  An unwritten slot holds
+    0, which is what reading a never-written register yields.
+
+    ``written`` is an ordered set of the names the run's ``registers``
+    reports: the initial registers, then each destination in the order
+    blocks are compiled and, within a block, in op order.  A block is
+    compiled on its first entry and runs to its end on that entry (or
+    the run raises), so that order is exactly the dynamic first-write
+    order.
+    """
+
+    __slots__ = ("values", "slots", "written")
+
+    def __init__(self, initial: Dict[str, Number]):
+        self.values: List[Number] = list(initial.values())
+        self.slots: Dict[str, int] = {name: i for i, name in enumerate(initial)}
+        self.written: Dict[str, None] = dict.fromkeys(initial)
+
+    def slot(self, name: str) -> int:
+        index = self.slots.get(name)
+        if index is None:
+            index = self.slots[name] = len(self.values)
+            self.values.append(0)
+        return index
+
+    def dest(self, reg: Reg) -> int:
+        """The slot of a register an op writes, noting the write."""
+        self.written[reg.name] = None
+        return self.slot(reg.name)
+
+    def snapshot(self) -> Dict[str, Number]:
+        values, slots = self.values, self.slots
+        return {name: values[slots[name]] for name in self.written}
+
+
+def _make_reader(src: Union[Reg, Imm], rf: _RegisterFile):
     """Operand reader resolved once per static operand."""
     if isinstance(src, Imm):
         value = src.value
-        return lambda regs: value
-    return lambda regs, _name=src.name: regs.get(_name, 0)
+        return lambda: value
+    return lambda R=rf.values, s=rf.slot(src.name): R[s]
 
 
-def _compile_plain_op(op: Operation):
-    """Compile one straight-line op into a ``step(regs, mem)`` closure
-    performing its architectural effect with no allocation."""
+def _compile_plain_op(op: Operation, rf: _RegisterFile, W: Dict[int, Number]):
+    """Compile one straight-line op into a no-argument ``step()`` closure
+    over the run's register list ``R`` and memory words ``W``."""
     opcode = op.opcode
     srcs = op.srcs
+    R = rf.values
 
     if is_alu(opcode):
         fn = evaluator(opcode)
-        dest = op.dest.name
         if len(srcs) == 2:
             a, b = srcs
             if isinstance(a, Reg) and isinstance(b, Reg):
-                an, bn = a.name, b.name
 
-                def step(regs, mem, fn=fn, an=an, bn=bn, dest=dest):
-                    regs[dest] = fn(regs.get(an, 0), regs.get(bn, 0))
+                def step(R=R, fn=fn, a=rf.slot(a.name), b=rf.slot(b.name),
+                         d=rf.dest(op.dest)):
+                    R[d] = fn(R[a], R[b])
 
                 return step
             if isinstance(a, Reg) and isinstance(b, Imm):
-                an, bv = a.name, b.value
 
-                def step(regs, mem, fn=fn, an=an, bv=bv, dest=dest):
-                    regs[dest] = fn(regs.get(an, 0), bv)
+                def step(R=R, fn=fn, a=rf.slot(a.name), bv=b.value,
+                         d=rf.dest(op.dest)):
+                    R[d] = fn(R[a], bv)
 
                 return step
             if isinstance(a, Imm) and isinstance(b, Reg):
-                av, bn = a.value, b.name
 
-                def step(regs, mem, fn=fn, av=av, bn=bn, dest=dest):
-                    regs[dest] = fn(av, regs.get(bn, 0))
+                def step(R=R, fn=fn, av=a.value, b=rf.slot(b.name),
+                         d=rf.dest(op.dest)):
+                    R[d] = fn(av, R[b])
 
                 return step
         if len(srcs) == 1 and isinstance(srcs[0], Reg):
-            an = srcs[0].name
 
-            def step(regs, mem, fn=fn, an=an, dest=dest):
-                regs[dest] = fn(regs.get(an, 0))
+            def step(R=R, fn=fn, a=rf.slot(srcs[0].name), d=rf.dest(op.dest)):
+                R[d] = fn(R[a])
 
             return step
-        readers = tuple(_make_reader(s) for s in srcs)
+        readers = tuple(_make_reader(s, rf) for s in srcs)
 
-        def step(regs, mem, fn=fn, readers=readers, dest=dest):
-            regs[dest] = fn(*[read(regs) for read in readers])
+        def step(R=R, fn=fn, readers=readers, d=rf.dest(op.dest)):
+            R[d] = fn(*[read() for read in readers])
 
         return step
 
     if opcode is Opcode.LOAD:
-        read_base = _make_reader(srcs[0])
+        base = srcs[0]
+        if isinstance(base, Reg):
 
-        def step(regs, mem, read_base=read_base, offset=op.offset,
-                 dest=op.dest.name):
-            regs[dest] = mem.load(read_base(regs) + offset)
+            def step(R=R, W=W, b=rf.slot(base.name), offset=op.offset,
+                     d=rf.dest(op.dest)):
+                R[d] = W.get(int(R[b] + offset), 0)
+
+            return step
+
+        def step(R=R, W=W, bv=base.value, offset=op.offset,
+                 d=rf.dest(op.dest)):
+            R[d] = W.get(int(bv + offset), 0)
 
         return step
 
@@ -141,36 +189,34 @@ def _compile_plain_op(op: Operation):
         offset = op.offset
         value_src, base_src = srcs
         if isinstance(value_src, Reg) and isinstance(base_src, Reg):
-            vn, bn = value_src.name, base_src.name
 
-            def step(regs, mem, vn=vn, bn=bn, offset=offset):
-                mem.store(regs.get(bn, 0) + offset, regs.get(vn, 0))
+            def step(R=R, W=W, v=rf.slot(value_src.name),
+                     b=rf.slot(base_src.name), offset=offset):
+                W[int(R[b] + offset)] = R[v]
 
             return step
-        read_value = _make_reader(value_src)
-        read_base = _make_reader(base_src)
+        read_value = _make_reader(value_src, rf)
+        read_base = _make_reader(base_src, rf)
 
-        def step(regs, mem, rv=read_value, rb=read_base, offset=offset):
-            mem.store(rb(regs) + offset, rv(regs))
+        def step(W=W, rv=read_value, rb=read_base, offset=offset):
+            W[int(rb() + offset)] = rv()
 
         return step
 
     # Prediction forms (and any future opcode without an architectural
-    # interpretation): the reference loop reads the operands, then raises.
-    # Compiling a raiser keeps the dispatch miss at the same dynamic
-    # point with the same message.
-    readers = tuple(_make_reader(s) for s in srcs)
+    # interpretation).  Reading operands has no effect, so the step just
+    # raises: the dispatch miss fires at the same dynamic op with the
+    # reference loop's message.
     message = _dispatch_miss_message(opcode)
 
-    def step(regs, mem, readers=readers, message=message):
-        for read in readers:
-            read(regs)
+    def step(message=message):
         raise ValueError(message)
 
     return step
 
 
-def _compile_traced_op(op: Operation, record):
+def _compile_traced_op(op: Operation, rf: _RegisterFile,
+                       W: Dict[int, Number], record):
     """Like :func:`_compile_plain_op` for an op in ``TRACED_OPCODES``,
     whose step also passes its result to ``record``.
 
@@ -179,12 +225,12 @@ def _compile_traced_op(op: Operation, record):
     plain step and records the destination it wrote.
     """
     srcs = op.srcs
-    dest = op.dest.name
+    R = rf.values
     if op.opcode is Opcode.LOAD and isinstance(srcs[0], Reg):
 
-        def step(regs, mem, bn=srcs[0].name, offset=op.offset, dest=dest,
-                 record=record):
-            regs[dest] = result = mem.load(regs.get(bn, 0) + offset)
+        def step(R=R, W=W, b=rf.slot(srcs[0].name), offset=op.offset,
+                 d=rf.dest(op.dest), record=record):
+            R[d] = result = W.get(int(R[b] + offset), 0)
             record(result)
 
         return step
@@ -193,71 +239,80 @@ def _compile_traced_op(op: Operation, record):
         a, b = srcs
         if isinstance(b, Reg):
 
-            def step(regs, mem, fn=fn, an=a.name, bn=b.name, dest=dest,
-                     record=record):
-                regs[dest] = result = fn(regs.get(an, 0), regs.get(bn, 0))
+            def step(R=R, fn=fn, a=rf.slot(a.name), b=rf.slot(b.name),
+                     d=rf.dest(op.dest), record=record):
+                R[d] = result = fn(R[a], R[b])
                 record(result)
 
             return step
         if isinstance(b, Imm):
 
-            def step(regs, mem, fn=fn, an=a.name, bv=b.value, dest=dest,
-                     record=record):
-                regs[dest] = result = fn(regs.get(an, 0), bv)
+            def step(R=R, fn=fn, a=rf.slot(a.name), bv=b.value,
+                     d=rf.dest(op.dest), record=record):
+                R[d] = result = fn(R[a], bv)
                 record(result)
 
             return step
 
-    def step(regs, mem, plain=_compile_plain_op(op), dest=dest,
-             record=record):
-        plain(regs, mem)
-        record(regs[dest])
+    plain = _compile_plain_op(op, rf, W)
+
+    def step(R=R, plain=plain, d=rf.slot(op.dest.name), record=record):
+        plain()
+        record(R[d])
 
     return step
+
+
+def _compile_branch(term_op: Optional[Operation], label: str,
+                    rf: _RegisterFile):
+    """The block's exit as a closure returning the next label, or
+    ``None`` on ``HALT``; a block without a terminator raises."""
+    if term_op is None:
+        message = f"block {label!r} fell through without a branch"
+
+        def branch():
+            raise RuntimeError(message)
+
+        return branch
+    if term_op.opcode is Opcode.BR:
+        target = term_op.targets[0]
+        return lambda: target
+    if term_op.opcode is Opcode.BRCOND:
+        taken, fallthrough = term_op.targets
+        cond = term_op.srcs[0]
+        if isinstance(cond, Reg):
+
+            def branch(R=rf.values, c=rf.slot(cond.name)):
+                return taken if R[c] != 0 else fallthrough
+
+            return branch
+        return lambda: taken if cond.value != 0 else fallthrough
+    return lambda: None  # HALT is the only other branch opcode.
 
 
 class _CompiledBlock:
     """One basic block lowered to a dispatch list of per-op closures."""
 
-    __slots__ = ("block_id", "n_ops", "steps", "term_kind", "term_cond",
-                 "term_targets")
+    __slots__ = ("block_id", "n_ops", "steps", "has_terminator", "branch",
+                 "n_loads", "n_stores")
 
-    def __init__(self, block: BasicBlock, block_id: int, record):
+    def __init__(self, block: BasicBlock, block_id: int, rf: _RegisterFile,
+                 W: Dict[int, Number], record):
         ops = block.operations
         term_op = ops[-1] if ops and ops[-1].is_branch else None
         body = ops[:-1] if term_op is not None else list(ops)
         self.block_id = block_id
         self.n_ops = len(ops)
         self.steps = [
-            _compile_traced_op(op, record)
+            _compile_traced_op(op, rf, W, record)
             if op.opcode in TRACED_OPCODES
-            else _compile_plain_op(op)
+            else _compile_plain_op(op, rf, W)
             for op in body
         ]
-        self.term_cond = None
-        self.term_targets: Tuple[str, ...] = ()
-        if term_op is None:
-            self.term_kind = None
-        elif term_op.opcode is Opcode.BR:
-            self.term_kind = "br"
-            self.term_targets = term_op.targets
-        elif term_op.opcode is Opcode.BRCOND:
-            self.term_kind = "brcond"
-            self.term_cond = _make_reader(term_op.srcs[0])
-            self.term_targets = term_op.targets
-        else:  # HALT is the only other branch opcode.
-            self.term_kind = "halt"
-
-    def exec_terminator(self, regs):
-        """Run the terminator; returns ``(next_label, halted)``."""
-        kind = self.term_kind
-        if kind == "br":
-            return self.term_targets[0], False
-        if kind == "brcond":
-            if self.term_cond(regs) != 0:
-                return self.term_targets[0], False
-            return self.term_targets[1], False
-        return None, True
+        self.has_terminator = term_op is not None
+        self.branch = _compile_branch(term_op, block.label, rf)
+        self.n_loads = sum(op.opcode is Opcode.LOAD for op in body)
+        self.n_stores = sum(op.opcode is Opcode.STORE for op in body)
 
 
 class Interpreter:
@@ -269,7 +324,8 @@ class Interpreter:
     def run(self, program: Program) -> ExecutionResult:
         function = program.main
         memory = Memory(program.initial_memory)
-        registers: Dict[str, Number] = dict(program.initial_registers)
+        words = memory.words
+        rf = _RegisterFile(program.initial_registers)
         max_operations = self.max_operations
         compiled: Dict[str, _CompiledBlock] = {}
         block_seq: List[int] = []
@@ -277,9 +333,8 @@ class Interpreter:
         enter = block_seq.append
         record = values.append
 
-        executed = 0
+        executed = loads = stores = 0
         label: Optional[str] = function.entry_label
-        halted = False
 
         while label is not None:
             cb = compiled.get(label)
@@ -287,11 +342,10 @@ class Interpreter:
                 # Ids count blocks in first-entry order: the dict's size
                 # before this block joins it.
                 cb = compiled[label] = _CompiledBlock(
-                    function.block(label), len(compiled), record
+                    function.block(label), len(compiled), rf, words, record
                 )
             enter(cb.block_id)
 
-            next_label: Optional[str] = None
             if executed + cb.n_ops > max_operations:
                 # The budget may run out inside this block: step op by
                 # op so the limit error raises at exactly the operation
@@ -303,37 +357,32 @@ class Interpreter:
                             f"{program.name}: exceeded "
                             f"{max_operations} operations"
                         )
-                    step(registers, memory)
-                if cb.term_kind is not None:
+                    step()
+                if cb.has_terminator:
                     executed += 1
                     if executed > max_operations:
                         raise ExecutionLimitExceeded(
                             f"{program.name}: exceeded "
                             f"{max_operations} operations"
                         )
-                    next_label, halted = cb.exec_terminator(registers)
             else:
                 executed += cb.n_ops
                 for step in cb.steps:
-                    step(registers, memory)
-                if cb.term_kind is not None:
-                    next_label, halted = cb.exec_terminator(registers)
+                    step()
+            loads += cb.n_loads
+            stores += cb.n_stores
+            label = cb.branch()
 
-            if halted:
-                break
-            if next_label is None:
-                raise RuntimeError(
-                    f"block {label!r} fell through without a branch"
-                )
-            label = next_label
-
+        memory.reads = loads
+        memory.writes = stores
         return ExecutionResult(
             program_name=program.name,
             dynamic_operations=executed,
             dynamic_blocks=len(block_seq),
-            registers=registers,
+            registers=rf.snapshot(),
             memory=memory,
-            halted=halted,
+            # The loop ends only on a HALT, unless it never started.
+            halted=bool(block_seq),
             labels=tuple(compiled),
             block_seq=block_seq,
             values=values,

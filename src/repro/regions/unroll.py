@@ -84,16 +84,17 @@ def _condition_feeds_only_branch(block: BasicBlock) -> bool:
     return uses == 0
 
 
-def unroll_loop(function: Function, label: str, factor: int) -> Function:
-    """Return a new function with loop ``label`` unrolled ``factor``x.
+def check_unrollable(function: Function, label: str, factor: int) -> Operation:
+    """Check that loop ``label`` can be unrolled ``factor``x, copying
+    nothing; return the op that computes the loop condition.
 
     Requirements (raising :class:`UnrollError` otherwise):
 
+    * ``factor`` >= 2;
     * the block's terminator is a conditional branch with the block
       itself as one target (a self loop);
     * the loop condition register is produced in the block and feeds
-      only the branch (so intermediate exit tests can be elided);
-    * ``factor`` >= 2.
+      only the branch (so intermediate exit tests can be elided).
     """
     if factor < 2:
         raise UnrollError("unroll factor must be >= 2")
@@ -111,6 +112,18 @@ def unroll_loop(function: Function, label: str, factor: int) -> Function:
             f"loop condition of {label!r} must be computed in the block "
             "and feed only the branch"
         )
+    return cond_def
+
+
+def unroll_loop(function: Function, label: str, factor: int) -> Function:
+    """Return a new function with loop ``label`` unrolled ``factor``x.
+
+    Raises :class:`UnrollError` where :func:`check_unrollable` does.
+    """
+    cond_def = check_unrollable(function, label, factor)
+    block = function.block(label)
+    term = block.terminator
+    cond_reg = term.srcs[0]
 
     body = [op for op in block.body]
     new_ops: List[Operation] = []

@@ -93,7 +93,9 @@ from repro.machine.description import MachineDescription
 #: pass's program-derived ``B + 2k`` / ``B + 2k + 1``.
 #: 2026.10.6: compile payloads lose the per-block metrics memo:
 #: a block's per-pattern metrics are read from its pattern run.
-CODE_VERSION = "2026.10.6"
+#: 2026.10.7: trace payloads carry the binary program digest, and an
+#: ``Operation`` pickles by a restore function instead of slot state.
+CODE_VERSION = "2026.10.7"
 
 def _normalise_pipeline(
     pipeline: Optional[PipelineConfig], frontend_only: bool = False

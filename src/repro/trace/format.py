@@ -22,7 +22,9 @@ Format invariants (see ``docs/INTERNALS.md`` for the full spec):
   (labels, opcode/operand/target sequences, initial state) but not
   operation ids: the architectural run never reads them (values are
   matched to ops by position), so a trace applies to any
-  structurally identical program, however it is numbered.
+  structurally identical program, however it is numbered.  The
+  encoding hashed is binary and type-tagged: ``3``, ``3.0`` and
+  ``True`` differ, as do ``0.0`` and ``-0.0``.
 * **Versioning** — ``schema_version`` names the layout a trace was
   captured with.
 """
@@ -30,7 +32,8 @@ Format invariants (see ``docs/INTERNALS.md`` for the full spec):
 from __future__ import annotations
 
 import hashlib
-import json
+import io
+import pickle
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Tuple, Union
 
@@ -58,9 +61,10 @@ class TraceMismatch(RuntimeError):
 
 
 def _operand_key(operand: Union[Reg, Imm]):
+    """A register as its name, an immediate as a 1-tuple of its value."""
     if isinstance(operand, Imm):
-        return ["imm", operand.value]
-    return ["reg", operand.name]
+        return (operand.value,)
+    return operand.name
 
 
 #: id(program) -> (program, digest).  Identity memo: the entry pins the
@@ -75,6 +79,43 @@ def reset_digest_memo() -> None:
     _DIGESTS.clear()
 
 
+def _structure(program: Program) -> tuple:
+    """The program as nested tuples and lists of strings and numbers,
+    op ids left out and the initial state sorted by key."""
+    memory = program.initial_memory
+    addresses = sorted(memory)
+    return (
+        program.name,
+        program.main_name,
+        [
+            (
+                function.name,
+                function.entry_label,
+                [
+                    (
+                        block.label,
+                        [
+                            (
+                                op.opcode.value,
+                                None if op.dest is None else op.dest.name,
+                                tuple([_operand_key(s) for s in op.srcs]),
+                                op.offset,
+                                tuple(op.targets),
+                            )
+                            for op in block.operations
+                        ],
+                    )
+                    for block in function.blocks
+                ],
+            )
+            for function in program
+        ],
+        sorted(program.initial_registers.items()),
+        addresses,
+        [memory[address] for address in addresses],
+    )
+
+
 def program_digest(program: Program) -> str:
     """Structural content hash of a program (memoised per object).
 
@@ -83,41 +124,24 @@ def program_digest(program: Program) -> str:
     the initial register/memory image — but deliberately *not* operation
     ids, which the architectural run never reads: programs that differ
     only in numbering share one trace.
+
+    The hash is SHA-256 over a memo-free pickle (protocol 4, ``fast``
+    mode) of :func:`_structure`.  Pickle tags each number with its type
+    and packs floats as IEEE-754 bytes, so ``3``, ``3.0`` and ``True``
+    encode differently, and so do ``0.0`` and ``-0.0``.  Without the
+    memo a repeated string is written out each time instead of as a
+    back-reference, so the bytes depend only on the values, not on which
+    objects happen to be shared (a built program and its decoded copy
+    encode alike).
     """
     entry = _DIGESTS.get(id(program))
     if entry is not None and entry[0] is program:
         return entry[1]
-    doc = {
-        "name": program.name,
-        "main": program.main_name,
-        "functions": [
-            {
-                "name": function.name,
-                "entry": function.entry_label,
-                "blocks": [
-                    {
-                        "label": block.label,
-                        "ops": [
-                            [
-                                op.opcode.value,
-                                op.dest.name if op.dest is not None else None,
-                                [_operand_key(s) for s in op.srcs],
-                                op.offset,
-                                list(op.targets),
-                            ]
-                            for op in block.operations
-                        ],
-                    }
-                    for block in function.blocks
-                ],
-            }
-            for function in program
-        ],
-        "registers": sorted(program.initial_registers.items()),
-        "memory": sorted(program.initial_memory.items()),
-    }
-    payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, protocol=4)
+    pickler.fast = True
+    pickler.dump(_structure(program))
+    digest = hashlib.sha256(buffer.getbuffer()).hexdigest()
     _DIGESTS[id(program)] = (program, digest)
     return digest
 

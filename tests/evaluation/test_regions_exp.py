@@ -115,14 +115,24 @@ class TestRejectedVariants:
         _, verdicts = checked
         assert verdicts == [True, False, False, False]
 
-    def test_warm_rerun_reports_the_same_rows(self, tmp_path):
+    def test_warm_rerun_reports_the_same_rows(self, tmp_path, monkeypatch):
+        from repro.regions import unroll
+
         settings = EvaluationSettings(scale=0.25, benchmarks=("li", "swim"))
         cache = tmp_path / "cache"
         cold_runner = Runner(cache=DiskCache(cache))
         cold = compute(Evaluation(settings, runner=cold_runner))
+        copies = []
+        real_copy_op = unroll._copy_op
+        monkeypatch.setattr(
+            unroll, "_copy_op",
+            lambda *args: copies.append(args) or real_copy_op(*args),
+        )
         warm_runner = Runner(cache=DiskCache(cache))
         warm = compute(Evaluation(settings, runner=warm_runner))
         assert warm == cold
+        # The study checks each variant's loop without unrolling it.
+        assert copies == []
         # The warm run reads every trace (and all else) back from disk.
         assert cold_runner.events.summary()["executed_by_stage"]["trace"] > 0
         assert warm_runner.events.summary()["executed"] == 0

@@ -14,6 +14,7 @@ from repro.ir.operation import Operation, Reg
 from repro.profiling.interpreter import ExecutionLimitExceeded, Interpreter
 from repro.trace.format import TRACED_OPCODES
 from repro.workloads.suite import load_suite
+from repro.workloads.synthetic import random_program
 
 from tests.profiling.reference_interpreter import run_reference
 
@@ -59,6 +60,8 @@ def assert_results_identical(a, b):
     assert a.dynamic_operations == b.dynamic_operations
     assert a.dynamic_blocks == b.dynamic_blocks
     assert a.registers == b.registers
+    # First-write order too: it is pickled into trace payloads.
+    assert list(a.registers) == list(b.registers)
     assert a.memory.snapshot() == b.memory.snapshot()
     assert a.loads_executed == b.loads_executed
     assert a.stores_executed == b.stores_executed
@@ -109,6 +112,44 @@ def _loop_program():
     program = pb.build()
     program.poke(100, 7)
     return program
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_random_program_results_match(seed):
+    program = random_program(seed)
+    assert_results_identical(run_legacy(program), run_fast(program))
+
+
+class TestRegisterFile:
+    @staticmethod
+    def _program():
+        pb = ProgramBuilder("regs")
+        fb = pb.function()
+        fb.block("entry")
+        fb.add("b", "never", 5)  # "never" is read but never written
+        fb.mov("a", 1)
+        fb.add("init2", "b", "a")
+        fb.br("next")
+        fb.block("next")
+        fb.store("ghost", "ghost", offset=40)  # read-only, both operands
+        fb.load("z", "ghost", offset=40)
+        fb.cmpne("c", "unset", 0)
+        fb.brcond("c", "next", "done")
+        fb.block("done")
+        fb.mov("a", "b")
+        fb.halt()
+        pb.add(fb.build())
+        pb.register("init1", 10)
+        pb.register("init2", 20)
+        return pb.build()
+
+    def test_unwritten_reads_are_zero_and_unreported(self):
+        program = self._program()
+        fast = run_fast(program)
+        assert_results_identical(run_reference(program), fast)
+        assert list(fast.registers) == ["init1", "init2", "b", "a", "z", "c"]
+        assert fast.registers["b"] == 5 and fast.registers["z"] == 0
+        assert fast.memory.snapshot() == {40: 0}
 
 
 class TestLimitParity:

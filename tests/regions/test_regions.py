@@ -5,7 +5,12 @@ import pytest
 from repro.ir.builder import ProgramBuilder
 from repro.ir.verifier import verify_function
 from repro.profiling.interpreter import run_program
-from repro.regions.unroll import UnrollError, unroll_loop, unroll_program_loop
+from repro.regions.unroll import (
+    UnrollError,
+    check_unrollable,
+    unroll_loop,
+    unroll_program_loop,
+)
 
 
 def counted_loop_program(trips=40, store_addr=5000):
@@ -96,18 +101,52 @@ class TestUnrollLoop:
             unroll_loop(program.main, "exit", 2)
 
     def test_condition_with_other_uses_rejected(self):
-        pb = ProgramBuilder("t")
-        fb = pb.function()
-        fb.block("entry")
-        fb.mov("i", 0)
-        fb.br("loop")
-        fb.block("loop")
-        fb.add("i", "i", 1)
-        fb.cmplt("c", "i", 10)
-        fb.add("x", "c", 1)  # condition escapes into the dataflow
-        fb.brcond("c", "loop", "exit")
-        fb.block("exit")
-        fb.halt()
-        pb.add(fb.build())
         with pytest.raises(UnrollError, match="feed only the branch"):
-            unroll_loop(pb.build().main, "loop", 2)
+            unroll_loop(escaping_condition_program().main, "loop", 2)
+
+
+def escaping_condition_program():
+    pb = ProgramBuilder("t")
+    fb = pb.function()
+    fb.block("entry")
+    fb.mov("i", 0)
+    fb.br("loop")
+    fb.block("loop")
+    fb.add("i", "i", 1)
+    fb.cmplt("c", "i", 10)
+    fb.add("x", "c", 1)  # condition escapes into the dataflow
+    fb.brcond("c", "loop", "exit")
+    fb.block("exit")
+    fb.halt()
+    pb.add(fb.build())
+    return pb.build()
+
+
+class TestCheckUnrollable:
+    """The structural checks alone: the same verdicts and messages as
+    :func:`unroll_loop`, without building anything."""
+
+    @pytest.mark.parametrize(
+        "program, label, factor",
+        [
+            (counted_loop_program(), "loop", 1),
+            (counted_loop_program(), "exit", 2),
+            (counted_loop_program(), "entry", 4),
+            (escaping_condition_program(), "loop", 2),
+        ],
+        ids=["factor", "not-a-loop", "no-brcond", "escaping-condition"],
+    )
+    def test_rejects_with_the_unrollers_message(self, program, label, factor):
+        with pytest.raises(UnrollError) as checked:
+            check_unrollable(program.main, label, factor)
+        with pytest.raises(UnrollError) as unrolled:
+            unroll_loop(program.main, label, factor)
+        assert str(checked.value) == str(unrolled.value)
+
+    def test_accepts_and_returns_the_condition(self):
+        program = counted_loop_program()
+        ops = [list(block.operations) for block in program.main]
+        cond_def = check_unrollable(program.main, "loop", 4)
+        assert str(cond_def).endswith("cmplt c i #40")
+        assert cond_def in program.main.block("loop").operations
+        assert [list(block.operations) for block in program.main] == ops

@@ -1,10 +1,12 @@
-"""The cache's payload codec and the frozen slotted value classes.
+"""The cache's payload codec and the slotted value classes.
 
 CPython gives a ``@dataclass(frozen=True, slots=True)`` class a
 generated ``__setstate__`` that calls ``dataclasses.fields()`` for every
-object it unpickles.  Each such class in ``repro`` pickles by constructor
-instead (``__reduce__``), which these tests hold for every class found,
-so a new one is covered without being listed here first.  Payloads
+object it unpickles, and pickles a non-frozen slotted one as a bare
+object plus a slot-state dict.  Each slotted dataclass in ``repro``
+pickles by a constructor or restore function instead (``__reduce__``),
+which these tests hold for every class found, so a new one is covered
+without being listed here first.  Payloads
 written by the old codec must still decode, and a payload whose
 constructor arguments no longer fit must be a cache miss.
 
@@ -35,21 +37,18 @@ from repro.runner.cache import DiskCache, ProgramRefs
 from repro.sched.schedule import ScheduledOp, VLIWInstruction
 
 
-def _frozen_slotted_classes():
+def _slotted_classes():
+    """Every slotted dataclass in ``repro``, frozen or not."""
     found = set()
     for module_info in pkgutil.walk_packages(repro.__path__, "repro."):
         module = importlib.import_module(module_info.name)
         for _, cls in inspect.getmembers(module, inspect.isclass):
-            if (
-                dataclasses.is_dataclass(cls)
-                and cls.__dataclass_params__.frozen
-                and "__slots__" in cls.__dict__
-            ):
+            if dataclasses.is_dataclass(cls) and "__slots__" in cls.__dict__:
                 found.add(cls)
     return sorted(found, key=lambda cls: f"{cls.__module__}.{cls.__qualname__}")
 
 
-FROZEN_SLOTTED = _frozen_slotted_classes()
+SLOTTED = _slotted_classes()
 
 _LOAD = Operation(Opcode.LOAD, dest=Reg("r2"), srcs=(Reg("r1"),), offset=8, op_id=1)
 _ADD = Operation(Opcode.ADD, dest=Reg("r3"), srcs=(Reg("r2"), Imm(-1)), op_id=2)
@@ -59,6 +58,12 @@ _PLACED = ScheduledOp(_LOAD, 3, 2)
 SAMPLES = {
     Reg: Reg("f7"),
     Imm: Imm(2.5),
+    # The constructor does not forbid a load's targets, so this load
+    # sets every field.
+    Operation: Operation(
+        Opcode.LOAD, dest=Reg("r4"), srcs=(Reg("r1"),), offset=-3,
+        targets=("exit",), op_id=12,
+    ),
     DepEdge: DepEdge(4, 9, DepKind.MEM, 3),
     ScheduledOp: _PLACED,
     VLIWInstruction: VLIWInstruction(5, (ScheduledOp(_ADD, 5, 1), _PLACED)),
@@ -67,23 +72,25 @@ SAMPLES = {
 
 def _assert_same(back, sample) -> None:
     assert type(back) is type(sample)
-    # Field by field: an Operation compares by identity, so a copy of a
-    # class that holds one is never == the original.
+    # Field by field: an Operation compares by identity, so a copy of
+    # one, or of a class that holds one, is never == the original.
     assert dataclasses.astuple(back) == dataclasses.astuple(sample)
-    if not isinstance(sample, (ScheduledOp, VLIWInstruction)):
+    if not isinstance(sample, (Operation, ScheduledOp, VLIWInstruction)):
         assert back == sample
         assert hash(back) == hash(sample)
 
 
 @pytest.fixture
 def no_setstate(monkeypatch):
-    """Make every generated per-object ``__setstate__`` raise."""
+    """Make every slot-state decode raise: pickle's ``BUILD`` calls
+    ``__setstate__``, the generated one of a frozen class or, on a
+    non-frozen class that has none, this one."""
 
     def refuse(self, state):
         raise AssertionError(f"{type(self).__name__} decoded through __setstate__")
 
-    for cls in FROZEN_SLOTTED:
-        monkeypatch.setattr(cls, "__setstate__", refuse)
+    for cls in SLOTTED:
+        monkeypatch.setattr(cls, "__setstate__", refuse, raising=False)
 
 
 @pytest.fixture(scope="module")
@@ -135,13 +142,17 @@ def payload_refs(small_cache, build_programs):
 
 
 def test_every_class_has_a_sample():
-    missing = [cls.__qualname__ for cls in FROZEN_SLOTTED if cls not in SAMPLES]
+    missing = [cls.__qualname__ for cls in SLOTTED if cls not in SAMPLES]
     assert not missing, f"add a sample of each to SAMPLES: {missing}"
-    assert set(SAMPLES) <= set(FROZEN_SLOTTED)
+    assert set(SAMPLES) <= set(SLOTTED)
+    assert Operation in SLOTTED  # the scan reaches non-frozen classes
 
 
-@pytest.mark.parametrize("cls", FROZEN_SLOTTED, ids=lambda cls: cls.__qualname__)
+@pytest.mark.parametrize("cls", SLOTTED, ids=lambda cls: cls.__qualname__)
 class TestEveryFrozenSlottedClass:
+    """Every slotted dataclass (the name predates the non-frozen
+    ``Operation`` joining the scan)."""
+
     @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
     def test_pickles_by_constructor(self, cls, protocol, no_setstate):
         sample = SAMPLES[cls]
